@@ -4,7 +4,8 @@
 #
 # Stages (default: all):
 #   lint   fast fail-early checks — fmt, clippy, rustdoc -D warnings
-#   build  release build, tests, and the bench smoke gates
+#   build  release build, tests, the bench smoke gates, and the
+#          benchmark package's own gate (benchmark/check.sh)
 #
 # CI runs the stages as separate jobs (lint gates build), so a
 # formatting error never burns a long bench run. The workspace is
@@ -135,6 +136,14 @@ if [[ "$stage" == "build" || "$stage" == "all" ]]; then
     # BENCH_scenarios.json: digest drift in any scenario cell is fatal.
     run cargo run --release -p riptide-bench --bin scenarios -- \
         --threads 4 --check
+
+    # The repo benchmark (BENCHMARK.json) is its own package outside the
+    # workspace, so nothing above builds it: its gate checks formatting,
+    # lints and unit tests, then smoke-runs all five workloads — which
+    # fails if the engine API it drives (ShardWork::{ProbeArm,
+    # ScenarioArm}, probe_sim_config, scenario_sim_config) has moved or
+    # a shard driven directly stops matching the engine's event count.
+    run benchmark/check.sh
 fi
 
 echo "==> stage '$stage' passed"

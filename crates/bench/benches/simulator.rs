@@ -63,12 +63,8 @@ fn bench_cdn_deployment_minute(c: &mut Criterion) {
                     organic: OrganicConfig::among(vec![0, 1], 0.5),
                     cwnd_sample_interval: SimDuration::from_secs(30),
                     probe_senders: None,
-                    faults: riptide_simnet::fault::FaultPlan::none(),
-                    reconcile_every: None,
                     telemetry: false,
-                    persistence: None,
-                    gossip: None,
-                    track_ramp: false,
+                    resilience: Default::default(),
                 };
                 let mut sim = CdnSim::new(cfg);
                 sim.run_for(SimDuration::from_secs(60));

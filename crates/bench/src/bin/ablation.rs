@@ -10,7 +10,7 @@
 
 use riptide::prelude::*;
 use riptide_bench::{banner, execute_plan, parse_args};
-use riptide_cdn::engine::{ProbeVariant, RunPlan};
+use riptide_cdn::engine::{PlanArm, RunPlan};
 use riptide_cdn::experiment::{probe_sender_sites, StackTweaks};
 use riptide_cdn::stats::Cdf;
 use riptide_simnet::time::SimDuration;
@@ -169,15 +169,12 @@ fn main() {
     ];
 
     let labels: Vec<String> = variants.iter().map(|(l, _, _)| l.clone()).collect();
-    let plan = RunPlan::probe_variants(
+    let plan = RunPlan::probe_arms(
+        "probe-variants",
         &opts.scale,
         variants
             .into_iter()
-            .map(|(name, riptide, tweaks)| ProbeVariant {
-                name,
-                riptide,
-                tweaks,
-            })
+            .map(|(name, riptide, tweaks)| PlanArm::stack(name, riptide, tweaks))
             .collect(),
         opts.seeds as u32,
     );

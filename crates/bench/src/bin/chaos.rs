@@ -48,8 +48,8 @@ fn main() {
     );
     let mut zero_rate_gain = None;
     for (i, &rate) in RATES.iter().enumerate() {
-        let control = report.merged_chaos_probes(2 * i as u32);
-        let riptide = report.merged_chaos_probes(2 * i as u32 + 1);
+        let control = report.merged_probes(2 * i as u32);
+        let riptide = report.merged_probes(2 * i as u32 + 1);
         let mut gains = Vec::new();
         for &size in &sizes {
             let (c, r) = match (median_ms(&control, size), median_ms(&riptide, size)) {

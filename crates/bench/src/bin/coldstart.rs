@@ -31,7 +31,7 @@
 
 use std::process::ExitCode;
 
-use riptide_bench::banner;
+use riptide_bench::{banner, Baseline};
 use riptide_cdn::engine::{RunPlan, RunReport};
 use riptide_cdn::experiment::ExperimentScale;
 use riptide_cdn::sim::ColdstartReport;
@@ -167,50 +167,25 @@ fn warm_beats_cold(cold: &ColdstartReport, warm: &ColdstartReport, arm: &str) ->
     }
 }
 
-/// Same flat-JSON field scan as `simperf`/`shardscale` (the workspace
-/// has no JSON dependency; bench files keep one scalar per line above
-/// the per-rate rows).
-fn json_field(text: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":");
-    let start = text.find(&needle)? + needle.len();
-    let rest = text[start..].trim_start();
-    let end = rest
-        .find([',', '\n', '}'])
-        .expect("bench JSON values end the line");
-    Some(rest[..end].trim().trim_matches('"').to_string())
-}
-
 fn check(opts: &Options, plan: &RunPlan) -> ExitCode {
-    let text = match std::fs::read_to_string(&opts.out) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("coldstart: cannot read {}: {e}", opts.out.display());
-            return ExitCode::FAILURE;
-        }
+    let fail = |why: String| {
+        eprintln!("coldstart: {why}");
+        ExitCode::FAILURE
     };
-    for (key, got) in [
-        ("scale", opts.scale_name.as_str()),
-        ("seeds", &opts.seeds.to_string()),
-    ] {
-        let want = json_field(&text, key).unwrap_or_default();
-        if want != got {
-            eprintln!(
-                "coldstart: {} was recorded at --{key} {want}, this run used --{key} {got}",
-                opts.out.display()
-            );
-            return ExitCode::FAILURE;
-        }
-    }
+    let recorded = Baseline::read(&opts.out).and_then(|base| {
+        base.recorded_with("scale", &opts.scale_name)?;
+        base.recorded_with("seeds", &opts.seeds.to_string())?;
+        Ok(base)
+    });
+    let base = match recorded {
+        Ok(base) => base,
+        Err(why) => return fail(why),
+    };
 
     let report = run(opts, plan);
     let digest = format!("{:016x}", report.digest_fnv64());
-    let want_digest = json_field(&text, "digest_fnv").unwrap_or_default();
-    if want_digest != digest {
-        eprintln!(
-            "coldstart: DIGEST DRIFT — baseline {want_digest}, got {digest}; \
-             the sweep's observable behaviour changed"
-        );
-        return ExitCode::FAILURE;
+    if let Err(why) = base.digest_matches("digest_fnv", &digest, "the sweep") {
+        return fail(why);
     }
 
     let top = RATES.len() - 1;
@@ -262,13 +237,13 @@ fn main() -> ExitCode {
     // differs: merged entries jump-start connections.)
     let baseline = run(&opts, &RunPlan::probe_comparison(&opts.scale, opts.seeds));
     assert_eq!(
-        report.merged_coldstart_probes(0),
+        report.merged_probes(0),
         baseline.merged_probes(1),
         "zero-rate cold arm diverged from the fault-free probe comparison"
     );
     assert_eq!(
-        report.merged_coldstart_probes(1),
-        report.merged_coldstart_probes(0),
+        report.merged_probes(1),
+        report.merged_probes(0),
         "snapshot bookkeeping changed probe outcomes without any crash"
     );
     println!("# zero-rate cold arm bit-identical to the fault-free probe comparison");

@@ -70,12 +70,12 @@ fn main() {
         &RunPlan::probe_comparison(&opts.scale, opts.seeds as u32),
     );
     assert_eq!(
-        report.merged_guardrail_probes(0),
+        report.merged_probes(0),
         baseline.merged_probes(0),
         "zero-rate control arm diverged from the fault-free comparison"
     );
     assert_eq!(
-        report.merged_guardrail_probes(1),
+        report.merged_probes(1),
         baseline.merged_probes(1),
         "zero-rate riptide arm diverged from the fault-free comparison"
     );
@@ -89,9 +89,9 @@ fn main() {
     let mut summary = Vec::new();
     for (i, &rate) in RATES.iter().enumerate() {
         let base = 3 * i as u32;
-        let control = report.merged_guardrail_probes(base);
-        let riptide = report.merged_guardrail_probes(base + 1);
-        let guarded = report.merged_guardrail_probes(base + 2);
+        let control = report.merged_probes(base);
+        let riptide = report.merged_probes(base + 1);
+        let guarded = report.merged_probes(base + 2);
         for &size in &sizes {
             let (c, r, g) = match (
                 median_ms(&control, size),
@@ -117,7 +117,7 @@ fn main() {
 
         // Safety counters, both Riptide arms.
         for (arm, scenario) in [("riptide", base + 1), ("guarded", base + 2)] {
-            let cr = report.merged_guardrail_report(scenario);
+            let cr = report.merged_chaos_report(scenario);
             println!(
                 "#   rate {rate} {arm}: churns {} (deleted {} / orphaned {} / foreign {}), \
                  repairs {}, foreign seen {}, unrepaired {}, foreign touched {}, \
@@ -156,7 +156,7 @@ fn main() {
         }
         // §IV-D no-harm plumbing: bounds hold in every arm.
         for scenario in [base, base + 1, base + 2] {
-            let cr = report.merged_guardrail_report(scenario);
+            let cr = report.merged_chaos_report(scenario);
             assert_eq!(cr.invariant_breaches, 0, "scenario {scenario}: bounds gate");
             if let Some((lo, hi)) = cr.installed_range() {
                 assert!(
@@ -166,7 +166,7 @@ fn main() {
             }
         }
         if rate > 0.0 {
-            let guarded_report = report.merged_guardrail_report(base + 2);
+            let guarded_report = report.merged_chaos_report(base + 2);
             assert!(
                 guarded_report.guard_trips > 0,
                 "rate {rate}: targeted loss never tripped the breaker"
@@ -195,7 +195,7 @@ fn main() {
             )
         })
         .collect();
-    let top = report.merged_guardrail_report(3 * (RATES.len() as u32 - 1) + 2);
+    let top = report.merged_chaos_report(3 * (RATES.len() as u32 - 1) + 2);
     let json = format!(
         "{{\n  \"benchmark\": \"guardrail-sweep\",\n  \"sites\": {},\n  \
          \"simulated_secs\": {},\n  \"shards\": {},\n  \

@@ -23,7 +23,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use riptide::prelude::*;
-use riptide_bench::banner;
+use riptide_bench::{banner, Baseline};
 use riptide_cdn::megacdn::MegaCdnConfig;
 use riptide_linuxnet::lpm::LpmTrie;
 use riptide_linuxnet::prefix::Ipv4Prefix;
@@ -88,18 +88,6 @@ fn parse() -> Options {
         }
     }
     opts
-}
-
-/// Pulls `"key": <value>` out of the flat bench JSON (no nested objects,
-/// so a string scan suffices — the workspace has no JSON dependency).
-fn json_field(text: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":");
-    let start = text.find(&needle)? + needle.len();
-    let rest = text[start..].trim_start();
-    let end = rest
-        .find([',', '\n', '}'])
-        .expect("bench JSON values end the line");
-    Some(rest[..end].trim().trim_matches('"').to_string())
 }
 
 fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -345,34 +333,18 @@ fn main() -> ExitCode {
     let m = measure(&opts.cfg);
 
     if opts.check {
-        let text = match std::fs::read_to_string(&opts.out) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("megacdn: cannot read {}: {e}", opts.out.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let want_scale = json_field(&text, "scale").unwrap_or_default();
-        if want_scale != opts.scale_name {
-            eprintln!(
-                "megacdn: {} was recorded at --scale {want_scale}, this run used --scale {}",
-                opts.out.display(),
-                opts.scale_name
-            );
+        let checked = Baseline::read(&opts.out).and_then(|base| {
+            base.recorded_with("scale", &opts.scale_name)?;
+            base.digest_matches("lookup_digest", &m.lookup_digest, "the destination table")?;
+            base.digest_matches(
+                "roundtrip_digest",
+                &m.roundtrip_digest,
+                "the destination table",
+            )
+        });
+        if let Err(why) = checked {
+            eprintln!("megacdn: {why}");
             return ExitCode::FAILURE;
-        }
-        for (field, got) in [
-            ("lookup_digest", &m.lookup_digest),
-            ("roundtrip_digest", &m.roundtrip_digest),
-        ] {
-            let want = json_field(&text, field).unwrap_or_default();
-            if want != *got {
-                eprintln!(
-                    "megacdn: DIGEST DRIFT in {field} — baseline {want}, got {got}; \
-                     the destination table's observable behaviour changed"
-                );
-                return ExitCode::FAILURE;
-            }
         }
         if let Err(why) = structural_gates(&m) {
             eprintln!("megacdn: GATE FAILED — {why}");

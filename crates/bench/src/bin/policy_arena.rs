@@ -26,7 +26,7 @@
 use std::process::ExitCode;
 
 use riptide::policy::registered_policies;
-use riptide_bench::banner;
+use riptide_bench::{banner, Baseline};
 use riptide_cdn::engine::RunPlan;
 use riptide_cdn::experiment::ExperimentScale;
 use riptide_cdn::sim::ProbeOutcome;
@@ -95,19 +95,6 @@ fn parse() -> Options {
         }
     }
     opts
-}
-
-/// Pulls `"key": <value>` out of the flat bench JSON (no JSON
-/// dependency in the workspace; the keys this reads are top-level and
-/// unique, so a string scan suffices).
-fn json_field(text: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":");
-    let start = text.find(&needle)? + needle.len();
-    let rest = text[start..].trim_start();
-    let end = rest
-        .find([',', '\n', '}'])
-        .expect("bench JSON values end the line");
-    Some(rest[..end].trim().trim_matches('"').to_string())
 }
 
 fn median_ms(probes: &[ProbeOutcome], size: u64) -> Option<f64> {
@@ -214,29 +201,12 @@ fn main() -> ExitCode {
     }
 
     if opts.check {
-        let text = match std::fs::read_to_string(&opts.out) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("policy_arena: cannot read {}: {e}", opts.out.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let want_scale = json_field(&text, "scale").unwrap_or_default();
-        if want_scale != opts.scale_name {
-            eprintln!(
-                "policy_arena: {} was recorded at --scale {want_scale}, \
-                 this run used --scale {}",
-                opts.out.display(),
-                opts.scale_name
-            );
-            return ExitCode::FAILURE;
-        }
-        let want_digest = json_field(&text, "digest_fnv").unwrap_or_default();
-        if want_digest != digest_fnv {
-            eprintln!(
-                "policy_arena: DIGEST DRIFT — baseline {want_digest}, got {digest_fnv}; \
-                 some policy's observable behaviour changed"
-            );
+        let checked = Baseline::read(&opts.out).and_then(|base| {
+            base.recorded_with("scale", &opts.scale_name)?;
+            base.digest_matches("digest_fnv", &digest_fnv, "some policy")
+        });
+        if let Err(why) = checked {
+            eprintln!("policy_arena: {why}");
             return ExitCode::FAILURE;
         }
         println!(

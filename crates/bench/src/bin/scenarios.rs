@@ -29,10 +29,10 @@
 
 use std::process::ExitCode;
 
-use riptide_bench::banner;
+use riptide_bench::{banner, Baseline};
 use riptide_cdn::engine::RunPlan;
 use riptide_cdn::experiment::ExperimentScale;
-use riptide_cdn::scenario::scenario_catalog;
+use riptide_cdn::scenario::{policy_arms, scenario_catalog};
 use riptide_cdn::sim::ProbeOutcome;
 use riptide_cdn::stats::Cdf;
 use riptide_cdn::workload::ProbeConfig;
@@ -101,19 +101,6 @@ fn parse() -> Options {
     opts
 }
 
-/// Pulls `"key": <value>` out of the flat bench JSON (no JSON
-/// dependency in the workspace; the keys this reads are top-level and
-/// unique, so a string scan suffices).
-fn json_field(text: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":");
-    let start = text.find(&needle)? + needle.len();
-    let rest = text[start..].trim_start();
-    let end = rest
-        .find([',', '\n', '}'])
-        .expect("bench JSON values end the line");
-    Some(rest[..end].trim().trim_matches('"').to_string())
-}
-
 fn median_ms(probes: &[ProbeOutcome], size: u64) -> Option<f64> {
     let cdf = Cdf::new(
         probes
@@ -177,7 +164,7 @@ fn main() -> ExitCode {
     println!("# baseline cell bit-identical to the probe comparison");
 
     let sizes = ProbeConfig::default().sizes;
-    let arms = RunPlan::scenario_arms();
+    let arms = policy_arms();
     let arms_per = arms.len();
     let catalog = scenario_catalog(&opts.scale);
     let mut cells = Vec::new();
@@ -187,7 +174,7 @@ fn main() -> ExitCode {
         let mut arm_gains = Vec::new();
         for (arm_idx, (arm, _)) in arms.iter().enumerate().skip(1) {
             let treated = report.merged_probes(base + arm_idx as u32);
-            arm_gains.push((arm.clone(), mean_gain_pct(&control, &treated, &sizes)));
+            arm_gains.push((arm.to_string(), mean_gain_pct(&control, &treated, &sizes)));
         }
         let mut ranking = arm_gains.clone();
         ranking.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then_with(|| a.0.cmp(&b.0)));
@@ -258,39 +245,13 @@ fn main() -> ExitCode {
     println!("# lossy-edge: loss-utility {lu:.1}% > ewma {ewma:.1}%");
 
     if opts.check {
-        let text = match std::fs::read_to_string(&opts.out) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("scenarios: cannot read {}: {e}", opts.out.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let want_scale = json_field(&text, "scale").unwrap_or_default();
-        if want_scale != opts.scale_name {
-            eprintln!(
-                "scenarios: {} was recorded at --scale {want_scale}, \
-                 this run used --scale {}",
-                opts.out.display(),
-                opts.scale_name
-            );
-            return ExitCode::FAILURE;
-        }
-        let want_seeds = json_field(&text, "seeds").unwrap_or_default();
-        if want_seeds != opts.seeds.to_string() {
-            eprintln!(
-                "scenarios: {} was recorded with --seeds {want_seeds}, \
-                 this run used --seeds {}",
-                opts.out.display(),
-                opts.seeds
-            );
-            return ExitCode::FAILURE;
-        }
-        let want_digest = json_field(&text, "digest_fnv").unwrap_or_default();
-        if want_digest != digest_fnv {
-            eprintln!(
-                "scenarios: DIGEST DRIFT — baseline {want_digest}, got {digest_fnv}; \
-                 some scenario's observable behaviour changed"
-            );
+        let checked = Baseline::read(&opts.out).and_then(|base| {
+            base.recorded_with("scale", &opts.scale_name)?;
+            base.recorded_with("seeds", &opts.seeds.to_string())?;
+            base.digest_matches("digest_fnv", &digest_fnv, "some scenario")
+        });
+        if let Err(why) = checked {
+            eprintln!("scenarios: {why}");
             return ExitCode::FAILURE;
         }
         println!(

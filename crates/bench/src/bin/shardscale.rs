@@ -25,7 +25,7 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use riptide_bench::banner;
+use riptide_bench::{banner, Baseline};
 use riptide_cdn::engine::{RunPlan, RunReport};
 use riptide_cdn::experiment::ExperimentScale;
 
@@ -140,46 +140,24 @@ fn measure(plan: &RunPlan, threads: usize) -> (Point, RunReport) {
     )
 }
 
-/// Same flat-JSON field scan as `simperf` (the workspace has no JSON
-/// dependency; bench files keep one scalar per line above the curve).
-fn json_field(text: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":");
-    let start = text.find(&needle)? + needle.len();
-    let rest = text[start..].trim_start();
-    let end = rest
-        .find([',', '\n', '}'])
-        .expect("bench JSON values end the line");
-    Some(rest[..end].trim().trim_matches('"').to_string())
-}
-
 fn check(opts: &Options, plan: &RunPlan) -> ExitCode {
-    let text = match std::fs::read_to_string(&opts.out) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("shardscale: cannot read {}: {e}", opts.out.display());
-            return ExitCode::FAILURE;
-        }
+    let fail = |why: String| {
+        eprintln!("shardscale: {why}");
+        ExitCode::FAILURE
     };
-    let want_scale = json_field(&text, "scale").unwrap_or_default();
-    if want_scale != opts.scale_name {
-        eprintln!(
-            "shardscale: {} was recorded at --scale {want_scale}, this run used --scale {}",
-            opts.out.display(),
-            opts.scale_name
-        );
-        return ExitCode::FAILURE;
+    let base = match Baseline::read(&opts.out) {
+        Ok(base) => base,
+        Err(why) => return fail(why),
+    };
+    if let Err(why) = base.recorded_with("scale", &opts.scale_name) {
+        return fail(why);
     }
 
     eprintln!("check: running the serial endpoint...");
     let (serial, _) = measure(plan, 1);
     let digest = format!("{:016x}", serial.digest_fnv);
-    let want_digest = json_field(&text, "digest_fnv").unwrap_or_default();
-    if want_digest != digest {
-        eprintln!(
-            "shardscale: DIGEST DRIFT — baseline {want_digest}, got {digest}; \
-             the engine's observable behaviour changed"
-        );
-        return ExitCode::FAILURE;
+    if let Err(why) = base.digest_matches("digest_fnv", &digest, "the engine") {
+        return fail(why);
     }
 
     eprintln!("check: running the threads={FLOOR_THREADS} endpoint...");

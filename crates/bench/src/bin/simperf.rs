@@ -20,7 +20,7 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use riptide_bench::banner;
+use riptide_bench::{banner, Baseline};
 use riptide_cdn::engine::RunPlan;
 use riptide_cdn::experiment::ExperimentScale;
 
@@ -94,18 +94,6 @@ fn parse() -> Options {
     opts
 }
 
-/// Pulls `"key": <value>` out of the flat bench JSON (no nested objects,
-/// so a string scan suffices — the workspace has no JSON dependency).
-fn json_field(text: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":");
-    let start = text.find(&needle)? + needle.len();
-    let rest = text[start..].trim_start();
-    let end = rest
-        .find([',', '\n', '}'])
-        .expect("bench JSON values end the line");
-    Some(rest[..end].trim().trim_matches('"').to_string())
-}
-
 fn main() -> ExitCode {
     let opts = parse();
     banner(
@@ -127,34 +115,19 @@ fn main() -> ExitCode {
     let digest_fnv = format!("{:016x}", report.digest_fnv64());
 
     if opts.check {
-        let text = match std::fs::read_to_string(&opts.out) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("simperf: cannot read {}: {e}", opts.out.display());
+        let checked = Baseline::read(&opts.out).and_then(|base| {
+            base.recorded_with("scale", &opts.scale_name)?;
+            base.digest_matches("digest_fnv", &digest_fnv, "the simulator")?;
+            Ok(base)
+        });
+        let base = match checked {
+            Ok(base) => base,
+            Err(why) => {
+                eprintln!("simperf: {why}");
                 return ExitCode::FAILURE;
             }
         };
-        let want_scale = json_field(&text, "scale").unwrap_or_default();
-        if want_scale != opts.scale_name {
-            eprintln!(
-                "simperf: {} was recorded at --scale {want_scale}, \
-                 this run used --scale {}",
-                opts.out.display(),
-                opts.scale_name
-            );
-            return ExitCode::FAILURE;
-        }
-        let want_digest = json_field(&text, "digest_fnv").unwrap_or_default();
-        if want_digest != digest_fnv {
-            eprintln!(
-                "simperf: DIGEST DRIFT — baseline {want_digest}, got {digest_fnv}; \
-                 the simulator's observable behaviour changed"
-            );
-            return ExitCode::FAILURE;
-        }
-        let baseline_eps: f64 = json_field(&text, "events_per_sec")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0.0);
+        let baseline_eps: f64 = base.number("events_per_sec").unwrap_or(0.0);
         println!(
             "# check: digest ok; {events_per_sec:.0} events/sec vs baseline \
              {baseline_eps:.0} ({:.0}% floor)",
@@ -173,19 +146,15 @@ fn main() -> ExitCode {
 
     // Carry the recorded pre-optimisation baseline forward (or stamp it
     // from this run under --record-seed).
-    let existing = std::fs::read_to_string(&opts.out).unwrap_or_default();
-    let (seed_wall_ms, seed_eps) = if opts.record_seed {
-        (wall_ms, events_per_sec)
-    } else {
-        (
-            json_field(&existing, "seed_wall_ms")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(wall_ms),
-            json_field(&existing, "seed_events_per_sec")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(events_per_sec),
-        )
-    };
+    let recorded = Baseline::read(&opts.out).ok().filter(|_| !opts.record_seed);
+    let seed_wall_ms = recorded
+        .as_ref()
+        .and_then(|b| b.number("seed_wall_ms"))
+        .unwrap_or(wall_ms);
+    let seed_eps = recorded
+        .as_ref()
+        .and_then(|b| b.number("seed_events_per_sec"))
+        .unwrap_or(events_per_sec);
     let speedup = seed_wall_ms as f64 / wall_ms as f64;
 
     let json = format!(

@@ -140,6 +140,71 @@ pub fn write_bench_json(opts: &RunOptions, default: &str, json: &str) {
     std::fs::write(&path, json).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
 }
 
+/// A recorded `BENCH_*.json` baseline, as the `--check` modes read it.
+///
+/// Bench files are flat — one scalar per line above any per-row
+/// arrays — so a string scan suffices (the workspace has no JSON
+/// dependency).
+#[derive(Debug, Clone)]
+pub struct Baseline {
+    path: std::path::PathBuf,
+    text: String,
+}
+
+impl Baseline {
+    /// Reads the baseline at `path`; the error names the file.
+    pub fn read(path: &std::path::Path) -> Result<Baseline, String> {
+        match std::fs::read_to_string(path) {
+            Ok(text) => Ok(Baseline {
+                path: path.to_path_buf(),
+                text,
+            }),
+            Err(e) => Err(format!("cannot read {}: {e}", path.display())),
+        }
+    }
+
+    /// The value of the first `"key": <value>` line, unquoted.
+    pub fn field(&self, key: &str) -> Option<String> {
+        let needle = format!("\"{key}\":");
+        let start = self.text.find(&needle)? + needle.len();
+        let rest = self.text[start..].trim_start();
+        let end = rest.find([',', '\n', '}'])?;
+        Some(rest[..end].trim().trim_matches('"').to_string())
+    }
+
+    /// [`Baseline::field`] parsed as a number.
+    pub fn number<T: std::str::FromStr>(&self, key: &str) -> Option<T> {
+        self.field(key)?.parse().ok()
+    }
+
+    /// Checks this run used the `--{flag}` value the baseline was
+    /// recorded with (`scale`, `seeds`): numbers from different plans
+    /// are not comparable.
+    pub fn recorded_with(&self, flag: &str, got: &str) -> Result<(), String> {
+        let want = self.field(flag).unwrap_or_default();
+        if want == got {
+            return Ok(());
+        }
+        Err(format!(
+            "{} was recorded at --{flag} {want}, this run used --{flag} {got}",
+            self.path.display()
+        ))
+    }
+
+    /// Checks the digest recorded under `key` equals `got`; drift means
+    /// the observable behaviour of `what` changed and is always fatal.
+    pub fn digest_matches(&self, key: &str, got: &str, what: &str) -> Result<(), String> {
+        let want = self.field(key).unwrap_or_default();
+        if want == got {
+            return Ok(());
+        }
+        Err(format!(
+            "DIGEST DRIFT in {key} — baseline {want}, got {got}; \
+             {what}'s observable behaviour changed"
+        ))
+    }
+}
+
 /// The worker-pool size these options resolve to.
 pub fn resolved_threads(opts: &RunOptions) -> usize {
     opts.threads.unwrap_or_else(engine::default_threads)
@@ -329,6 +394,37 @@ mod tests {
         assert_eq!(s[0], 1_000);
         assert_eq!(*s.last().unwrap(), 10_000_000);
         assert!(s.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn baseline_reads_flat_fields_and_compares() {
+        let dir = std::env::temp_dir().join(format!("riptide-baseline-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCH_x.json");
+        std::fs::write(
+            &path,
+            "{\n  \"scale\": \"quick\",\n  \"seeds\": 2,\n  \"events_per_sec\": 6800000,\n  \
+             \"digest_fnv\": \"00ff\",\n  \"rows\": [\n    {\"rate\": 0.05, \"last\": 1}\n  ]\n}\n",
+        )
+        .unwrap();
+        let b = Baseline::read(&path).unwrap();
+        assert_eq!(b.field("scale").as_deref(), Some("quick"));
+        assert_eq!(b.number::<u32>("seeds"), Some(2));
+        assert_eq!(b.number::<f64>("events_per_sec"), Some(6.8e6));
+        assert_eq!(b.field("last").as_deref(), Some("1"));
+        assert_eq!(b.field("absent"), None);
+        assert!(b.recorded_with("scale", "quick").is_ok());
+        assert!(b
+            .recorded_with("seeds", "3")
+            .unwrap_err()
+            .contains("--seeds 2"));
+        assert!(b.digest_matches("digest_fnv", "00ff", "x").is_ok());
+        assert!(b
+            .digest_matches("digest_fnv", "00fe", "x")
+            .unwrap_err()
+            .contains("DIGEST DRIFT"));
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(Baseline::read(&path).unwrap_err().contains("cannot read"));
     }
 
     #[test]

@@ -29,32 +29,35 @@
 //! dealt to per-worker deques slowest-first by estimated event count,
 //! and a worker that drains its deque steals the cheapest remaining
 //! shard from a victim, so one long scenario never serializes the
-//! tail. Each worker reuses a `WorkerScratch` across its shards —
-//! the digest-accumulator buffer is allocated once per worker, not
-//! once per shard — and writes results into plan-position slots, so
-//! merged reports (and digests) are invariant under thread count and
-//! steal order.
+//! tail. Workers write results into plan-position slots, so merged
+//! reports (and digests) are invariant under thread count and steal
+//! order.
+//!
+//! ## Experiment families
+//!
+//! The engine knows one probe experiment: [`RunPlan::probe_arms`] fans
+//! a list of [`PlanArm`]s out over (arm × sender PoP × replicate) and
+//! every shard yields one [`ShardData::Probes`]. Chaos, guardrail,
+//! cold-start and the scenario matrix are arm lists built in
+//! [`crate::scenario`]; a new family needs no edit here (DESIGN §13).
 
-use std::fmt::Write as _;
 use std::sync::Mutex;
 use std::time::Instant;
 
 use riptide::config::RiptideConfig;
-use riptide::policy::registered_policies;
 use riptide::telemetry::MetricsSnapshot;
 use riptide_simnet::rng::{stream_seed, DetRng};
-use riptide_simnet::time::{SimDuration, SimTime};
+use riptide_simnet::time::SimDuration;
 
-use crate::scenario::{scenario_catalog, scenario_sim_config, ScenarioSpec};
-use crate::schedule::{estimated_events, StealPool};
-
+use crate::digest::{fnv1a, shard_data_fnv};
 use crate::experiment::{
-    chaos_sim_config, coldstart_sim_config, cwnd_sim_config, guarded_riptide_config,
-    guardrail_sim_config, probe_sender_sites, probe_sim_config, traffic_profile_sites,
-    traffic_sim_config, ColdstartMode, ExperimentScale, ProbeComparison, StackTweaks,
+    cwnd_sim_config, probe_sender_sites, probe_sim_config, traffic_profile_sites,
+    traffic_sim_config, warm_cwnd_cdf, warm_probes, ExperimentScale, ProbeComparison, StackTweaks,
 };
+use crate::scenario::{scenario_sim_config, ScenarioSpec};
+use crate::schedule::{estimated_events, StealPool};
 use crate::sim::{CdnSim, CdnSimConfig, ChaosReport, ColdstartReport, ProbeOutcome};
-use crate::stats::{Cdf, Histogram};
+use crate::stats::Cdf;
 
 /// The coordinates of one shard inside a plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -108,55 +111,16 @@ pub enum ShardWork {
         /// Sampling step.
         step: SimDuration,
     },
-    /// One arm of the chaos experiment: the probe setup under a uniform
-    /// fault rate ([`FaultPlan::uniform`]), for a subset of senders.
-    ///
-    /// [`FaultPlan::uniform`]: riptide_simnet::fault::FaultPlan::uniform
-    ChaosArm {
-        /// Riptide configuration, or `None` for the control arm.
-        riptide: Option<RiptideConfig>,
-        /// Per-opportunity fault rate (0 disables the fault layer).
-        fault_rate: f64,
-        /// Sender sites probing in this shard.
-        senders: Vec<usize>,
-    },
-    /// One arm of the guardrail experiment: the probe setup under
-    /// route churn and targeted loss ([`FaultPlan::guardrail`]), with
-    /// periodic reconciler audits and a closing audit after the last
-    /// churn instant.
-    ///
-    /// [`FaultPlan::guardrail`]: riptide_simnet::fault::FaultPlan::guardrail
-    GuardrailArm {
-        /// Riptide configuration, or `None` for the control arm.
-        riptide: Option<RiptideConfig>,
-        /// Per-opportunity fault rate (0 disables the fault layer).
-        fault_rate: f64,
-        /// Sender sites probing in this shard.
-        senders: Vec<usize>,
-    },
-    /// One arm of the scenario matrix: the probe setup with one
-    /// [`ScenarioSpec`]'s topology, workload, AQM and CC overlaid (see
-    /// [`scenario_sim_config`]).
+    /// The probe setup with one [`ScenarioSpec`]'s topology, workload,
+    /// AQM, CC, faults and recovery layers overlaid (see
+    /// [`scenario_sim_config`]) — the arm of every family in
+    /// [`crate::scenario`].
     ScenarioArm {
         /// Riptide configuration, or `None` for the control arm.
         riptide: Option<RiptideConfig>,
         /// The scenario this arm runs under (boxed: a spec is ~10× the
         /// next-largest work payload, and the enum is stored per shard).
         spec: Box<ScenarioSpec>,
-        /// Sender sites probing in this shard.
-        senders: Vec<usize>,
-    },
-    /// One arm of the cold-start experiment: the probe setup under
-    /// machine-crash faults with ramp tracking on, and the arm's
-    /// durability mode (see
-    /// [`coldstart_sim_config`]).
-    ColdstartArm {
-        /// Riptide configuration, or `None` for the control arm.
-        riptide: Option<RiptideConfig>,
-        /// Per-opportunity crash rate (0 disables the fault layer).
-        crash_rate: f64,
-        /// Which durability layers the arm enables.
-        mode: ColdstartMode,
         /// Sender sites probing in this shard.
         senders: Vec<usize>,
     },
@@ -208,6 +172,9 @@ pub struct ConvergencePoint {
 }
 
 /// The measurement a shard produced.
+// One value per shard, and the large variant is the common one: boxing
+// the reports would buy nothing.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub enum ShardData {
     /// Live-cwnd CDF (Fig. 10 arms).
@@ -219,34 +186,18 @@ pub enum ShardData {
         /// Live-cwnd CDF at the busy PoP.
         busy: Cdf,
     },
-    /// After-warmup probe outcomes (Figs. 12–16, ablations).
-    Probes(Vec<ProbeOutcome>),
+    /// What every probe-family shard measures (Figs. 12–16, ablations,
+    /// chaos, guardrail, cold-start, the scenario matrix).
+    Probes {
+        /// After-warmup probe outcomes.
+        outcomes: Vec<ProbeOutcome>,
+        /// Fault, guard, reconciler and bounds-gate counters.
+        chaos: ChaosReport,
+        /// Restart, restore, gossip and ramp counters.
+        coldstart: ColdstartReport,
+    },
     /// Cold-start trajectory.
     Convergence(Vec<ConvergencePoint>),
-    /// After-warmup probe outcomes plus chaos counters (Fig. 14 under
-    /// injected faults).
-    Chaos {
-        /// After-warmup probe outcomes.
-        probes: Vec<ProbeOutcome>,
-        /// Fault and resilience counters for the shard.
-        report: ChaosReport,
-    },
-    /// After-warmup probe outcomes plus chaos counters for a guardrail
-    /// arm (its own variant so chaos-sweep digests stay stable).
-    Guardrail {
-        /// After-warmup probe outcomes.
-        probes: Vec<ProbeOutcome>,
-        /// Fault, guard and reconciler counters for the shard.
-        report: ChaosReport,
-    },
-    /// After-warmup probe outcomes plus cold-start ramp counters (its
-    /// own variant so chaos- and guardrail-sweep digests stay stable).
-    Coldstart {
-        /// After-warmup probe outcomes.
-        probes: Vec<ProbeOutcome>,
-        /// Restart, restore, gossip and ramp counters for the shard.
-        report: ColdstartReport,
-    },
 }
 
 /// Execution counters for one shard. `wall_millis` is the only
@@ -279,9 +230,8 @@ pub struct ShardResult {
     /// Deployment-wide metrics snapshot — empty unless the plan ran
     /// [`RunPlan::with_telemetry`].
     pub metrics: MetricsSnapshot,
-    /// FNV-1a of the `{:?}` rendering of `data`, precomputed on the
-    /// worker (into its reusable scratch buffer) so [`RunReport::digest`]
-    /// hashes in parallel instead of re-rendering every shard serially.
+    /// [`shard_data_fnv`] of `data`, computed on the worker so
+    /// [`RunReport::digest`] hashes in parallel.
     pub data_fnv: u64,
     /// FNV-1a of the Prometheus exposition of `metrics`, or 0 when the
     /// snapshot is empty (telemetry off).
@@ -381,66 +331,35 @@ impl RunPlan {
     /// Figs. 12–16: control (scenario 0) vs Riptide (scenario 1), one
     /// shard per (arm × sender PoP × replicate).
     pub fn probe_comparison(scale: &ExperimentScale, replicates: u32) -> RunPlan {
-        let variants = vec![
-            ProbeVariant {
-                name: "control".into(),
-                riptide: None,
-                tweaks: StackTweaks::default(),
-            },
-            ProbeVariant {
-                name: "riptide".into(),
-                riptide: Some(RiptideConfig::deployment()),
-                tweaks: StackTweaks::default(),
-            },
-        ];
-        let mut plan = Self::probe_variants(scale, variants, replicates);
-        plan.name = "probe-comparison".into();
-        plan
+        let arms = [
+            ("control", None),
+            ("riptide", Some(RiptideConfig::deployment())),
+        ]
+        .map(|(arm, riptide)| PlanArm::stack(arm, riptide, StackTweaks::default()));
+        Self::probe_arms("probe-comparison", scale, arms.into(), replicates)
     }
 
-    /// Policy-ablation arena: one arm per registered learning policy
-    /// (see [`riptide::policy::registered_policies`]) plus a control
-    /// arm, each seed-paired across (sender PoP × replicate) exactly
-    /// like [`RunPlan::probe_comparison`]. The default-EWMA arm keeps
-    /// the `"riptide"` label so its shard labels — and therefore its
-    /// digest lines — are byte-identical to `probe_comparison`'s
-    /// treatment arm.
-    pub fn policy_ablation(scale: &ExperimentScale, replicates: u32) -> RunPlan {
-        let mut variants = vec![ProbeVariant {
-            name: "control".into(),
-            riptide: None,
-            tweaks: StackTweaks::default(),
-        }];
-        for (name, policy) in registered_policies() {
-            let arm_name = if name == "ewma" { "riptide" } else { name };
-            variants.push(ProbeVariant {
-                name: arm_name.into(),
-                riptide: Some(
-                    RiptideConfig::builder()
-                        .policy(policy)
-                        .build()
-                        .expect("registered policies produce valid configs"),
-                ),
-                tweaks: StackTweaks::default(),
-            });
-        }
-        let mut plan = Self::probe_variants(scale, variants, replicates);
-        plan.name = "policy-ablation".into();
-        plan
-    }
-
-    /// Ablations: one shard per (variant × sender PoP × replicate),
-    /// seed-paired across variants.
-    pub fn probe_variants(
+    /// The probe-family fan-out: one shard per (arm × sender PoP ×
+    /// replicate), labelled `"{arm.label}:site{sender}"`. An arm's
+    /// scenario index is its position in `arms`, and arms are
+    /// seed-paired per (unit, replicate) — the pairing key excludes the
+    /// scenario — so every arm of a plan sees the same draws and
+    /// differences between arms are treatment effects.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `arms` is empty or `replicates` is 0.
+    pub fn probe_arms(
+        name: &str,
         scale: &ExperimentScale,
-        variants: Vec<ProbeVariant>,
+        arms: Vec<PlanArm>,
         replicates: u32,
     ) -> RunPlan {
         assert!(replicates >= 1, "need at least one replicate");
-        assert!(!variants.is_empty(), "need at least one variant");
+        assert!(!arms.is_empty(), "need at least one arm");
         let senders = probe_sender_sites(scale);
         let mut shards = Vec::new();
-        for (s, variant) in variants.iter().enumerate() {
+        for (s, arm) in arms.iter().enumerate() {
             for (u, &sender) in senders.iter().enumerate() {
                 for r in 0..replicates {
                     let id = ShardId {
@@ -448,269 +367,59 @@ impl RunPlan {
                         unit: u as u32,
                         replicate: r,
                     };
-                    shards.push(Self::shard(
-                        scale,
-                        id,
-                        format!("{}:site{}", variant.name, sender),
-                        ShardWork::ProbeArm {
-                            riptide: variant.riptide.clone(),
-                            tweaks: variant.tweaks,
+                    let riptide = arm.riptide.clone();
+                    let work = match &arm.overlay {
+                        ArmOverlay::Stack(tweaks) => ShardWork::ProbeArm {
+                            riptide,
+                            tweaks: *tweaks,
                             senders: vec![sender],
                         },
-                    ));
+                        ArmOverlay::Scenario(spec) => ShardWork::ScenarioArm {
+                            riptide,
+                            spec: spec.clone(),
+                            senders: vec![sender],
+                        },
+                    };
+                    let label = format!("{}:site{sender}", arm.label);
+                    shards.push(Self::shard(scale, id, label, work));
                 }
             }
         }
         RunPlan {
-            name: "probe-variants".into(),
+            name: name.into(),
             master_seed: scale.seed,
             shards,
+        }
+    }
+
+    /// A plan of one shard (scenario 0, unit 0, replicate 0).
+    fn single(name: &str, label: &str, scale: &ExperimentScale, work: ShardWork) -> RunPlan {
+        let id = ShardId {
+            scenario: 0,
+            unit: 0,
+            replicate: 0,
+        };
+        RunPlan {
+            name: name.into(),
+            master_seed: scale.seed,
+            shards: vec![Self::shard(scale, id, label.into(), work)],
         }
     }
 
     /// Fig. 11: a single shard profiling probe-only vs busy PoPs.
     pub fn traffic_profile(scale: &ExperimentScale) -> RunPlan {
-        let id = ShardId {
-            scenario: 0,
-            unit: 0,
-            replicate: 0,
-        };
-        RunPlan {
-            name: "traffic-profile".into(),
-            master_seed: scale.seed,
-            shards: vec![Self::shard(
-                scale,
-                id,
-                "profile".into(),
-                ShardWork::TrafficProfile,
-            )],
-        }
-    }
-
-    /// The scenario matrix: every [`scenario_catalog`] cell crossed
-    /// with a control arm plus one arm per registered learning policy
-    /// (the default-EWMA arm keeps the `"riptide"` label, as in
-    /// [`RunPlan::policy_ablation`]), one shard per (scenario × arm ×
-    /// sender PoP × replicate). Scenario indices are
-    /// `arms_per_scenario() * cell + arm`, cells in catalog order, arms
-    /// control-first. Arms are seed-paired per (unit, replicate) like
-    /// every other plan — and since the pairing key also excludes the
-    /// *matrix cell*, all cells of one (unit, replicate) share a seed,
-    /// so ranking differences between cells are regime effects, not
-    /// draw effects.
-    pub fn scenario_matrix(scale: &ExperimentScale, replicates: u32) -> RunPlan {
-        assert!(replicates >= 1, "need at least one replicate");
-        let senders = probe_sender_sites(scale);
-        let arms = Self::scenario_arms();
-        let mut shards = Vec::new();
-        for (c, spec) in scenario_catalog(scale).into_iter().enumerate() {
-            for (arm_idx, (arm, riptide)) in arms.iter().enumerate() {
-                for (u, &sender) in senders.iter().enumerate() {
-                    for r in 0..replicates {
-                        let id = ShardId {
-                            scenario: (arms.len() * c + arm_idx) as u32,
-                            unit: u as u32,
-                            replicate: r,
-                        };
-                        shards.push(Self::shard(
-                            scale,
-                            id,
-                            format!("{}/{arm}:site{sender}", spec.name),
-                            ShardWork::ScenarioArm {
-                                riptide: riptide.clone(),
-                                spec: Box::new(spec.clone()),
-                                senders: vec![sender],
-                            },
-                        ));
-                    }
-                }
-            }
-        }
-        RunPlan {
-            name: "scenario-matrix".into(),
-            master_seed: scale.seed,
-            shards,
-        }
-    }
-
-    /// The policy arms of [`RunPlan::scenario_matrix`], control first —
-    /// the same lineup as [`RunPlan::policy_ablation`].
-    pub fn scenario_arms() -> Vec<(String, Option<RiptideConfig>)> {
-        let mut arms: Vec<(String, Option<RiptideConfig>)> = vec![("control".into(), None)];
-        for (name, policy) in registered_policies() {
-            let arm_name = if name == "ewma" { "riptide" } else { name };
-            arms.push((
-                arm_name.into(),
-                Some(
-                    RiptideConfig::builder()
-                        .policy(policy)
-                        .build()
-                        .expect("registered policies produce valid configs"),
-                ),
-            ));
-        }
-        arms
-    }
-
-    /// Arms per scenario-matrix cell: control plus every registered
-    /// policy. Scenario index arithmetic in bench consumers uses this.
-    pub fn arms_per_scenario() -> usize {
-        1 + registered_policies().len()
-    }
-
-    /// The chaos sweep: control (scenario `2i`) vs Riptide (scenario
-    /// `2i + 1`) for each fault rate `i`, one shard per (arm × sender
-    /// PoP × replicate). Arms are seed-paired per (unit, replicate)
-    /// exactly like [`RunPlan::probe_comparison`], so a zero rate
-    /// reproduces that plan's merged probes bit for bit.
-    pub fn chaos_sweep(scale: &ExperimentScale, rates: &[f64], replicates: u32) -> RunPlan {
-        assert!(replicates >= 1, "need at least one replicate");
-        assert!(!rates.is_empty(), "need at least one fault rate");
-        let senders = probe_sender_sites(scale);
-        let mut shards = Vec::new();
-        for (i, &rate) in rates.iter().enumerate() {
-            for (arm_idx, arm) in ["control", "riptide"].iter().enumerate() {
-                let riptide = (arm_idx == 1).then(RiptideConfig::deployment);
-                for (u, &sender) in senders.iter().enumerate() {
-                    for r in 0..replicates {
-                        let id = ShardId {
-                            scenario: (2 * i + arm_idx) as u32,
-                            unit: u as u32,
-                            replicate: r,
-                        };
-                        shards.push(Self::shard(
-                            scale,
-                            id,
-                            format!("{arm}@{rate}:site{sender}"),
-                            ShardWork::ChaosArm {
-                                riptide: riptide.clone(),
-                                fault_rate: rate,
-                                senders: vec![sender],
-                            },
-                        ));
-                    }
-                }
-            }
-        }
-        RunPlan {
-            name: "chaos-sweep".into(),
-            master_seed: scale.seed,
-            shards,
-        }
-    }
-
-    /// The guardrail sweep: kernel-default control (scenario `3i`),
-    /// unguarded Riptide (scenario `3i + 1`) and guarded Riptide
-    /// (scenario `3i + 2`) for each fault rate `i`, one shard per
-    /// (arm × sender PoP × replicate). Arms are seed-paired per
-    /// (unit, replicate) exactly like [`RunPlan::probe_comparison`], so
-    /// a zero rate reproduces that plan's merged probes bit for bit in
-    /// the control and unguarded arms.
-    pub fn guardrail_sweep(scale: &ExperimentScale, rates: &[f64], replicates: u32) -> RunPlan {
-        assert!(replicates >= 1, "need at least one replicate");
-        assert!(!rates.is_empty(), "need at least one fault rate");
-        let senders = probe_sender_sites(scale);
-        let mut shards = Vec::new();
-        for (i, &rate) in rates.iter().enumerate() {
-            let arms = [
-                ("control", None),
-                ("riptide", Some(RiptideConfig::deployment())),
-                ("guarded", Some(guarded_riptide_config())),
-            ];
-            for (arm_idx, (arm, riptide)) in arms.into_iter().enumerate() {
-                for (u, &sender) in senders.iter().enumerate() {
-                    for r in 0..replicates {
-                        let id = ShardId {
-                            scenario: (3 * i + arm_idx) as u32,
-                            unit: u as u32,
-                            replicate: r,
-                        };
-                        shards.push(Self::shard(
-                            scale,
-                            id,
-                            format!("{arm}@{rate}:site{sender}"),
-                            ShardWork::GuardrailArm {
-                                riptide: riptide.clone(),
-                                fault_rate: rate,
-                                senders: vec![sender],
-                            },
-                        ));
-                    }
-                }
-            }
-        }
-        RunPlan {
-            name: "guardrail-sweep".into(),
-            master_seed: scale.seed,
-            shards,
-        }
-    }
-
-    /// The cold-start sweep: persistence off (scenario `3i`), snapshot
-    /// only (scenario `3i + 1`) and snapshot+gossip (scenario `3i + 2`)
-    /// for each crash rate `i`, one shard per (arm × sender PoP ×
-    /// replicate), every arm running the deployment Riptide config.
-    /// Arms are seed-paired per (unit, replicate) exactly like
-    /// [`RunPlan::probe_comparison`], so all three modes see the *same*
-    /// crash schedule and their ramp times are directly comparable.
-    pub fn coldstart_sweep(scale: &ExperimentScale, rates: &[f64], replicates: u32) -> RunPlan {
-        assert!(replicates >= 1, "need at least one replicate");
-        assert!(!rates.is_empty(), "need at least one crash rate");
-        let senders = probe_sender_sites(scale);
-        let modes = [
-            ColdstartMode::Cold,
-            ColdstartMode::Snapshot,
-            ColdstartMode::SnapshotGossip,
-        ];
-        let mut shards = Vec::new();
-        for (i, &rate) in rates.iter().enumerate() {
-            for (arm_idx, mode) in modes.into_iter().enumerate() {
-                for (u, &sender) in senders.iter().enumerate() {
-                    for r in 0..replicates {
-                        let id = ShardId {
-                            scenario: (3 * i + arm_idx) as u32,
-                            unit: u as u32,
-                            replicate: r,
-                        };
-                        shards.push(Self::shard(
-                            scale,
-                            id,
-                            format!("{}@{rate}:site{sender}", mode.label()),
-                            ShardWork::ColdstartArm {
-                                riptide: Some(RiptideConfig::deployment()),
-                                crash_rate: rate,
-                                mode,
-                                senders: vec![sender],
-                            },
-                        ));
-                    }
-                }
-            }
-        }
-        RunPlan {
-            name: "coldstart-sweep".into(),
-            master_seed: scale.seed,
-            shards,
-        }
+        Self::single(
+            "traffic-profile",
+            "profile",
+            scale,
+            ShardWork::TrafficProfile,
+        )
     }
 
     /// Cold-start convergence: a single shard sampling every `step`.
     pub fn convergence(scale: &ExperimentScale, step: SimDuration) -> RunPlan {
-        let id = ShardId {
-            scenario: 0,
-            unit: 0,
-            replicate: 0,
-        };
-        RunPlan {
-            name: "convergence".into(),
-            master_seed: scale.seed,
-            shards: vec![Self::shard(
-                scale,
-                id,
-                "convergence".into(),
-                ShardWork::Convergence { step },
-            )],
-        }
+        let work = ShardWork::Convergence { step };
+        Self::single("convergence", "convergence", scale, work)
     }
 
     /// Executes with [`default_threads`] workers.
@@ -749,10 +458,9 @@ impl RunPlan {
                 let pool = &pool;
                 let slots = &slots;
                 scope.spawn(move || {
-                    let mut scratch = WorkerScratch::default();
                     let mut steal_rng = DetRng::for_stream(steal_seed, w as u64);
                     while let Some(i) = pool.next(w, &mut steal_rng) {
-                        let result = run_shard(&self.shards[i], &mut scratch);
+                        let result = run_shard(&self.shards[i]);
                         *slots[i].lock().expect("result slot") = Some(result);
                     }
                 });
@@ -775,113 +483,116 @@ impl RunPlan {
     }
 }
 
-/// One ablation arm for [`RunPlan::probe_variants`].
+/// One arm of a probe-family plan ([`RunPlan::probe_arms`]).
 #[derive(Debug, Clone)]
-pub struct ProbeVariant {
+pub struct PlanArm {
     /// Arm name used in shard labels.
-    pub name: String,
+    pub label: String,
     /// Riptide configuration (`None` = control).
     pub riptide: Option<RiptideConfig>,
-    /// TCP-stack deviations.
-    pub tweaks: StackTweaks,
+    /// What the arm layers on the §IV-B2 probe setup.
+    pub overlay: ArmOverlay,
 }
 
-/// Per-worker reusable state: buffers allocated once per worker and
-/// recycled across every shard it executes (owned or stolen), so the
-/// hot loop does not hit the global allocator once per shard from
-/// every thread at once.
-#[derive(Default)]
-struct WorkerScratch {
-    /// Digest accumulator: the `{:?}` rendering of a shard's data (and
-    /// its metrics exposition) is formatted into this buffer and
-    /// hashed, then the buffer is cleared for the next shard.
-    fmt_buf: String,
+/// What a [`PlanArm`] layers on the §IV-B2 probe setup.
+#[derive(Debug, Clone)]
+pub enum ArmOverlay {
+    /// TCP-stack deviations on the clean regime (the ablations); runs
+    /// as [`ShardWork::ProbeArm`].
+    Stack(StackTweaks),
+    /// A full scenario; runs as [`ShardWork::ScenarioArm`].
+    Scenario(Box<ScenarioSpec>),
 }
 
-impl WorkerScratch {
-    /// FNV-1a of `value`'s `Debug` rendering, via the reusable buffer.
-    fn fnv_of_debug(&mut self, value: &impl std::fmt::Debug) -> u64 {
-        self.fmt_buf.clear();
-        write!(self.fmt_buf, "{value:?}").expect("writing to a String cannot fail");
-        fnv1a(self.fmt_buf.as_bytes())
-    }
-
-    /// FNV-1a of the metrics exposition, or 0 for an empty snapshot.
-    fn fnv_of_metrics(&mut self, metrics: &MetricsSnapshot) -> u64 {
-        if metrics.is_empty() {
-            return 0;
+impl PlanArm {
+    /// An arm on the clean regime with TCP-stack deviations.
+    pub fn stack(
+        label: impl Into<String>,
+        riptide: Option<RiptideConfig>,
+        tweaks: StackTweaks,
+    ) -> PlanArm {
+        PlanArm {
+            label: label.into(),
+            riptide,
+            overlay: ArmOverlay::Stack(tweaks),
         }
-        self.fmt_buf.clear();
-        self.fmt_buf.push_str(&metrics.render_prometheus());
-        fnv1a(self.fmt_buf.as_bytes())
+    }
+
+    /// An arm under `spec`.
+    pub fn scenario(
+        label: impl Into<String>,
+        riptide: Option<RiptideConfig>,
+        spec: ScenarioSpec,
+    ) -> PlanArm {
+        PlanArm {
+            label: label.into(),
+            riptide,
+            overlay: ArmOverlay::Scenario(Box::new(spec)),
+        }
     }
 }
 
-fn run_shard(spec: &ShardSpec, scratch: &mut WorkerScratch) -> ShardResult {
+fn run_shard(spec: &ShardSpec) -> ShardResult {
     let started = Instant::now();
     let scale = &spec.scale;
-    let cutoff = SimTime::ZERO + scale.warmup;
     let build = |mut cfg: CdnSimConfig| {
         cfg.telemetry = spec.telemetry;
         CdnSim::new(cfg)
     };
-    let (data, world, metrics) = match &spec.work {
+    // Every probe-family shard: run, close with an audit when audits
+    // are scheduled (the last churn instant may postdate the last
+    // scheduled one, and the repair claim is about convergence), then
+    // report after-warmup outcomes and both counter sets.
+    let probes = |cfg: CdnSimConfig| {
+        let audits = cfg.resilience.reconcile_every.is_some();
+        let mut sim = build(cfg);
+        sim.run_for(scale.total());
+        if audits {
+            sim.reconcile_now();
+        }
+        let data = ShardData::Probes {
+            outcomes: warm_probes(&sim, scale),
+            chaos: sim.chaos_report(),
+            coldstart: sim.coldstart_report(),
+        };
+        (data, sim)
+    };
+    let (data, sim) = match &spec.work {
         ShardWork::CwndDistribution { c_max } => {
             let mut sim = build(cwnd_sim_config(scale, *c_max));
             sim.run_for(scale.total());
-            let cdf = Cdf::new(
-                sim.cwnd_samples()
-                    .iter()
-                    .filter(|s| s.at >= cutoff)
-                    .map(|s| s.cwnd as f64),
-            );
-            (
-                ShardData::Cwnd(cdf),
-                sim.testbed().world.stats(),
-                sim.metrics_snapshot(),
-            )
+            (ShardData::Cwnd(warm_cwnd_cdf(&sim, scale, None)), sim)
         }
         ShardWork::TrafficProfile => {
             let (probe_only_site, busy_site) = traffic_profile_sites(scale);
             let mut sim = build(traffic_sim_config(scale));
             sim.run_for(scale.total());
-            let at_site = |site: usize| {
-                Cdf::new(
-                    sim.cwnd_samples()
-                        .iter()
-                        .filter(|s| s.at >= cutoff && s.site == site)
-                        .map(|s| s.cwnd as f64),
-                )
+            let data = ShardData::Profile {
+                probe_only: warm_cwnd_cdf(&sim, scale, Some(probe_only_site)),
+                busy: warm_cwnd_cdf(&sim, scale, Some(busy_site)),
             };
-            (
-                ShardData::Profile {
-                    probe_only: at_site(probe_only_site),
-                    busy: at_site(busy_site),
-                },
-                sim.testbed().world.stats(),
-                sim.metrics_snapshot(),
-            )
+            (data, sim)
         }
         ShardWork::ProbeArm {
             riptide,
             tweaks,
             senders,
-        } => {
-            let cfg = probe_sim_config(scale, riptide.clone(), *tweaks, senders.clone());
-            let mut sim = build(cfg);
-            sim.run_for(scale.total());
-            let probes = sim
-                .probe_outcomes()
-                .iter()
-                .filter(|p| p.requested_at >= cutoff)
-                .copied()
-                .collect();
-            (
-                ShardData::Probes(probes),
-                sim.testbed().world.stats(),
-                sim.metrics_snapshot(),
-            )
-        }
+        } => probes(probe_sim_config(
+            scale,
+            riptide.clone(),
+            *tweaks,
+            senders.clone(),
+        )),
+        ShardWork::ScenarioArm {
+            riptide,
+            spec: scenario,
+            senders,
+        } => probes(scenario_sim_config(
+            scale,
+            riptide.clone(),
+            senders.clone(),
+            scenario,
+        )),
         ShardWork::Convergence { step } => {
             let mut sim = build(cwnd_sim_config(scale, Some(100)));
             let steps = (scale.total().as_secs_f64() / step.as_secs_f64()).ceil() as u64;
@@ -896,105 +607,16 @@ fn run_shard(spec: &ShardSpec, scratch: &mut WorkerScratch) -> ShardResult {
                     route_updates: sim.agent_stats_total().route_updates,
                 });
             }
-            (
-                ShardData::Convergence(points),
-                sim.testbed().world.stats(),
-                sim.metrics_snapshot(),
-            )
-        }
-        ShardWork::ChaosArm {
-            riptide,
-            fault_rate,
-            senders,
-        } => {
-            let cfg = chaos_sim_config(scale, riptide.clone(), senders.clone(), *fault_rate);
-            let mut sim = build(cfg);
-            sim.run_for(scale.total());
-            let probes = sim
-                .probe_outcomes()
-                .iter()
-                .filter(|p| p.requested_at >= cutoff)
-                .copied()
-                .collect();
-            let report = sim.chaos_report();
-            (
-                ShardData::Chaos { probes, report },
-                sim.testbed().world.stats(),
-                sim.metrics_snapshot(),
-            )
-        }
-        ShardWork::GuardrailArm {
-            riptide,
-            fault_rate,
-            senders,
-        } => {
-            let cfg = guardrail_sim_config(scale, riptide.clone(), senders.clone(), *fault_rate);
-            let mut sim = build(cfg);
-            sim.run_for(scale.total());
-            // Closing audit: the last churn instant may postdate the last
-            // scheduled audit, and the repair claim is about convergence.
-            if *fault_rate > 0.0 {
-                sim.reconcile_now();
-            }
-            let probes = sim
-                .probe_outcomes()
-                .iter()
-                .filter(|p| p.requested_at >= cutoff)
-                .copied()
-                .collect();
-            let report = sim.chaos_report();
-            (
-                ShardData::Guardrail { probes, report },
-                sim.testbed().world.stats(),
-                sim.metrics_snapshot(),
-            )
-        }
-        ShardWork::ScenarioArm {
-            riptide,
-            spec: scenario,
-            senders,
-        } => {
-            let cfg = scenario_sim_config(scale, riptide.clone(), senders.clone(), scenario);
-            let mut sim = build(cfg);
-            sim.run_for(scale.total());
-            let probes = sim
-                .probe_outcomes()
-                .iter()
-                .filter(|p| p.requested_at >= cutoff)
-                .copied()
-                .collect();
-            (
-                ShardData::Probes(probes),
-                sim.testbed().world.stats(),
-                sim.metrics_snapshot(),
-            )
-        }
-        ShardWork::ColdstartArm {
-            riptide,
-            crash_rate,
-            mode,
-            senders,
-        } => {
-            let cfg =
-                coldstart_sim_config(scale, riptide.clone(), senders.clone(), *crash_rate, *mode);
-            let mut sim = build(cfg);
-            sim.run_for(scale.total());
-            let probes = sim
-                .probe_outcomes()
-                .iter()
-                .filter(|p| p.requested_at >= cutoff)
-                .copied()
-                .collect();
-            let report = sim.coldstart_report();
-            (
-                ShardData::Coldstart { probes, report },
-                sim.testbed().world.stats(),
-                sim.metrics_snapshot(),
-            )
+            (ShardData::Convergence(points), sim)
         }
     };
-    let data_fnv = scratch.fnv_of_debug(&data);
-    let metrics_fnv = scratch.fnv_of_metrics(&metrics);
+    let world = sim.testbed().world.stats();
+    let metrics = sim.metrics_snapshot();
+    let metrics_fnv = if metrics.is_empty() {
+        0
+    } else {
+        fnv1a(metrics.render_prometheus().as_bytes())
+    };
     ShardResult {
         id: spec.id,
         label: spec.label.clone(),
@@ -1005,9 +627,9 @@ fn run_shard(spec: &ShardSpec, scratch: &mut WorkerScratch) -> ShardResult {
             retransmits: world.retransmits,
             transfers: world.transfers_completed,
         },
+        data_fnv: shard_data_fnv(&data),
         data,
         metrics,
-        data_fnv,
         metrics_fnv,
     }
 }
@@ -1032,14 +654,26 @@ impl RunReport {
         )
     }
 
-    /// All probe outcomes of one scenario, concatenated in plan order.
-    pub fn merged_probes(&self, scenario: u32) -> Vec<ProbeOutcome> {
+    /// The probe-family measurements of one scenario, in plan order.
+    fn scenario_probes(
+        &self,
+        scenario: u32,
+    ) -> impl Iterator<Item = (&[ProbeOutcome], &ChaosReport, &ColdstartReport)> {
         self.scenario_shards(scenario)
             .filter_map(|s| match &s.data {
-                ShardData::Probes(p) => Some(p.as_slice()),
+                ShardData::Probes {
+                    outcomes,
+                    chaos,
+                    coldstart,
+                } => Some((outcomes.as_slice(), chaos, coldstart)),
                 _ => None,
             })
-            .flatten()
+    }
+
+    /// All probe outcomes of one scenario, concatenated in plan order.
+    pub fn merged_probes(&self, scenario: u32) -> Vec<ProbeOutcome> {
+        self.scenario_probes(scenario)
+            .flat_map(|(outcomes, _, _)| outcomes)
             .copied()
             .collect()
     }
@@ -1053,76 +687,22 @@ impl RunReport {
         }
     }
 
-    /// All chaos-arm probe outcomes of one scenario, concatenated in
-    /// plan order.
-    pub fn merged_chaos_probes(&self, scenario: u32) -> Vec<ProbeOutcome> {
-        self.scenario_shards(scenario)
-            .filter_map(|s| match &s.data {
-                ShardData::Chaos { probes, .. } => Some(probes.as_slice()),
-                _ => None,
-            })
-            .flatten()
-            .copied()
-            .collect()
-    }
-
-    /// The merged chaos counters of one scenario, reduced in plan order.
+    /// The merged fault, guard, reconciler and bounds-gate counters of
+    /// one scenario, reduced in plan order.
     pub fn merged_chaos_report(&self, scenario: u32) -> ChaosReport {
         let mut merged = ChaosReport::default();
-        for s in self.scenario_shards(scenario) {
-            if let ShardData::Chaos { report, .. } = &s.data {
-                merged.merge(report);
-            }
+        for (_, chaos, _) in self.scenario_probes(scenario) {
+            merged.merge(chaos);
         }
         merged
-    }
-
-    /// All guardrail-arm probe outcomes of one scenario, concatenated
-    /// in plan order.
-    pub fn merged_guardrail_probes(&self, scenario: u32) -> Vec<ProbeOutcome> {
-        self.scenario_shards(scenario)
-            .filter_map(|s| match &s.data {
-                ShardData::Guardrail { probes, .. } => Some(probes.as_slice()),
-                _ => None,
-            })
-            .flatten()
-            .copied()
-            .collect()
-    }
-
-    /// The merged guardrail counters of one scenario, reduced in plan
-    /// order.
-    pub fn merged_guardrail_report(&self, scenario: u32) -> ChaosReport {
-        let mut merged = ChaosReport::default();
-        for s in self.scenario_shards(scenario) {
-            if let ShardData::Guardrail { report, .. } = &s.data {
-                merged.merge(report);
-            }
-        }
-        merged
-    }
-
-    /// All cold-start-arm probe outcomes of one scenario, concatenated
-    /// in plan order.
-    pub fn merged_coldstart_probes(&self, scenario: u32) -> Vec<ProbeOutcome> {
-        self.scenario_shards(scenario)
-            .filter_map(|s| match &s.data {
-                ShardData::Coldstart { probes, .. } => Some(probes.as_slice()),
-                _ => None,
-            })
-            .flatten()
-            .copied()
-            .collect()
     }
 
     /// The merged cold-start counters of one scenario, reduced in plan
     /// order.
     pub fn merged_coldstart_report(&self, scenario: u32) -> ColdstartReport {
         let mut merged = ColdstartReport::default();
-        for s in self.scenario_shards(scenario) {
-            if let ShardData::Coldstart { report, .. } = &s.data {
-                merged.merge(report);
-            }
+        for (_, _, coldstart) in self.scenario_probes(scenario) {
+            merged.merge(coldstart);
         }
         merged
     }
@@ -1146,33 +726,9 @@ impl RunReport {
             .unwrap_or_default()
     }
 
-    /// Probe completion times of one scenario as a fixed-width
-    /// histogram (milliseconds), built per shard and merged in plan
-    /// order — bucket addition commutes, so the result is independent
-    /// of shard completion order.
-    pub fn completion_histogram(&self, scenario: u32, width_ms: u64) -> Histogram {
-        let mut merged = Histogram::new(width_ms);
-        for shard in self.scenario_shards(scenario) {
-            if let ShardData::Probes(probes) = &shard.data {
-                let mut h = Histogram::new(width_ms);
-                for p in probes {
-                    h.record(p.completion.as_millis_f64());
-                }
-                merged.merge(&h);
-            }
-        }
-        merged
-    }
-
     /// Total simulator events across all shards.
     pub fn total_events(&self) -> u64 {
         self.shards.iter().map(|s| s.stats.events).sum()
-    }
-
-    /// Total wall-clock milliseconds summed across shards (CPU cost;
-    /// wall time of the run is lower with more workers).
-    pub fn total_shard_millis(&self) -> u64 {
-        self.shards.iter().map(|s| s.stats.wall_millis).sum()
     }
 
     /// The JSON-lines run manifest: one header object, then one object
@@ -1272,15 +828,6 @@ fn json_string(s: &str) -> String {
     out
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1333,81 +880,6 @@ mod tests {
         seeds.sort_unstable();
         seeds.dedup();
         assert_eq!(seeds.len(), 4, "one stream per (unit, replicate) cell");
-    }
-
-    #[test]
-    fn scenario_matrix_is_seed_paired_across_cells_and_arms() {
-        let scale = ExperimentScale::test();
-        let plan = RunPlan::scenario_matrix(&scale, 2);
-        let arms = RunPlan::arms_per_scenario();
-        let cells = crate::scenario::scenario_catalog(&scale).len();
-        // cells x arms x 2 senders x 2 replicates.
-        assert_eq!(plan.shards.len(), cells * arms * 2 * 2);
-        for shard in &plan.shards {
-            let twin = plan
-                .shards
-                .iter()
-                .find(|s| {
-                    s.id.scenario != shard.id.scenario
-                        && s.id.unit == shard.id.unit
-                        && s.id.replicate == shard.id.replicate
-                })
-                .expect("paired arm exists");
-            assert_eq!(
-                twin.seed, shard.seed,
-                "every cell and arm of one (unit, replicate) shares a seed"
-            );
-        }
-        // Labels carry both the scenario and the arm name, and the
-        // EWMA arm keeps the probe-comparison "riptide" label.
-        assert!(plan
-            .shards
-            .iter()
-            .any(|s| s.label.starts_with("baseline/riptide:")));
-        assert!(plan
-            .shards
-            .iter()
-            .any(|s| s.label.starts_with("red-ecn/loss-utility:")));
-    }
-
-    #[test]
-    fn coldstart_sweep_is_seed_paired_and_reports_merge() {
-        let scale = ExperimentScale::test();
-        let plan = RunPlan::coldstart_sweep(&scale, &[0.05], 1);
-        // 3 modes x 2 senders x 1 replicate.
-        assert_eq!(plan.shards.len(), 6);
-        for shard in &plan.shards {
-            let twin = plan
-                .shards
-                .iter()
-                .find(|s| {
-                    s.id.scenario != shard.id.scenario
-                        && s.id.unit == shard.id.unit
-                        && s.id.replicate == shard.id.replicate
-                })
-                .expect("paired arm exists");
-            assert_eq!(
-                twin.seed, shard.seed,
-                "modes of one cell share a seed, so crash schedules pair up"
-            );
-        }
-        let report = plan.run_with_threads(2);
-        let cold = report.merged_coldstart_report(0);
-        let snap = report.merged_coldstart_report(1);
-        let gossip = report.merged_coldstart_report(2);
-        // Persistence off: nothing written, nothing restored.
-        assert_eq!(cold.snapshots_written, 0);
-        assert_eq!(cold.restored_routes, 0);
-        // Snapshot arms journal, snapshot and restore.
-        assert!(snap.snapshots_written > 0, "snapshot arm never snapshotted");
-        assert!(snap.restored_routes > 0, "snapshot arm restored nothing");
-        assert!(snap.restarts_tracked > 0, "no restart was ramp-tracked");
-        // The gossip arm additionally runs anti-entropy rounds.
-        assert!(gossip.gossip_rounds > 0, "gossip arm never gossiped");
-        assert!(
-            !report.merged_coldstart_probes(0).is_empty(),
-            "cold arm produced no probe outcomes"
-        );
     }
 
     #[test]

@@ -4,11 +4,9 @@
 use std::collections::BTreeMap;
 
 use riptide::config::RiptideConfig;
-use riptide_simnet::fault::FaultPlan;
 use riptide_simnet::time::{SimDuration, SimTime};
 
-use crate::gossip::GossipConfig;
-use crate::sim::{CdnSim, CdnSimConfig, PersistenceConfig, ProbeOutcome};
+use crate::sim::{CdnSim, CdnSimConfig, ProbeOutcome, ResilienceOverlay};
 use crate::stats::{average_gains, percentile_gains, Cdf, PercentileGain};
 use crate::topology::{RttBucket, TestbedConfig};
 use crate::workload::{OrganicConfig, ProbeConfig};
@@ -99,6 +97,22 @@ pub fn default_busy_sites(scale: &ExperimentScale) -> Vec<usize> {
         .collect()
 }
 
+/// The deployment every experiment starts from: the scale's testbed and
+/// probe harness, light organic load among the busy sites, per-minute
+/// window samples, every site probing, no faults.
+fn base_sim_config(scale: &ExperimentScale, riptide: Option<RiptideConfig>) -> CdnSimConfig {
+    CdnSimConfig {
+        testbed: scale.testbed(),
+        riptide,
+        probes: scale.probes(),
+        organic: OrganicConfig::among(default_busy_sites(scale), 0.2),
+        cwnd_sample_interval: SimDuration::from_secs(60),
+        probe_senders: None,
+        telemetry: false,
+        resilience: ResilienceOverlay::default(),
+    }
+}
+
 /// The simulation configuration behind [`cwnd_distribution`] — exposed
 /// so the parallel engine can run the same experiment shard by shard.
 pub fn cwnd_sim_config(scale: &ExperimentScale, c_max: Option<u32>) -> CdnSimConfig {
@@ -108,20 +122,7 @@ pub fn cwnd_sim_config(scale: &ExperimentScale, c_max: Option<u32>) -> CdnSimCon
             .build()
             .expect("valid sweep config")
     });
-    CdnSimConfig {
-        testbed: scale.testbed(),
-        riptide,
-        probes: scale.probes(),
-        organic: OrganicConfig::among(default_busy_sites(scale), 0.2),
-        cwnd_sample_interval: SimDuration::from_secs(60),
-        probe_senders: None,
-        faults: FaultPlan::none(),
-        reconcile_every: None,
-        telemetry: false,
-        persistence: None,
-        gossip: None,
-        track_ramp: false,
-    }
+    base_sim_config(scale, riptide)
 }
 
 /// Runs one deployment and returns the live-cwnd samples collected after
@@ -130,13 +131,28 @@ pub fn cwnd_sim_config(scale: &ExperimentScale, c_max: Option<u32>) -> CdnSimCon
 pub fn cwnd_distribution(scale: &ExperimentScale, c_max: Option<u32>) -> Cdf {
     let mut sim = CdnSim::new(cwnd_sim_config(scale, c_max));
     sim.run_for(scale.total());
+    warm_cwnd_cdf(&sim, scale, None)
+}
+
+/// Live-cwnd samples taken after warm-up, at one site or (`None`) all.
+pub(crate) fn warm_cwnd_cdf(sim: &CdnSim, scale: &ExperimentScale, site: Option<usize>) -> Cdf {
     let cutoff = SimTime::ZERO + scale.warmup;
     Cdf::new(
         sim.cwnd_samples()
             .iter()
-            .filter(|s| s.at >= cutoff)
+            .filter(|s| s.at >= cutoff && site.is_none_or(|want| s.site == want))
             .map(|s| s.cwnd as f64),
     )
+}
+
+/// Probe outcomes requested after warm-up.
+pub(crate) fn warm_probes(sim: &CdnSim, scale: &ExperimentScale) -> Vec<ProbeOutcome> {
+    let cutoff = SimTime::ZERO + scale.warmup;
+    sim.probe_outcomes()
+        .iter()
+        .filter(|p| p.requested_at >= cutoff)
+        .copied()
+        .collect()
 }
 
 /// The `(probe_only, busy)` site pair compared by Fig. 11.
@@ -157,18 +173,8 @@ pub fn traffic_profile_sites(scale: &ExperimentScale) -> (usize, usize) {
 /// The simulation configuration behind [`traffic_profile`].
 pub fn traffic_sim_config(scale: &ExperimentScale) -> CdnSimConfig {
     CdnSimConfig {
-        testbed: scale.testbed(),
-        riptide: Some(RiptideConfig::deployment()),
-        probes: scale.probes(),
         organic: OrganicConfig::among(default_busy_sites(scale), 0.5),
-        cwnd_sample_interval: SimDuration::from_secs(60),
-        probe_senders: None,
-        faults: FaultPlan::none(),
-        reconcile_every: None,
-        telemetry: false,
-        persistence: None,
-        gossip: None,
-        track_ramp: false,
+        ..base_sim_config(scale, Some(RiptideConfig::deployment()))
     }
 }
 
@@ -178,16 +184,10 @@ pub fn traffic_profile(scale: &ExperimentScale) -> (Cdf, Cdf) {
     let (probe_only_site, busy_site) = traffic_profile_sites(scale);
     let mut sim = CdnSim::new(traffic_sim_config(scale));
     sim.run_for(scale.total());
-    let cutoff = SimTime::ZERO + scale.warmup;
-    let at_site = |site: usize| {
-        Cdf::new(
-            sim.cwnd_samples()
-                .iter()
-                .filter(|s| s.at >= cutoff && s.site == site)
-                .map(|s| s.cwnd as f64),
-        )
-    };
-    (at_site(probe_only_site), at_site(busy_site))
+    (
+        warm_cwnd_cdf(&sim, scale, Some(probe_only_site)),
+        warm_cwnd_cdf(&sim, scale, Some(busy_site)),
+    )
 }
 
 /// The two probe-sender sites of §IV-B2: one European, one North
@@ -243,12 +243,7 @@ pub fn probe_experiment_with(
     let cfg = probe_sim_config(scale, riptide, tweaks, probe_sender_sites(scale));
     let mut sim = CdnSim::new(cfg);
     sim.run_for(scale.total());
-    let cutoff = SimTime::ZERO + scale.warmup;
-    sim.probe_outcomes()
-        .iter()
-        .filter(|p| p.requested_at >= cutoff)
-        .copied()
-        .collect()
+    warm_probes(&sim, scale)
 }
 
 /// The simulation configuration behind [`probe_experiment_with`], with
@@ -270,122 +265,10 @@ pub fn probe_sim_config(
     }
     CdnSimConfig {
         testbed,
-        riptide,
-        probes: scale.probes(),
-        organic: OrganicConfig::among(default_busy_sites(scale), 0.2),
         cwnd_sample_interval: SimDuration::from_secs(300),
         probe_senders: Some(senders),
-        faults: FaultPlan::none(),
-        reconcile_every: None,
-        telemetry: false,
-        persistence: None,
-        gossip: None,
-        track_ramp: false,
+        ..base_sim_config(scale, riptide)
     }
-}
-
-/// The simulation configuration behind the `chaos` experiment: the §IV-B2
-/// probe setup with every fault category firing at `fault_rate`
-/// ([`FaultPlan::uniform`]). A rate of `0.0` disables the fault layer and
-/// the run is bit-identical to [`probe_sim_config`]'s.
-pub fn chaos_sim_config(
-    scale: &ExperimentScale,
-    riptide: Option<RiptideConfig>,
-    senders: Vec<usize>,
-    fault_rate: f64,
-) -> CdnSimConfig {
-    let mut cfg = probe_sim_config(scale, riptide, StackTweaks::default(), senders);
-    cfg.faults = FaultPlan::uniform(fault_rate);
-    cfg
-}
-
-/// The simulation configuration behind the `guardrail` experiment: the
-/// §IV-B2 probe setup under [`FaultPlan::guardrail`] — route churn plus
-/// loss episodes targeted at freshly jump-started paths — with a
-/// reconciler audit every five minutes. A rate of `0.0` disables the
-/// fault layer and the audit schedule is invisible on a converged table,
-/// so the run is bit-identical to [`probe_sim_config`]'s.
-pub fn guardrail_sim_config(
-    scale: &ExperimentScale,
-    riptide: Option<RiptideConfig>,
-    senders: Vec<usize>,
-    fault_rate: f64,
-) -> CdnSimConfig {
-    let mut cfg = probe_sim_config(scale, riptide, StackTweaks::default(), senders);
-    cfg.faults = FaultPlan::guardrail(fault_rate);
-    if fault_rate > 0.0 {
-        cfg.reconcile_every = Some(SimDuration::from_secs(300));
-    }
-    cfg
-}
-
-/// Which durability features a cold-start arm enables. The three modes
-/// isolate the contribution of each recovery layer: relearn from
-/// scratch, restore the local snapshot+journal, or additionally pull
-/// missing entries from peers over gossip.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ColdstartMode {
-    /// No persistence: a restarted agent relearns its whole table from
-    /// live traffic.
-    Cold,
-    /// Snapshot + journal restore on restart ([`PersistenceConfig`]).
-    Snapshot,
-    /// Snapshot + journal restore plus gossip anti-entropy fleet sync
-    /// ([`GossipConfig`]).
-    SnapshotGossip,
-}
-
-impl ColdstartMode {
-    /// Short arm name used in shard labels and bench output.
-    pub fn label(self) -> &'static str {
-        match self {
-            ColdstartMode::Cold => "cold",
-            ColdstartMode::Snapshot => "snapshot",
-            ColdstartMode::SnapshotGossip => "snapshot+gossip",
-        }
-    }
-}
-
-/// The simulation configuration behind the `coldstart` experiment: the
-/// §IV-B2 probe setup under machine-crash faults (connections reset, so
-/// a restarted agent really is cold) with ramp tracking on, and the
-/// arm's durability mode. A crash rate of `0.0` leaves the fault layer
-/// off and the run is bit-identical to [`probe_sim_config`]'s when the
-/// mode is [`ColdstartMode::Cold`].
-pub fn coldstart_sim_config(
-    scale: &ExperimentScale,
-    riptide: Option<RiptideConfig>,
-    senders: Vec<usize>,
-    crash_rate: f64,
-    mode: ColdstartMode,
-) -> CdnSimConfig {
-    let mut cfg = probe_sim_config(scale, riptide, StackTweaks::default(), senders);
-    cfg.faults = FaultPlan {
-        crash: crash_rate,
-        restart_after: SimDuration::from_secs(10),
-        crash_resets_connections: true,
-        ..FaultPlan::none()
-    };
-    cfg.track_ramp = true;
-    if matches!(
-        mode,
-        ColdstartMode::Snapshot | ColdstartMode::SnapshotGossip
-    ) {
-        cfg.persistence = Some(PersistenceConfig::default());
-    }
-    if mode == ColdstartMode::SnapshotGossip {
-        cfg.gossip = Some(GossipConfig::default());
-    }
-    cfg
-}
-
-/// The guarded arm's Riptide configuration: deployment defaults plus the
-/// loss-aware circuit breaker at its default thresholds.
-pub fn guarded_riptide_config() -> RiptideConfig {
-    RiptideConfig::builder()
-        .guard(riptide::guard::GuardConfig::default())
-        .build()
-        .expect("deployment defaults with a default guard are valid")
 }
 
 /// Both arms of the probe experiment, same seed — the paired comparison

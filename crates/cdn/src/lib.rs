@@ -14,11 +14,12 @@
 //! | [`topology`] | Testbed: PoPs, machines, geography-derived paths | §IV-A; Fig. 5 |
 //! | [`workload`] | Probe harness + organic traffic (file-size model, Zipf popularity) | §IV-A; Fig. 2 |
 //! | [`megacdn`] | Million-destination fleet generator for table-scale runs | §III-B at internet scale |
-//! | [`scenario`] | Named (topology × workload × AQM × CC) matrix cells | §V threats to validity |
+//! | [`scenario`] | Named regimes for the probe experiment and the families built from them (scenario matrix, chaos, guardrail, cold-start) | §V threats to validity |
 //! | [`sim`] | The deployment loop: agents, probes, sampling, chaos, persistence | §IV-A/§IV-D |
 //! | [`gossip`] | Anti-entropy fleet-sync scheduler (seeded fanout, per-peer backoff) | Pied Piper (PAPERS.md) |
 //! | [`experiment`] | One runner per figure (Figs. 10–16) | §IV |
 //! | [`engine`] | Parallel sharded execution, digests, manifests | — (reproduction infrastructure) |
+//! | [`digest`] | The canonical, name-free encoding behind a shard's `data=` token | — (reproduction infrastructure) |
 //! | [`schedule`] | LPT-seeded work-stealing shard scheduler | — (reproduction infrastructure) |
 //! | [`stats`] | CDFs, percentile gains, histograms | Figs. 10–16 metrics |
 //!
@@ -37,6 +38,7 @@
 
 #![warn(missing_docs)]
 
+pub mod digest;
 pub mod engine;
 pub mod experiment;
 pub mod geo;
@@ -51,17 +53,17 @@ pub mod workload;
 
 /// The types most users need, importable in one line.
 pub mod prelude {
-    pub use crate::engine::{RunPlan, RunReport, ShardData, ShardId, ShardSpec, ShardWork};
-    pub use crate::experiment::{
-        probe_comparison, ColdstartMode, ExperimentScale, ProbeComparison,
+    pub use crate::engine::{
+        PlanArm, RunPlan, RunReport, ShardData, ShardId, ShardSpec, ShardWork,
     };
+    pub use crate::experiment::{probe_comparison, ExperimentScale, ProbeComparison};
     pub use crate::geo::{Continent, PopSite, POP_SITES};
     pub use crate::gossip::{GossipConfig, GossipFabric, GossipStats};
     pub use crate::megacdn::MegaCdnConfig;
     pub use crate::scenario::{scenario_catalog, scenario_sim_config, ScenarioSpec, WorkloadShape};
     pub use crate::sim::{
         CdnSim, CdnSimConfig, ChaosReport, ColdstartReport, CwndSample, PersistenceConfig,
-        ProbeOutcome,
+        ProbeOutcome, ResilienceOverlay,
     };
     pub use crate::stats::{average_gains, percentile_gains, Cdf, PercentileGain};
     pub use crate::topology::{RttBucket, Testbed, TestbedConfig};

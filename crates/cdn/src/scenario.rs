@@ -15,19 +15,28 @@
 //! | `flash-crowd` | diurnal organic load with 8× bursts | bursts of fresh connections arrive exactly when queues are hot |
 //! | `paced` | BBR-like paced senders | window observations no longer track queue occupancy the way AIMD's do |
 //!
-//! [`crate::engine::RunPlan::scenario_matrix`] fans the catalog out
-//! across (scenario × policy arm × sender × replicate) with the same
-//! seed-pairing discipline as every other plan, and the `scenarios`
-//! bench reports per-scenario policy rankings.
+//! [`RunPlan::scenario_matrix`] fans the catalog out across (scenario ×
+//! policy arm × sender × replicate) with the same seed-pairing
+//! discipline as every other plan, and the `scenarios` bench reports
+//! per-scenario policy rankings.
+//!
+//! A scenario is a config, not an engine arm: the chaos, guardrail and
+//! cold-start experiments are the same probe setup under a different
+//! [`ResilienceOverlay`], so each is a [`ScenarioSpec`] constructor plus
+//! an arm list handed to [`RunPlan::probe_arms`] (the plan constructors
+//! at the bottom of this module; DESIGN §13).
 
 use riptide::config::RiptideConfig;
+use riptide::policy::registered_policies;
 use riptide_simnet::config::CcAlgorithm;
 use riptide_simnet::fault::FaultPlan;
 use riptide_simnet::link::AqmPolicy;
 use riptide_simnet::time::SimDuration;
 
+use crate::engine::{PlanArm, RunPlan};
 use crate::experiment::{probe_sender_sites, probe_sim_config, ExperimentScale, StackTweaks};
-use crate::sim::CdnSimConfig;
+use crate::gossip::GossipConfig;
+use crate::sim::{CdnSimConfig, PersistenceConfig, ResilienceOverlay};
 use crate::topology::LastMileProfile;
 use crate::workload::FlashCrowd;
 
@@ -54,8 +63,9 @@ impl Default for WorkloadShape {
     }
 }
 
-/// One named cell of the scenario matrix: a topology overlay, a
-/// workload shape, a queue discipline and a congestion controller.
+/// One named regime for the probe experiment: a topology overlay, a
+/// workload shape, a queue discipline, a congestion controller, and
+/// the fault and recovery layers.
 #[derive(Debug, Clone)]
 pub struct ScenarioSpec {
     /// Short name used in shard labels and bench output.
@@ -74,9 +84,9 @@ pub struct ScenarioSpec {
     pub last_mile: Option<LastMileProfile>,
     /// Organic-traffic shape.
     pub workload: WorkloadShape,
-    /// Fault overlay ([`FaultPlan::none`] — the catalog default —
-    /// leaves the chaos layer off and the run digest-neutral).
-    pub faults: FaultPlan,
+    /// Fault and recovery layers (all off in the catalog, which leaves
+    /// the run bit-identical to one without them).
+    pub resilience: ResilienceOverlay,
 }
 
 impl ScenarioSpec {
@@ -90,7 +100,7 @@ impl ScenarioSpec {
             queue_bytes: None,
             last_mile: None,
             workload: WorkloadShape::default(),
-            faults: FaultPlan::none(),
+            resilience: ResilienceOverlay::default(),
         }
     }
 
@@ -179,11 +189,72 @@ impl ScenarioSpec {
             ..ScenarioSpec::baseline()
         }
     }
+
+    /// The chaos regime: every fault category firing at `fault_rate`
+    /// ([`FaultPlan::uniform`]). A rate of `0.0` disables the fault
+    /// layer and the run is bit-identical to the baseline's.
+    pub fn chaos(fault_rate: f64) -> Self {
+        ScenarioSpec {
+            name: "chaos",
+            resilience: ResilienceOverlay {
+                faults: FaultPlan::uniform(fault_rate),
+                ..ResilienceOverlay::default()
+            },
+            ..ScenarioSpec::baseline()
+        }
+    }
+
+    /// The guardrail regime: [`FaultPlan::guardrail`] — route churn plus
+    /// loss episodes targeted at freshly jump-started paths — with a
+    /// reconciler audit every five minutes, and (because audits are
+    /// scheduled) the engine's closing audit after the last churn
+    /// instant. A rate of `0.0` schedules no audits and the run is
+    /// bit-identical to the baseline's.
+    pub fn guardrail(fault_rate: f64) -> Self {
+        ScenarioSpec {
+            name: "guardrail",
+            resilience: ResilienceOverlay {
+                faults: FaultPlan::guardrail(fault_rate),
+                reconcile_every: (fault_rate > 0.0).then(|| SimDuration::from_secs(300)),
+                ..ResilienceOverlay::default()
+            },
+            ..ScenarioSpec::baseline()
+        }
+    }
+
+    /// The cold-start regime: machine-crash faults (connections reset,
+    /// so a restarted agent really is cold) over the arm's durability
+    /// layers — none (relearn from live traffic), `persistence`
+    /// (snapshot + journal restore on restart), or also `gossip` (pull
+    /// missing entries from peers). A crash rate of `0.0` leaves the
+    /// fault layer off, and with both layers off too the run is
+    /// bit-identical to the baseline's.
+    pub fn coldstart(
+        crash_rate: f64,
+        persistence: Option<PersistenceConfig>,
+        gossip: Option<GossipConfig>,
+    ) -> Self {
+        ScenarioSpec {
+            name: "coldstart",
+            resilience: ResilienceOverlay {
+                faults: FaultPlan {
+                    crash: crash_rate,
+                    restart_after: SimDuration::from_secs(10),
+                    crash_resets_connections: true,
+                    ..FaultPlan::none()
+                },
+                reconcile_every: None,
+                persistence,
+                gossip,
+            },
+            ..ScenarioSpec::baseline()
+        }
+    }
 }
 
 /// The full catalog, baseline first. Order is part of the scenario
 /// matrix's digest contract: scenario indices in
-/// [`crate::engine::RunPlan::scenario_matrix`] follow this order.
+/// [`RunPlan::scenario_matrix`] follow this order.
 pub fn scenario_catalog(scale: &ExperimentScale) -> Vec<ScenarioSpec> {
     vec![
         ScenarioSpec::baseline(),
@@ -196,7 +267,9 @@ pub fn scenario_catalog(scale: &ExperimentScale) -> Vec<ScenarioSpec> {
 }
 
 /// The simulation configuration for one scenario arm: the §IV-B2 probe
-/// setup with the scenario's topology, workload, AQM and CC overlaid.
+/// setup with the scenario's topology, workload, AQM, CC, faults and
+/// recovery layers overlaid. Everything a scenario does to a run is in
+/// the returned config — a shard is `CdnSim::new(cfg)` plus `run_for`.
 /// With [`ScenarioSpec::baseline`] the result is identical to
 /// [`probe_sim_config`]'s, so the baseline scenario reproduces the
 /// probe-comparison arms bit for bit.
@@ -217,13 +290,144 @@ pub fn scenario_sim_config(
     cfg.organic.flows_per_sec = spec.workload.flows_per_sec;
     cfg.organic.diurnal_amplitude = spec.workload.diurnal_amplitude;
     cfg.organic.flash_crowds = spec.workload.flash_crowds.clone();
-    cfg.faults = spec.faults.clone();
+    cfg.resilience = spec.resilience.clone();
     cfg
+}
+
+/// A control arm plus one arm per registered learning policy (see
+/// [`riptide::policy::registered_policies`]), control first. The
+/// default-EWMA arm keeps the `"riptide"` label so its shard labels —
+/// and therefore its digest lines — are byte-identical to
+/// [`RunPlan::probe_comparison`]'s treatment arm.
+pub fn policy_arms() -> Vec<(&'static str, Option<RiptideConfig>)> {
+    let mut arms = vec![("control", None)];
+    for (name, policy) in registered_policies() {
+        let config = RiptideConfig::builder()
+            .policy(policy)
+            .build()
+            .expect("registered policies produce valid configs");
+        arms.push((if name == "ewma" { "riptide" } else { name }, Some(config)));
+    }
+    arms
+}
+
+/// `rates × arms` in rate-major order, labelled `"{arm}@{rate}"`: the
+/// arm `a` of rate `i` is scenario `arms.len() * i + a`, running under
+/// `spec(rate, a)`.
+fn rate_sweep(
+    rates: &[f64],
+    arms: &[(&str, Option<RiptideConfig>)],
+    spec: impl Fn(f64, usize) -> ScenarioSpec,
+) -> Vec<PlanArm> {
+    assert!(!rates.is_empty(), "need at least one rate");
+    let mut out = Vec::with_capacity(rates.len() * arms.len());
+    for &rate in rates {
+        for (a, (arm, riptide)) in arms.iter().enumerate() {
+            out.push(PlanArm::scenario(
+                format!("{arm}@{rate}"),
+                riptide.clone(),
+                spec(rate, a),
+            ));
+        }
+    }
+    out
+}
+
+/// The probe-experiment families: each is an arm list handed to
+/// [`RunPlan::probe_arms`], so all are seed-paired per (unit,
+/// replicate) exactly like [`RunPlan::probe_comparison`].
+impl RunPlan {
+    /// Policy-ablation arena: the [`policy_arms`] lineup on the clean
+    /// regime.
+    pub fn policy_ablation(scale: &ExperimentScale, replicates: u32) -> RunPlan {
+        let arms = policy_arms()
+            .into_iter()
+            .map(|(arm, riptide)| PlanArm::stack(arm, riptide, StackTweaks::default()))
+            .collect();
+        RunPlan::probe_arms("policy-ablation", scale, arms, replicates)
+    }
+
+    /// The scenario matrix: every [`scenario_catalog`] cell crossed
+    /// with the [`policy_arms`] lineup, labelled `"{cell}/{arm}"`.
+    /// Scenario indices are `policy_arms().len() * cell + arm`, cells in
+    /// catalog order. Since the pairing key also excludes the *matrix
+    /// cell*, all cells of one (unit, replicate) share a seed, so
+    /// ranking differences between cells are regime effects, not draw
+    /// effects.
+    pub fn scenario_matrix(scale: &ExperimentScale, replicates: u32) -> RunPlan {
+        let lineup = policy_arms();
+        let mut arms = Vec::new();
+        for spec in scenario_catalog(scale) {
+            for (arm, riptide) in &lineup {
+                arms.push(PlanArm::scenario(
+                    format!("{}/{arm}", spec.name),
+                    riptide.clone(),
+                    spec.clone(),
+                ));
+            }
+        }
+        RunPlan::probe_arms("scenario-matrix", scale, arms, replicates)
+    }
+
+    /// The chaos sweep: control (scenario `2i`) vs Riptide (scenario
+    /// `2i + 1`) under [`ScenarioSpec::chaos`] for each fault rate `i`.
+    /// A zero rate reproduces the probe comparison's merged probes bit
+    /// for bit.
+    pub fn chaos_sweep(scale: &ExperimentScale, rates: &[f64], replicates: u32) -> RunPlan {
+        let arms = [
+            ("control", None),
+            ("riptide", Some(RiptideConfig::deployment())),
+        ];
+        let arms = rate_sweep(rates, &arms, |rate, _| ScenarioSpec::chaos(rate));
+        RunPlan::probe_arms("chaos-sweep", scale, arms, replicates)
+    }
+
+    /// The guardrail sweep: kernel-default control (scenario `3i`),
+    /// unguarded Riptide (`3i + 1`) and guarded Riptide (`3i + 2`)
+    /// under [`ScenarioSpec::guardrail`] for each fault rate `i`. A zero
+    /// rate reproduces the probe comparison's merged probes bit for bit
+    /// in the control and unguarded arms.
+    pub fn guardrail_sweep(scale: &ExperimentScale, rates: &[f64], replicates: u32) -> RunPlan {
+        // Deployment defaults plus the loss-aware circuit breaker at its
+        // default thresholds.
+        let guarded = RiptideConfig::builder()
+            .guard(riptide::guard::GuardConfig::default())
+            .build()
+            .expect("deployment defaults with a default guard are valid");
+        let arms = [
+            ("control", None),
+            ("riptide", Some(RiptideConfig::deployment())),
+            ("guarded", Some(guarded)),
+        ];
+        let arms = rate_sweep(rates, &arms, |rate, _| ScenarioSpec::guardrail(rate));
+        RunPlan::probe_arms("guardrail-sweep", scale, arms, replicates)
+    }
+
+    /// The cold-start sweep: persistence off (scenario `3i`), snapshot
+    /// only (`3i + 1`) and snapshot+gossip (`3i + 2`) under
+    /// [`ScenarioSpec::coldstart`] for each crash rate `i`, every arm
+    /// running the deployment Riptide config. All three modes see the
+    /// *same* crash schedule, so their ramp times are directly
+    /// comparable.
+    pub fn coldstart_sweep(scale: &ExperimentScale, rates: &[f64], replicates: u32) -> RunPlan {
+        let warm = Some(PersistenceConfig::default());
+        let modes = [
+            ("cold", None, None),
+            ("snapshot", warm, None),
+            ("snapshot+gossip", warm, Some(GossipConfig::default())),
+        ];
+        let arms = modes.map(|(mode, _, _)| (mode, Some(RiptideConfig::deployment())));
+        let arms = rate_sweep(rates, &arms, |rate, a| {
+            ScenarioSpec::coldstart(rate, modes[a].1, modes[a].2)
+        });
+        RunPlan::probe_arms("coldstart-sweep", scale, arms, replicates)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topology::TestbedConfig;
 
     #[test]
     fn catalog_names_are_unique_and_baseline_first() {
@@ -272,13 +476,7 @@ mod tests {
             assert!(!lm.sites.contains(s), "sender {s} must stay clean");
         }
         assert_eq!(lm.sites.len(), scale.sites - senders.len());
-        assert!(lm.loss > 0.0 && lm.rate_bps < TestbedDefaultRate::BPS);
-    }
-
-    /// Local alias so the assertion reads against the documented default.
-    struct TestbedDefaultRate;
-    impl TestbedDefaultRate {
-        const BPS: u64 = 500_000_000;
+        assert!(lm.loss > 0.0 && lm.rate_bps < TestbedConfig::default().rate_bps);
     }
 
     #[test]
@@ -320,5 +518,110 @@ mod tests {
         );
         assert_eq!(cfg.organic.flash_crowds.len(), 2);
         assert_eq!(cfg.organic.diurnal_amplitude, 0.5);
+    }
+
+    #[test]
+    fn family_overlays_reach_the_sim_config_and_vanish_at_zero_rate() {
+        let scale = ExperimentScale::test();
+        let overlay = |spec: &ScenarioSpec| {
+            scenario_sim_config(&scale, None, probe_sender_sites(&scale), spec).resilience
+        };
+        for zero in [
+            ScenarioSpec::chaos(0.0),
+            ScenarioSpec::guardrail(0.0),
+            ScenarioSpec::coldstart(0.0, None, None),
+        ] {
+            let got = overlay(&zero);
+            assert!(
+                !got.faults.is_enabled(),
+                "{}: faults on at rate 0",
+                zero.name
+            );
+            // Audits are scheduled exactly when churn can fire.
+            assert_eq!(got.reconcile_every, None, "{}", zero.name);
+            assert_eq!((got.persistence, got.gossip), (None, None), "{}", zero.name);
+        }
+        assert!(overlay(&ScenarioSpec::chaos(0.2)).faults.is_enabled());
+        assert!(overlay(&ScenarioSpec::guardrail(0.1))
+            .reconcile_every
+            .is_some());
+        let warm = Some(PersistenceConfig::default());
+        let snap = overlay(&ScenarioSpec::coldstart(0.05, warm, None));
+        assert!(snap.faults.is_enabled() && snap.persistence == warm && snap.gossip.is_none());
+    }
+
+    #[test]
+    fn scenario_matrix_is_seed_paired_across_cells_and_arms() {
+        let scale = ExperimentScale::test();
+        let plan = RunPlan::scenario_matrix(&scale, 2);
+        let arms = policy_arms().len();
+        let cells = scenario_catalog(&scale).len();
+        // cells x arms x 2 senders x 2 replicates.
+        assert_eq!(plan.shards.len(), cells * arms * 2 * 2);
+        for shard in &plan.shards {
+            let twin = plan
+                .shards
+                .iter()
+                .find(|s| {
+                    s.id.scenario != shard.id.scenario
+                        && s.id.unit == shard.id.unit
+                        && s.id.replicate == shard.id.replicate
+                })
+                .expect("paired arm exists");
+            assert_eq!(
+                twin.seed, shard.seed,
+                "every cell and arm of one (unit, replicate) shares a seed"
+            );
+        }
+        // Labels carry both the scenario and the arm name, and the
+        // EWMA arm keeps the probe-comparison "riptide" label.
+        assert!(plan
+            .shards
+            .iter()
+            .any(|s| s.label.starts_with("baseline/riptide:")));
+        assert!(plan
+            .shards
+            .iter()
+            .any(|s| s.label.starts_with("red-ecn/loss-utility:")));
+    }
+
+    #[test]
+    fn coldstart_sweep_is_seed_paired_and_reports_merge() {
+        let scale = ExperimentScale::test();
+        let plan = RunPlan::coldstart_sweep(&scale, &[0.05], 1);
+        // 3 modes x 2 senders x 1 replicate.
+        assert_eq!(plan.shards.len(), 6);
+        for shard in &plan.shards {
+            let twin = plan
+                .shards
+                .iter()
+                .find(|s| {
+                    s.id.scenario != shard.id.scenario
+                        && s.id.unit == shard.id.unit
+                        && s.id.replicate == shard.id.replicate
+                })
+                .expect("paired arm exists");
+            assert_eq!(
+                twin.seed, shard.seed,
+                "modes of one cell share a seed, so crash schedules pair up"
+            );
+        }
+        let report = plan.run_with_threads(2);
+        let cold = report.merged_coldstart_report(0);
+        let snap = report.merged_coldstart_report(1);
+        let gossip = report.merged_coldstart_report(2);
+        // Persistence off: nothing written, nothing restored.
+        assert_eq!(cold.snapshots_written, 0);
+        assert_eq!(cold.restored_routes, 0);
+        // Snapshot arms journal, snapshot and restore.
+        assert!(snap.snapshots_written > 0, "snapshot arm never snapshotted");
+        assert!(snap.restored_routes > 0, "snapshot arm restored nothing");
+        assert!(snap.restarts_tracked > 0, "no restart was ramp-tracked");
+        // The gossip arm additionally runs anti-entropy rounds.
+        assert!(gossip.gossip_rounds > 0, "gossip arm never gossiped");
+        assert!(
+            !report.merged_probes(0).is_empty(),
+            "cold arm produced no probe outcomes"
+        );
     }
 }

@@ -47,11 +47,9 @@ pub fn estimated_events(spec: &ShardSpec) -> u64 {
     let secs = spec.scale.total().as_secs_f64().round() as u64;
     let machines = (spec.scale.sites * spec.scale.machines_per_pop) as u64;
     let senders = match &spec.work {
-        ShardWork::ProbeArm { senders, .. }
-        | ShardWork::ChaosArm { senders, .. }
-        | ShardWork::GuardrailArm { senders, .. }
-        | ShardWork::ScenarioArm { senders, .. }
-        | ShardWork::ColdstartArm { senders, .. } => senders.len() as u64,
+        ShardWork::ProbeArm { senders, .. } | ShardWork::ScenarioArm { senders, .. } => {
+            senders.len() as u64
+        }
         ShardWork::CwndDistribution { .. }
         | ShardWork::TrafficProfile
         | ShardWork::Convergence { .. } => 0,

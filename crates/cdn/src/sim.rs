@@ -54,32 +54,13 @@ pub struct CdnSimConfig {
     /// Site indices that send probes (`None` = every site). The paper's
     /// transfer-time analysis uses two sender PoPs.
     pub probe_senders: Option<Vec<usize>>,
-    /// Fault-injection plan ([`FaultPlan::none`] disables the chaos layer
-    /// entirely, leaving the run bit-identical to one without it).
-    pub faults: FaultPlan,
-    /// How often each agent runs a reconciler audit against a fresh
-    /// kernel route dump (`None` disables auditing — the paper's
-    /// open-loop deployment).
-    pub reconcile_every: Option<SimDuration>,
     /// Attach a shared telemetry bundle (metrics registry + decision
     /// journal) to every agent. Off by default: a disabled registry does
     /// no telemetry work and leaves run digests bit-identical.
     pub telemetry: bool,
-    /// Warm-restart persistence: each host keeps a simulated on-disk
-    /// state file (snapshot + journal) that survives crash faults, and
-    /// a restarted daemon reloads it instead of starting empty. `None`
-    /// (the default) leaves runs bit-identical to builds without the
-    /// feature.
-    pub persistence: Option<PersistenceConfig>,
-    /// Anti-entropy gossip between the fleet's agents. `None` (the
-    /// default) is digest-neutral: the fabric's RNG is forked purely,
-    /// so no other draw sequence moves.
-    pub gossip: Option<GossipConfig>,
-    /// Track per-host ramp-up after crash restarts: the time for a
-    /// restarted host's installed-window sum to climb back to 90% of
-    /// its pre-crash level (reported via [`CdnSim::coldstart_report`]).
-    /// Off by default; tracking draws no randomness either way.
-    pub track_ramp: bool,
+    /// What breaks during the run and what repairs it (all off by
+    /// default).
+    pub resilience: ResilienceOverlay,
 }
 
 impl Default for CdnSimConfig {
@@ -91,14 +72,34 @@ impl Default for CdnSimConfig {
             organic: OrganicConfig::none(),
             cwnd_sample_interval: SimDuration::from_secs(60),
             probe_senders: None,
-            faults: FaultPlan::none(),
-            reconcile_every: None,
             telemetry: false,
-            persistence: None,
-            gossip: None,
-            track_ramp: false,
+            resilience: ResilienceOverlay::default(),
         }
     }
+}
+
+/// The fault and recovery layers over a deployment: what breaks
+/// (`faults`) and what repairs it (audits, persisted state, gossip).
+/// One struct shared by [`CdnSimConfig`] and
+/// [`crate::scenario::ScenarioSpec`], so a scenario hands its overlay
+/// to the simulator whole. The [`Default`] is everything off, which
+/// leaves a run bit-identical to one built without these layers.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ResilienceOverlay {
+    /// Fault-injection plan ([`FaultPlan::none`] disables the chaos layer
+    /// entirely).
+    pub faults: FaultPlan,
+    /// How often each agent runs a reconciler audit against a fresh
+    /// kernel route dump (`None` disables auditing — the paper's
+    /// open-loop deployment).
+    pub reconcile_every: Option<SimDuration>,
+    /// Warm-restart persistence: each host keeps a simulated on-disk
+    /// state file (snapshot + journal) that survives crash faults, and
+    /// a restarted daemon reloads it instead of starting empty.
+    pub persistence: Option<PersistenceConfig>,
+    /// Anti-entropy gossip between the fleet's agents. The fabric's RNG
+    /// is forked purely, so no other draw sequence moves.
+    pub gossip: Option<GossipConfig>,
 }
 
 /// Warm-restart persistence parameters for simulated hosts.
@@ -511,7 +512,7 @@ pub struct CdnSim {
     /// Cold-start counters (ramp tracking, persistence, gossip).
     coldstart: ColdstartReport,
     /// Per host: pre-crash installed-window sum awaiting the restart
-    /// (set at the crash instant when `track_ramp` is on).
+    /// (set at the crash instant).
     ramp_pending: Vec<Option<u64>>,
     /// Per host: `(pre-crash sum, restart instant)` of a ramp-up in
     /// progress.
@@ -532,7 +533,7 @@ impl CdnSim {
         if let Err(e) = cfg.probes.validate() {
             panic!("invalid probe config: {e}");
         }
-        if let Err(e) = cfg.faults.validate() {
+        if let Err(e) = cfg.resilience.faults.validate() {
             panic!("invalid fault plan: {e}");
         }
         for crowd in &cfg.organic.flash_crowds {
@@ -540,12 +541,12 @@ impl CdnSim {
                 panic!("invalid flash crowd: {e}");
             }
         }
-        if let Some(g) = &cfg.gossip {
+        if let Some(g) = &cfg.resilience.gossip {
             if let Err(e) = g.validate() {
                 panic!("invalid gossip config: {e}");
             }
         }
-        if let Some(p) = &cfg.persistence {
+        if let Some(p) = &cfg.resilience.persistence {
             if let Err(e) = p.validate() {
                 panic!("invalid persistence config: {e}");
             }
@@ -556,13 +557,13 @@ impl CdnSim {
 
         // Forking is pure, so attaching (or not attaching) the chaos
         // layer leaves `rng`'s own sequence untouched.
-        let chaos = cfg.faults.is_enabled().then(|| ChaosState {
-            injector: FaultInjector::new(cfg.faults.clone(), &rng),
+        let chaos = cfg.resilience.faults.is_enabled().then(|| ChaosState {
+            injector: FaultInjector::new(cfg.resilience.faults.clone(), &rng),
             policy: BackoffPolicy::agent_default(),
             down_until: vec![None; host_count],
             pending: Vec::new(),
             bursts: Vec::new(),
-            next_burst_check: SimTime::ZERO + cfg.faults.burst_check_every,
+            next_burst_check: SimTime::ZERO + cfg.resilience.faults.burst_check_every,
             foreign: vec![BTreeMap::new(); host_count],
             loss_episodes: Vec::new(),
             report: ChaosReport::default(),
@@ -571,8 +572,11 @@ impl CdnSim {
         // Forked purely, like the chaos injector: attaching (or not
         // attaching) the gossip fabric leaves `rng`'s own sequence —
         // and therefore every gossip-free draw — untouched.
-        let gossip = cfg.gossip.map(|g| GossipFabric::new(g, &rng, host_count));
-        let persist = cfg.persistence.map(|p| PersistLayer {
+        let gossip = cfg
+            .resilience
+            .gossip
+            .map(|g| GossipFabric::new(g, &rng, host_count));
+        let persist = cfg.resilience.persistence.map(|p| PersistLayer {
             next_snapshot: SimTime::ZERO + p.snapshot_every,
             stores: vec![HostStore::default(); host_count],
             cfg: p,
@@ -674,7 +678,7 @@ impl CdnSim {
             tb,
             next_agent_tick: SimTime::ZERO + agent_interval,
             next_cwnd_sample: SimTime::ZERO + cfg.cwnd_sample_interval,
-            next_reconcile: cfg.reconcile_every.map(|d| SimTime::ZERO + d),
+            next_reconcile: cfg.resilience.reconcile_every.map(|d| SimTime::ZERO + d),
             addr_to_host,
             cfg,
             agents,
@@ -853,9 +857,8 @@ impl CdnSim {
     }
 
     /// Cold-start counters for this run: crash-restart ramp-up times
-    /// (when [`CdnSimConfig::track_ramp`] is on) plus what the
-    /// persistence and gossip layers did. All-zero when those features
-    /// are off.
+    /// plus what the persistence and gossip layers did. All-zero when
+    /// crashes, persistence and gossip are off.
     pub fn coldstart_report(&self) -> ColdstartReport {
         let mut r = self.coldstart;
         if let Some(g) = &self.gossip {
@@ -960,7 +963,11 @@ impl CdnSim {
             if let Some(t) = self.next_reconcile {
                 if now >= t {
                     self.run_reconcile(now);
-                    let every = self.cfg.reconcile_every.expect("reconcile scheduled");
+                    let every = self
+                        .cfg
+                        .resilience
+                        .reconcile_every
+                        .expect("reconcile scheduled");
                     self.next_reconcile = Some(now + every);
                 }
             }
@@ -1034,11 +1041,9 @@ impl CdnSim {
                                     store.last_installed = agent.installed_view().clone();
                                 }
                             }
-                            if self.cfg.track_ramp {
-                                if let Some(pre) = self.ramp_pending[h].take() {
-                                    self.ramp_active[h] = Some((pre, now));
-                                    self.coldstart.restarts_tracked += 1;
-                                }
+                            if let Some(pre) = self.ramp_pending[h].take() {
+                                self.ramp_active[h] = Some((pre, now));
+                                self.coldstart.restarts_tracked += 1;
                             }
                         }
                         None => {
@@ -1051,12 +1056,12 @@ impl CdnSim {
                                 chaos.report.degraded_ticks += old.stats().degraded_ticks;
                                 chaos.report.guard_trips += old.stats().guard_trips;
                                 chaos.report.reconcile_repairs += old.stats().reconcile_repairs;
-                                if self.cfg.track_ramp {
-                                    let pre: u64 =
-                                        old.installed_view().values().map(|&w| w as u64).sum();
-                                    self.ramp_active[h] = None;
-                                    self.ramp_pending[h] = (pre > 0).then_some(pre);
-                                }
+                                // Ramp tracking draws no randomness and
+                                // acts only here and at the restart.
+                                let pre: u64 =
+                                    old.installed_view().values().map(|&w| w as u64).sum();
+                                self.ramp_active[h] = None;
+                                self.ramp_pending[h] = (pre > 0).then_some(pre);
                                 let rc = self.cfg.riptide.clone().expect("agent implies config");
                                 let mut fresh =
                                     RiptideAgent::new(rc).expect("validated riptide config");
@@ -1563,9 +1568,6 @@ impl CdnSim {
     /// Completes any in-progress ramp whose host climbed back to 90% of
     /// its pre-crash installed-window sum.
     fn check_ramp(&mut self, now: SimTime) {
-        if !self.cfg.track_ramp {
-            return;
-        }
         for h in 0..self.agents.len() {
             let Some((pre, since)) = self.ramp_active[h] else {
                 continue;
@@ -1716,12 +1718,8 @@ mod tests {
             organic: OrganicConfig::none(),
             cwnd_sample_interval: SimDuration::from_secs(30),
             probe_senders: None,
-            faults: FaultPlan::none(),
-            reconcile_every: None,
             telemetry: false,
-            persistence: None,
-            gossip: None,
-            track_ramp: false,
+            resilience: ResilienceOverlay::default(),
         }
     }
 
@@ -1822,7 +1820,7 @@ mod tests {
     #[test]
     fn chaos_fires_faults_but_windows_stay_in_bounds() {
         let mut cfg = tiny_cfg(true, 41);
-        cfg.faults = FaultPlan::uniform(0.2);
+        cfg.resilience.faults = FaultPlan::uniform(0.2);
         let mut sim = CdnSim::new(cfg);
         sim.run_for(SimDuration::from_secs(400));
         let r = sim.chaos_report();
@@ -1841,7 +1839,7 @@ mod tests {
     #[test]
     fn chaos_crashes_lose_tables_and_recovery_wipes_stale_routes() {
         let mut cfg = tiny_cfg(true, 43);
-        cfg.faults = FaultPlan {
+        cfg.resilience.faults = FaultPlan {
             crash: 0.05,
             restart_after: SimDuration::from_secs(5),
             ..FaultPlan::none()
@@ -1857,7 +1855,7 @@ mod tests {
     fn chaos_runs_are_deterministic() {
         let run = |seed| {
             let mut cfg = tiny_cfg(true, seed);
-            cfg.faults = FaultPlan::uniform(0.1);
+            cfg.resilience.faults = FaultPlan::uniform(0.1);
             let mut sim = CdnSim::new(cfg);
             sim.run_for(SimDuration::from_secs(300));
             let probes = sim
@@ -1877,7 +1875,7 @@ mod tests {
         // control run draws the same burst schedule as a riptide run.
         let report = |riptide| {
             let mut cfg = tiny_cfg(riptide, 47);
-            cfg.faults = FaultPlan {
+            cfg.resilience.faults = FaultPlan {
                 burst_start: 0.5,
                 burst_loss: 0.2,
                 ..FaultPlan::none()
@@ -1894,9 +1892,9 @@ mod tests {
     #[test]
     fn route_churn_creates_drift_and_reconcile_repairs_it() {
         let mut cfg = tiny_cfg(true, 53);
-        cfg.faults = FaultPlan::guardrail(0.3);
-        cfg.faults.targeted_loss = 0.0; // churn only, in this test
-        cfg.reconcile_every = Some(SimDuration::from_secs(45));
+        cfg.resilience.faults = FaultPlan::guardrail(0.3);
+        cfg.resilience.faults.targeted_loss = 0.0; // churn only, in this test
+        cfg.resilience.reconcile_every = Some(SimDuration::from_secs(45));
         let mut sim = CdnSim::new(cfg);
         sim.run_for(SimDuration::from_secs(600));
         // Let a final audit land after the last churn instant: the last
@@ -1918,8 +1916,8 @@ mod tests {
     #[test]
     fn unreconciled_churn_leaves_visible_drift() {
         let mut cfg = tiny_cfg(true, 53);
-        cfg.faults = FaultPlan::guardrail(0.3);
-        cfg.faults.targeted_loss = 0.0;
+        cfg.resilience.faults = FaultPlan::guardrail(0.3);
+        cfg.resilience.faults.targeted_loss = 0.0;
         let mut sim = CdnSim::new(cfg);
         sim.run_for(SimDuration::from_secs(600));
         let r = sim.chaos_report();
@@ -1939,10 +1937,10 @@ mod tests {
                 .build()
                 .expect("valid config"),
         );
-        cfg.faults = FaultPlan::guardrail(0.6);
-        cfg.faults.route_churn = 0.0; // loss only, in this test
-        cfg.faults.targeted_loss_rate = 0.3;
-        cfg.faults.targeted_loss_for = SimDuration::from_secs(60);
+        cfg.resilience.faults = FaultPlan::guardrail(0.6);
+        cfg.resilience.faults.route_churn = 0.0; // loss only, in this test
+        cfg.resilience.faults.targeted_loss_rate = 0.3;
+        cfg.resilience.faults.targeted_loss_for = SimDuration::from_secs(60);
         let mut sim = CdnSim::new(cfg);
         sim.run_for(SimDuration::from_secs(900));
         let r = sim.chaos_report();
@@ -1964,8 +1962,8 @@ mod tests {
                     .build()
                     .expect("valid config"),
             );
-            cfg.faults = FaultPlan::guardrail(0.25);
-            cfg.reconcile_every = Some(SimDuration::from_secs(45));
+            cfg.resilience.faults = FaultPlan::guardrail(0.25);
+            cfg.resilience.reconcile_every = Some(SimDuration::from_secs(45));
             let mut sim = CdnSim::new(cfg);
             sim.run_for(SimDuration::from_secs(400));
             let probes = sim
@@ -1983,8 +1981,8 @@ mod tests {
     fn zero_rate_guardrail_plan_is_bit_identical_to_no_faults() {
         let run = |faults: FaultPlan, reconcile: Option<SimDuration>| {
             let mut cfg = tiny_cfg(true, 67);
-            cfg.faults = faults;
-            cfg.reconcile_every = reconcile;
+            cfg.resilience.faults = faults;
+            cfg.resilience.reconcile_every = reconcile;
             let mut sim = CdnSim::new(cfg);
             sim.run_for(SimDuration::from_secs(300));
             sim.probe_outcomes()
@@ -2019,9 +2017,8 @@ mod tests {
     #[test]
     fn crash_restart_with_persistence_restores_learned_tables() {
         let mut cfg = tiny_cfg(true, 43);
-        cfg.faults = crash_plan(0.05);
-        cfg.persistence = Some(PersistenceConfig::default());
-        cfg.track_ramp = true;
+        cfg.resilience.faults = crash_plan(0.05);
+        cfg.resilience.persistence = Some(PersistenceConfig::default());
         let mut sim = CdnSim::new(cfg);
         sim.run_for(SimDuration::from_secs(400));
         let r = sim.chaos_report();
@@ -2045,9 +2042,8 @@ mod tests {
     fn persisted_restarts_ramp_up_faster_than_cold_ones() {
         let run = |persistence: Option<PersistenceConfig>| {
             let mut cfg = tiny_cfg(true, 43);
-            cfg.faults = crash_plan(0.01);
-            cfg.persistence = persistence;
-            cfg.track_ramp = true;
+            cfg.resilience.faults = crash_plan(0.01);
+            cfg.resilience.persistence = persistence;
             let mut sim = CdnSim::new(cfg);
             sim.run_for(SimDuration::from_secs(600));
             sim.coldstart_report()
@@ -2072,7 +2068,7 @@ mod tests {
     fn gossip_spreads_learned_entries_across_the_fleet() {
         let entries = |gossip: Option<GossipConfig>| {
             let mut cfg = tiny_cfg(true, 71);
-            cfg.gossip = gossip;
+            cfg.resilience.gossip = gossip;
             let mut sim = CdnSim::new(cfg);
             sim.run_for(SimDuration::from_secs(400));
             let (_, n) = sim.mean_learned_window().expect("something learned");
@@ -2094,8 +2090,8 @@ mod tests {
     #[test]
     fn gossip_backs_off_crashed_peers() {
         let mut cfg = tiny_cfg(true, 73);
-        cfg.faults = crash_plan(0.08);
-        cfg.gossip = Some(GossipConfig {
+        cfg.resilience.faults = crash_plan(0.08);
+        cfg.resilience.gossip = Some(GossipConfig {
             every: SimDuration::from_secs(15),
             ..GossipConfig::default()
         });
@@ -2115,10 +2111,9 @@ mod tests {
     fn persistence_and_gossip_runs_are_deterministic() {
         let run = |seed| {
             let mut cfg = tiny_cfg(true, seed);
-            cfg.faults = crash_plan(0.05);
-            cfg.persistence = Some(PersistenceConfig::default());
-            cfg.gossip = Some(GossipConfig::default());
-            cfg.track_ramp = true;
+            cfg.resilience.faults = crash_plan(0.05);
+            cfg.resilience.persistence = Some(PersistenceConfig::default());
+            cfg.resilience.gossip = Some(GossipConfig::default());
             let mut sim = CdnSim::new(cfg);
             sim.run_for(SimDuration::from_secs(400));
             let probes = sim
@@ -2134,11 +2129,10 @@ mod tests {
 
     #[test]
     fn zero_rate_crash_plan_with_persistence_is_bit_identical() {
-        let run = |faults: FaultPlan, persistence: Option<PersistenceConfig>, track_ramp: bool| {
+        let run = |faults: FaultPlan, persistence: Option<PersistenceConfig>| {
             let mut cfg = tiny_cfg(true, 67);
-            cfg.faults = faults;
-            cfg.persistence = persistence;
-            cfg.track_ramp = track_ramp;
+            cfg.resilience.faults = faults;
+            cfg.resilience.persistence = persistence;
             let mut sim = CdnSim::new(cfg);
             sim.run_for(SimDuration::from_secs(300));
             sim.probe_outcomes()
@@ -2146,13 +2140,13 @@ mod tests {
                 .map(|p| (p.src_site, p.dst_site, p.size, p.completion.as_nanos()))
                 .collect::<Vec<_>>()
         };
-        let clean = run(FaultPlan::none(), None, false);
+        let clean = run(FaultPlan::none(), None);
         // Snapshots and journals observe the run without perturbing it:
         // no RNG draws, no route writes — so with zero crashes the run
         // is bit-identical to one without the persistence layer at all.
         assert_eq!(
             clean,
-            run(crash_plan(0.0), Some(PersistenceConfig::default()), true),
+            run(crash_plan(0.0), Some(PersistenceConfig::default())),
             "zero-rate crash plan with persistence adds nothing"
         );
     }

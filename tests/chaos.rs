@@ -264,7 +264,7 @@ fn expiry_storm_after_total_silence() {
 use proptest::prelude::*;
 use riptide_repro::cdn::engine::RunPlan;
 use riptide_repro::cdn::experiment::ExperimentScale;
-use riptide_repro::cdn::sim::{CdnSim, CdnSimConfig};
+use riptide_repro::cdn::sim::{CdnSim, CdnSimConfig, ResilienceOverlay};
 use riptide_repro::cdn::topology::TestbedConfig;
 use riptide_repro::cdn::workload::{OrganicConfig, ProbeConfig};
 use riptide_repro::simnet::time::SimDuration;
@@ -283,8 +283,8 @@ fn zero_fault_rate_reproduces_the_clean_probe_comparison() {
     let scale = chaos_scale();
     let clean = RunPlan::probe_comparison(&scale, 2).run_with_threads(2);
     let chaos = RunPlan::chaos_sweep(&scale, &[0.0], 2).run_with_threads(2);
-    assert_eq!(clean.merged_probes(0), chaos.merged_chaos_probes(0));
-    assert_eq!(clean.merged_probes(1), chaos.merged_chaos_probes(1));
+    assert_eq!(clean.merged_probes(0), chaos.merged_probes(0));
+    assert_eq!(clean.merged_probes(1), chaos.merged_probes(1));
     let report = chaos.merged_chaos_report(1);
     assert_eq!(report.faults, Default::default(), "no faults fired");
     assert_eq!(report.degraded_ticks, 0);
@@ -326,7 +326,7 @@ fn high_fault_rate_degrades_gracefully_and_never_breaks_no_harm() {
     assert!(riptide.faults.crashes > 0, "{riptide:?}");
     assert!(riptide.observe_retries > 0, "{riptide:?}");
     assert!(
-        !report.merged_chaos_probes(1).is_empty(),
+        !report.merged_probes(1).is_empty(),
         "probes still complete under 20% faults"
     );
 }
@@ -353,12 +353,11 @@ proptest! {
             organic: OrganicConfig::none(),
             cwnd_sample_interval: SimDuration::from_secs(60),
             probe_senders: None,
-            faults: FaultPlan::uniform(rate),
-            reconcile_every: None,
             telemetry: false,
-            persistence: None,
-            gossip: None,
-            track_ramp: false,
+            resilience: ResilienceOverlay {
+                faults: FaultPlan::uniform(rate),
+                ..ResilienceOverlay::default()
+            },
         };
         let mut sim = CdnSim::new(cfg);
         sim.run_for(SimDuration::from_secs(150));

@@ -2,13 +2,17 @@
 //! event-for-event.
 //!
 //! `tests/golden/digests.txt` holds the [`RunReport::digest`] of one
-//! plan per [`ShardWork`] variant, captured **before** the hot-path
-//! optimisation work (PR 5). Event order is part of the simulator's
-//! contract — `(SimTime, seq)` determinism in `simnet::event` — and a
-//! shard's `events` counter includes every popped event (stale RTO
-//! timers included), so any restructuring of the event queue, the
-//! sender's bookkeeping, or the engine's digest rendering that changes
-//! behaviour in *any* observable way shows up here as a byte diff.
+//! plan per experiment family. Its `events=`, `retransmits=`,
+//! `transfers=`, `seed=` and `label=` tokens have not moved since the
+//! first capture (before the PR 5 hot-path work); the `data=` tokens
+//! were re-blessed once, when PR 12 replaced `{:?}` hashing with the
+//! canonical encoding of DESIGN §9. Event order is part of the
+//! simulator's contract — `(SimTime, seq)` determinism in
+//! `simnet::event` — and a shard's `events` counter includes every
+//! popped event (stale RTO timers included), so any restructuring of
+//! the event queue, the sender's bookkeeping, or the engine's digest
+//! encoding that changes behaviour in *any* observable way shows up
+//! here as a byte diff.
 //!
 //! To re-bless after an intentional behaviour change:
 //!
@@ -17,7 +21,6 @@
 //! ```
 //!
 //! [`RunReport::digest`]: riptide_repro::cdn::engine::RunReport::digest
-//! [`ShardWork`]: riptide_repro::cdn::engine::ShardWork
 
 use std::path::PathBuf;
 
@@ -31,10 +34,11 @@ fn small_scale() -> ExperimentScale {
     scale
 }
 
-/// Every plan family the engine knows, at a fixed small scale: the
-/// concatenated digests fingerprint all six [`ShardWork`] variants,
-/// the telemetry `metrics=` token path, and one arm per registered
-/// learning policy (the policy-ablation arena).
+/// Every plan family, at a fixed small scale: the concatenated digests
+/// fingerprint all five [`ShardWork`] variants, every `ScenarioSpec`
+/// family, the telemetry `metrics=` token path, and one arm per
+/// registered learning policy (the policy-ablation arena). New plans
+/// are appended, so earlier lines stay comparable across re-blessings.
 ///
 /// [`ShardWork`]: riptide_repro::cdn::engine::ShardWork
 fn all_plan_digests() -> String {
@@ -49,6 +53,7 @@ fn all_plan_digests() -> String {
         RunPlan::convergence(&scale, SimDuration::from_secs(120)),
         RunPlan::policy_ablation(&scale, 1),
         RunPlan::scenario_matrix(&scale, 1),
+        RunPlan::coldstart_sweep(&scale, &[0.05], 1),
     ];
     let mut out = String::new();
     for plan in &plans {

@@ -329,12 +329,8 @@ fn full_deployment_learns_only_within_clamp() {
         organic: OrganicConfig::among(vec![0, 1], 0.3),
         cwnd_sample_interval: SimDuration::from_secs(60),
         probe_senders: None,
-        faults: riptide_simnet::fault::FaultPlan::none(),
-        reconcile_every: None,
         telemetry: false,
-        persistence: None,
-        gossip: None,
-        track_ramp: false,
+        resilience: Default::default(),
     };
     let mut sim = CdnSim::new(cfg);
     sim.run_for(SimDuration::from_secs(600));

@@ -76,10 +76,10 @@ fn manifest_counts_events_and_retransmits_per_shard() {
     let report = plan.run_with_threads(2);
     for shard in &report.shards {
         assert!(shard.stats.events > 0, "shard {} ran no events", shard.id);
-        let ShardData::Probes(probes) = &shard.data else {
+        let ShardData::Probes { outcomes, .. } = &shard.data else {
             panic!("probe plan produced non-probe data");
         };
-        assert!(!probes.is_empty(), "shard {} saw no probes", shard.id);
+        assert!(!outcomes.is_empty(), "shard {} saw no probes", shard.id);
     }
     assert!(
         report

@@ -14,10 +14,11 @@
 //!   mismatch (behaviour drift) is always fatal, as is a structural
 //!   gate — the merge/split round trip must be exact, the reconcile
 //!   audit must converge, aggregation must fold the table at least
-//!   [`MIN_AGGREGATION_RATIO`]×, and grouped eviction at `N` entries
-//!   must cost no more than [`MAX_EVICT_SCALING`]× the `N/4` run
-//!   (sublinearity is measured within the run, so the gate is immune
-//!   to machine speed).
+//!   [`MIN_AGGREGATION_RATIO`]×, grouped eviction at `N` entries must
+//!   cost no more than [`MAX_EVICT_SCALING`]× the `N/4` run, and a
+//!   steady tick must cost no more than [`MAX_TICK_WALK_RATIO`]× one
+//!   plain ordered walk of the table it ticks over (both are ratios
+//!   measured within the run, so the gates are immune to machine speed).
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -40,6 +41,15 @@ const MIN_AGGREGATION_RATIO: f64 = 4.0;
 /// cache pressure (≈ 2–2.5× here); a repeated-min scan (`O(n·k)`) has
 /// per-entry cost proportional to `n` and lands at ≈ 4×.
 const MAX_EVICT_SCALING: f64 = 3.5;
+/// `--check` fails when a steady tick costs more than this × one plain
+/// ordered walk of the same learned table. The tick is
+/// one sort, one ordered sweep and one run-detecting pass — a small
+/// constant number of walks (≈ 3.7× here); a per-key map descent
+/// anywhere in it lands at ≈ 13×.
+const MAX_TICK_WALK_RATIO: f64 = 6.0;
+/// Steady ticks (and table walks) timed for `tick_walk_ratio`; each side
+/// reports its minimum.
+const STEADY_TRIALS: usize = 3;
 /// Rebuild-and-evict rounds per phase-D arm; each arm reports its
 /// minimum, the robust estimator against scheduler noise (a single
 /// test-scale eviction is sub-millisecond).
@@ -125,6 +135,7 @@ struct Measured {
     trie_mem_bytes: usize,
     lookup_digest: String,
     tick_ms: [u64; 3],
+    tick_walk_ratio: f64,
     learned_entries: usize,
     installed_routes: usize,
     aggregation_ratio: f64,
@@ -258,6 +269,33 @@ fn measure(cfg: &MegaCdnConfig) -> Measured {
         tick_ms[i] = started.elapsed().as_millis() as u64;
         digests[i] = digest_view(agent.installed_view());
     }
+    // The steady tick — the re-converged fleet polled again, nothing to
+    // install or withdraw — against its yardstick: the cheapest thing
+    // that still visits every learned entry, an ordered walk counting
+    // the stale ones. Each is the minimum of [`STEADY_TRIALS`], as in
+    // phase D.
+    let ttl = agent.config().ttl;
+    let (mut steady_tick_secs, mut walk_secs) = (f64::INFINITY, f64::INFINITY);
+    for trial in 0..STEADY_TRIALS {
+        let now = SimTime::from_secs(4 + trial as u64);
+        let mut sweep = SweepObserver(cfg.observations(false));
+        let started = Instant::now();
+        let report = agent.tick(now, &mut sweep, &mut routes);
+        steady_tick_secs = steady_tick_secs.min(started.elapsed().as_secs_f64());
+        assert!(
+            report.updates.is_empty() && report.merged.is_empty() && report.expired.is_empty(),
+            "a steady tick changes nothing"
+        );
+        let started = Instant::now();
+        let stale = agent
+            .table()
+            .iter()
+            .filter(|(_, e)| now.saturating_since(e.last_updated) > ttl)
+            .count();
+        walk_secs = walk_secs.min(started.elapsed().as_secs_f64());
+        assert_eq!(stale, 0, "every destination was just refreshed");
+    }
+    let tick_walk_ratio = steady_tick_secs / walk_secs.max(1e-9);
     let stats = agent.stats();
     let learned_entries = agent.table().len();
     let installed_routes = agent.installed_view().len();
@@ -282,6 +320,7 @@ fn measure(cfg: &MegaCdnConfig) -> Measured {
         trie_mem_bytes,
         lookup_digest,
         tick_ms,
+        tick_walk_ratio,
         learned_entries,
         installed_routes,
         aggregation_ratio,
@@ -324,6 +363,21 @@ fn structural_gates(m: &Measured) -> Result<(), String> {
     Ok(())
 }
 
+/// The `--check`-only gate: at the checked-in (million-destination)
+/// scale a steady tick is a few walks of its table. Not part of
+/// [`structural_gates`], which also run at test scale, where a
+/// sub-millisecond tick is all fixed cost and the ratio says nothing.
+fn tick_cost_gate(m: &Measured) -> Result<(), String> {
+    if m.tick_walk_ratio > MAX_TICK_WALK_RATIO {
+        return Err(format!(
+            "a steady tick cost {:.1}x one ordered walk of its table \
+             (ceiling {MAX_TICK_WALK_RATIO}x)",
+            m.tick_walk_ratio
+        ));
+    }
+    Ok(())
+}
+
 fn main() -> ExitCode {
     let opts = parse();
     banner(
@@ -346,14 +400,19 @@ fn main() -> ExitCode {
             eprintln!("megacdn: {why}");
             return ExitCode::FAILURE;
         }
-        if let Err(why) = structural_gates(&m) {
+        if let Err(why) = structural_gates(&m).and_then(|()| tick_cost_gate(&m)) {
             eprintln!("megacdn: GATE FAILED — {why}");
             return ExitCode::FAILURE;
         }
         println!(
             "# check: digests ok; ratio {:.0}x over {} destinations; \
-             eviction scaling {:.1}x (<= {MAX_EVICT_SCALING}); reconcile {} ms",
-            m.aggregation_ratio, m.destinations, m.evict_scaling_ratio, m.reconcile_ms
+             eviction scaling {:.1}x (<= {MAX_EVICT_SCALING}); steady tick {:.1}x a table walk \
+             (<= {MAX_TICK_WALK_RATIO}); reconcile {} ms",
+            m.aggregation_ratio,
+            m.destinations,
+            m.evict_scaling_ratio,
+            m.tick_walk_ratio,
+            m.reconcile_ms
         );
         return ExitCode::SUCCESS;
     }
@@ -370,7 +429,8 @@ fn main() -> ExitCode {
          \"trie_lookup_ns\": {:.1},\n  \"trie_nodes\": {},\n  \
          \"peak_table_bytes\": {},\n  \"lookup_digest\": \"{}\",\n  \
          \"tick_converge_ms\": {},\n  \"tick_diverge_ms\": {},\n  \
-         \"tick_reconverge_ms\": {},\n  \"learned_entries\": {},\n  \
+         \"tick_reconverge_ms\": {},\n  \"tick_walk_ratio\": {:.2},\n  \
+         \"learned_entries\": {},\n  \
          \"installed_routes\": {},\n  \"aggregation_ratio\": {:.1},\n  \
          \"aggregate_merges\": {},\n  \"aggregate_splits\": {},\n  \
          \"roundtrip_digest\": \"{}\",\n  \"roundtrip_ok\": {},\n  \
@@ -389,6 +449,7 @@ fn main() -> ExitCode {
         m.tick_ms[0],
         m.tick_ms[1],
         m.tick_ms[2],
+        m.tick_walk_ratio,
         m.learned_entries,
         m.installed_routes,
         m.aggregation_ratio,

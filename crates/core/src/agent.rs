@@ -25,11 +25,11 @@ use crate::config::RiptideConfig;
 use crate::control::{ControlError, RouteController};
 use crate::observe::WindowObserver;
 use crate::policy::{Policy, PolicyInput};
-use crate::table::FinalTable;
+use crate::table::{FinalEntry, FinalTable};
 use crate::telemetry::{AgentTelemetry, DecisionAction, DecisionCause};
 
 /// What one agent tick did, for logging and tests.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TickReport {
     /// Established connections observed this tick.
     pub observed_connections: usize,
@@ -346,22 +346,26 @@ impl RiptideAgent {
         // equal keys one group, visited in ascending key order — the same
         // groups, group order, and within-group order a BTreeMap of Vecs
         // would produce, without its per-destination allocations.
+        let granularity = self.config.granularity;
         let mut observations = observations;
-        observations.sort_by_key(|obs| self.config.granularity.key(obs.dst));
+        observations.sort_by_key(|obs| granularity.key(obs.dst));
+
+        // 3–6 are one ordered sweep: the groups and the learned table are
+        // both in key order, so a single cursor over the table hands each
+        // group its entry in place (first-seen keys are buffered and
+        // inserted when the sweep is settled), and every entry the cursor
+        // passes that no group asked for is age-checked on the way — the
+        // expiry scan, for free.
+        let mut sweep = self.table.sweep(now, self.config.ttl);
+        // Keys ascend, so all members of one covering prefix are
+        // consecutive: ask the aggregator once per covering prefix.
+        let mut covered_under: Option<(Ipv4Prefix, bool)> = None;
 
         // 3–5. combine, blend with history, shape (trend + advisory),
         // clamp, guard, install.
-        let mut start = 0;
-        while start < observations.len() {
-            let key = self.config.granularity.key(observations[start].dst);
-            let mut end = start + 1;
-            while end < observations.len()
-                && self.config.granularity.key(observations[end].dst) == key
-            {
-                end += 1;
-            }
-            let group = &observations[start..end];
-            start = end;
+        for group in observations.chunk_by(|a, b| granularity.key(a.dst) == granularity.key(b.dst))
+        {
+            let key = granularity.key(group[0].dst);
             report.groups += 1;
             let Some(fresh) = self.config.combine.combine(group) else {
                 continue;
@@ -371,9 +375,17 @@ impl RiptideAgent {
             let retrans_total: u64 = group.iter().map(|o| o.retrans).sum();
             let ecn_total: u64 = group.iter().map(|o| o.ecn_marks).sum();
             let bytes_total: u64 = group.iter().map(|o| o.bytes_acked).sum();
-            let previous_fresh = self.table.last_fresh(&key);
-            let blended = self.table.observe(
-                key,
+            let (entry, previous_fresh) = match sweep.seek(&key) {
+                Some(entry) => {
+                    let previous = entry.last_fresh;
+                    (entry, Some(previous))
+                }
+                None => {
+                    let first_seen = FinalEntry::new(&self.config.policy, fresh, now);
+                    (sweep.insert(key, first_seen), None)
+                }
+            };
+            let blended = entry.observe(
                 &PolicyInput {
                     fresh,
                     retrans: retrans_total,
@@ -397,7 +409,7 @@ impl RiptideAgent {
             };
             let window = self.config.clamp(shaped);
             let clamped = window as f64 != shaped.round();
-            self.table.set_window(&key, window);
+            entry.window = window;
 
             // Guard: feed the group's cumulative loss counters and, when
             // the breaker is not Closed, demote the install to the probe
@@ -429,11 +441,19 @@ impl RiptideAgent {
             // no individual route is issued. Divergence dissolves the
             // aggregate in this tick's pass, after which the key installs
             // individually again.
-            let covered = self
-                .aggregator
-                .as_ref()
-                .and_then(|agg| agg.covering_of(&key))
-                .is_some();
+            let covered = self.aggregator.as_ref().is_some_and(|agg| {
+                let Some(covering) = agg.policy().covering_of(&key) else {
+                    return false;
+                };
+                match covered_under {
+                    Some((last, live)) if last == covering => live,
+                    _ => {
+                        let live = agg.window_of(&covering).is_some();
+                        covered_under = Some((covering, live));
+                        live
+                    }
+                }
+            });
 
             // Install only when the issued window would actually change —
             // repeating an identical `ip route replace` is pure churn.
@@ -491,7 +511,9 @@ impl RiptideAgent {
         }
 
         // 6. expire stale destinations, restoring the kernel default.
-        self.expire_into(now, controller, &mut report);
+        let swept = sweep.finish();
+        let expired = self.table.settle(swept);
+        self.withdraw_expired(now, expired, controller, &mut report);
 
         // 7. enforce the table's capacity bound, withdrawing the routes
         // of evicted destinations. With aggregation on, an aggregate's
@@ -818,8 +840,11 @@ impl RiptideAgent {
     ///   decode dropped entries with unknown history tags (written by a
     ///   newer version) bumps the lazily registered
     ///   `riptide_persist_skipped_entries_total` counter.
-    /// * **Only routes with a surviving table entry are reinstalled**,
-    ///   each journalled as [`DecisionCause::Restored`]; foreign routes
+    /// * **Only routes with a surviving table entry are reinstalled** —
+    ///   or, for a covering aggregate (which has no entry of its own),
+    ///   with at least `min_siblings` surviving members, in which case the
+    ///   aggregate is live again and the next tick issues nothing for it.
+    ///   Each is journalled as [`DecisionCause::Restored`]; foreign routes
     ///   are never touched (the controller only writes Riptide-signature
     ///   routes).
     ///
@@ -873,15 +898,27 @@ impl RiptideAgent {
         if let Some(guard) = &mut self.guard {
             guard.restore_states(&state.guards);
         }
+        let (lo, hi) = (self.config.cwnd_min, self.config.cwnd_max);
+        // A covering aggregate has no table entry of its own — its
+        // members do — so the aggregator decides which ones survive.
+        if let Some(agg) = &mut self.aggregator {
+            let clamped = state.installs.iter().map(|&(k, w)| (k, w.clamp(lo, hi)));
+            agg.restore(clamped, &self.table);
+        }
         let mut reinstalled = Vec::new();
         for &(key, window) in &state.installs {
-            // A route whose entry expired during the downtime (or was
-            // filtered above) stays withdrawn — the restart withdrew
-            // everything, so silence is already the correct state.
-            if self.table.get(&key).is_none() {
+            // A route whose entry (or, for an aggregate, whose members)
+            // expired during the downtime or was filtered above stays
+            // withdrawn — the restart withdrew everything, so silence is
+            // already the correct state.
+            let live_aggregate = self
+                .aggregator
+                .as_ref()
+                .is_some_and(|agg| agg.window_of(&key).is_some());
+            if self.table.get(&key).is_none() && !live_aggregate {
                 continue;
             }
-            let window = window.clamp(self.config.cwnd_min, self.config.cwnd_max);
+            let window = window.clamp(lo, hi);
             match controller.set_initcwnd(key, window) {
                 Ok(()) => {
                     self.stats.restored_routes += 1;
@@ -1052,16 +1089,24 @@ impl RiptideAgent {
             t.ticks.inc();
             t.degraded_ticks.inc();
         }
-        self.expire_into(now, controller, &mut report);
+        let expired = self.table.expire(now, self.config.ttl);
+        self.withdraw_expired(now, expired, controller, &mut report);
         self.refresh_gauges();
         report
     }
 
-    fn expire_into<C>(&mut self, now: SimTime, controller: &mut C, report: &mut TickReport)
-    where
+    /// Withdraws the routes of destinations the learned table just
+    /// dropped for age, in the order given (key order).
+    fn withdraw_expired<C>(
+        &mut self,
+        now: SimTime,
+        expired: Vec<Ipv4Prefix>,
+        controller: &mut C,
+        report: &mut TickReport,
+    ) where
         C: RouteController + ?Sized,
     {
-        for key in self.table.expire(now, self.config.ttl) {
+        for key in expired {
             let was_installed = self.installed.remove(&key).is_some();
             if let Some(guard) = &mut self.guard {
                 guard.forget(&key);
@@ -1932,6 +1977,91 @@ mod tests {
         // The restarted agent keeps ticking normally from here.
         let r = b.tick(SimTime::from_secs(11), &mut o, &mut routes_b);
         assert!(r.errors.is_empty());
+    }
+
+    #[test]
+    fn restore_with_aggregation_brings_the_covering_routes_back() {
+        use crate::control::SharedRouteController;
+        use std::cell::RefCell;
+        use std::rc::Rc;
+
+        // Two slabs fold into aggregates, a third hosts a loner; a
+        // fourth slab's aggregate will lose a member to the downtime.
+        let sweep = || {
+            vec![
+                obs([10, 0, 1, 1], 40),
+                obs([10, 0, 1, 2], 42),
+                obs([10, 0, 1, 3], 44),
+                obs([10, 0, 2, 1], 70),
+                obs([10, 0, 2, 2], 71),
+                obs([10, 0, 9, 1], 90),
+            ]
+        };
+        let (mut a, mut routes) = agent(aggregated());
+        a.tick(SimTime::from_secs(1), &mut FnObserver(sweep), &mut routes);
+        // 10.0.3.x is seen once, early: by the restart one of its two
+        // members has aged out, so its aggregate must not come back.
+        let mut early = FnObserver(|| vec![obs([10, 0, 3, 1], 50)]);
+        a.tick(SimTime::from_secs(2), &mut early, &mut routes);
+        let mut late = FnObserver(|| {
+            let mut all = sweep();
+            all.extend([obs([10, 0, 3, 1], 50), obs([10, 0, 3, 2], 51)]);
+            all
+        });
+        a.tick(SimTime::from_secs(60), &mut late, &mut routes);
+        assert_eq!(a.aggregator().unwrap().len(), 3);
+        let before = a.installed_view().clone();
+        let snap = a.snapshot_state(SimTime::from_secs(60));
+
+        // Restart at t=100 with 10.0.3.1 artificially aged past the TTL.
+        let mut snap_aged = snap.clone();
+        for e in &mut snap_aged.entries {
+            if e.key == "10.0.3.1".parse().unwrap() {
+                e.last_updated = SimTime::from_secs(2);
+            }
+        }
+        let (mut b, _) = agent(aggregated());
+        b.attach_telemetry(crate::telemetry::AgentTelemetry::standalone(16));
+        let table = Rc::new(RefCell::new(RouteTable::new()));
+        let mut ctl = SharedRouteController::new(Rc::clone(&table));
+        let reinstalled = b.restore_state(&snap_aged, SimTime::from_secs(100), &mut ctl);
+        assert_eq!(
+            reinstalled,
+            vec![
+                ("10.0.1.0/24".parse().unwrap(), 40),
+                ("10.0.2.0/24".parse().unwrap(), 70),
+                ("10.0.9.1".parse().unwrap(), 90),
+            ],
+            "two aggregates and the loner; 10.0.3.0/24 lost its quorum"
+        );
+        assert_eq!(reinstalled.len(), b.installed_view().len());
+        assert_eq!(b.aggregator().unwrap().len(), 2);
+        assert!(b
+            .telemetry()
+            .unwrap()
+            .journal()
+            .snapshot()
+            .iter()
+            .all(|r| matches!(r.cause, DecisionCause::Restored { age_secs: 40 })));
+
+        // The undamaged snapshot: the view returns whole, and the same
+        // sweep then has nothing left to say to the kernel.
+        let (mut c, _) = agent(aggregated());
+        let table = Rc::new(RefCell::new(RouteTable::new()));
+        let mut ctl = SharedRouteController::new(Rc::clone(&table));
+        c.restore_state(&snap, SimTime::from_secs(61), &mut ctl);
+        assert_eq!(c.installed_view(), &before);
+        let issued = ctl.command_log().len();
+        let r = c.tick(SimTime::from_secs(62), &mut late, &mut ctl);
+        assert_eq!(
+            ctl.command_log().len(),
+            issued,
+            "zero route commands: {}",
+            ctl.render_log()
+        );
+        assert!(r.updates.is_empty() && r.merged.is_empty() && r.disaggregated.is_empty());
+        assert_eq!(c.installed_view(), &before);
+        assert_eq!(table.borrow().len(), routes.len());
     }
 
     #[test]

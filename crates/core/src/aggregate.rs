@@ -58,7 +58,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use std::collections::BTreeMap;
+use std::collections::{btree_map, BTreeMap};
+use std::iter::Peekable;
 
 use riptide_linuxnet::prefix::Ipv4Prefix;
 
@@ -150,7 +151,7 @@ pub struct SplitOutcome {
 /// What one aggregation pass decided. The route-level consequences
 /// (withdraw members / install covering and vice versa) are applied by
 /// the agent so they flow through its controller and journal.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AggregationPass {
     /// Aggregates formed this pass (members → one covering route).
     pub merged: Vec<MergeOutcome>,
@@ -220,78 +221,139 @@ impl Aggregator {
     /// Entries with a window of 0 (blended but never committed — e.g.
     /// learned under a `Suspend` advisory) are ignored: there is no
     /// window to aggregate.
+    ///
+    /// One key-ordered walk, no grouping map: keys order by
+    /// `(network bits, length)` and a covering prefix owns one contiguous
+    /// range of network bits, so its eligible members are one *run* of
+    /// the walk (the only other keys inside the range — the covering
+    /// prefix itself and shorter ones sharing its first address — are not
+    /// eligible and are stepped over). Runs come out in covering order,
+    /// the same order the live-aggregate set iterates in, so the two are
+    /// merge-joined: a live aggregate no run claims has lost every member
+    /// and dissolves with nothing to reinstall.
     pub fn pass(&mut self, table: &FinalTable) -> AggregationPass {
-        // Group eligible learned keys under their covering prefix.
-        let mut groups: BTreeMap<Ipv4Prefix, Vec<(Ipv4Prefix, u32)>> = BTreeMap::new();
+        let mut pass = AggregationPass::default();
+        let mut live = self.aggregates.iter().peekable();
+        // The current run; reused, so a steady pass allocates nothing.
+        let mut run: Vec<(Ipv4Prefix, u32)> = Vec::new();
+        let mut run_covering = None;
         for (key, entry) in table.iter() {
             if entry.window == 0 {
                 continue;
             }
-            if let Some(covering) = self.policy.covering_of(key) {
-                groups
-                    .entry(covering)
-                    .or_default()
-                    .push((*key, entry.window));
+            let Some(covering) = self.policy.covering_of(key) else {
+                continue;
+            };
+            if run_covering != Some(covering) {
+                if let Some(closed) = run_covering.replace(covering) {
+                    self.policy.close_run(closed, &run, &mut live, &mut pass);
+                    run.clear();
+                }
             }
+            run.push((*key, entry.window));
         }
+        if let Some(closed) = run_covering {
+            self.policy.close_run(closed, &run, &mut live, &mut pass);
+        }
+        pass.split
+            .extend(live.map(|(covering, _)| SplitOutcome::orphaned(*covering)));
 
-        let mut pass = AggregationPass::default();
-        for (covering, members) in &groups {
-            let min = members.iter().map(|(_, w)| *w).min().expect("non-empty");
-            let max = members.iter().map(|(_, w)| *w).max().expect("non-empty");
-            let spread = max - min;
-            let agrees = members.len() >= self.policy.min_siblings && spread <= self.policy.band;
-            match (agrees, self.aggregates.get(covering).copied()) {
-                (true, None) => {
-                    self.aggregates.insert(*covering, min);
-                    pass.merged.push(MergeOutcome {
-                        covering: *covering,
-                        window: min,
-                        members: members.iter().map(|(k, _)| *k).collect(),
-                        spread,
-                    });
-                }
-                (true, Some(current)) => {
-                    if current != min {
-                        self.aggregates.insert(*covering, min);
-                        pass.retuned.push(MergeOutcome {
-                            covering: *covering,
-                            window: min,
-                            members: members.iter().map(|(k, _)| *k).collect(),
-                            spread,
-                        });
-                    }
-                }
-                (false, Some(_)) => {
-                    self.aggregates.remove(covering);
-                    pass.split.push(SplitOutcome {
-                        covering: *covering,
-                        members: members.clone(),
-                        spread,
-                    });
-                }
-                (false, None) => {}
-            }
+        for outcome in pass.merged.iter().chain(&pass.retuned) {
+            self.aggregates.insert(outcome.covering, outcome.window);
         }
-
-        // Aggregates whose members all expired or were evicted dissolve
-        // with nothing to reinstall.
-        let orphaned: Vec<Ipv4Prefix> = self
-            .aggregates
-            .keys()
-            .filter(|c| !groups.contains_key(*c))
-            .copied()
-            .collect();
-        for covering in orphaned {
-            self.aggregates.remove(&covering);
-            pass.split.push(SplitOutcome {
-                covering,
-                members: Vec::new(),
-                spread: 0,
-            });
+        for outcome in &pass.split {
+            self.aggregates.remove(&outcome.covering);
         }
-        pass.split.sort_by_key(|s| s.covering);
         pass
+    }
+
+    /// Re-seeds the live-aggregate set at warm restart from the routes
+    /// installed before the crash (`installs`, windows already clamped)
+    /// and the restored learned `table`: an installed key of aggregate
+    /// length was a covering route, and is live again if at least
+    /// `min_siblings` of its members survived the downtime. Members that
+    /// no longer agree are sorted out by the next [`Aggregator::pass`],
+    /// as ever.
+    pub(crate) fn restore(
+        &mut self,
+        installs: impl IntoIterator<Item = (Ipv4Prefix, u32)>,
+        table: &FinalTable,
+    ) {
+        let installed: BTreeMap<Ipv4Prefix, u32> = installs
+            .into_iter()
+            .filter(|(key, _)| key.len() == self.policy.aggregate_len)
+            .collect();
+        if installed.is_empty() {
+            return;
+        }
+        // Members of one covering prefix are one run of the walk.
+        let mut members = table
+            .iter()
+            .filter(|(_, entry)| entry.window != 0)
+            .filter_map(|(key, _)| self.policy.covering_of(key))
+            .peekable();
+        while let Some(covering) = members.next() {
+            let mut siblings = 1;
+            while members.next_if_eq(&covering).is_some() {
+                siblings += 1;
+            }
+            if siblings >= self.policy.min_siblings {
+                if let Some(&window) = installed.get(&covering) {
+                    self.aggregates.insert(covering, window);
+                }
+            }
+        }
+    }
+}
+
+impl SplitOutcome {
+    /// An aggregate whose members all expired or were evicted.
+    fn orphaned(covering: Ipv4Prefix) -> Self {
+        SplitOutcome {
+            covering,
+            members: Vec::new(),
+            spread: 0,
+        }
+    }
+}
+
+impl AggregationPolicy {
+    /// Decides one finished run of `members` under `covering`, after
+    /// dissolving every live aggregate that sorts before it (no run
+    /// claimed those). `live` is the not-yet-claimed tail of the live
+    /// aggregates, in covering order.
+    fn close_run(
+        &self,
+        covering: Ipv4Prefix,
+        members: &[(Ipv4Prefix, u32)],
+        live: &mut Peekable<btree_map::Iter<'_, Ipv4Prefix, u32>>,
+        pass: &mut AggregationPass,
+    ) {
+        while let Some((orphan, _)) = live.next_if(|(c, _)| **c < covering) {
+            pass.split.push(SplitOutcome::orphaned(*orphan));
+        }
+        let current = live.next_if(|(c, _)| **c == covering).map(|(_, w)| *w);
+
+        let min = members.iter().map(|(_, w)| *w).min().expect("non-empty");
+        let max = members.iter().map(|(_, w)| *w).max().expect("non-empty");
+        let spread = max - min;
+        let agrees = members.len() >= self.min_siblings && spread <= self.band;
+        let merge = || MergeOutcome {
+            covering,
+            window: min,
+            members: members.iter().map(|(k, _)| *k).collect(),
+            spread,
+        };
+        match (agrees, current) {
+            (true, None) => pass.merged.push(merge()),
+            (true, Some(current)) if current != min => pass.retuned.push(merge()),
+            (false, Some(_)) => pass.split.push(SplitOutcome {
+                covering,
+                members: members.to_vec(),
+                spread,
+            }),
+            (true, Some(_)) | (false, None) => {}
+        }
     }
 }
 

@@ -419,7 +419,13 @@ fn main() -> ExitCode {
 
     install_signal_handlers();
 
-    let mut printed = 0usize;
+    // Prints what the last restore, poll or shutdown sweep issued, and
+    // forgets it: a daemon must not hold every command of its lifetime.
+    let print_commands = |controller: &mut SharedRouteController| {
+        for cmd in controller.drain_commands() {
+            println!("{cmd}");
+        }
+    };
 
     // Warm restart: decode the state file (if any), replay its journal
     // onto the snapshot, and hand the merged table to the agent, which
@@ -436,10 +442,7 @@ fn main() -> ExitCode {
                     }
                     let merged = riptide::persist::replay(&state.snapshot, &state.journal);
                     let restored = agent.restore_state(&merged, SimTime::ZERO, &mut controller);
-                    for cmd in &controller.command_log()[printed..] {
-                        println!("{cmd}");
-                    }
-                    printed = controller.command_log().len();
+                    print_commands(&mut controller);
                     eprintln!("# state: restored {} route(s) from {path}", restored.len());
                 }
                 Err(e) => eprintln!("# state: ignoring {path}: {e}"),
@@ -464,10 +467,10 @@ fn main() -> ExitCode {
     // One poll: read a snapshot, tick the agent, print the commands the
     // tick produced. Used for the listed snapshots and then, under
     // `--follow`, for every re-poll of the last one.
-    let mut poll_once = |agent: &mut RiptideAgent,
-                         controller: &mut SharedRouteController,
-                         path: &str,
-                         now: SimTime|
+    let poll_once = |agent: &mut RiptideAgent,
+                     controller: &mut SharedRouteController,
+                     path: &str,
+                     now: SimTime|
      -> Result<(), String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         let mut sock_table = SockTable::parse(&text).map_err(|e| format!("{path}: {e}"))?;
@@ -475,10 +478,7 @@ fn main() -> ExitCode {
         for e in &report.errors {
             eprintln!("# {path}: {e}");
         }
-        for cmd in &controller.command_log()[printed..] {
-            println!("{cmd}");
-        }
-        printed = controller.command_log().len();
+        print_commands(controller);
         Ok(())
     };
 
@@ -533,9 +533,7 @@ fn main() -> ExitCode {
         // final metrics snapshot (withdrawals included) and the
         // decision journal.
         let withdrawn = agent.shutdown(&mut controller);
-        for cmd in &controller.command_log()[printed..] {
-            println!("{cmd}");
-        }
+        print_commands(&mut controller);
         eprintln!("# shutdown: withdrew {} route(s)", withdrawn.len());
         flush_metrics(&telemetry);
         eprint!("{}", telemetry.journal().render());

@@ -101,9 +101,16 @@ impl SharedRouteController {
         }
     }
 
-    /// The commands issued so far, oldest first.
+    /// The commands issued and not yet drained, oldest first.
     pub fn command_log(&self) -> &[IpRouteCmd] {
         &self.log
+    }
+
+    /// Takes the commands issued since the last drain, oldest first,
+    /// leaving the log empty — what a long-running caller prints after
+    /// every poll so the log does not grow for the life of the process.
+    pub fn drain_commands(&mut self) -> Vec<IpRouteCmd> {
+        std::mem::take(&mut self.log)
     }
 
     /// Renders the command log as shell lines (one per action).
@@ -285,6 +292,15 @@ mod tests {
             "ip route replace 10.0.1.7 proto static initcwnd 80\nip route del 10.0.1.7\n"
         );
         assert!(table.borrow().is_empty());
+
+        // Draining hands the commands over once and starts afresh.
+        assert_eq!(ctl.drain_commands().len(), 2);
+        assert!(ctl.command_log().is_empty());
+        ctl.set_initcwnd(key(8), 44).unwrap();
+        assert_eq!(
+            ctl.drain_commands(),
+            vec![IpRouteCmd::set_initcwnd(key(8), 44)]
+        );
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The agent's final-values table: one learned window per destination
 //! key, with history state and TTL bookkeeping.
 
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
+use std::collections::{btree_map, BTreeMap};
 
 use riptide_linuxnet::prefix::Ipv4Prefix;
 use riptide_simnet::time::{SimDuration, SimTime};
@@ -21,6 +22,37 @@ pub struct FinalEntry {
     pub last_fresh: f64,
     /// When the entry was last refreshed by an observation.
     pub last_updated: SimTime,
+}
+
+impl FinalEntry {
+    /// A first-seen destination's entry: empty history, no window
+    /// committed yet.
+    pub fn new<P: Policy + ?Sized>(policy: &P, fresh: f64, now: SimTime) -> Self {
+        FinalEntry {
+            window: 0,
+            history: policy.new_state(),
+            last_fresh: fresh,
+            last_updated: now,
+        }
+    }
+
+    /// Feeds one observation group through the policy, stamps the entry
+    /// with `now`, and returns the blended pre-clamp value.
+    pub fn observe<P: Policy + ?Sized>(
+        &mut self,
+        input: &PolicyInput,
+        policy: &P,
+        now: SimTime,
+    ) -> f64 {
+        self.last_updated = now;
+        let blended = policy.observe(&mut self.history, input);
+        self.last_fresh = input.fresh;
+        blended
+    }
+
+    fn is_stale(&self, now: SimTime, ttl: SimDuration) -> bool {
+        now.saturating_since(self.last_updated) > ttl
+    }
 }
 
 /// The per-destination table of Algorithm 1's "final window values".
@@ -221,11 +253,6 @@ impl FinalTable {
         blended
     }
 
-    /// The most recent fresh (pre-blend) value recorded for `key`.
-    pub fn last_fresh(&self, key: &Ipv4Prefix) -> Option<f64> {
-        self.entries.get(key).map(|e| e.last_fresh)
-    }
-
     /// Records the final clamped window for `key` after blending (split
     /// from [`FinalTable::update`] because the clamp depends on the
     /// blended value).
@@ -258,31 +285,55 @@ impl FinalTable {
         policy: &P,
         now: SimTime,
     ) -> f64 {
-        let entry = self.entries.entry(key).or_insert_with(|| FinalEntry {
-            window: 0,
-            history: policy.new_state(),
-            last_fresh: input.fresh,
-            last_updated: now,
-        });
-        entry.last_updated = now;
-        let blended = policy.observe(&mut entry.history, input);
-        entry.last_fresh = input.fresh;
-        blended
+        self.entries
+            .entry(key)
+            .or_insert_with(|| FinalEntry::new(policy, input.fresh, now))
+            .observe(input, policy, now)
     }
 
     /// Removes and returns every key whose entry is older than `ttl` at
-    /// `now` — Algorithm 1's expiry step.
+    /// `now` — Algorithm 1's expiry step on its own: a sweep that asks
+    /// for no key, so it passes (and age-checks) every entry.
     pub fn expire(&mut self, now: SimTime, ttl: SimDuration) -> Vec<Ipv4Prefix> {
-        let dead: Vec<Ipv4Prefix> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| now.saturating_since(e.last_updated) > ttl)
-            .map(|(k, _)| *k)
-            .collect();
-        for k in &dead {
-            self.entries.remove(k);
+        let swept = self.sweep(now, ttl).finish();
+        self.settle(swept)
+    }
+
+    /// Starts one ordered pass over the whole table at `now` — the walk
+    /// an agent tick makes. The caller asks the [`Sweep`] for keys in
+    /// ascending order and gets each one's entry to update in place;
+    /// every entry the sweep passes *without* being asked for is checked
+    /// against `ttl`, so the pass doubles as Algorithm 1's expiry step.
+    /// Nothing is inserted or removed until the finished sweep is handed
+    /// to [`FinalTable::settle`].
+    pub(crate) fn sweep(&mut self, now: SimTime, ttl: SimDuration) -> Sweep<'_> {
+        Sweep {
+            entries: self.entries.iter_mut().peekable(),
+            now,
+            ttl,
+            swept: Swept::default(),
         }
-        dead
+    }
+
+    /// Applies a finished sweep: inserts the first-seen entries it
+    /// buffered, removes the entries it found expired, and returns the
+    /// expired keys in key order.
+    pub(crate) fn settle(&mut self, swept: Swept) -> Vec<Ipv4Prefix> {
+        for key in &swept.stale {
+            self.entries.remove(key);
+        }
+        if swept.first_seen.len() > self.entries.len() {
+            // A batch that more than doubles the table (a cold first
+            // tick, above all) is merged in one O(n + m) rebuild. Built
+            // from sorted input the tree's leaves come out full and in
+            // address order, which every later walk of a million entries
+            // is the faster for; a small batch is not worth the rebuild.
+            let mut first_seen: BTreeMap<_, _> = swept.first_seen.into_iter().collect();
+            self.entries.append(&mut first_seen);
+        } else {
+            self.entries.extend(swept.first_seen);
+        }
+        swept.stale
     }
 
     /// Iterates live entries in key order.
@@ -301,6 +352,76 @@ impl FinalTable {
     /// variants); the table itself stores what it is given.
     pub fn restore_entry(&mut self, key: Ipv4Prefix, entry: FinalEntry) {
         self.entries.insert(key, entry);
+    }
+}
+
+/// One ordered pass over a [`FinalTable`]: a merge-join cursor between
+/// the table (key-ordered) and a caller walking its own keys in ascending
+/// order. See [`FinalTable::sweep`].
+#[derive(Debug)]
+pub(crate) struct Sweep<'a> {
+    entries: std::iter::Peekable<btree_map::IterMut<'a, Ipv4Prefix, FinalEntry>>,
+    now: SimTime,
+    ttl: SimDuration,
+    swept: Swept,
+}
+
+/// What a finished [`Sweep`] leaves to apply: first-seen entries to
+/// insert and expired keys to remove. Hand it to [`FinalTable::settle`].
+#[derive(Debug, Default)]
+#[must_use = "a sweep changes nothing until FinalTable::settle applies it"]
+pub(crate) struct Swept {
+    first_seen: Vec<(Ipv4Prefix, FinalEntry)>,
+    stale: Vec<Ipv4Prefix>,
+}
+
+impl Sweep<'_> {
+    /// Advances to `key` — which must be greater than every key asked for
+    /// before — and returns its entry if the table holds one. Entries
+    /// passed on the way were not refreshed this pass; the expired ones
+    /// are noted for removal.
+    pub(crate) fn seek(&mut self, key: &Ipv4Prefix) -> Option<&mut FinalEntry> {
+        loop {
+            let (next, _) = self.entries.peek()?;
+            match (*next).cmp(key) {
+                Ordering::Greater => return None,
+                Ordering::Equal => return self.entries.next().map(|(_, entry)| entry),
+                Ordering::Less => {
+                    let (passed, entry) = self.entries.next().expect("peeked above");
+                    self.note_passed(passed, entry);
+                }
+            }
+        }
+    }
+
+    /// Buffers a first-seen entry for `key` — for which
+    /// [`Sweep::seek`] just returned `None` — and returns it for the rest
+    /// of this pass's updates.
+    pub(crate) fn insert(&mut self, key: Ipv4Prefix, entry: FinalEntry) -> &mut FinalEntry {
+        debug_assert!(
+            self.swept
+                .first_seen
+                .last()
+                .is_none_or(|(last, _)| *last < key),
+            "sweep keys must ascend"
+        );
+        self.swept.first_seen.push((key, entry));
+        let (_, entry) = self.swept.first_seen.last_mut().expect("just pushed");
+        entry
+    }
+
+    /// Passes every remaining entry and releases the table.
+    pub(crate) fn finish(mut self) -> Swept {
+        while let Some((passed, entry)) = self.entries.next() {
+            self.note_passed(passed, entry);
+        }
+        self.swept
+    }
+
+    fn note_passed(&mut self, key: &Ipv4Prefix, entry: &FinalEntry) {
+        if entry.is_stale(self.now, self.ttl) {
+            self.swept.stale.push(*key);
+        }
     }
 }
 
@@ -349,6 +470,33 @@ mod tests {
         t.blend(key(1), 55.0, &strategy, SimTime::from_secs(60));
         let dead = t.expire(SimTime::from_secs(100), SimDuration::from_secs(90));
         assert!(dead.is_empty(), "refresh at t=60 keeps it alive at t=100");
+    }
+
+    #[test]
+    fn sweep_hands_out_entries_in_place_and_buffers_first_seen_keys() {
+        let strategy = HistoryStrategy::None;
+        let mut t = FinalTable::new();
+        for n in [2u8, 4, 6] {
+            t.blend(key(n), 50.0, &strategy, SimTime::from_secs(0));
+        }
+        let now = SimTime::from_secs(100);
+        let mut sweep = t.sweep(now, SimDuration::from_secs(90));
+        // A first-seen key before, between and after the known ones.
+        for n in [1u8, 4, 5, 7] {
+            let entry = match sweep.seek(&key(n)) {
+                Some(entry) => entry,
+                None => sweep.insert(key(n), FinalEntry::new(&strategy, 60.0, now)),
+            };
+            entry.observe(&PolicyInput::fresh_only(60.0), &strategy, now);
+            entry.window = 60;
+        }
+        let swept = sweep.finish();
+        assert_eq!(t.len(), 3, "nothing moves until the sweep is settled");
+        // 2 was passed on the way to 4, 6 by finish(): both stale. 4 was
+        // asked for, so its age was never looked at.
+        assert_eq!(t.settle(swept), vec![key(2), key(6)]);
+        let keys: Vec<_> = t.iter().map(|(k, e)| (*k, e.window)).collect();
+        assert_eq!(keys, [1u8, 4, 5, 7].map(|n| (key(n), 60)).to_vec());
     }
 
     #[test]

@@ -399,6 +399,19 @@ impl<T> LpmTrie<T> {
         })
     }
 
+    /// Visits every stored value mutably, in an unspecified order — for a
+    /// caller that renumbers what the values point at without touching
+    /// the prefixes. Walks down from the root, so the cost follows the
+    /// prefixes stored now, not the arena's high-water mark.
+    pub(crate) fn for_each_value_mut<F: FnMut(&mut T)>(&mut self, mut f: F) {
+        let mut pending = vec![0u32];
+        while let Some(idx) = pending.pop() {
+            let node = &mut self.nodes[idx as usize];
+            node.internal.iter_mut().flatten().for_each(&mut f);
+            pending.extend(node.children.iter().filter(|&&child| child != NO_CHILD));
+        }
+    }
+
     /// Visits every stored `(prefix, value)` pair. The order is
     /// deterministic (a fixed depth-first walk) but otherwise
     /// unspecified.
@@ -550,6 +563,42 @@ mod tests {
             t.insert(p(&format!("10.{i}.0.1")), i);
         }
         assert_eq!(t.mem_bytes(), bytes_before, "free list reused");
+    }
+
+    #[test]
+    fn for_each_value_mut_reaches_exactly_the_stored_values() {
+        let mut t = LpmTrie::new();
+        let keep = [
+            "0.0.0.0/0",
+            "10.0.0.0/8",
+            "10.1.2.0/23",
+            "10.1.2.3",
+            "192.168.7.9",
+        ];
+        for (i, prefix) in keep.iter().enumerate() {
+            t.insert(p(prefix), i as u32);
+        }
+        // Removed prefixes leave recycled nodes in the arena; the walk
+        // must not find anything in them.
+        for host in 0..64u32 {
+            t.insert(
+                Ipv4Prefix::host(Ipv4Addr::from(0xac10_0000 + host * 4099)),
+                999,
+            );
+        }
+        for host in 0..64u32 {
+            t.remove(&Ipv4Prefix::host(Ipv4Addr::from(0xac10_0000 + host * 4099)));
+        }
+        let mut seen = Vec::new();
+        t.for_each_value_mut(|v| {
+            seen.push(*v);
+            *v += 100;
+        });
+        seen.sort_unstable();
+        assert_eq!(seen, vec![0, 1, 2, 3, 4]);
+        for (i, prefix) in keep.iter().enumerate() {
+            assert_eq!(t.get(&p(prefix)), Some(&(i as u32 + 100)));
+        }
     }
 
     #[test]

@@ -226,11 +226,18 @@ impl std::error::Error for RouteError {}
 pub struct RouteTable {
     /// Prefix → index into `routes`. The trie answers containment and
     /// LPM; the `routes` vec owns the entries and preserves insertion
-    /// order for [`RouteTable::iter`].
+    /// order for [`RouteTable::iter`]. A replaced or deleted route leaves
+    /// a `None` tombstone behind (reusing the slot would reorder
+    /// `iter`); [`RouteTable::compact_if_sparse`] squeezes them out.
     trie: LpmTrie<u32>,
     routes: Vec<Option<Route>>,
     len: usize,
 }
+
+/// Tombstones tolerated on top of one per live route before the arena is
+/// compacted, so a table of a handful of routes is not re-packed on every
+/// other update.
+const TOMBSTONE_SLACK: usize = 64;
 
 impl RouteTable {
     /// Creates an empty table.
@@ -281,12 +288,41 @@ impl RouteTable {
         let idx = self.next_index();
         self.routes.push(Some(Route { prefix, attrs }));
         match self.trie.insert(prefix, idx) {
-            Some(old_idx) => self.routes[old_idx as usize].take(),
+            Some(old_idx) => {
+                let old = self.routes[old_idx as usize].take();
+                self.compact_if_sparse();
+                old
+            }
             None => {
                 self.len += 1;
                 None
             }
         }
+    }
+
+    /// Squeezes the tombstones out of the arena once they outnumber the
+    /// live routes (plus [`TOMBSTONE_SLACK`]), keeping the live routes'
+    /// relative order and rewriting the trie's indices. Every compaction
+    /// is paid for by at least as many replaces and deletes as it moves
+    /// routes, so the cost is amortised O(1) per update and the arena
+    /// stays within `2 × len() + TOMBSTONE_SLACK` slots for ever.
+    fn compact_if_sparse(&mut self) {
+        if self.routes.len() - self.len <= self.len + TOMBSTONE_SLACK {
+            return;
+        }
+        let mut live = 0u32;
+        let moved_to: Vec<u32> = self
+            .routes
+            .iter()
+            .map(|slot| {
+                let to = live;
+                live += u32::from(slot.is_some());
+                to
+            })
+            .collect();
+        self.routes.retain(Option::is_some);
+        self.trie
+            .for_each_value_mut(|idx| *idx = moved_to[*idx as usize]);
     }
 
     /// Removes the route to exactly `prefix` (`ip route del`).
@@ -298,9 +334,11 @@ impl RouteTable {
         match self.trie.remove(&prefix) {
             Some(idx) => {
                 self.len -= 1;
-                Ok(self.routes[idx as usize]
+                let route = self.routes[idx as usize]
                     .take()
-                    .expect("route slot populated"))
+                    .expect("route slot populated");
+                self.compact_if_sparse();
+                Ok(route)
             }
             None => Err(RouteError::NotFound(prefix)),
         }
@@ -664,6 +702,59 @@ mod tests {
         // An exhausted script means the command failed to spawn: the
         // exec error itself surfaces.
         assert!(RouteTable::dump_via(&mut runner).is_err());
+    }
+
+    #[test]
+    fn arena_stays_bounded_under_endless_replace_and_del() {
+        // A daemon's life: the same hundred prefixes replaced and deleted
+        // for ever. The reference keeps routes in a plain list, moving a
+        // replaced route to the end — `iter`'s order with no arena at all.
+        let prefixes: Vec<Ipv4Prefix> = (0..100u32)
+            .map(|i| Ipv4Prefix::new(Ipv4Addr::from(0x0a00_0000 + (i << 6)), 26 + (i % 7) as u8))
+            .collect();
+        let mut t = RouteTable::new();
+        let mut reference: Vec<(Ipv4Prefix, u32)> = Vec::new();
+        let mut state = 0x2016u64;
+        for step in 0..1_000_000u32 {
+            // xorshift: cheap, deterministic, and mixes deletes in.
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let prefix = prefixes[(state % 100) as usize];
+            let held = reference.iter().position(|(p, _)| *p == prefix);
+            if (state >> 32).is_multiple_of(3) {
+                assert_eq!(t.del(prefix).is_ok(), held.is_some());
+                if let Some(at) = held {
+                    reference.remove(at);
+                }
+            } else {
+                let window = step % 90 + 10;
+                let old = t.replace(prefix, RouteAttrs::initcwnd(window));
+                assert_eq!(old.is_some(), held.is_some());
+                if let Some(at) = held {
+                    reference.remove(at);
+                }
+                reference.push((prefix, window));
+            }
+            assert!(
+                t.routes.len() <= 2 * t.len() + TOMBSTONE_SLACK,
+                "step {step}: {} slots for {} routes",
+                t.routes.len(),
+                t.len()
+            );
+            assert_eq!(t.len(), reference.len());
+        }
+        let want: String = reference
+            .iter()
+            .map(|(p, w)| format!("{p} proto static initcwnd {w}\n"))
+            .collect();
+        assert_eq!(t.render(), want);
+        for (p, w) in &reference {
+            assert_eq!(t.get(*p).unwrap().attrs.initcwnd, Some(*w));
+            // The prefixes are disjoint, so LPM must land on the same
+            // renumbered slot.
+            assert_eq!(t.initcwnd_for(p.network()), Some(*w));
+        }
     }
 
     #[test]

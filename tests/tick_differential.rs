@@ -1,0 +1,483 @@
+//! Differential tests for the agent tick's ordered sweep.
+//!
+//! `RiptideAgent::tick` walks the sorted observations and the learned
+//! table together with one cursor, fuses TTL detection into that walk,
+//! and detects aggregate member runs on a key-ordered walk. The reference
+//! models here do the same job the slow, obvious way — one map lookup per
+//! question, a separate expiry scan, a map of `Vec`s per covering prefix —
+//! and every tick must agree with them on everything observable: the
+//! report, the controller commands in order, the installed view and the
+//! table.
+
+use std::collections::BTreeMap;
+use std::net::Ipv4Addr;
+
+use proptest::prelude::*;
+use riptide_repro::linuxnet::prefix::Ipv4Prefix;
+use riptide_repro::linuxnet::route::RouteTable;
+use riptide_repro::riptide::aggregate::{MergeOutcome, SplitOutcome};
+use riptide_repro::riptide::prelude::*;
+use riptide_repro::riptide::table::FinalEntry;
+use riptide_repro::simnet::rng::DetRng;
+use riptide_repro::simnet::time::{SimDuration, SimTime};
+
+/// The grouping pass as it was first written: materialise every covering
+/// prefix's members, decide each group, then look for orphans.
+fn reference_pass(
+    policy: &AggregationPolicy,
+    aggregates: &mut BTreeMap<Ipv4Prefix, u32>,
+    table: &BTreeMap<Ipv4Prefix, u32>,
+) -> AggregationPass {
+    let mut groups: BTreeMap<Ipv4Prefix, Vec<(Ipv4Prefix, u32)>> = BTreeMap::new();
+    for (key, &window) in table {
+        if window == 0 {
+            continue;
+        }
+        if let Some(covering) = policy.covering_of(key) {
+            groups.entry(covering).or_default().push((*key, window));
+        }
+    }
+    let mut pass = AggregationPass::default();
+    for (covering, members) in &groups {
+        let min = members.iter().map(|(_, w)| *w).min().unwrap();
+        let max = members.iter().map(|(_, w)| *w).max().unwrap();
+        let spread = max - min;
+        let agrees = members.len() >= policy.min_siblings && spread <= policy.band;
+        let merge = || MergeOutcome {
+            covering: *covering,
+            window: min,
+            members: members.iter().map(|(k, _)| *k).collect(),
+            spread,
+        };
+        match (agrees, aggregates.get(covering).copied()) {
+            (true, None) => {
+                aggregates.insert(*covering, min);
+                pass.merged.push(merge());
+            }
+            (true, Some(current)) if current != min => {
+                aggregates.insert(*covering, min);
+                pass.retuned.push(merge());
+            }
+            (false, Some(_)) => {
+                aggregates.remove(covering);
+                pass.split.push(SplitOutcome {
+                    covering: *covering,
+                    members: members.clone(),
+                    spread,
+                });
+            }
+            _ => {}
+        }
+    }
+    let orphaned: Vec<Ipv4Prefix> = aggregates
+        .keys()
+        .filter(|c| !groups.contains_key(*c))
+        .copied()
+        .collect();
+    for covering in orphaned {
+        aggregates.remove(&covering);
+        pass.split.push(SplitOutcome {
+            covering,
+            members: Vec::new(),
+            spread: 0,
+        });
+    }
+    pass.split.sort_by_key(|s| s.covering);
+    pass
+}
+
+/// Records every call, in order, with its result, in front of a real
+/// route table (so a withdrawal of a route that was never installed
+/// fails, as `ip route del` would).
+#[derive(Default)]
+struct Recorder {
+    routes: RouteTable,
+    calls: Vec<(Ipv4Prefix, Option<u32>, bool)>,
+}
+
+impl RouteController for Recorder {
+    fn set_initcwnd(&mut self, key: Ipv4Prefix, window: u32) -> Result<(), ControlError> {
+        let result = self.routes.set_initcwnd(key, window);
+        self.calls.push((key, Some(window), result.is_ok()));
+        result
+    }
+
+    fn clear_initcwnd(&mut self, key: Ipv4Prefix) -> Result<(), ControlError> {
+        let result = self.routes.clear_initcwnd(key);
+        self.calls.push((key, None, result.is_ok()));
+        result
+    }
+}
+
+/// Algorithm 1 plus guard, capacity bound and aggregation, with none of
+/// the tick's shortcuts.
+struct NaiveAgent {
+    config: RiptideConfig,
+    table: BTreeMap<Ipv4Prefix, FinalEntry>,
+    installed: BTreeMap<Ipv4Prefix, u32>,
+    guard: Option<LossGuard>,
+    aggregates: BTreeMap<Ipv4Prefix, u32>,
+    advisory: Advisory,
+}
+
+impl NaiveAgent {
+    fn new(config: RiptideConfig) -> Self {
+        NaiveAgent {
+            guard: config.guard.clone().map(LossGuard::new),
+            config,
+            table: BTreeMap::new(),
+            installed: BTreeMap::new(),
+            aggregates: BTreeMap::new(),
+            advisory: Advisory::Normal,
+        }
+    }
+
+    fn live_covering(&self, key: &Ipv4Prefix) -> Option<Ipv4Prefix> {
+        let covering = self.config.aggregation?.covering_of(key)?;
+        self.aggregates.contains_key(&covering).then_some(covering)
+    }
+
+    fn tick(
+        &mut self,
+        now: SimTime,
+        observations: Vec<CwndObservation>,
+        controller: &mut Recorder,
+    ) -> TickReport {
+        let mut report = TickReport {
+            observed_connections: observations.len(),
+            ..TickReport::default()
+        };
+        let call = |result: Result<(), ControlError>, errors: &mut Vec<ControlError>| {
+            result.map_err(|e| errors.push(e)).is_ok()
+        };
+
+        let mut groups: BTreeMap<Ipv4Prefix, Vec<CwndObservation>> = BTreeMap::new();
+        for obs in observations {
+            groups
+                .entry(self.config.granularity.key(obs.dst))
+                .or_default()
+                .push(obs);
+        }
+        for (key, group) in &groups {
+            let key = *key;
+            report.groups += 1;
+            let fresh = self.config.combine.combine(group).unwrap();
+            let retrans: u64 = group.iter().map(|o| o.retrans).sum();
+            let ecn_marks: u64 = group.iter().map(|o| o.ecn_marks).sum();
+            let bytes_acked: u64 = group.iter().map(|o| o.bytes_acked).sum();
+            let previous_fresh = self.table.get(&key).map(|e| e.last_fresh);
+            let policy = &self.config.policy;
+            let entry = self.table.entry(key).or_insert_with(|| FinalEntry {
+                window: 0,
+                history: policy.new_state(),
+                last_fresh: fresh,
+                last_updated: now,
+            });
+            entry.last_updated = now;
+            let input = PolicyInput {
+                fresh,
+                retrans,
+                ecn_marks,
+                bytes_acked,
+            };
+            let blended = policy.observe(&mut entry.history, &input);
+            entry.last_fresh = fresh;
+            let shaped = match &self.config.trend {
+                Some(trend) => {
+                    trend.shape(previous_fresh, fresh, blended, self.config.cwnd_min as f64)
+                }
+                None => blended,
+            };
+            let Some(shaped) = self.advisory.shape(shaped) else {
+                continue;
+            };
+            let window = self.config.clamp(shaped);
+            self.table.get_mut(&key).unwrap().window = window;
+
+            let mut effective = window;
+            if let Some(guard) = &mut self.guard {
+                let probe = guard.config().probe_window;
+                let jump_started = self.installed.get(&key).is_some_and(|&w| w > probe);
+                if guard
+                    .update(key, retrans, bytes_acked, jump_started, now)
+                    .tripped
+                {
+                    report.guard_trips.push(key);
+                }
+                if guard.suppressed(&key) {
+                    effective = self.config.clamp(probe as f64);
+                }
+            }
+            if self.live_covering(&key).is_none()
+                && self.installed.get(&key).copied() != Some(effective)
+            {
+                if call(controller.set_initcwnd(key, effective), &mut report.errors) {
+                    report.updates.push((key, effective));
+                }
+                self.installed.insert(key, effective);
+            }
+        }
+
+        // Expiry: its own scan of the whole table.
+        let dead: Vec<Ipv4Prefix> = self
+            .table
+            .iter()
+            .filter(|(_, e)| now.saturating_since(e.last_updated) > self.config.ttl)
+            .map(|(k, _)| *k)
+            .collect();
+        for key in dead {
+            self.table.remove(&key);
+            let was_installed = self.installed.remove(&key).is_some();
+            if let Some(guard) = &mut self.guard {
+                guard.forget(&key);
+            }
+            if (self.config.aggregation.is_some() && !was_installed)
+                || call(controller.clear_initcwnd(key), &mut report.errors)
+            {
+                report.expired.push(key);
+            }
+        }
+
+        // Capacity: evict the stalest unit, one at a time, until it fits.
+        if let Some(cap) = self.config.table_capacity {
+            loop {
+                let mut units: BTreeMap<Ipv4Prefix, (SimTime, Vec<Ipv4Prefix>)> = BTreeMap::new();
+                for (key, entry) in &self.table {
+                    let unit = self.live_covering(key).unwrap_or(*key);
+                    let slot = units
+                        .entry(unit)
+                        .or_insert((entry.last_updated, Vec::new()));
+                    slot.0 = slot.0.max(entry.last_updated);
+                    slot.1.push(*key);
+                }
+                if self.table.len() <= cap || units.len() <= cap {
+                    break;
+                }
+                let (_, victim) = units.iter().map(|(u, (at, _))| (*at, *u)).min().unwrap();
+                for key in &units[&victim].1 {
+                    self.table.remove(key);
+                    report.evicted.push(*key);
+                    if let Some(guard) = &mut self.guard {
+                        guard.forget(key);
+                    }
+                    if self.installed.remove(key).is_some() {
+                        call(controller.clear_initcwnd(*key), &mut report.errors);
+                    }
+                }
+            }
+        }
+
+        // Aggregation: group, decide, apply.
+        if let Some(policy) = self.config.aggregation {
+            let windows = self.table.iter().map(|(k, e)| (*k, e.window)).collect();
+            let pass = reference_pass(&policy, &mut self.aggregates, &windows);
+            for merge in pass.merged.iter().chain(&pass.retuned) {
+                // (A retuned aggregate's members hold no routes.)
+                for member in &merge.members {
+                    if self.installed.remove(member).is_some() {
+                        call(controller.clear_initcwnd(*member), &mut report.errors);
+                    }
+                }
+                if call(
+                    controller.set_initcwnd(merge.covering, merge.window),
+                    &mut report.errors,
+                ) {
+                    report.merged.push((merge.covering, merge.window));
+                }
+                self.installed.insert(merge.covering, merge.window);
+            }
+            for split in &pass.split {
+                report.disaggregated.push(split.covering);
+                if self.installed.remove(&split.covering).is_some() {
+                    call(
+                        controller.clear_initcwnd(split.covering),
+                        &mut report.errors,
+                    );
+                }
+                for &(member, window) in &split.members {
+                    call(controller.set_initcwnd(member, window), &mut report.errors);
+                    self.installed.insert(member, window);
+                }
+            }
+        }
+        report
+    }
+}
+
+/// One destination's cumulative counters, as `ss` would report them.
+#[derive(Clone, Copy, Default)]
+struct Counters {
+    retrans: u64,
+    bytes_acked: u64,
+}
+
+/// A random agent configuration with every subsystem the tick touches
+/// switched on at least some of the time.
+fn random_config(rng: &mut DetRng) -> RiptideConfig {
+    let mut builder = RiptideConfig::builder()
+        .ttl(SimDuration::from_secs(20))
+        .guard(GuardConfig::default());
+    if rng.chance(0.5) {
+        builder = builder.history(HistoryStrategy::None);
+    }
+    if rng.chance(0.3) {
+        builder = builder.trend(TrendPolicy::default());
+    }
+    if rng.chance(0.8) {
+        builder = builder.aggregation(AggregationPolicy {
+            min_siblings: 2 + rng.below(2),
+            ..AggregationPolicy::default()
+        });
+    }
+    if rng.chance(0.6) {
+        builder = builder.table_capacity(2 + rng.below(20));
+    }
+    builder.build().unwrap()
+}
+
+proptest! {
+    // The tick under test and the naive model are fed the same random
+    // stream: ≤ 64 hosts in ≤ 4 slabs, shuffled sweeps of a changing
+    // subset (so first-seen keys arrive between known ones), gaps longer
+    // than the TTL, loss bursts for the guard, and a stretch of ticks
+    // under a Suspend advisory.
+    #[test]
+    fn tick_matches_the_naive_model(seed in any::<u64>()) {
+        let mut rng = DetRng::for_stream(seed, 0x5449_434b); // "TICK"
+        let config = random_config(&mut rng);
+        let mut agent = RiptideAgent::new(config.clone()).unwrap();
+        let mut naive = NaiveAgent::new(config.clone());
+        let (mut real_ctl, mut naive_ctl) = (Recorder::default(), Recorder::default());
+
+        let slabs = 1 + rng.below(4);
+        let hosts = 2 + rng.below(15);
+        let mut counters = vec![Counters::default(); slabs * hosts];
+        // Each slab has a window its hosts mostly agree on.
+        let slab_window: Vec<u32> = (0..slabs).map(|_| 15 + rng.below(80) as u32).collect();
+        let suspend_from = 3 + rng.below(10);
+        let suspend_for = rng.below(4);
+        let mut now = SimTime::ZERO;
+        for tick in 0..(12 + rng.below(18)) {
+            now += SimDuration::from_secs([1, 1, 1, 2, 7, 25][rng.below(6)]);
+            let advisory = if (suspend_from..suspend_from + suspend_for).contains(&tick) {
+                Advisory::Suspend
+            } else if rng.chance(0.1) {
+                Advisory::Conservative { factor: 0.5 }
+            } else {
+                Advisory::Normal
+            };
+            agent.set_advisory(advisory).unwrap();
+            naive.advisory = advisory;
+
+            let density = [0.0, 0.3, 0.7, 1.0][rng.below(4)];
+            let mut sweep = Vec::new();
+            for (i, seen) in counters.iter_mut().enumerate() {
+                if !rng.chance(density) {
+                    continue;
+                }
+                let (slab, host) = (i / hosts, i % hosts);
+                for _ in 0..1 + rng.below(3) {
+                    seen.bytes_acked += 200_000 + rng.below(400_000) as u64;
+                    seen.retrans += if rng.chance(0.05) { 50 + rng.below(200) as u64 } else { 0 };
+                    let cwnd = if rng.chance(0.15) {
+                        1 + rng.below(150) as u32
+                    } else {
+                        slab_window[slab] + rng.below(6) as u32
+                    };
+                    sweep.push(CwndObservation {
+                        dst: Ipv4Addr::new(10, 0, slab as u8, 1 + host as u8),
+                        cwnd,
+                        bytes_acked: seen.bytes_acked,
+                        retrans: seen.retrans,
+                        ecn_marks: 0,
+                    });
+                }
+            }
+            for i in (1..sweep.len()).rev() {
+                sweep.swap(i, rng.below(i + 1));
+            }
+
+            let mut observer = FnObserver(|| sweep.clone());
+            let real = agent.tick(now, &mut observer, &mut real_ctl);
+            let want = naive.tick(now, sweep.clone(), &mut naive_ctl);
+            prop_assert_eq!(&real, &want, "tick {} report (config {:?})", tick, config);
+            prop_assert_eq!(&real_ctl.calls, &naive_ctl.calls, "tick {} commands", tick);
+            prop_assert_eq!(agent.installed_view(), &naive.installed, "tick {} view", tick);
+            let table: BTreeMap<Ipv4Prefix, FinalEntry> =
+                agent.table().iter().map(|(k, e)| (*k, e.clone())).collect();
+            prop_assert_eq!(&table, &naive.table, "tick {} table", tick);
+            if let Some(agg) = agent.aggregator() {
+                let live: BTreeMap<Ipv4Prefix, u32> = agg.iter().map(|(k, w)| (*k, w)).collect();
+                prop_assert_eq!(&live, &naive.aggregates, "tick {} aggregates", tick);
+            }
+            real_ctl.calls.clear();
+            naive_ctl.calls.clear();
+        }
+    }
+
+    // `Aggregator::pass` finds each covering prefix's members as one run
+    // of the key-ordered walk. The tables here put everything that can
+    // sit inside a /24's address range under it — /32s, /28s, the /24
+    // itself, and the /16 and /8 that share slab 0's first address — and
+    // churn windows (0 included) and membership between passes, so
+    // aggregates form, retune, split and are orphaned.
+    #[test]
+    fn pass_run_detection_matches_the_grouping_reference(seed in any::<u64>()) {
+        let mut rng = DetRng::for_stream(seed, 0x5041_5353); // "PASS"
+        let mut universe: Vec<Ipv4Prefix> = vec![
+            "10.0.0.0/8".parse().unwrap(),
+            "10.0.0.0/16".parse().unwrap(),
+        ];
+        for slab in 0..3u8 {
+            universe.push(Ipv4Prefix::new(Ipv4Addr::new(10, 0, slab, 0), 24));
+            for sub in [0u8, 16, 32] {
+                universe.push(Ipv4Prefix::new(Ipv4Addr::new(10, 0, slab, sub), 28));
+            }
+            for host in 0..6u8 {
+                universe.push(Ipv4Prefix::host(Ipv4Addr::new(10, 0, slab, host)));
+            }
+        }
+        let policy = AggregationPolicy {
+            min_siblings: 2 + rng.below(2),
+            ..AggregationPolicy::default()
+        };
+        let mut aggregator = Aggregator::new(policy);
+        let mut reference = BTreeMap::new();
+        let mut windows: BTreeMap<Ipv4Prefix, u32> = BTreeMap::new();
+        for step in 0..8 {
+            // Sometimes a whole slab falls silent for a step: its
+            // aggregate is orphaned.
+            let silent = rng.chance(0.3).then(|| {
+                Ipv4Prefix::new(Ipv4Addr::new(10, 0, rng.below(3) as u8, 0), 24)
+            });
+            windows.retain(|key, _| !silent.is_some_and(|slab| slab.covers(key)));
+            for key in &universe {
+                if silent.is_some_and(|slab| slab.covers(key)) {
+                    continue;
+                }
+                let window = match rng.below(10) {
+                    0 => {
+                        windows.remove(key);
+                        continue;
+                    }
+                    1 => 0,
+                    2 => 10 + rng.below(90) as u32,
+                    3..=6 => 40 + rng.below(9) as u32,
+                    _ => continue,
+                };
+                windows.insert(*key, window);
+            }
+            let mut table = FinalTable::new();
+            for (key, window) in &windows {
+                let mut entry = FinalEntry::new(&HistoryStrategy::None, 0.0, SimTime::ZERO);
+                entry.window = *window;
+                table.restore_entry(*key, entry);
+            }
+            let got = aggregator.pass(&table);
+            let want = reference_pass(&policy, &mut reference, &windows);
+            prop_assert_eq!(&got, &want, "step {}", step);
+            let live: BTreeMap<Ipv4Prefix, u32> = aggregator.iter().map(|(k, w)| (*k, w)).collect();
+            prop_assert_eq!(&live, &reference, "step {} live set", step);
+        }
+    }
+}

@@ -69,6 +69,10 @@ if [[ "$stage" == "build" || "$stage" == "all" ]]; then
     run grep -q '"zero_overhead": true' "$scratch/BENCH_telemetry.json"
     run cargo test -q --release --test golden_exposition
 
+    # Event-queue order, by name: the timing wheel against the ordered-map
+    # model, so an ordering bug fails here and not as a digest diff below.
+    run cargo test -q --release --test event_queue_differential
+
     # Hot-path smoke: replay the quick-scale probe comparison against the
     # checked-in BENCH_simperf.json. Any digest drift is fatal (the
     # optimisations must be behaviour-preserving, bit for bit), as is an

@@ -94,22 +94,38 @@ fn bench_parallel_engine(c: &mut Criterion) {
     group.finish();
 }
 
+/// The hold model — pop the earliest event, schedule one a step later — at
+/// the depths and step mixes the repo benchmark's simulator workloads run:
+/// `probe-fleet` holds ≈ 550 events a path delay (≥ 1 ms) ahead,
+/// `bulk-bottleneck` ≈ 3 700 of which a third are RTO timers (≥ 200 ms).
 fn bench_event_queue(c: &mut Criterion) {
     use riptide_simnet::event::EventQueue;
+    use riptide_simnet::rng::DetRng;
     use riptide_simnet::time::SimTime;
-    c.bench_function("event_queue_push_pop_1k", |b| {
-        b.iter(|| {
-            let mut q = EventQueue::new();
-            for i in 0..1_000u64 {
-                q.schedule(SimTime::from_nanos(i * 7919 % 1_000_000), i);
-            }
-            let mut sum = 0u64;
-            while let Some((_, e)) = q.pop() {
-                sum = sum.wrapping_add(e);
-            }
-            black_box(sum)
+    let mut group = c.benchmark_group("event_queue_hold");
+    group.throughput(Throughput::Elements(1));
+    for (name, depth, rto_pct) in [("probe_fleet", 550usize, 0), ("bulk_bottleneck", 3_700, 33)] {
+        let mut rng = DetRng::for_stream(2016, depth as u64);
+        let mut step = move || {
+            let ns = if rng.below(100) < rto_pct {
+                200_000_000 + rng.below(50_000_000)
+            } else {
+                1_000_000 + rng.below(40_000_000)
+            };
+            SimDuration::from_nanos(ns as u64)
+        };
+        let mut q = EventQueue::new();
+        for i in 0..depth {
+            q.schedule(SimTime::ZERO + step(), i);
+        }
+        group.bench_function(BenchmarkId::new(name, depth), |b| {
+            b.iter(|| {
+                let (at, payload) = q.pop().expect("the queue holds its depth");
+                q.schedule(at + step(), black_box(payload));
+            });
         });
-    });
+    }
+    group.finish();
 }
 
 criterion_group! {

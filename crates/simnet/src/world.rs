@@ -604,11 +604,7 @@ impl World {
     /// Panics if `deadline` is in the past.
     pub fn run_until(&mut self, deadline: SimTime) {
         assert!(deadline >= self.now, "cannot run backwards");
-        while let Some(t) = self.queue.peek_time() {
-            if t > deadline {
-                break;
-            }
-            let (t, ev) = self.queue.pop().expect("peeked");
+        while let Some((t, ev)) = self.queue.pop_before(deadline) {
             self.now = t;
             self.dispatch(ev);
         }
@@ -934,6 +930,30 @@ mod tests {
         assert_eq!(w.conn_state(conn), ConnState::Connecting);
         w.run_until(SimTime::from_millis(101));
         assert_eq!(w.conn_state(conn), ConnState::Established);
+    }
+
+    #[test]
+    fn run_until_before_the_first_event_pops_nothing_and_later_opens_go_first() {
+        let mut w = World::new(TcpConfig::default(), 42);
+        let (a, b, c) = (w.add_pop(), w.add_pop(), w.add_pop());
+        let (ha, hb, hc) = (w.add_host(a), w.add_host(b), w.add_host(c));
+        w.set_symmetric_path(a, b, PathConfig::with_delay(SimDuration::from_millis(500)));
+        w.set_symmetric_path(a, c, PathConfig::with_delay(SimDuration::from_millis(5)));
+        let slow = w.open_connection(ha, hb);
+        w.run_until(SimTime::from_millis(100));
+        assert_eq!(w.stats().events_processed, 0);
+        assert_eq!(w.pending_events(), 1);
+        assert_eq!(w.now(), SimTime::from_millis(100));
+        // Issued at the new `now`, this SYN is earlier than everything
+        // pending.
+        let fast = w.open_connection(ha, hc);
+        w.run_until(SimTime::from_millis(106));
+        assert_eq!(w.stats().events_processed, 1, "the fast SYN, alone");
+        w.run_until(SimTime::from_millis(111));
+        assert_eq!(w.conn_state(fast), ConnState::Established);
+        assert_eq!(w.conn_state(slow), ConnState::Connecting);
+        w.run_to_quiescence();
+        assert_eq!(w.conn_state(slow), ConnState::Established);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 #
 # Stages (default: all):
 #   lint   fast fail-early checks — fmt, clippy, rustdoc -D warnings
-#   build  release build, tests, the bench smoke gates, and the
+#   build  release build, tests, the six riptide-bench gates, and the
 #          benchmark package's own gate (benchmark/check.sh)
 #
 # CI runs the stages as separate jobs (lint gates build), so a
@@ -14,10 +14,10 @@
 # --offline through to cargo via CARGO_NET_OFFLINE=true if your
 # environment has no network at all.
 #
-# Bench smoke runs write their BENCH_*.json output to a scratch
-# directory (--out), never to the checked-in baselines: the gate must
-# leave the git tree clean. Regression checks (simperf/shardscale
-# --check) read the checked-in baselines and write nothing.
+# The bench gates are `riptide-bench <experiment> --check` runs, which
+# read the checked-in BENCH_*.json records and write nothing; the one
+# run that does write points --out at a scratch directory. The gate
+# must leave the git tree clean.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -47,99 +47,41 @@ if [[ "$stage" == "build" || "$stage" == "all" ]]; then
     # even if a future flag trims them from the default test run.
     run cargo test -q --release --doc --workspace
 
-    scratch="$(mktemp -d)"
-    trap 'rm -rf "$scratch"' EXIT
-
-    # Closed-loop safety smoke: the guardrail sweep at test scale asserts
-    # its own invariants (drift repaired, foreign routes untouched, bounds
-    # held, breaker reduces harm) and exits nonzero on any violation.
-    run cargo run --release -p riptide-bench --bin guardrail -- \
-        --scale test --seeds 2 --out "$scratch/BENCH_guardrail.json"
-    run grep -q '"drift_unrepaired": 0' "$scratch/BENCH_guardrail.json"
-    run grep -q '"foreign_touched": 0' "$scratch/BENCH_guardrail.json"
-    run grep -q '"invariant_breaches": 0' "$scratch/BENCH_guardrail.json"
-
-    # Telemetry smoke: a quick-scale probe plan with the metrics bundle
-    # attached must keep merged snapshots thread-count invariant, leave
-    # uninstrumented digests bit-identical (zero overhead), and move the
-    # key counters; the golden test pins the exposition format itself.
-    run cargo run --release -p riptide-bench --bin telemetry -- \
-        --scale test --seeds 1 --out "$scratch/BENCH_telemetry.json"
-    run grep -q '"thread_invariant": true' "$scratch/BENCH_telemetry.json"
-    run grep -q '"zero_overhead": true' "$scratch/BENCH_telemetry.json"
+    # The golden exposition and the event-queue order, by name: the
+    # telemetry text format, and the timing wheel against the
+    # ordered-map model, so an ordering bug fails here and not as a
+    # digest diff below.
     run cargo test -q --release --test golden_exposition
-
-    # Event-queue order, by name: the timing wheel against the ordered-map
-    # model, so an ordering bug fails here and not as a digest diff below.
     run cargo test -q --release --test event_queue_differential
 
-    # Hot-path smoke: replay the quick-scale probe comparison against the
-    # checked-in BENCH_simperf.json. Any digest drift is fatal (the
-    # optimisations must be behaviour-preserving, bit for bit), as is an
-    # events/sec regression past the recorded baseline's floor.
-    run cargo run --release -p riptide-bench --bin simperf -- \
-        --scale quick --check
+    # The four outcome records, one --check each. Every family re-runs
+    # its sweep at its record's scale and seeds, asserts its own claims
+    # (zero-rate / default-policy / baseline-cell arms bit-identical to
+    # the fault-free probe comparison; guardrail: drift repaired,
+    # foreign routes untouched, bounds held, breaker reduces harm;
+    # coldstart: snapshot bookkeeping is outcome-neutral and warm arms
+    # beat the 1.5x ramp floor; scenarios: two cells re-rank the
+    # policies and loss-utility beats EWMA on the lossy edge) and then
+    # compares its run digest with the checked-in BENCH_*.json — drift
+    # in any arm is fatal. --check writes nothing.
+    run cargo run --release -p riptide-bench -- guardrail --check
+    run cargo run --release -p riptide-bench -- coldstart --check
+    run cargo run --release -p riptide-bench -- policy_arena --check
+    run cargo run --release -p riptide-bench -- scenarios --check
 
-    # Shard-scaling smoke: the work-stealing scheduler must reproduce
-    # the checked-in serial digest (drift fatal), merge identically at
-    # threads=1 and threads=4 (steal-order divergence fatal), and — on
-    # a runner with >= 4 hardware threads — hit the speedup floor at
-    # threads=4.
-    run cargo run --release -p riptide-bench --bin shardscale -- \
-        --scale quick --check
-
-    # Destination-table smoke: a small megacdn run exercises the trie,
-    # the aggregation round trip, reconcile and grouped eviction end to
-    # end (scratch --out keeps the baseline untouched)...
-    run cargo run --release -p riptide-bench --bin megacdn -- \
-        --scale test --out "$scratch/BENCH_megacdn.json"
-    run grep -q '"roundtrip_ok": true' "$scratch/BENCH_megacdn.json"
+    # Destination tables: a small megacdn run exercises the trie, the
+    # aggregation round trip, reconcile and grouped eviction end to end
+    # and fails on any structural gate (its record goes to a scratch
+    # file: the gate must leave the git tree clean)...
+    scratch="$(mktemp -d)"
+    trap 'rm -rf "$scratch"' EXIT
+    run cargo run --release -p riptide-bench -- megacdn --scale test \
+        --out "$scratch/BENCH_megacdn.json"
     # ...and the full gate replays 1M+ destinations against the
     # checked-in BENCH_megacdn.json: lookup/round-trip digest drift is
-    # fatal, as are the aggregation-ratio floor and the sublinear
-    # grouped-eviction ceiling.
-    run cargo run --release -p riptide-bench --bin megacdn -- \
-        --scale quick --check
-
-    # Durability smoke: one coldstart sweep at test scale writes to the
-    # scratch dir and asserts its own invariants (zero-rate arms
-    # bit-identical to the fault-free run, warm arms over the
-    # ramp-improvement floor)...
-    run cargo run --release -p riptide-bench --bin coldstart -- \
-        --out "$scratch/BENCH_coldstart.json"
-    run grep -q '"zero_rate_bit_identical": true' "$scratch/BENCH_coldstart.json"
-    # ...and the gate replays the sweep against the checked-in
-    # BENCH_coldstart.json: digest drift is fatal, as is a snapshot or
-    # snapshot+gossip arm falling under the 1.5x ramp-improvement floor
-    # vs. cold relearn.
-    run cargo run --release -p riptide-bench --bin coldstart -- --check
-
-    # Policy-arena smoke: one test-scale ablation run writes to the
-    # scratch dir; the binary itself aborts unless the default-EWMA arm
-    # reproduces the probe comparison bit for bit (the Policy trait
-    # seam must cost nothing)...
-    run cargo run --release -p riptide-bench --bin policy_arena -- \
-        --scale test --out "$scratch/BENCH_policyarena.json"
-    run grep -q '"ewma_bit_identical": true' "$scratch/BENCH_policyarena.json"
-    # ...and the gate replays the quick-scale arena against the
-    # checked-in BENCH_policyarena.json: digest drift in any policy's
-    # arm is fatal.
-    run cargo run --release -p riptide-bench --bin policy_arena -- \
-        --scale quick --check
-
-    # Scenario-matrix smoke: one test-scale matrix run writes to the
-    # scratch dir; the binary itself aborts unless the baseline cell
-    # reproduces the probe comparison bit for bit, at least two cells
-    # re-rank the policies, and loss-utility beats plain EWMA on the
-    # lossy-edge arm...
-    run cargo run --release -p riptide-bench --bin scenarios -- \
-        --scale test --threads 4 --out "$scratch/BENCH_scenarios.json"
-    run grep -q '"baseline_bit_identical": true' "$scratch/BENCH_scenarios.json"
-    run grep -q '"lossy_edge_loss_utility_beats_ewma": true' "$scratch/BENCH_scenarios.json"
-    # ...and the gate replays the matrix against the checked-in
-    # BENCH_scenarios.json: digest drift in any scenario cell is fatal.
-    run cargo run --release -p riptide-bench --bin scenarios -- \
-        --threads 4 --check
+    # fatal, as are the aggregation-ratio floor, the sublinear
+    # grouped-eviction ceiling and the tick-to-walk ceiling.
+    run cargo run --release -p riptide-bench -- megacdn --scale quick --check
 
     # The repo benchmark (BENCHMARK.json) is its own package outside the
     # workspace, so nothing above builds it: its gate checks formatting,

@@ -9,8 +9,8 @@
 #
 # CI runs the stages as separate jobs (lint gates build), so a
 # formatting error never burns a long bench run. The workspace is
-# fully self-contained (no registry deps; `proptest` and `criterion`
-# are in-repo shims), so every step below works offline. Pass
+# fully self-contained (no registry deps; `proptest` is an in-repo
+# shim), so every step below works offline. Pass
 # --offline through to cargo via CARGO_NET_OFFLINE=true if your
 # environment has no network at all.
 #

@@ -19,18 +19,21 @@
 //!   is not re-probed until [`GossipConfig::backoff`] elapses, so a
 //!   dead host does not eat the fleet's gossip budget.
 //!
-//! The fabric never touches agents itself: [`CdnSim`] asks it for this
-//! round's pairs, performs the exchanges, and records them back, which
-//! keeps all table mutation on the one code path that honours the
-//! no-harm bounds.
+//! The fabric never writes a table itself: a round hands each delta to
+//! [`RiptideAgent::merge_remote`], which keeps all table mutation on the
+//! one code path that honours the no-harm bounds. [`CdnSim`] fires a
+//! round at each of its agenda's gossip instants.
 //!
 //! [`TableDigest`]: riptide::sync::TableDigest
 //! [`CdnSim`]: crate::sim::CdnSim
 
 use std::collections::BTreeMap;
 
-use riptide::sync::SyncConfig;
+use riptide::agent::RiptideAgent;
+use riptide::sync::{delta_for, digest_of, SyncConfig, SyncEntry};
 use riptide_simnet::prelude::*;
+
+use crate::sim::{ColdstartReport, Daemon};
 
 /// Tuning for the gossip fabric.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,33 +75,21 @@ impl GossipConfig {
     }
 }
 
-/// Scheduling counters for one run's gossip fabric.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GossipStats {
-    /// Rounds the fabric scheduled.
-    pub rounds: u64,
-    /// Exchanges drawn between two live, non-backing-off hosts.
-    pub pairs: u64,
-    /// Peer draws skipped because the peer was inside its backoff.
-    pub backoff_skips: u64,
-    /// Draws that found the peer down and started a backoff.
-    pub peers_marked_down: u64,
-}
-
 /// The per-run gossip scheduler: a forked RNG, per-pair freshness
 /// stamps, and per-peer backoff clocks.
 #[derive(Debug)]
 pub struct GossipFabric {
     config: GossipConfig,
     rng: DetRng,
-    next_round: SimTime,
     /// Per unordered pair: when the two hosts last exchanged state —
     /// the `newer_than` bound of the next delta between them.
     last_exchange: BTreeMap<(usize, usize), SimTime>,
     /// Per host: do not initiate an exchange with this peer before
     /// this instant (set when a draw finds the peer down).
     backoff_until: Vec<SimTime>,
-    stats: GossipStats,
+    /// Rounds, draws and exchanged entries so far, as the cold-start
+    /// report's gossip fields (its other fields stay 0).
+    pub(crate) done: ColdstartReport,
 }
 
 fn pair_key(a: usize, b: usize) -> (usize, usize) {
@@ -111,39 +102,11 @@ impl GossipFabric {
     pub fn new(config: GossipConfig, parent: &DetRng, hosts: usize) -> Self {
         GossipFabric {
             rng: parent.fork(0x9055_1FAB),
-            next_round: SimTime::ZERO + config.every,
             last_exchange: BTreeMap::new(),
             backoff_until: vec![SimTime::ZERO; hosts],
-            stats: GossipStats::default(),
+            done: ColdstartReport::default(),
             config,
         }
-    }
-
-    /// The configured parameters.
-    pub fn config(&self) -> &GossipConfig {
-        &self.config
-    }
-
-    /// When the next round fires.
-    pub fn next_round(&self) -> SimTime {
-        self.next_round
-    }
-
-    /// Schedules the round after `now`.
-    pub fn schedule_next(&mut self, now: SimTime) {
-        self.next_round = now + self.config.every;
-    }
-
-    /// The delta bound handed to `riptide::sync::delta_for`.
-    pub fn sync_config(&self) -> SyncConfig {
-        SyncConfig {
-            max_entries: self.config.max_entries,
-        }
-    }
-
-    /// Scheduling counters so far.
-    pub fn stats(&self) -> GossipStats {
-        self.stats
     }
 
     /// Draws this round's exchange pairs: each live host picks
@@ -152,7 +115,7 @@ impl GossipFabric {
     /// peer that turns out to be down is not exchanged with; instead
     /// its backoff clock starts.
     pub fn pairs_for_round(&mut self, now: SimTime, alive: &[bool]) -> Vec<(usize, usize)> {
-        self.stats.rounds += 1;
+        self.done.gossip_rounds += 1;
         let n = alive.len();
         let mut pairs: Vec<(usize, usize)> = Vec::new();
         if n < 2 {
@@ -168,19 +131,19 @@ impl GossipFabric {
                     p += 1;
                 }
                 if now < self.backoff_until[p] {
-                    self.stats.backoff_skips += 1;
+                    self.done.gossip_backoff_skips += 1;
                     continue;
                 }
                 if !alive[p] {
                     self.backoff_until[p] = now + self.config.backoff;
-                    self.stats.peers_marked_down += 1;
+                    self.done.gossip_peers_marked_down += 1;
                     continue;
                 }
                 let key = pair_key(h, p);
                 if pairs.iter().any(|&(a, b)| pair_key(a, b) == key) {
                     continue;
                 }
-                self.stats.pairs += 1;
+                self.done.gossip_pairs += 1;
                 pairs.push((h, p));
             }
         }
@@ -200,6 +163,52 @@ impl GossipFabric {
     pub fn record_exchange(&mut self, a: usize, b: usize, now: SimTime) {
         self.last_exchange.insert(pair_key(a, b), now);
     }
+
+    /// One gossip round over the fleet: draw this round's pairs among
+    /// the `alive` hosts, compare digests, and ship bounded deltas both
+    /// ways where they differ. Returns the gap to the next round.
+    pub(crate) fn round(
+        &mut self,
+        now: SimTime,
+        alive: &[bool],
+        daemons: &mut [Daemon],
+    ) -> SimDuration {
+        let sync_cfg = SyncConfig {
+            max_entries: self.config.max_entries,
+        };
+        for (a, b) in self.pairs_for_round(now, alive) {
+            let since = self.last_exchange(a, b);
+            self.record_exchange(a, b, now);
+            let [ea, eb] = [a, b].map(|h| sync_entries(&daemons[h].agent));
+            if digest_of(&ea) == digest_of(&eb) {
+                self.done.digests_matched += 1;
+                continue;
+            }
+            let delta_ab = delta_for(&ea, since, &sync_cfg);
+            let delta_ba = delta_for(&eb, since, &sync_cfg);
+            self.done.entries_shipped += (delta_ab.entries.len() + delta_ba.entries.len()) as u64;
+            for (dst, delta) in [(b, delta_ab), (a, delta_ba)] {
+                if delta.entries.is_empty() {
+                    continue;
+                }
+                let Daemon { agent, controller } = &mut daemons[dst];
+                let accepted = agent.merge_remote(&delta.entries, now, controller);
+                self.done.entries_accepted += accepted.len() as u64;
+            }
+        }
+        self.config.every
+    }
+}
+
+/// One host's learned table as sync entries, key-sorted (tables iterate
+/// in key order).
+fn sync_entries(agent: &RiptideAgent) -> Vec<SyncEntry> {
+    let entries = agent.table().iter().map(|(k, e)| SyncEntry {
+        key: *k,
+        window: e.window,
+        last_updated: e.last_updated,
+    });
+    entries.collect()
 }
 
 #[cfg(test)]
@@ -265,12 +274,12 @@ mod tests {
         // this round marks it down exactly once, then backoff skips.
         let t0 = SimTime::from_secs(30);
         assert!(f.pairs_for_round(t0, &alive).is_empty());
-        assert_eq!(f.stats().peers_marked_down, 1);
+        assert_eq!(f.done.gossip_peers_marked_down, 1);
         // Within the backoff window the peer is not re-probed.
         let t1 = t0 + SimDuration::from_secs(30);
         assert!(f.pairs_for_round(t1, &alive).is_empty());
-        assert_eq!(f.stats().peers_marked_down, 1);
-        assert_eq!(f.stats().backoff_skips, 1);
+        assert_eq!(f.done.gossip_peers_marked_down, 1);
+        assert_eq!(f.done.gossip_backoff_skips, 1);
         // After backoff elapses and the peer restarts, gossip resumes.
         alive[1] = true;
         let t2 = t0 + SimDuration::from_secs(90);

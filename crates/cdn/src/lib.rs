@@ -15,7 +15,8 @@
 //! | [`workload`] | Probe harness + organic traffic (file-size model, Zipf popularity) | §IV-A; Fig. 2 |
 //! | [`megacdn`] | Million-destination fleet generator for table-scale runs | §III-B at internet scale |
 //! | [`scenario`] | Named regimes for the probe experiment and the families built from them (scenario matrix, chaos, guardrail, cold-start) | §V threats to validity |
-//! | [`sim`] | The deployment loop: agents, probes, sampling, chaos, persistence | §IV-A/§IV-D |
+//! | [`sim`] | The deployment harness: testbed, daemons, probes and arrivals, and the `run_for` loop over the agenda | §IV-A |
+//! | `agenda`, `chaos`, `faulted`, `store` | (private) The harness's one clock, and the overlays it fires: what a `FaultPlan` breaks, the fault-injected agent I/O, per-host state files | §IV-D |
 //! | [`gossip`] | Anti-entropy fleet-sync scheduler (seeded fanout, per-peer backoff) | Pied Piper (PAPERS.md) |
 //! | [`experiment`] | One runner per figure (Figs. 10–16) | §IV |
 //! | [`engine`] | Parallel sharded execution, digests, manifests | — (reproduction infrastructure) |
@@ -38,9 +39,12 @@
 
 #![warn(missing_docs)]
 
+mod agenda;
+mod chaos;
 pub mod digest;
 pub mod engine;
 pub mod experiment;
+mod faulted;
 pub mod geo;
 pub mod gossip;
 pub mod megacdn;
@@ -48,6 +52,7 @@ pub mod scenario;
 pub mod schedule;
 pub mod sim;
 pub mod stats;
+mod store;
 pub mod topology;
 pub mod workload;
 
@@ -58,7 +63,7 @@ pub mod prelude {
     };
     pub use crate::experiment::{probe_comparison, ExperimentScale, ProbeComparison};
     pub use crate::geo::{Continent, PopSite, POP_SITES};
-    pub use crate::gossip::{GossipConfig, GossipFabric, GossipStats};
+    pub use crate::gossip::{GossipConfig, GossipFabric};
     pub use crate::megacdn::MegaCdnConfig;
     pub use crate::scenario::{scenario_catalog, scenario_sim_config, ScenarioSpec, WorkloadShape};
     pub use crate::sim::{

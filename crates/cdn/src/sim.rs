@@ -10,17 +10,18 @@
 //! after the agent started — exactly the paper's measurement filter.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
 use riptide::prelude::*;
-use riptide::sync::{delta_for, digest_of, SyncEntry};
-use riptide_linuxnet::prefix::Ipv4Prefix;
-use riptide_linuxnet::route::{RouteAttrs, RouteProto, RouteTable};
+use riptide_linuxnet::route::RouteTable;
 use riptide_simnet::prelude::*;
 
+use crate::agenda::{Activity, Agenda};
+use crate::chaos::ChaosLayer;
 use crate::gossip::{GossipConfig, GossipFabric};
+use crate::store::PersistLayer;
 use crate::topology::{RttBucket, Testbed, TestbedConfig};
 use crate::workload::{OrganicConfig, ProbeConfig};
 
@@ -199,27 +200,6 @@ impl ColdstartReport {
     }
 }
 
-/// One host's simulated on-disk state file: the encoded snapshot plus
-/// journal tail, and the installed view it last described (so agent
-/// ticks journal only the deltas).
-#[derive(Debug, Clone, Default)]
-struct HostStore {
-    /// Encoded `persist::StateFile` bytes — what a real daemon would
-    /// have on disk. Survives crash faults (the disk does not die with
-    /// the process).
-    bytes: Vec<u8>,
-    /// The installed view as of the last snapshot or journal append.
-    last_installed: BTreeMap<Ipv4Prefix, u32>,
-}
-
-/// Persistence-layer state; present only when configured.
-#[derive(Debug)]
-struct PersistLayer {
-    cfg: PersistenceConfig,
-    next_snapshot: SimTime,
-    stores: Vec<HostStore>,
-}
-
 /// Aggregated chaos and resilience counters for one run.
 ///
 /// All-zero (with an empty installed range) when the fault layer is
@@ -336,94 +316,6 @@ impl ChaosReport {
     }
 }
 
-/// A route write accepted while faulted as "delayed", waiting to land.
-#[derive(Debug, Clone, Copy)]
-struct PendingInstall {
-    due: SimTime,
-    host: usize,
-    key: Ipv4Prefix,
-    /// `Some(window)` for a delayed install, `None` for a delayed clear.
-    window: Option<u32>,
-}
-
-/// One link loss burst in progress, with the configs to restore.
-#[derive(Debug, Clone)]
-struct ActiveBurst {
-    until: SimTime,
-    a: PopId,
-    b: PopId,
-    saved_ab: PathConfig,
-    saved_ba: PathConfig,
-}
-
-/// Mutable chaos-layer state; present only when the plan is enabled.
-#[derive(Debug)]
-struct ChaosState {
-    injector: FaultInjector,
-    policy: BackoffPolicy,
-    /// Per host: when a crashed agent's replacement may start ticking.
-    down_until: Vec<Option<SimTime>>,
-    pending: Vec<PendingInstall>,
-    bursts: Vec<ActiveBurst>,
-    next_burst_check: SimTime,
-    /// Per host: foreign routes churn injected, by key — the reconciler
-    /// must leave every one of these byte-identical.
-    foreign: Vec<BTreeMap<Ipv4Prefix, RouteAttrs>>,
-    /// Loss episodes in progress on paths targeted at jump-started
-    /// destinations, with the configs to restore.
-    loss_episodes: Vec<ActiveBurst>,
-    report: ChaosReport,
-}
-
-/// Injects install faults between the retry layer above and the bounds
-/// gate below: `ExecError` surfaces as a failed `ip route` invocation
-/// (which the retry layer may re-attempt, drawing a fresh fault),
-/// `Delayed` queues the write to land `install_delay_for` later.
-#[derive(Debug)]
-struct ChaosController<'a> {
-    inner: &'a mut CheckedController<SharedRouteController>,
-    injector: &'a mut FaultInjector,
-    pending: &'a mut Vec<PendingInstall>,
-    now: SimTime,
-    delay_for: SimDuration,
-    host: usize,
-}
-
-impl ChaosController<'_> {
-    fn faulted(
-        &mut self,
-        key: Ipv4Prefix,
-        window: Option<u32>,
-        apply: impl FnOnce(&mut CheckedController<SharedRouteController>) -> Result<(), ControlError>,
-    ) -> Result<(), ControlError> {
-        match self.injector.install_fault() {
-            InstallFault::ExecError => {
-                Err(ControlError::new("injected: ip route invocation failed"))
-            }
-            InstallFault::Delayed => {
-                self.pending.push(PendingInstall {
-                    due: self.now + self.delay_for,
-                    host: self.host,
-                    key,
-                    window,
-                });
-                Ok(())
-            }
-            InstallFault::None => apply(self.inner),
-        }
-    }
-}
-
-impl RouteController for ChaosController<'_> {
-    fn set_initcwnd(&mut self, key: Ipv4Prefix, window: u32) -> Result<(), ControlError> {
-        self.faulted(key, Some(window), |c| c.set_initcwnd(key, window))
-    }
-
-    fn clear_initcwnd(&mut self, key: Ipv4Prefix) -> Result<(), ControlError> {
-        self.faulted(key, None, |c| c.clear_initcwnd(key))
-    }
-}
-
 /// One completed probe, annotated with the experiment dimensions the
 /// paper's figures group on.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -459,64 +351,134 @@ pub struct CwndSample {
     pub at: SimTime,
 }
 
+/// One riptide host's daemon: the agent, and the bounds-checked handle
+/// on the kernel table it steers. A crash replaces the agent; the
+/// controller, like the routes behind it, survives.
+#[derive(Debug)]
+pub(crate) struct Daemon {
+    pub(crate) agent: RiptideAgent,
+    pub(crate) controller: CheckedController<SharedRouteController>,
+}
+
+pub(crate) fn fresh_agent(rc: &RiptideConfig, telemetry: Option<&AgentTelemetry>) -> RiptideAgent {
+    let mut agent = RiptideAgent::new(rc.clone()).expect("validated riptide config");
+    if let Some(t) = telemetry {
+        agent.attach_telemetry(t.clone());
+    }
+    agent
+}
+
+/// Starts a transfer, reusing an idle `src → dst` connection if any.
+fn send(world: &mut World, src: HostId, dst: HostId, bytes: u64) -> TransferId {
+    match world.find_idle_connection(src, dst) {
+        Some(cid) => world.start_transfer(cid, bytes),
+        None => world.open_and_transfer(src, dst, bytes).1,
+    }
+}
+
+/// The §IV-A probe infrastructure: every probing machine sends each
+/// probe size to one machine of every other PoP, once per interval.
+#[derive(Debug, Default)]
+struct ProbeHarness {
+    /// Per probing machine: (host, site index, slot within the site).
+    machines: Vec<(HostId, usize, usize)>,
+    /// Probes in flight: transfer → (src site, dst site, size).
+    tags: HashMap<TransferId, (usize, usize, u64)>,
+    outcomes: Vec<ProbeOutcome>,
+}
+
+impl ProbeHarness {
+    /// [`Activity::Probe`]: machine `idx` sends one round. Returns the
+    /// gap to its next.
+    fn fire(
+        &mut self,
+        idx: usize,
+        tb: &mut Testbed,
+        rng: &mut DetRng,
+        cfg: &ProbeConfig,
+    ) -> SimDuration {
+        let (host, site, machine_slot) = self.machines[idx];
+        for dst_site in 0..tb.pop_count() {
+            if dst_site == site {
+                continue;
+            }
+            let targets = tb.machines(dst_site);
+            let target = targets[machine_slot % targets.len()];
+            for &size in &cfg.sizes {
+                // §II-A churn: some idle connections have been closed by
+                // application behaviour since the last round.
+                if rng.chance(cfg.churn) {
+                    if let Some(cid) = tb.world.find_idle_connection(host, target) {
+                        tb.world.close_connection(cid);
+                    }
+                }
+                let tid = send(&mut tb.world, host, target, size);
+                self.tags.insert(tid, (site, dst_site, size));
+            }
+        }
+        cfg.interval
+    }
+}
+
+/// Organic back-office traffic: Poisson flow arrivals per ordered busy
+/// PoP pair.
+#[derive(Debug, Default)]
+struct OrganicArrivals {
+    /// Per ordered busy pair: (src site, dst site).
+    pairs: Vec<(usize, usize)>,
+    started: u64,
+    completed: u64,
+}
+
+impl OrganicArrivals {
+    /// [`Activity::Organic`]: pair `idx` starts a flow between two
+    /// randomly drawn machines. Returns the gap to its next arrival.
+    fn fire(
+        &mut self,
+        idx: usize,
+        now: SimTime,
+        tb: &mut Testbed,
+        rng: &mut DetRng,
+        cfg: &OrganicConfig,
+    ) -> SimDuration {
+        let (src_site, dst_site) = self.pairs[idx];
+        let src_hosts = tb.machines(src_site);
+        let dst_hosts = tb.machines(dst_site);
+        let src = src_hosts[rng.below(src_hosts.len())];
+        let dst = dst_hosts[rng.below(dst_hosts.len())];
+        let bytes = cfg.sizes.sample(rng);
+        send(&mut tb.world, src, dst, bytes);
+        self.started += 1;
+        let rate = cfg.rate_at(now.as_secs_f64()).max(1e-6);
+        rng.exp_duration(SimDuration::from_secs_f64(1.0 / rate))
+    }
+}
+
 /// A running deployment.
 #[derive(Debug)]
 pub struct CdnSim {
     tb: Testbed,
     cfg: CdnSimConfig,
-    agents: Vec<Option<RiptideAgent>>,
-    controllers: Vec<Option<CheckedController<SharedRouteController>>>,
-    chaos: Option<ChaosState>,
+    /// Per host: its Riptide daemon (empty for a control run).
+    daemons: Vec<Daemon>,
+    /// The simulation stream. Only probe rounds and organic arrivals
+    /// draw on it; every overlay forks its own.
     rng: DetRng,
-    next_agent_tick: SimTime,
-    next_cwnd_sample: SimTime,
-    /// Next reconciler audit instant (`None` when auditing is off).
-    next_reconcile: Option<SimTime>,
-    /// Host address → host, for mapping learned route keys back to the
-    /// destination machine they steer.
-    addr_to_host: HashMap<Ipv4Addr, HostId>,
-    /// Per probing machine: (next fire time, host, site index).
-    probe_schedule: Vec<(SimTime, HostId, usize)>,
-    /// Per ordered busy pair: (next arrival, src site, dst site).
-    organic_schedule: Vec<(SimTime, usize, usize)>,
-    /// Min-heap of `(fire time, index into probe_schedule)`. Every entry
-    /// is current (an index is rescheduled only when popped), and ties
-    /// pop in index order — the same order the linear scan fired them,
-    /// so RNG draw order is unchanged.
-    probe_heap: std::collections::BinaryHeap<std::cmp::Reverse<(SimTime, usize)>>,
-    /// Min-heap of `(arrival time, index into organic_schedule)`.
-    organic_heap: std::collections::BinaryHeap<std::cmp::Reverse<(SimTime, usize)>>,
-    /// Cached minimum of `probe_schedule` fire times (`SimTime::MAX` when
-    /// empty), maintained by `fire_due_probes` so the event loop's outer
-    /// step avoids rescanning the schedule.
-    next_probe_due: SimTime,
-    /// Cached minimum of `organic_schedule` arrival times (`SimTime::MAX`
-    /// when empty).
-    next_organic_due: SimTime,
-    probe_tags: HashMap<TransferId, (usize, usize, u64)>,
-    probe_outcomes: Vec<ProbeOutcome>,
+    /// Everything the harness has scheduled.
+    agenda: Agenda,
+    probes: ProbeHarness,
+    organic: OrganicArrivals,
     cwnd_samples: Vec<CwndSample>,
-    organic_completed: u64,
-    organic_started: u64,
     /// Shared telemetry bundle, when `cfg.telemetry` is on: every agent
     /// (including crash-restart incarnations) registers on one registry,
     /// so counters aggregate across the whole deployment.
     telemetry: Option<AgentTelemetry>,
-    /// I/O counters on the same registry, mirrored out of the resilient
-    /// wrappers the chaos path builds each tick.
-    io_counters: Option<IoCounters>,
+    /// What breaks, when the fault plan is enabled.
+    chaos: Option<ChaosLayer>,
     /// Simulated on-disk state files, when persistence is configured.
     persist: Option<PersistLayer>,
     /// Gossip scheduler, when fleet sync is configured.
     gossip: Option<GossipFabric>,
-    /// Cold-start counters (ramp tracking, persistence, gossip).
-    coldstart: ColdstartReport,
-    /// Per host: pre-crash installed-window sum awaiting the restart
-    /// (set at the crash instant).
-    ramp_pending: Vec<Option<u64>>,
-    /// Per host: `(pre-crash sum, restart instant)` of a ramp-up in
-    /// progress.
-    ramp_active: Vec<Option<(u64, SimTime)>>,
 }
 
 /// Decision-journal depth for simulated deployments. Large enough to hold
@@ -530,179 +492,115 @@ impl CdnSim {
     ///
     /// Panics on invalid probe or Riptide configuration.
     pub fn new(cfg: CdnSimConfig) -> Self {
-        if let Err(e) = cfg.probes.validate() {
-            panic!("invalid probe config: {e}");
-        }
-        if let Err(e) = cfg.resilience.faults.validate() {
-            panic!("invalid fault plan: {e}");
-        }
+        let check = |what: &str, valid: Result<(), String>| {
+            valid.unwrap_or_else(|e| panic!("invalid {what}: {e}"))
+        };
+        let overlay = &cfg.resilience;
+        check("probe config", cfg.probes.validate());
+        check("fault plan", overlay.faults.validate());
         for crowd in &cfg.organic.flash_crowds {
-            if let Err(e) = crowd.validate() {
-                panic!("invalid flash crowd: {e}");
-            }
+            check("flash crowd", crowd.validate());
         }
-        if let Some(g) = &cfg.resilience.gossip {
-            if let Err(e) = g.validate() {
-                panic!("invalid gossip config: {e}");
-            }
+        if let Some(g) = &overlay.gossip {
+            check("gossip config", g.validate());
         }
-        if let Some(p) = &cfg.resilience.persistence {
-            if let Err(e) = p.validate() {
-                panic!("invalid persistence config: {e}");
-            }
+        if let Some(p) = &overlay.persistence {
+            check("persistence config", p.validate());
         }
         let mut tb = Testbed::build(&cfg.testbed);
         let mut rng = DetRng::from_seed(cfg.testbed.seed ^ 0x5EED_CD11);
         let host_count = tb.world.host_count();
 
-        // Forking is pure, so attaching (or not attaching) the chaos
-        // layer leaves `rng`'s own sequence untouched.
-        let chaos = cfg.resilience.faults.is_enabled().then(|| ChaosState {
-            injector: FaultInjector::new(cfg.resilience.faults.clone(), &rng),
-            policy: BackoffPolicy::agent_default(),
-            down_until: vec![None; host_count],
-            pending: Vec::new(),
-            bursts: Vec::new(),
-            next_burst_check: SimTime::ZERO + cfg.resilience.faults.burst_check_every,
-            foreign: vec![BTreeMap::new(); host_count],
-            loss_episodes: Vec::new(),
-            report: ChaosReport::default(),
-        });
-
-        // Forked purely, like the chaos injector: attaching (or not
-        // attaching) the gossip fabric leaves `rng`'s own sequence —
-        // and therefore every gossip-free draw — untouched.
-        let gossip = cfg
-            .resilience
-            .gossip
-            .map(|g| GossipFabric::new(g, &rng, host_count));
-        let persist = cfg.resilience.persistence.map(|p| PersistLayer {
-            next_snapshot: SimTime::ZERO + p.snapshot_every,
-            stores: vec![HostStore::default(); host_count],
-            cfg: p,
-        });
-
-        let addr_to_host: HashMap<Ipv4Addr, HostId> = (0..host_count)
-            .map(|h| {
-                let host = HostId::from_index(h as u32);
-                (tb.world.host_addr(host), host)
-            })
-            .collect();
-
         let telemetry = (cfg.telemetry && cfg.riptide.is_some())
             .then(|| AgentTelemetry::standalone(TELEMETRY_JOURNAL_CAPACITY));
+        // Registered whenever telemetry is on, faults or no faults, so
+        // the exposition lists the same metrics either way.
         let io_counters = telemetry.as_ref().map(|t| t.io_counters());
 
-        let mut agents: Vec<Option<RiptideAgent>> = Vec::with_capacity(host_count);
-        let mut controllers: Vec<Option<CheckedController<SharedRouteController>>> =
-            Vec::with_capacity(host_count);
-        for h in 0..host_count {
-            match &cfg.riptide {
-                Some(rc) => {
-                    let table = Rc::new(RefCell::new(RouteTable::new()));
-                    tb.world.set_host_policy(
-                        HostId::from_index(h as u32),
-                        Rc::new(TablePolicy {
-                            table: Rc::clone(&table),
-                        }),
-                    );
-                    controllers.push(Some(CheckedController::new(
-                        SharedRouteController::new(table),
-                        rc.cwnd_min,
-                        rc.cwnd_max,
-                    )));
-                    let mut agent =
-                        RiptideAgent::new(rc.clone()).expect("validated riptide config");
-                    if let Some(t) = &telemetry {
-                        agent.attach_telemetry(t.clone());
-                    }
-                    agents.push(Some(agent));
-                }
-                None => {
-                    agents.push(None);
-                    controllers.push(None);
-                }
+        // The overlays. Each forks its RNG off `rng` before anything
+        // draws on it, and forking is pure, so attaching (or not
+        // attaching) one leaves `rng`'s own sequence — and therefore
+        // every draw of a run without it — untouched.
+        let mut agenda = Agenda::default();
+        let chaos = overlay.faults.is_enabled().then(|| {
+            let plan = overlay.faults.clone();
+            ChaosLayer::new(plan, &rng, &tb.world, io_counters, &mut agenda)
+        });
+        let mut arm = |first: SimDuration, activity| agenda.arm(SimTime::ZERO + first, activity);
+        arm(cfg.cwnd_sample_interval, Activity::CwndSample);
+        let (mut daemons, mut persist, mut gossip) = (Vec::new(), None, None);
+        if let Some(rc) = &cfg.riptide {
+            arm(rc.update_interval, Activity::AgentTick);
+            if let Some(every) = overlay.reconcile_every {
+                arm(every, Activity::Reconcile);
+            }
+            if let Some(p) = overlay.persistence {
+                arm(p.snapshot_every, Activity::Snapshot);
+                persist = Some(PersistLayer::new(p, host_count));
+            }
+            if let Some(g) = overlay.gossip {
+                arm(g.every, Activity::GossipRound);
+                gossip = Some(GossipFabric::new(g, &rng, host_count));
+            }
+            for h in 0..host_count {
+                let table = Rc::new(RefCell::new(RouteTable::new()));
+                let policy = TablePolicy {
+                    table: Rc::clone(&table),
+                };
+                tb.world
+                    .set_host_policy(HostId::from_index(h as u32), Rc::new(policy));
+                let gate = SharedRouteController::new(table);
+                daemons.push(Daemon {
+                    agent: fresh_agent(rc, telemetry.as_ref()),
+                    controller: CheckedController::new(gate, rc.cwnd_min, rc.cwnd_max),
+                });
             }
         }
 
         // Stagger each machine's probe phase uniformly over one interval.
-        let mut probe_schedule = Vec::new();
+        let mut probes = ProbeHarness::default();
         let senders: Vec<usize> = cfg
             .probe_senders
             .clone()
             .unwrap_or_else(|| (0..tb.pop_count()).collect());
         for &site in &senders {
-            for &host in tb.machines(site) {
-                let phase = rng.jitter(cfg.probes.interval);
-                probe_schedule.push((SimTime::ZERO + phase, host, site));
+            for (slot, &host) in tb.machines(site).iter().enumerate() {
+                arm(
+                    rng.jitter(cfg.probes.interval),
+                    Activity::Probe(probes.machines.len()),
+                );
+                probes.machines.push((host, site, slot));
             }
         }
 
         // Organic arrivals per ordered busy pair.
-        let mut organic_schedule = Vec::new();
+        let mut organic = OrganicArrivals::default();
         if cfg.organic.is_enabled() {
+            let mean_gap = SimDuration::from_secs_f64(1.0 / cfg.organic.flows_per_sec);
             for &i in &cfg.organic.busy_pops {
-                for &j in &cfg.organic.busy_pops {
-                    if i == j {
-                        continue;
-                    }
-                    let gap = rng
-                        .exp_duration(SimDuration::from_secs_f64(1.0 / cfg.organic.flows_per_sec));
-                    organic_schedule.push((SimTime::ZERO + gap, i, j));
+                for &j in cfg.organic.busy_pops.iter().filter(|&&j| j != i) {
+                    arm(
+                        rng.exp_duration(mean_gap),
+                        Activity::Organic(organic.pairs.len()),
+                    );
+                    organic.pairs.push((i, j));
                 }
             }
         }
 
-        let agent_interval = cfg
-            .riptide
-            .as_ref()
-            .map(|r| r.update_interval)
-            .unwrap_or(SimDuration::from_secs(1));
-
-        let probe_heap: std::collections::BinaryHeap<_> = probe_schedule
-            .iter()
-            .enumerate()
-            .map(|(idx, e)| std::cmp::Reverse((e.0, idx)))
-            .collect();
-        let organic_heap: std::collections::BinaryHeap<_> = organic_schedule
-            .iter()
-            .enumerate()
-            .map(|(idx, e)| std::cmp::Reverse((e.0, idx)))
-            .collect();
-        let next_probe_due = probe_heap.peek().map(|r| (r.0).0).unwrap_or(SimTime::MAX);
-        let next_organic_due = organic_heap.peek().map(|r| (r.0).0).unwrap_or(SimTime::MAX);
-
-        let ramp_pending = vec![None; host_count];
-        let ramp_active = vec![None; host_count];
         CdnSim {
             tb,
-            next_agent_tick: SimTime::ZERO + agent_interval,
-            next_cwnd_sample: SimTime::ZERO + cfg.cwnd_sample_interval,
-            next_reconcile: cfg.resilience.reconcile_every.map(|d| SimTime::ZERO + d),
-            addr_to_host,
             cfg,
-            agents,
-            controllers,
-            chaos,
+            daemons,
             rng,
-            probe_schedule,
-            organic_schedule,
-            probe_heap,
-            organic_heap,
-            next_probe_due,
-            next_organic_due,
-            probe_tags: HashMap::new(),
-            probe_outcomes: Vec::new(),
+            agenda,
+            probes,
+            organic,
             cwnd_samples: Vec::new(),
-            organic_completed: 0,
-            organic_started: 0,
             telemetry,
-            io_counters,
+            chaos,
             persist,
             gossip,
-            coldstart: ColdstartReport::default(),
-            ramp_pending,
-            ramp_active,
         }
     }
 
@@ -734,7 +632,7 @@ impl CdnSim {
 
     /// Completed probes so far.
     pub fn probe_outcomes(&self) -> &[ProbeOutcome] {
-        &self.probe_outcomes
+        &self.probes.outcomes
     }
 
     /// Live-window samples so far.
@@ -744,12 +642,16 @@ impl CdnSim {
 
     /// Organic flows completed so far.
     pub fn organic_completed(&self) -> u64 {
-        self.organic_completed
+        self.organic.completed
     }
 
     /// Organic flows started so far.
     pub fn organic_started(&self) -> u64 {
-        self.organic_started
+        self.organic.started
+    }
+
+    fn agents(&self) -> impl Iterator<Item = &RiptideAgent> {
+        self.daemons.iter().map(|d| &d.agent)
     }
 
     /// Mean learned (installed) window across every agent's live table,
@@ -758,7 +660,7 @@ impl CdnSim {
     pub fn mean_learned_window(&self) -> Option<(f64, usize)> {
         let mut sum = 0u64;
         let mut n = 0usize;
-        for agent in self.agents.iter().flatten() {
+        for agent in self.agents() {
             for (_, entry) in agent.table().iter() {
                 sum += entry.window as u64;
                 n += 1;
@@ -778,7 +680,7 @@ impl CdnSim {
     /// tracked in [`CdnSim::chaos_report`]).
     pub fn agent_stats_total(&self) -> AgentStats {
         let mut total = AgentStats::default();
-        for a in self.agents.iter().flatten() {
+        for a in self.agents() {
             let s = a.stats();
             total.ticks += s.ticks;
             total.observations += s.observations;
@@ -803,32 +705,23 @@ impl CdnSim {
         let mut r = self
             .chaos
             .as_ref()
-            .map(|c| {
-                let mut r = c.report;
-                r.faults = c.injector.stats();
-                r
-            })
+            .map(ChaosLayer::report)
             .unwrap_or_default();
         let live = self.agent_stats_total();
         r.degraded_ticks += live.degraded_ticks;
         r.guard_trips += live.guard_trips;
         r.reconcile_repairs += live.reconcile_repairs;
-        for ctl in self.controllers.iter().flatten() {
-            r.installs += ctl.installs();
-            r.invariant_breaches += ctl.breaches();
-            if let Some((lo, hi)) = ctl.installed_range() {
-                r.installed_min = r.installed_min.min(lo);
-                r.installed_max = r.installed_max.max(hi);
-            }
-        }
         // Point-in-time drift audit: does every host's kernel table agree
         // with its agent's installed view, and is every injected foreign
         // route still exactly as injected?
-        for h in 0..self.agents.len() {
-            let (Some(agent), Some(ctl)) = (&self.agents[h], &self.controllers[h]) else {
-                continue;
-            };
-            let table = ctl.inner().table();
+        for (h, Daemon { agent, controller }) in self.daemons.iter().enumerate() {
+            r.installs += controller.installs();
+            r.invariant_breaches += controller.breaches();
+            if let Some((lo, hi)) = controller.installed_range() {
+                r.installed_min = r.installed_min.min(lo);
+                r.installed_max = r.installed_max.max(hi);
+            }
+            let table = controller.inner().table();
             let kernel = table.borrow();
             for (&key, &want) in agent.installed_view() {
                 match kernel.get(key) {
@@ -846,11 +739,7 @@ impl CdnSim {
                 }
             }
             if let Some(chaos) = &self.chaos {
-                for (&key, attrs) in &chaos.foreign[h] {
-                    if kernel.get(key).map(|route| &route.attrs) != Some(attrs) {
-                        r.foreign_missing += 1;
-                    }
-                }
+                r.foreign_missing += chaos.foreign_missing(h, &kernel);
             }
         }
         r
@@ -860,131 +749,117 @@ impl CdnSim {
     /// plus what the persistence and gossip layers did. All-zero when
     /// crashes, persistence and gossip are off.
     pub fn coldstart_report(&self) -> ColdstartReport {
-        let mut r = self.coldstart;
-        if let Some(g) = &self.gossip {
-            let s = g.stats();
-            r.gossip_rounds = s.rounds;
-            r.gossip_pairs = s.pairs;
-            r.gossip_backoff_skips = s.backoff_skips;
-            r.gossip_peers_marked_down = s.peers_marked_down;
+        let mut r = ColdstartReport::default();
+        if let Some(c) = &self.chaos {
+            r.merge(&c.ramp.report());
         }
-        r.unrecovered = (self.ramp_pending.iter().flatten().count()
-            + self.ramp_active.iter().flatten().count()) as u64;
+        if let Some(p) = &self.persist {
+            r.merge(&p.done);
+        }
+        if let Some(g) = &self.gossip {
+            r.merge(&g.done);
+        }
         r
     }
 
     /// The learned window a host currently has for a destination address
     /// (for tests).
     pub fn learned_window(&self, host: HostId, dst: Ipv4Addr) -> Option<u32> {
-        self.agents[host.index()]
-            .as_ref()
-            .and_then(|a| a.learned_window(dst))
+        let daemon = self.daemons.get(host.index())?;
+        daemon.agent.learned_window(dst)
     }
 
-    /// Runs one reconciler audit immediately on every live riptide host,
-    /// regardless of the `reconcile_every` schedule — the hook benches
-    /// use to demonstrate convergence after the last churn instant.
+    /// Runs one reconciler audit on every live riptide host, regardless
+    /// of the `reconcile_every` schedule — the hook benches use to
+    /// demonstrate convergence after the last churn instant.
+    ///
+    /// A daemon that is mid-restart has no agent to audit, and the
+    /// routes its dead incarnation left would read as drift. So with
+    /// restarts or delayed writes outstanding, the deployment first runs
+    /// on through the agent tick that finds all of them over. (A crash
+    /// drawn during that stretch is not waited for in turn.)
     pub fn reconcile_now(&mut self) {
         let now = self.tb.world.now();
-        self.run_reconcile(now);
+        let settles = self.chaos.as_ref().and_then(|c| c.settles_at(now));
+        let tick_gap = self.cfg.riptide.as_ref().map(|rc| rc.update_interval);
+        if let (Some(at), Some(gap)) = (settles, tick_gap) {
+            // Agent ticks are `gap` apart, so exactly one falls in
+            // `[at, at + gap)`.
+            self.run_for((at + gap).saturating_since(now));
+        }
+        self.run_reconcile(self.tb.world.now());
     }
 
     /// Advances the deployment by `duration` of simulated time.
+    ///
+    /// An entry due exactly at the closing instant does not fire in
+    /// this call; it is the first thing the next call does. So stepping
+    /// a run in pieces is the same run.
     pub fn run_for(&mut self, duration: SimDuration) {
         let end = self.tb.world.now() + duration;
         loop {
-            let mut next = end;
-            if self.riptide_enabled() {
-                next = next.min(self.next_agent_tick);
-            }
-            next = next.min(self.next_cwnd_sample);
-            next = next.min(self.next_probe_due);
-            next = next.min(self.next_organic_due);
-            if let Some(chaos) = &self.chaos {
-                next = next.min(chaos.next_burst_check);
-                if let Some(t) = chaos.bursts.iter().map(|b| b.until).min() {
-                    next = next.min(t);
-                }
-                if let Some(t) = chaos.loss_episodes.iter().map(|b| b.until).min() {
-                    next = next.min(t);
-                }
-                if let Some(t) = chaos.pending.iter().map(|p| p.due).min() {
-                    next = next.min(t);
-                }
-            }
-            if let Some(t) = self.next_reconcile {
-                next = next.min(t);
-            }
-            if let Some(g) = &self.gossip {
-                if self.riptide_enabled() {
-                    next = next.min(g.next_round());
-                }
-            }
-            if let Some(p) = &self.persist {
-                if self.riptide_enabled() {
-                    next = next.min(p.next_snapshot);
-                }
-            }
-            self.tb.world.run_until(next);
+            let at = self.agenda.next_at().map_or(end, |t| t.min(end));
+            self.tb.world.run_until(at);
             self.collect_completed();
-            if next >= end {
+            if at >= end {
                 break;
             }
-            let now = next;
-            if self.chaos.is_some() {
-                self.apply_due_installs(now);
-                self.chaos_burst_tick(now);
+            let (_, activity) = self.agenda.pop().expect("an entry is due before `end`");
+            self.fire(at, activity);
+        }
+    }
+
+    /// Does `activity`, due `now`, and re-arms it if it is periodic.
+    fn fire(&mut self, now: SimTime, activity: Activity) {
+        let (tb, rng) = (&mut self.tb, &mut self.rng);
+        let again = match activity {
+            Activity::DelayedInstall
+            | Activity::BurstEnd
+            | Activity::LossEpisodeEnd
+            | Activity::BurstCheck => {
+                let chaos = self.chaos.as_mut().expect("armed by the chaos layer");
+                let world = &mut tb.world;
+                chaos.fire(activity, now, world, &mut self.daemons, &mut self.agenda)
             }
-            if self.riptide_enabled() && now >= self.next_agent_tick {
-                self.chaos_churn_tick(now);
+            Activity::AgentTick => {
                 self.tick_agents(now);
-                self.journal_deltas(now);
-                let interval = self
-                    .cfg
-                    .riptide
-                    .as_ref()
-                    .expect("riptide enabled")
-                    .update_interval;
-                self.next_agent_tick = now + interval;
+                self.cfg.riptide.as_ref().map(|rc| rc.update_interval)
             }
-            if self.riptide_enabled() {
-                if let Some(g) = &self.gossip {
-                    if now >= g.next_round() {
-                        self.gossip_round(now);
-                    }
+            Activity::GossipRound => {
+                let alive = self.live_hosts(now);
+                let fabric = self.gossip.as_mut().expect("armed with the fabric");
+                let gap = fabric.round(now, &alive, &mut self.daemons);
+                if let Some(chaos) = self.chaos.as_mut() {
+                    chaos.ramp.check(now, &self.daemons);
                 }
-                if let Some(p) = &self.persist {
-                    if now >= p.next_snapshot {
-                        self.snapshot_hosts(now);
-                    }
-                }
-                self.check_ramp(now);
+                Some(gap)
             }
-            if let Some(t) = self.next_reconcile {
-                if now >= t {
-                    self.run_reconcile(now);
-                    let every = self
-                        .cfg
-                        .resilience
-                        .reconcile_every
-                        .expect("reconcile scheduled");
-                    self.next_reconcile = Some(now + every);
-                }
+            Activity::Snapshot => {
+                let live = self.live_hosts(now);
+                let persist = self.persist.as_mut().expect("armed with the layer");
+                Some(persist.snapshot(now, &self.daemons, &live))
             }
-            if now >= self.next_cwnd_sample {
+            Activity::Reconcile => {
+                self.run_reconcile(now);
+                self.cfg.resilience.reconcile_every
+            }
+            Activity::CwndSample => {
                 self.sample_cwnds(now);
-                self.next_cwnd_sample = now + self.cfg.cwnd_sample_interval;
+                Some(self.cfg.cwnd_sample_interval)
             }
-            self.fire_due_probes(now);
-            self.fire_due_organic(now);
+            Activity::Probe(idx) => Some(self.probes.fire(idx, tb, rng, &self.cfg.probes)),
+            Activity::Organic(idx) => Some(self.organic.fire(idx, now, tb, rng, &self.cfg.organic)),
+        };
+        if let Some(gap) = again {
+            self.agenda.arm(now + gap, activity);
         }
     }
 
     fn collect_completed(&mut self) {
         for rec in self.tb.world.drain_completed() {
-            match self.probe_tags.remove(&rec.transfer) {
+            match self.probes.tags.remove(&rec.transfer) {
                 Some((src_site, dst_site, size)) => {
-                    self.probe_outcomes.push(ProbeOutcome {
+                    self.probes.outcomes.push(ProbeOutcome {
                         src_site,
                         dst_site,
                         size,
@@ -995,105 +870,38 @@ impl CdnSim {
                         initial_cwnd: rec.initial_cwnd,
                     });
                 }
-                None => self.organic_completed += 1,
+                None => self.organic.completed += 1,
             }
         }
     }
 
+    /// Per daemon: whether it is up at `now`. A down daemon neither
+    /// journals, snapshots, gossips nor audits.
+    fn live_hosts(&self, now: SimTime) -> Vec<bool> {
+        let up = |h| self.chaos.as_ref().is_none_or(|c| c.is_up(h, now));
+        (0..self.daemons.len()).map(up).collect()
+    }
+
+    /// [`Activity::AgentTick`]: route churn, then each host in turn —
+    /// its daemon's crash/restart lifecycle, its `ss` poll, its tick —
+    /// then the journal appends and ramp completions the ticks caused.
     fn tick_agents(&mut self, now: SimTime) {
-        // PoP pairs whose fresh jump-start installs drew a targeted loss
-        // fault this tick; episodes start after the loop so the world is
-        // not reconfigured while agents still borrow chaos state.
-        let mut targeted: Vec<(PopId, PopId)> = Vec::new();
-        for h in 0..self.agents.len() {
+        if let Some(chaos) = self.chaos.as_mut() {
+            chaos.churn(&mut self.daemons);
+        }
+        let world = &mut self.tb.world;
+        for (h, daemon) in self.daemons.iter_mut().enumerate() {
             let host = HostId::from_index(h as u32);
-            if self.agents[h].is_some() {
-                if let Some(chaos) = self.chaos.as_mut() {
-                    match chaos.down_until[h] {
-                        // The daemon is mid-restart: nothing runs.
-                        Some(until) if now < until => continue,
-                        Some(_) => {
-                            // Restart: the replacement's first act is the
-                            // §IV-D startup recovery — wipe whatever
-                            // riptide routes the dead incarnation left.
-                            chaos.down_until[h] = None;
-                            let ctl = self.controllers[h]
-                                .as_mut()
-                                .expect("controller exists when agent does");
-                            let table = ctl.inner().table();
-                            let wiped = recover_stale_routes(&mut table.borrow_mut());
-                            chaos.report.routes_recovered += wiped as u64;
-                            // Warm restart: reload the host's persisted
-                            // state file (it survived on "disk") and
-                            // reinstall the surviving routes, instead of
-                            // re-learning from an empty table. A torn or
-                            // corrupt file degrades to a cold start.
-                            if let Some(p) = self.persist.as_mut() {
-                                let store = &mut p.stores[h];
-                                if let Ok(state) = riptide::persist::decode_state(&store.bytes) {
-                                    let merged =
-                                        riptide::persist::replay(&state.snapshot, &state.journal);
-                                    let agent = self.agents[h]
-                                        .as_mut()
-                                        .expect("fresh agent installed at crash");
-                                    let restored = agent.restore_state(&merged, now, ctl);
-                                    self.coldstart.restored_routes += restored.len() as u64;
-                                    store.last_installed = agent.installed_view().clone();
-                                }
-                            }
-                            if let Some(pre) = self.ramp_pending[h].take() {
-                                self.ramp_active[h] = Some((pre, now));
-                                self.coldstart.restarts_tracked += 1;
-                            }
-                        }
-                        None => {
-                            if chaos.injector.crashes_now() {
-                                // Crash loses the learned table (it lives
-                                // in the daemon) but not installed routes
-                                // (they live in the kernel) — nor the
-                                // persisted state file (it lives on disk).
-                                let old = self.agents[h].take().expect("agent present");
-                                chaos.report.degraded_ticks += old.stats().degraded_ticks;
-                                chaos.report.guard_trips += old.stats().guard_trips;
-                                chaos.report.reconcile_repairs += old.stats().reconcile_repairs;
-                                // Ramp tracking draws no randomness and
-                                // acts only here and at the restart.
-                                let pre: u64 =
-                                    old.installed_view().values().map(|&w| w as u64).sum();
-                                self.ramp_active[h] = None;
-                                self.ramp_pending[h] = (pre > 0).then_some(pre);
-                                let rc = self.cfg.riptide.clone().expect("agent implies config");
-                                let mut fresh =
-                                    RiptideAgent::new(rc).expect("validated riptide config");
-                                if let Some(t) = &self.telemetry {
-                                    fresh.attach_telemetry(t.clone());
-                                }
-                                self.agents[h] = Some(fresh);
-                                chaos.down_until[h] =
-                                    Some(now + chaos.injector.plan().restart_after);
-                                if chaos.injector.plan().crash_resets_connections {
-                                    // Machine restart: the host's TCP
-                                    // state (both directions) dies with
-                                    // it — nothing to observe until
-                                    // traffic returns.
-                                    self.tb.world.reset_host_connections(host);
-                                }
-                                continue;
-                            }
-                        }
-                    }
+            if let Some(chaos) = self.chaos.as_mut() {
+                let (persist, telemetry) = (self.persist.as_mut(), self.telemetry.as_ref());
+                if !chaos.lifecycle(h, now, daemon, persist, telemetry, world) {
+                    continue;
                 }
             }
-            let Some(agent) = self.agents[h].as_mut() else {
-                continue;
-            };
-            let controller = self.controllers[h]
-                .as_mut()
-                .expect("controller exists when agent does");
-            let mut observations: Vec<CwndObservation> = Vec::new();
-            self.tb.world.each_host_conn_stat(host, |s| {
+            let mut rows: Vec<CwndObservation> = Vec::new();
+            world.each_host_conn_stat(host, |s| {
                 if s.state == ConnState::Established {
-                    observations.push(CwndObservation {
+                    rows.push(CwndObservation {
                         dst: s.dst_addr,
                         cwnd: s.cwnd,
                         bytes_acked: s.bytes_acked,
@@ -1103,200 +911,21 @@ impl CdnSim {
                 }
             });
             match self.chaos.as_mut() {
+                Some(chaos) => chaos.drive_tick(h, now, daemon, rows, world, &mut self.agenda),
                 None => {
-                    // The agent polls exactly once per tick; hand the rows
-                    // over instead of cloning them per poll.
-                    let mut rows = Some(observations);
-                    let mut observer =
-                        FnObserver(move || rows.take().expect("agent polls once per tick"));
+                    // The agent polls once per tick: hand the rows over.
+                    let mut observer = FnObserver(|| std::mem::take(&mut rows));
+                    let Daemon { agent, controller } = daemon;
                     agent.tick(now, &mut observer, controller);
                 }
-                Some(chaos) => {
-                    let update_interval = self
-                        .cfg
-                        .riptide
-                        .as_ref()
-                        .expect("agent implies config")
-                        .update_interval;
-                    let ChaosState {
-                        injector,
-                        policy,
-                        pending,
-                        report,
-                        ..
-                    } = chaos;
-
-                    // Observation: fault-injected poll under retry with a
-                    // per-cycle budget. A timed-out attempt is modeled as
-                    // costing 200 ms of the cycle.
-                    let rows = &observations;
-                    // Scoped so the observer's borrow of `injector` ends
-                    // before the controller takes it.
-                    let (polled, obs_retries) = {
-                        let mut resilient = ResilientObserver::new(
-                            FnFallibleObserver(|| match injector.observe_fault(rows.len()) {
-                                ObserveFault::None => Ok(rows.clone()),
-                                ObserveFault::Timeout => Err(ObserveError::Timeout),
-                                ObserveFault::Partial { keep } => Ok(rows[..keep].to_vec()),
-                            }),
-                            *policy,
-                            SimDuration::from_millis(200),
-                            update_interval,
-                        );
-                        if let Some(io) = &self.io_counters {
-                            resilient.set_counters(io.clone());
-                        }
-                        let polled = resilient.observe();
-                        (polled, resilient.stats().retries)
-                    };
-                    report.observe_retries += obs_retries;
-
-                    match polled {
-                        Err(_) => {
-                            // Degraded cycle: never guess from stale rows
-                            // — freeze learning, let TTL expiry run.
-                            agent.tick_degraded(now, controller);
-                        }
-                        Ok(polled_rows) => {
-                            let delay_for = injector.plan().install_delay_for;
-                            let chaos_ctl = ChaosController {
-                                inner: controller,
-                                injector,
-                                pending,
-                                now,
-                                delay_for,
-                                host: h,
-                            };
-                            let mut rctl = ResilientController::new(chaos_ctl, *policy);
-                            if let Some(io) = &self.io_counters {
-                                rctl.set_counters(io.clone());
-                            }
-                            let mut polled_rows = Some(polled_rows);
-                            let mut observer = FnObserver(move || {
-                                polled_rows.take().expect("agent polls once per tick")
-                            });
-                            let tick = agent.tick(now, &mut observer, &mut rctl);
-                            let io = rctl.stats();
-                            report.install_retries += io.retries;
-                            report.install_gave_up += io.gave_up;
-                            // Adversarial loss: each *jump-start* install
-                            // (window above the kernel default of 10) may
-                            // draw a loss episode on exactly the path the
-                            // learned window now accelerates.
-                            for &(key, window) in &tick.updates {
-                                if window <= 10 || !injector.targeted_burst() {
-                                    continue;
-                                }
-                                let Some(&dst) = self.addr_to_host.get(&key.network()) else {
-                                    continue;
-                                };
-                                let a = self.tb.world.pop_of(host);
-                                let b = self.tb.world.pop_of(dst);
-                                if a != b {
-                                    targeted.push((a, b));
-                                }
-                            }
-                        }
-                    }
-                }
             }
         }
-        self.start_loss_episodes(now, targeted);
-    }
-
-    /// Starts a targeted loss episode on each drawn PoP pair that does not
-    /// already have one running, raising path loss to the plan's
-    /// `targeted_loss_rate` until `targeted_loss_for` elapses.
-    fn start_loss_episodes(&mut self, now: SimTime, pairs: Vec<(PopId, PopId)>) {
-        let Some(chaos) = self.chaos.as_mut() else {
-            return;
-        };
-        for (a, b) in pairs {
-            let hit = chaos
-                .loss_episodes
-                .iter()
-                .any(|x| (x.a == a && x.b == b) || (x.a == b && x.b == a));
-            if hit {
-                continue;
-            }
-            let saved_ab = self
-                .tb
-                .world
-                .path_config(a, b)
-                .expect("inter-pop path exists")
-                .clone();
-            let saved_ba = self
-                .tb
-                .world
-                .path_config(b, a)
-                .expect("inter-pop path exists")
-                .clone();
-            let loss = chaos.injector.plan().targeted_loss_rate;
-            let mut lossy_ab = saved_ab.clone();
-            lossy_ab.loss = lossy_ab.loss.max(loss);
-            let mut lossy_ba = saved_ba.clone();
-            lossy_ba.loss = lossy_ba.loss.max(loss);
-            self.tb.world.reconfigure_path(a, b, lossy_ab);
-            self.tb.world.reconfigure_path(b, a, lossy_ba);
-            chaos.loss_episodes.push(ActiveBurst {
-                until: now + chaos.injector.plan().targeted_loss_for,
-                a,
-                b,
-                saved_ab,
-                saved_ba,
-            });
+        let live = self.live_hosts(now);
+        if let Some(persist) = self.persist.as_mut() {
+            persist.journal_deltas(now, &self.daemons, &live);
         }
-    }
-
-    /// Route-table churn: at each agent-tick instant every riptide host
-    /// draws a churn fault that mutates its kernel table behind the
-    /// agent's back — deleting an installed route, injecting an orphan
-    /// riptide-signature route, or injecting a foreign route the
-    /// reconciler must never touch.
-    fn chaos_churn_tick(&mut self, _now: SimTime) {
-        let Some(chaos) = self.chaos.as_mut() else {
-            return;
-        };
-        for h in 0..self.agents.len() {
-            let Some(ctl) = self.controllers[h].as_mut() else {
-                continue;
-            };
-            let installed = self.agents[h]
-                .as_ref()
-                .map_or(0, |a| a.installed_view().len());
-            match chaos.injector.churn_fault(installed) {
-                ChurnFault::None => {}
-                ChurnFault::DeleteInstalled { pick } => {
-                    let key = self.agents[h]
-                        .as_ref()
-                        .and_then(|a| a.installed_view().keys().nth(pick).copied());
-                    if let Some(key) = key {
-                        if ctl.inner().table().borrow_mut().del(key).is_ok() {
-                            chaos.report.drift_deleted += 1;
-                        }
-                    }
-                }
-                ChurnFault::InjectOrphan { octet, window } => {
-                    // TEST-NET-3: outside the testbed's 10.x address range,
-                    // so the orphan never shadows a live destination.
-                    let key = Ipv4Prefix::host(Ipv4Addr::new(203, 0, 113, octet));
-                    let mut attrs = RouteAttrs::initcwnd(window);
-                    attrs.proto = RouteProto::Static;
-                    ctl.inner().table().borrow_mut().replace(key, attrs);
-                    chaos.report.drift_orphaned += 1;
-                }
-                ChurnFault::InjectForeign { octet } => {
-                    // TEST-NET-2, proto kernel, no initcwnd: not ours.
-                    let key = Ipv4Prefix::host(Ipv4Addr::new(198, 51, 100, octet));
-                    let attrs = RouteAttrs {
-                        proto: RouteProto::Kernel,
-                        ..RouteAttrs::default()
-                    };
-                    ctl.inner().table().borrow_mut().replace(key, attrs.clone());
-                    chaos.foreign[h].insert(key, attrs);
-                    chaos.report.foreign_injected += 1;
-                }
-            }
+        if let Some(chaos) = self.chaos.as_mut() {
+            chaos.ramp.check(now, &self.daemons);
         }
     }
 
@@ -1305,303 +934,33 @@ impl CdnSim {
     /// the agent diff the dump against its installed view and repair any
     /// drift.
     fn run_reconcile(&mut self, now: SimTime) {
-        for h in 0..self.agents.len() {
-            if let Some(chaos) = self.chaos.as_ref() {
-                if chaos.down_until[h].is_some_and(|until| now < until) {
-                    continue;
-                }
+        for (h, Daemon { agent, controller }) in self.daemons.iter_mut().enumerate() {
+            if self.chaos.as_ref().is_some_and(|c| !c.is_up(h, now)) {
+                continue;
             }
-            let Some(agent) = self.agents[h].as_mut() else {
-                continue;
-            };
-            let Some(ctl) = self.controllers[h].as_mut() else {
-                continue;
-            };
-            let text = ctl.inner().table().borrow().render();
+            let text = controller.inner().table().borrow().render();
             let (dump, defects) = RouteTable::parse_lossy(&text);
             debug_assert!(defects.is_empty(), "self-rendered dump parses clean");
-            let audit = agent.reconcile(&dump, ctl);
+            let audit = agent.reconcile(&dump, controller);
             if let Some(chaos) = self.chaos.as_mut() {
                 chaos.report.reconcile_foreign_seen += audit.foreign_seen as u64;
             }
         }
     }
 
-    /// Lands every delayed route write whose delay has elapsed. The write
-    /// still goes through the host's bounds gate, and may target a host
-    /// whose agent has crashed since — the kernel applies it regardless.
-    fn apply_due_installs(&mut self, now: SimTime) {
-        let Some(chaos) = self.chaos.as_mut() else {
-            return;
-        };
-        let mut i = 0;
-        while i < chaos.pending.len() {
-            if chaos.pending[i].due > now {
-                i += 1;
-                continue;
-            }
-            let p = chaos.pending.swap_remove(i);
-            if let Some(ctl) = self.controllers[p.host].as_mut() {
-                let landed = match p.window {
-                    Some(w) => ctl.set_initcwnd(p.key, w).is_ok(),
-                    None => ctl.clear_initcwnd(p.key).is_ok(),
-                };
-                if landed {
-                    chaos.report.delayed_applied += 1;
-                }
-            }
-        }
-    }
-
-    /// Ends elapsed link loss bursts (restoring the saved path configs)
-    /// and, at each burst-check instant, possibly starts a new one on a
-    /// randomly drawn PoP pair.
-    fn chaos_burst_tick(&mut self, now: SimTime) {
-        let Some(chaos) = self.chaos.as_mut() else {
-            return;
-        };
-        let mut i = 0;
-        while i < chaos.bursts.len() {
-            if now >= chaos.bursts[i].until {
-                let b = chaos.bursts.swap_remove(i);
-                self.tb.world.reconfigure_path(b.a, b.b, b.saved_ab);
-                self.tb.world.reconfigure_path(b.b, b.a, b.saved_ba);
-            } else {
-                i += 1;
-            }
-        }
-        let mut i = 0;
-        while i < chaos.loss_episodes.len() {
-            if now >= chaos.loss_episodes[i].until {
-                let e = chaos.loss_episodes.swap_remove(i);
-                self.tb.world.reconfigure_path(e.a, e.b, e.saved_ab);
-                self.tb.world.reconfigure_path(e.b, e.a, e.saved_ba);
-            } else {
-                i += 1;
-            }
-        }
-        if now >= chaos.next_burst_check {
-            if let Some((ai, bi)) = chaos.injector.burst_starts(self.tb.pop_count()) {
-                let (a, b) = (PopId::from_index(ai as u32), PopId::from_index(bi as u32));
-                let hit = chaos
-                    .bursts
-                    .iter()
-                    .any(|x| (x.a == a && x.b == b) || (x.a == b && x.b == a));
-                if !hit {
-                    let saved_ab = self
-                        .tb
-                        .world
-                        .path_config(a, b)
-                        .expect("inter-pop path exists")
-                        .clone();
-                    let saved_ba = self
-                        .tb
-                        .world
-                        .path_config(b, a)
-                        .expect("inter-pop path exists")
-                        .clone();
-                    let loss = chaos.injector.plan().burst_loss;
-                    let mut burst_ab = saved_ab.clone();
-                    burst_ab.loss = burst_ab.loss.max(loss);
-                    let mut burst_ba = saved_ba.clone();
-                    burst_ba.loss = burst_ba.loss.max(loss);
-                    self.tb.world.reconfigure_path(a, b, burst_ab);
-                    self.tb.world.reconfigure_path(b, a, burst_ba);
-                    chaos.bursts.push(ActiveBurst {
-                        until: now + chaos.injector.plan().burst_for,
-                        a,
-                        b,
-                        saved_ab,
-                        saved_ba,
-                    });
-                }
-            }
-            chaos.next_burst_check = now + chaos.injector.plan().burst_check_every;
-        }
-    }
-
-    /// Whether host `h`'s daemon is up at `now` (always true without a
-    /// chaos layer; a down daemon neither snapshots, journals, nor
-    /// gossips).
-    fn host_up(chaos: &Option<ChaosState>, h: usize, now: SimTime) -> bool {
-        chaos
-            .as_ref()
-            .is_none_or(|c| c.down_until[h].is_none_or(|until| now >= until))
-    }
-
-    /// One host's learned table as sync entries, key-sorted (tables
-    /// iterate in key order).
-    fn sync_entries(agents: &[Option<RiptideAgent>], h: usize) -> Vec<SyncEntry> {
-        agents[h].as_ref().map_or_else(Vec::new, |a| {
-            a.table()
-                .iter()
-                .map(|(k, e)| SyncEntry {
-                    key: *k,
-                    window: e.window,
-                    last_updated: e.last_updated,
-                })
-                .collect()
-        })
-    }
-
-    /// Appends journal records for each host whose installed view
-    /// changed since its state file last described it — the WAL half of
-    /// the persistence hybrid, so a crash loses at most one tick.
-    fn journal_deltas(&mut self, now: SimTime) {
-        let Some(p) = self.persist.as_mut() else {
-            return;
-        };
-        if !p.cfg.journal {
-            return;
-        }
-        for h in 0..self.agents.len() {
-            if !Self::host_up(&self.chaos, h, now) {
-                continue;
-            }
-            let Some(agent) = self.agents[h].as_ref() else {
-                continue;
-            };
-            let store = &mut p.stores[h];
-            let cur = agent.installed_view();
-            if *cur == store.last_installed {
-                continue;
-            }
-            // A journal needs a snapshot header to replay onto; the
-            // first append starts from an empty one.
-            if store.bytes.is_empty() {
-                let empty = TableSnapshot::default();
-                store.bytes = encode_state(&empty, &[]);
-            }
-            let mut records = 0u64;
-            for &key in store.last_installed.keys() {
-                if !cur.contains_key(&key) {
-                    JournalRecord {
-                        at: now,
-                        key,
-                        op: JournalOp::Withdraw,
-                    }
-                    .encode_into(&mut store.bytes);
-                    records += 1;
-                }
-            }
-            for (&key, &window) in cur {
-                if store.last_installed.get(&key) != Some(&window) {
-                    JournalRecord {
-                        at: now,
-                        key,
-                        op: JournalOp::Install { window },
-                    }
-                    .encode_into(&mut store.bytes);
-                    records += 1;
-                }
-            }
-            store.last_installed = cur.clone();
-            self.coldstart.journal_records += records;
-        }
-    }
-
-    /// Rewrites every live host's snapshot from its agent's full state,
-    /// truncating the journal tail into it.
-    fn snapshot_hosts(&mut self, now: SimTime) {
-        let Some(p) = self.persist.as_mut() else {
-            return;
-        };
-        for h in 0..self.agents.len() {
-            if !Self::host_up(&self.chaos, h, now) {
-                continue;
-            }
-            let Some(agent) = self.agents[h].as_ref() else {
-                continue;
-            };
-            let store = &mut p.stores[h];
-            store.bytes = encode_state(&agent.snapshot_state(now), &[]);
-            store.last_installed = agent.installed_view().clone();
-            self.coldstart.snapshots_written += 1;
-        }
-        p.next_snapshot = now + p.cfg.snapshot_every;
-    }
-
-    /// One gossip round: draw this round's pairs, compare digests, and
-    /// ship bounded deltas both ways where they differ. All table
-    /// mutation goes through [`RiptideAgent::merge_remote`], which
-    /// applies the newest-wins clamp-merge rules and installs through
-    /// the same bounds-checked controller as learning.
-    fn gossip_round(&mut self, now: SimTime) {
-        let alive: Vec<bool> = (0..self.agents.len())
-            .map(|h| self.agents[h].is_some() && Self::host_up(&self.chaos, h, now))
-            .collect();
-        let Some(fabric) = self.gossip.as_mut() else {
-            return;
-        };
-        let pairs = fabric.pairs_for_round(now, &alive);
-        fabric.schedule_next(now);
-        let sync_cfg = fabric.sync_config();
-        for (a, b) in pairs {
-            let ea = Self::sync_entries(&self.agents, a);
-            let eb = Self::sync_entries(&self.agents, b);
-            let fabric = self.gossip.as_mut().expect("gossip enabled");
-            if digest_of(&ea) == digest_of(&eb) {
-                self.coldstart.digests_matched += 1;
-                fabric.record_exchange(a, b, now);
-                continue;
-            }
-            let since = fabric.last_exchange(a, b);
-            let delta_ab = delta_for(&ea, since, &sync_cfg);
-            let delta_ba = delta_for(&eb, since, &sync_cfg);
-            fabric.record_exchange(a, b, now);
-            self.coldstart.entries_shipped +=
-                (delta_ab.entries.len() + delta_ba.entries.len()) as u64;
-            for (dst, delta) in [(b, delta_ab), (a, delta_ba)] {
-                if delta.entries.is_empty() {
-                    continue;
-                }
-                let agent = self.agents[dst].as_mut().expect("alive host has agent");
-                let ctl = self.controllers[dst]
-                    .as_mut()
-                    .expect("controller exists when agent does");
-                let accepted = agent.merge_remote(&delta.entries, now, ctl);
-                self.coldstart.entries_accepted += accepted.len() as u64;
-            }
-        }
-    }
-
-    /// Completes any in-progress ramp whose host climbed back to 90% of
-    /// its pre-crash installed-window sum.
-    fn check_ramp(&mut self, now: SimTime) {
-        for h in 0..self.agents.len() {
-            let Some((pre, since)) = self.ramp_active[h] else {
-                continue;
-            };
-            if !Self::host_up(&self.chaos, h, now) {
-                continue;
-            }
-            let Some(agent) = self.agents[h].as_ref() else {
-                continue;
-            };
-            let cur: u64 = agent.installed_view().values().map(|&w| w as u64).sum();
-            if cur * 10 >= pre * 9 {
-                let ramp = now.saturating_since(since);
-                self.coldstart.recoveries += 1;
-                self.coldstart.ramp_nanos_total += ramp.as_nanos();
-                self.coldstart.ramp_nanos_max = self.coldstart.ramp_nanos_max.max(ramp.as_nanos());
-                self.ramp_active[h] = None;
-            }
-        }
-    }
-
+    /// [`Activity::CwndSample`]: one `ss` sweep of every host.
     fn sample_cwnds(&mut self, now: SimTime) {
-        for h in 0..self.tb.world.host_count() {
+        let world = &self.tb.world;
+        for h in 0..world.host_count() {
             let host = HostId::from_index(h as u32);
-            let site = self.tb.world.pop_of(host).index();
-            let world = &self.tb.world;
-            let samples = &mut self.cwnd_samples;
+            let site = world.pop_of(host).index();
             world.each_host_conn_stat(host, |s| {
                 // The paper's filter: only connections created after
                 // Riptide was started (t = 0 here), in ESTAB state.
                 if s.state != ConnState::Established {
                     return;
                 }
-                samples.push(CwndSample {
+                self.cwnd_samples.push(CwndSample {
                     site,
                     dst_site: world.pop_of(s.dst).index(),
                     cwnd: s.cwnd,
@@ -1609,97 +968,6 @@ impl CdnSim {
                 });
             });
         }
-    }
-
-    fn fire_due_probes(&mut self, now: SimTime) {
-        if now < self.next_probe_due {
-            return;
-        }
-        while let Some(&std::cmp::Reverse((due, idx))) = self.probe_heap.peek() {
-            if due > now {
-                break;
-            }
-            self.probe_heap.pop();
-            let (_, host, site) = self.probe_schedule[idx];
-            self.probe_one_machine(host, site);
-            let next = now + self.cfg.probes.interval;
-            self.probe_schedule[idx].0 = next;
-            self.probe_heap.push(std::cmp::Reverse((next, idx)));
-        }
-        self.next_probe_due = self
-            .probe_heap
-            .peek()
-            .map(|r| (r.0).0)
-            .unwrap_or(SimTime::MAX);
-    }
-
-    fn probe_one_machine(&mut self, host: HostId, site: usize) {
-        let machine_slot = self
-            .tb
-            .machines(site)
-            .iter()
-            .position(|&h| h == host)
-            .expect("host belongs to its site");
-        for dst_site in 0..self.tb.pop_count() {
-            if dst_site == site {
-                continue;
-            }
-            let targets = self.tb.machines(dst_site);
-            let target = targets[machine_slot % targets.len()];
-            for size_idx in 0..self.cfg.probes.sizes.len() {
-                let size = self.cfg.probes.sizes[size_idx];
-                // §II-A churn: some idle connections have been closed by
-                // application behaviour since the last round.
-                if self.rng.chance(self.cfg.probes.churn) {
-                    if let Some(cid) = self.tb.world.find_idle_connection(host, target) {
-                        self.tb.world.close_connection(cid);
-                    }
-                }
-                let tid = match self.tb.world.find_idle_connection(host, target) {
-                    Some(cid) => self.tb.world.start_transfer(cid, size),
-                    None => self.tb.world.open_and_transfer(host, target, size).1,
-                };
-                self.probe_tags.insert(tid, (site, dst_site, size));
-            }
-        }
-    }
-
-    fn fire_due_organic(&mut self, now: SimTime) {
-        if now < self.next_organic_due {
-            return;
-        }
-        while let Some(&std::cmp::Reverse((due, idx))) = self.organic_heap.peek() {
-            if due > now {
-                break;
-            }
-            self.organic_heap.pop();
-            let (_, src_site, dst_site) = self.organic_schedule[idx];
-            let src_hosts = self.tb.machines(src_site);
-            let dst_hosts = self.tb.machines(dst_site);
-            let src = src_hosts[self.rng.below(src_hosts.len())];
-            let dst = dst_hosts[self.rng.below(dst_hosts.len())];
-            let bytes = self.cfg.organic.sizes.sample(&mut self.rng);
-            match self.tb.world.find_idle_connection(src, dst) {
-                Some(cid) => {
-                    self.tb.world.start_transfer(cid, bytes);
-                }
-                None => {
-                    self.tb.world.open_and_transfer(src, dst, bytes);
-                }
-            }
-            self.organic_started += 1;
-            let rate = self.cfg.organic.rate_at(now.as_secs_f64()).max(1e-6);
-            let gap = self
-                .rng
-                .exp_duration(SimDuration::from_secs_f64(1.0 / rate));
-            self.organic_schedule[idx].0 = now + gap;
-            self.organic_heap.push(std::cmp::Reverse((now + gap, idx)));
-        }
-        self.next_organic_due = self
-            .organic_heap
-            .peek()
-            .map(|r| (r.0).0)
-            .unwrap_or(SimTime::MAX);
     }
 }
 
@@ -1897,11 +1165,12 @@ mod tests {
         cfg.resilience.reconcile_every = Some(SimDuration::from_secs(45));
         let mut sim = CdnSim::new(cfg);
         sim.run_for(SimDuration::from_secs(600));
-        // Let a final audit land after the last churn instant: the last
-        // agent tick is at t <= 600 and the reconciler runs every 45 s,
-        // so running past one more audit instant converges the tables.
-        let last_tick = sim.next_agent_tick;
-        sim.run_for(last_tick + SimDuration::from_secs(46) - sim.tb.world.now());
+        // Let a final audit land after the last churn instant: the next
+        // agent tick is at most one poll interval away and the reconciler
+        // runs every 45 s, so running past one more audit instant after
+        // it converges the tables.
+        let poll = RiptideConfig::deployment().update_interval;
+        sim.run_for(poll + SimDuration::from_secs(46));
         let r = sim.chaos_report();
         assert!(r.faults.route_churns > 0, "{r:?}");
         assert!(

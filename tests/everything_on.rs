@@ -5,7 +5,8 @@
 //!
 //! The regime: RED queues, a lossy last mile in front of every
 //! non-sender PoP, guardrail faults (route churn plus loss targeted at
-//! jump-started paths), reconciler audits, persisted state and gossip;
+//! jump-started paths), daemon crashes with warm restarts from persisted
+//! state, reconciler audits and gossip;
 //! a kernel-default control arm beside a guarded, prefix-aggregating
 //! Riptide arm.
 
@@ -25,10 +26,14 @@ fn everything_on(scale: &ExperimentScale) -> ScenarioSpec {
         name: "everything-on",
         last_mile: ScenarioSpec::lossy_edge(scale).last_mile,
         resilience: ResilienceOverlay {
-            // No crash faults: a host that is mid-restart at the closing
-            // instant has no daemon to audit, so its stale routes would
-            // count as drift until the restart recovery wipes them.
-            faults: FaultPlan::guardrail(0.3),
+            // Crash faults too: a host that is mid-restart at the closing
+            // instant has no daemon to audit, so the closing audit waits
+            // for the restart recovery to wipe its stale routes first.
+            faults: FaultPlan {
+                crash: 0.003,
+                restart_after: SimDuration::from_secs(30),
+                ..FaultPlan::guardrail(0.3)
+            },
             reconcile_every: Some(SimDuration::from_secs(120)),
             persistence: Some(PersistenceConfig::default()),
             gossip: Some(GossipConfig::default()),
@@ -93,8 +98,10 @@ fn every_subsystem_on_together_holds_the_cross_cutting_invariants() {
     assert!(chaos.faults.route_churns > 0, "{chaos:?}");
     assert!(chaos.faults.targeted_bursts > 0, "{chaos:?}");
     assert!(chaos.reconcile_repairs > 0, "{chaos:?}");
+    assert!(chaos.faults.crashes > 0, "{chaos:?}");
     let coldstart = report.merged_coldstart_report(1);
     assert!(coldstart.snapshots_written > 0, "{coldstart:?}");
+    assert!(coldstart.restored_routes > 0, "{coldstart:?}");
     assert!(coldstart.gossip_rounds > 0, "{coldstart:?}");
     // The control arm has no agents: nothing to install, snapshot or sync.
     assert_eq!(report.merged_chaos_report(0).installs, 0);

@@ -372,9 +372,14 @@ impl RiptideAgent {
             };
             // The group's cumulative loss counters feed both the
             // loss-aware policies and (below) the guard.
-            let retrans_total: u64 = group.iter().map(|o| o.retrans).sum();
-            let ecn_total: u64 = group.iter().map(|o| o.ecn_marks).sum();
-            let bytes_total: u64 = group.iter().map(|o| o.bytes_acked).sum();
+            // Saturating: the counters are `ss` text, and two rows near
+            // `u64::MAX` must read as "a lot", not wrap to "nothing".
+            let (mut retrans_total, mut ecn_total, mut bytes_total) = (0u64, 0u64, 0u64);
+            for o in group {
+                retrans_total = retrans_total.saturating_add(o.retrans);
+                ecn_total = ecn_total.saturating_add(o.ecn_marks);
+                bytes_total = bytes_total.saturating_add(o.bytes_acked);
+            }
             let (entry, previous_fresh) = match sweep.seek(&key) {
                 Some(entry) => {
                     let previous = entry.last_fresh;
@@ -1512,6 +1517,24 @@ mod tests {
         );
         // The learned table keeps learning underneath the demotion.
         assert!(a.table().window(&"10.0.1.1".parse().unwrap()).is_some());
+    }
+
+    #[test]
+    fn group_counters_saturate_instead_of_overflowing() {
+        // `ESTAB 10.0.0.1 10.0.1.1` twice with
+        // `bytes_acked:18446744073709551615` (and the other two counters
+        // likewise): summing the group used to panic a debug build and
+        // wrap in release.
+        let (mut a, mut routes) = agent(guarded());
+        let max = CwndObservation {
+            ecn_marks: u64::MAX,
+            ..lossy_obs([10, 0, 1, 1], 80, u64::MAX, u64::MAX)
+        };
+        let mut o = FnObserver(|| vec![max, max]);
+        for second in 1..=3 {
+            a.tick(SimTime::from_secs(second), &mut o, &mut routes);
+        }
+        assert_eq!(routes.initcwnd_for(Ipv4Addr::new(10, 0, 1, 1)), Some(80));
     }
 
     #[test]

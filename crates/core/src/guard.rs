@@ -301,7 +301,7 @@ impl LossGuard {
             Some((prev_retrans, prev_bytes)) => {
                 let d_retrans = retrans_total.saturating_sub(prev_retrans);
                 let d_segments = bytes_acked_total.saturating_sub(prev_bytes) / SEGMENT_BYTES;
-                let total = d_retrans + d_segments;
+                let total = d_retrans.saturating_add(d_segments);
                 let rate = if total > 0 {
                     d_retrans as f64 / total as f64
                 } else {
@@ -570,6 +570,17 @@ mod tests {
         let v = g.update(key(1), 100, MEG, true, SimTime::from_secs(1));
         assert!(!v.tripped);
         assert_eq!(v.state, BreakerState::Closed);
+    }
+
+    #[test]
+    fn a_counter_at_its_ceiling_saturates_the_interval() {
+        // One row going from `retrans:0` to
+        // `retrans:0/18446744073709551615` while bytes flow: the
+        // interval's retransmits plus its segments used to overflow.
+        let mut g = LossGuard::new(GuardConfig::default());
+        g.update(key(1), 0, MEG, true, SimTime::from_secs(0));
+        let v = g.update(key(1), u64::MAX, 2 * MEG, true, SimTime::from_secs(1));
+        assert!(v.tripped, "all loss, on a jump-started destination");
     }
 
     #[test]

@@ -9,8 +9,10 @@
 //! lookup, backed by the compressed multibit trie in [`crate::lpm`] so it
 //! stays fast at a million learned prefixes.
 
+use std::convert::Infallible;
 use std::fmt;
 use std::net::Ipv4Addr;
+use std::str::FromStr;
 
 use crate::lpm::LpmTrie;
 use crate::prefix::Ipv4Prefix;
@@ -123,12 +125,17 @@ impl fmt::Display for ParseRouteError {
 
 impl std::error::Error for ParseRouteError {}
 
-impl std::str::FromStr for Route {
+impl FromStr for Route {
     type Err = ParseRouteError;
 
     /// Parses one `ip route show` line, e.g.
     /// `10.0.0.127 dev eth0 proto static initcwnd 80 via 10.0.0.1`.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
+        // A value read through its `FromStr`; the error names the key.
+        fn parsed<T: FromStr<Err: fmt::Display>>(key: &str, v: &str) -> Result<T, ParseRouteError> {
+            v.parse()
+                .map_err(|e| ParseRouteError::new(format!("bad {key} {v:?}: {e}")))
+        }
         let mut toks = s.split_whitespace();
         let prefix_tok = toks
             .next()
@@ -138,21 +145,15 @@ impl std::str::FromStr for Route {
             .map_err(|e| ParseRouteError::new(format!("{e}")))?;
         let mut attrs = RouteAttrs::default();
         while let Some(key) = toks.next() {
-            let mut value = |k: &str| {
+            let mut value = || {
                 toks.next()
-                    .ok_or_else(|| ParseRouteError::new(format!("{k} needs a value")))
+                    .ok_or_else(|| ParseRouteError::new(format!("{key} needs a value")))
             };
             match key {
-                "dev" => attrs.dev = Some(value("dev")?.to_string()),
-                "via" => {
-                    let v = value("via")?;
-                    attrs.via = Some(
-                        v.parse()
-                            .map_err(|e| ParseRouteError::new(format!("bad via {v:?}: {e}")))?,
-                    );
-                }
+                "dev" => attrs.dev = Some(value()?.to_string()),
+                "via" => attrs.via = Some(parsed(key, value()?)?),
                 "proto" => {
-                    attrs.proto = match value("proto")? {
+                    attrs.proto = match value()? {
                         "static" => RouteProto::Static,
                         "kernel" => RouteProto::Kernel,
                         "boot" => RouteProto::Boot,
@@ -161,20 +162,8 @@ impl std::str::FromStr for Route {
                         }
                     };
                 }
-                "initcwnd" => {
-                    let v = value("initcwnd")?;
-                    attrs.initcwnd =
-                        Some(v.parse().map_err(|e| {
-                            ParseRouteError::new(format!("bad initcwnd {v:?}: {e}"))
-                        })?);
-                }
-                "initrwnd" => {
-                    let v = value("initrwnd")?;
-                    attrs.initrwnd =
-                        Some(v.parse().map_err(|e| {
-                            ParseRouteError::new(format!("bad initrwnd {v:?}: {e}"))
-                        })?);
-                }
+                "initcwnd" => attrs.initcwnd = Some(parsed(key, value()?)?),
+                "initrwnd" => attrs.initrwnd = Some(parsed(key, value()?)?),
                 other => return Err(ParseRouteError::new(format!("unknown attribute {other:?}"))),
             }
         }
@@ -405,17 +394,7 @@ impl RouteTable {
     /// [`RouteError::AlreadyExists`]-derived parse error on duplicate
     /// prefixes.
     pub fn parse(text: &str) -> Result<Self, ParseRouteError> {
-        let mut table = RouteTable::new();
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let route: Route = line.parse()?;
-            table
-                .add(route.prefix, route.attrs)
-                .map_err(|e| ParseRouteError::new(e.to_string()))?;
-        }
-        Ok(table)
+        Self::scan(text, Err)
     }
 
     /// Parses `ip route show`-style text, salvaging every line that
@@ -426,22 +405,32 @@ impl RouteTable {
     /// input order; `parse_lossy(t).1.is_empty()` exactly when
     /// [`RouteTable::parse`] succeeds.
     pub fn parse_lossy(text: &str) -> (Self, Vec<ParseRouteError>) {
-        let mut table = RouteTable::new();
         let mut errors = Vec::new();
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match line.parse::<Route>() {
-                Ok(route) => {
-                    if let Err(e) = table.add(route.prefix, route.attrs) {
-                        errors.push(ParseRouteError::new(e.to_string()));
-                    }
-                }
-                Err(e) => errors.push(e),
+        let Ok(table) = Self::scan(text, |e| {
+            errors.push(e);
+            Ok::<(), Infallible>(())
+        });
+        (table, errors)
+    }
+
+    /// The line loop behind [`RouteTable::parse`] and
+    /// [`RouteTable::parse_lossy`]: every defect goes to `sink`, which
+    /// ends the scan with it (strict) or keeps it (lossy).
+    fn scan<E>(
+        text: &str,
+        mut sink: impl FnMut(ParseRouteError) -> Result<(), E>,
+    ) -> Result<Self, E> {
+        let mut table = RouteTable::new();
+        for line in text.lines().filter(|line| !line.trim().is_empty()) {
+            let added = line.parse::<Route>().and_then(|route| {
+                let added = table.add(route.prefix, route.attrs);
+                added.map_err(|e| ParseRouteError::new(e.to_string()))
+            });
+            if let Err(e) = added {
+                sink(e)?;
             }
         }
-        (table, errors)
+        Ok(table)
     }
 
     /// Dumps the kernel's current route state by running

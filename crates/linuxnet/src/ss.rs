@@ -8,7 +8,8 @@
 //! table or captured text — the same dual a real deployment has (library
 //! vs. shelling out).
 
-use std::fmt;
+use std::convert::Infallible;
+use std::fmt::{self, Write as _};
 use std::net::Ipv4Addr;
 use std::str::FromStr;
 
@@ -164,25 +165,26 @@ impl SockTable {
 
     /// Renders in an `ss -i`-like two-lines-per-socket format.
     pub fn render(&self) -> String {
-        let mut out = String::new();
+        let mut out = String::with_capacity(self.entries.len() * 96);
         for e in &self.entries {
-            out.push_str(&format!("{} {} {}\n", e.state, e.src, e.dst));
-            out.push_str(&format!("\t {} cwnd:{}", e.cc, e.cwnd));
+            // Writing into a `String` cannot fail, hence the `let _`s.
+            let _ = writeln!(out, "{} {} {}", e.state, e.src, e.dst);
+            let _ = write!(out, "\t {} cwnd:{}", e.cc, e.cwnd);
             if let Some(ss) = e.ssthresh {
-                out.push_str(&format!(" ssthresh:{ss}"));
+                let _ = write!(out, " ssthresh:{ss}");
             }
             if let Some(rtt) = e.rtt_ms {
-                out.push_str(&format!(" rtt:{rtt:.3}"));
+                let _ = write!(out, " rtt:{rtt:.3}");
             }
-            out.push_str(&format!(" bytes_acked:{}", e.bytes_acked));
+            let _ = write!(out, " bytes_acked:{}", e.bytes_acked);
             // `ss` prints retrans as current/lifetime; we render the
             // lifetime total and omit both counters when clean, matching
             // the utility's own field elision.
             if e.retrans > 0 {
-                out.push_str(&format!(" retrans:0/{}", e.retrans));
+                let _ = write!(out, " retrans:0/{}", e.retrans);
             }
             if e.lost > 0 {
-                out.push_str(&format!(" lost:{}", e.lost));
+                let _ = write!(out, " lost:{}", e.lost);
             }
             out.push('\n');
         }
@@ -197,28 +199,7 @@ impl SockTable {
     /// Returns [`ParseSsError`] on malformed rows, unknown states, or an
     /// info line without its preceding socket line.
     pub fn parse(text: &str) -> Result<Self, ParseSsError> {
-        let mut table = SockTable::new();
-        let mut pending: Option<(SockState, Ipv4Addr, Ipv4Addr)> = None;
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            if !line.starts_with(['\t', ' ']) {
-                if pending.is_some() {
-                    return Err(ParseSsError::new("socket line without info line"));
-                }
-                pending = Some(parse_socket_line(line)?);
-            } else {
-                let head = pending
-                    .take()
-                    .ok_or_else(|| ParseSsError::new("info line without socket line"))?;
-                table.push(parse_info_line(head, line)?);
-            }
-        }
-        if pending.is_some() {
-            return Err(ParseSsError::new("trailing socket line without info line"));
-        }
-        Ok(table)
+        scan(text, Err)
     }
 
     /// Parses like [`SockTable::parse`] but salvages every complete,
@@ -230,113 +211,159 @@ impl SockTable {
     /// input order. `parse_lossy(t).1.is_empty()` exactly when
     /// `parse(t)` succeeds.
     pub fn parse_lossy(text: &str) -> (Self, Vec<ParseSsError>) {
-        let mut table = SockTable::new();
         let mut errors = Vec::new();
-        let mut pending: Option<(SockState, Ipv4Addr, Ipv4Addr)> = None;
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            if !line.starts_with(['\t', ' ']) {
-                if pending.take().is_some() {
-                    errors.push(ParseSsError::new("socket line without info line"));
-                }
-                match parse_socket_line(line) {
-                    Ok(head) => pending = Some(head),
-                    Err(e) => errors.push(e),
-                }
-            } else {
-                match pending.take() {
-                    None => errors.push(ParseSsError::new("info line without socket line")),
-                    Some(head) => match parse_info_line(head, line) {
-                        Ok(entry) => table.push(entry),
-                        Err(e) => errors.push(e),
-                    },
-                }
-            }
-        }
-        if pending.is_some() {
-            errors.push(ParseSsError::new("trailing socket line without info line"));
-        }
+        let Ok(table) = scan(text, |e| {
+            errors.push(e);
+            Ok::<(), Infallible>(())
+        });
         (table, errors)
     }
 }
 
-fn parse_socket_line(line: &str) -> Result<(SockState, Ipv4Addr, Ipv4Addr), ParseSsError> {
-    let mut parts = line.split_whitespace();
-    let state: SockState = parts
-        .next()
-        .ok_or_else(|| ParseSsError::new("empty socket line"))?
-        .parse()?;
-    let src = parse_addr(parts.next())?;
-    let dst = parse_addr(parts.next())?;
-    Ok((state, src, dst))
+/// What a socket line says.
+type Head = (SockState, Ipv4Addr, Ipv4Addr);
+
+/// The one pass behind [`SockTable::parse`] and [`SockTable::parse_lossy`].
+/// A defect goes to `sink`, which ends the scan with it (strict) or keeps
+/// it, and the scan goes on with the next line (lossy).
+///
+/// A line without a token is blank; one whose first byte is a tab or a
+/// space is an info line; any other is a socket line — also one that opens
+/// with other whitespace (`\r`, U+00A0, …), as `str::starts_with` had it.
+fn scan<E>(
+    text: &str,
+    mut sink: impl FnMut(ParseSsError) -> Result<(), E>,
+) -> Result<SockTable, E> {
+    // A rendered row is rarely under 64 bytes: no regrowth on the way.
+    let mut entries = Vec::with_capacity(text.len() / 64);
+    let mut pending = None;
+    let mut line = Scanner { text, pos: 0 };
+    while let Some(&lead) = text.as_bytes().get(line.pos) {
+        let parsed = match (line.token(), lead) {
+            (None, _) => Ok(()),
+            (Some(first), b'\t' | b' ') => match pending.take() {
+                None => Err(ParseSsError::new("info line without socket line")),
+                Some(head) => line.info(head, first).map(|entry| entries.push(entry)),
+            },
+            (Some(state), _) => {
+                if pending.take().is_some() {
+                    sink(ParseSsError::new("socket line without info line"))?;
+                }
+                line.socket(state).map(|head| pending = Some(head))
+            }
+        };
+        if let Err(e) = parsed {
+            sink(e)?;
+        }
+        // On to the next line, whatever this one still holds.
+        let rest = &text.as_bytes()[line.pos..];
+        line.pos += rest
+            .iter()
+            .position(|&b| b == b'\n')
+            .map_or(rest.len(), |at| at + 1);
+    }
+    if pending.is_some() {
+        sink(ParseSsError::new("trailing socket line without info line"))?;
+    }
+    Ok(SockTable { entries })
 }
 
-fn parse_info_line(
-    (state, src, dst): (SockState, Ipv4Addr, Ipv4Addr),
-    line: &str,
-) -> Result<SockEntry, ParseSsError> {
-    let mut cc = String::new();
-    let mut cwnd = None;
-    let mut ssthresh = None;
-    let mut rtt_ms = None;
-    let mut bytes_acked = 0;
-    let mut retrans = 0;
-    let mut lost = 0;
-    for tok in line.split_whitespace() {
-        match tok.split_once(':') {
-            // The first bare token is the congestion-control name; later
-            // bare tokens (`send 4.1Mbps`, `app_limited`…) are noise.
-            None => {
-                if cc.is_empty() {
-                    cc = tok.to_string();
-                }
+/// A cursor over the text, used one line at a time.
+struct Scanner<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> Scanner<'a> {
+    /// The length of the whitespace character at the cursor, if that is
+    /// what is there — the newline excepted, which ends the line. The
+    /// ASCII members of `White_Space` are listed; of a multi-byte character
+    /// `char::is_whitespace` has the say, so that tokens are
+    /// `str::split_whitespace`'s and nothing else.
+    fn space(&self) -> Option<usize> {
+        match *self.text.as_bytes().get(self.pos)? {
+            b'\t' | 0x0b | 0x0c | b'\r' | b' ' => Some(1),
+            0xc0.. => {
+                let c = self.text[self.pos..].chars().next()?;
+                c.is_whitespace().then(|| c.len_utf8())
             }
-            Some(("cwnd", v)) => cwnd = Some(parse_num(v)?),
-            Some(("ssthresh", v)) => ssthresh = Some(parse_num(v)?),
-            Some(("rtt", v)) => {
-                // Real `ss` prints `rtt:srtt/rttvar`; the smoothed RTT is
-                // before the slash.
-                let srtt = v.split_once('/').map_or(v, |(s, _)| s);
-                rtt_ms = Some(
-                    srtt.parse::<f64>()
-                        .map_err(|e| ParseSsError::new(format!("bad rtt {v:?}: {e}")))?,
-                )
-            }
-            Some(("bytes_acked", v)) => {
-                bytes_acked = v
-                    .parse::<u64>()
-                    .map_err(|e| ParseSsError::new(format!("bad bytes_acked {v:?}: {e}")))?
-            }
-            Some(("retrans", v)) => {
-                // `retrans:cur/total` — the lifetime total is after the
-                // slash; a bare number (older ss) is taken as the total.
-                let total = v.split_once('/').map_or(v, |(_, t)| t);
-                retrans = total
-                    .parse::<u64>()
-                    .map_err(|e| ParseSsError::new(format!("bad retrans {v:?}: {e}")))?
-            }
-            Some(("lost", v)) => {
-                lost = v
-                    .parse::<u64>()
-                    .map_err(|e| ParseSsError::new(format!("bad lost {v:?}: {e}")))?
-            }
-            Some(_) => {} // unknown key: ignore, like real parsers must
+            _ => None,
         }
     }
-    Ok(SockEntry {
-        src,
-        dst,
-        state,
-        cc,
-        cwnd: cwnd.ok_or_else(|| ParseSsError::new("info line missing cwnd"))?,
-        ssthresh,
-        rtt_ms,
-        bytes_acked,
-        retrans,
-        lost,
-    })
+
+    /// The next token of the current line; `None`, with the cursor on the
+    /// newline or at the end of the text, when the line has no more.
+    /// Inlined by force: left to itself the compiler calls it nine times a
+    /// socket, which costs a tenth of the parse.
+    #[inline(always)]
+    fn token(&mut self) -> Option<&'a str> {
+        while let Some(len) = self.space() {
+            self.pos += len;
+        }
+        let start = self.pos;
+        while let Some(&b) = self.text.as_bytes().get(self.pos) {
+            // Printable ASCII is all a real line holds but for its blanks.
+            if !(b'!'..=b'~').contains(&b) && (b == b'\n' || self.space().is_some()) {
+                break;
+            }
+            self.pos += 1;
+        }
+        (start < self.pos).then(|| &self.text[start..self.pos])
+    }
+
+    /// The rest of a socket line whose first token is `state`; tokens
+    /// after the peer address are not looked at.
+    fn socket(&mut self, state: &str) -> Result<Head, ParseSsError> {
+        let state = state.parse()?;
+        Ok((state, parse_addr(self.token())?, parse_addr(self.token())?))
+    }
+
+    /// The info line that starts with token `first`, for the socket `head`.
+    fn info(&mut self, head: Head, first: &'a str) -> Result<SockEntry, ParseSsError> {
+        let (state, src, dst) = head;
+        let mut cwnd = None;
+        let mut row = SockEntry {
+            src,
+            dst,
+            state,
+            cc: String::new(),
+            cwnd: 0,
+            ssthresh: None,
+            rtt_ms: None,
+            bytes_acked: 0,
+            retrans: 0,
+            lost: 0,
+        };
+        let mut next = Some(first);
+        while let Some(tok) = next {
+            let colon = tok.bytes().position(|b| b == b':');
+            match colon.map(|at| (&tok[..at], &tok[at + 1..])) {
+                // The first bare token is the congestion-control name; later
+                // bare tokens (`send 4.1Mbps`, `app_limited`…) are noise.
+                None if row.cc.is_empty() => row.cc = tok.to_string(),
+                Some(("cwnd", v)) => cwnd = Some(parse_int("number", v, v)?),
+                Some(("ssthresh", v)) => row.ssthresh = Some(parse_int("number", v, v)?),
+                // Real `ss` prints `rtt:srtt/rttvar`; the smoothed RTT is
+                // before the slash.
+                Some(("rtt", v)) => {
+                    let srtt = v.bytes().position(|b| b == b'/').map_or(v, |at| &v[..at]);
+                    row.rtt_ms = Some(srtt.parse().map_err(|e| bad("rtt", v, e))?)
+                }
+                Some(("bytes_acked", v)) => row.bytes_acked = parse_int("bytes_acked", v, v)?,
+                // `retrans:cur/total` — the lifetime total is after the
+                // slash; a bare number (older ss) is taken as the total.
+                Some(("retrans", v)) => {
+                    let slash = v.bytes().position(|b| b == b'/');
+                    row.retrans = parse_int("retrans", v, slash.map_or(v, |at| &v[at + 1..]))?
+                }
+                Some(("lost", v)) => row.lost = parse_int("lost", v, v)?,
+                _ => {} // unknown key: ignore, like real parsers must
+            }
+            next = self.token();
+        }
+        row.cwnd = cwnd.ok_or_else(|| ParseSsError::new("info line missing cwnd"))?;
+        Ok(row)
+    }
 }
 
 impl FromIterator<SockEntry> for SockTable {
@@ -353,15 +380,54 @@ impl Extend<SockEntry> for SockTable {
     }
 }
 
-fn parse_addr(tok: Option<&str>) -> Result<Ipv4Addr, ParseSsError> {
-    let tok = tok.ok_or_else(|| ParseSsError::new("socket line missing address"))?;
-    tok.parse()
-        .map_err(|e| ParseSsError::new(format!("bad address {tok:?}: {e}")))
+#[cold]
+fn bad(what: &str, v: &str, e: impl fmt::Display) -> ParseSsError {
+    ParseSsError::new(format!("bad {what} {v:?}: {e}"))
 }
 
-fn parse_num(v: &str) -> Result<u32, ParseSsError> {
-    v.parse()
-        .map_err(|e| ParseSsError::new(format!("bad number {v:?}: {e}")))
+/// The value of one to 19 ASCII digits, which cannot overflow.
+fn digits(s: &str) -> Option<u64> {
+    let digit = |n: u64, b: u8| b.is_ascii_digit().then(|| n * 10 + u64::from(b - b'0'));
+    match s.len() {
+        1..=19 => s.bytes().try_fold(0, digit),
+        _ => None,
+    }
+}
+
+/// The integer in `number`; an error names `what` and quotes the key's
+/// whole value, `v`. Everything but plain digits that fit (`+7`, empty,
+/// overlong, too large for `T`) is left to `str::parse`, so its verdicts
+/// and messages are the only ones.
+fn parse_int<T>(what: &str, v: &str, number: &str) -> Result<T, ParseSsError>
+where
+    T: TryFrom<u64> + FromStr<Err = std::num::ParseIntError>,
+{
+    let plain = digits(number).and_then(|n| T::try_from(n).ok());
+    plain.map_or_else(|| number.parse().map_err(|e| bad(what, v, e)), Ok)
+}
+
+/// A plain `a.b.c.d`: octets without leading zeros, each at most 255 (the
+/// checked `u8` arithmetic is that bound). The rest is likewise
+/// `str::parse`'s.
+fn dotted_quad(tok: &str) -> Option<Ipv4Addr> {
+    let mut octets = [0u8; 4];
+    let (mut filled, mut digits) = (0, 0);
+    for &b in tok.as_bytes() {
+        match b {
+            b'0'..=b'9' if digits == 0 || octets[filled] != 0 => {
+                octets[filled] = octets[filled].checked_mul(10)?.checked_add(b - b'0')?;
+                digits += 1;
+            }
+            b'.' if digits > 0 && filled < 3 => (filled, digits) = (filled + 1, 0),
+            _ => return None,
+        }
+    }
+    (filled == 3 && digits > 0).then(|| Ipv4Addr::from(octets))
+}
+
+fn parse_addr(tok: Option<&str>) -> Result<Ipv4Addr, ParseSsError> {
+    let tok = tok.ok_or_else(|| ParseSsError::new("socket line missing address"))?;
+    dotted_quad(tok).map_or_else(|| tok.parse().map_err(|e| bad("address", tok, e)), Ok)
 }
 
 #[cfg(test)]

@@ -162,9 +162,12 @@ impl NaiveAgent {
             let key = *key;
             report.groups += 1;
             let fresh = self.config.combine.combine(group).unwrap();
-            let retrans: u64 = group.iter().map(|o| o.retrans).sum();
-            let ecn_marks: u64 = group.iter().map(|o| o.ecn_marks).sum();
-            let bytes_acked: u64 = group.iter().map(|o| o.bytes_acked).sum();
+            let total = |counter: fn(&CwndObservation) -> u64| {
+                group.iter().map(counter).fold(0, u64::saturating_add)
+            };
+            let retrans = total(|o| o.retrans);
+            let ecn_marks = total(|o| o.ecn_marks);
+            let bytes_acked = total(|o| o.bytes_acked);
             let previous_fresh = self.table.get(&key).map(|e| e.last_fresh);
             let policy = &self.config.policy;
             let entry = self.table.entry(key).or_insert_with(|| FinalEntry {

@@ -378,7 +378,7 @@ pub fn table01(_opts: &RunOptions) -> Outcome {
     println!("# Table I: Riptide input parameters (deployment values)");
     let cfg = RiptideConfig::deployment();
     let alpha = match cfg.policy {
-        LearningPolicy::History(HistoryStrategy::Ewma { alpha }) => format!("{alpha}"),
+        LearningPolicy::Ewma { alpha } => format!("{alpha}"),
         ref other => format!("({other:?})"),
     };
     let row = |parameter: &str, what: &str, value: String| {
@@ -411,7 +411,7 @@ pub fn table01(_opts: &RunOptions) -> Outcome {
     let mut controller = SharedRouteController::new(Rc::clone(&table));
     let mut agent = RiptideAgent::new(
         RiptideConfig::builder()
-            .history(HistoryStrategy::None)
+            .policy(LearningPolicy::None)
             .build()
             .expect("valid config"),
     )

@@ -148,7 +148,7 @@ fn eviction_scaling(cfg: &MegaCdnConfig) -> f64 {
     let policy = AggregationPolicy::default();
     // Seconds per evicted entry at `pops` PoPs.
     let run = |pops: usize| -> f64 {
-        let strategy = HistoryStrategy::None;
+        let strategy = LearningPolicy::None;
         let units = pops * cfg.hosts_per_pop / 256;
         let mut best = f64::INFINITY;
         for _ in 0..EVICT_TRIALS {
@@ -190,7 +190,7 @@ fn measure(cfg: &MegaCdnConfig) -> Measured {
 
     eprintln!("phase B: aggregation arena (converge / diverge / re-converge)...");
     let config = RiptideConfig::builder()
-        .history(HistoryStrategy::None)
+        .policy(LearningPolicy::None)
         .aggregation(AggregationPolicy::default())
         .build()
         .expect("arena config is valid");

@@ -73,12 +73,12 @@ pub fn ablation(opts: &RunOptions) -> Outcome {
         ),
         (
             "history=none",
-            built(cfg().history(HistoryStrategy::None)),
+            built(cfg().policy(LearningPolicy::None)),
             plain,
         ),
         (
             "history=windowed8",
-            built(cfg().history(HistoryStrategy::WindowedMean { window: 8 })),
+            built(cfg().policy(LearningPolicy::WindowedMean { window: 8 })),
             plain,
         ),
         ("alpha=0.3", built(cfg().alpha(0.3)), plain),
@@ -205,7 +205,7 @@ pub fn kernel_mode(_opts: &RunOptions) -> Outcome {
         "Section V (kernel implementation)",
         "reaction latency and monitoring load: userspace polling vs in-kernel events",
     );
-    let no_history = RiptideConfig::builder().history(HistoryStrategy::None);
+    let no_history = RiptideConfig::builder().policy(LearningPolicy::None);
 
     println!(
         "{:>12} {:>14} {:>16} {:>14}",

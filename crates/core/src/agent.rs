@@ -21,12 +21,17 @@ use std::collections::BTreeMap;
 use riptide_linuxnet::prefix::Ipv4Prefix;
 use riptide_simnet::time::SimTime;
 
-use crate::config::RiptideConfig;
+use crate::advisory::Advisory;
+use crate::aggregate::{AggregationPass, Aggregator};
+use crate::config::{ConfigError, RiptideConfig};
 use crate::control::{ControlError, RouteController};
+use crate::guard::LossGuard;
 use crate::observe::WindowObserver;
-use crate::policy::{Policy, PolicyInput};
+use crate::persist::{SnapshotEntry, TableSnapshot};
+use crate::policy::PolicyInput;
+use crate::sync::{clamp_merge, remote_wins, SyncEntry};
 use crate::table::{FinalEntry, FinalTable};
-use crate::telemetry::{AgentTelemetry, DecisionAction, DecisionCause};
+use crate::telemetry::{AgentTelemetry, DecisionAction, DecisionCause, DecisionRecord};
 
 /// What one agent tick did, for logging and tests.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -90,86 +95,17 @@ pub struct AgentStats {
     pub restored_routes: u64,
     /// Entries accepted from gossip peers (newest-stamp conflict rule).
     pub sync_merges: u64,
-}
-
-impl AgentStats {
-    /// Renders the counters in Prometheus text exposition format, for a
-    /// production deployment's metrics endpoint.
-    pub fn render_prometheus(&self) -> String {
-        let mut out = String::new();
-        for (name, help, value) in [
-            (
-                "riptide_ticks_total",
-                "Agent update cycles executed",
-                self.ticks,
-            ),
-            (
-                "riptide_observations_total",
-                "Connection window observations consumed",
-                self.observations,
-            ),
-            (
-                "riptide_route_updates_total",
-                "Route installs or updates issued",
-                self.route_updates,
-            ),
-            (
-                "riptide_route_expirations_total",
-                "Routes withdrawn by TTL expiry",
-                self.route_expirations,
-            ),
-            (
-                "riptide_control_errors_total",
-                "Failed route-control actions",
-                self.errors,
-            ),
-            (
-                "riptide_degraded_ticks_total",
-                "Cycles that ran expiry-only because the poll failed",
-                self.degraded_ticks,
-            ),
-            (
-                "riptide_guard_trips_total",
-                "Loss-guard breaker trips (destinations demoted)",
-                self.guard_trips,
-            ),
-            (
-                "riptide_table_evictions_total",
-                "Destinations evicted by the table capacity bound",
-                self.table_evictions,
-            ),
-            (
-                "riptide_reconcile_repairs_total",
-                "Route-drift repairs performed by reconciler audits",
-                self.reconcile_repairs,
-            ),
-            (
-                "riptide_aggregate_merges_total",
-                "Sibling host routes coalesced into covering aggregates",
-                self.aggregate_merges,
-            ),
-            (
-                "riptide_aggregate_splits_total",
-                "Aggregates dissolved back into member routes",
-                self.aggregate_splits,
-            ),
-            (
-                "riptide_restored_routes_total",
-                "Routes reinstalled from persisted state at warm restart",
-                self.restored_routes,
-            ),
-            (
-                "riptide_sync_merged_total",
-                "Entries accepted from gossip peers",
-                self.sync_merges,
-            ),
-        ] {
-            out.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"
-            ));
-        }
-        out
-    }
+    /// Installs the loss guard demoted to the probe window.
+    pub suppressed_installs: u64,
+    /// Learned installs whose blended window the `[c_min, c_max]` clamp
+    /// changed.
+    pub clamped_installs: u64,
+    /// Routes withdrawn by the graceful-shutdown sweep (also counted in
+    /// `route_expirations`).
+    pub shutdown_withdrawals: u64,
+    /// Snapshot entries a restore found dropped at decode for unknown
+    /// history tags.
+    pub persist_skipped_entries: u64,
 }
 
 /// The Riptide agent.
@@ -202,13 +138,13 @@ pub struct RiptideAgent {
     config: RiptideConfig,
     table: FinalTable,
     stats: AgentStats,
-    advisory: crate::advisory::Advisory,
+    advisory: Advisory,
     /// Loss-aware circuit breaker, present when the config enables it.
-    guard: Option<crate::guard::LossGuard>,
+    guard: Option<LossGuard>,
     /// Prefix aggregation pass, present when the config enables it.
     /// Learning stays at the configured granularity; this only changes
     /// what is *installed*: agreeing siblings share one covering route.
-    aggregator: Option<crate::aggregate::Aggregator>,
+    aggregator: Option<Aggregator>,
     /// The agent's view of what it has installed in the kernel: key →
     /// last window issued through the controller. This is the expected
     /// state reconciler audits diff against, and the withdrawal list a
@@ -216,6 +152,9 @@ pub struct RiptideAgent {
     installed: BTreeMap<Ipv4Prefix, u32>,
     /// Optional observability bundle; `None` means zero telemetry work.
     telemetry: Option<AgentTelemetry>,
+    /// `stats` as of the last [`RiptideAgent::publish`]: what the
+    /// registry's counters already hold of them.
+    published: AgentStats,
     /// The most recent tick instant, used to stamp journal records for
     /// actions that happen outside a tick (reconcile, shutdown).
     last_now: SimTime,
@@ -227,23 +166,23 @@ impl RiptideAgent {
     /// # Errors
     ///
     /// Returns the configuration's validation error, if any.
-    pub fn new(config: RiptideConfig) -> Result<Self, crate::config::ConfigError> {
+    pub fn new(config: RiptideConfig) -> Result<Self, ConfigError> {
         config.validate()?;
-        let table = match config.table_capacity {
-            Some(cap) => FinalTable::bounded(cap),
-            None => FinalTable::new(),
-        };
-        let guard = config.guard.clone().map(crate::guard::LossGuard::new);
-        let aggregator = config.aggregation.map(crate::aggregate::Aggregator::new);
+        let table = config
+            .table_capacity
+            .map_or_else(FinalTable::new, FinalTable::bounded);
+        let guard = config.guard.clone().map(LossGuard::new);
+        let aggregator = config.aggregation.map(Aggregator::new);
         Ok(RiptideAgent {
             config,
             table,
             stats: AgentStats::default(),
-            advisory: crate::advisory::Advisory::Normal,
+            advisory: Advisory::Normal,
             guard,
             aggregator,
             installed: BTreeMap::new(),
             telemetry: None,
+            published: AgentStats::default(),
             last_now: SimTime::ZERO,
         })
     }
@@ -251,8 +190,12 @@ impl RiptideAgent {
     /// Attaches an observability bundle: from here on every tick updates
     /// its counters and gauges and every route decision is journaled.
     /// Agents without one (the default) skip all telemetry work.
+    ///
+    /// The counters start from here: what the agent counted before the
+    /// bundle was attached is never added to it.
     pub fn attach_telemetry(&mut self, telemetry: AgentTelemetry) {
         self.telemetry = Some(telemetry);
+        self.published = self.stats;
     }
 
     /// The attached observability bundle, if any.
@@ -265,19 +208,14 @@ impl RiptideAgent {
     /// # Errors
     ///
     /// Returns the advisory's validation error, if any.
-    pub fn set_advisory(
-        &mut self,
-        advisory: crate::advisory::Advisory,
-    ) -> Result<(), crate::config::ConfigError> {
-        advisory
-            .validate()
-            .map_err(crate::config::ConfigError::new)?;
+    pub fn set_advisory(&mut self, advisory: Advisory) -> Result<(), ConfigError> {
+        advisory.validate().map_err(ConfigError::new)?;
         self.advisory = advisory;
         Ok(())
     }
 
     /// The currently active advisory.
-    pub fn advisory(&self) -> crate::advisory::Advisory {
+    pub fn advisory(&self) -> Advisory {
         self.advisory
     }
 
@@ -309,12 +247,12 @@ impl RiptideAgent {
     }
 
     /// The loss guard, when the configuration enables one.
-    pub fn guard(&self) -> Option<&crate::guard::LossGuard> {
+    pub fn guard(&self) -> Option<&LossGuard> {
         self.guard.as_ref()
     }
 
     /// The prefix aggregator, when the configuration enables one.
-    pub fn aggregator(&self) -> Option<&crate::aggregate::Aggregator> {
+    pub fn aggregator(&self) -> Option<&Aggregator> {
         self.aggregator.as_ref()
     }
 
@@ -334,20 +272,15 @@ impl RiptideAgent {
         self.last_now = now;
 
         // 1. observed table ← current windows of all connections.
-        let observations = observer.observe();
+        let mut observations = observer.observe();
         report.observed_connections = observations.len();
         self.stats.observations += observations.len() as u64;
-        if let Some(t) = &self.telemetry {
-            t.ticks.inc();
-            t.observations.add(observations.len() as u64);
-        }
 
         // 2. group by destination: a stable sort by key makes each run of
         // equal keys one group, visited in ascending key order — the same
         // groups, group order, and within-group order a BTreeMap of Vecs
         // would produce, without its per-destination allocations.
         let granularity = self.config.granularity;
-        let mut observations = observations;
         observations.sort_by_key(|obs| granularity.key(obs.dst));
 
         // 3–6 are one ordered sweep: the groups and the learned table are
@@ -355,8 +288,10 @@ impl RiptideAgent {
         // group its entry in place (first-seen keys are buffered and
         // inserted when the sweep is settled), and every entry the cursor
         // passes that no group asked for is age-checked on the way — the
-        // expiry scan, for free.
-        let mut sweep = self.table.sweep(now, self.config.ttl);
+        // expiry scan, for free. (The table steps out of `self` for the
+        // sweep, so the install below can borrow the agent whole.)
+        let mut table = std::mem::take(&mut self.table);
+        let mut sweep = table.sweep(now, self.config.ttl);
         // Keys ascend, so all members of one covering prefix are
         // consecutive: ask the aggregator once per covering prefix.
         let mut covered_under: Option<(Ipv4Prefix, bool)> = None;
@@ -431,9 +366,6 @@ impl RiptideAgent {
                 if verdict.tripped {
                     self.stats.guard_trips += 1;
                     report.guard_trips.push(key);
-                    if let Some(t) = &self.telemetry {
-                        t.guard_trips.inc();
-                    }
                 }
                 if guard.suppressed(&key) {
                     effective = self.config.clamp(guard.config().probe_window as f64);
@@ -463,62 +395,26 @@ impl RiptideAgent {
             // Install only when the issued window would actually change —
             // repeating an identical `ip route replace` is pure churn.
             if !covered && self.installed.get(&key).copied() != Some(effective) {
-                match controller.set_initcwnd(key, effective) {
-                    Ok(()) => {
-                        self.stats.route_updates += 1;
-                        report.updates.push((key, effective));
-                        if let Some(t) = &self.telemetry {
-                            t.route_updates.inc();
-                            t.installed_window.observe(effective as u64);
-                            match suppressed_by {
-                                Some(state) => {
-                                    t.suppressed_installs.inc();
-                                    t.journal_decision(
-                                        now,
-                                        key,
-                                        DecisionAction::Suppress { window: effective },
-                                        DecisionCause::Guard { state },
-                                    );
-                                }
-                                None => {
-                                    if clamped {
-                                        t.clamped_installs.inc();
-                                    }
-                                    t.journal_decision(
-                                        now,
-                                        key,
-                                        DecisionAction::Install { window: effective },
-                                        DecisionCause::Learned {
-                                            fresh: fresh.round() as u32,
-                                            clamped,
-                                            trend_damped,
-                                            policy: self.config.policy.name(),
-                                        },
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        self.stats.errors += 1;
-                        report.errors.push(e);
-                        if let Some(t) = &self.telemetry {
-                            t.errors.inc();
-                        }
-                    }
+                let cause = match suppressed_by {
+                    Some(state) => DecisionCause::Guard { state },
+                    None => DecisionCause::Learned {
+                        fresh: fresh.round() as u32,
+                        clamped,
+                        trend_damped,
+                        policy: self.config.policy.name(),
+                    },
+                };
+                if self.install(key, effective, cause, controller, &mut report.errors) {
+                    report.updates.push((key, effective));
                 }
-                // The view tracks what was *issued*, successful or not,
-                // mirroring the learned table's own optimism — a failed
-                // install is repaired by the next reconciler audit, not
-                // by hammering the controller every tick.
-                self.installed.insert(key, effective);
             }
         }
 
         // 6. expire stale destinations, restoring the kernel default.
         let swept = sweep.finish();
-        let expired = self.table.settle(swept);
-        self.withdraw_expired(now, expired, controller, &mut report);
+        let expired = table.settle(swept);
+        self.table = table;
+        self.withdraw_expired(expired, controller, &mut report);
 
         // 7. enforce the table's capacity bound, withdrawing the routes
         // of evicted destinations. With aggregation on, an aggregate's
@@ -537,37 +433,26 @@ impl RiptideAgent {
             if let Some(guard) = &mut self.guard {
                 guard.forget(&key);
             }
-            if let Some(t) = &self.telemetry {
-                t.table_evictions.inc();
-                t.journal_decision(now, key, DecisionAction::Evict, DecisionCause::Capacity);
-            }
-            if self.installed.remove(&key).is_some() {
-                if let Err(e) = controller.clear_initcwnd(key) {
-                    self.stats.errors += 1;
-                    report.errors.push(e);
-                    if let Some(t) = &self.telemetry {
-                        t.errors.inc();
-                    }
-                }
-            }
+            // The eviction is journalled whether or not the key had a
+            // route of its own; the withdrawal adds no second record.
+            self.journal(key, DecisionAction::Evict, DecisionCause::Capacity);
+            self.withdraw(key, None, controller, &mut report.errors);
         }
 
         // 8. aggregation: coalesce agreeing siblings into one covering
         // route, dissolve diverged or emptied aggregates back into
         // member routes. A no-op unless the config enables it.
-        if self.aggregator.is_some() {
-            let pass = {
-                let agg = self.aggregator.as_mut().expect("checked above");
-                agg.pass(&self.table)
-            };
-            self.apply_aggregation(now, &pass, controller, &mut report);
+        if let Some(agg) = &mut self.aggregator {
+            let pass = agg.pass(&self.table);
+            self.apply_aggregation(&pass, controller, &mut report);
         }
 
+        self.publish();
         self.refresh_gauges();
         report
     }
 
-    /// Applies one [`crate::aggregate::AggregationPass`] through the
+    /// Applies one [`AggregationPass`] through the
     /// controller: merges withdraw member routes and install the covering
     /// route at the member-minimum window; splits withdraw the covering
     /// route and reinstall every surviving member at its learned window.
@@ -575,41 +460,31 @@ impl RiptideAgent {
     /// it.
     fn apply_aggregation<C>(
         &mut self,
-        now: SimTime,
-        pass: &crate::aggregate::AggregationPass,
+        pass: &AggregationPass,
         controller: &mut C,
         report: &mut TickReport,
     ) where
         C: RouteController + ?Sized,
     {
-        for merge in &pass.merged {
-            self.stats.aggregate_merges += 1;
+        // A merge folds its members' routes into the covering one; a
+        // retune only moves the covering window.
+        let merged = pass.merged.iter().map(|m| (m, true));
+        let retuned = pass.retuned.iter().map(|m| (m, false));
+        for (merge, fresh) in merged.chain(retuned) {
             let cause = DecisionCause::Aggregated {
                 members: merge.members.len() as u32,
                 spread: merge.spread,
             };
-            // The members' individual routes fold into the covering one.
-            for &member in &merge.members {
-                if self.installed.remove(&member).is_none() {
-                    continue;
-                }
-                match controller.clear_initcwnd(member) {
-                    Ok(()) => {
-                        if let Some(t) = &self.telemetry {
-                            t.journal_decision(now, member, DecisionAction::Withdraw, cause);
-                        }
-                    }
-                    Err(e) => self.note_control_error(e, report),
+            if fresh {
+                self.stats.aggregate_merges += 1;
+                for &member in &merge.members {
+                    self.withdraw(member, Some(cause), controller, &mut report.errors);
                 }
             }
-            self.install_covering(now, merge, cause, controller, report);
-        }
-        for retune in &pass.retuned {
-            let cause = DecisionCause::Aggregated {
-                members: retune.members.len() as u32,
-                spread: retune.spread,
-            };
-            self.install_covering(now, retune, cause, controller, report);
+            let (key, window) = (merge.covering, merge.window);
+            if self.install(key, window, cause, controller, &mut report.errors) {
+                report.merged.push((key, window));
+            }
         }
         for split in &pass.split {
             self.stats.aggregate_splits += 1;
@@ -618,86 +493,142 @@ impl RiptideAgent {
                 members: split.members.len() as u32,
                 spread: split.spread,
             };
-            if self.installed.remove(&split.covering).is_some() {
-                match controller.clear_initcwnd(split.covering) {
-                    Ok(()) => {
-                        if let Some(t) = &self.telemetry {
-                            t.journal_decision(
-                                now,
-                                split.covering,
-                                DecisionAction::Withdraw,
-                                cause,
-                            );
-                        }
-                    }
-                    Err(e) => self.note_control_error(e, report),
-                }
-            }
+            self.withdraw(split.covering, Some(cause), controller, &mut report.errors);
             // Surviving members come back as individual routes at their
             // learned windows. (A guard-suppressed member re-demotes to
             // the probe window on its next observed tick.)
             for &(member, window) in &split.members {
-                match controller.set_initcwnd(member, window) {
-                    Ok(()) => {
-                        self.stats.route_updates += 1;
-                        if let Some(t) = &self.telemetry {
-                            t.route_updates.inc();
-                            t.installed_window.observe(window as u64);
-                            t.journal_decision(
-                                now,
-                                member,
-                                DecisionAction::Install { window },
-                                cause,
-                            );
-                        }
-                    }
-                    Err(e) => self.note_control_error(e, report),
-                }
-                self.installed.insert(member, window);
+                self.install(member, window, cause, controller, &mut report.errors);
             }
         }
     }
 
-    /// Installs (or retunes) one covering aggregate route.
-    fn install_covering<C>(
+    /// Issues `key`'s window — the one place a route is installed. The
+    /// view records what was *issued*, accepted or not (a failed install
+    /// is repaired by the next reconciler audit, not by hammering the
+    /// controller every tick); a refusal is counted and handed to
+    /// `errors`; a success is journalled under `cause`, which also says
+    /// where it counts: a restored or gossiped route is not a route
+    /// update, a guard demotion is a suppressed one. Returns whether the
+    /// controller accepted.
+    fn install<C>(
         &mut self,
-        now: SimTime,
-        merge: &crate::aggregate::MergeOutcome,
+        key: Ipv4Prefix,
+        window: u32,
         cause: DecisionCause,
         controller: &mut C,
-        report: &mut TickReport,
-    ) where
+        errors: &mut Vec<ControlError>,
+    ) -> bool
+    where
         C: RouteController + ?Sized,
     {
-        match controller.set_initcwnd(merge.covering, merge.window) {
-            Ok(()) => {
-                self.stats.route_updates += 1;
-                report.merged.push((merge.covering, merge.window));
-                if let Some(t) = &self.telemetry {
-                    t.route_updates.inc();
-                    t.installed_window.observe(merge.window as u64);
-                    t.journal_decision(
-                        now,
-                        merge.covering,
-                        DecisionAction::Install {
-                            window: merge.window,
-                        },
-                        cause,
-                    );
-                }
-            }
-            Err(e) => self.note_control_error(e, report),
+        let issued = controller.set_initcwnd(key, window);
+        self.installed.insert(key, window);
+        if let Err(e) = issued {
+            self.stats.errors += 1;
+            errors.push(e);
+            return false;
         }
-        self.installed.insert(merge.covering, merge.window);
+        let mut action = DecisionAction::Install { window };
+        let update = match cause {
+            DecisionCause::Restored { .. } => {
+                self.stats.restored_routes += 1;
+                false
+            }
+            DecisionCause::SyncMerged { .. } => false,
+            DecisionCause::Guard { .. } => {
+                self.stats.suppressed_installs += 1;
+                action = DecisionAction::Suppress { window };
+                true
+            }
+            DecisionCause::Learned { clamped, .. } => {
+                self.stats.clamped_installs += u64::from(clamped);
+                true
+            }
+            _ => true,
+        };
+        if update {
+            self.stats.route_updates += 1;
+            if let Some(t) = &self.telemetry {
+                t.installed_window.observe(window as u64);
+            }
+        }
+        if let (Some(t), DecisionCause::SyncMerged { .. }) = (&self.telemetry, cause) {
+            // Lazily registered, like the restore counter.
+            t.registry()
+                .counter(
+                    "riptide_sync_merged_total",
+                    "Entries accepted from gossip peers",
+                )
+                .inc();
+        }
+        self.journal(key, action, cause);
+        true
     }
 
-    /// Counts a route-control failure without aborting the tick.
-    fn note_control_error(&mut self, e: ControlError, report: &mut TickReport) {
-        self.stats.errors += 1;
-        report.errors.push(e);
-        if let Some(t) = &self.telemetry {
-            t.errors.inc();
+    /// Withdraws `key`'s route — the one place a route is cleared. The
+    /// key leaves the view and, if the view held it, its route is
+    /// cleared: a refusal is counted and handed to `errors`, a success is
+    /// counted and journalled under `cause` (`None`: the caller already
+    /// journalled what happened to the key). A key the view does not hold
+    /// has no route of its own (it rides a covering aggregate, or was
+    /// never installed) — except that without aggregation a TTL expiry
+    /// is withdrawn regardless, as ever: a failed install may have left
+    /// the kernel ahead of the view. Returns `false` only on a refusal.
+    fn withdraw<C>(
+        &mut self,
+        key: Ipv4Prefix,
+        cause: Option<DecisionCause>,
+        controller: &mut C,
+        errors: &mut Vec<ControlError>,
+    ) -> bool
+    where
+        C: RouteController + ?Sized,
+    {
+        let held = self.installed.remove(&key).is_some();
+        let regardless = cause == Some(DecisionCause::TtlExpired) && self.aggregator.is_none();
+        if !held && !regardless {
+            return true;
         }
+        if let Err(e) = controller.clear_initcwnd(key) {
+            self.stats.errors += 1;
+            errors.push(e);
+            return false;
+        }
+        match cause {
+            Some(DecisionCause::TtlExpired) => self.stats.route_expirations += 1,
+            Some(DecisionCause::Shutdown) => {
+                self.stats.route_expirations += 1;
+                self.stats.shutdown_withdrawals += 1;
+            }
+            _ => {}
+        }
+        if let Some(cause) = cause {
+            self.journal(key, DecisionAction::Withdraw, cause);
+        }
+        true
+    }
+
+    /// Journals one decision, stamped with the current cycle's instant.
+    fn journal(&self, key: Ipv4Prefix, action: DecisionAction, cause: DecisionCause) {
+        if let Some(t) = &self.telemetry {
+            t.journal().record(DecisionRecord {
+                at: self.last_now,
+                key,
+                action,
+                cause,
+            });
+        }
+    }
+
+    /// Adds what `stats` gained since the last call to the registry's
+    /// counters. Every public entry point that counts ends with this, so
+    /// the agent increments one thing — `stats` — and the registry
+    /// follows by construction.
+    fn publish(&mut self) {
+        let Some(t) = &self.telemetry else { return };
+        t.publish(&self.stats, &self.published);
+        self.published = self.stats;
     }
 
     /// Re-derives the point-in-time gauges from live state. Cheap enough
@@ -709,8 +640,7 @@ impl RiptideAgent {
         let (_, open, half_open) = self
             .guard
             .as_ref()
-            .map(|g| g.breaker_counts())
-            .unwrap_or((0, 0, 0));
+            .map_or((0, 0, 0), |g| g.breaker_counts());
         t.breaker_open.set(open as u64);
         t.breaker_half_open.set(half_open as u64);
     }
@@ -731,29 +661,15 @@ impl RiptideAgent {
         let report = crate::reconcile::audit(&self.installed, kernel, bounds, controller);
         self.stats.reconcile_repairs += report.repairs() as u64;
         self.stats.errors += report.errors.len() as u64;
-        if let Some(t) = &self.telemetry {
-            t.reconcile_repairs.add(report.repairs() as u64);
-            t.errors.add(report.errors.len() as u64);
-            let verdict = report.verdict();
-            for &(key, window) in &report.reinstalled {
-                t.journal_decision(
-                    self.last_now,
-                    key,
-                    DecisionAction::Repair {
-                        window: Some(window),
-                    },
-                    DecisionCause::Reconcile { verdict },
-                );
-            }
-            for &key in &report.withdrawn {
-                t.journal_decision(
-                    self.last_now,
-                    key,
-                    DecisionAction::Repair { window: None },
-                    DecisionCause::Reconcile { verdict },
-                );
-            }
+        let cause = DecisionCause::Reconcile {
+            verdict: report.verdict(),
+        };
+        let reinstalled = report.reinstalled.iter().map(|&(k, w)| (k, Some(w)));
+        let withdrawn = report.withdrawn.iter().map(|&k| (k, None));
+        for (key, window) in reinstalled.chain(withdrawn) {
+            self.journal(key, DecisionAction::Repair { window }, cause);
         }
+        self.publish();
         report
     }
 
@@ -768,30 +684,12 @@ impl RiptideAgent {
         C: RouteController + ?Sized,
     {
         let keys: Vec<Ipv4Prefix> = self.installed.keys().copied().collect();
+        // Nothing carries a refusal out of here; it is counted.
+        let mut refused = Vec::new();
         for &key in &keys {
-            match controller.clear_initcwnd(key) {
-                Ok(()) => {
-                    self.stats.route_expirations += 1;
-                    if let Some(t) = &self.telemetry {
-                        t.route_expirations.inc();
-                        t.shutdown_withdrawals.inc();
-                        t.journal_decision(
-                            self.last_now,
-                            key,
-                            DecisionAction::Withdraw,
-                            DecisionCause::Shutdown,
-                        );
-                    }
-                }
-                Err(_) => {
-                    self.stats.errors += 1;
-                    if let Some(t) = &self.telemetry {
-                        t.errors.inc();
-                    }
-                }
-            }
+            self.withdraw(key, Some(DecisionCause::Shutdown), controller, &mut refused);
         }
-        self.installed.clear();
+        self.publish();
         self.refresh_gauges();
         keys
     }
@@ -799,14 +697,14 @@ impl RiptideAgent {
     /// Captures the agent's full learned state — table entries with
     /// their history and TTL stamps, the installed-routes view, and the
     /// loss guard's breaker states — as a persistable
-    /// [`crate::persist::TableSnapshot`] stamped `now`.
-    pub fn snapshot_state(&self, now: SimTime) -> crate::persist::TableSnapshot {
-        crate::persist::TableSnapshot {
+    /// [`TableSnapshot`] stamped `now`.
+    pub fn snapshot_state(&self, now: SimTime) -> TableSnapshot {
+        TableSnapshot {
             taken_at: now,
             entries: self
                 .table
                 .iter()
-                .map(|(k, e)| crate::persist::SnapshotEntry {
+                .map(|(k, e)| SnapshotEntry {
                     key: *k,
                     window: e.window,
                     last_fresh: e.last_fresh,
@@ -818,8 +716,7 @@ impl RiptideAgent {
             guards: self
                 .guard
                 .as_ref()
-                .map(|g| g.export_states())
-                .unwrap_or_default(),
+                .map_or_else(Vec::new, |g| g.export_states()),
             skipped_entries: 0,
         }
     }
@@ -838,13 +735,15 @@ impl RiptideAgent {
     ///   out-of-bounds window.
     /// * **History re-seeds on policy mismatch** — a persisted history
     ///   whose variant does not match the configured learning policy
-    ///   ([`Policy::state_matches`]) is replaced by a fresh state seeded
-    ///   with one blend of the entry's `last_fresh` (never fed to
-    ///   [`Policy::observe`] raw, which would panic on the mismatch).
+    ///   ([`LearningPolicy::state_matches`]) is replaced by a fresh state
+    ///   seeded with one blend of the entry's `last_fresh` (never fed to
+    ///   [`LearningPolicy::observe`] raw, which would panic on the
+    ///   mismatch).
     /// * **Entries the decoder skipped are surfaced** — a snapshot whose
     ///   decode dropped entries with unknown history tags (written by a
-    ///   newer version) bumps the lazily registered
-    ///   `riptide_persist_skipped_entries_total` counter.
+    ///   newer version) counts them in
+    ///   [`AgentStats::persist_skipped_entries`] (published as
+    ///   `riptide_persist_skipped_entries_total`).
     /// * **Only routes with a surviving table entry are reinstalled** —
     ///   or, for a covering aggregate (which has no entry of its own),
     ///   with at least `min_siblings` surviving members, in which case the
@@ -855,11 +754,11 @@ impl RiptideAgent {
     ///
     /// Returns the `(key, window)` pairs reinstalled.
     ///
-    /// [`Policy::state_matches`]: crate::policy::Policy::state_matches
-    /// [`Policy::observe`]: crate::policy::Policy::observe
+    /// [`LearningPolicy::state_matches`]: crate::policy::LearningPolicy::state_matches
+    /// [`LearningPolicy::observe`]: crate::policy::LearningPolicy::observe
     pub fn restore_state<C>(
         &mut self,
-        state: &crate::persist::TableSnapshot,
+        state: &TableSnapshot,
         now: SimTime,
         controller: &mut C,
     ) -> Vec<(Ipv4Prefix, u32)>
@@ -867,17 +766,7 @@ impl RiptideAgent {
         C: RouteController + ?Sized,
     {
         self.last_now = now;
-        if state.skipped_entries > 0 {
-            if let Some(t) = &self.telemetry {
-                // Lazily registered, like the restore counter below.
-                t.registry()
-                    .counter(
-                        "riptide_persist_skipped_entries_total",
-                        "Snapshot entries dropped at decode for unknown history tags",
-                    )
-                    .add(state.skipped_entries as u64);
-            }
-        }
+        self.stats.persist_skipped_entries += state.skipped_entries as u64;
         for e in &state.entries {
             if now.saturating_since(e.last_updated) > self.config.ttl {
                 continue;
@@ -885,14 +774,12 @@ impl RiptideAgent {
             let history = if self.config.policy.state_matches(&e.history) {
                 e.history.clone()
             } else {
-                let mut h = self.config.policy.new_state();
-                self.config.policy.blend(&mut h, e.last_fresh);
-                h
+                self.config.policy.seeded(e.last_fresh)
             };
             let window = e.window.clamp(self.config.cwnd_min, self.config.cwnd_max);
             self.table.restore_entry(
                 e.key,
-                crate::table::FinalEntry {
+                FinalEntry {
                     window,
                     history,
                     last_fresh: e.last_fresh,
@@ -910,7 +797,12 @@ impl RiptideAgent {
             let clamped = state.installs.iter().map(|&(k, w)| (k, w.clamp(lo, hi)));
             agg.restore(clamped, &self.table);
         }
+        let cause = DecisionCause::Restored {
+            age_secs: now.saturating_since(state.taken_at).as_secs_f64() as u32,
+        };
         let mut reinstalled = Vec::new();
+        // Nothing carries a refusal out of here; it is counted.
+        let mut refused = Vec::new();
         for &(key, window) in &state.installs {
             // A route whose entry (or, for an aggregate, whose members)
             // expired during the downtime or was filtered above stays
@@ -924,40 +816,11 @@ impl RiptideAgent {
                 continue;
             }
             let window = window.clamp(lo, hi);
-            match controller.set_initcwnd(key, window) {
-                Ok(()) => {
-                    self.stats.restored_routes += 1;
-                    reinstalled.push((key, window));
-                    if let Some(t) = &self.telemetry {
-                        // Registered lazily at first restore so that
-                        // runs without persistence keep their metric
-                        // snapshots (and digests) byte-identical.
-                        t.registry()
-                            .counter(
-                                "riptide_restored_routes_total",
-                                "Routes reinstalled from persisted state at warm restart",
-                            )
-                            .inc();
-                        let age = now.saturating_since(state.taken_at);
-                        t.journal_decision(
-                            now,
-                            key,
-                            DecisionAction::Install { window },
-                            DecisionCause::Restored {
-                                age_secs: age.as_secs_f64() as u32,
-                            },
-                        );
-                    }
-                }
-                Err(_) => {
-                    self.stats.errors += 1;
-                    if let Some(t) = &self.telemetry {
-                        t.errors.inc();
-                    }
-                }
+            if self.install(key, window, cause, controller, &mut refused) {
+                reinstalled.push((key, window));
             }
-            self.installed.insert(key, window);
         }
+        self.publish();
         self.refresh_gauges();
         reinstalled
     }
@@ -983,7 +846,7 @@ impl RiptideAgent {
     /// accepted.
     pub fn merge_remote<C>(
         &mut self,
-        delta: &[crate::sync::SyncEntry],
+        delta: &[SyncEntry],
         now: SimTime,
         controller: &mut C,
     ) -> Vec<(Ipv4Prefix, u32)>
@@ -992,32 +855,29 @@ impl RiptideAgent {
     {
         self.last_now = now;
         let mut accepted = Vec::new();
+        // Nothing carries a refusal out of here; it is counted.
+        let mut refused = Vec::new();
         for remote in delta {
             if now.saturating_since(remote.last_updated) > self.config.ttl {
                 continue;
             }
-            let local = self.table.get(&remote.key).map(|e| crate::sync::SyncEntry {
+            let local = self.table.get(&remote.key).map(|e| SyncEntry {
                 key: remote.key,
                 window: e.window,
                 last_updated: e.last_updated,
             });
-            if !crate::sync::remote_wins(local.as_ref(), remote) {
+            if !remote_wins(local.as_ref(), remote) {
                 continue;
             }
-            let window =
-                crate::sync::clamp_merge(remote.window, self.config.cwnd_min, self.config.cwnd_max);
+            let window = clamp_merge(remote.window, self.config.cwnd_min, self.config.cwnd_max);
             let clamped = window != remote.window;
             let (history, last_fresh) = match self.table.get(&remote.key) {
                 Some(e) => (e.history.clone(), e.last_fresh),
-                None => {
-                    let mut h = self.config.policy.new_state();
-                    self.config.policy.blend(&mut h, window as f64);
-                    (h, window as f64)
-                }
+                None => (self.config.policy.seeded(window as f64), window as f64),
             };
             self.table.restore_entry(
                 remote.key,
-                crate::table::FinalEntry {
+                FinalEntry {
                     window,
                     history,
                     last_fresh,
@@ -1030,36 +890,13 @@ impl RiptideAgent {
                 .and_then(|agg| agg.covering_of(&remote.key))
                 .is_some();
             if !covered && self.installed.get(&remote.key).copied() != Some(window) {
-                match controller.set_initcwnd(remote.key, window) {
-                    Ok(()) => {
-                        if let Some(t) = &self.telemetry {
-                            // Lazily registered, like the restore counter.
-                            t.registry()
-                                .counter(
-                                    "riptide_sync_merged_total",
-                                    "Entries accepted from gossip peers",
-                                )
-                                .inc();
-                            t.journal_decision(
-                                now,
-                                remote.key,
-                                DecisionAction::Install { window },
-                                DecisionCause::SyncMerged { clamped },
-                            );
-                        }
-                    }
-                    Err(_) => {
-                        self.stats.errors += 1;
-                        if let Some(t) = &self.telemetry {
-                            t.errors.inc();
-                        }
-                    }
-                }
-                self.installed.insert(remote.key, window);
+                let cause = DecisionCause::SyncMerged { clamped };
+                self.install(remote.key, window, cause, controller, &mut refused);
             }
             self.stats.sync_merges += 1;
             accepted.push((remote.key, window));
         }
+        self.publish();
         if !accepted.is_empty() {
             self.refresh_gauges();
         }
@@ -1090,21 +927,19 @@ impl RiptideAgent {
         self.stats.ticks += 1;
         self.stats.degraded_ticks += 1;
         self.last_now = now;
-        if let Some(t) = &self.telemetry {
-            t.ticks.inc();
-            t.degraded_ticks.inc();
-        }
         let expired = self.table.expire(now, self.config.ttl);
-        self.withdraw_expired(now, expired, controller, &mut report);
+        self.withdraw_expired(expired, controller, &mut report);
+        self.publish();
         self.refresh_gauges();
         report
     }
 
     /// Withdraws the routes of destinations the learned table just
-    /// dropped for age, in the order given (key order).
+    /// dropped for age, in the order given (key order). A member riding
+    /// an aggregate has no route of its own; the aggregate itself
+    /// dissolves via the pass once its member group thins out.
     fn withdraw_expired<C>(
         &mut self,
-        now: SimTime,
         expired: Vec<Ipv4Prefix>,
         controller: &mut C,
         report: &mut TickReport,
@@ -1112,40 +947,12 @@ impl RiptideAgent {
         C: RouteController + ?Sized,
     {
         for key in expired {
-            let was_installed = self.installed.remove(&key).is_some();
             if let Some(guard) = &mut self.guard {
                 guard.forget(&key);
             }
-            // A member covered by an aggregate has no individual route to
-            // withdraw; the aggregate itself dissolves via the pass once
-            // its member group thins out. (Without aggregation the
-            // withdrawal is issued unconditionally, as ever — a failed
-            // install may have left the kernel ahead of our view.)
-            if self.aggregator.is_some() && !was_installed {
+            let cause = Some(DecisionCause::TtlExpired);
+            if self.withdraw(key, cause, controller, &mut report.errors) {
                 report.expired.push(key);
-                continue;
-            }
-            match controller.clear_initcwnd(key) {
-                Ok(()) => {
-                    self.stats.route_expirations += 1;
-                    report.expired.push(key);
-                    if let Some(t) = &self.telemetry {
-                        t.route_expirations.inc();
-                        t.journal_decision(
-                            now,
-                            key,
-                            DecisionAction::Withdraw,
-                            DecisionCause::TtlExpired,
-                        );
-                    }
-                }
-                Err(e) => {
-                    self.stats.errors += 1;
-                    report.errors.push(e);
-                    if let Some(t) = &self.telemetry {
-                        t.errors.inc();
-                    }
-                }
             }
         }
     }
@@ -1156,8 +963,8 @@ mod tests {
     use super::*;
     use crate::combine::CombineStrategy;
     use crate::granularity::Granularity;
-    use crate::history::HistoryStrategy;
     use crate::observe::{CwndObservation, FnObserver};
+    use crate::policy::LearningPolicy;
     use riptide_linuxnet::route::RouteTable;
     use std::net::Ipv4Addr;
 
@@ -1177,7 +984,7 @@ mod tests {
 
     fn no_history() -> RiptideConfig {
         RiptideConfig::builder()
-            .history(HistoryStrategy::None)
+            .policy(LearningPolicy::None)
             .build()
             .unwrap()
     }
@@ -1268,7 +1075,7 @@ mod tests {
     fn prefix_granularity_installs_one_route_per_pop() {
         let cfg = RiptideConfig::builder()
             .granularity(Granularity::Prefix(24))
-            .history(HistoryStrategy::None)
+            .policy(LearningPolicy::None)
             .build()
             .unwrap();
         let (mut a, mut routes) = agent(cfg);
@@ -1292,7 +1099,7 @@ mod tests {
         let mut o = base;
         let cfg = RiptideConfig::builder()
             .combine(CombineStrategy::Max)
-            .history(HistoryStrategy::None)
+            .policy(LearningPolicy::None)
             .build()
             .unwrap();
         let (mut a, mut routes) = agent(cfg);
@@ -1321,7 +1128,7 @@ mod tests {
     fn learned_window_respects_granularity() {
         let cfg = RiptideConfig::builder()
             .granularity(Granularity::Prefix(24))
-            .history(HistoryStrategy::None)
+            .policy(LearningPolicy::None)
             .build()
             .unwrap();
         let (mut a, mut routes) = agent(cfg);
@@ -1339,23 +1146,6 @@ mod tests {
         assert_eq!(r.groups, 0);
         assert!(r.updates.is_empty() && r.expired.is_empty() && r.errors.is_empty());
         assert!(routes.is_empty());
-    }
-
-    #[test]
-    fn prometheus_rendering_is_well_formed() {
-        let (mut a, mut routes) = agent(no_history());
-        let mut o = FnObserver(|| vec![obs([10, 0, 1, 1], 50)]);
-        a.tick(SimTime::from_secs(1), &mut o, &mut routes);
-        let text = a.stats().render_prometheus();
-        assert!(text.contains("riptide_ticks_total 1"));
-        assert!(text.contains("riptide_route_updates_total 1"));
-        assert!(text.contains("# TYPE riptide_observations_total counter"));
-        // Every metric has HELP, TYPE and a value line.
-        assert_eq!(text.lines().count(), 39);
-        assert!(text.contains("riptide_guard_trips_total 0"));
-        assert!(text.contains("riptide_aggregate_merges_total 0"));
-        assert!(text.contains("riptide_restored_routes_total 0"));
-        assert!(text.contains("riptide_sync_merged_total 0"));
     }
 
     #[test]
@@ -1383,7 +1173,7 @@ mod tests {
     #[test]
     fn conservative_advisory_scales_installs() {
         let (mut a, mut routes) = agent(no_history());
-        a.set_advisory(crate::advisory::Advisory::Conservative { factor: 0.5 })
+        a.set_advisory(Advisory::Conservative { factor: 0.5 })
             .unwrap();
         let mut o = FnObserver(|| vec![obs([10, 0, 1, 1], 80)]);
         a.tick(SimTime::from_secs(1), &mut o, &mut routes);
@@ -1397,13 +1187,13 @@ mod tests {
     #[test]
     fn suspend_advisory_stops_installs_but_keeps_learning() {
         let (mut a, mut routes) = agent(no_history());
-        a.set_advisory(crate::advisory::Advisory::Suspend).unwrap();
+        a.set_advisory(Advisory::Suspend).unwrap();
         let mut o = FnObserver(|| vec![obs([10, 0, 1, 1], 80)]);
         a.tick(SimTime::from_secs(1), &mut o, &mut routes);
         assert!(routes.is_empty(), "no installs while suspended");
         assert_eq!(a.table().len(), 1, "learning continues");
         // Resume: the learned value lands on the next tick.
-        a.set_advisory(crate::advisory::Advisory::Normal).unwrap();
+        a.set_advisory(Advisory::Normal).unwrap();
         a.tick(SimTime::from_secs(2), &mut o, &mut routes);
         assert_eq!(routes.initcwnd_for(Ipv4Addr::new(10, 0, 1, 1)), Some(80));
     }
@@ -1412,9 +1202,9 @@ mod tests {
     fn invalid_advisory_rejected() {
         let (mut a, _) = agent(no_history());
         assert!(a
-            .set_advisory(crate::advisory::Advisory::Conservative { factor: 2.0 })
+            .set_advisory(Advisory::Conservative { factor: 2.0 })
             .is_err());
-        assert_eq!(a.advisory(), crate::advisory::Advisory::Normal);
+        assert_eq!(a.advisory(), Advisory::Normal);
     }
 
     #[test]
@@ -1489,7 +1279,7 @@ mod tests {
 
     fn guarded() -> RiptideConfig {
         RiptideConfig::builder()
-            .history(HistoryStrategy::None)
+            .policy(LearningPolicy::None)
             .guard(crate::guard::GuardConfig::default())
             .build()
             .unwrap()
@@ -1576,7 +1366,7 @@ mod tests {
     #[test]
     fn capacity_bound_evicts_and_withdraws() {
         let cfg = RiptideConfig::builder()
-            .history(HistoryStrategy::None)
+            .policy(LearningPolicy::None)
             .table_capacity(2)
             .build()
             .unwrap();
@@ -1597,7 +1387,7 @@ mod tests {
 
     fn aggregated() -> RiptideConfig {
         RiptideConfig::builder()
-            .history(HistoryStrategy::None)
+            .policy(LearningPolicy::None)
             .aggregation(crate::aggregate::AggregationPolicy::default())
             .build()
             .unwrap()
@@ -1702,7 +1492,7 @@ mod tests {
     #[test]
     fn aggregated_prefix_counts_as_one_capacity_entry() {
         let cfg = RiptideConfig::builder()
-            .history(HistoryStrategy::None)
+            .policy(LearningPolicy::None)
             .aggregation(crate::aggregate::AggregationPolicy::default())
             .table_capacity(2)
             .build()
@@ -1829,41 +1619,73 @@ mod tests {
         use crate::telemetry::AgentTelemetry;
 
         let cfg = RiptideConfig::builder()
-            .history(HistoryStrategy::None)
+            .policy(LearningPolicy::None)
             .guard(crate::guard::GuardConfig::default())
             .table_capacity(2)
             .build()
             .unwrap();
         let (mut a, mut routes) = agent(cfg);
+        // What the agent counted before a bundle was attached stays out
+        // of it: the registry starts from the attach.
+        let mut early = FnObserver(|| vec![obs([10, 0, 9, 1], 30)]);
+        a.tick(SimTime::from_secs(1), &mut early, &mut routes);
+        let before = a.stats();
+        assert!(before.ticks == 1 && before.route_updates == 1);
         a.attach_telemetry(AgentTelemetry::standalone(64));
 
-        // Installs for three destinations through a 2-slot table (one
-        // eviction), then loss trips the guard, then TTL expiry.
-        for (t, n) in [(1u64, 1u8), (2, 2), (3, 3)] {
-            let mut o = FnObserver(move || vec![obs([10, 0, n, 1], 50)]);
+        // Installs for three destinations through a 2-slot table
+        // (evictions; the third window is clamped), then loss trips the
+        // guard, then TTL expiry, one more install, and a shutdown.
+        for (t, n, w) in [(2u64, 1u8, 50u32), (3, 2, 50), (4, 3, 250)] {
+            let mut o = FnObserver(move || vec![obs([10, 0, n, 1], w)]);
             a.tick(SimTime::from_secs(t), &mut o, &mut routes);
         }
         let mut bad = FnObserver(|| vec![lossy_obs([10, 0, 3, 1], 80, 500, 2_000_000)]);
-        a.tick(SimTime::from_secs(4), &mut bad, &mut routes);
         a.tick(SimTime::from_secs(5), &mut bad, &mut routes);
+        a.tick(SimTime::from_secs(6), &mut bad, &mut routes);
         let mut silent = FnObserver(Vec::new);
         a.tick(SimTime::from_secs(200), &mut silent, &mut routes);
+        a.tick_degraded(SimTime::from_secs(201), &mut routes);
+        let mut o = FnObserver(|| vec![obs([10, 0, 1, 1], 50)]);
+        a.tick(SimTime::from_secs(202), &mut o, &mut routes);
+        a.shutdown(&mut routes);
 
         let s = a.stats();
         let snap = a.telemetry().unwrap().registry().snapshot();
-        for (name, want) in [
-            ("riptide_ticks_total", s.ticks),
-            ("riptide_observations_total", s.observations),
-            ("riptide_route_updates_total", s.route_updates),
-            ("riptide_route_expirations_total", s.route_expirations),
-            ("riptide_control_errors_total", s.errors),
-            ("riptide_degraded_ticks_total", s.degraded_ticks),
-            ("riptide_guard_trips_total", s.guard_trips),
-            ("riptide_table_evictions_total", s.table_evictions),
-            ("riptide_reconcile_repairs_total", s.reconcile_repairs),
+        for (name, now, then) in [
+            ("riptide_ticks_total", s.ticks, before.ticks),
+            (
+                "riptide_observations_total",
+                s.observations,
+                before.observations,
+            ),
+            (
+                "riptide_route_updates_total",
+                s.route_updates,
+                before.route_updates,
+            ),
+            ("riptide_route_expirations_total", s.route_expirations, 0),
+            ("riptide_control_errors_total", s.errors, 0),
+            ("riptide_degraded_ticks_total", s.degraded_ticks, 0),
+            ("riptide_guard_trips_total", s.guard_trips, 0),
+            ("riptide_table_evictions_total", s.table_evictions, 0),
+            ("riptide_reconcile_repairs_total", s.reconcile_repairs, 0),
+            (
+                "riptide_suppressed_installs_total",
+                s.suppressed_installs,
+                0,
+            ),
+            ("riptide_clamped_installs_total", s.clamped_installs, 0),
+            (
+                "riptide_shutdown_withdrawals_total",
+                s.shutdown_withdrawals,
+                0,
+            ),
         ] {
-            assert_eq!(snap.value(name), Some(want), "{name}");
+            assert_eq!(snap.value(name), Some(now - then), "{name}");
         }
+        assert!(s.suppressed_installs >= 1 && s.clamped_installs >= 1);
+        assert!(s.shutdown_withdrawals >= 1 && s.degraded_ticks == 1);
         assert!(s.guard_trips >= 1 && s.table_evictions >= 1 && s.route_expirations >= 1);
         assert_eq!(
             snap.value("riptide_table_entries"),
@@ -2090,22 +1912,22 @@ mod tests {
     #[test]
     fn restore_drops_expired_entries_and_clamps_windows() {
         let (mut b, mut routes) = agent(no_history());
-        let snap = crate::persist::TableSnapshot {
+        let snap = TableSnapshot {
             taken_at: SimTime::from_secs(50),
             entries: vec![
-                crate::persist::SnapshotEntry {
+                SnapshotEntry {
                     key: "10.0.0.1".parse().unwrap(),
                     window: 900, // way out of bounds
                     last_fresh: 900.0,
                     last_updated: SimTime::from_secs(50),
-                    history: crate::history::HistoryState::None,
+                    history: crate::policy::HistoryState::None,
                 },
-                crate::persist::SnapshotEntry {
+                SnapshotEntry {
                     key: "10.0.0.2".parse().unwrap(),
                     window: 60,
                     last_fresh: 60.0,
                     last_updated: SimTime::from_secs(1), // stale
-                    history: crate::history::HistoryState::None,
+                    history: crate::policy::HistoryState::None,
                 },
             ],
             installs: vec![
@@ -2137,21 +1959,21 @@ mod tests {
         // State persisted by an EWMA agent, restored into a
         // windowed-mean agent: blending the foreign variant would panic;
         // the restore must re-seed instead.
-        let snap = crate::persist::TableSnapshot {
+        let snap = TableSnapshot {
             taken_at: SimTime::from_secs(5),
-            entries: vec![crate::persist::SnapshotEntry {
+            entries: vec![SnapshotEntry {
                 key: "10.0.0.1".parse().unwrap(),
                 window: 48,
                 last_fresh: 48.0,
                 last_updated: SimTime::from_secs(5),
-                history: crate::history::HistoryState::Ewma { value: Some(48.0) },
+                history: crate::policy::HistoryState::Ewma { value: Some(48.0) },
             }],
             installs: vec![("10.0.0.1".parse().unwrap(), 48)],
             guards: Vec::new(),
             skipped_entries: 0,
         };
         let cfg = RiptideConfig::builder()
-            .history(HistoryStrategy::WindowedMean { window: 3 })
+            .policy(LearningPolicy::WindowedMean { window: 3 })
             .build()
             .unwrap();
         let (mut b, mut routes) = agent(cfg);
@@ -2165,8 +1987,8 @@ mod tests {
 
     #[test]
     fn merge_remote_applies_newest_wins_clamp_and_ttl() {
-        use crate::sync::SyncEntry;
         use crate::telemetry::AgentTelemetry;
+        use SyncEntry;
 
         let (mut a, mut routes) = agent(no_history());
         a.attach_telemetry(AgentTelemetry::standalone(16));

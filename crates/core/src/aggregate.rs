@@ -32,12 +32,12 @@
 //!
 //! ```
 //! use riptide::aggregate::{AggregationPolicy, Aggregator};
-//! use riptide::history::HistoryStrategy;
+//! use riptide::policy::LearningPolicy;
 //! use riptide::table::FinalTable;
 //! use riptide_simnet::time::SimTime;
 //!
 //! let mut table = FinalTable::new();
-//! let strategy = HistoryStrategy::None;
+//! let strategy = LearningPolicy::None;
 //! for (host, w) in [("10.0.1.1", 40u32), ("10.0.1.2", 42), ("10.0.1.3", 41)] {
 //!     let key = host.parse()?;
 //!     table.blend(key, w as f64, &strategy, SimTime::from_secs(1));
@@ -360,12 +360,12 @@ impl AggregationPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::history::HistoryStrategy;
+    use crate::policy::LearningPolicy;
     use riptide_simnet::time::SimTime;
     use std::net::Ipv4Addr;
 
     fn table_with(entries: &[(&str, u32)]) -> FinalTable {
-        let strategy = HistoryStrategy::None;
+        let strategy = LearningPolicy::None;
         let mut t = FinalTable::new();
         for (host, w) in entries {
             let key: Ipv4Prefix = host.parse().unwrap();
@@ -503,7 +503,7 @@ mod tests {
 
     #[test]
     fn windowless_entries_are_ignored() {
-        let strategy = HistoryStrategy::None;
+        let strategy = LearningPolicy::None;
         let mut t = FinalTable::new();
         for n in 1..=3u8 {
             // blend() without set_window leaves window == 0 (e.g. a

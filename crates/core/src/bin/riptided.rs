@@ -274,7 +274,7 @@ fn main() -> ExitCode {
                 Ok(a) => builder = builder.alpha(a),
                 Err(e) => return fail(&e),
             },
-            "--no-history" => builder = builder.history(HistoryStrategy::None),
+            "--no-history" => builder = builder.policy(LearningPolicy::None),
             "--policy" => match value("--policy").and_then(|v| {
                 LearningPolicy::from_spec(&v).map_err(|e| format!("bad --policy: {e}"))
             }) {

@@ -4,15 +4,14 @@ use riptide_simnet::time::SimDuration;
 
 use crate::combine::CombineStrategy;
 use crate::granularity::Granularity;
-use crate::history::HistoryStrategy;
-use crate::policy::{LearningPolicy, Policy};
+use crate::policy::LearningPolicy;
 
 /// The agent's configuration: Table I of the paper plus the §III-B
 /// strategy choices.
 ///
 /// | Paper | Field | Deployment value |
 /// |-------|-------|------------------|
-/// | `α` | part of [`HistoryStrategy::Ewma`] | weight on history (unspecified in the paper; 0.7 here) |
+/// | `α` | part of [`LearningPolicy::Ewma`] | weight on history (unspecified in the paper; 0.7 here) |
 /// | `i_u` | `update_interval` | 1 s (§IV-A) |
 /// | `t` | `ttl` | 90 s (§III-B) |
 /// | `c_max` | `cwnd_max` | 100 (§IV-B knee) |
@@ -48,10 +47,10 @@ pub struct RiptideConfig {
     /// (§III-B "Combination Algorithm").
     pub combine: CombineStrategy,
     /// The window estimator: how fresh combined values become the value
-    /// to clamp and install. [`LearningPolicy::History`] wraps the
-    /// paper's §III-B history strategies (the EWMA is the deployment
-    /// default); the other variants are registered competitors raced by
-    /// the policy-ablation arena.
+    /// to clamp and install. The EWMA, no history and the windowed mean
+    /// are the paper's §III-B history strategies (the EWMA is the
+    /// deployment default); the other variants are registered
+    /// competitors raced by the policy-ablation arena.
     pub policy: LearningPolicy,
     /// Destination grouping: per-host /32 routes or per-prefix routes
     /// (§III-B "Destinations as Routes").
@@ -86,7 +85,7 @@ impl RiptideConfig {
             cwnd_max: 100,
             cwnd_min: 10,
             combine: CombineStrategy::Average,
-            policy: LearningPolicy::History(HistoryStrategy::Ewma { alpha: 0.7 }),
+            policy: LearningPolicy::Ewma { alpha: 0.7 },
             granularity: Granularity::Host,
             trend: None,
             guard: None,
@@ -231,16 +230,15 @@ impl RiptideConfigBuilder {
         self
     }
 
-    /// Sets a paper-native history strategy as the learning policy.
-    pub fn history(mut self, v: HistoryStrategy) -> Self {
-        self.config.policy = LearningPolicy::History(v);
-        self
+    /// A synonym of [`RiptideConfigBuilder::policy`], kept only because
+    /// the frozen `benchmark/` package calls it.
+    pub fn history(self, v: LearningPolicy) -> Self {
+        self.policy(v)
     }
 
-    /// Shorthand: use the EWMA history policy with the given `α`.
-    pub fn alpha(mut self, alpha: f64) -> Self {
-        self.config.policy = LearningPolicy::History(HistoryStrategy::Ewma { alpha });
-        self
+    /// Shorthand: use the EWMA policy with the given `α`.
+    pub fn alpha(self, alpha: f64) -> Self {
+        self.policy(LearningPolicy::Ewma { alpha })
     }
 
     /// Sets the destination granularity.
@@ -292,9 +290,11 @@ impl RiptideConfig {
     ///
     /// ```text
     /// # riptide.conf
-    /// alpha = 0.7            # or: history = none | windowed:<n>
+    /// alpha = 0.7            # shorthand for policy = ewma:0.7
     /// policy = ewma          # any LearningPolicy::from_spec spec, e.g.
-    ///                        # p25 | p75 | loss-utility:<g>:<p>:<a>
+    ///                        # none | windowed:<n> | p25 | p75 |
+    ///                        # loss-utility:<g>:<p>:<a>
+    ///                        # (`history =` is an older synonym)
     /// interval = 1           # seconds (i_u)
     /// ttl = 90               # seconds (t)
     /// cmax = 100
@@ -327,21 +327,9 @@ impl RiptideConfig {
                 "alpha" => {
                     builder.alpha(value.parse().map_err(|e| bad(&format!("bad alpha: {e}")))?)
                 }
-                "history" => {
-                    let strategy = if value == "none" {
-                        HistoryStrategy::None
-                    } else if let Some(n) = value.strip_prefix("windowed:") {
-                        HistoryStrategy::WindowedMean {
-                            window: n.parse().map_err(|e| bad(&format!("bad window: {e}")))?,
-                        }
-                    } else {
-                        return Err(bad(&format!("unknown history {value:?}")));
-                    };
-                    builder.history(strategy)
-                }
-                "policy" => builder.policy(
+                "policy" | "history" => builder.policy(
                     LearningPolicy::from_spec(value)
-                        .map_err(|e| bad(&format!("bad policy: {e}")))?,
+                        .map_err(|e| bad(&format!("bad {key}: {e}")))?,
                 ),
                 "interval" => builder.update_interval(SimDuration::from_secs(
                     value
@@ -561,10 +549,7 @@ mod tests {
             "history = windowed:5\ncombine = max\ngranularity = /24\ntrend = 0.3:0.6\n",
         )
         .unwrap();
-        assert_eq!(
-            cfg.policy,
-            LearningPolicy::History(HistoryStrategy::WindowedMean { window: 5 })
-        );
+        assert_eq!(cfg.policy, LearningPolicy::WindowedMean { window: 5 });
         assert_eq!(cfg.combine, CombineStrategy::Max);
         assert_eq!(cfg.granularity, Granularity::Prefix(24));
         let trend = cfg.trend.unwrap();

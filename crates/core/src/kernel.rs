@@ -123,12 +123,12 @@ impl KernelAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::history::HistoryStrategy;
+    use crate::policy::LearningPolicy;
 
     fn agent() -> KernelAgent {
         KernelAgent::new(
             RiptideConfig::builder()
-                .history(HistoryStrategy::None)
+                .policy(LearningPolicy::None)
                 .build()
                 .unwrap(),
         )

@@ -17,8 +17,7 @@
 //! | [`agent`] | [`agent::RiptideAgent`]: poll → group → combine → blend → clamp → install, TTL expiry; degraded (expiry-only) cycles | Algorithm 1; §IV-D no-harm |
 //! | [`config`] | Table I parameters (`α`, `i_u`, `t`, `c_max`, `c_min`) + builder + conf-file parser | Table I |
 //! | [`combine`] | Average / max / traffic-weighted group reduction | §III-B combine alternatives |
-//! | [`history`] | EWMA / none / windowed history blending | §III-B history; Table I `α` |
-//! | [`policy`] | [`policy::Policy`] trait over window estimators; percentile and loss-utility competitors; the arena registry | §III-B design space; ROADMAP item 4 |
+//! | [`policy`] | [`policy::LearningPolicy`]: the window estimator as one enum — the paper's EWMA / none / windowed history blending plus the percentile and loss-utility competitors — its per-destination state, and the arena registry | §III-B history and design space; Table I `α` |
 //! | [`granularity`] | Host routes vs `/24` (PoP) prefix routes | §III-B granularity |
 //! | [`aggregate`] | Learn at `/32`, coalesce agreeing siblings into covering routes, split on divergence | §III-B at internet scale; Pied Piper (PAPERS.md) |
 //! | [`trend`] | §V trend damping (aggressive decrease on collapse) | §V |
@@ -66,7 +65,6 @@ pub mod config;
 pub mod control;
 pub mod granularity;
 pub mod guard;
-pub mod history;
 pub mod kernel;
 pub mod model;
 pub mod observe;
@@ -92,7 +90,6 @@ pub mod prelude {
     };
     pub use crate::granularity::Granularity;
     pub use crate::guard::{BreakerState, GuardConfig, GuardVerdict, LossGuard};
-    pub use crate::history::HistoryStrategy;
     pub use crate::kernel::KernelAgent;
     pub use crate::observe::{
         observations_from_sock_table, CwndObservation, FallibleObserver, FnFallibleObserver,
@@ -102,7 +99,7 @@ pub mod prelude {
         decode_state, encode_state, replay, JournalOp, JournalRecord, PersistError, SnapshotEntry,
         StateFile, TableSnapshot,
     };
-    pub use crate::policy::{registered_policies, LearningPolicy, Policy, PolicyInput};
+    pub use crate::policy::{registered_policies, HistoryStrategy, LearningPolicy, PolicyInput};
     pub use crate::reconcile::{audit, is_riptide_route, AuditReport, AuditVerdict};
     pub use crate::resilience::{
         retry_with_backoff, BackoffPolicy, IoStats, ResilientController, ResilientObserver,

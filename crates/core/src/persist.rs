@@ -85,7 +85,7 @@ use riptide_linuxnet::prefix::Ipv4Prefix;
 use riptide_simnet::time::SimTime;
 
 use crate::guard::{BreakerState, GuardExport};
-use crate::history::HistoryState;
+use crate::policy::HistoryState;
 
 /// Snapshot magic: "RPTS".
 const MAGIC: [u8; 4] = *b"RPTS";

@@ -1,15 +1,18 @@
-//! Pluggable learning policies: the window estimator behind a trait.
+//! The window estimator: how fresh observations become the value the
+//! agent clamps and installs (§III-B "The use of history is also
+//! flexible").
 //!
-//! The paper's deployed estimator — EWMA over the combined observation,
-//! clamped into `[c_min, c_max]` — is one point in a design space §III-B
-//! explicitly leaves open. This module factors that estimator behind the
-//! [`Policy`] trait so competitors can race through the same agent,
-//! persistence, and experiment machinery:
+//! The paper's deployed estimator — an EWMA with weight `α` on history,
+//! damping both "dangerous increases" and the collapse when every
+//! connection to a destination momentarily closes — is one point in a
+//! design space §III-B explicitly leaves open. [`LearningPolicy`] is that
+//! whole space as one flat enum, so every member races through the same
+//! agent, persistence and experiment machinery:
 //!
-//! * [`LearningPolicy::History`] wraps the paper's strategies
-//!   ([`HistoryStrategy`]: EWMA / none / windowed mean) unchanged — the
-//!   default EWMA path is arithmetically identical to the pre-trait
-//!   code, which the golden digests pin.
+//! * [`LearningPolicy::Ewma`], [`LearningPolicy::None`] and
+//!   [`LearningPolicy::WindowedMean`] are the paper's own three: the
+//!   deployed blend, no history at all (react fast), and the "longer-view
+//!   historical analysis" as a sliding-window mean. They are loss-blind.
 //! * [`LearningPolicy::Percentile`] keeps a bounded ring of observed
 //!   values and answers a fixed quantile of it: p25 is a conservative
 //!   estimator (a window a quarter of recent observations stayed
@@ -21,15 +24,14 @@
 //!   negative — the clamp floors it at `c_min`), so a destination that
 //!   only looks fast while retransmitting never jump-starts high.
 //!
-//! Policies carry a stable [`Policy::name`] that flows into the decision
-//! journal ([`DecisionCause::Learned`]) and bench reports, and a state
-//! constructor whose variants are persisted by [`crate::persist`].
+//! A policy carries a stable [`LearningPolicy::name`] that flows into the
+//! decision journal ([`DecisionCause::Learned`]) and bench reports, and
+//! owns one [`HistoryState`] per destination, whose variants are what
+//! [`crate::persist`] writes.
 //!
 //! [`DecisionCause::Learned`]: crate::telemetry::DecisionCause::Learned
 
 use std::collections::VecDeque;
-
-use crate::history::{HistoryState, HistoryStrategy};
 
 /// The MSS used to convert `bytes_acked` into a segment count for loss
 /// rates, matching [`crate::guard`]'s accounting.
@@ -55,8 +57,8 @@ pub struct PolicyInput {
 }
 
 impl PolicyInput {
-    /// An input carrying only the fresh value (no loss signal) — what
-    /// the pure history policies consume.
+    /// An input carrying only the fresh value (no loss signal) — all the
+    /// paper's three strategies consume.
     pub fn fresh_only(fresh: f64) -> Self {
         PolicyInput {
             fresh,
@@ -70,91 +72,36 @@ impl PolicyInput {
 /// A window estimator: turns a stream of per-destination observations
 /// into the pre-clamp value the agent installs.
 ///
-/// The contract every implementation (and the cross-policy proptests in
+/// The contract every variant (and the cross-policy proptests in
 /// `tests/invariants.rs`) must honor:
 ///
-/// * `new_state` creates a state `observe` accepts; `observe` on a
-///   state from a different policy is a caller logic error and may
-///   panic.
+/// * [`new_state`] creates a state [`observe`] accepts; `observe` on a
+///   state from a different policy is a caller logic error and panics.
 /// * A constant loss-free input stream converges to that constant (the
 ///   estimator must not drift on steady evidence).
 /// * The returned value is finite for finite input; the agent's clamp
 ///   maps anything else to `c_min`.
-/// * `name` is stable across runs — it is journaled and persisted into
+/// * [`name`] is stable across runs — it is journaled and persisted into
 ///   bench baselines.
-pub trait Policy {
-    /// A short stable identifier for journals, benches, and reports.
-    fn name(&self) -> &'static str;
-
-    /// Checks parameter ranges.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first out-of-range parameter.
-    fn validate(&self) -> Result<(), String>;
-
-    /// Creates the per-destination state this policy updates.
-    fn new_state(&self) -> HistoryState;
-
-    /// Whether `state` is a variant this policy's `observe` accepts —
-    /// the warm-restart compatibility check (a persisted state from a
-    /// different policy is re-seeded, not fed in raw).
-    fn state_matches(&self, state: &HistoryState) -> bool;
-
-    /// Feeds one observation group through the estimator, returning the
-    /// value to shape and clamp.
-    ///
-    /// # Panics
-    ///
-    /// May panic if `state` was created by a different policy (a logic
-    /// error in the caller — see [`Policy::state_matches`]).
-    fn observe(&self, state: &mut HistoryState, input: &PolicyInput) -> f64;
-
-    /// [`Policy::observe`] with only a fresh value — the seam the
-    /// pre-trait callers (kernel agent, gossip seeding, table doctests)
-    /// use.
-    fn blend(&self, state: &mut HistoryState, fresh: f64) -> f64 {
-        self.observe(state, &PolicyInput::fresh_only(fresh))
-    }
-}
-
-impl Policy for HistoryStrategy {
-    fn name(&self) -> &'static str {
-        HistoryStrategy::name(self)
-    }
-
-    fn validate(&self) -> Result<(), String> {
-        HistoryStrategy::validate(self)
-    }
-
-    fn new_state(&self) -> HistoryState {
-        HistoryStrategy::new_state(self)
-    }
-
-    fn state_matches(&self, state: &HistoryState) -> bool {
-        matches!(
-            (self, state),
-            (HistoryStrategy::Ewma { .. }, HistoryState::Ewma { .. })
-                | (HistoryStrategy::None, HistoryState::None)
-                | (
-                    HistoryStrategy::WindowedMean { .. },
-                    HistoryState::Window { .. }
-                )
-        )
-    }
-
-    fn observe(&self, state: &mut HistoryState, input: &PolicyInput) -> f64 {
-        // The paper's strategies are loss-blind: only the fresh value
-        // feeds the blend, exactly as before the trait existed.
-        HistoryStrategy::blend(self, state, input.fresh)
-    }
-}
-
-/// The registered estimator competitors, as one configurable enum.
+///
+/// [`new_state`]: LearningPolicy::new_state
+/// [`observe`]: LearningPolicy::observe
+/// [`name`]: LearningPolicy::name
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LearningPolicy {
-    /// A paper-native history strategy (EWMA / none / windowed mean).
-    History(HistoryStrategy),
+    /// `final = α·previous + (1−α)·fresh` — the deployed choice.
+    Ewma {
+        /// Weight on the historical value, in `[0, 1]`.
+        alpha: f64,
+    },
+    /// No history: the fresh value is used directly.
+    None,
+    /// Mean over the last `window` fresh values — the "longer-view
+    /// historical analysis" variant.
+    WindowedMean {
+        /// Number of recent values retained (≥ 1).
+        window: usize,
+    },
     /// A fixed quantile over a bounded ring of observed values.
     Percentile {
         /// The quantile answered, in `[0, 1]` (0.25 = conservative p25,
@@ -177,15 +124,14 @@ pub enum LearningPolicy {
     },
 }
 
+/// The paper's name for the same knob. A synonym kept only because the
+/// frozen `benchmark/` package spells `HistoryStrategy::None`; new code
+/// says [`LearningPolicy`].
+pub type HistoryStrategy = LearningPolicy;
+
 impl Default for LearningPolicy {
     fn default() -> Self {
-        LearningPolicy::History(HistoryStrategy::default())
-    }
-}
-
-impl From<HistoryStrategy> for LearningPolicy {
-    fn from(strategy: HistoryStrategy) -> Self {
-        LearningPolicy::History(strategy)
+        LearningPolicy::Ewma { alpha: 0.7 }
     }
 }
 
@@ -193,10 +139,13 @@ impl From<HistoryStrategy> for LearningPolicy {
 /// `MAX_HISTORY_WINDOW`.
 const MAX_RING: usize = 4096;
 
-impl Policy for LearningPolicy {
-    fn name(&self) -> &'static str {
+impl LearningPolicy {
+    /// A short stable identifier for journals, benches, and reports.
+    pub fn name(&self) -> &'static str {
         match self {
-            LearningPolicy::History(s) => HistoryStrategy::name(s),
+            LearningPolicy::Ewma { .. } => "ewma",
+            LearningPolicy::None => "none",
+            LearningPolicy::WindowedMean { .. } => "windowed-mean",
             LearningPolicy::Percentile { fraction, .. } => {
                 if (fraction - 0.25).abs() < 1e-9 {
                     "p25"
@@ -212,9 +161,27 @@ impl Policy for LearningPolicy {
         }
     }
 
-    fn validate(&self) -> Result<(), String> {
+    /// Checks parameter ranges.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first out-of-range parameter.
+    pub fn validate(&self) -> Result<(), String> {
+        let unit_alpha = |alpha: f64| {
+            if !(0.0..=1.0).contains(&alpha) || alpha.is_nan() {
+                return Err(format!("alpha must be in [0, 1], got {alpha}"));
+            }
+            Ok(())
+        };
         match *self {
-            LearningPolicy::History(s) => HistoryStrategy::validate(&s),
+            LearningPolicy::Ewma { alpha } => unit_alpha(alpha),
+            LearningPolicy::None => Ok(()),
+            LearningPolicy::WindowedMean { window } => {
+                if window == 0 {
+                    return Err("window must be at least 1".into());
+                }
+                Ok(())
+            }
             LearningPolicy::Percentile { fraction, capacity } => {
                 if !(0.0..=1.0).contains(&fraction) || fraction.is_nan() {
                     return Err(format!(
@@ -241,17 +208,19 @@ impl Policy for LearningPolicy {
                         "penalty must be finite and non-negative, got {penalty}"
                     ));
                 }
-                if !(0.0..=1.0).contains(&alpha) || alpha.is_nan() {
-                    return Err(format!("alpha must be in [0, 1], got {alpha}"));
-                }
-                Ok(())
+                unit_alpha(alpha)
             }
         }
     }
 
-    fn new_state(&self) -> HistoryState {
+    /// Creates the per-destination state this policy updates.
+    pub fn new_state(&self) -> HistoryState {
         match *self {
-            LearningPolicy::History(s) => HistoryStrategy::new_state(&s),
+            LearningPolicy::Ewma { .. } => HistoryState::Ewma { value: None },
+            LearningPolicy::None => HistoryState::None,
+            LearningPolicy::WindowedMean { window } => HistoryState::Window {
+                values: VecDeque::with_capacity(window),
+            },
             LearningPolicy::Percentile { capacity, .. } => HistoryState::Ring {
                 values: VecDeque::with_capacity(capacity),
             },
@@ -259,19 +228,54 @@ impl Policy for LearningPolicy {
         }
     }
 
-    fn state_matches(&self, state: &HistoryState) -> bool {
-        match self {
-            LearningPolicy::History(s) => Policy::state_matches(s, state),
-            LearningPolicy::Percentile { .. } => matches!(state, HistoryState::Ring { .. }),
-            LearningPolicy::LossUtility { .. } => matches!(state, HistoryState::Utility { .. }),
-        }
+    /// Whether `state` is the variant this policy's `observe` accepts —
+    /// the warm-restart compatibility check (a persisted state from a
+    /// different policy is re-seeded, not fed in raw).
+    pub fn state_matches(&self, state: &HistoryState) -> bool {
+        matches!(
+            (self, state),
+            (LearningPolicy::Ewma { .. }, HistoryState::Ewma { .. })
+                | (LearningPolicy::None, HistoryState::None)
+                | (
+                    LearningPolicy::WindowedMean { .. },
+                    HistoryState::Window { .. }
+                )
+                | (LearningPolicy::Percentile { .. }, HistoryState::Ring { .. })
+                | (
+                    LearningPolicy::LossUtility { .. },
+                    HistoryState::Utility { .. }
+                )
+        )
     }
 
-    fn observe(&self, state: &mut HistoryState, input: &PolicyInput) -> f64 {
+    /// Feeds one observation group through the estimator, returning the
+    /// value to shape and clamp.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` was created by a different policy (a logic
+    /// error in the caller — see [`LearningPolicy::state_matches`]).
+    pub fn observe(&self, state: &mut HistoryState, input: &PolicyInput) -> f64 {
+        let fresh = input.fresh;
         match (*self, state) {
-            (LearningPolicy::History(s), state) => Policy::observe(&s, state, input),
+            (LearningPolicy::Ewma { alpha }, HistoryState::Ewma { value }) => {
+                let blended = match *value {
+                    None => fresh,
+                    Some(prev) => alpha * prev + (1.0 - alpha) * fresh,
+                };
+                *value = Some(blended);
+                blended
+            }
+            (LearningPolicy::None, HistoryState::None) => fresh,
+            (LearningPolicy::WindowedMean { window }, HistoryState::Window { values }) => {
+                values.push_back(fresh);
+                while values.len() > window {
+                    values.pop_front();
+                }
+                values.iter().sum::<f64>() / values.len() as f64
+            }
             (LearningPolicy::Percentile { fraction, capacity }, HistoryState::Ring { values }) => {
-                values.push_back(input.fresh);
+                values.push_back(fresh);
                 while values.len() > capacity {
                     values.pop_front();
                 }
@@ -303,7 +307,7 @@ impl Policy for LearningPolicy {
                 // the arithmetic is bit-identical to the pre-ECN form.
                 let congestion = input.retrans + input.ecn_marks;
                 let loss_rate = congestion as f64 / (congestion as f64 + segments as f64);
-                let utility = input.fresh * (gain - penalty * loss_rate);
+                let utility = fresh * (gain - penalty * loss_rate);
                 let blended = match *value {
                     None => utility,
                     Some(prev) => alpha * prev + (1.0 - alpha) * utility,
@@ -316,11 +320,24 @@ impl Policy for LearningPolicy {
             }
         }
     }
-}
 
-impl LearningPolicy {
+    /// [`LearningPolicy::observe`] with only a fresh value — what callers
+    /// with no loss signal (kernel agent, gossip seeding) use.
+    pub fn blend(&self, state: &mut HistoryState, fresh: f64) -> f64 {
+        self.observe(state, &PolicyInput::fresh_only(fresh))
+    }
+
+    /// A fresh state that has seen `fresh` once — how an entry that
+    /// arrives without a usable history (gossip, a restart under a
+    /// different policy) starts out.
+    pub fn seeded(&self, fresh: f64) -> HistoryState {
+        let mut state = self.new_state();
+        self.blend(&mut state, fresh);
+        state
+    }
+
     /// Parses a policy spec as written in `riptided --policy` and the
-    /// conf file's `policy =` key:
+    /// conf file's `policy =` key (and its older synonym `history =`):
     ///
     /// ```text
     /// ewma | ewma:<alpha> | ewma-fast | none | windowed:<n>
@@ -334,24 +351,22 @@ impl LearningPolicy {
     /// # Errors
     ///
     /// Returns a description of the first unparsable token; the result
-    /// is additionally [`Policy::validate`]d.
+    /// is additionally [`LearningPolicy::validate`]d.
     pub fn from_spec(spec: &str) -> Result<LearningPolicy, String> {
         let spec = spec.trim();
         if let Some((_, policy)) = registered_policies().into_iter().find(|(n, _)| *n == spec) {
             return Ok(policy);
         }
-        let parsed = if spec == "ewma" {
-            LearningPolicy::History(HistoryStrategy::Ewma { alpha: 0.7 })
-        } else if let Some(a) = spec.strip_prefix("ewma:") {
-            LearningPolicy::History(HistoryStrategy::Ewma {
+        let parsed = if let Some(a) = spec.strip_prefix("ewma:") {
+            LearningPolicy::Ewma {
                 alpha: a.parse().map_err(|e| format!("bad alpha: {e}"))?,
-            })
+            }
         } else if spec == "none" {
-            LearningPolicy::History(HistoryStrategy::None)
+            LearningPolicy::None
         } else if let Some(n) = spec.strip_prefix("windowed:") {
-            LearningPolicy::History(HistoryStrategy::WindowedMean {
+            LearningPolicy::WindowedMean {
                 window: n.parse().map_err(|e| format!("bad window: {e}"))?,
-            })
+            }
         } else if spec == "p50" {
             LearningPolicy::Percentile {
                 fraction: 0.5,
@@ -397,14 +412,8 @@ impl LearningPolicy {
 /// stay byte-identical to `probe_comparison`'s.
 pub fn registered_policies() -> Vec<(&'static str, LearningPolicy)> {
     vec![
-        (
-            "ewma",
-            LearningPolicy::History(HistoryStrategy::Ewma { alpha: 0.7 }),
-        ),
-        (
-            "ewma-fast",
-            LearningPolicy::History(HistoryStrategy::Ewma { alpha: 0.3 }),
-        ),
+        ("ewma", LearningPolicy::Ewma { alpha: 0.7 }),
+        ("ewma-fast", LearningPolicy::Ewma { alpha: 0.3 }),
         (
             "p25",
             LearningPolicy::Percentile {
@@ -430,57 +439,136 @@ pub fn registered_policies() -> Vec<(&'static str, LearningPolicy)> {
     ]
 }
 
+/// Per-destination memory owned by the agent's table, created by
+/// [`LearningPolicy::new_state`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum HistoryState {
+    /// EWMA accumulator ([`LearningPolicy::Ewma`]).
+    Ewma {
+        /// Last blended value, if any update has happened.
+        value: Option<f64>,
+    },
+    /// No memory ([`LearningPolicy::None`]).
+    None,
+    /// Recent fresh values, newest last ([`LearningPolicy::WindowedMean`]).
+    Window {
+        /// Retained values.
+        values: VecDeque<f64>,
+    },
+    /// Bounded ring of observed values for the percentile policies
+    /// ([`LearningPolicy::Percentile`]), newest last.
+    Ring {
+        /// Retained observations.
+        values: VecDeque<f64>,
+    },
+    /// Smoothed loss-utility score for [`LearningPolicy::LossUtility`].
+    Utility {
+        /// Last smoothed utility, if any update has happened.
+        value: Option<f64>,
+    },
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn fed(policy: LearningPolicy, values: &[f64]) -> Vec<f64> {
+        let mut st = policy.new_state();
+        values.iter().map(|&v| policy.blend(&mut st, v)).collect()
+    }
 
     #[test]
     fn default_policy_is_the_deployment_ewma() {
         assert_eq!(
             LearningPolicy::default(),
-            LearningPolicy::History(HistoryStrategy::Ewma { alpha: 0.7 })
+            LearningPolicy::Ewma { alpha: 0.7 }
         );
         assert_eq!(LearningPolicy::default().name(), "ewma");
     }
 
     #[test]
-    fn history_policy_matches_inherent_blend_bit_for_bit() {
-        // The trait path must be arithmetically identical to the
-        // pre-trait inherent path — this is what keeps every golden
-        // digest unchanged.
-        let strategy = HistoryStrategy::Ewma { alpha: 0.7 };
-        let policy = LearningPolicy::History(strategy);
-        let mut a = strategy.new_state();
-        let mut b = Policy::new_state(&policy);
-        for v in [50.0, 150.0, 10.0, 77.3, 99.9] {
-            let want = strategy.blend(&mut a, v);
-            let got = policy.observe(&mut b, &PolicyInput::fresh_only(v));
-            assert_eq!(want.to_bits(), got.to_bits());
-        }
+    fn ewma_blend_is_bit_for_bit_the_recorded_one() {
+        // The deployed estimator's arithmetic is what keeps every golden
+        // digest unchanged: these are the bits `α·prev + (1−α)·fresh`
+        // produced before the estimators were folded into one enum.
+        let got = fed(
+            LearningPolicy::Ewma { alpha: 0.7 },
+            &[50.0, 150.0, 10.0, 77.3, 99.9],
+        );
+        let want: [u64; 5] = [
+            0x4049_0000_0000_0000, // 50
+            0x4054_0000_0000_0000, // 80
+            0x404d_8000_0000_0000, // 59
+            0x4050_1f5c_28f5_c28f, // 64.49
+            0x4052_c73b_645a_1cac, // 75.113
+        ];
+        assert_eq!(got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), want);
+    }
+
+    #[test]
+    fn ewma_first_value_passes_through() {
+        assert_eq!(fed(LearningPolicy::Ewma { alpha: 0.7 }, &[50.0]), [50.0]);
+    }
+
+    #[test]
+    fn ewma_damps_jumps() {
+        let v = fed(LearningPolicy::Ewma { alpha: 0.7 }, &[50.0, 150.0, 10.0]);
+        // A spike to 150 moves the value only 30% of the way.
+        assert!((v[1] - 80.0).abs() < 1e-9, "got {}", v[1]);
+        // A collapse to 10 is likewise damped.
+        assert!((v[2] - 59.0).abs() < 1e-9, "got {}", v[2]);
+    }
+
+    #[test]
+    fn ewma_alpha_zero_ignores_history() {
+        let v = fed(LearningPolicy::Ewma { alpha: 0.0 }, &[50.0, 90.0]);
+        assert_eq!(v[1], 90.0);
+    }
+
+    #[test]
+    fn ewma_alpha_one_freezes() {
+        let v = fed(LearningPolicy::Ewma { alpha: 1.0 }, &[50.0, 90.0]);
+        assert_eq!(v[1], 50.0);
+    }
+
+    #[test]
+    fn ewma_converges_to_steady_input() {
+        let mut input = vec![10.0];
+        input.extend([100.0; 100]);
+        let v = fed(LearningPolicy::Ewma { alpha: 0.7 }, &input);
+        let last = v[v.len() - 1];
+        assert!((last - 100.0).abs() < 0.01, "converged to {last}");
+    }
+
+    #[test]
+    fn none_strategy_is_memoryless() {
+        assert_eq!(fed(LearningPolicy::None, &[42.0, 7.0]), [42.0, 7.0]);
+    }
+
+    #[test]
+    fn windowed_mean_slides() {
+        let v = fed(
+            LearningPolicy::WindowedMean { window: 3 },
+            &[10.0, 20.0, 30.0, 40.0],
+        );
+        // Window full at the fourth value: the 10 falls out.
+        assert_eq!(v, [10.0, 15.0, 20.0, 30.0]);
     }
 
     #[test]
     fn percentile_answers_the_requested_quantile() {
+        let values = [40.0, 10.0, 30.0, 20.0, 50.0];
         let p25 = LearningPolicy::Percentile {
             fraction: 0.25,
             capacity: 8,
         };
-        let mut st = Policy::new_state(&p25);
-        let mut last = 0.0;
-        for v in [40.0, 10.0, 30.0, 20.0, 50.0] {
-            last = p25.observe(&mut st, &PolicyInput::fresh_only(v));
-        }
         // Sorted ring [10, 20, 30, 40, 50]: nearest-rank p25 = 20.
-        assert_eq!(last, 20.0);
+        assert_eq!(fed(p25, &values)[4], 20.0);
         let p75 = LearningPolicy::Percentile {
             fraction: 0.75,
             capacity: 8,
         };
-        let mut st = Policy::new_state(&p75);
-        for v in [40.0, 10.0, 30.0, 20.0, 50.0] {
-            last = p75.observe(&mut st, &PolicyInput::fresh_only(v));
-        }
-        assert_eq!(last, 40.0);
+        assert_eq!(fed(p75, &values)[4], 40.0);
     }
 
     #[test]
@@ -489,9 +577,9 @@ mod tests {
             fraction: 0.75,
             capacity: 3,
         };
-        let mut st = Policy::new_state(&policy);
+        let mut st = policy.new_state();
         for v in 1..=10 {
-            policy.observe(&mut st, &PolicyInput::fresh_only(v as f64));
+            policy.blend(&mut st, v as f64);
         }
         match &st {
             HistoryState::Ring { values } => {
@@ -508,7 +596,7 @@ mod tests {
             penalty: 2.0,
             alpha: 0.7,
         };
-        let mut st = Policy::new_state(&policy);
+        let mut st = policy.new_state();
         let mut v = 0.0;
         for _ in 0..200 {
             v = policy.observe(
@@ -531,7 +619,7 @@ mod tests {
             penalty: 2.0,
             alpha: 0.0, // no smoothing: inspect the raw score
         };
-        let mut st = Policy::new_state(&policy);
+        let mut st = policy.new_state();
         let clean = policy.observe(
             &mut st,
             &PolicyInput {
@@ -557,6 +645,20 @@ mod tests {
     }
 
     #[test]
+    fn validation() {
+        assert!(LearningPolicy::Ewma { alpha: 0.5 }.validate().is_ok());
+        assert!(LearningPolicy::Ewma { alpha: 1.1 }.validate().is_err());
+        assert!(LearningPolicy::Ewma { alpha: f64::NAN }.validate().is_err());
+        assert!(LearningPolicy::WindowedMean { window: 0 }
+            .validate()
+            .is_err());
+        assert!(LearningPolicy::WindowedMean { window: 5 }
+            .validate()
+            .is_ok());
+        assert!(LearningPolicy::None.validate().is_ok());
+    }
+
+    #[test]
     fn registered_policies_validate_and_have_unique_names() {
         let regs = registered_policies();
         assert!(regs.len() >= 4, "the arena needs at least 4 competitors");
@@ -576,15 +678,15 @@ mod tests {
     fn spec_parsing_covers_the_grammar() {
         assert_eq!(
             LearningPolicy::from_spec("ewma:0.3").unwrap(),
-            LearningPolicy::History(HistoryStrategy::Ewma { alpha: 0.3 })
+            LearningPolicy::Ewma { alpha: 0.3 }
         );
         assert_eq!(
             LearningPolicy::from_spec("none").unwrap(),
-            LearningPolicy::History(HistoryStrategy::None)
+            LearningPolicy::None
         );
         assert_eq!(
             LearningPolicy::from_spec("windowed:5").unwrap(),
-            LearningPolicy::History(HistoryStrategy::WindowedMean { window: 5 })
+            LearningPolicy::WindowedMean { window: 5 }
         );
         assert_eq!(
             LearningPolicy::from_spec("percentile:0.9:128").unwrap(),
@@ -610,6 +712,10 @@ mod tests {
         );
         assert!(LearningPolicy::from_spec("vibes").is_err());
         assert!(LearningPolicy::from_spec("ewma:1.5").is_err(), "validated");
+        assert!(
+            LearningPolicy::from_spec("windowed:0").is_err(),
+            "validated"
+        );
         assert!(LearningPolicy::from_spec("percentile:0.5:0").is_err());
         assert!(LearningPolicy::from_spec("loss-utility:0:1:0.5").is_err());
     }
@@ -617,9 +723,9 @@ mod tests {
     #[test]
     fn state_matching_covers_every_pair() {
         let policies = [
-            LearningPolicy::History(HistoryStrategy::Ewma { alpha: 0.7 }),
-            LearningPolicy::History(HistoryStrategy::None),
-            LearningPolicy::History(HistoryStrategy::WindowedMean { window: 4 }),
+            LearningPolicy::Ewma { alpha: 0.7 },
+            LearningPolicy::None,
+            LearningPolicy::WindowedMean { window: 4 },
             LearningPolicy::Percentile {
                 fraction: 0.25,
                 capacity: 8,
@@ -632,7 +738,7 @@ mod tests {
         ];
         for (i, p) in policies.iter().enumerate() {
             for (j, q) in policies.iter().enumerate() {
-                let state = Policy::new_state(q);
+                let state = q.new_state();
                 assert_eq!(
                     p.state_matches(&state),
                     i == j,
@@ -644,14 +750,22 @@ mod tests {
 
     #[test]
     fn mismatched_state_panics() {
-        let policy = LearningPolicy::Percentile {
-            fraction: 0.25,
-            capacity: 8,
-        };
-        let mut st = HistoryState::None;
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            policy.observe(&mut st, &PolicyInput::fresh_only(1.0));
-        }));
-        assert!(r.is_err());
+        // A paper strategy on another's state, and a competitor on a
+        // paper strategy's.
+        for (policy, mut st) in [
+            (LearningPolicy::None, LearningPolicy::default().new_state()),
+            (
+                LearningPolicy::Percentile {
+                    fraction: 0.25,
+                    capacity: 8,
+                },
+                HistoryState::None,
+            ),
+        ] {
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                policy.blend(&mut st, 1.0);
+            }));
+            assert!(r.is_err(), "{policy:?}");
+        }
     }
 }

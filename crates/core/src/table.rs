@@ -7,8 +7,7 @@ use std::collections::{btree_map, BTreeMap};
 use riptide_linuxnet::prefix::Ipv4Prefix;
 use riptide_simnet::time::{SimDuration, SimTime};
 
-use crate::history::HistoryState;
-use crate::policy::{Policy, PolicyInput};
+use crate::policy::{HistoryState, LearningPolicy, PolicyInput};
 
 /// One destination's learned state.
 #[derive(Debug, Clone, PartialEq)]
@@ -27,7 +26,7 @@ pub struct FinalEntry {
 impl FinalEntry {
     /// A first-seen destination's entry: empty history, no window
     /// committed yet.
-    pub fn new<P: Policy + ?Sized>(policy: &P, fresh: f64, now: SimTime) -> Self {
+    pub fn new(policy: &LearningPolicy, fresh: f64, now: SimTime) -> Self {
         FinalEntry {
             window: 0,
             history: policy.new_state(),
@@ -38,12 +37,7 @@ impl FinalEntry {
 
     /// Feeds one observation group through the policy, stamps the entry
     /// with `now`, and returns the blended pre-clamp value.
-    pub fn observe<P: Policy + ?Sized>(
-        &mut self,
-        input: &PolicyInput,
-        policy: &P,
-        now: SimTime,
-    ) -> f64 {
+    pub fn observe(&mut self, input: &PolicyInput, policy: &LearningPolicy, now: SimTime) -> f64 {
         self.last_updated = now;
         let blended = policy.observe(&mut self.history, input);
         self.last_fresh = input.fresh;
@@ -71,10 +65,10 @@ impl FinalEntry {
 ///
 /// ```
 /// use riptide::table::FinalTable;
-/// use riptide::history::HistoryStrategy;
+/// use riptide::policy::LearningPolicy;
 /// use riptide_simnet::time::{SimDuration, SimTime};
 ///
-/// let strategy = HistoryStrategy::Ewma { alpha: 0.5 };
+/// let strategy = LearningPolicy::Ewma { alpha: 0.5 };
 /// let mut t = FinalTable::new();
 /// let key = "10.0.0.127".parse()?;
 ///
@@ -126,10 +120,10 @@ impl FinalTable {
     ///
     /// ```
     /// use riptide::table::FinalTable;
-    /// use riptide::history::HistoryStrategy;
+    /// use riptide::policy::LearningPolicy;
     /// use riptide_simnet::time::SimTime;
     ///
-    /// let strategy = HistoryStrategy::None;
+    /// let strategy = LearningPolicy::None;
     /// let mut t = FinalTable::bounded(2);
     /// for (n, at) in [(1u8, 10u64), (2, 20), (3, 30)] {
     ///     let key = format!("10.0.0.{n}").parse()?;
@@ -226,36 +220,9 @@ impl FinalTable {
         self.entries.get(key).map(|e| e.window)
     }
 
-    /// Blends `fresh` into the entry for `key` (creating it if new),
-    /// stamps it with `now`, stores the clamped `window`, and returns the
-    /// blended pre-clamp value. Any [`Policy`] — a plain
-    /// [`HistoryStrategy`](crate::history::HistoryStrategy) or a
-    /// [`LearningPolicy`](crate::policy::LearningPolicy) — drives the
-    /// blend.
-    pub fn update<P: Policy + ?Sized>(
-        &mut self,
-        key: Ipv4Prefix,
-        fresh: f64,
-        window: u32,
-        policy: &P,
-        now: SimTime,
-    ) -> f64 {
-        let entry = self.entries.entry(key).or_insert_with(|| FinalEntry {
-            window,
-            history: policy.new_state(),
-            last_fresh: fresh,
-            last_updated: now,
-        });
-        let blended = policy.blend(&mut entry.history, fresh);
-        entry.window = window;
-        entry.last_fresh = fresh;
-        entry.last_updated = now;
-        blended
-    }
-
-    /// Records the final clamped window for `key` after blending (split
-    /// from [`FinalTable::update`] because the clamp depends on the
-    /// blended value).
+    /// Records the final clamped window for `key` after
+    /// [`FinalTable::blend`] (a second step because the clamp depends on
+    /// the blended value).
     pub fn set_window(&mut self, key: &Ipv4Prefix, window: u32) {
         if let Some(e) = self.entries.get_mut(key) {
             e.window = window;
@@ -264,11 +231,11 @@ impl FinalTable {
 
     /// Blends `fresh` through the history for `key` without committing a
     /// window yet, creating the entry if needed.
-    pub fn blend<P: Policy + ?Sized>(
+    pub fn blend(
         &mut self,
         key: Ipv4Prefix,
         fresh: f64,
-        policy: &P,
+        policy: &LearningPolicy,
         now: SimTime,
     ) -> f64 {
         self.observe(key, &PolicyInput::fresh_only(fresh), policy, now)
@@ -278,11 +245,11 @@ impl FinalTable {
     /// through the policy for `key` without committing a window yet,
     /// creating the entry if needed — the loss-aware generalisation of
     /// [`FinalTable::blend`].
-    pub fn observe<P: Policy + ?Sized>(
+    pub fn observe(
         &mut self,
         key: Ipv4Prefix,
         input: &PolicyInput,
-        policy: &P,
+        policy: &LearningPolicy,
         now: SimTime,
     ) -> f64 {
         self.entries
@@ -428,7 +395,6 @@ impl Sweep<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::history::HistoryStrategy;
     use std::net::Ipv4Addr;
 
     fn key(n: u8) -> Ipv4Prefix {
@@ -437,7 +403,7 @@ mod tests {
 
     #[test]
     fn blend_then_set_window_round_trip() {
-        let strategy = HistoryStrategy::Ewma { alpha: 0.5 };
+        let strategy = LearningPolicy::Ewma { alpha: 0.5 };
         let mut t = FinalTable::new();
         let b = t.blend(key(1), 60.0, &strategy, SimTime::from_secs(1));
         assert_eq!(b, 60.0);
@@ -450,7 +416,7 @@ mod tests {
 
     #[test]
     fn expire_removes_stale_entries_only() {
-        let strategy = HistoryStrategy::None;
+        let strategy = LearningPolicy::None;
         let mut t = FinalTable::new();
         t.blend(key(1), 50.0, &strategy, SimTime::from_secs(0));
         t.blend(key(2), 50.0, &strategy, SimTime::from_secs(80));
@@ -464,7 +430,7 @@ mod tests {
 
     #[test]
     fn refresh_resets_ttl() {
-        let strategy = HistoryStrategy::None;
+        let strategy = LearningPolicy::None;
         let mut t = FinalTable::new();
         t.blend(key(1), 50.0, &strategy, SimTime::from_secs(0));
         t.blend(key(1), 55.0, &strategy, SimTime::from_secs(60));
@@ -474,7 +440,7 @@ mod tests {
 
     #[test]
     fn sweep_hands_out_entries_in_place_and_buffers_first_seen_keys() {
-        let strategy = HistoryStrategy::None;
+        let strategy = LearningPolicy::None;
         let mut t = FinalTable::new();
         for n in [2u8, 4, 6] {
             t.blend(key(n), 50.0, &strategy, SimTime::from_secs(0));
@@ -501,7 +467,7 @@ mod tests {
 
     #[test]
     fn bounded_table_evicts_lru_deterministically() {
-        let strategy = HistoryStrategy::None;
+        let strategy = LearningPolicy::None;
         let mut t = FinalTable::bounded(2);
         assert_eq!(t.capacity(), Some(2));
         t.blend(key(1), 50.0, &strategy, SimTime::from_secs(10));
@@ -519,7 +485,7 @@ mod tests {
 
     #[test]
     fn bounded_table_ties_break_by_key_order() {
-        let strategy = HistoryStrategy::None;
+        let strategy = LearningPolicy::None;
         let mut t = FinalTable::bounded(1);
         // Same timestamp: the lowest key is evicted first.
         t.blend(key(9), 1.0, &strategy, SimTime::from_secs(5));
@@ -535,7 +501,7 @@ mod tests {
         // count as ONE entry against the capacity, not N. Here 6 learned
         // hosts collapse into 2 aggregate units + 1 loner = 3 charged
         // units, which fits a capacity of 3 even though len() is 7.
-        let strategy = HistoryStrategy::None;
+        let strategy = LearningPolicy::None;
         let mut t = FinalTable::bounded(3);
         let group = |k: &Ipv4Prefix| (k.len() == 32).then(|| k.covering(24));
         for n in [1u8, 2, 3] {
@@ -590,7 +556,7 @@ mod tests {
 
     #[test]
     fn grouped_recency_is_newest_member() {
-        let strategy = HistoryStrategy::None;
+        let strategy = LearningPolicy::None;
         let mut t = FinalTable::bounded(1);
         let group = |k: &Ipv4Prefix| (k.len() == 32).then(|| k.covering(24));
         // Group A has an old member and a fresh one; loner B sits in
@@ -624,7 +590,7 @@ mod tests {
     fn sorted_eviction_matches_repeated_min_scan() {
         // The single-sort eviction must reproduce the historical
         // one-victim-at-a-time order exactly.
-        let strategy = HistoryStrategy::None;
+        let strategy = LearningPolicy::None;
         let mut t = FinalTable::bounded(3);
         let stamps = [7u64, 3, 3, 9, 1, 5, 3, 8];
         for (i, at) in stamps.iter().enumerate() {
@@ -651,7 +617,7 @@ mod tests {
 
     #[test]
     fn utilization_reports_eviction_pressure() {
-        let strategy = HistoryStrategy::None;
+        let strategy = LearningPolicy::None;
         let mut t = FinalTable::bounded(4);
         assert_eq!(t.utilization(), Some(0.0));
         t.blend(key(1), 1.0, &strategy, SimTime::ZERO);
@@ -662,7 +628,7 @@ mod tests {
 
     #[test]
     fn unbounded_table_never_evicts() {
-        let strategy = HistoryStrategy::None;
+        let strategy = LearningPolicy::None;
         let mut t = FinalTable::new();
         for n in 0..=255u8 {
             t.blend(key(n), 1.0, &strategy, SimTime::ZERO);
@@ -673,7 +639,7 @@ mod tests {
 
     #[test]
     fn iteration_is_key_ordered() {
-        let strategy = HistoryStrategy::None;
+        let strategy = LearningPolicy::None;
         let mut t = FinalTable::new();
         t.blend(key(9), 1.0, &strategy, SimTime::ZERO);
         t.blend(key(1), 1.0, &strategy, SimTime::ZERO);

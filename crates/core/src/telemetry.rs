@@ -41,6 +41,7 @@ use std::sync::{Arc, Mutex};
 use riptide_linuxnet::prefix::Ipv4Prefix;
 use riptide_simnet::time::SimTime;
 
+use crate::agent::AgentStats;
 use crate::guard::BreakerState;
 use crate::reconcile::AuditVerdict;
 
@@ -495,7 +496,7 @@ pub enum DecisionCause {
         /// Whether trend damping (§V) overrode the history blend.
         trend_damped: bool,
         /// The learning policy that produced the value
-        /// ([`Policy::name`](crate::policy::Policy::name)).
+        /// ([`LearningPolicy::name`](crate::policy::LearningPolicy::name)).
         policy: &'static str,
     },
     /// The loss guard's breaker forced the decision.
@@ -764,8 +765,28 @@ impl IoCounters {
 /// `c_max` knee at 100, and intermediate steps.
 pub const WINDOW_BUCKETS: [u64; 6] = [10, 20, 40, 60, 80, 100];
 
-/// The agent's full telemetry bundle: pre-registered handles for every
-/// counter and gauge the agent maintains, plus the decision journal.
+/// One published count: where to read it in an [`AgentStats`].
+type Count = fn(&AgentStats) -> u64;
+
+/// Counters only a warm restart or gossip moves. They are registered
+/// when they first move, so runs without persistence or gossip keep
+/// their metric snapshots (and digests) byte-identical.
+const LAZY_COUNTERS: [(&str, &str, Count); 2] = [
+    (
+        "riptide_restored_routes_total",
+        "Routes reinstalled from persisted state at warm restart",
+        |s| s.restored_routes,
+    ),
+    (
+        "riptide_persist_skipped_entries_total",
+        "Snapshot entries dropped at decode for unknown history tags",
+        |s| s.persist_skipped_entries,
+    ),
+];
+
+/// The agent's full telemetry bundle: a registered counter for every
+/// published [`AgentStats`] count, the gauges and the install histogram,
+/// plus the decision journal.
 ///
 /// Attach one with [`RiptideAgent::attach_telemetry`]; agents without
 /// one skip all telemetry work (no atomics touched, no journal lock).
@@ -778,18 +799,7 @@ pub const WINDOW_BUCKETS: [u64; 6] = [10, 20, 40, 60, 80, 100];
 pub struct AgentTelemetry {
     registry: MetricsRegistry,
     journal: DecisionJournal,
-    pub(crate) ticks: Counter,
-    pub(crate) observations: Counter,
-    pub(crate) route_updates: Counter,
-    pub(crate) route_expirations: Counter,
-    pub(crate) errors: Counter,
-    pub(crate) degraded_ticks: Counter,
-    pub(crate) guard_trips: Counter,
-    pub(crate) table_evictions: Counter,
-    pub(crate) reconcile_repairs: Counter,
-    pub(crate) suppressed_installs: Counter,
-    pub(crate) shutdown_withdrawals: Counter,
-    pub(crate) clamped_installs: Counter,
+    counters: Vec<(Counter, Count)>,
     pub(crate) table_entries: Gauge,
     pub(crate) installed_routes: Gauge,
     pub(crate) breaker_open: Gauge,
@@ -802,52 +812,68 @@ impl AgentTelemetry {
     /// `journal`. Registration is idempotent, so telemetry bundles for
     /// many agents may target one registry.
     pub fn new(registry: &MetricsRegistry, journal: DecisionJournal) -> Self {
+        let counter = |name, help, count: Count| (registry.counter(name, help), count);
         AgentTelemetry {
-            ticks: registry.counter("riptide_ticks_total", "Agent update cycles executed"),
-            observations: registry.counter(
-                "riptide_observations_total",
-                "Connection window observations consumed",
-            ),
-            route_updates: registry.counter(
-                "riptide_route_updates_total",
-                "Route installs or updates issued",
-            ),
-            route_expirations: registry.counter(
-                "riptide_route_expirations_total",
-                "Routes withdrawn by TTL expiry",
-            ),
-            errors: registry.counter(
-                "riptide_control_errors_total",
-                "Failed route-control actions",
-            ),
-            degraded_ticks: registry.counter(
-                "riptide_degraded_ticks_total",
-                "Cycles that ran expiry-only because the poll failed",
-            ),
-            guard_trips: registry.counter(
-                "riptide_guard_trips_total",
-                "Loss-guard breaker trips (destinations demoted)",
-            ),
-            table_evictions: registry.counter(
-                "riptide_table_evictions_total",
-                "Destinations evicted by the table capacity bound",
-            ),
-            reconcile_repairs: registry.counter(
-                "riptide_reconcile_repairs_total",
-                "Route-drift repairs performed by reconciler audits",
-            ),
-            suppressed_installs: registry.counter(
-                "riptide_suppressed_installs_total",
-                "Installs demoted to the probe window by the loss guard",
-            ),
-            shutdown_withdrawals: registry.counter(
-                "riptide_shutdown_withdrawals_total",
-                "Routes withdrawn by the graceful-shutdown sweep",
-            ),
-            clamped_installs: registry.counter(
-                "riptide_clamped_installs_total",
-                "Installs whose blended window the [c_min, c_max] clamp changed",
-            ),
+            counters: vec![
+                counter("riptide_ticks_total", "Agent update cycles executed", |s| {
+                    s.ticks
+                }),
+                counter(
+                    "riptide_observations_total",
+                    "Connection window observations consumed",
+                    |s| s.observations,
+                ),
+                counter(
+                    "riptide_route_updates_total",
+                    "Route installs or updates issued",
+                    |s| s.route_updates,
+                ),
+                counter(
+                    "riptide_route_expirations_total",
+                    "Routes withdrawn by TTL expiry",
+                    |s| s.route_expirations,
+                ),
+                counter(
+                    "riptide_control_errors_total",
+                    "Failed route-control actions",
+                    |s| s.errors,
+                ),
+                counter(
+                    "riptide_degraded_ticks_total",
+                    "Cycles that ran expiry-only because the poll failed",
+                    |s| s.degraded_ticks,
+                ),
+                counter(
+                    "riptide_guard_trips_total",
+                    "Loss-guard breaker trips (destinations demoted)",
+                    |s| s.guard_trips,
+                ),
+                counter(
+                    "riptide_table_evictions_total",
+                    "Destinations evicted by the table capacity bound",
+                    |s| s.table_evictions,
+                ),
+                counter(
+                    "riptide_reconcile_repairs_total",
+                    "Route-drift repairs performed by reconciler audits",
+                    |s| s.reconcile_repairs,
+                ),
+                counter(
+                    "riptide_suppressed_installs_total",
+                    "Installs demoted to the probe window by the loss guard",
+                    |s| s.suppressed_installs,
+                ),
+                counter(
+                    "riptide_shutdown_withdrawals_total",
+                    "Routes withdrawn by the graceful-shutdown sweep",
+                    |s| s.shutdown_withdrawals,
+                ),
+                counter(
+                    "riptide_clamped_installs_total",
+                    "Installs whose blended window the [c_min, c_max] clamp changed",
+                    |s| s.clamped_installs,
+                ),
+            ],
             table_entries: registry.gauge(
                 "riptide_table_entries",
                 "Live destinations in the learned final-values table",
@@ -899,19 +925,21 @@ impl AgentTelemetry {
         IoCounters::attach(&self.registry)
     }
 
-    pub(crate) fn journal_decision(
-        &self,
-        at: SimTime,
-        key: Ipv4Prefix,
-        action: DecisionAction,
-        cause: DecisionCause,
-    ) {
-        self.journal.record(DecisionRecord {
-            at,
-            key,
-            action,
-            cause,
-        });
+    /// Adds what `stats` gained over `published` to the counters — adds,
+    /// never sets: the agents of a fleet share one registry and their
+    /// counts must sum.
+    pub(crate) fn publish(&self, stats: &AgentStats, published: &AgentStats) {
+        let gained = |count: Count| count(stats) - count(published);
+        for (counter, count) in &self.counters {
+            if gained(*count) > 0 {
+                counter.add(gained(*count));
+            }
+        }
+        for (name, help, count) in LAZY_COUNTERS {
+            if gained(count) > 0 {
+                self.registry.counter(name, help).add(gained(count));
+            }
+        }
     }
 }
 
@@ -1120,7 +1148,11 @@ mod tests {
     #[test]
     fn agent_telemetry_registers_the_full_schema() {
         let t = AgentTelemetry::standalone(16);
-        t.ticks.inc();
+        let one_tick = AgentStats {
+            ticks: 1,
+            ..AgentStats::default()
+        };
+        t.publish(&one_tick, &AgentStats::default());
         t.installed_window.observe(80);
         let snap = t.registry().snapshot();
         assert_eq!(snap.value("riptide_ticks_total"), Some(1));
@@ -1145,8 +1177,20 @@ mod tests {
         }
         // Shared registry: a second bundle reuses the same atomics.
         let t2 = AgentTelemetry::new(t.registry(), t.journal().clone());
-        t2.ticks.inc();
-        assert_eq!(t.ticks.get(), 2);
+        t2.publish(&one_tick, &AgentStats::default());
+        let snap = t.registry().snapshot();
+        assert_eq!(snap.value("riptide_ticks_total"), Some(2), "added, not set");
+        // The restart counters appear when they first move, not before.
+        assert_eq!(snap.value("riptide_restored_routes_total"), None);
+        let restored = AgentStats {
+            restored_routes: 3,
+            ..one_tick
+        };
+        t2.publish(&restored, &one_tick);
+        let snap = t.registry().snapshot();
+        assert_eq!(snap.value("riptide_restored_routes_total"), Some(3));
+        assert_eq!(snap.value("riptide_ticks_total"), Some(2));
+        assert_eq!(snap.value("riptide_persist_skipped_entries_total"), None);
         let io = t.io_counters();
         io.calls.inc();
         assert_eq!(

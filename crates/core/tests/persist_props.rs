@@ -11,11 +11,11 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use riptide::guard::{BreakerState, GuardExport};
-use riptide::history::HistoryState;
 use riptide::persist::{
     crc32, decode_state, encode_state, JournalOp, JournalRecord, SnapshotEntry, TableSnapshot,
     JOURNAL_RECORD_BYTES,
 };
+use riptide::policy::HistoryState;
 use riptide_linuxnet::prefix::Ipv4Prefix;
 use riptide_simnet::time::SimTime;
 

@@ -134,7 +134,7 @@ fn timeout_on_the_final_attempt_gives_up_with_full_counts() {
 #[test]
 fn agent_reenters_degraded_mode_and_recovers_between_episodes() {
     let cfg = RiptideConfig::builder()
-        .history(HistoryStrategy::None)
+        .policy(LearningPolicy::None)
         .build()
         .unwrap();
     let mut agent = RiptideAgent::new(cfg).unwrap();

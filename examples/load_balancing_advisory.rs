@@ -42,7 +42,7 @@ fn main() {
     let mut controller = SharedRouteController::new(Rc::clone(&table));
     let mut agent = RiptideAgent::new(
         RiptideConfig::builder()
-            .history(HistoryStrategy::None)
+            .policy(LearningPolicy::None)
             .build()
             .expect("valid config"),
     )

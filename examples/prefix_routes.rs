@@ -35,7 +35,7 @@ fn run(granularity: Granularity) -> (usize, Option<u32>) {
     let mut controller = SharedRouteController::new(Rc::clone(&table));
     let config = RiptideConfig::builder()
         .granularity(granularity)
-        .history(HistoryStrategy::None)
+        .policy(LearningPolicy::None)
         .build()
         .expect("valid config");
     let mut agent = RiptideAgent::new(config).expect("valid config");

@@ -233,7 +233,7 @@ fn scripted_run(seed: u64) -> String {
 
     // Host A: everything on — guard, a four-unit table, /24 aggregation.
     let everything = RiptideConfig::builder()
-        .history(HistoryStrategy::None)
+        .policy(LearningPolicy::None)
         .guard(GuardConfig::default())
         .table_capacity(4)
         .aggregation(AggregationPolicy::default())

@@ -45,7 +45,7 @@ impl RouteController for FlakyController {
 fn agent_survives_flaky_route_control() {
     let mut agent = RiptideAgent::new(
         RiptideConfig::builder()
-            .history(HistoryStrategy::None)
+            .policy(LearningPolicy::None)
             .build()
             .unwrap(),
     )
@@ -203,7 +203,7 @@ fn connection_storm_and_mass_close_stay_consistent() {
 fn degenerate_observations_clamp_to_floor() {
     let mut agent = RiptideAgent::new(
         RiptideConfig::builder()
-            .history(HistoryStrategy::None)
+            .policy(LearningPolicy::None)
             .build()
             .unwrap(),
     )
@@ -233,7 +233,7 @@ fn expiry_storm_after_total_silence() {
     // expire and every route must be withdrawn in one tick.
     let mut agent = RiptideAgent::new(
         RiptideConfig::builder()
-            .history(HistoryStrategy::None)
+            .policy(LearningPolicy::None)
             .build()
             .unwrap(),
     )

@@ -269,7 +269,7 @@ fn ss_text_drives_the_agent_like_structured_input() {
     let mut routes = RouteTable::new();
     let mut agent = RiptideAgent::new(
         RiptideConfig::builder()
-            .history(HistoryStrategy::None)
+            .policy(LearningPolicy::None)
             .build()
             .unwrap(),
     )

@@ -19,8 +19,8 @@ use riptide_repro::linuxnet::route::RouteTable;
 use riptide_repro::riptide::agent::RiptideAgent;
 use riptide_repro::riptide::config::RiptideConfig;
 use riptide_repro::riptide::guard::GuardConfig;
-use riptide_repro::riptide::history::HistoryStrategy;
 use riptide_repro::riptide::observe::{CwndObservation, FnObserver};
+use riptide_repro::riptide::policy::LearningPolicy;
 use riptide_repro::riptide::telemetry::AgentTelemetry;
 use riptide_repro::simnet::time::SimTime;
 
@@ -40,7 +40,7 @@ fn obs(dst: [u8; 4], cwnd: u32, retrans: u64) -> CwndObservation {
 /// both breaker gauges, and the install histogram end up populated.
 fn scripted_exposition() -> String {
     let cfg = RiptideConfig::builder()
-        .history(HistoryStrategy::None)
+        .policy(LearningPolicy::None)
         .guard(GuardConfig::default())
         .table_capacity(2)
         .build()

@@ -10,9 +10,9 @@ use riptide_repro::linuxnet::route::{RouteAttrs, RouteProto, RouteTable};
 use riptide_repro::linuxnet::ss::{SockEntry, SockState, SockTable};
 use riptide_repro::riptide::combine::CombineStrategy;
 use riptide_repro::riptide::config::RiptideConfig;
-use riptide_repro::riptide::history::HistoryStrategy;
 use riptide_repro::riptide::model;
 use riptide_repro::riptide::observe::CwndObservation;
+use riptide_repro::riptide::policy::LearningPolicy;
 use riptide_repro::simnet::config::TcpConfig;
 use riptide_repro::simnet::ids::ConnId;
 use riptide_repro::simnet::packet::Ack;
@@ -281,7 +281,7 @@ proptest! {
         alpha in 0.0f64..=1.0,
         values in proptest::collection::vec(1.0f64..500.0, 1..50),
     ) {
-        let s = HistoryStrategy::Ewma { alpha };
+        let s = LearningPolicy::Ewma { alpha };
         let mut st = s.new_state();
         let mut prev: Option<f64> = None;
         for v in values {
@@ -604,17 +604,18 @@ proptest! {
         updates in proptest::collection::vec((1u8..40, 1u32..200), 1..60),
     ) {
         use riptide_repro::riptide::table::FinalTable;
-        use riptide_repro::riptide::history::HistoryStrategy;
+        use riptide_repro::riptide::policy::LearningPolicy;
         use riptide_repro::simnet::time::SimDuration;
 
-        let strategy = HistoryStrategy::None;
+        let strategy = LearningPolicy::None;
         let run = || {
             let mut table = FinalTable::bounded(cap);
             let mut log: Vec<Ipv4Prefix> = Vec::new();
             for (i, &(n, w)) in updates.iter().enumerate() {
                 let now = SimTime::ZERO + SimDuration::from_secs(i as u64 + 1);
                 let key = Ipv4Prefix::host(Ipv4Addr::new(10, 0, 9, n));
-                table.update(key, w as f64, w, &strategy, now);
+                table.blend(key, w as f64, &strategy, now);
+                table.set_window(&key, w);
                 let evicted = table.enforce_capacity();
                 assert!(table.len() <= cap, "table grew past its bound");
                 assert!(
@@ -903,7 +904,7 @@ proptest! {
         c in 1.0f64..1_000_000.0,
         steps in 50usize..200,
     ) {
-        use riptide_repro::riptide::policy::{Policy, PolicyInput};
+        use riptide_repro::riptide::policy::PolicyInput;
 
         for (name, policy) in policies_under_test() {
             let mut state = policy.new_state();
@@ -931,7 +932,7 @@ proptest! {
         use riptide_repro::riptide::persist::{
             decode_state, encode_state, SnapshotEntry, TableSnapshot,
         };
-        use riptide_repro::riptide::policy::{Policy, PolicyInput};
+        use riptide_repro::riptide::policy::PolicyInput;
 
         let mut entries = Vec::new();
         for (i, (_, policy)) in policies_under_test().into_iter().enumerate() {

@@ -3,8 +3,9 @@
 //! * **Zero-cost seam**: the arena's control and default-EWMA arms
 //!   must reproduce [`RunPlan::probe_comparison`] byte for byte —
 //!   outcome vectors equal, and every digest line of the comparison
-//!   present verbatim in the arena digest. The `Policy` trait may not
-//!   perturb the deployment path by a single bit.
+//!   present verbatim in the arena digest. Sharing one `LearningPolicy`
+//!   enum with the competitors may not perturb the deployment path by
+//!   a single bit.
 //! * **Seed-invariant ranking**: across eight master seeds, every
 //!   learning policy's mean median-completion gain vs the paired
 //!   control arm stays positive (jump-starting always beats cold

@@ -321,7 +321,7 @@ fn random_config(rng: &mut DetRng) -> RiptideConfig {
         .ttl(SimDuration::from_secs(20))
         .guard(GuardConfig::default());
     if rng.chance(0.5) {
-        builder = builder.history(HistoryStrategy::None);
+        builder = builder.policy(LearningPolicy::None);
     }
     if rng.chance(0.3) {
         builder = builder.trend(TrendPolicy::default());
@@ -472,7 +472,7 @@ proptest! {
             }
             let mut table = FinalTable::new();
             for (key, window) in &windows {
-                let mut entry = FinalEntry::new(&HistoryStrategy::None, 0.0, SimTime::ZERO);
+                let mut entry = FinalEntry::new(&LearningPolicy::None, 0.0, SimTime::ZERO);
                 entry.window = *window;
                 table.restore_entry(*key, entry);
             }

@@ -553,15 +553,6 @@ impl RiptideAgent {
                 t.installed_window.observe(window as u64);
             }
         }
-        if let (Some(t), DecisionCause::SyncMerged { .. }) = (&self.telemetry, cause) {
-            // Lazily registered, like the restore counter.
-            t.registry()
-                .counter(
-                    "riptide_sync_merged_total",
-                    "Entries accepted from gossip peers",
-                )
-                .inc();
-        }
         self.journal(key, action, cause);
         true
     }
@@ -2048,6 +2039,43 @@ mod tests {
         assert!(a
             .merge_remote(&newer, SimTime::from_secs(103), &mut routes)
             .is_empty());
+    }
+
+    #[test]
+    fn sync_merged_counter_counts_every_accepted_entry() {
+        use crate::telemetry::AgentTelemetry;
+
+        // "Entries accepted from gossip peers" means accepted, not
+        // "accepted and issued as a route of their own": an entry that
+        // rides a live aggregate, or whose window the kernel already
+        // holds, is accepted all the same.
+        let (mut a, mut routes) = agent(aggregated());
+        a.attach_telemetry(AgentTelemetry::standalone(16));
+        let mut o = FnObserver(|| {
+            vec![
+                obs([10, 0, 1, 1], 40),
+                obs([10, 0, 1, 2], 42),
+                obs([10, 0, 9, 1], 90),
+            ]
+        });
+        a.tick(SimTime::from_secs(10), &mut o, &mut routes);
+        assert_eq!(a.aggregator().unwrap().len(), 1, "10.0.1.0/24 is live");
+
+        let entry = |key: &str, window| SyncEntry {
+            key: key.parse().unwrap(),
+            window,
+            last_updated: SimTime::from_secs(20),
+        };
+        let delta = [
+            entry("10.0.1.1", 41), // rides 10.0.1.0/24: nothing to issue
+            entry("10.0.9.1", 90), // the window already installed
+            entry("10.0.8.1", 55), // a route of its own
+        ];
+        let accepted = a.merge_remote(&delta, SimTime::from_secs(21), &mut routes);
+        assert_eq!(accepted.len(), 3);
+        assert_eq!(a.stats().sync_merges, 3);
+        let snap = a.telemetry().unwrap().registry().snapshot();
+        assert_eq!(snap.value("riptide_sync_merged_total"), Some(3));
     }
 
     #[test]

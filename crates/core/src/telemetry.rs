@@ -771,11 +771,16 @@ type Count = fn(&AgentStats) -> u64;
 /// Counters only a warm restart or gossip moves. They are registered
 /// when they first move, so runs without persistence or gossip keep
 /// their metric snapshots (and digests) byte-identical.
-const LAZY_COUNTERS: [(&str, &str, Count); 2] = [
+const LAZY_COUNTERS: [(&str, &str, Count); 3] = [
     (
         "riptide_restored_routes_total",
         "Routes reinstalled from persisted state at warm restart",
         |s| s.restored_routes,
+    ),
+    (
+        "riptide_sync_merged_total",
+        "Entries accepted from gossip peers",
+        |s| s.sync_merges,
     ),
     (
         "riptide_persist_skipped_entries_total",

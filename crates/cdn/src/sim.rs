@@ -680,17 +680,8 @@ impl CdnSim {
     /// tracked in [`CdnSim::chaos_report`]).
     pub fn agent_stats_total(&self) -> AgentStats {
         let mut total = AgentStats::default();
-        for a in self.agents() {
-            let s = a.stats();
-            total.ticks += s.ticks;
-            total.observations += s.observations;
-            total.route_updates += s.route_updates;
-            total.route_expirations += s.route_expirations;
-            total.errors += s.errors;
-            total.degraded_ticks += s.degraded_ticks;
-            total.guard_trips += s.guard_trips;
-            total.table_evictions += s.table_evictions;
-            total.reconcile_repairs += s.reconcile_repairs;
+        for agent in self.agents() {
+            total += agent.stats();
         }
         total
     }

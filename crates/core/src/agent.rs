@@ -108,6 +108,33 @@ pub struct AgentStats {
     pub persist_skipped_entries: u64,
 }
 
+impl std::ops::AddAssign for AgentStats {
+    /// Sums two agents' counters, field by field. The literal names every
+    /// field, so a count added to the struct does not compile until it is
+    /// summed here.
+    fn add_assign(&mut self, rhs: Self) {
+        *self = AgentStats {
+            ticks: self.ticks + rhs.ticks,
+            observations: self.observations + rhs.observations,
+            route_updates: self.route_updates + rhs.route_updates,
+            route_expirations: self.route_expirations + rhs.route_expirations,
+            errors: self.errors + rhs.errors,
+            degraded_ticks: self.degraded_ticks + rhs.degraded_ticks,
+            guard_trips: self.guard_trips + rhs.guard_trips,
+            table_evictions: self.table_evictions + rhs.table_evictions,
+            reconcile_repairs: self.reconcile_repairs + rhs.reconcile_repairs,
+            aggregate_merges: self.aggregate_merges + rhs.aggregate_merges,
+            aggregate_splits: self.aggregate_splits + rhs.aggregate_splits,
+            restored_routes: self.restored_routes + rhs.restored_routes,
+            sync_merges: self.sync_merges + rhs.sync_merges,
+            suppressed_installs: self.suppressed_installs + rhs.suppressed_installs,
+            clamped_installs: self.clamped_installs + rhs.clamped_installs,
+            shutdown_withdrawals: self.shutdown_withdrawals + rhs.shutdown_withdrawals,
+            persist_skipped_entries: self.persist_skipped_entries + rhs.persist_skipped_entries,
+        };
+    }
+}
+
 /// The Riptide agent.
 ///
 /// # Examples
@@ -2076,6 +2103,35 @@ mod tests {
         assert_eq!(a.stats().sync_merges, 3);
         let snap = a.telemetry().unwrap().registry().snapshot();
         assert_eq!(snap.value("riptide_sync_merged_total"), Some(3));
+    }
+
+    #[test]
+    fn summing_stats_keeps_every_field() {
+        // Every field distinct and non-zero on both sides, written as a
+        // literal so that a new field fails to compile here as well.
+        let stats = |k: u64| AgentStats {
+            ticks: k,
+            observations: 2 * k,
+            route_updates: 3 * k,
+            route_expirations: 4 * k,
+            errors: 5 * k,
+            degraded_ticks: 6 * k,
+            guard_trips: 7 * k,
+            table_evictions: 8 * k,
+            reconcile_repairs: 9 * k,
+            aggregate_merges: 10 * k,
+            aggregate_splits: 11 * k,
+            restored_routes: 12 * k,
+            sync_merges: 13 * k,
+            suppressed_installs: 14 * k,
+            clamped_installs: 15 * k,
+            shutdown_withdrawals: 16 * k,
+            persist_skipped_entries: 17 * k,
+        };
+        let mut total = AgentStats::default();
+        total += stats(1);
+        total += stats(100);
+        assert_eq!(total, stats(101));
     }
 
     #[test]

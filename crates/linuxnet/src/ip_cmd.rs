@@ -17,7 +17,7 @@ use std::fmt;
 use std::str::FromStr;
 
 use crate::prefix::Ipv4Prefix;
-use crate::route::{Route, RouteAttrs, RouteError, RouteProto, RouteTable};
+use crate::route::{ParseRouteError, Route, RouteAttrs, RouteError, RouteProto, RouteTable};
 
 /// The verb of an `ip route` command.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,65 +144,32 @@ impl std::error::Error for ParseIpCmdError {}
 impl FromStr for IpRouteCmd {
     type Err = ParseIpCmdError;
 
+    /// `ip route <action>`, then the route in `ip route show` syntax —
+    /// one attribute grammar, [`Route`]'s.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let mut toks = s.split_whitespace().peekable();
-        if toks.next() != Some("ip") || toks.next() != Some("route") {
+        // The first whitespace-separated word of `s`, and what follows it.
+        fn word(s: &str) -> (&str, &str) {
+            let s = s.trim_start();
+            s.split_at(s.find(char::is_whitespace).unwrap_or(s.len()))
+        }
+        let (ip, rest) = word(s);
+        let (route, rest) = word(rest);
+        if (ip, route) != ("ip", "route") {
             return Err(ParseIpCmdError::new("must start with `ip route`"));
         }
-        let action = match toks.next() {
-            Some("add") => IpRouteAction::Add,
-            Some("replace") => IpRouteAction::Replace,
-            Some("del") | Some("delete") => IpRouteAction::Del,
+        let (action, rest) = word(rest);
+        let action = match action {
+            "add" => IpRouteAction::Add,
+            "replace" => IpRouteAction::Replace,
+            "del" | "delete" => IpRouteAction::Del,
             other => return Err(ParseIpCmdError::new(format!("unknown action {other:?}"))),
         };
-        let prefix_tok = toks
-            .next()
-            .ok_or_else(|| ParseIpCmdError::new("missing destination"))?;
-        let prefix: Ipv4Prefix = prefix_tok
-            .parse()
-            .map_err(|e| ParseIpCmdError::new(format!("{e}")))?;
-        let mut attrs = RouteAttrs::default();
-        while let Some(key) = toks.next() {
-            let mut value = |k: &str| {
-                toks.next()
-                    .ok_or_else(|| ParseIpCmdError::new(format!("{k} needs a value")))
-            };
-            match key {
-                "dev" => attrs.dev = Some(value("dev")?.to_string()),
-                "via" => {
-                    let v = value("via")?;
-                    attrs.via = Some(
-                        v.parse()
-                            .map_err(|e| ParseIpCmdError::new(format!("bad via {v:?}: {e}")))?,
-                    );
-                }
-                "proto" => {
-                    attrs.proto = match value("proto")? {
-                        "static" => RouteProto::Static,
-                        "kernel" => RouteProto::Kernel,
-                        "boot" => RouteProto::Boot,
-                        other => {
-                            return Err(ParseIpCmdError::new(format!("unknown proto {other:?}")))
-                        }
-                    };
-                }
-                "initcwnd" => {
-                    let v = value("initcwnd")?;
-                    attrs.initcwnd =
-                        Some(v.parse().map_err(|e| {
-                            ParseIpCmdError::new(format!("bad initcwnd {v:?}: {e}"))
-                        })?);
-                }
-                "initrwnd" => {
-                    let v = value("initrwnd")?;
-                    attrs.initrwnd =
-                        Some(v.parse().map_err(|e| {
-                            ParseIpCmdError::new(format!("bad initrwnd {v:?}: {e}"))
-                        })?);
-                }
-                other => return Err(ParseIpCmdError::new(format!("unknown attribute {other:?}"))),
-            }
+        if rest.trim().is_empty() {
+            return Err(ParseIpCmdError::new("missing destination"));
         }
+        let Route { prefix, attrs } = rest
+            .parse()
+            .map_err(|e: ParseRouteError| ParseIpCmdError::new(e.to_string()))?;
         Ok(IpRouteCmd {
             action,
             prefix,
@@ -301,6 +268,17 @@ mod tests {
         ] {
             assert!(bad.parse::<IpRouteCmd>().is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn errors_say_what_is_wrong() {
+        let err = |s: &str| s.parse::<IpRouteCmd>().unwrap_err().to_string();
+        assert!(err("ip route add").contains("missing destination"));
+        assert!(err("ip route add \t ").contains("missing destination"));
+        assert!(err("ip route").contains("unknown action"));
+        // The attribute grammar is the route line's, and so is its text.
+        assert!(err("ip route add 10.0.0.1 initcwnd").contains("initcwnd needs a value"));
+        assert!(err("ip route add 10.0.0.1 initcwnd many").contains("bad initcwnd \"many\""));
     }
 
     #[test]

@@ -47,25 +47,32 @@ if [[ "$stage" == "build" || "$stage" == "all" ]]; then
     # even if a future flag trims them from the default test run.
     run cargo test -q --release --doc --workspace
 
-    # The golden exposition and the two differential tests, by name: the
-    # telemetry text format, the timing wheel against the ordered-map
-    # model, and the `ss` scanner against the parser it replaced, so an
-    # ordering or a parsing bug fails here and not as a digest diff
-    # below.
+    # The two goldens and the three differential tests, by name: the
+    # telemetry text format, the agent's accounting (commands, stats,
+    # exposition and journal of one scripted run), the timing wheel
+    # against the ordered-map model, the `ss` scanner against the parser
+    # it replaced, and the agent tick against its naive model, so an
+    # ordering, a parsing or a bookkeeping bug fails here and not as a
+    # digest diff below.
     run cargo test -q --release --test golden_exposition
+    run cargo test -q --release --test agent_accounting
     run cargo test -q --release --test event_queue_differential
     run cargo test -q --release --test ss_scanner_differential
+    run cargo test -q --release --test tick_differential
 
     # The proptest shim seeds each property from its name, so the runs
     # above see one input set for ever. Two more, for the properties
-    # that read text from outside: the scanner against its model, and
-    # the hostile-text totality tests — those in the debug profile,
-    # where an overflow panics instead of wrapping (the build is 8 s
-    # cold; each seed then costs 2 s, the scanner 0.2 s).
+    # that read text from outside — the scanner against its model, and
+    # the hostile-text totality tests — and for the tick against its
+    # model; the last two in the debug profile, where an overflow panics
+    # instead of wrapping (the core and linuxnet build is 8 s cold, the
+    # root package's 25 s more; each seed then costs 2 s, the tick 1 s,
+    # the scanner 0.2 s).
     for seed in 1 2016; do
         run env PROPTEST_SEED="$seed" cargo test -q --release --test ss_scanner_differential
         run env PROPTEST_SEED="$seed" cargo test -q -p riptide -p riptide-linuxnet \
             --test hostile_text
+        run env PROPTEST_SEED="$seed" cargo test -q --test tick_differential
     done
 
     # The four outcome records, one --check each. Every family re-runs

@@ -879,7 +879,8 @@ impl RiptideAgent {
             if now.saturating_since(remote.last_updated) > self.config.ttl {
                 continue;
             }
-            let local = self.table.get(&remote.key).map(|e| SyncEntry {
+            let known = self.table.get(&remote.key);
+            let local = known.map(|e| SyncEntry {
                 key: remote.key,
                 window: e.window,
                 last_updated: e.last_updated,
@@ -889,7 +890,7 @@ impl RiptideAgent {
             }
             let window = clamp_merge(remote.window, self.config.cwnd_min, self.config.cwnd_max);
             let clamped = window != remote.window;
-            let (history, last_fresh) = match self.table.get(&remote.key) {
+            let (history, last_fresh) = match known {
                 Some(e) => (e.history.clone(), e.last_fresh),
                 None => (self.config.policy.seeded(window as f64), window as f64),
             };

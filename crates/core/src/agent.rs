@@ -556,28 +556,23 @@ impl RiptideAgent {
             errors.push(e);
             return false;
         }
-        let mut action = DecisionAction::Install { window };
-        let update = match cause {
-            DecisionCause::Restored { .. } => {
-                self.stats.restored_routes += 1;
-                false
-            }
-            DecisionCause::SyncMerged { .. } => false,
-            DecisionCause::Guard { .. } => {
-                self.stats.suppressed_installs += 1;
-                action = DecisionAction::Suppress { window };
-                true
-            }
-            DecisionCause::Learned { clamped, .. } => {
-                self.stats.clamped_installs += u64::from(clamped);
-                true
-            }
-            _ => true,
+        let action = match cause {
+            DecisionCause::Guard { .. } => DecisionAction::Suppress { window },
+            _ => DecisionAction::Install { window },
         };
-        if update {
-            self.stats.route_updates += 1;
-            if let Some(t) = &self.telemetry {
-                t.installed_window.observe(window as u64);
+        match cause {
+            DecisionCause::Restored { .. } => self.stats.restored_routes += 1,
+            // Counted by the caller: once per accepted entry, issued or not.
+            DecisionCause::SyncMerged { .. } => {}
+            _ => {
+                let suppressed = matches!(cause, DecisionCause::Guard { .. });
+                let clamped = matches!(cause, DecisionCause::Learned { clamped: true, .. });
+                self.stats.route_updates += 1;
+                self.stats.suppressed_installs += u64::from(suppressed);
+                self.stats.clamped_installs += u64::from(clamped);
+                if let Some(t) = &self.telemetry {
+                    t.installed_window.observe(window as u64);
+                }
             }
         }
         self.journal(key, action, cause);

@@ -268,17 +268,11 @@ impl LearningPolicy {
             }
             (LearningPolicy::None, HistoryState::None) => fresh,
             (LearningPolicy::WindowedMean { window }, HistoryState::Window { values }) => {
-                values.push_back(fresh);
-                while values.len() > window {
-                    values.pop_front();
-                }
+                push_bounded(values, fresh, window);
                 values.iter().sum::<f64>() / values.len() as f64
             }
             (LearningPolicy::Percentile { fraction, capacity }, HistoryState::Ring { values }) => {
-                values.push_back(fresh);
-                while values.len() > capacity {
-                    values.pop_front();
-                }
+                push_bounded(values, fresh, capacity);
                 let mut sorted: Vec<f64> = values.iter().copied().collect();
                 sorted.sort_by(f64::total_cmp);
                 // Nearest-rank quantile: exact on a singleton, and the
@@ -403,6 +397,14 @@ impl LearningPolicy {
         };
         parsed.validate()?;
         Ok(parsed)
+    }
+}
+
+/// Appends `fresh` to a ring of at most `capacity` values, oldest out first.
+fn push_bounded(values: &mut VecDeque<f64>, fresh: f64, capacity: usize) {
+    values.push_back(fresh);
+    while values.len() > capacity {
+        values.pop_front();
     }
 }
 

@@ -765,13 +765,76 @@ impl IoCounters {
 /// `c_max` knee at 100, and intermediate steps.
 pub const WINDOW_BUCKETS: [u64; 6] = [10, 20, 40, 60, 80, 100];
 
-/// One published count: where to read it in an [`AgentStats`].
-type Count = fn(&AgentStats) -> u64;
+/// One published count: `(metric name, help, where to read it in an
+/// [`AgentStats`])`.
+type Published = (&'static str, &'static str, fn(&AgentStats) -> u64);
+
+/// The counters every bundle registers at once.
+const COUNTERS: [Published; 12] = [
+    ("riptide_ticks_total", "Agent update cycles executed", |s| {
+        s.ticks
+    }),
+    (
+        "riptide_observations_total",
+        "Connection window observations consumed",
+        |s| s.observations,
+    ),
+    (
+        "riptide_route_updates_total",
+        "Route installs or updates issued",
+        |s| s.route_updates,
+    ),
+    (
+        "riptide_route_expirations_total",
+        "Routes withdrawn by TTL expiry",
+        |s| s.route_expirations,
+    ),
+    (
+        "riptide_control_errors_total",
+        "Failed route-control actions",
+        |s| s.errors,
+    ),
+    (
+        "riptide_degraded_ticks_total",
+        "Cycles that ran expiry-only because the poll failed",
+        |s| s.degraded_ticks,
+    ),
+    (
+        "riptide_guard_trips_total",
+        "Loss-guard breaker trips (destinations demoted)",
+        |s| s.guard_trips,
+    ),
+    (
+        "riptide_table_evictions_total",
+        "Destinations evicted by the table capacity bound",
+        |s| s.table_evictions,
+    ),
+    (
+        "riptide_reconcile_repairs_total",
+        "Route-drift repairs performed by reconciler audits",
+        |s| s.reconcile_repairs,
+    ),
+    (
+        "riptide_suppressed_installs_total",
+        "Installs demoted to the probe window by the loss guard",
+        |s| s.suppressed_installs,
+    ),
+    (
+        "riptide_shutdown_withdrawals_total",
+        "Routes withdrawn by the graceful-shutdown sweep",
+        |s| s.shutdown_withdrawals,
+    ),
+    (
+        "riptide_clamped_installs_total",
+        "Installs whose blended window the [c_min, c_max] clamp changed",
+        |s| s.clamped_installs,
+    ),
+];
 
 /// Counters only a warm restart or gossip moves. They are registered
 /// when they first move, so runs without persistence or gossip keep
 /// their metric snapshots (and digests) byte-identical.
-const LAZY_COUNTERS: [(&str, &str, Count); 3] = [
+const LAZY_COUNTERS: [Published; 3] = [
     (
         "riptide_restored_routes_total",
         "Routes reinstalled from persisted state at warm restart",
@@ -804,7 +867,8 @@ const LAZY_COUNTERS: [(&str, &str, Count); 3] = [
 pub struct AgentTelemetry {
     registry: MetricsRegistry,
     journal: DecisionJournal,
-    counters: Vec<(Counter, Count)>,
+    /// One handle per [`COUNTERS`] row, in its order.
+    counters: [Counter; COUNTERS.len()],
     pub(crate) table_entries: Gauge,
     pub(crate) installed_routes: Gauge,
     pub(crate) breaker_open: Gauge,
@@ -817,68 +881,8 @@ impl AgentTelemetry {
     /// `journal`. Registration is idempotent, so telemetry bundles for
     /// many agents may target one registry.
     pub fn new(registry: &MetricsRegistry, journal: DecisionJournal) -> Self {
-        let counter = |name, help, count: Count| (registry.counter(name, help), count);
         AgentTelemetry {
-            counters: vec![
-                counter("riptide_ticks_total", "Agent update cycles executed", |s| {
-                    s.ticks
-                }),
-                counter(
-                    "riptide_observations_total",
-                    "Connection window observations consumed",
-                    |s| s.observations,
-                ),
-                counter(
-                    "riptide_route_updates_total",
-                    "Route installs or updates issued",
-                    |s| s.route_updates,
-                ),
-                counter(
-                    "riptide_route_expirations_total",
-                    "Routes withdrawn by TTL expiry",
-                    |s| s.route_expirations,
-                ),
-                counter(
-                    "riptide_control_errors_total",
-                    "Failed route-control actions",
-                    |s| s.errors,
-                ),
-                counter(
-                    "riptide_degraded_ticks_total",
-                    "Cycles that ran expiry-only because the poll failed",
-                    |s| s.degraded_ticks,
-                ),
-                counter(
-                    "riptide_guard_trips_total",
-                    "Loss-guard breaker trips (destinations demoted)",
-                    |s| s.guard_trips,
-                ),
-                counter(
-                    "riptide_table_evictions_total",
-                    "Destinations evicted by the table capacity bound",
-                    |s| s.table_evictions,
-                ),
-                counter(
-                    "riptide_reconcile_repairs_total",
-                    "Route-drift repairs performed by reconciler audits",
-                    |s| s.reconcile_repairs,
-                ),
-                counter(
-                    "riptide_suppressed_installs_total",
-                    "Installs demoted to the probe window by the loss guard",
-                    |s| s.suppressed_installs,
-                ),
-                counter(
-                    "riptide_shutdown_withdrawals_total",
-                    "Routes withdrawn by the graceful-shutdown sweep",
-                    |s| s.shutdown_withdrawals,
-                ),
-                counter(
-                    "riptide_clamped_installs_total",
-                    "Installs whose blended window the [c_min, c_max] clamp changed",
-                    |s| s.clamped_installs,
-                ),
-            ],
+            counters: COUNTERS.map(|(name, help, _)| registry.counter(name, help)),
             table_entries: registry.gauge(
                 "riptide_table_entries",
                 "Live destinations in the learned final-values table",
@@ -934,15 +938,17 @@ impl AgentTelemetry {
     /// never sets: the agents of a fleet share one registry and their
     /// counts must sum.
     pub(crate) fn publish(&self, stats: &AgentStats, published: &AgentStats) {
-        let gained = |count: Count| count(stats) - count(published);
-        for (counter, count) in &self.counters {
-            if gained(*count) > 0 {
-                counter.add(gained(*count));
+        let eager = COUNTERS.iter().zip(&self.counters);
+        for ((_, _, count), counter) in eager {
+            let gained = count(stats) - count(published);
+            if gained > 0 {
+                counter.add(gained);
             }
         }
         for (name, help, count) in LAZY_COUNTERS {
-            if gained(count) > 0 {
-                self.registry.counter(name, help).add(gained(count));
+            let gained = count(stats) - count(published);
+            if gained > 0 {
+                self.registry.counter(name, help).add(gained);
             }
         }
     }

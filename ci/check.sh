@@ -66,7 +66,7 @@ if [[ "$stage" == "build" || "$stage" == "all" ]]; then
     # the hostile-text totality tests — and for the tick against its
     # model; the last two in the debug profile, where an overflow panics
     # instead of wrapping (the core and linuxnet build is 8 s cold, the
-    # root package's 25 s more; each seed then costs 2 s, the tick 1 s,
+    # tick's harness 6 s more; each seed then costs 2 s, the tick 1 s,
     # the scanner 0.2 s).
     for seed in 1 2016; do
         run env PROPTEST_SEED="$seed" cargo test -q --release --test ss_scanner_differential

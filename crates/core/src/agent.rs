@@ -538,6 +538,10 @@ impl RiptideAgent {
     /// where it counts: a restored or gossiped route is not a route
     /// update, a guard demotion is a suppressed one. Returns whether the
     /// controller accepted.
+    ///
+    /// Inlined: a tick issues one per destination whose window moved, and
+    /// as a call this cost a 5 000-destination tick a tenth of its time.
+    #[inline(always)]
     fn install<C>(
         &mut self,
         key: Ipv4Prefix,
@@ -588,6 +592,8 @@ impl RiptideAgent {
     /// never installed) — except that without aggregation a TTL expiry
     /// is withdrawn regardless, as ever: a failed install may have left
     /// the kernel ahead of the view. Returns `false` only on a refusal.
+    /// Inlined for the same reason as [`RiptideAgent::install`].
+    #[inline(always)]
     fn withdraw<C>(
         &mut self,
         key: Ipv4Prefix,

@@ -324,7 +324,7 @@ impl LearningPolicy {
     /// A fresh state that has seen `fresh` once — how an entry that
     /// arrives without a usable history (gossip, a restart under a
     /// different policy) starts out.
-    pub fn seeded(&self, fresh: f64) -> HistoryState {
+    pub(crate) fn seeded(&self, fresh: f64) -> HistoryState {
         let mut state = self.new_state();
         self.blend(&mut state, fresh);
         state

@@ -296,6 +296,79 @@ fn bad_config_file_fails_with_line_number() {
     std::fs::remove_file(conf).ok();
 }
 
+#[test]
+fn config_file_capacity_bounds_the_table() {
+    let conf = write_snapshot("conf-cap", "history = none\ncapacity = 1\n");
+    let snap = write_snapshot(
+        "conf-cap-snap",
+        "\
+ESTAB 10.0.0.1 10.0.9.1
+\t cubic cwnd:80 bytes_acked:1000000
+ESTAB 10.0.0.1 10.0.7.1
+\t cubic cwnd:50 bytes_acked:1000000
+",
+    );
+    let out = run(&["--config", conf.to_str().unwrap(), snap.to_str().unwrap()]);
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    // The tick installs what it learned, then evicts down to the bound
+    // (withdrawing the evicted route), so one route is left standing.
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let count = |prefix: &str| stdout.lines().filter(|l| l.starts_with(prefix)).count();
+    let (replaces, dels) = (count("ip route replace"), count("ip route del"));
+    assert_eq!(
+        (replaces, dels),
+        (2, 1),
+        "capacity = 1 leaves one route installed: {stdout}"
+    );
+    std::fs::remove_file(conf).ok();
+    std::fs::remove_file(snap).ok();
+}
+
+#[test]
+fn config_file_interval_and_ttl_drive_expiry() {
+    // The file form of `ttl_expiry_emits_route_del`'s flags: polls at
+    // t = 40, 80, 120, so the third is 80 s past the refresh, over the
+    // 60 s TTL.
+    let conf = write_snapshot("conf-ttl", "history = none\ninterval = 40\nttl = 60\n");
+    let snap = write_snapshot("conf-ttl-a", SNAPSHOT_A);
+    let empty = write_snapshot("conf-ttl-b", "");
+    let out = run(&[
+        "--config",
+        conf.to_str().unwrap(),
+        snap.to_str().unwrap(),
+        empty.to_str().unwrap(),
+        empty.to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(
+        stdout.lines().last(),
+        Some("ip route del 10.0.9.1"),
+        "the file's interval and ttl expire the route: {stdout}"
+    );
+    std::fs::remove_file(conf).ok();
+    std::fs::remove_file(snap).ok();
+    std::fs::remove_file(empty).ok();
+}
+
+#[test]
+fn bad_flag_value_names_the_flag() {
+    let snap = write_snapshot("cmax-bad", SNAPSHOT_A);
+    let out = run(&["--cmax", "abc", snap.to_str().unwrap()]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--cmax"), "stderr names the flag: {stderr}");
+    std::fs::remove_file(snap).ok();
+}
+
 #[cfg(unix)]
 #[test]
 fn sigterm_in_follow_mode_withdraws_every_route() {

@@ -9,21 +9,22 @@
 //! ```text
 //! riptided [options] <ss-snapshot>...
 //!
-//!   --alpha <a>          EWMA weight on history      (default 0.7)
-//!   --policy <spec>      learning policy: ewma | ewma:<a> | none |
+//!   --config <file>      key = value config file (the grammar of
+//!                        RiptideConfig::from_conf_str)
+//!   --alpha <a>          alpha = <a>: EWMA weight on history (default 0.7)
+//!   --policy <spec>      policy = <spec>: ewma | ewma:<a> | none |
 //!                        windowed:<n> | p25 | p50 | p75 |
 //!                        percentile:<frac>:<cap> | loss-utility |
 //!                        loss-utility:<gain>:<penalty>:<alpha>
 //!                        (default ewma — the paper's estimator)
-//!   --no-history         disable the history blend
-//!   --cmax <w>           maximum window              (default 100)
-//!   --cmin <w>           minimum window              (default 10)
-//!   --ttl <secs>         entry time-to-live          (default 90)
-//!   --interval <secs>    poll interval i_u           (default 1)
-//!   --combine <s>        average|max|traffic-weighted
-//!   --granularity <g>    host | /<len>               (default host)
-//!   --trend              enable §V trend damping
-//!   --config <file>      key = value config file (flags override)
+//!   --no-history         policy = none
+//!   --cmax <w>           cmax = <w>: maximum window (default 100)
+//!   --cmin <w>           cmin = <w>: minimum window (default 10)
+//!   --ttl <secs>         ttl = <secs>: entry time-to-live (default 90)
+//!   --interval <secs>    interval = <secs>: poll interval i_u (default 1)
+//!   --combine <s>        combine = <s>: average | max | traffic-weighted
+//!   --granularity <g>    granularity = <g>: host | /<len> (default host)
+//!   --trend              trend = on: enable §V trend damping
 //!   --recover            flush stale riptide routes first
 //!   --follow             after the listed snapshots, keep re-polling the
 //!                        last one every interval until SIGTERM/SIGINT
@@ -40,25 +41,33 @@
 //!                        (default 60)
 //! ```
 //!
+//! Each agent flag is the conf line shown beside it. The `--config`
+//! file's lines are applied first and the flags after them, in order, so
+//! a flag overrides the file; both go through the library's one
+//! `key = value` grammar, and the result is validated once. `guard =`,
+//! `capacity =` and `aggregate =` have no flag: they are file-only.
+//!
 //! On SIGTERM or SIGINT the daemon withdraws every route it installed
 //! before exiting, so a stopped agent leaves no stale windows behind;
 //! the final metrics snapshot, the state-file snapshot and the decision
 //! journal are flushed as part of the same sweep. SIGUSR1 dumps the
 //! decision journal to stderr on demand at the next poll boundary.
 //!
-//! The state file is the `core::persist` snapshot+journal format: a
-//! torn journal tail (a `kill -9` mid-append) truncates cleanly at the
-//! next start, and a damaged snapshot block is ignored with a warning —
-//! the daemon then starts empty, exactly as if the file were absent.
-//! The TTL clock restarts with the daemon, so restored entries age from
-//! the first poll, not from their original refresh instants.
+//! The state file is the `core::persist` snapshot+journal format, read
+//! and diffed by `persist::StateStore` (the path the simulator's hosts
+//! share); this binary only does the file I/O. A torn journal tail (a
+//! `kill -9` mid-append) truncates cleanly at the next start, and a
+//! damaged snapshot block is ignored with a warning — the daemon then
+//! starts empty, exactly as if the file were absent. The TTL clock
+//! restarts with the daemon, so restored entries age from the first
+//! poll, not from their original refresh instants.
 
 use std::cell::RefCell;
 use std::process::ExitCode;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Set from the signal handler; the poll loops notice it and run the
+/// Set from the signal handler; the poll loop notices it and runs the
 /// shutdown sweep instead of exiting with routes still installed.
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
@@ -114,82 +123,59 @@ fn sleep_interruptibly(interval: std::time::Duration) -> bool {
     SHUTDOWN.load(Ordering::SeqCst)
 }
 
-use riptide::persist::{decode_state, encode_state, JournalOp, JournalRecord};
 use riptide::prelude::*;
-use riptide_linuxnet::prefix::Ipv4Prefix;
 use riptide_linuxnet::route::RouteTable;
 use riptide_linuxnet::ss::SockTable;
-use riptide_simnet::time::{SimDuration, SimTime};
+use riptide_simnet::time::SimTime;
 
-fn fail(msg: &str) -> ExitCode {
-    eprintln!("riptided: {msg}");
-    ExitCode::FAILURE
+/// Replaces `path` with `bytes` by writing a pid-suffixed sibling and
+/// renaming it over the target: the rename stays on one filesystem, so
+/// a reader (or a crash mid-write) sees the old file or the new one,
+/// never a truncated one. `std::fs::write` alone truncates in place.
+fn write_atomically(path: &str, bytes: &[u8]) -> std::io::Result<()> {
+    let tmp = format!("{path}.{}.tmp", std::process::id());
+    let write = std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path));
+    if write.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    write
 }
 
-/// The daemon's durability plumbing behind `--state-file`.
+/// The daemon's file I/O behind `--state-file`; the diffing is the
+/// library's [`StateStore`].
 struct PersistState {
     /// The state-file path.
     path: String,
     /// Polls between full snapshot rewrites.
     snapshot_every: u64,
-    /// The installed view as of the last snapshot or journal append —
-    /// the diff base journal records are computed against.
-    last_installed: std::collections::BTreeMap<Ipv4Prefix, u32>,
+    /// The installed view the file on disk last described.
+    store: StateStore,
     /// Polls since the last full snapshot rewrite.
     polls_since_snapshot: u64,
 }
 
 impl PersistState {
-    /// Rewrites the whole state file with a fresh snapshot. Same
-    /// write-then-rename discipline as `--metrics-file`: the temp file
-    /// is a pid-suffixed sibling so the rename stays on one filesystem
-    /// and a reader (or a crash mid-write) never sees a half-written
-    /// snapshot — the old, complete file survives until the rename.
+    /// Rewrites the whole state file with a fresh snapshot; the old,
+    /// complete file survives until the rename. A failed write keeps
+    /// the diff base, so the next journal append still covers it.
     fn write_snapshot(&mut self, agent: &RiptideAgent, now: SimTime) {
-        let bytes = encode_state(&agent.snapshot_state(now), &[]);
-        let tmp = format!("{}.{}.tmp", self.path, std::process::id());
-        let write = std::fs::write(&tmp, &bytes).and_then(|()| std::fs::rename(&tmp, &self.path));
-        if let Err(e) = write {
-            let _ = std::fs::remove_file(&tmp);
-            eprintln!("# state: cannot write {}: {e}", self.path);
-            return;
+        match write_atomically(&self.path, &self.store.snapshot(agent, now)) {
+            Ok(()) => {
+                self.store.confirm(agent);
+                self.polls_since_snapshot = 0;
+            }
+            Err(e) => eprintln!("# state: cannot write {}: {e}", self.path),
         }
-        self.last_installed = agent.installed_view().clone();
-        self.polls_since_snapshot = 0;
     }
 
     /// Appends journal records for whatever the poll changed in the
-    /// installed view: a withdraw per vanished route, an install per
-    /// new or re-windowed one. Appending to the file the snapshot
-    /// header already anchors keeps the write tiny; a crash mid-append
-    /// leaves a torn tail the decoder truncates cleanly.
+    /// installed view. Appending to the file the snapshot header already
+    /// anchors keeps the write tiny; a crash mid-append leaves a torn
+    /// tail the decoder truncates cleanly.
     fn append_journal(&mut self, agent: &RiptideAgent, now: SimTime) {
-        let cur = agent.installed_view();
-        let mut records = Vec::new();
-        for &key in self.last_installed.keys() {
-            if !cur.contains_key(&key) {
-                records.push(JournalRecord {
-                    at: now,
-                    key,
-                    op: JournalOp::Withdraw,
-                });
-            }
-        }
-        for (&key, &window) in cur {
-            if self.last_installed.get(&key) != Some(&window) {
-                records.push(JournalRecord {
-                    at: now,
-                    key,
-                    op: JournalOp::Install { window },
-                });
-            }
-        }
-        if records.is_empty() {
+        let bytes = self.store.journal_delta(agent, now);
+        if bytes.is_empty() {
             return;
-        }
-        let mut bytes = Vec::with_capacity(records.len() * riptide::persist::JOURNAL_RECORD_BYTES);
-        for r in &records {
-            r.encode_into(&mut bytes);
         }
         use std::io::Write as _;
         let appended = std::fs::OpenOptions::new()
@@ -198,7 +184,7 @@ impl PersistState {
             .open(&self.path)
             .and_then(|mut f| f.write_all(&bytes));
         match appended {
-            Ok(()) => self.last_installed = cur.clone(),
+            Ok(()) => self.store.confirm(agent),
             Err(e) => eprintln!("# state: cannot append to {}: {e}", self.path),
         }
     }
@@ -216,195 +202,96 @@ impl PersistState {
 }
 
 fn main() -> ExitCode {
-    // First pass: a `--config <file>` seeds the builder; flags given on
-    // the command line override it.
-    let mut raw: Vec<String> = std::env::args().skip(1).collect();
-    let mut builder = RiptideConfig::builder();
-    if let Some(pos) = raw.iter().position(|a| a == "--config") {
-        if pos + 1 >= raw.len() {
-            return fail("--config requires a path");
-        }
-        let path = raw.remove(pos + 1);
-        raw.remove(pos);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => return fail(&format!("cannot read {path}: {e}")),
-        };
-        match RiptideConfig::from_conf_str(&text) {
-            Ok(cfg) => {
-                builder = RiptideConfig::builder()
-                    .update_interval(cfg.update_interval)
-                    .ttl(cfg.ttl)
-                    .cwnd_max(cfg.cwnd_max)
-                    .cwnd_min(cfg.cwnd_min)
-                    .combine(cfg.combine)
-                    .policy(cfg.policy)
-                    .granularity(cfg.granularity);
-                if let Some(t) = cfg.trend {
-                    builder = builder.trend(t);
-                }
-                if let Some(a) = cfg.aggregation {
-                    builder = builder.aggregation(a);
-                }
-            }
-            Err(e) => return fail(&format!("{path}: {e}")),
+    match run() {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("riptided: {e}");
+            ExitCode::FAILURE
         }
     }
+}
+
+fn run() -> Result<(), String> {
+    let mut conf_file: Option<String> = None;
+    // The agent flags as the `(flag, key, value)` conf settings they are.
+    let mut settings: Vec<(String, String, String)> = Vec::new();
     let mut snapshots: Vec<String> = Vec::new();
-    let mut recover = false;
-    let mut follow = false;
-    let mut show_table = false;
-    let mut show_metrics = false;
+    let (mut recover, mut follow, mut show_table, mut show_metrics) = (false, false, false, false);
     let mut metrics_file: Option<String> = None;
     let mut state_file: Option<String> = None;
     let mut snapshot_every = 60u64;
-    let mut trend = false;
-    let mut interval = SimDuration::from_secs(1);
 
-    let mut args = raw.into_iter();
+    let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
+        let flag = arg.as_str();
+        let mut value = || {
             args.next()
-                .ok_or_else(|| format!("{name} requires a value"))
+                .ok_or_else(|| format!("{flag} requires a value"))
         };
-        match arg.as_str() {
-            "--alpha" => match value("--alpha")
-                .and_then(|v| v.parse::<f64>().map_err(|e| format!("bad --alpha: {e}")))
-            {
-                Ok(a) => builder = builder.alpha(a),
-                Err(e) => return fail(&e),
-            },
-            "--no-history" => builder = builder.policy(LearningPolicy::None),
-            "--policy" => match value("--policy").and_then(|v| {
-                LearningPolicy::from_spec(&v).map_err(|e| format!("bad --policy: {e}"))
-            }) {
-                Ok(p) => builder = builder.policy(p),
-                Err(e) => return fail(&e),
-            },
-            "--cmax" => match value("--cmax")
-                .and_then(|v| v.parse::<u32>().map_err(|e| format!("bad --cmax: {e}")))
-            {
-                Ok(w) => builder = builder.cwnd_max(w),
-                Err(e) => return fail(&e),
-            },
-            "--cmin" => match value("--cmin")
-                .and_then(|v| v.parse::<u32>().map_err(|e| format!("bad --cmin: {e}")))
-            {
-                Ok(w) => builder = builder.cwnd_min(w),
-                Err(e) => return fail(&e),
-            },
-            "--ttl" => match value("--ttl")
-                .and_then(|v| v.parse::<u64>().map_err(|e| format!("bad --ttl: {e}")))
-            {
-                Ok(s) => builder = builder.ttl(SimDuration::from_secs(s)),
-                Err(e) => return fail(&e),
-            },
-            "--interval" => match value("--interval")
-                .and_then(|v| v.parse::<u64>().map_err(|e| format!("bad --interval: {e}")))
-            {
-                Ok(s) => {
-                    interval = SimDuration::from_secs(s);
-                    builder = builder.update_interval(interval);
-                }
-                Err(e) => return fail(&e),
-            },
-            "--combine" => match value("--combine") {
-                Ok(v) => {
-                    let strategy = match v.as_str() {
-                        "average" => CombineStrategy::Average,
-                        "max" => CombineStrategy::Max,
-                        "traffic-weighted" => CombineStrategy::TrafficWeighted,
-                        other => return fail(&format!("unknown combine strategy {other:?}")),
-                    };
-                    builder = builder.combine(strategy);
-                }
-                Err(e) => return fail(&e),
-            },
-            "--granularity" => match value("--granularity") {
-                Ok(v) => {
-                    let g = if v == "host" {
-                        Granularity::Host
-                    } else if let Some(len) = v.strip_prefix('/') {
-                        match len.parse::<u8>() {
-                            Ok(l) if l <= 32 => Granularity::Prefix(l),
-                            _ => return fail(&format!("bad prefix length {v:?}")),
-                        }
-                    } else {
-                        return fail(&format!(
-                            "granularity must be `host` or `/<len>`, got {v:?}"
-                        ));
-                    };
-                    builder = builder.granularity(g);
-                }
-                Err(e) => return fail(&e),
-            },
-            "--trend" => trend = true,
+        let mut setting = |key: &str, value: String| {
+            settings.push((flag.to_string(), key.to_string(), value));
+        };
+        match flag {
+            "--alpha" | "--policy" | "--cmax" | "--cmin" | "--ttl" | "--interval" | "--combine"
+            | "--granularity" => setting(&flag[2..], value()?),
+            "--no-history" => setting("policy", "none".into()),
+            "--trend" => setting("trend", "on".into()),
+            "--config" => conf_file = Some(value()?),
             "--recover" => recover = true,
             "--follow" => follow = true,
             "--show-table" => show_table = true,
             "--metrics" => show_metrics = true,
-            "--metrics-file" => match value("--metrics-file") {
-                Ok(p) => metrics_file = Some(p),
-                Err(e) => return fail(&e),
-            },
-            "--state-file" => match value("--state-file") {
-                Ok(p) => state_file = Some(p),
-                Err(e) => return fail(&e),
-            },
-            "--snapshot-every" => match value("--snapshot-every").and_then(|v| {
-                v.parse::<u64>()
-                    .map_err(|e| format!("bad --snapshot-every: {e}"))
-            }) {
-                Ok(n) if n >= 1 => snapshot_every = n,
-                Ok(_) => return fail("--snapshot-every must be at least 1"),
-                Err(e) => return fail(&e),
-            },
+            "--metrics-file" => metrics_file = Some(value()?),
+            "--state-file" => state_file = Some(value()?),
+            "--snapshot-every" => {
+                let v = value()?;
+                snapshot_every = v
+                    .parse()
+                    .map_err(|e| format!("bad --snapshot-every: {e}"))?;
+                if snapshot_every == 0 {
+                    return Err("--snapshot-every must be at least 1".into());
+                }
+            }
             "--help" | "-h" => {
                 println!(
                     "usage: riptided [options] <ss-snapshot>...  (see --help header in source)"
                 );
-                return ExitCode::SUCCESS;
+                return Ok(());
             }
-            other if other.starts_with('-') => {
-                return fail(&format!("unknown option {other:?}"));
-            }
+            other if other.starts_with('-') => return Err(format!("unknown option {other:?}")),
             path => snapshots.push(path.to_string()),
         }
     }
-    if trend {
-        builder = builder.trend(TrendPolicy::default());
+
+    // The file's lines first, then the flags: a flag overrides the file.
+    let mut conf = RiptideConfig::builder();
+    if let Some(path) = &conf_file {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        conf = conf.conf_lines(&text).map_err(|e| format!("{path}: {e}"))?;
+    }
+    for (flag, key, value) in &settings {
+        conf = conf
+            .set(key, value)
+            .map_err(|e| format!("bad {flag}: {e}"))?;
     }
     if snapshots.is_empty() {
-        return fail("no ss snapshots given (each file is one poll)");
+        return Err("no ss snapshots given (each file is one poll)".into());
     }
-
-    let config = match builder.build() {
-        Ok(c) => c,
-        Err(e) => return fail(&e.to_string()),
-    };
-    let mut agent = match RiptideAgent::new(config) {
-        Ok(a) => a,
-        Err(e) => return fail(&e.to_string()),
-    };
+    let config = conf.build().map_err(|e| e.to_string())?;
+    let mut agent = RiptideAgent::new(config).map_err(|e| e.to_string())?;
     // Telemetry is always on in the daemon: the registry is a handful of
     // atomics and the journal a small ring buffer, and both feed
     // `--metrics`, `--metrics-file` and the SIGUSR1 journal dump.
     let telemetry = AgentTelemetry::standalone(256);
     agent.attach_telemetry(telemetry.clone());
 
-    // Write-then-rename so a scraper racing a flush always reads a
-    // complete exposition, never a truncated one: `std::fs::write`
-    // truncates in place, and node_exporter-style textfile collectors
-    // poll on their own clock. The temp file is a sibling (same
-    // directory, pid-suffixed) so the rename stays on one filesystem
-    // and therefore atomic.
+    // Atomically, so a scraper racing a flush (node_exporter-style
+    // textfile collectors poll on their own clock) never reads a
+    // truncated exposition.
     let flush_metrics = |telemetry: &AgentTelemetry| {
         if let Some(path) = &metrics_file {
-            let tmp = format!("{path}.{}.tmp", std::process::id());
-            let write = std::fs::write(&tmp, telemetry.registry().render_prometheus())
-                .and_then(|()| std::fs::rename(&tmp, path));
-            if let Err(e) = write {
-                let _ = std::fs::remove_file(&tmp);
+            let text = telemetry.registry().render_prometheus();
+            if let Err(e) = write_atomically(path, text.as_bytes()) {
                 eprintln!("# cannot write metrics file {path}: {e}");
             }
         }
@@ -427,26 +314,26 @@ fn main() -> ExitCode {
         }
     };
 
-    // Warm restart: decode the state file (if any), replay its journal
-    // onto the snapshot, and hand the merged table to the agent, which
-    // clamps every window and reinstalls the routes through the
-    // controller — the jump-start windows are live before the first
-    // poll instead of after a full relearn cycle. A damaged snapshot
-    // block (or a missing file) means starting empty, never a panic.
+    // Warm restart: the agent clamps every restored window and
+    // reinstalls the routes through the controller, so the jump-start
+    // windows are live before the first poll instead of after a full
+    // relearn cycle. A damaged snapshot block (or a missing file) means
+    // starting empty, never a panic.
     let mut persist = state_file.map(|path| {
+        let mut store = StateStore::default();
         match std::fs::read(&path) {
-            Ok(bytes) if !bytes.is_empty() => match decode_state(&bytes) {
-                Ok(state) => {
-                    if state.torn_tail {
-                        eprintln!("# state: dropped a torn journal tail in {path}");
+            Ok(bytes) if !bytes.is_empty() => {
+                match store.restore(&bytes, SimTime::ZERO, &mut agent, &mut controller) {
+                    Ok((restored, torn_tail)) => {
+                        if torn_tail {
+                            eprintln!("# state: dropped a torn journal tail in {path}");
+                        }
+                        print_commands(&mut controller);
+                        eprintln!("# state: restored {restored} route(s) from {path}");
                     }
-                    let merged = riptide::persist::replay(&state.snapshot, &state.journal);
-                    let restored = agent.restore_state(&merged, SimTime::ZERO, &mut controller);
-                    print_commands(&mut controller);
-                    eprintln!("# state: restored {} route(s) from {path}", restored.len());
+                    Err(e) => eprintln!("# state: ignoring {path}: {e}"),
                 }
-                Err(e) => eprintln!("# state: ignoring {path}: {e}"),
-            },
+            }
             Ok(_) => {}
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
             Err(e) => eprintln!("# state: cannot read {path}: {e}"),
@@ -454,7 +341,7 @@ fn main() -> ExitCode {
         let mut p = PersistState {
             path,
             snapshot_every,
-            last_installed: std::collections::BTreeMap::new(),
+            store,
             polls_since_snapshot: 0,
         };
         // Anchor the file with a fresh snapshot right away: journal
@@ -464,59 +351,36 @@ fn main() -> ExitCode {
         p
     });
 
-    // One poll: read a snapshot, tick the agent, print the commands the
-    // tick produced. Used for the listed snapshots and then, under
-    // `--follow`, for every re-poll of the last one.
-    let poll_once = |agent: &mut RiptideAgent,
-                     controller: &mut SharedRouteController,
-                     path: &str,
-                     now: SimTime|
-     -> Result<(), String> {
+    // One poll per listed snapshot, then — under `--follow` — a re-poll
+    // of the last one every interval until a shutdown signal arrives
+    // (a cron job or collector rewrites it in place: the live feed).
+    let wait = std::time::Duration::from_secs_f64(agent.config().update_interval.as_secs_f64());
+    let mut listed = snapshots.iter();
+    let mut polls = 0u64;
+    loop {
+        let path = match listed.next() {
+            Some(_) if SHUTDOWN.load(Ordering::SeqCst) => break,
+            Some(path) => path,
+            None if follow && !sleep_interruptibly(wait) => {
+                if DUMP_REQUESTED.swap(false, Ordering::SeqCst) {
+                    eprint!("{}", telemetry.journal().render());
+                }
+                snapshots.last().expect("checked non-empty above")
+            }
+            None => break,
+        };
+        polls += 1;
+        let now = SimTime::ZERO + agent.config().update_interval * polls;
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         let mut sock_table = SockTable::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-        let report = agent.tick(now, &mut sock_table, controller);
+        let report = agent.tick(now, &mut sock_table, &mut controller);
         for e in &report.errors {
             eprintln!("# {path}: {e}");
         }
-        print_commands(controller);
-        Ok(())
-    };
-
-    let mut polls = 0u64;
-    for path in &snapshots {
-        if SHUTDOWN.load(Ordering::SeqCst) {
-            break;
-        }
-        polls += 1;
-        let now = SimTime::ZERO + interval * polls;
-        if let Err(e) = poll_once(&mut agent, &mut controller, path, now) {
-            return fail(&e);
-        }
+        print_commands(&mut controller);
         flush_metrics(&telemetry);
         if let Some(p) = persist.as_mut() {
             p.after_poll(&agent, now);
-        }
-    }
-
-    if follow {
-        // Daemon mode: the last snapshot path is the live feed (a cron
-        // job or collector rewrites it in place); re-poll it every
-        // interval until a shutdown signal arrives.
-        let path = snapshots.last().expect("checked non-empty above");
-        let wait = std::time::Duration::from_secs_f64(interval.as_secs_f64());
-        while !sleep_interruptibly(wait) {
-            if DUMP_REQUESTED.swap(false, Ordering::SeqCst) {
-                eprint!("{}", telemetry.journal().render());
-            }
-            polls += 1;
-            let now = SimTime::ZERO + interval * polls;
-            if let Err(e) = poll_once(&mut agent, &mut controller, path, now) {
-                return fail(&e);
-            }
-            flush_metrics(&telemetry);
-            if let Some(p) = persist.as_mut() {
-                p.after_poll(&agent, now);
-            }
         }
     }
 
@@ -525,7 +389,10 @@ fn main() -> ExitCode {
         // *before* the withdrawal sweep empties the installed view, so
         // the next start jump-starts from everything this run learned.
         if let Some(p) = persist.as_mut() {
-            p.write_snapshot(&agent, SimTime::ZERO + interval * polls);
+            p.write_snapshot(
+                &agent,
+                SimTime::ZERO + agent.config().update_interval * polls,
+            );
             eprintln!("# state: final snapshot written to {}", p.path);
         }
         // Then withdraw everything we installed so the host reverts to
@@ -546,5 +413,5 @@ fn main() -> ExitCode {
     if show_metrics {
         eprint!("{}", telemetry.registry().render_prometheus());
     }
-    ExitCode::SUCCESS
+    Ok(())
 }

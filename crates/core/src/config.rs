@@ -2,9 +2,12 @@
 
 use riptide_simnet::time::SimDuration;
 
+use crate::aggregate::AggregationPolicy;
 use crate::combine::CombineStrategy;
 use crate::granularity::Granularity;
+use crate::guard::GuardConfig;
 use crate::policy::LearningPolicy;
+use crate::trend::TrendPolicy;
 
 /// The agent's configuration: Table I of the paper plus the §III-B
 /// strategy choices.
@@ -283,18 +286,127 @@ impl RiptideConfigBuilder {
     }
 }
 
+impl RiptideConfigBuilder {
+    /// Applies one `key = value` setting of the grammar
+    /// [`RiptideConfig::from_conf_str`] documents. This is the one place a
+    /// setting is parsed: conf-file lines and `riptided`'s agent flags
+    /// both come through here. Nothing is validated until
+    /// [`RiptideConfigBuilder::build`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConfigError`] on an unknown key or a malformed value.
+    pub fn set(self, key: &str, value: &str) -> Result<Self, ConfigError> {
+        fn num<T: std::str::FromStr>(what: &str, v: &str) -> Result<T, ConfigError>
+        where
+            T::Err: std::fmt::Display,
+        {
+            v.parse()
+                .map_err(|e| ConfigError::new(format!("bad {what}: {e}")))
+        }
+        let err = |msg: String| Err(ConfigError::new(msg));
+        Ok(match key {
+            "alpha" => self.alpha(num("alpha", value)?),
+            "policy" | "history" => self.policy(
+                LearningPolicy::from_spec(value)
+                    .map_err(|e| ConfigError::new(format!("bad {key}: {e}")))?,
+            ),
+            "interval" => self.update_interval(SimDuration::from_secs(num("interval", value)?)),
+            "ttl" => self.ttl(SimDuration::from_secs(num("ttl", value)?)),
+            "cmax" => self.cwnd_max(num("cmax", value)?),
+            "cmin" => self.cwnd_min(num("cmin", value)?),
+            "combine" => self.combine(match value {
+                "average" => CombineStrategy::Average,
+                "max" => CombineStrategy::Max,
+                "traffic-weighted" => CombineStrategy::TrafficWeighted,
+                other => return err(format!("unknown combine {other:?}")),
+            }),
+            "granularity" => self.granularity(match (value, value.strip_prefix('/')) {
+                ("host", _) => Granularity::Host,
+                (_, Some(len)) => Granularity::Prefix(num("prefix", len)?),
+                _ => return err(format!("unknown granularity {value:?}")),
+            }),
+            "trend" => match (value, value.split_once(':')) {
+                ("off", _) => self,
+                ("on", _) => self.trend(TrendPolicy::default()),
+                (_, Some((drop, overshoot))) => self.trend(TrendPolicy {
+                    drop_fraction: num("drop", drop)?,
+                    overshoot: num("overshoot", overshoot)?,
+                }),
+                _ => return err("trend must be off | on | <drop>:<overshoot>".into()),
+            },
+            "guard" => match value {
+                "off" => self,
+                "on" => self.guard(GuardConfig::default()),
+                thr => self.guard(GuardConfig {
+                    retrans_threshold: num("guard threshold", thr)?,
+                    ..GuardConfig::default()
+                }),
+            },
+            "capacity" => match value {
+                "unbounded" => self,
+                n => self.table_capacity(num("capacity", n)?),
+            },
+            "aggregate" => match (value, value.strip_prefix('/')) {
+                ("off", _) => self,
+                ("on", _) => self.aggregation(AggregationPolicy::default()),
+                (_, Some(spec)) => {
+                    let mut parts = spec.splitn(3, ':');
+                    let mut next = |what: &str| {
+                        let part = parts.next();
+                        part.ok_or_else(|| ConfigError::new(format!("aggregate missing {what}")))
+                    };
+                    self.aggregation(AggregationPolicy {
+                        aggregate_len: num("aggregate length", next("length")?)?,
+                        band: num("aggregate band", next("band")?)?,
+                        min_siblings: num("aggregate min siblings", next("min siblings")?)?,
+                    })
+                }
+                _ => return err("aggregate must be off | on | /<len>:<band>:<min siblings>".into()),
+            },
+            other => return err(format!("unknown key {other:?}")),
+        })
+    }
+
+    /// Applies a conf file's lines in order through
+    /// [`RiptideConfigBuilder::set`]: one `key = value` pair per line,
+    /// `#` comments and blank lines skipped. An error names its line;
+    /// nothing is validated until [`RiptideConfigBuilder::build`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConfigError`] on a line that is not `key = value`, an
+    /// unknown key or a malformed value.
+    pub fn conf_lines(mut self, text: &str) -> Result<Self, ConfigError> {
+        for (lineno, raw) in text.lines().enumerate() {
+            let line = raw.split('#').next().unwrap_or("").trim();
+            if line.is_empty() {
+                continue;
+            }
+            let at =
+                |e: ConfigError| ConfigError::new(format!("line {}: {}", lineno + 1, e.message));
+            let Some((key, value)) = line.split_once('=') else {
+                return Err(at(ConfigError::new("expected key = value")));
+            };
+            self = self.set(key.trim(), value.trim()).map_err(at)?;
+        }
+        Ok(self)
+    }
+}
+
 impl RiptideConfig {
     /// Parses a deployment-style configuration file: one `key = value`
-    /// pair per line, `#` comments, unknown keys rejected. Keys mirror
-    /// Table I and the §III-B strategy choices:
+    /// pair per line, `#` comments, unknown keys rejected. The 13 keys
+    /// mirror Table I and the §III-B strategy choices; this block is the
+    /// deployment default, spelled out:
     ///
-    /// ```text
-    /// # riptide.conf
+    /// ```
+    /// # use riptide::config::RiptideConfig;
+    /// # use riptide_simnet::time::SimDuration;
+    /// let conf = "
     /// alpha = 0.7            # shorthand for policy = ewma:0.7
-    /// policy = ewma          # any LearningPolicy::from_spec spec, e.g.
-    ///                        # none | windowed:<n> | p25 | p75 |
-    ///                        # loss-utility:<g>:<p>:<a>
-    ///                        # (`history =` is an older synonym)
+    /// policy = ewma          # a LearningPolicy::from_spec spec: none | p25 | windowed:<n> …
+    /// history = ewma         # an older synonym of policy
     /// interval = 1           # seconds (i_u)
     /// ttl = 90               # seconds (t)
     /// cmax = 100
@@ -305,6 +417,13 @@ impl RiptideConfig {
     /// guard = off            # off | on | <retrans rate threshold>
     /// capacity = unbounded   # unbounded | <max destinations>
     /// aggregate = off        # off | on | /<len>:<band>:<min siblings>
+    /// ";
+    /// let cfg = RiptideConfig::from_conf_str(conf)?;
+    /// assert_eq!(cfg.ttl, SimDuration::from_secs(90));
+    /// assert_eq!((cfg.cwnd_min, cfg.cwnd_max), (10, 100));
+    /// assert!(cfg.guard.is_none() && cfg.table_capacity.is_none());
+    /// assert_eq!(cfg, RiptideConfig::deployment());
+    /// # Ok::<(), riptide::config::ConfigError>(())
     /// ```
     ///
     /// # Errors
@@ -312,119 +431,7 @@ impl RiptideConfig {
     /// Returns [`ConfigError`] on unknown keys, malformed values, or a
     /// configuration failing [`RiptideConfig::validate`].
     pub fn from_conf_str(text: &str) -> Result<Self, ConfigError> {
-        let mut builder = RiptideConfig::builder();
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let (key, value) = line.split_once('=').ok_or_else(|| {
-                ConfigError::new(format!("line {}: expected key = value", lineno + 1))
-            })?;
-            let (key, value) = (key.trim(), value.trim());
-            let bad = |what: &str| ConfigError::new(format!("line {}: {what}", lineno + 1));
-            builder = match key {
-                "alpha" => {
-                    builder.alpha(value.parse().map_err(|e| bad(&format!("bad alpha: {e}")))?)
-                }
-                "policy" | "history" => builder.policy(
-                    LearningPolicy::from_spec(value)
-                        .map_err(|e| bad(&format!("bad {key}: {e}")))?,
-                ),
-                "interval" => builder.update_interval(SimDuration::from_secs(
-                    value
-                        .parse()
-                        .map_err(|e| bad(&format!("bad interval: {e}")))?,
-                )),
-                "ttl" => builder.ttl(SimDuration::from_secs(
-                    value.parse().map_err(|e| bad(&format!("bad ttl: {e}")))?,
-                )),
-                "cmax" => {
-                    builder.cwnd_max(value.parse().map_err(|e| bad(&format!("bad cmax: {e}")))?)
-                }
-                "cmin" => {
-                    builder.cwnd_min(value.parse().map_err(|e| bad(&format!("bad cmin: {e}")))?)
-                }
-                "combine" => builder.combine(match value {
-                    "average" => CombineStrategy::Average,
-                    "max" => CombineStrategy::Max,
-                    "traffic-weighted" => CombineStrategy::TrafficWeighted,
-                    other => return Err(bad(&format!("unknown combine {other:?}"))),
-                }),
-                "granularity" => {
-                    let g = if value == "host" {
-                        Granularity::Host
-                    } else if let Some(len) = value.strip_prefix('/') {
-                        Granularity::Prefix(
-                            len.parse().map_err(|e| bad(&format!("bad prefix: {e}")))?,
-                        )
-                    } else {
-                        return Err(bad(&format!("unknown granularity {value:?}")));
-                    };
-                    builder.granularity(g)
-                }
-                "trend" => match value {
-                    "off" => builder,
-                    "on" => builder.trend(crate::trend::TrendPolicy::default()),
-                    spec => {
-                        let (drop, overshoot) = spec
-                            .split_once(':')
-                            .ok_or_else(|| bad("trend must be off | on | <drop>:<overshoot>"))?;
-                        builder.trend(crate::trend::TrendPolicy {
-                            drop_fraction: drop
-                                .parse()
-                                .map_err(|e| bad(&format!("bad drop: {e}")))?,
-                            overshoot: overshoot
-                                .parse()
-                                .map_err(|e| bad(&format!("bad overshoot: {e}")))?,
-                        })
-                    }
-                },
-                "guard" => match value {
-                    "off" => builder,
-                    "on" => builder.guard(crate::guard::GuardConfig::default()),
-                    thr => builder.guard(crate::guard::GuardConfig {
-                        retrans_threshold: thr
-                            .parse()
-                            .map_err(|e| bad(&format!("bad guard threshold: {e}")))?,
-                        ..crate::guard::GuardConfig::default()
-                    }),
-                },
-                "capacity" => match value {
-                    "unbounded" => builder,
-                    n => builder
-                        .table_capacity(n.parse().map_err(|e| bad(&format!("bad capacity: {e}")))?),
-                },
-                "aggregate" => match value {
-                    "off" => builder,
-                    "on" => builder.aggregation(crate::aggregate::AggregationPolicy::default()),
-                    spec => {
-                        let spec = spec.strip_prefix('/').ok_or_else(|| {
-                            bad("aggregate must be off | on | /<len>:<band>:<min siblings>")
-                        })?;
-                        let mut parts = spec.splitn(3, ':');
-                        let mut next = |what: &str| {
-                            parts
-                                .next()
-                                .ok_or_else(|| bad(&format!("aggregate missing {what}")))
-                        };
-                        builder.aggregation(crate::aggregate::AggregationPolicy {
-                            aggregate_len: next("length")?
-                                .parse()
-                                .map_err(|e| bad(&format!("bad aggregate length: {e}")))?,
-                            band: next("band")?
-                                .parse()
-                                .map_err(|e| bad(&format!("bad aggregate band: {e}")))?,
-                            min_siblings: next("min siblings")?
-                                .parse()
-                                .map_err(|e| bad(&format!("bad aggregate min siblings: {e}")))?,
-                        })
-                    }
-                },
-                other => return Err(bad(&format!("unknown key {other:?}"))),
-            };
-        }
-        builder.build()
+        RiptideConfig::builder().conf_lines(text)?.build()
     }
 }
 

@@ -97,7 +97,7 @@ pub mod prelude {
     };
     pub use crate::persist::{
         decode_state, encode_state, replay, JournalOp, JournalRecord, PersistError, SnapshotEntry,
-        StateFile, TableSnapshot,
+        StateFile, StateStore, TableSnapshot,
     };
     pub use crate::policy::{registered_policies, HistoryStrategy, LearningPolicy, PolicyInput};
     pub use crate::reconcile::{audit, is_riptide_route, AuditReport, AuditVerdict};

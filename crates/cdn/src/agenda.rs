@@ -72,7 +72,7 @@ impl Agenda {
 mod tests {
     use super::*;
     use crate::gossip::GossipConfig;
-    use crate::sim::{CdnSim, CdnSimConfig, PersistenceConfig, ResilienceOverlay};
+    use crate::sim::{CdnSim, CdnSimConfig, ResilienceOverlay};
     use crate::topology::TestbedConfig;
     use crate::workload::{OrganicConfig, ProbeConfig};
     use riptide::prelude::*;
@@ -140,7 +140,7 @@ mod tests {
                     ..FaultPlan::uniform(0.1)
                 },
                 reconcile_every: Some(SimDuration::from_secs(45)),
-                persistence: Some(PersistenceConfig::default()),
+                persistence: true,
                 gossip: Some(GossipConfig::default()),
             },
         }

@@ -67,8 +67,8 @@ pub mod prelude {
     pub use crate::megacdn::MegaCdnConfig;
     pub use crate::scenario::{scenario_catalog, scenario_sim_config, ScenarioSpec, WorkloadShape};
     pub use crate::sim::{
-        CdnSim, CdnSimConfig, ChaosReport, ColdstartReport, CwndSample, PersistenceConfig,
-        ProbeOutcome, ResilienceOverlay,
+        CdnSim, CdnSimConfig, ChaosReport, ColdstartReport, CwndSample, ProbeOutcome,
+        ResilienceOverlay,
     };
     pub use crate::stats::{average_gains, percentile_gains, Cdf, PercentileGain};
     pub use crate::topology::{RttBucket, Testbed, TestbedConfig};

@@ -36,7 +36,7 @@ use riptide_simnet::time::SimDuration;
 use crate::engine::{PlanArm, RunPlan};
 use crate::experiment::{probe_sender_sites, probe_sim_config, ExperimentScale, StackTweaks};
 use crate::gossip::GossipConfig;
-use crate::sim::{CdnSimConfig, PersistenceConfig, ResilienceOverlay};
+use crate::sim::{CdnSimConfig, ResilienceOverlay};
 use crate::topology::LastMileProfile;
 use crate::workload::FlashCrowd;
 
@@ -229,11 +229,7 @@ impl ScenarioSpec {
     /// missing entries from peers). A crash rate of `0.0` leaves the
     /// fault layer off, and with both layers off too the run is
     /// bit-identical to the baseline's.
-    pub fn coldstart(
-        crash_rate: f64,
-        persistence: Option<PersistenceConfig>,
-        gossip: Option<GossipConfig>,
-    ) -> Self {
+    pub fn coldstart(crash_rate: f64, persistence: bool, gossip: Option<GossipConfig>) -> Self {
         ScenarioSpec {
             name: "coldstart",
             resilience: ResilienceOverlay {
@@ -410,11 +406,10 @@ impl RunPlan {
     /// *same* crash schedule, so their ramp times are directly
     /// comparable.
     pub fn coldstart_sweep(scale: &ExperimentScale, rates: &[f64], replicates: u32) -> RunPlan {
-        let warm = Some(PersistenceConfig::default());
         let modes = [
-            ("cold", None, None),
-            ("snapshot", warm, None),
-            ("snapshot+gossip", warm, Some(GossipConfig::default())),
+            ("cold", false, None),
+            ("snapshot", true, None),
+            ("snapshot+gossip", true, Some(GossipConfig::default())),
         ];
         let arms = modes.map(|(mode, _, _)| (mode, Some(RiptideConfig::deployment())));
         let arms = rate_sweep(rates, &arms, |rate, a| {
@@ -529,7 +524,7 @@ mod tests {
         for zero in [
             ScenarioSpec::chaos(0.0),
             ScenarioSpec::guardrail(0.0),
-            ScenarioSpec::coldstart(0.0, None, None),
+            ScenarioSpec::coldstart(0.0, false, None),
         ] {
             let got = overlay(&zero);
             assert!(
@@ -539,15 +534,19 @@ mod tests {
             );
             // Audits are scheduled exactly when churn can fire.
             assert_eq!(got.reconcile_every, None, "{}", zero.name);
-            assert_eq!((got.persistence, got.gossip), (None, None), "{}", zero.name);
+            assert_eq!(
+                (got.persistence, got.gossip),
+                (false, None),
+                "{}",
+                zero.name
+            );
         }
         assert!(overlay(&ScenarioSpec::chaos(0.2)).faults.is_enabled());
         assert!(overlay(&ScenarioSpec::guardrail(0.1))
             .reconcile_every
             .is_some());
-        let warm = Some(PersistenceConfig::default());
-        let snap = overlay(&ScenarioSpec::coldstart(0.05, warm, None));
-        assert!(snap.faults.is_enabled() && snap.persistence == warm && snap.gossip.is_none());
+        let snap = overlay(&ScenarioSpec::coldstart(0.05, true, None));
+        assert!(snap.faults.is_enabled() && snap.persistence && snap.gossip.is_none());
     }
 
     #[test]

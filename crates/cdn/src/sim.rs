@@ -21,7 +21,7 @@ use riptide_simnet::prelude::*;
 use crate::agenda::{Activity, Agenda};
 use crate::chaos::ChaosLayer;
 use crate::gossip::{GossipConfig, GossipFabric};
-use crate::store::PersistLayer;
+use crate::store::{PersistLayer, SNAPSHOT_EVERY};
 use crate::topology::{RttBucket, Testbed, TestbedConfig};
 use crate::workload::{OrganicConfig, ProbeConfig};
 
@@ -95,43 +95,13 @@ pub struct ResilienceOverlay {
     /// open-loop deployment).
     pub reconcile_every: Option<SimDuration>,
     /// Warm-restart persistence: each host keeps a simulated on-disk
-    /// state file (snapshot + journal) that survives crash faults, and
-    /// a restarted daemon reloads it instead of starting empty.
-    pub persistence: Option<PersistenceConfig>,
+    /// state file that survives crash faults — a snapshot every
+    /// 60 s plus a journal of every tick's route deltas — and a
+    /// restarted daemon reloads it instead of starting empty.
+    pub persistence: bool,
     /// Anti-entropy gossip between the fleet's agents. The fabric's RNG
     /// is forked purely, so no other draw sequence moves.
     pub gossip: Option<GossipConfig>,
-}
-
-/// Warm-restart persistence parameters for simulated hosts.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PersistenceConfig {
-    /// How often each live host rewrites its snapshot (the journal is
-    /// truncated into it).
-    pub snapshot_every: SimDuration,
-    /// Append a journal record for every install/withdraw delta between
-    /// snapshots, so a crash loses at most one agent tick of learning
-    /// instead of up to `snapshot_every`.
-    pub journal: bool,
-}
-
-impl Default for PersistenceConfig {
-    fn default() -> Self {
-        PersistenceConfig {
-            snapshot_every: SimDuration::from_secs(60),
-            journal: true,
-        }
-    }
-}
-
-impl PersistenceConfig {
-    /// Checks the parameters are usable.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.snapshot_every == SimDuration::ZERO {
-            return Err("snapshot interval must be positive".into());
-        }
-        Ok(())
-    }
 }
 
 /// Cold-start counters for one run: how fast restarted hosts climbed
@@ -504,9 +474,6 @@ impl CdnSim {
         if let Some(g) = &overlay.gossip {
             check("gossip config", g.validate());
         }
-        if let Some(p) = &overlay.persistence {
-            check("persistence config", p.validate());
-        }
         let mut tb = Testbed::build(&cfg.testbed);
         let mut rng = DetRng::from_seed(cfg.testbed.seed ^ 0x5EED_CD11);
         let host_count = tb.world.host_count();
@@ -534,9 +501,9 @@ impl CdnSim {
             if let Some(every) = overlay.reconcile_every {
                 arm(every, Activity::Reconcile);
             }
-            if let Some(p) = overlay.persistence {
-                arm(p.snapshot_every, Activity::Snapshot);
-                persist = Some(PersistLayer::new(p, host_count));
+            if overlay.persistence {
+                arm(SNAPSHOT_EVERY, Activity::Snapshot);
+                persist = Some(PersistLayer::new(host_count));
             }
             if let Some(g) = overlay.gossip {
                 arm(g.every, Activity::GossipRound);
@@ -1278,7 +1245,7 @@ mod tests {
     fn crash_restart_with_persistence_restores_learned_tables() {
         let mut cfg = tiny_cfg(true, 43);
         cfg.resilience.faults = crash_plan(0.05);
-        cfg.resilience.persistence = Some(PersistenceConfig::default());
+        cfg.resilience.persistence = true;
         let mut sim = CdnSim::new(cfg);
         sim.run_for(SimDuration::from_secs(400));
         let r = sim.chaos_report();
@@ -1300,7 +1267,7 @@ mod tests {
 
     #[test]
     fn persisted_restarts_ramp_up_faster_than_cold_ones() {
-        let run = |persistence: Option<PersistenceConfig>| {
+        let run = |persistence: bool| {
             let mut cfg = tiny_cfg(true, 43);
             cfg.resilience.faults = crash_plan(0.01);
             cfg.resilience.persistence = persistence;
@@ -1308,8 +1275,8 @@ mod tests {
             sim.run_for(SimDuration::from_secs(600));
             sim.coldstart_report()
         };
-        let cold = run(None);
-        let warm = run(Some(PersistenceConfig::default()));
+        let cold = run(false);
+        let warm = run(true);
         assert!(cold.restarts_tracked > 0 && warm.restarts_tracked > 0);
         // A cold restart re-learns from the next probe rounds; a warm
         // one reinstalls from the state file within its restart tick.
@@ -1372,7 +1339,7 @@ mod tests {
         let run = |seed| {
             let mut cfg = tiny_cfg(true, seed);
             cfg.resilience.faults = crash_plan(0.05);
-            cfg.resilience.persistence = Some(PersistenceConfig::default());
+            cfg.resilience.persistence = true;
             cfg.resilience.gossip = Some(GossipConfig::default());
             let mut sim = CdnSim::new(cfg);
             sim.run_for(SimDuration::from_secs(400));
@@ -1389,7 +1356,7 @@ mod tests {
 
     #[test]
     fn zero_rate_crash_plan_with_persistence_is_bit_identical() {
-        let run = |faults: FaultPlan, persistence: Option<PersistenceConfig>| {
+        let run = |faults: FaultPlan, persistence: bool| {
             let mut cfg = tiny_cfg(true, 67);
             cfg.resilience.faults = faults;
             cfg.resilience.persistence = persistence;
@@ -1400,13 +1367,13 @@ mod tests {
                 .map(|p| (p.src_site, p.dst_site, p.size, p.completion.as_nanos()))
                 .collect::<Vec<_>>()
         };
-        let clean = run(FaultPlan::none(), None);
+        let clean = run(FaultPlan::none(), false);
         // Snapshots and journals observe the run without perturbing it:
         // no RNG draws, no route writes — so with zero crashes the run
         // is bit-identical to one without the persistence layer at all.
         assert_eq!(
             clean,
-            run(crash_plan(0.0), Some(PersistenceConfig::default())),
+            run(crash_plan(0.0), true),
             "zero-rate crash plan with persistence adds nothing"
         );
     }

@@ -14,7 +14,7 @@ use riptide_repro::cdn::engine::{PlanArm, RunPlan};
 use riptide_repro::cdn::experiment::ExperimentScale;
 use riptide_repro::cdn::gossip::GossipConfig;
 use riptide_repro::cdn::scenario::ScenarioSpec;
-use riptide_repro::cdn::sim::{PersistenceConfig, ResilienceOverlay};
+use riptide_repro::cdn::sim::ResilienceOverlay;
 use riptide_repro::riptide::aggregate::AggregationPolicy;
 use riptide_repro::riptide::config::RiptideConfig;
 use riptide_repro::riptide::guard::GuardConfig;
@@ -35,7 +35,7 @@ fn everything_on(scale: &ExperimentScale) -> ScenarioSpec {
                 ..FaultPlan::guardrail(0.3)
             },
             reconcile_every: Some(SimDuration::from_secs(120)),
-            persistence: Some(PersistenceConfig::default()),
+            persistence: true,
             gossip: Some(GossipConfig::default()),
         },
         ..ScenarioSpec::red_drop()

@@ -62,17 +62,19 @@ if [[ "$stage" == "build" || "$stage" == "all" ]]; then
 
     # The proptest shim seeds each property from its name, so the runs
     # above see one input set for ever. Two more, for the properties
-    # that read text from outside — the scanner against its model, and
-    # the hostile-text totality tests — and for the tick against its
-    # model; the last two in the debug profile, where an overflow panics
-    # instead of wrapping (the core and linuxnet build is 8 s cold, the
-    # tick's harness 6 s more; each seed then costs 2 s, the tick 1 s,
-    # the scanner 0.2 s).
+    # that read bytes from outside — the scanner against its model, the
+    # hostile-text totality tests, and the state-file reader over bytes
+    # a faulty disk tore at random — and for the tick against its model;
+    # hostile text and the tick in the debug profile, where an overflow
+    # panics instead of wrapping (the core and linuxnet build is 8 s
+    # cold, the tick's harness 6 s more; each seed then costs 2 s, the
+    # tick 1 s, the scanner 0.2 s, the state file under 0.1 s).
     for seed in 1 2016; do
         run env PROPTEST_SEED="$seed" cargo test -q --release --test ss_scanner_differential
         run env PROPTEST_SEED="$seed" cargo test -q -p riptide -p riptide-linuxnet \
             --test hostile_text
         run env PROPTEST_SEED="$seed" cargo test -q --test tick_differential
+        run env PROPTEST_SEED="$seed" cargo test -q --release -p riptide --test persist_props
     done
 
     # The four outcome records, one --check each. Every family re-runs

@@ -28,13 +28,11 @@ pub(crate) enum Activity {
     LossEpisodeEnd,
     /// A link may enter a loss burst (chaos layer).
     BurstCheck,
-    /// Route churn, then every agent's poll-learn-install cycle, then
-    /// the journal appends that cycle caused.
+    /// Route churn, then every live daemon's poll: learn, install, and
+    /// bring its state file up to date.
     AgentTick,
     /// One anti-entropy round across the fleet.
     GossipRound,
-    /// Every live host rewrites its state-file snapshot.
-    Snapshot,
     /// Every live agent audits its kernel table.
     Reconcile,
     /// The per-minute `ss` sweep of live congestion windows.
@@ -88,7 +86,6 @@ mod tests {
             BurstCheck,
             AgentTick,
             GossipRound,
-            Snapshot,
             Reconcile,
             CwndSample,
             Probe(0),
@@ -99,7 +96,7 @@ mod tests {
         ];
         let at = SimTime::from_secs(120);
         let mut agenda = Agenda::default();
-        // Pushed in a fixed shuffle (index * 5 mod 14 visits every slot),
+        // Pushed in a fixed shuffle (index * 5 mod 13 visits every slot),
         // with an earlier and a later entry that must not interleave.
         agenda.arm(at + SimDuration::from_nanos(1), DelayedInstall);
         for i in 0..ladder.len() {
@@ -180,8 +177,8 @@ mod tests {
             "{coldstart:?}"
         );
         // Off every schedule; on an agent-tick instant; on the instant
-        // where the tick, a gossip round, a snapshot, a sampling sweep
-        // and a burst check all come due.
+        // where the tick, a gossip round, a sampling sweep and a burst
+        // check all come due.
         for first in [137_500, 233_000, 120_000] {
             let first = SimDuration::from_millis(first);
             assert_eq!(run(first), whole, "split at {first:?}");

@@ -17,8 +17,7 @@ use riptide_simnet::prelude::*;
 
 use crate::agenda::{Activity, Agenda};
 use crate::faulted::FaultedIo;
-use crate::sim::{fresh_agent, ChaosReport, ColdstartReport, Daemon};
-use crate::store::PersistLayer;
+use crate::sim::{fresh_daemon, ChaosReport, ColdstartReport, Host};
 
 /// PoP pairs whose loss one fault category has raised for a fixed term,
 /// oldest first: both directions' `(src, dst, config to restore)`. The
@@ -68,14 +67,14 @@ fn installed_sum(agent: &RiptideAgent) -> u64 {
 }
 
 /// Crash-restart ramp tracking: how long a restarted host takes to climb
-/// back to 90% of the installed-window sum it crashed with. Draws no
-/// randomness.
+/// back to 90% of the installed-window sum it crashed with, and what its
+/// restarts restored. Draws no randomness.
 #[derive(Debug, Default)]
 pub(crate) struct RampTracker {
     /// Per host with a ramp to make: `(pre-crash sum, restart instant)`,
     /// the instant `None` while the host is still down.
     ramps: BTreeMap<usize, (u64, Option<SimTime>)>,
-    /// Tracked restarts and completed ramps (its other fields stay 0).
+    /// Tracked restarts, completed ramps, restored routes (no other field).
     done: ColdstartReport,
 }
 
@@ -89,8 +88,9 @@ impl RampTracker {
         };
     }
 
-    /// Host `h`'s replacement daemon started at `now`.
-    pub(crate) fn restarted(&mut self, h: usize, now: SimTime) {
+    /// Host `h`'s replacement daemon started at `now`, restoring `restored` routes.
+    pub(crate) fn restarted(&mut self, h: usize, now: SimTime, restored: usize) {
+        self.done.restored_routes += restored as u64;
         if let Some((_, since)) = self.ramps.get_mut(&h) {
             *since = Some(now);
             self.done.restarts_tracked += 1;
@@ -100,10 +100,10 @@ impl RampTracker {
     /// Completes every ramp whose host has climbed back to 90%. The
     /// installed view moves only in an agent tick, a restore or a gossip
     /// merge, so this runs after those.
-    pub(crate) fn check(&mut self, now: SimTime, daemons: &[Daemon]) {
+    pub(crate) fn check(&mut self, now: SimTime, hosts: &[Host]) {
         let done = &mut self.done;
         self.ramps.retain(|&h, &mut (pre, since)| {
-            let climbed = installed_sum(&daemons[h].agent) * 10 >= pre * 9;
+            let climbed = installed_sum(hosts[h].daemon.agent()) * 10 >= pre * 9;
             let Some(since) = since.filter(|_| climbed) else {
                 return true;
             };
@@ -216,11 +216,11 @@ impl ChaosLayer {
         activity: Activity,
         now: SimTime,
         world: &mut World,
-        daemons: &mut [Daemon],
+        hosts: &mut [Host],
         agenda: &mut Agenda,
     ) -> Option<SimDuration> {
         match activity {
-            Activity::DelayedInstall => self.io.land(daemons),
+            Activity::DelayedInstall => self.io.land(hosts),
             Activity::BurstEnd => self.bursts.restore_oldest(world),
             Activity::LossEpisodeEnd => self.episodes.restore_oldest(world),
             Activity::BurstCheck => {
@@ -244,9 +244,9 @@ impl ChaosLayer {
     /// agent's back — deleting an installed route, injecting an orphan
     /// riptide-signature route, or injecting a foreign route the
     /// reconciler must never touch.
-    pub(crate) fn churn(&mut self, daemons: &mut [Daemon]) {
-        for (h, Daemon { agent, controller }) in daemons.iter_mut().enumerate() {
-            let table = controller.inner().table();
+    pub(crate) fn churn(&mut self, hosts: &mut [Host]) {
+        for (h, Host { daemon, controller }) in hosts.iter_mut().enumerate() {
+            let (agent, table) = (daemon.agent(), controller.inner().table());
             match self.injector.churn_fault(agent.installed_view().len()) {
                 ChurnFault::None => {}
                 ChurnFault::DeleteInstalled { pick } => {
@@ -282,13 +282,12 @@ impl ChaosLayer {
 
     /// Host `h`'s crash/restart lifecycle at an agent-tick instant, its
     /// crash fault drawn when it is up. Returns whether the daemon
-    /// ticks this cycle.
+    /// polls this cycle.
     pub(crate) fn lifecycle(
         &mut self,
         h: usize,
         now: SimTime,
-        daemon: &mut Daemon,
-        persist: Option<&mut PersistLayer>,
+        host: &mut Host,
         telemetry: Option<&AgentTelemetry>,
         world: &mut World,
     ) -> bool {
@@ -298,29 +297,31 @@ impl ChaosLayer {
             Some(_) => {
                 // Restart: the replacement's first act is the §IV-D
                 // startup recovery — wipe whatever riptide routes the
-                // dead incarnation left — and then, if the host keeps a
-                // state file, reinstall what that remembers.
+                // dead incarnation left — and then its start, which
+                // reinstalls what the host's state file remembers.
                 self.down_until.remove(&h);
-                let table = daemon.controller.inner().table();
-                let wiped = recover_stale_routes(&mut table.borrow_mut());
+                let Host { daemon, controller } = host;
+                let wiped = recover_stale_routes(&mut controller.inner().table().borrow_mut());
                 self.report.routes_recovered += wiped as u64;
-                if let Some(persist) = persist {
-                    persist.restore(h, now, daemon);
-                }
-                self.ramp.restarted(h, now);
+                let bytes = daemon
+                    .storage()
+                    .map_or_else(Vec::new, |disk| disk.bytes.clone());
+                let restored = daemon.start(&bytes, now, controller).map_or(0, |(n, _)| n);
+                self.ramp.restarted(h, now, restored);
                 true
             }
             None if self.injector.crashes_now() => {
-                // Crash loses the learned table (it lives in the daemon)
-                // but not installed routes (they live in the kernel) —
-                // nor the persisted state file (it lives on disk).
-                let fresh = fresh_agent(daemon.agent.config(), telemetry);
-                let dead = std::mem::replace(&mut daemon.agent, fresh);
-                let stats = dead.stats();
+                // A crash drops the daemon and its learned table, but not
+                // the installed routes (they live in the kernel) nor the
+                // state file (it lives on disk).
+                let disk = host.daemon.take_storage();
+                let fresh = fresh_daemon(host.daemon.agent().config(), telemetry, disk);
+                let dead = std::mem::replace(&mut host.daemon, fresh);
+                let stats = dead.agent().stats();
                 self.report.degraded_ticks += stats.degraded_ticks;
                 self.report.guard_trips += stats.guard_trips;
                 self.report.reconcile_repairs += stats.reconcile_repairs;
-                self.ramp.crashed(h, &dead);
+                self.ramp.crashed(h, dead.agent());
                 let plan = self.injector.plan();
                 self.down_until.insert(h, now + plan.restart_after);
                 if plan.crash_resets_connections {
@@ -343,13 +344,13 @@ impl ChaosLayer {
         &mut self,
         h: usize,
         now: SimTime,
-        daemon: &mut Daemon,
+        host: &mut Host,
         rows: Vec<CwndObservation>,
         world: &mut World,
         agenda: &mut Agenda,
     ) {
         let injector = &mut self.injector;
-        let Some(tick) = self.io.tick(injector, h, now, daemon, rows, agenda) else {
+        let Some(tick) = self.io.tick(injector, h, now, host, rows, agenda) else {
             return;
         };
         let host = HostId::from_index(h as u32);

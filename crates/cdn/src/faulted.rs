@@ -9,7 +9,7 @@ use riptide_linuxnet::prefix::Ipv4Prefix;
 use riptide_simnet::prelude::*;
 
 use crate::agenda::{Activity, Agenda};
-use crate::sim::{ChaosReport, Daemon};
+use crate::sim::{ChaosReport, Host};
 
 type Gate = CheckedController<SharedRouteController>;
 
@@ -91,71 +91,73 @@ impl FaultedIo {
     /// [`Activity::DelayedInstall`]: the oldest delayed write lands. It
     /// still goes through the host's bounds gate, and may target a host
     /// whose agent has crashed since — the kernel applies it regardless.
-    pub(crate) fn land(&mut self, daemons: &mut [Daemon]) {
+    pub(crate) fn land(&mut self, hosts: &mut [Host]) {
         let (host, key, window) = self.delayed.pop_front().expect("one landing per write");
-        if write(&mut daemons[host].controller, key, window).is_ok() {
+        if write(&mut hosts[host].controller, key, window).is_ok() {
             self.done.delayed_applied += 1;
         }
     }
 
-    /// Drives host `h`'s tick through the stack. Returns what the tick
-    /// did, or `None` when the poll failed even after retries and the
-    /// cycle ran degraded.
+    /// Drives host `h`'s daemon poll through the stack. Returns what the
+    /// tick did, or `None` when the `ss` poll failed even after retries
+    /// and the cycle ran degraded.
     pub(crate) fn tick(
         &mut self,
         injector: &mut FaultInjector,
         h: usize,
         now: SimTime,
-        daemon: &mut Daemon,
+        host: &mut Host,
         rows: Vec<CwndObservation>,
         agenda: &mut Agenda,
     ) -> Option<TickReport> {
-        let Daemon { agent, controller } = daemon;
-        // Observation: fault-injected poll under retry with a per-cycle
-        // budget. A timed-out attempt is modeled as costing 200 ms of
-        // the cycle.
-        let mut observer = ResilientObserver::new(
-            FnFallibleObserver(|| match injector.observe_fault(rows.len()) {
-                ObserveFault::None => Ok(rows.clone()),
-                ObserveFault::Timeout => Err(ObserveError::Timeout),
-                ObserveFault::Partial { keep } => Ok(rows[..keep].to_vec()),
-            }),
-            BackoffPolicy::agent_default(),
-            SimDuration::from_millis(200),
-            agent.config().update_interval,
-        );
-        if let Some(io) = &self.counters {
-            observer.set_counters(io.clone());
-        }
-        let polled = observer.observe();
-        self.done.observe_retries += observer.stats().retries;
-        let Ok(mut polled) = polled else {
-            // Degraded cycle: never guess from stale rows — freeze
-            // learning, let TTL expiry run.
-            agent.tick_degraded(now, controller);
-            return None;
-        };
+        let Host { daemon, controller } = host;
+        daemon.poll(now, |agent| {
+            // Observation: fault-injected poll under retry with a per-cycle
+            // budget. A timed-out attempt is modeled as costing 200 ms of
+            // the cycle.
+            let mut observer = ResilientObserver::new(
+                FnFallibleObserver(|| match injector.observe_fault(rows.len()) {
+                    ObserveFault::None => Ok(rows.clone()),
+                    ObserveFault::Timeout => Err(ObserveError::Timeout),
+                    ObserveFault::Partial { keep } => Ok(rows[..keep].to_vec()),
+                }),
+                BackoffPolicy::agent_default(),
+                SimDuration::from_millis(200),
+                agent.config().update_interval,
+            );
+            if let Some(io) = &self.counters {
+                observer.set_counters(io.clone());
+            }
+            let polled = observer.observe();
+            self.done.observe_retries += observer.stats().retries;
+            let Ok(mut polled) = polled else {
+                // Degraded cycle: never guess from stale rows — freeze
+                // learning, let TTL expiry run.
+                agent.tick_degraded(now, controller);
+                return None;
+            };
 
-        let lands_at = now + injector.plan().install_delay_for;
-        let mut writer = ResilientController::new(
-            FaultedController {
-                gate: controller,
-                injector,
-                delayed: &mut self.delayed,
-                agenda,
-                lands_at,
-                host: h,
-            },
-            BackoffPolicy::agent_default(),
-        );
-        if let Some(io) = &self.counters {
-            writer.set_counters(io.clone());
-        }
-        let mut observer = FnObserver(|| std::mem::take(&mut polled));
-        let tick = agent.tick(now, &mut observer, &mut writer);
-        let written = writer.stats();
-        self.done.install_retries += written.retries;
-        self.done.install_gave_up += written.gave_up;
-        Some(tick)
+            let lands_at = now + injector.plan().install_delay_for;
+            let mut writer = ResilientController::new(
+                FaultedController {
+                    gate: controller,
+                    injector,
+                    delayed: &mut self.delayed,
+                    agenda,
+                    lands_at,
+                    host: h,
+                },
+                BackoffPolicy::agent_default(),
+            );
+            if let Some(io) = &self.counters {
+                writer.set_counters(io.clone());
+            }
+            let mut observer = FnObserver(|| std::mem::take(&mut polled));
+            let tick = agent.tick(now, &mut observer, &mut writer);
+            let written = writer.stats();
+            self.done.install_retries += written.retries;
+            self.done.install_gave_up += written.gave_up;
+            Some(tick)
+        })
     }
 }

@@ -33,7 +33,7 @@ use riptide::agent::RiptideAgent;
 use riptide::sync::{delta_for, digest_of, SyncConfig, SyncEntry};
 use riptide_simnet::prelude::*;
 
-use crate::sim::{ColdstartReport, Daemon};
+use crate::sim::{ColdstartReport, Host};
 
 /// Tuning for the gossip fabric.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -171,7 +171,7 @@ impl GossipFabric {
         &mut self,
         now: SimTime,
         alive: &[bool],
-        daemons: &mut [Daemon],
+        hosts: &mut [Host],
     ) -> SimDuration {
         let sync_cfg = SyncConfig {
             max_entries: self.config.max_entries,
@@ -179,7 +179,7 @@ impl GossipFabric {
         for (a, b) in self.pairs_for_round(now, alive) {
             let since = self.last_exchange(a, b);
             self.record_exchange(a, b, now);
-            let [ea, eb] = [a, b].map(|h| sync_entries(&daemons[h].agent));
+            let [ea, eb] = [a, b].map(|h| sync_entries(hosts[h].daemon.agent()));
             if digest_of(&ea) == digest_of(&eb) {
                 self.done.digests_matched += 1;
                 continue;
@@ -191,8 +191,10 @@ impl GossipFabric {
                 if delta.entries.is_empty() {
                     continue;
                 }
-                let Daemon { agent, controller } = &mut daemons[dst];
-                let accepted = agent.merge_remote(&delta.entries, now, controller);
+                let Host { daemon, controller } = &mut hosts[dst];
+                let accepted = daemon
+                    .agent_mut()
+                    .merge_remote(&delta.entries, now, controller);
                 self.done.entries_accepted += accepted.len() as u64;
             }
         }

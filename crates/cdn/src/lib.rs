@@ -16,7 +16,7 @@
 //! | [`megacdn`] | Million-destination fleet generator for table-scale runs | §III-B at internet scale |
 //! | [`scenario`] | Named regimes for the probe experiment and the families built from them (scenario matrix, chaos, guardrail, cold-start) | §V threats to validity |
 //! | [`sim`] | The deployment harness: testbed, daemons, probes and arrivals, and the `run_for` loop over the agenda | §IV-A |
-//! | `agenda`, `chaos`, `faulted`, `store` | (private) The harness's one clock, and the overlays it fires: what a `FaultPlan` breaks, the fault-injected agent I/O, per-host state files | §IV-D |
+//! | `agenda`, `chaos`, `faulted` | (private) The harness's one clock, and the overlays it fires: what a `FaultPlan` breaks, and the fault-injected agent I/O | §IV-D |
 //! | [`gossip`] | Anti-entropy fleet-sync scheduler (seeded fanout, per-peer backoff) | Pied Piper (PAPERS.md) |
 //! | [`experiment`] | One runner per figure (Figs. 10–16) | §IV |
 //! | [`engine`] | Parallel sharded execution, digests, manifests | — (reproduction infrastructure) |
@@ -52,7 +52,6 @@ pub mod scenario;
 pub mod schedule;
 pub mod sim;
 pub mod stats;
-mod store;
 pub mod topology;
 pub mod workload;
 

@@ -14,6 +14,8 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
+use riptide::daemon::{Daemon, Storage, SNAPSHOT_EVERY};
+use riptide::persist::JOURNAL_RECORD_BYTES;
 use riptide::prelude::*;
 use riptide_linuxnet::route::RouteTable;
 use riptide_simnet::prelude::*;
@@ -21,7 +23,6 @@ use riptide_simnet::prelude::*;
 use crate::agenda::{Activity, Agenda};
 use crate::chaos::ChaosLayer;
 use crate::gossip::{GossipConfig, GossipFabric};
-use crate::store::{PersistLayer, SNAPSHOT_EVERY};
 use crate::topology::{RttBucket, Testbed, TestbedConfig};
 use crate::workload::{OrganicConfig, ProbeConfig};
 
@@ -94,10 +95,11 @@ pub struct ResilienceOverlay {
     /// kernel route dump (`None` disables auditing — the paper's
     /// open-loop deployment).
     pub reconcile_every: Option<SimDuration>,
-    /// Warm-restart persistence: each host keeps a simulated on-disk
-    /// state file that survives crash faults — a snapshot every
-    /// 60 s plus a journal of every tick's route deltas — and a
-    /// restarted daemon reloads it instead of starting empty.
+    /// Warm-restart persistence: each host's daemon keeps its state
+    /// file on a simulated disk that survives crash faults — an anchor
+    /// snapshot at every start, a journal of each poll's route deltas,
+    /// a snapshot every `SNAPSHOT_EVERY` polls — and a restarted daemon
+    /// reloads it instead of starting empty.
     pub persistence: bool,
     /// Anti-entropy gossip between the fleet's agents. The fabric's RNG
     /// is forked purely, so no other draw sequence moves.
@@ -123,7 +125,8 @@ pub struct ColdstartReport {
     pub unrecovered: u64,
     /// Routes reinstalled from persisted state at warm restarts.
     pub restored_routes: u64,
-    /// Snapshots written by live hosts.
+    /// Snapshots written by live hosts, the anchor snapshot of every
+    /// start and restart included.
     pub snapshots_written: u64,
     /// Journal records appended between snapshots.
     pub journal_records: u64,
@@ -321,21 +324,47 @@ pub struct CwndSample {
     pub at: SimTime,
 }
 
-/// One riptide host's daemon: the agent, and the bounds-checked handle
-/// on the kernel table it steers. A crash replaces the agent; the
-/// controller, like the routes behind it, survives.
+/// One riptide host: its daemon, and the bounds-checked handle on the
+/// kernel table it steers. A crash replaces the daemon; the controller,
+/// like the routes behind it, survives, and so does the daemon's disk.
 #[derive(Debug)]
-pub(crate) struct Daemon {
-    pub(crate) agent: RiptideAgent,
+pub(crate) struct Host {
+    pub(crate) daemon: Daemon<Disk>,
     pub(crate) controller: CheckedController<SharedRouteController>,
 }
 
-pub(crate) fn fresh_agent(rc: &RiptideConfig, telemetry: Option<&AgentTelemetry>) -> RiptideAgent {
+/// A host's simulated state file: bytes on a disk that outlives its
+/// daemon, and the writes that reached them.
+#[derive(Debug, Default)]
+pub(crate) struct Disk {
+    pub(crate) bytes: Vec<u8>,
+    /// Snapshots written and journal records appended (no other field).
+    done: ColdstartReport,
+}
+
+impl Storage for Disk {
+    fn replace(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        self.done.snapshots_written += 1;
+        Storage::replace(&mut self.bytes, bytes)
+    }
+
+    fn append(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        self.done.journal_records += (bytes.len() / JOURNAL_RECORD_BYTES) as u64;
+        Storage::append(&mut self.bytes, bytes)
+    }
+}
+
+/// A daemon that has not started yet, over `disk` if the host keeps one.
+pub(crate) fn fresh_daemon(
+    rc: &RiptideConfig,
+    telemetry: Option<&AgentTelemetry>,
+    disk: Option<Disk>,
+) -> Daemon<Disk> {
     let mut agent = RiptideAgent::new(rc.clone()).expect("validated riptide config");
     if let Some(t) = telemetry {
         agent.attach_telemetry(t.clone());
     }
-    agent
+    Daemon::new(agent, disk, SNAPSHOT_EVERY)
 }
 
 /// Starts a transfer, reusing an idle `src → dst` connection if any.
@@ -429,8 +458,8 @@ impl OrganicArrivals {
 pub struct CdnSim {
     tb: Testbed,
     cfg: CdnSimConfig,
-    /// Per host: its Riptide daemon (empty for a control run).
-    daemons: Vec<Daemon>,
+    /// The Riptide hosts (none for a control run).
+    hosts: Vec<Host>,
     /// The simulation stream. Only probe rounds and organic arrivals
     /// draw on it; every overlay forks its own.
     rng: DetRng,
@@ -445,8 +474,6 @@ pub struct CdnSim {
     telemetry: Option<AgentTelemetry>,
     /// What breaks, when the fault plan is enabled.
     chaos: Option<ChaosLayer>,
-    /// Simulated on-disk state files, when persistence is configured.
-    persist: Option<PersistLayer>,
     /// Gossip scheduler, when fleet sync is configured.
     gossip: Option<GossipFabric>,
 }
@@ -495,15 +522,11 @@ impl CdnSim {
         });
         let mut arm = |first: SimDuration, activity| agenda.arm(SimTime::ZERO + first, activity);
         arm(cfg.cwnd_sample_interval, Activity::CwndSample);
-        let (mut daemons, mut persist, mut gossip) = (Vec::new(), None, None);
+        let (mut hosts, mut gossip) = (Vec::new(), None);
         if let Some(rc) = &cfg.riptide {
             arm(rc.update_interval, Activity::AgentTick);
             if let Some(every) = overlay.reconcile_every {
                 arm(every, Activity::Reconcile);
-            }
-            if overlay.persistence {
-                arm(SNAPSHOT_EVERY, Activity::Snapshot);
-                persist = Some(PersistLayer::new(host_count));
             }
             if let Some(g) = overlay.gossip {
                 arm(g.every, Activity::GossipRound);
@@ -517,10 +540,14 @@ impl CdnSim {
                 tb.world
                     .set_host_policy(HostId::from_index(h as u32), Rc::new(policy));
                 let gate = SharedRouteController::new(table);
-                daemons.push(Daemon {
-                    agent: fresh_agent(rc, telemetry.as_ref()),
+                let disk = overlay.persistence.then(Disk::default);
+                let mut host = Host {
+                    daemon: fresh_daemon(rc, telemetry.as_ref(), disk),
                     controller: CheckedController::new(gate, rc.cwnd_min, rc.cwnd_max),
-                });
+                };
+                // No file yet, so nothing restores: the start anchors one.
+                let _ = host.daemon.start(&[], SimTime::ZERO, &mut host.controller);
+                hosts.push(host);
             }
         }
 
@@ -558,7 +585,7 @@ impl CdnSim {
         CdnSim {
             tb,
             cfg,
-            daemons,
+            hosts,
             rng,
             agenda,
             probes,
@@ -566,7 +593,6 @@ impl CdnSim {
             cwnd_samples: Vec::new(),
             telemetry,
             chaos,
-            persist,
             gossip,
         }
     }
@@ -618,7 +644,7 @@ impl CdnSim {
     }
 
     fn agents(&self) -> impl Iterator<Item = &RiptideAgent> {
-        self.daemons.iter().map(|d| &d.agent)
+        self.hosts.iter().map(|host| host.daemon.agent())
     }
 
     /// Mean learned (installed) window across every agent's live table,
@@ -672,7 +698,8 @@ impl CdnSim {
         // Point-in-time drift audit: does every host's kernel table agree
         // with its agent's installed view, and is every injected foreign
         // route still exactly as injected?
-        for (h, Daemon { agent, controller }) in self.daemons.iter().enumerate() {
+        for (h, Host { daemon, controller }) in self.hosts.iter().enumerate() {
+            let agent = daemon.agent();
             r.installs += controller.installs();
             r.invariant_breaches += controller.breaches();
             if let Some((lo, hi)) = controller.installed_range() {
@@ -711,8 +738,8 @@ impl CdnSim {
         if let Some(c) = &self.chaos {
             r.merge(&c.ramp.report());
         }
-        if let Some(p) = &self.persist {
-            r.merge(&p.done);
+        for disk in self.hosts.iter().filter_map(|host| host.daemon.storage()) {
+            r.merge(&disk.done);
         }
         if let Some(g) = &self.gossip {
             r.merge(&g.done);
@@ -723,8 +750,8 @@ impl CdnSim {
     /// The learned window a host currently has for a destination address
     /// (for tests).
     pub fn learned_window(&self, host: HostId, dst: Ipv4Addr) -> Option<u32> {
-        let daemon = self.daemons.get(host.index())?;
-        daemon.agent.learned_window(dst)
+        let host = self.hosts.get(host.index())?;
+        host.daemon.agent().learned_window(dst)
     }
 
     /// Runs one reconciler audit on every live riptide host, regardless
@@ -734,16 +761,15 @@ impl CdnSim {
     /// A daemon that is mid-restart has no agent to audit, and the
     /// routes its dead incarnation left would read as drift. So with
     /// restarts or delayed writes outstanding, the deployment first runs
-    /// on through the agent tick that finds all of them over. (A crash
-    /// drawn during that stretch is not waited for in turn.)
+    /// on through the agent tick that finds all of them over, and again
+    /// for whatever that stretch drew, until none is left.
     pub fn reconcile_now(&mut self) {
-        let now = self.tb.world.now();
-        let settles = self.chaos.as_ref().and_then(|c| c.settles_at(now));
         let tick_gap = self.cfg.riptide.as_ref().map(|rc| rc.update_interval);
-        if let (Some(at), Some(gap)) = (settles, tick_gap) {
+        let settles = |sim: &Self| sim.chaos.as_ref()?.settles_at(sim.tb.world.now());
+        while let (Some(at), Some(gap)) = (settles(self), tick_gap) {
             // Agent ticks are `gap` apart, so exactly one falls in
             // `[at, at + gap)`.
-            self.run_for((at + gap).saturating_since(now));
+            self.run_for((at + gap).saturating_since(self.tb.world.now()));
         }
         self.run_reconcile(self.tb.world.now());
     }
@@ -777,7 +803,7 @@ impl CdnSim {
             | Activity::BurstCheck => {
                 let chaos = self.chaos.as_mut().expect("armed by the chaos layer");
                 let world = &mut tb.world;
-                chaos.fire(activity, now, world, &mut self.daemons, &mut self.agenda)
+                chaos.fire(activity, now, world, &mut self.hosts, &mut self.agenda)
             }
             Activity::AgentTick => {
                 self.tick_agents(now);
@@ -786,16 +812,11 @@ impl CdnSim {
             Activity::GossipRound => {
                 let alive = self.live_hosts(now);
                 let fabric = self.gossip.as_mut().expect("armed with the fabric");
-                let gap = fabric.round(now, &alive, &mut self.daemons);
+                let gap = fabric.round(now, &alive, &mut self.hosts);
                 if let Some(chaos) = self.chaos.as_mut() {
-                    chaos.ramp.check(now, &self.daemons);
+                    chaos.ramp.check(now, &self.hosts);
                 }
                 Some(gap)
-            }
-            Activity::Snapshot => {
-                let live = self.live_hosts(now);
-                let persist = self.persist.as_mut().expect("armed with the layer");
-                Some(persist.snapshot(now, &self.daemons, &live))
             }
             Activity::Reconcile => {
                 self.run_reconcile(now);
@@ -833,31 +854,29 @@ impl CdnSim {
         }
     }
 
-    /// Per daemon: whether it is up at `now`. A down daemon neither
-    /// journals, snapshots, gossips nor audits.
+    /// Per host: whether its daemon is up at `now`. A down daemon
+    /// neither polls, gossips nor audits.
     fn live_hosts(&self, now: SimTime) -> Vec<bool> {
         let up = |h| self.chaos.as_ref().is_none_or(|c| c.is_up(h, now));
-        (0..self.daemons.len()).map(up).collect()
+        (0..self.hosts.len()).map(up).collect()
     }
 
     /// [`Activity::AgentTick`]: route churn, then each host in turn —
-    /// its daemon's crash/restart lifecycle, its `ss` poll, its tick —
-    /// then the journal appends and ramp completions the ticks caused.
+    /// its daemon's crash/restart lifecycle, then its poll (`ss`, tick,
+    /// state file) — then the ramp completions the polls caused.
     fn tick_agents(&mut self, now: SimTime) {
         if let Some(chaos) = self.chaos.as_mut() {
-            chaos.churn(&mut self.daemons);
+            chaos.churn(&mut self.hosts);
         }
         let world = &mut self.tb.world;
-        for (h, daemon) in self.daemons.iter_mut().enumerate() {
-            let host = HostId::from_index(h as u32);
+        for (h, host) in self.hosts.iter_mut().enumerate() {
             if let Some(chaos) = self.chaos.as_mut() {
-                let (persist, telemetry) = (self.persist.as_mut(), self.telemetry.as_ref());
-                if !chaos.lifecycle(h, now, daemon, persist, telemetry, world) {
+                if !chaos.lifecycle(h, now, host, self.telemetry.as_ref(), world) {
                     continue;
                 }
             }
             let mut rows: Vec<CwndObservation> = Vec::new();
-            world.each_host_conn_stat(host, |s| {
+            world.each_host_conn_stat(HostId::from_index(h as u32), |s| {
                 if s.state == ConnState::Established {
                     rows.push(CwndObservation {
                         dst: s.dst_addr,
@@ -869,21 +888,17 @@ impl CdnSim {
                 }
             });
             match self.chaos.as_mut() {
-                Some(chaos) => chaos.drive_tick(h, now, daemon, rows, world, &mut self.agenda),
+                Some(chaos) => chaos.drive_tick(h, now, host, rows, world, &mut self.agenda),
                 None => {
                     // The agent polls once per tick: hand the rows over.
                     let mut observer = FnObserver(|| std::mem::take(&mut rows));
-                    let Daemon { agent, controller } = daemon;
-                    agent.tick(now, &mut observer, controller);
+                    let Host { daemon, controller } = host;
+                    daemon.poll(now, |agent| agent.tick(now, &mut observer, controller));
                 }
             }
         }
-        let live = self.live_hosts(now);
-        if let Some(persist) = self.persist.as_mut() {
-            persist.journal_deltas(now, &self.daemons, &live);
-        }
         if let Some(chaos) = self.chaos.as_mut() {
-            chaos.ramp.check(now, &self.daemons);
+            chaos.ramp.check(now, &self.hosts);
         }
     }
 
@@ -892,14 +907,14 @@ impl CdnSim {
     /// the agent diff the dump against its installed view and repair any
     /// drift.
     fn run_reconcile(&mut self, now: SimTime) {
-        for (h, Daemon { agent, controller }) in self.daemons.iter_mut().enumerate() {
+        for (h, Host { daemon, controller }) in self.hosts.iter_mut().enumerate() {
             if self.chaos.as_ref().is_some_and(|c| !c.is_up(h, now)) {
                 continue;
             }
             let text = controller.inner().table().borrow().render();
             let (dump, defects) = RouteTable::parse_lossy(&text);
             debug_assert!(defects.is_empty(), "self-rendered dump parses clean");
-            let audit = agent.reconcile(&dump, controller);
+            let audit = daemon.agent_mut().reconcile(&dump, controller);
             if let Some(chaos) = self.chaos.as_mut() {
                 chaos.report.reconcile_foreign_seen += audit.foreign_seen as u64;
             }
@@ -1263,6 +1278,28 @@ mod tests {
         if let Some((lo, hi)) = r.installed_range() {
             assert!(lo >= 10 && hi <= 100, "installed range [{lo}, {hi}]");
         }
+    }
+
+    #[test]
+    fn closing_audit_waits_for_crashes_drawn_during_its_wait() {
+        let mut cfg = tiny_cfg(true, 43);
+        cfg.resilience.faults = crash_plan(0.05);
+        cfg.resilience.reconcile_every = Some(SimDuration::from_secs(45));
+        let mut sim = CdnSim::new(cfg);
+        sim.run_for(SimDuration::from_secs(300));
+        let pending = |sim: &CdnSim| {
+            let chaos = sim.chaos.as_ref().expect("crash faults are on");
+            chaos.settles_at(sim.tb.world.now())
+        };
+        while pending(&sim).is_none() {
+            sim.run_for(SimDuration::from_secs(1));
+        }
+        let crashes = sim.chaos_report().faults.crashes;
+        sim.reconcile_now();
+        let r = sim.chaos_report();
+        assert!(r.faults.crashes > crashes, "a crash was drawn in the wait");
+        assert_eq!(pending(&sim), None, "and waited for in turn");
+        assert_eq!(r.drift_unrepaired, 0, "{r:?}");
     }
 
     #[test]

@@ -53,9 +53,11 @@
 //! journal are flushed as part of the same sweep. SIGUSR1 dumps the
 //! decision journal to stderr on demand at the next poll boundary.
 //!
-//! The state file is the `core::persist` snapshot+journal format, read
-//! and diffed by `persist::StateStore` (the path the simulator's hosts
-//! share); this binary only does the file I/O. A torn journal tail (a
+//! The lifecycle — restore and anchor, journal or snapshot after each
+//! poll, snapshot before the withdrawal sweep — is `riptide::daemon`'s,
+//! the loop the simulator's hosts run too; this binary parses arguments,
+//! does the file I/O and handles signals. The state file is the
+//! `core::persist` snapshot+journal format. A torn journal tail (a
 //! `kill -9` mid-append) truncates cleanly at the next start, and a
 //! damaged snapshot block is ignored with a warning — the daemon then
 //! starts empty, exactly as if the file were absent. The TTL clock
@@ -123,6 +125,7 @@ fn sleep_interruptibly(interval: std::time::Duration) -> bool {
     SHUTDOWN.load(Ordering::SeqCst)
 }
 
+use riptide::daemon::{Daemon, Storage, SNAPSHOT_EVERY};
 use riptide::prelude::*;
 use riptide_linuxnet::route::RouteTable;
 use riptide_linuxnet::ss::SockTable;
@@ -141,63 +144,25 @@ fn write_atomically(path: &str, bytes: &[u8]) -> std::io::Result<()> {
     write
 }
 
-/// The daemon's file I/O behind `--state-file`; the diffing is the
-/// library's [`StateStore`].
-struct PersistState {
-    /// The state-file path.
-    path: String,
-    /// Polls between full snapshot rewrites.
-    snapshot_every: u64,
-    /// The installed view the file on disk last described.
-    store: StateStore,
-    /// Polls since the last full snapshot rewrite.
-    polls_since_snapshot: u64,
-}
+/// The `--state-file` on disk, as the library's daemon writes it.
+struct StatePath(String);
 
-impl PersistState {
-    /// Rewrites the whole state file with a fresh snapshot; the old,
-    /// complete file survives until the rename. A failed write keeps
-    /// the diff base, so the next journal append still covers it.
-    fn write_snapshot(&mut self, agent: &RiptideAgent, now: SimTime) {
-        match write_atomically(&self.path, &self.store.snapshot(agent, now)) {
-            Ok(()) => {
-                self.store.confirm(agent);
-                self.polls_since_snapshot = 0;
-            }
-            Err(e) => eprintln!("# state: cannot write {}: {e}", self.path),
-        }
+impl Storage for StatePath {
+    fn replace(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        let path = &self.0;
+        write_atomically(path, bytes)
+            .inspect_err(|e| eprintln!("# state: cannot write {path}: {e}"))
     }
 
-    /// Appends journal records for whatever the poll changed in the
-    /// installed view. Appending to the file the snapshot header already
-    /// anchors keeps the write tiny; a crash mid-append leaves a torn
-    /// tail the decoder truncates cleanly.
-    fn append_journal(&mut self, agent: &RiptideAgent, now: SimTime) {
-        let bytes = self.store.journal_delta(agent, now);
-        if bytes.is_empty() {
-            return;
-        }
+    fn append(&mut self, bytes: &[u8]) -> std::io::Result<()> {
         use std::io::Write as _;
-        let appended = std::fs::OpenOptions::new()
+        let path = &self.0;
+        let file = std::fs::OpenOptions::new()
             .append(true)
             .create(true)
-            .open(&self.path)
-            .and_then(|mut f| f.write_all(&bytes));
-        match appended {
-            Ok(()) => self.store.confirm(agent),
-            Err(e) => eprintln!("# state: cannot append to {}: {e}", self.path),
-        }
-    }
-
-    /// Post-poll hook: a full rewrite every `snapshot_every` polls,
-    /// journal deltas in between.
-    fn after_poll(&mut self, agent: &RiptideAgent, now: SimTime) {
-        self.polls_since_snapshot += 1;
-        if self.polls_since_snapshot >= self.snapshot_every {
-            self.write_snapshot(agent, now);
-        } else {
-            self.append_journal(agent, now);
-        }
+            .open(path);
+        let appended = file.and_then(|mut f| f.write_all(bytes));
+        appended.inspect_err(|e| eprintln!("# state: cannot append to {path}: {e}"))
     }
 }
 
@@ -219,7 +184,7 @@ fn run() -> Result<(), String> {
     let (mut recover, mut follow, mut show_table, mut show_metrics) = (false, false, false, false);
     let mut metrics_file: Option<String> = None;
     let mut state_file: Option<String> = None;
-    let mut snapshot_every = 60u64;
+    let mut snapshot_every = SNAPSHOT_EVERY;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -278,6 +243,7 @@ fn run() -> Result<(), String> {
         return Err("no ss snapshots given (each file is one poll)".into());
     }
     let config = conf.build().map_err(|e| e.to_string())?;
+    let interval = config.update_interval;
     let mut agent = RiptideAgent::new(config).map_err(|e| e.to_string())?;
     // Telemetry is always on in the daemon: the registry is a handful of
     // atomics and the journal a small ring buffer, and both feed
@@ -314,49 +280,36 @@ fn run() -> Result<(), String> {
         }
     };
 
-    // Warm restart: the agent clamps every restored window and
-    // reinstalls the routes through the controller, so the jump-start
-    // windows are live before the first poll instead of after a full
-    // relearn cycle. A damaged snapshot block (or a missing file) means
-    // starting empty, never a panic.
-    let mut persist = state_file.map(|path| {
-        let mut store = StateStore::default();
-        match std::fs::read(&path) {
-            Ok(bytes) if !bytes.is_empty() => {
-                match store.restore(&bytes, SimTime::ZERO, &mut agent, &mut controller) {
-                    Ok((restored, torn_tail)) => {
-                        if torn_tail {
-                            eprintln!("# state: dropped a torn journal tail in {path}");
-                        }
-                        print_commands(&mut controller);
-                        eprintln!("# state: restored {restored} route(s) from {path}");
-                    }
-                    Err(e) => eprintln!("# state: ignoring {path}: {e}"),
-                }
+    // Warm restart: the jump-start windows are live before the first
+    // poll. A missing or damaged file means starting empty.
+    let storage = state_file.clone().map(StatePath);
+    let mut daemon = Daemon::new(agent, storage, snapshot_every);
+    if let Some(path) = &state_file {
+        let bytes = std::fs::read(path).unwrap_or_else(|e| {
+            if e.kind() != std::io::ErrorKind::NotFound {
+                eprintln!("# state: cannot read {path}: {e}");
             }
-            Ok(_) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => eprintln!("# state: cannot read {path}: {e}"),
+            Vec::new()
+        });
+        match daemon.start(&bytes, SimTime::ZERO, &mut controller) {
+            Ok((routes, torn_tail)) => {
+                if torn_tail {
+                    eprintln!("# state: dropped a torn journal tail in {path}");
+                }
+                print_commands(&mut controller);
+                eprintln!("# state: restored {routes} route(s) from {path}");
+            }
+            Err(_) if bytes.is_empty() => {}
+            Err(e) => eprintln!("# state: ignoring {path}: {e}"),
         }
-        let mut p = PersistState {
-            path,
-            snapshot_every,
-            store,
-            polls_since_snapshot: 0,
-        };
-        // Anchor the file with a fresh snapshot right away: journal
-        // appends need a valid header to land behind, and a prior run's
-        // already-replayed journal should not be replayed again.
-        p.write_snapshot(&agent, SimTime::ZERO);
-        p
-    });
+    }
 
     // One poll per listed snapshot, then — under `--follow` — a re-poll
     // of the last one every interval until a shutdown signal arrives
     // (a cron job or collector rewrites it in place: the live feed).
-    let wait = std::time::Duration::from_secs_f64(agent.config().update_interval.as_secs_f64());
+    let wait = std::time::Duration::from_secs_f64(interval.as_secs_f64());
     let mut listed = snapshots.iter();
-    let mut polls = 0u64;
+    let mut now = SimTime::ZERO;
     loop {
         let path = match listed.next() {
             Some(_) if SHUTDOWN.load(Ordering::SeqCst) => break,
@@ -369,37 +322,25 @@ fn run() -> Result<(), String> {
             }
             None => break,
         };
-        polls += 1;
-        let now = SimTime::ZERO + agent.config().update_interval * polls;
+        now += interval;
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let mut sock_table = SockTable::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-        let report = agent.tick(now, &mut sock_table, &mut controller);
+        let mut socks = SockTable::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+        let report = daemon.poll(now, |a| a.tick(now, &mut socks, &mut controller));
         for e in &report.errors {
             eprintln!("# {path}: {e}");
         }
         print_commands(&mut controller);
         flush_metrics(&telemetry);
-        if let Some(p) = persist.as_mut() {
-            p.after_poll(&agent, now);
-        }
     }
 
     if SHUTDOWN.load(Ordering::SeqCst) {
-        // Graceful exit: persist the learned table as of the last poll
-        // *before* the withdrawal sweep empties the installed view, so
-        // the next start jump-starts from everything this run learned.
-        if let Some(p) = persist.as_mut() {
-            p.write_snapshot(
-                &agent,
-                SimTime::ZERO + agent.config().update_interval * polls,
-            );
-            eprintln!("# state: final snapshot written to {}", p.path);
+        // Graceful exit: the last snapshot, then withdraw every route so
+        // the host reverts to kernel defaults the moment the daemon is
+        // gone; then the final metrics and the decision journal.
+        let withdrawn = daemon.shutdown(now, &mut controller);
+        if let Some(path) = &state_file {
+            eprintln!("# state: final snapshot written to {path}");
         }
-        // Then withdraw everything we installed so the host reverts to
-        // kernel defaults the moment the daemon is gone, and flush the
-        // final metrics snapshot (withdrawals included) and the
-        // decision journal.
-        let withdrawn = agent.shutdown(&mut controller);
         print_commands(&mut controller);
         eprintln!("# shutdown: withdrew {} route(s)", withdrawn.len());
         flush_metrics(&telemetry);

@@ -29,6 +29,7 @@
 //! | [`resilience`] | Retry-with-backoff, per-call timeouts, budgets; `ss`/`ip` subprocess bridges | §IV-D graceful degradation |
 //! | [`table`] | The TTL'd per-destination final-values table | §III "final table", Table I `t` |
 //! | [`persist`] | Crash-durable state file: versioned CRC-guarded snapshot + append-only journal, torn-tail-safe replay | §IV-A ramp cost; ROADMAP item 3 |
+//! | [`daemon`] | [`daemon::Daemon`]: the agent lifecycle over a state file — restore and anchor at start, journal or snapshot after each poll, snapshot before the shutdown sweep — shared by `riptided` and the simulator's hosts | §IV-A poll loop; warm restart |
 //! | [`sync`] | Anti-entropy fleet sync primitives: table digests, bounded delta sets, deterministic newest-wins clamp-merge | Pied Piper (PAPERS.md) |
 //! | [`telemetry`] | Metrics registry (counters/gauges/histograms) + bounded decision journal; Prometheus text exposition | §V operational story |
 //! | [`kernel`] | The §V in-kernel event-driven variant | §V |
@@ -63,6 +64,7 @@ pub mod aggregate;
 pub mod combine;
 pub mod config;
 pub mod control;
+pub mod daemon;
 pub mod granularity;
 pub mod guard;
 pub mod kernel;
@@ -97,7 +99,7 @@ pub mod prelude {
     };
     pub use crate::persist::{
         decode_state, encode_state, replay, JournalOp, JournalRecord, PersistError, SnapshotEntry,
-        StateFile, StateStore, TableSnapshot,
+        StateFile, TableSnapshot,
     };
     pub use crate::policy::{registered_policies, HistoryStrategy, LearningPolicy, PolicyInput};
     pub use crate::reconcile::{audit, is_riptide_route, AuditReport, AuditVerdict};

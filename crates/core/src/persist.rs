@@ -84,8 +84,6 @@ use std::net::Ipv4Addr;
 use riptide_linuxnet::prefix::Ipv4Prefix;
 use riptide_simnet::time::SimTime;
 
-use crate::agent::RiptideAgent;
-use crate::control::RouteController;
 use crate::guard::{BreakerState, GuardExport};
 use crate::policy::HistoryState;
 
@@ -671,74 +669,6 @@ pub fn replay(snapshot: &TableSnapshot, journal: &[JournalRecord]) -> TableSnaps
     }
 }
 
-/// The installed view a state file last described: the diff base its
-/// journal deltas are computed against. `riptided` (a file on disk) and
-/// the simulator's hosts (bytes in memory) share this one path. The
-/// caller does the I/O and calls [`StateStore::confirm`] once a write
-/// lands, so a failed write leaves the base where it was and the next
-/// delta covers what it missed.
-#[derive(Debug, Clone, Default)]
-pub struct StateStore {
-    base: BTreeMap<Ipv4Prefix, u32>,
-}
-
-impl StateStore {
-    /// Warm restart: decodes `bytes`, replays the journal onto the
-    /// snapshot and hands the merged table to
-    /// [`RiptideAgent::restore_state`], which reinstalls the routes
-    /// through `controller`. The restored view becomes the diff base.
-    /// Returns how many routes were restored and whether a torn journal
-    /// tail was dropped.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError`] when the snapshot block is damaged or
-    /// missing (`bytes` empty); the agent and the base are untouched.
-    pub fn restore(
-        &mut self,
-        bytes: &[u8],
-        now: SimTime,
-        agent: &mut RiptideAgent,
-        controller: &mut impl RouteController,
-    ) -> Result<(usize, bool), PersistError> {
-        let state = decode_state(bytes)?;
-        let merged = replay(&state.snapshot, &state.journal);
-        let restored = agent.restore_state(&merged, now, controller).len();
-        self.confirm(agent);
-        Ok((restored, state.torn_tail))
-    }
-
-    /// The encoded journal records that carry the state file from the
-    /// base to `agent`'s installed view: a withdraw per vanished key,
-    /// then an install per new or re-windowed one, each in key order and
-    /// stamped `now`. Empty when the view is unchanged.
-    pub fn journal_delta(&self, agent: &RiptideAgent, now: SimTime) -> Vec<u8> {
-        let cur = agent.installed_view();
-        let withdrawn = self.base.keys().filter(|k| !cur.contains_key(k));
-        let installed = cur.iter().filter(|&(k, w)| self.base.get(k) != Some(w));
-        let ops = withdrawn
-            .map(|&key| (key, JournalOp::Withdraw))
-            .chain(installed.map(|(&key, &window)| (key, JournalOp::Install { window })));
-        let mut out = Vec::new();
-        for (key, op) in ops {
-            JournalRecord { at: now, key, op }.encode_into(&mut out);
-        }
-        out
-    }
-
-    /// A full state-file image: `agent`'s snapshot at `now`, no journal.
-    pub fn snapshot(&self, agent: &RiptideAgent, now: SimTime) -> Vec<u8> {
-        encode_state(&agent.snapshot_state(now), &[])
-    }
-
-    /// Records that the last [`StateStore::journal_delta`] or
-    /// [`StateStore::snapshot`] of `agent` reached the state file: its
-    /// installed view becomes the base.
-    pub fn confirm(&mut self, agent: &RiptideAgent) {
-        self.base.clone_from(agent.installed_view());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1183,141 +1113,5 @@ mod tests {
             TableSnapshot::decode(&body).unwrap_err(),
             PersistError::Malformed("prefix length over 32")
         );
-    }
-
-    mod state_store {
-        use super::*;
-        use crate::config::RiptideConfig;
-        use crate::observe::{CwndObservation, FnObserver};
-        use crate::policy::LearningPolicy;
-        use riptide_linuxnet::route::RouteTable;
-
-        fn agent() -> (RiptideAgent, RouteTable) {
-            let cfg = RiptideConfig::builder()
-                .policy(LearningPolicy::None)
-                .build()
-                .unwrap();
-            (RiptideAgent::new(cfg).unwrap(), RouteTable::new())
-        }
-
-        /// One tick at `secs` observing host `10.0.0.n` at window `w`
-        /// for each `(n, w)`.
-        fn tick(a: &mut RiptideAgent, routes: &mut RouteTable, secs: u64, seen: &[(u8, u32)]) {
-            let rows = || {
-                let row = |&(n, cwnd): &(u8, u32)| CwndObservation {
-                    dst: Ipv4Addr::new(10, 0, 0, n),
-                    cwnd,
-                    bytes_acked: 1_000_000,
-                    retrans: 0,
-                    ecn_marks: 0,
-                };
-                seen.iter().map(row).collect()
-            };
-            a.tick(SimTime::from_secs(secs), &mut FnObserver(rows), routes);
-        }
-
-        fn ops(delta: &[u8]) -> Vec<(Ipv4Prefix, JournalOp)> {
-            let (records, torn) = decode_journal(delta);
-            assert!(!torn);
-            records.iter().map(|r| (r.key, r.op)).collect()
-        }
-
-        #[test]
-        fn delta_is_withdraws_then_installs_in_key_order() {
-            let (mut a, mut routes) = agent();
-            let mut store = StateStore::default();
-            tick(&mut a, &mut routes, 1, &[(3, 50), (1, 40), (2, 60)]);
-            let delta = store.journal_delta(&a, SimTime::from_secs(1));
-            let install = |window| JournalOp::Install { window };
-            let want = vec![
-                (key(1), install(40)),
-                (key(2), install(60)),
-                (key(3), install(50)),
-            ];
-            assert_eq!(ops(&delta), want);
-            let (records, _) = decode_journal(&delta);
-            assert!(records.iter().all(|r| r.at == SimTime::from_secs(1)));
-            store.confirm(&a);
-            assert!(store.journal_delta(&a, SimTime::from_secs(1)).is_empty());
-
-            // Keys 1 and 3 expire (94 s > the 90 s TTL); key 2 re-windows.
-            tick(&mut a, &mut routes, 95, &[(2, 70)]);
-            let want = vec![
-                (key(1), JournalOp::Withdraw),
-                (key(3), JournalOp::Withdraw),
-                (key(2), install(70)),
-            ];
-            assert_eq!(ops(&store.journal_delta(&a, SimTime::from_secs(95))), want);
-        }
-
-        #[test]
-        fn an_unconfirmed_write_keeps_the_base() {
-            let (mut a, mut routes) = agent();
-            let mut store = StateStore::default();
-            tick(&mut a, &mut routes, 1, &[(1, 40)]);
-            let first = store.journal_delta(&a, SimTime::from_secs(1));
-            // The write failed: nothing confirmed, so the next delta
-            // (and the one after a rejected snapshot) still carries it.
-            let _ = store.snapshot(&a, SimTime::from_secs(1));
-            tick(&mut a, &mut routes, 2, &[(1, 40), (2, 60)]);
-            let retry = store.journal_delta(&a, SimTime::from_secs(2));
-            let install = |window| JournalOp::Install { window };
-            assert_eq!(ops(&first), vec![(key(1), install(40))]);
-            assert_eq!(
-                ops(&retry),
-                vec![(key(1), install(40)), (key(2), install(60))]
-            );
-            store.confirm(&a);
-            assert!(store.journal_delta(&a, SimTime::from_secs(2)).is_empty());
-        }
-
-        #[test]
-        fn torn_tail_is_reported_and_the_rest_restores() {
-            let (mut a, mut routes) = agent();
-            let mut store = StateStore::default();
-            tick(&mut a, &mut routes, 1, &[(1, 40), (2, 60)]);
-            let mut bytes = store.snapshot(&a, SimTime::from_secs(1));
-            store.confirm(&a);
-            tick(
-                &mut a,
-                &mut routes,
-                2,
-                &[(1, 40), (2, 60), (3, 50), (4, 30)],
-            );
-            bytes.extend(store.journal_delta(&a, SimTime::from_secs(2)));
-            // A kill -9 mid-append: key 4's record loses its tail.
-            bytes.truncate(bytes.len() - 5);
-
-            let (mut b, mut b_routes) = agent();
-            let mut restored = StateStore::default();
-            let now = SimTime::from_secs(3);
-            let got = restored.restore(&bytes, now, &mut b, &mut b_routes);
-            assert_eq!(got, Ok((3, true)));
-            let keys: Vec<Ipv4Prefix> = b.installed_view().keys().copied().collect();
-            assert_eq!(keys, vec![key(1), key(2), key(3)]);
-            assert_eq!(b_routes.len(), 3);
-            // The restored view is the new base: nothing to journal.
-            assert!(restored.journal_delta(&b, now).is_empty());
-        }
-
-        #[test]
-        fn empty_or_damaged_bytes_restore_nothing() {
-            let (mut a, mut routes) = agent();
-            tick(&mut a, &mut routes, 1, &[(1, 40)]);
-            let mut damaged = StateStore::default().snapshot(&a, SimTime::from_secs(1));
-            damaged[10] ^= 0x40;
-            for bytes in [&[][..], &damaged[..]] {
-                let (mut b, mut b_routes) = agent();
-                let mut store = StateStore::default();
-                let now = SimTime::from_secs(2);
-                assert!(store.restore(bytes, now, &mut b, &mut b_routes).is_err());
-                assert!(b.installed_view().is_empty() && b.table().is_empty());
-                assert!(b_routes.is_empty());
-                assert_eq!(
-                    b.stats(),
-                    RiptideAgent::new(b.config().clone()).unwrap().stats()
-                );
-            }
-        }
     }
 }

@@ -1,23 +1,32 @@
-//! Property tests for the crash-durable state codec (`riptide::persist`).
+//! Property tests for the crash-durable state codec (`riptide::persist`)
+//! and the daemon loop that writes it (`riptide::daemon`).
 //!
 //! The codec guards the warm-restart path: whatever bytes a crash, a
 //! torn append, or a corrupt disk hands back, decoding must never
 //! panic, never fabricate records, and replay must be idempotent so a
-//! restore can safely run against an already-replayed snapshot.
+//! restore can safely run against an already-replayed snapshot. The
+//! loop must never leave a file whose restore loses a write it saw land.
 
+use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
+use riptide::agent::RiptideAgent;
+use riptide::config::RiptideConfig;
+use riptide::daemon::{Daemon, Storage};
 use riptide::guard::{BreakerState, GuardExport};
+use riptide::observe::{CwndObservation, FnObserver};
 use riptide::persist::{
-    crc32, decode_state, encode_state, JournalOp, JournalRecord, SnapshotEntry, TableSnapshot,
-    JOURNAL_RECORD_BYTES,
+    crc32, decode_journal, decode_state, encode_state, JournalOp, JournalRecord, SnapshotEntry,
+    TableSnapshot, JOURNAL_RECORD_BYTES,
 };
-use riptide::policy::HistoryState;
+use riptide::policy::{HistoryState, LearningPolicy};
 use riptide_linuxnet::prefix::Ipv4Prefix;
-use riptide_simnet::time::SimTime;
+use riptide_linuxnet::route::RouteTable;
+use riptide_simnet::time::{SimDuration, SimTime};
 
 /// Expands one seed into a prefix; lengths stay in the valid 8..=32
 /// band the codec accepts.
@@ -122,6 +131,152 @@ fn unknown_history_tag_skips_entry_not_snapshot() {
     assert_eq!(state.snapshot.entries, snapshot.entries[1..]);
     assert_eq!(state.snapshot.installs, snapshot.installs);
     assert_eq!(state.snapshot.guards, snapshot.guards);
+}
+
+type View = BTreeMap<Ipv4Prefix, u32>;
+
+/// A state file in memory whose writes fail, land short or land whole
+/// at random, drawn from a seed. A failed replace leaves the old file,
+/// as an atomic rename does; a short append lands a prefix of its bytes.
+struct Fake {
+    bytes: Vec<u8>,
+    draws: u64,
+    /// What the last write landed, and whether that was all of it
+    /// (`None`: nothing landed). The test takes it after each call.
+    last: RefCell<Option<(Vec<u8>, bool)>>,
+}
+
+impl Fake {
+    /// splitmix64.
+    fn draw(&mut self) -> u64 {
+        self.draws = self.draws.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.draws;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+}
+
+impl Storage for Fake {
+    fn replace(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        if self.draw().is_multiple_of(3) {
+            *self.last.get_mut() = None;
+            return Err(std::io::Error::other("replace failed"));
+        }
+        self.bytes = bytes.to_vec();
+        *self.last.get_mut() = Some((self.bytes.clone(), true));
+        Ok(())
+    }
+
+    fn append(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        let landed = match self.draw() % 3 {
+            0 => self.draw() as usize % bytes.len(),
+            _ => bytes.len(),
+        };
+        self.bytes.extend_from_slice(&bytes[..landed]);
+        let whole = landed == bytes.len();
+        *self.last.get_mut() = (landed > 0).then(|| (bytes[..landed].to_vec(), whole));
+        match whole {
+            true => Ok(()),
+            false => Err(std::io::Error::other("append cut short")),
+        }
+    }
+}
+
+/// A daemon over `storage` whose agent learns host `10.0.9.n` windows
+/// as seen, never expires them, and holds at most 4 of them, so
+/// evictions journal withdrawals.
+fn fresh_daemon(storage: Fake, snapshot_every: u64) -> Daemon<Fake> {
+    let config = RiptideConfig::builder()
+        .policy(LearningPolicy::None)
+        .ttl(SimDuration::from_secs(1 << 30))
+        .table_capacity(4)
+        .build()
+        .unwrap();
+    Daemon::new(
+        RiptideAgent::new(config).unwrap(),
+        Some(storage),
+        snapshot_every,
+    )
+}
+
+/// Folds the daemon's last write into `file`, the view the bytes on the
+/// fake describe; `at_write` is the agent's installed view when it
+/// wrote. A write that landed whole describes that view. A short append
+/// adds the whole records it landed to what the file described before.
+fn after_write(file: &mut View, daemon: &Daemon<Fake>, at_write: &View) {
+    match daemon.storage().unwrap().last.take() {
+        Some((_, true)) => file.clone_from(at_write),
+        Some((landed, false)) => {
+            for rec in decode_journal(&landed).0 {
+                match rec.op {
+                    JournalOp::Install { window } => file.insert(rec.key, window),
+                    JournalOp::Withdraw | JournalOp::Evict => file.remove(&rec.key),
+                };
+            }
+        }
+        None => {}
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    // Polls, restarts and graceful shutdowns over a disk whose writes
+    // fail or land short: every restart restores exactly the last
+    // installed view the daemon saw a write confirm, plus whatever whole
+    // records a short append after it left (a crash mid-append keeps the
+    // records that landed). So a failed write never hides a later one
+    // that landed.
+    #[test]
+    fn every_restart_restores_the_confirmed_view(
+        draws in any::<u64>(),
+        snapshot_every in 1u64..6,
+        steps in vec(any::<u64>(), 1..48),
+    ) {
+        let fake = Fake { bytes: Vec::new(), draws, last: RefCell::new(None) };
+        let mut daemon = fresh_daemon(fake, snapshot_every);
+        let mut routes = RouteTable::new();
+        let mut file = View::new();
+        let mut now = SimTime::ZERO;
+        daemon.start(&[], now, &mut routes).unwrap_err();
+        after_write(&mut file, &daemon, &View::new());
+        for step in steps {
+            now += SimDuration::from_secs(1);
+            if step % 8 < 2 {
+                if step % 8 == 1 {
+                    let at_write = daemon.agent().installed_view().clone();
+                    daemon.shutdown(now, &mut routes);
+                    after_write(&mut file, &daemon, &at_write);
+                }
+                // A new daemon and kernel table over the same disk.
+                let fake = daemon.take_storage().unwrap();
+                let bytes = fake.bytes.clone();
+                daemon = fresh_daemon(fake, snapshot_every);
+                routes = RouteTable::new();
+                // Replaces are atomic, so only a file no write reached
+                // fails to decode.
+                let restored = daemon.start(&bytes, now, &mut routes);
+                prop_assert_eq!(restored.is_err(), bytes.is_empty());
+                prop_assert_eq!(daemon.agent().installed_view(), &file, "restart at {:?}", now);
+            } else {
+                let seen = (0..6u64).filter(|i| step >> (8 + i) & 1 == 1);
+                let rows: Vec<CwndObservation> = seen
+                    .map(|i| CwndObservation {
+                        dst: Ipv4Addr::new(10, 0, 9, 1 + i as u8),
+                        cwnd: 10 + ((step >> (16 + 7 * i)) % 91) as u32,
+                        bytes_acked: 1,
+                        retrans: 0,
+                        ecn_marks: 0,
+                    })
+                    .collect();
+                let mut observer = FnObserver(|| rows.clone());
+                daemon.poll(now, |agent| agent.tick(now, &mut observer, &mut routes));
+            }
+            let at_write = daemon.agent().installed_view().clone();
+            after_write(&mut file, &daemon, &at_write);
+        }
+    }
 }
 
 proptest! {

@@ -794,6 +794,63 @@ fn sigterm_writes_a_final_state_snapshot_before_withdrawing() {
 }
 
 #[test]
+fn state_file_bytes_equal_the_library_daemons() {
+    use riptide::agent::RiptideAgent;
+    use riptide::config::RiptideConfig;
+    use riptide::daemon::Daemon;
+    use riptide::persist::decode_state;
+    use riptide_linuxnet::route::RouteTable;
+    use riptide_linuxnet::ss::SockTable;
+    use riptide_simnet::time::SimTime;
+
+    // Three polls at --snapshot-every 2: the anchor, a journal append, a
+    // snapshot rewrite and another append behind it.
+    let polls = [
+        SNAPSHOT_A,
+        "ESTAB 10.0.0.1 10.0.9.1\n\t cubic cwnd:80 bytes_acked:1\n\
+         ESTAB 10.0.0.1 10.0.7.1\n\t cubic cwnd:50 bytes_acked:1\n",
+        "ESTAB 10.0.0.1 10.0.9.1\n\t cubic cwnd:60 bytes_acked:1\n",
+    ];
+    let files: Vec<PathBuf> = (0..polls.len())
+        .map(|i| write_snapshot(&format!("sf-same-{i}"), polls[i]))
+        .collect();
+    let mut sf = std::env::temp_dir();
+    sf.push(format!(
+        "riptided-test-{}-same-state.bin",
+        std::process::id()
+    ));
+    std::fs::remove_file(&sf).ok();
+    let mut args = vec!["--no-history", "--state-file", sf.to_str().unwrap()];
+    args.extend(["--snapshot-every", "2"]);
+    args.extend(files.iter().map(|f| f.to_str().unwrap()));
+    let out = run(&args);
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    let config = RiptideConfig::builder().set("policy", "none").unwrap();
+    let agent = RiptideAgent::new(config.build().unwrap()).unwrap();
+    let interval = agent.config().update_interval;
+    let mut routes = RouteTable::new();
+    let mut daemon = Daemon::new(agent, Some(Vec::new()), 2);
+    daemon.start(&[], SimTime::ZERO, &mut routes).unwrap_err();
+    for (i, text) in polls.iter().enumerate() {
+        let now = SimTime::ZERO + interval * (i as u64 + 1);
+        let mut socks = SockTable::parse(text).unwrap();
+        daemon.poll(now, |agent| agent.tick(now, &mut socks, &mut routes));
+    }
+    let bytes = daemon.storage().unwrap();
+    assert_eq!(decode_state(bytes).unwrap().journal.len(), 1);
+    assert!(std::fs::read(&sf).unwrap() == *bytes, "same state file");
+    for f in files {
+        std::fs::remove_file(f).ok();
+    }
+    std::fs::remove_file(sf).ok();
+}
+
+#[test]
 fn trend_flag_damps_collapses() {
     let a = write_snapshot(
         "trend-a",

@@ -25,7 +25,7 @@ use crate::advisory::Advisory;
 use crate::aggregate::{AggregationPass, Aggregator};
 use crate::config::{ConfigError, RiptideConfig};
 use crate::control::{ControlError, RouteController};
-use crate::guard::LossGuard;
+use crate::guard::{BreakerState, LossGuard};
 use crate::observe::WindowObserver;
 use crate::persist::{SnapshotEntry, TableSnapshot};
 use crate::policy::PolicyInput;
@@ -378,28 +378,6 @@ impl RiptideAgent {
             let clamped = window as f64 != shaped.round();
             entry.window = window;
 
-            // Guard: feed the group's cumulative loss counters and, when
-            // the breaker is not Closed, demote the install to the probe
-            // window — the kernel default, as if Riptide never touched
-            // this destination.
-            let mut effective = window;
-            let mut suppressed_by = None;
-            if let Some(guard) = &mut self.guard {
-                let jump_started = self
-                    .installed
-                    .get(&key)
-                    .is_some_and(|&w| w > guard.config().probe_window);
-                let verdict = guard.update(key, retrans_total, bytes_total, jump_started, now);
-                if verdict.tripped {
-                    self.stats.guard_trips += 1;
-                    report.guard_trips.push(key);
-                }
-                if guard.suppressed(&key) {
-                    effective = self.config.clamp(guard.config().probe_window as f64);
-                    suppressed_by = Some(guard.state(&key));
-                }
-            }
-
             // A key covered by a live aggregate already rides its
             // covering route: learning (and the guard) keep running, but
             // no individual route is issued. Divergence dissolves the
@@ -419,9 +397,37 @@ impl RiptideAgent {
                 }
             });
 
+            // The window issued for the key, read once for the guard's
+            // jump-start test and the install's changed-window test (a
+            // covered key without a guard needs neither).
+            let issued = match (&self.guard, covered) {
+                (None, true) => None,
+                _ => self.installed.get(&key).copied(),
+            };
+
+            // Guard: feed the group's cumulative loss counters and, when
+            // the breaker is not Closed, demote the install to the probe
+            // window — the kernel default, as if Riptide never touched
+            // this destination.
+            let mut effective = window;
+            let mut suppressed_by = None;
+            if let Some(guard) = &mut self.guard {
+                let probe_window = guard.config().probe_window;
+                let jump_started = issued.is_some_and(|w| w > probe_window);
+                let verdict = guard.update(key, retrans_total, bytes_total, jump_started, now);
+                if verdict.tripped {
+                    self.stats.guard_trips += 1;
+                    report.guard_trips.push(key);
+                }
+                if verdict.state != BreakerState::Closed {
+                    effective = self.config.clamp(probe_window as f64);
+                    suppressed_by = Some(verdict.state);
+                }
+            }
+
             // Install only when the issued window would actually change —
             // repeating an identical `ip route replace` is pure churn.
-            if !covered && self.installed.get(&key).copied() != Some(effective) {
+            if !covered && issued != Some(effective) {
                 let cause = match suppressed_by {
                     Some(state) => DecisionCause::Guard { state },
                     None => DecisionCause::Learned {
@@ -786,30 +792,40 @@ impl RiptideAgent {
     {
         self.last_now = now;
         self.stats.persist_skipped_entries += state.skipped_entries as u64;
-        for e in &state.entries {
-            if now.saturating_since(e.last_updated) > self.config.ttl {
-                continue;
-            }
-            let history = if self.config.policy.state_matches(&e.history) {
-                e.history.clone()
-            } else {
-                self.config.policy.seeded(e.last_fresh)
-            };
-            let window = e.window.clamp(self.config.cwnd_min, self.config.cwnd_max);
-            self.table.restore_entry(
-                e.key,
-                FinalEntry {
-                    window,
+        let (lo, hi) = (self.config.cwnd_min, self.config.cwnd_max);
+        // Batches, not an insert per entry. Each asks for one more entry
+        // than the table holds, so a full batch is one bulk rebuild and
+        // the tree comes out with full leaves, ticking as fast as a
+        // cold-built one. The batches double: the rebuilds move each
+        // entry about twice in all, and the largest batch is half the
+        // snapshot (one whole-snapshot batch put 45 MB more on the peak
+        // of a restart at a million destinations).
+        let mut surviving = state
+            .entries
+            .iter()
+            .filter(|e| now.saturating_since(e.last_updated) <= self.config.ttl)
+            .map(|e| {
+                let history = if self.config.policy.state_matches(&e.history) {
+                    e.history.clone()
+                } else {
+                    self.config.policy.seeded(e.last_fresh)
+                };
+                let entry = FinalEntry {
+                    window: e.window.clamp(lo, hi),
                     history,
                     last_fresh: e.last_fresh,
                     last_updated: e.last_updated,
-                },
-            );
+                };
+                (e.key, entry)
+            })
+            .peekable();
+        while surviving.peek().is_some() {
+            let batch = surviving.by_ref().take(self.table.len() + 1).collect();
+            self.table.insert_batch(batch);
         }
         if let Some(guard) = &mut self.guard {
             guard.restore_states(&state.guards);
         }
-        let (lo, hi) = (self.config.cwnd_min, self.config.cwnd_max);
         // A covering aggregate has no table entry of its own — its
         // members do — so the aggregator decides which ones survive.
         if let Some(agg) = &mut self.aggregator {
@@ -2003,6 +2019,62 @@ mod tests {
         let mut o = FnObserver(|| vec![obs([10, 0, 0, 1], 90)]);
         b.tick(SimTime::from_secs(7), &mut o, &mut routes);
         assert_eq!(routes.initcwnd_for(Ipv4Addr::new(10, 0, 0, 1)), Some(69));
+    }
+
+    #[test]
+    fn restore_builds_the_table_a_one_by_one_restore_would() {
+        // Out of order, with repeated keys (3 and 7), one entry past its
+        // TTL (5) and one window past c_max (11): what a hand-edited or
+        // foreign state file may hold.
+        let host = |n: u8| Ipv4Prefix::host(Ipv4Addr::new(10, 0, 0, n));
+        let entries = [
+            (7u8, 20u32, 50u64),
+            (3, 30, 50),
+            (5, 40, 1),
+            (3, 50, 50),
+            (11, 600, 50),
+            (1, 70, 50),
+            (7, 80, 50),
+        ]
+        .map(|(n, window, at)| SnapshotEntry {
+            key: host(n),
+            window,
+            last_fresh: window as f64,
+            last_updated: SimTime::from_secs(at),
+            history: crate::policy::HistoryState::None,
+        });
+        let snap = TableSnapshot {
+            taken_at: SimTime::from_secs(50),
+            entries: entries.to_vec(),
+            ..TableSnapshot::default()
+        };
+        let now = SimTime::from_secs(100);
+        let rows = |t: &FinalTable| t.iter().map(|(k, e)| (*k, e.clone())).collect::<Vec<_>>();
+        // Into an empty agent, into one holding fewer entries than the
+        // snapshot (merged in one rebuild) and into one holding more
+        // (inserted one at a time).
+        for held in [0u8, 3, 12] {
+            let (mut b, mut routes) = agent(no_history());
+            let sweep: Vec<_> = (1..=held).map(|n| obs([10, 0, 0, n], 33)).collect();
+            b.tick(now, &mut FnObserver(|| sweep.clone()), &mut routes);
+            let mut want = b.table().clone();
+            let (lo, hi) = (b.config().cwnd_min, b.config().cwnd_max);
+            for e in &snap.entries {
+                if now.saturating_since(e.last_updated) <= b.config().ttl {
+                    let entry = FinalEntry {
+                        window: e.window.clamp(lo, hi),
+                        history: e.history.clone(),
+                        last_fresh: e.last_fresh,
+                        last_updated: e.last_updated,
+                    };
+                    want.restore_entry(e.key, entry);
+                }
+            }
+            b.restore_state(&snap, now, &mut routes);
+            assert_eq!(rows(b.table()), rows(&want), "into {held} held entries");
+            assert_eq!(b.table().window(&host(3)), Some(50), "the last 3 wins");
+            assert_eq!(b.table().window(&host(7)), Some(80), "the last 7 wins");
+        }
     }
 
     #[test]

@@ -219,10 +219,10 @@ impl LearningPolicy {
             LearningPolicy::Ewma { .. } => HistoryState::Ewma { value: None },
             LearningPolicy::None => HistoryState::None,
             LearningPolicy::WindowedMean { window } => HistoryState::Window {
-                values: VecDeque::with_capacity(window),
+                values: Box::new(VecDeque::with_capacity(window)),
             },
             LearningPolicy::Percentile { capacity, .. } => HistoryState::Ring {
-                values: VecDeque::with_capacity(capacity),
+                values: Box::new(VecDeque::with_capacity(capacity)),
             },
             LearningPolicy::LossUtility { .. } => HistoryState::Utility { value: None },
         }
@@ -443,6 +443,12 @@ pub fn registered_policies() -> Vec<(&'static str, LearningPolicy)> {
 
 /// Per-destination memory owned by the agent's table, created by
 /// [`LearningPolicy::new_state`].
+///
+/// The deques of `Window` and `Ring` are boxed so the enum stays 24
+/// bytes, the size an `Option<f64>` variant needs: inline, a `VecDeque`
+/// made every variant 40, and a table (and every snapshot of it) holds
+/// one state per destination, a million of them at fleet scale, while
+/// the deployed EWMA needs only the `Option<f64>`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum HistoryState {
     /// EWMA accumulator ([`LearningPolicy::Ewma`]).
@@ -455,13 +461,13 @@ pub enum HistoryState {
     /// Recent fresh values, newest last ([`LearningPolicy::WindowedMean`]).
     Window {
         /// Retained values.
-        values: VecDeque<f64>,
+        values: Box<VecDeque<f64>>,
     },
     /// Bounded ring of observed values for the percentile policies
     /// ([`LearningPolicy::Percentile`]), newest last.
     Ring {
         /// Retained observations.
-        values: VecDeque<f64>,
+        values: Box<VecDeque<f64>>,
     },
     /// Smoothed loss-utility score for [`LearningPolicy::LossUtility`].
     Utility {

@@ -289,18 +289,25 @@ impl FinalTable {
         for key in &swept.stale {
             self.entries.remove(key);
         }
-        if swept.first_seen.len() > self.entries.len() {
-            // A batch that more than doubles the table (a cold first
-            // tick, above all) is merged in one O(n + m) rebuild. Built
-            // from sorted input the tree's leaves come out full and in
-            // address order, which every later walk of a million entries
-            // is the faster for; a small batch is not worth the rebuild.
-            let mut first_seen: BTreeMap<_, _> = swept.first_seen.into_iter().collect();
-            self.entries.append(&mut first_seen);
-        } else {
-            self.entries.extend(swept.first_seen);
-        }
+        self.insert_batch(swept.first_seen);
         swept.stale
+    }
+
+    /// Inserts every entry of `batch`, replacing any held for the same
+    /// key; of equal keys in `batch` the last wins, as a loop of
+    /// [`FinalTable::restore_entry`] would leave it. A batch that
+    /// outnumbers the table (a cold first tick, a warm restart's batches)
+    /// is merged in one O(n + m) rebuild: built from sorted input the
+    /// tree's leaves come out full and in address order, which every
+    /// later walk of a million entries is the faster for. A small batch
+    /// is not worth the rebuild and goes in one insert at a time.
+    pub(crate) fn insert_batch(&mut self, batch: Vec<(Ipv4Prefix, FinalEntry)>) {
+        if batch.len() > self.entries.len() {
+            let mut batch: BTreeMap<_, _> = batch.into_iter().collect();
+            self.entries.append(&mut batch);
+        } else {
+            self.entries.extend(batch);
+        }
     }
 
     /// Iterates live entries in key order.
@@ -309,14 +316,14 @@ impl FinalTable {
     }
 
     /// Inserts a fully-formed entry, replacing any existing one — the
-    /// warm-restart seam: `persist`/gossip restore rebuilds the table
-    /// from decoded [`FinalEntry`] values (including their original
-    /// `last_updated` stamps, so TTL keeps running across a restart)
-    /// instead of re-learning through [`FinalTable::blend`].
+    /// gossip seam: a merge rebuilds entries from a peer's values
+    /// (including their original `last_updated` stamps, so TTL keeps
+    /// running) instead of re-learning through [`FinalTable::blend`]. A
+    /// warm restart inserts a whole snapshot in bulk batches instead.
     ///
     /// Callers are responsible for validating the entry first (the
-    /// agent's restore clamps windows and re-seeds mismatched history
-    /// variants); the table itself stores what it is given.
+    /// agent's merge clamps windows and seeds unknown keys' history);
+    /// the table itself stores what it is given.
     pub fn restore_entry(&mut self, key: Ipv4Prefix, entry: FinalEntry) {
         self.entries.insert(key, entry);
     }

@@ -47,10 +47,10 @@ fn entry_from(seed: u64) -> SnapshotEntry {
         },
         2 => HistoryState::None,
         3 => HistoryState::Window {
-            values: (0..(seed % 5)).map(|i| (seed ^ i) as f64 % 900.0).collect(),
+            values: Box::new((0..(seed % 5)).map(|i| (seed ^ i) as f64 % 900.0).collect()),
         },
         4 => HistoryState::Ring {
-            values: (0..(seed % 7)).map(|i| (seed ^ i) as f64 % 300.0).collect(),
+            values: Box::new((0..(seed % 7)).map(|i| (seed ^ i) as f64 % 300.0).collect()),
         },
         _ => HistoryState::Utility {
             value: (seed & 1 == 1).then(|| (seed % 5_000) as f64 / 13.0),
@@ -131,6 +131,51 @@ fn unknown_history_tag_skips_entry_not_snapshot() {
     assert_eq!(state.snapshot.entries, snapshot.entries[1..]);
     assert_eq!(state.snapshot.installs, snapshot.installs);
     assert_eq!(state.snapshot.guards, snapshot.guards);
+}
+
+/// The model `replay` must agree with: the replay it replaced, which
+/// clones every snapshot entry into a map, folds the journal into the
+/// map and collects it back.
+fn replay_model(snapshot: &TableSnapshot, journal: &[JournalRecord]) -> TableSnapshot {
+    let mut entries: BTreeMap<Ipv4Prefix, SnapshotEntry> = snapshot
+        .entries
+        .iter()
+        .map(|e| (e.key, e.clone()))
+        .collect();
+    let mut installs: BTreeMap<Ipv4Prefix, u32> = snapshot.installs.iter().copied().collect();
+    let mut taken_at = snapshot.taken_at;
+    for rec in journal {
+        taken_at = taken_at.max(rec.at);
+        match rec.op {
+            JournalOp::Install { window } => {
+                installs.insert(rec.key, window);
+                entries
+                    .entry(rec.key)
+                    .and_modify(|e| {
+                        e.window = window;
+                        e.last_updated = rec.at;
+                    })
+                    .or_insert_with(|| SnapshotEntry {
+                        key: rec.key,
+                        window,
+                        last_fresh: window as f64,
+                        last_updated: rec.at,
+                        history: HistoryState::Ewma { value: None },
+                    });
+            }
+            JournalOp::Withdraw | JournalOp::Evict => {
+                installs.remove(&rec.key);
+                entries.remove(&rec.key);
+            }
+        }
+    }
+    TableSnapshot {
+        taken_at,
+        entries: entries.into_values().collect(),
+        installs: installs.into_iter().collect(),
+        guards: snapshot.guards.clone(),
+        skipped_entries: snapshot.skipped_entries,
+    }
 }
 
 type View = BTreeMap<Ipv4Prefix, u32>;
@@ -355,6 +400,47 @@ proptest! {
                 prop_assert!(state.torn_tail, "the damaged record is dropped as torn");
             }
         }
+    }
+
+    // The merge-join replay agrees with the map fold it replaced, on
+    // snapshots whose keys come unsorted and repeated (a pool of ten, so
+    // every key recurs and the journal hits snapshot keys, keys it
+    // removed and keys it never saw) and on any journal over them.
+    #[test]
+    fn replay_agrees_with_the_map_fold(
+        taken_at in 0u64..1 << 40,
+        pool_seed in any::<u64>(),
+        entry_picks in vec((0usize..10, any::<u64>()), 0..24),
+        install_picks in vec((0usize..10, any::<u64>()), 0..24),
+        journal_picks in vec((0usize..10, any::<u64>()), 0..32),
+    ) {
+        let pool: Vec<Ipv4Prefix> = (0..10u64)
+            .map(|i| prefix_from(pool_seed.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15))))
+            .collect();
+        let snapshot = TableSnapshot {
+            taken_at: SimTime::from_nanos(taken_at),
+            entries: entry_picks
+                .iter()
+                .map(|&(i, s)| SnapshotEntry { key: pool[i], ..entry_from(s) })
+                .collect(),
+            installs: install_picks
+                .iter()
+                .map(|&(i, s)| (pool[i], 10 + (s % 91) as u32))
+                .collect(),
+            guards: entry_picks.iter().map(|&(_, s)| guard_from(s)).collect(),
+            skipped_entries: (pool_seed % 3) as u32,
+        };
+        let journal: Vec<JournalRecord> = journal_picks
+            .iter()
+            .map(|&(i, s)| JournalRecord { key: pool[i], ..record_from(s) })
+            .collect();
+        let got = riptide::persist::replay(&snapshot, &journal);
+        let want = replay_model(&snapshot, &journal);
+        prop_assert_eq!(&got.entries, &want.entries);
+        prop_assert_eq!(&got.installs, &want.installs);
+        prop_assert_eq!(&got.guards, &want.guards);
+        prop_assert_eq!(got.taken_at, want.taken_at);
+        prop_assert_eq!(got.skipped_entries, want.skipped_entries);
     }
 
     // Replaying a journal twice lands on the same table as once:

@@ -47,6 +47,15 @@ if [[ "$stage" == "build" || "$stage" == "all" ]]; then
     # even if a future flag trims them from the default test run.
     run cargo test -q --release --doc --workspace
 
+    # The tests above build the examples but never run them; run each
+    # once, so one that panics fails here. `cargo test` already built
+    # them, and all five run in well under a second together. None
+    # writes a file.
+    for example in quickstart cdn_probes netem_lab prefix_routes load_balancing_advisory; do
+        echo "==> cargo run -q --release --example $example"
+        cargo run -q --release --example "$example" >/dev/null
+    done
+
     # The two goldens and the three differential tests, by name: the
     # telemetry text format, the agent's accounting (commands, stats,
     # exposition and journal of one scripted run), the timing wheel

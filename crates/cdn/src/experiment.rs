@@ -1,5 +1,7 @@
-//! Experiment runners: one function per figure of the paper's evaluation
-//! (§IV). The `riptide-bench` binaries are thin printers over these.
+//! The evaluation's (§IV) setups and analyses. Each figure's deployment
+//! is a configuration here, which [`crate::engine::RunPlan`] runs shard
+//! by shard; the functions below the configurations turn a run's merged
+//! outcomes into the figure's rows.
 
 use std::collections::BTreeMap;
 
@@ -113,8 +115,8 @@ fn base_sim_config(scale: &ExperimentScale, riptide: Option<RiptideConfig>) -> C
     }
 }
 
-/// The simulation configuration behind [`cwnd_distribution`] — exposed
-/// so the parallel engine can run the same experiment shard by shard.
+/// One Fig. 10 deployment: Riptide clamped at `c_max`, or (`None`) the
+/// control. [`crate::engine::RunPlan::cwnd_sweep`] runs one per arm.
 pub fn cwnd_sim_config(scale: &ExperimentScale, c_max: Option<u32>) -> CdnSimConfig {
     let riptide = c_max.map(|m| {
         RiptideConfig::builder()
@@ -123,15 +125,6 @@ pub fn cwnd_sim_config(scale: &ExperimentScale, c_max: Option<u32>) -> CdnSimCon
             .expect("valid sweep config")
     });
     base_sim_config(scale, riptide)
-}
-
-/// Runs one deployment and returns the live-cwnd samples collected after
-/// warm-up — one curve of Fig. 10 (`c_max = Some(...)`) or its control
-/// (`None`).
-pub fn cwnd_distribution(scale: &ExperimentScale, c_max: Option<u32>) -> Cdf {
-    let mut sim = CdnSim::new(cwnd_sim_config(scale, c_max));
-    sim.run_for(scale.total());
-    warm_cwnd_cdf(&sim, scale, None)
 }
 
 /// Live-cwnd samples taken after warm-up, at one site or (`None`) all.
@@ -170,24 +163,14 @@ pub fn traffic_profile_sites(scale: &ExperimentScale) -> (usize, usize) {
     (probe_only_site, busy[0])
 }
 
-/// The simulation configuration behind [`traffic_profile`].
+/// The Fig. 11 deployment: every site runs Riptide at the deployment
+/// `c_max` of 100, and the busy sites carry heavier organic load.
+/// [`crate::engine::RunPlan::traffic_profile`] runs it.
 pub fn traffic_sim_config(scale: &ExperimentScale) -> CdnSimConfig {
     CdnSimConfig {
         organic: OrganicConfig::among(default_busy_sites(scale), 0.5),
         ..base_sim_config(scale, Some(RiptideConfig::deployment()))
     }
-}
-
-/// Fig. 11: live-cwnd distributions at a probe-only PoP vs one of the
-/// busiest PoPs, both running Riptide at the deployment `c_max` of 100.
-pub fn traffic_profile(scale: &ExperimentScale) -> (Cdf, Cdf) {
-    let (probe_only_site, busy_site) = traffic_profile_sites(scale);
-    let mut sim = CdnSim::new(traffic_sim_config(scale));
-    sim.run_for(scale.total());
-    (
-        warm_cwnd_cdf(&sim, scale, Some(probe_only_site)),
-        warm_cwnd_cdf(&sim, scale, Some(busy_site)),
-    )
 }
 
 /// The two probe-sender sites of §IV-B2: one European, one North
@@ -222,33 +205,10 @@ pub struct StackTweaks {
     pub initial_rwnd: Option<u32>,
 }
 
-/// Runs the §IV-B2 probe experiment once (control or Riptide) and
-/// returns the after-warm-up probe outcomes from the sender sites.
-pub fn probe_experiment(scale: &ExperimentScale, riptide: bool) -> Vec<ProbeOutcome> {
-    probe_experiment_with(
-        scale,
-        riptide.then(RiptideConfig::deployment),
-        StackTweaks::default(),
-    )
-}
-
-/// [`probe_experiment`] with an explicit Riptide configuration and
-/// stack tweaks — the hook the ablation harness uses to vary §III-B
-/// strategies and stack behaviour.
-pub fn probe_experiment_with(
-    scale: &ExperimentScale,
-    riptide: Option<RiptideConfig>,
-    tweaks: StackTweaks,
-) -> Vec<ProbeOutcome> {
-    let cfg = probe_sim_config(scale, riptide, tweaks, probe_sender_sites(scale));
-    let mut sim = CdnSim::new(cfg);
-    sim.run_for(scale.total());
-    warm_probes(&sim, scale)
-}
-
-/// The simulation configuration behind [`probe_experiment_with`], with
-/// an explicit sender-site list — the parallel engine shards the probe
-/// experiments one sender per shard through this hook.
+/// One arm of the §IV-B2 probe experiment: Riptide as configured (or
+/// `None`, the control) on the testbed with `tweaks`, probing from
+/// `senders`. [`crate::engine::RunPlan::probe_arms`] runs one sender per
+/// shard.
 pub fn probe_sim_config(
     scale: &ExperimentScale,
     riptide: Option<RiptideConfig>,
@@ -271,22 +231,15 @@ pub fn probe_sim_config(
     }
 }
 
-/// Both arms of the probe experiment, same seed — the paired comparison
-/// behind Figs. 12–16 and §IV-D.
+/// Both arms of the probe experiment, seed-paired shard by shard — the
+/// comparison behind Figs. 12–16 and §IV-D, as
+/// [`crate::engine::RunReport::comparison`] merges it.
 #[derive(Debug, Clone)]
 pub struct ProbeComparison {
     /// Outcomes with Riptide disabled.
     pub control: Vec<ProbeOutcome>,
     /// Outcomes with Riptide enabled.
     pub riptide: Vec<ProbeOutcome>,
-}
-
-/// Runs control and Riptide arms with identical topology and seeds.
-pub fn probe_comparison(scale: &ExperimentScale) -> ProbeComparison {
-    ProbeComparison {
-        control: probe_experiment(scale, false),
-        riptide: probe_experiment(scale, true),
-    }
 }
 
 /// Figs. 12–14: completion-time CDFs (milliseconds) for probes of `size`
@@ -379,13 +332,25 @@ fn per_destination_cdfs(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::OnceLock;
+
     use super::*;
+    use crate::engine::RunPlan;
+
+    /// The test-scale probe comparison, run once for every test here.
+    fn comparison() -> &'static ProbeComparison {
+        static RUN: OnceLock<ProbeComparison> = OnceLock::new();
+        RUN.get_or_init(|| {
+            RunPlan::probe_comparison(&ExperimentScale::test(), 1)
+                .run()
+                .comparison()
+        })
+    }
 
     #[test]
-    fn cwnd_distribution_shifts_with_riptide() {
-        let scale = ExperimentScale::test();
-        let control = cwnd_distribution(&scale, None);
-        let riptide = cwnd_distribution(&scale, Some(100));
+    fn riptide_shifts_the_live_window_cdf() {
+        let report = RunPlan::cwnd_sweep(&ExperimentScale::test(), &[None, Some(100)], 1).run();
+        let (control, riptide) = (report.merged_cwnd(0), report.merged_cwnd(1));
         assert!(!control.is_empty() && !riptide.is_empty());
         assert!(
             riptide.median() > control.median(),
@@ -397,34 +362,30 @@ mod tests {
 
     #[test]
     fn cmax_clamps_learned_windows() {
-        let scale = ExperimentScale::test();
-        let low = cwnd_distribution(&scale, Some(50));
+        let low = RunPlan::cwnd_sweep(&ExperimentScale::test(), &[Some(50)], 1)
+            .run()
+            .merged_cwnd(0);
         // Initial windows are clamped at 50, but live windows may grow
         // past it during transfers; the bulk should sit at or below the
         // natural growth ceiling of the probe workload.
         assert!(low.quantile(0.5) <= 120.0, "median {}", low.quantile(0.5));
     }
 
+    /// Completion times (ms) of `size` probes from the first sender.
+    fn completions(arm: &[ProbeOutcome], size: u64) -> Cdf {
+        let sender = probe_sender_sites(&ExperimentScale::test())[0];
+        arm.iter()
+            .filter(|p| p.src_site == sender && p.size == size)
+            .map(|p| p.completion.as_millis_f64())
+            .collect()
+    }
+
     #[test]
     fn probe_comparison_improves_large_probes() {
-        let scale = ExperimentScale::test();
-        let cmp = probe_comparison(&scale);
+        let cmp = comparison();
         assert!(!cmp.control.is_empty() && !cmp.riptide.is_empty());
-        let sender = probe_sender_sites(&scale)[0];
-        let ctl: Vec<f64> = cmp
-            .control
-            .iter()
-            .filter(|p| p.src_site == sender && p.size == 100_000)
-            .map(|p| p.completion.as_millis_f64())
-            .collect();
-        let rip: Vec<f64> = cmp
-            .riptide
-            .iter()
-            .filter(|p| p.src_site == sender && p.size == 100_000)
-            .map(|p| p.completion.as_millis_f64())
-            .collect();
-        let ctl = Cdf::new(ctl);
-        let rip = Cdf::new(rip);
+        let ctl = completions(&cmp.control, 100_000);
+        let rip = completions(&cmp.riptide, 100_000);
         assert!(
             rip.median() < ctl.median(),
             "100KB probes faster with riptide: {} vs {}",
@@ -436,44 +397,28 @@ mod tests {
     #[test]
     fn small_probes_unchanged() {
         // Fig. 12: 10 KB fits in the default window; Riptide is a no-op.
-        let scale = ExperimentScale::test();
-        let cmp = probe_comparison(&scale);
-        let sender = probe_sender_sites(&scale)[0];
-        let med = |v: &[ProbeOutcome]| {
-            Cdf::new(
-                v.iter()
-                    .filter(|p| p.src_site == sender && p.size == 10_000)
-                    .map(|p| p.completion.as_millis_f64()),
-            )
-            .median()
-        };
-        let c = med(&cmp.control);
-        let r = med(&cmp.riptide);
+        let cmp = comparison();
+        let c = completions(&cmp.control, 10_000).median();
+        let r = completions(&cmp.riptide, 10_000).median();
         let rel = (c - r).abs() / c;
         assert!(rel < 0.25, "10KB medians should be close: {c} vs {r}");
     }
 
     #[test]
     fn bucket_grouping_covers_senders_destinations() {
-        let scale = ExperimentScale::test();
-        let outcomes = probe_experiment(&scale, false);
-        let sender = probe_sender_sites(&scale)[0];
-        let groups = completion_by_bucket(&outcomes, sender, 50_000);
+        let outcomes = &comparison().control;
+        let sender = probe_sender_sites(&ExperimentScale::test())[0];
+        let groups = completion_by_bucket(outcomes, sender, 50_000);
         assert!(!groups.is_empty());
         let total: usize = groups.values().map(Cdf::len).sum();
-        let expected = outcomes
-            .iter()
-            .filter(|p| p.src_site == sender && p.size == 50_000)
-            .count();
+        let expected = completions(outcomes, 50_000).len();
         assert_eq!(total, expected, "every probe lands in exactly one bucket");
     }
 
     #[test]
     fn gain_table_has_19_rows() {
-        let scale = ExperimentScale::test();
-        let cmp = probe_comparison(&scale);
-        let sender = probe_sender_sites(&scale)[0];
-        let gains = gain_by_percentile(&cmp, sender, 100_000);
+        let sender = probe_sender_sites(&ExperimentScale::test())[0];
+        let gains = gain_by_percentile(comparison(), sender, 100_000);
         assert_eq!(gains.len(), 19);
         assert_eq!(gains[0].percentile, 5);
         // Somewhere in the upper percentiles Riptide should win.
@@ -484,9 +429,8 @@ mod tests {
     #[test]
     fn edge_cases_produce_one_row_per_destination() {
         let scale = ExperimentScale::test();
-        let cmp = probe_comparison(&scale);
         let sender = probe_sender_sites(&scale)[0];
-        let rows = edge_cases(&cmp, sender, 100_000);
+        let rows = edge_cases(comparison(), sender, 100_000);
         assert_eq!(rows.len(), scale.sites - 1);
         for r in rows {
             assert!(r.min_change.is_finite() && r.max_change.is_finite());

@@ -36,7 +36,7 @@ pub(crate) struct FaultedIo {
 }
 
 /// Injects install faults between the retry layer above and the bounds
-/// gate below: `ExecError` surfaces as a failed `ip route` invocation
+/// gate below: `Failed` surfaces as a failed `ip route` invocation
 /// (which the retry layer may re-attempt, drawing a fresh fault),
 /// `Delayed` queues the write to land `install_delay_for` later.
 #[derive(Debug)]
@@ -52,9 +52,7 @@ struct FaultedController<'a> {
 impl FaultedController<'_> {
     fn faulted(&mut self, key: Ipv4Prefix, window: Option<u32>) -> Result<(), ControlError> {
         match self.injector.install_fault() {
-            InstallFault::ExecError => {
-                Err(ControlError::new("injected: ip route invocation failed"))
-            }
+            InstallFault::Failed => Err(ControlError::new("injected: ip route invocation failed")),
             InstallFault::Delayed => {
                 self.delayed.push_back((self.host, key, window));
                 self.agenda.arm(self.lands_at, Activity::DelayedInstall);

@@ -3,8 +3,8 @@
 //! The simulated production environment for the Riptide reproduction:
 //! the paper's 34-PoP CDN (Table II) with geography-derived RTTs
 //! (Fig. 5), the Fig. 2 file-size workload, the §IV-A probe
-//! infrastructure, organic back-office traffic, and experiment runners
-//! that regenerate every figure of the evaluation.
+//! infrastructure, organic back-office traffic, and the sharded engine
+//! that runs every figure of the evaluation.
 //!
 //! ## Module map (↔ paper sections)
 //!
@@ -18,22 +18,26 @@
 //! | [`sim`] | The deployment harness: testbed, daemons, probes and arrivals, and the `run_for` loop over the agenda | §IV-A |
 //! | `agenda`, `chaos`, `faulted` | (private) The harness's one clock, and the overlays it fires: what a `FaultPlan` breaks, and the fault-injected agent I/O | §IV-D |
 //! | [`gossip`] | Anti-entropy fleet-sync scheduler (seeded fanout, per-peer backoff) | Pied Piper (PAPERS.md) |
-//! | [`experiment`] | One runner per figure (Figs. 10–16) | §IV |
+//! | [`experiment`] | Each figure's deployment, and the analyses over its merged outcomes (Figs. 10–16) | §IV |
 //! | [`engine`] | Parallel sharded execution, digests, manifests | — (reproduction infrastructure) |
 //! | [`digest`] | The canonical, name-free encoding behind a shard's `data=` token | — (reproduction infrastructure) |
 //! | [`schedule`] | LPT-seeded work-stealing shard scheduler | — (reproduction infrastructure) |
-//! | [`stats`] | CDFs, percentile gains, histograms | Figs. 10–16 metrics |
+//! | [`stats`] | CDFs, percentile gains | Figs. 10–16 metrics |
 //!
 //! See `DESIGN.md` at the repository root for the experiment index.
 //!
 //! ## Example: one paired experiment
 //!
 //! ```
-//! use riptide_cdn::experiment::{probe_comparison, ExperimentScale};
+//! use riptide_cdn::engine::RunPlan;
+//! use riptide_cdn::experiment::ExperimentScale;
 //!
 //! // A miniature control-vs-Riptide run (five PoPs, minutes of
-//! // simulated time); scale up with `ExperimentScale::quick()`/`paper()`.
-//! let cmp = probe_comparison(&ExperimentScale::test());
+//! // simulated time, one shard per arm and sender); scale up with
+//! // `ExperimentScale::quick()`/`paper()`.
+//! let cmp = RunPlan::probe_comparison(&ExperimentScale::test(), 1)
+//!     .run()
+//!     .comparison();
 //! assert!(!cmp.control.is_empty() && !cmp.riptide.is_empty());
 //! ```
 
@@ -60,7 +64,7 @@ pub mod prelude {
     pub use crate::engine::{
         PlanArm, RunPlan, RunReport, ShardData, ShardId, ShardSpec, ShardWork,
     };
-    pub use crate::experiment::{probe_comparison, ExperimentScale, ProbeComparison};
+    pub use crate::experiment::{ExperimentScale, ProbeComparison};
     pub use crate::geo::{Continent, PopSite, POP_SITES};
     pub use crate::gossip::{GossipConfig, GossipFabric};
     pub use crate::megacdn::MegaCdnConfig;

@@ -147,91 +147,6 @@ impl Cdf {
     }
 }
 
-/// A fixed-width histogram over non-negative `f64` samples, used by the
-/// parallel experiment engine to summarise per-shard completion times
-/// in a form that merges exactly (bucket counts add, so shard order
-/// cannot change the result).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Histogram {
-    /// Width of each bucket; bucket `i` covers `[i*w, (i+1)*w)`.
-    width_millis: u64,
-    counts: Vec<u64>,
-}
-
-impl Histogram {
-    /// An empty histogram with the given bucket width (in the same
-    /// unit as the recorded samples, conventionally milliseconds).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is zero.
-    pub fn new(width: u64) -> Self {
-        assert!(width > 0, "zero-width histogram bucket");
-        Histogram {
-            width_millis: width,
-            counts: Vec::new(),
-        }
-    }
-
-    /// Records one sample. Negative and NaN samples are rejected.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sample` is NaN or negative.
-    pub fn record(&mut self, sample: f64) {
-        assert!(
-            sample.is_finite() && sample >= 0.0,
-            "histogram sample must be finite and non-negative, got {sample}"
-        );
-        let bucket = (sample / self.width_millis as f64) as usize;
-        if self.counts.len() <= bucket {
-            self.counts.resize(bucket + 1, 0);
-        }
-        self.counts[bucket] += 1;
-    }
-
-    /// Adds another histogram's counts into this one. Commutative and
-    /// associative, so shard completion order cannot affect the merged
-    /// result.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bucket widths differ.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(
-            self.width_millis, other.width_millis,
-            "merging histograms with different bucket widths"
-        );
-        if self.counts.len() < other.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
-        }
-        for (dst, src) in self.counts.iter_mut().zip(&other.counts) {
-            *dst += src;
-        }
-    }
-
-    /// The bucket width.
-    pub fn width(&self) -> u64 {
-        self.width_millis
-    }
-
-    /// Total recorded samples.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Non-empty buckets as `(bucket_start, count)` pairs, in
-    /// ascending bucket order.
-    pub fn buckets(&self) -> Vec<(u64, u64)> {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (i as u64 * self.width_millis, c))
-            .collect()
-    }
-}
-
 impl FromIterator<f64> for Cdf {
     fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Self {
         Cdf::new(iter)
@@ -422,33 +337,6 @@ mod tests {
             "merge_all pools everything"
         );
         assert_eq!(Cdf::merge_all([] as [Cdf; 0]).len(), 0);
-    }
-
-    #[test]
-    fn histogram_counts_and_merges() {
-        let mut h = Histogram::new(100);
-        for s in [0.0, 99.9, 100.0, 250.0, 250.0] {
-            h.record(s);
-        }
-        assert_eq!(h.total(), 5);
-        assert_eq!(h.buckets(), vec![(0, 2), (100, 1), (200, 2)]);
-
-        let mut other = Histogram::new(100);
-        other.record(50.0);
-        other.record(500.0);
-        let mut ab = h.clone();
-        ab.merge(&other);
-        let mut ba = other.clone();
-        ba.merge(&h);
-        assert_eq!(ab, ba, "histogram merge commutes");
-        assert_eq!(ab.total(), 7);
-    }
-
-    #[test]
-    #[should_panic(expected = "different bucket widths")]
-    fn histogram_width_mismatch_rejected() {
-        let mut a = Histogram::new(10);
-        a.merge(&Histogram::new(20));
     }
 
     #[test]

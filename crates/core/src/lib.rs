@@ -24,9 +24,9 @@
 //! | [`advisory`] | Control-plane advisories (suspend / conservative) | §V load-balancing interplay |
 //! | [`guard`] | [`guard::LossGuard`]: per-destination loss-aware circuit breaker with BGP-style flap damping — demote jump-started destinations whose retransmit rate says the learned window became the harm | §IV-D no-harm, closed-loop |
 //! | [`reconcile`] | Anti-entropy audit: diff the kernel route table against the agent's installed view, repair drift, never touch foreign routes | §IV-D operational safety |
-//! | [`observe`] | Input seam: [`observe::WindowObserver`] (always succeeds) and [`observe::FallibleObserver`] (real `ss` polls that time out / truncate) | §III poll loop |
+//! | [`observe`] | Input seam: [`observe::WindowObserver`] (always succeeds) and [`observe::FallibleObserver`] (polls that can time out) | §III poll loop |
 //! | [`control`] | Output seam: [`control::RouteController`], command logging, startup recovery, and the [`control::CheckedController`] window-range invariant | Fig. 8; §IV-D |
-//! | [`resilience`] | Retry-with-backoff, per-call timeouts, budgets; `ss`/`ip` subprocess bridges | §IV-D graceful degradation |
+//! | [`resilience`] | Retry-with-backoff, per-call timeouts, budgets | §IV-D graceful degradation |
 //! | [`table`] | The TTL'd per-destination final-values table | §III "final table", Table I `t` |
 //! | [`persist`] | Crash-durable state file: versioned CRC-guarded snapshot + append-only journal, torn-tail-safe replay | §IV-A ramp cost; ROADMAP item 3 |
 //! | [`daemon`] | [`daemon::Daemon`]: the agent lifecycle over a state file — restore and anchor at start, journal or snapshot after each poll, snapshot before the shutdown sweep — shared by `riptided` and the simulator's hosts | §IV-A poll loop; warm restart |

@@ -2,10 +2,10 @@
 //!
 //! This is the §III poll loop's input side. [`WindowObserver`] models an
 //! `ss -i` poll that always succeeds (the simulator's in-process
-//! snapshot); [`FallibleObserver`] models the real thing, where the poll
-//! can time out, the subprocess can die, or the output can arrive
-//! truncated. [`crate::resilience::ResilientObserver`] bridges the two
-//! with retries and a per-tick time budget.
+//! snapshot, or a parsed [`SockTable`]); [`FallibleObserver`] models a
+//! poll that can time out, as the simulator's fault plans make it.
+//! [`crate::resilience::ResilientObserver`] bridges the two with retries
+//! and a per-tick time budget.
 
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -37,9 +37,8 @@ pub struct CwndObservation {
 /// A source of congestion-window observations — the agent's view of
 /// "poll the current windows of all open connections".
 ///
-/// Implementations: a simulated host's socket list, a parsed
-/// [`SockTable`], or (in a real deployment) a wrapper shelling out to
-/// `ss`.
+/// Implementations: a simulated host's socket list, or a parsed
+/// [`SockTable`] (what `riptided` ticks over).
 pub trait WindowObserver {
     /// A snapshot of every established connection's window.
     fn observe(&mut self) -> Vec<CwndObservation>;
@@ -63,26 +62,20 @@ where
 pub enum ObserveError {
     /// The poll exceeded its per-call timeout.
     Timeout,
-    /// The polling subprocess could not run or exited non-zero.
-    Exec(String),
-    /// The poll output could not be parsed at all.
-    Parse(String),
 }
 
 impl fmt::Display for ObserveError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ObserveError::Timeout => write!(f, "observation poll timed out"),
-            ObserveError::Exec(m) => write!(f, "observation poll failed to run: {m}"),
-            ObserveError::Parse(m) => write!(f, "observation output unparseable: {m}"),
         }
     }
 }
 
 impl std::error::Error for ObserveError {}
 
-/// A [`WindowObserver`] whose polls can fail — the real-deployment shape,
-/// where `ss` is a subprocess with a timeout.
+/// A [`WindowObserver`] whose polls can fail, as a poll with a deadline
+/// does.
 ///
 /// Every infallible [`WindowObserver`] is trivially a `FallibleObserver`
 /// (via a blanket impl), so simulation code and tests can pass plain
@@ -92,8 +85,7 @@ pub trait FallibleObserver {
     ///
     /// # Errors
     ///
-    /// Returns [`ObserveError`] when the poll times out, cannot run, or
-    /// returns unusable output.
+    /// Returns [`ObserveError`] when the poll times out.
     fn try_observe(&mut self) -> Result<Vec<CwndObservation>, ObserveError>;
 }
 
@@ -215,8 +207,8 @@ mod tests {
         let mut flaky = FnFallibleObserver(|| Err(ObserveError::Timeout));
         assert_eq!(flaky.try_observe(), Err(ObserveError::Timeout));
         assert_eq!(
-            ObserveError::Exec("ss: not found".into()).to_string(),
-            "observation poll failed to run: ss: not found"
+            ObserveError::Timeout.to_string(),
+            "observation poll timed out"
         );
     }
 

@@ -1,11 +1,10 @@
-//! Resilient agent I/O: retries, backoff, timeouts and the subprocess
-//! bridge.
+//! Resilient agent I/O: retries, backoff and timeouts.
 //!
 //! The paper's agent is a long-lived daemon whose every cycle shells out
 //! twice — `ss -i` to observe, `ip route` to act (§III, Fig. 8). Both
-//! calls fail in production: polls time out, output arrives truncated,
-//! installs race route churn. This module wraps the agent's two seams
-//! with the production behaviours those failures demand:
+//! calls fail in production: polls time out, installs race route churn.
+//! This module wraps the agent's two seams with the behaviours those
+//! failures demand; the simulator's fault-injected hosts run them:
 //!
 //! * [`BackoffPolicy`] / [`retry_with_backoff`] — bounded retries with
 //!   exponential backoff and an optional total time budget (the agent
@@ -15,23 +14,15 @@
 //!   failure only when the budget or attempts are exhausted — at which
 //!   point the caller runs [`RiptideAgent::tick_degraded`] instead of
 //!   guessing;
-//! * [`ResilientController`] — retries a [`RouteController`] per call;
-//! * [`SsExecObserver`] / [`IpExecController`] — the real-deployment
-//!   shapes: an observer that runs `ss -i` through a
-//!   [`CommandRunner`] and salvages partial output, and a controller
-//!   that turns route decisions into `ip route` invocations.
+//! * [`ResilientController`] — retries a [`RouteController`] per call.
 //!
 //! [`RiptideAgent::tick_degraded`]: crate::agent::RiptideAgent::tick_degraded
 
-use riptide_linuxnet::exec::{CommandRunner, ExecError};
 use riptide_linuxnet::prefix::Ipv4Prefix;
-use riptide_linuxnet::ss::SockTable;
 use riptide_simnet::time::SimDuration;
 
 use crate::control::{ControlError, RouteController};
-use crate::observe::{
-    observations_from_sock_table, CwndObservation, FallibleObserver, ObserveError,
-};
+use crate::observe::{CwndObservation, FallibleObserver, ObserveError};
 use crate::telemetry::IoCounters;
 
 /// Exponential-backoff retry schedule for one I/O call.
@@ -109,7 +100,7 @@ pub struct RetryOutcome<T, E> {
 /// Time here is *modeled*, not wall-clock — the agent runs on simulated
 /// time. `cost` charges each error with the time the failed attempt
 /// itself consumed (a timeout costs its full deadline; an immediate
-/// exec error costs nothing), and `budget` bounds the call's total
+/// refusal costs nothing), and `budget` bounds the call's total
 /// modeled time: a retry that would push `spent` past the budget is not
 /// attempted.
 pub fn retry_with_backoff<T, E>(
@@ -341,100 +332,12 @@ impl<C: RouteController> RouteController for ResilientController<C> {
     }
 }
 
-/// The real-deployment observer: polls by running `ss -i` through a
-/// [`CommandRunner`] and parses the output *lossily* — rows that
-/// survived a truncation are still used, and a fully unusable poll is an
-/// error for the resilience layer above to retry.
-#[derive(Debug)]
-pub struct SsExecObserver<R> {
-    runner: R,
-    salvaged_defects: u64,
-}
-
-impl<R: CommandRunner> SsExecObserver<R> {
-    /// Wraps a command runner.
-    pub fn new(runner: R) -> Self {
-        SsExecObserver {
-            runner,
-            salvaged_defects: 0,
-        }
-    }
-
-    /// Parse defects skipped over by lossy parsing, lifetime total.
-    pub fn salvaged_defects(&self) -> u64 {
-        self.salvaged_defects
-    }
-
-    /// The wrapped runner.
-    pub fn runner(&self) -> &R {
-        &self.runner
-    }
-}
-
-impl<R: CommandRunner> FallibleObserver for SsExecObserver<R> {
-    fn try_observe(&mut self) -> Result<Vec<CwndObservation>, ObserveError> {
-        let stdout = self.runner.run(&["ss", "-t", "-i"]).map_err(|e| match e {
-            ExecError::Timeout { .. } => ObserveError::Timeout,
-            other => ObserveError::Exec(other.to_string()),
-        })?;
-        let (table, errors) = SockTable::parse_lossy(&stdout);
-        if table.is_empty() && !errors.is_empty() {
-            // Nothing salvageable: treat as a failed poll, not "no
-            // connections" (which would wrongly age every entry).
-            return Err(ObserveError::Parse(errors[0].to_string()));
-        }
-        self.salvaged_defects += errors.len() as u64;
-        Ok(observations_from_sock_table(&table))
-    }
-}
-
-/// The real-deployment controller: issues each decision as the exact
-/// `ip route` command line of the paper's Fig. 8 through a
-/// [`CommandRunner`].
-#[derive(Debug)]
-pub struct IpExecController<R> {
-    runner: R,
-}
-
-impl<R: CommandRunner> IpExecController<R> {
-    /// Wraps a command runner.
-    pub fn new(runner: R) -> Self {
-        IpExecController { runner }
-    }
-
-    /// The wrapped runner.
-    pub fn runner(&self) -> &R {
-        &self.runner
-    }
-
-    fn run_cmd(&mut self, line: String) -> Result<(), ControlError> {
-        let argv: Vec<&str> = line.split_whitespace().collect();
-        self.runner
-            .run(&argv)
-            .map(|_| ())
-            .map_err(|e| ControlError::new(e.to_string()))
-    }
-}
-
-impl<R: CommandRunner> RouteController for IpExecController<R> {
-    fn set_initcwnd(&mut self, key: Ipv4Prefix, window: u32) -> Result<(), ControlError> {
-        self.run_cmd(riptide_linuxnet::ip_cmd::IpRouteCmd::set_initcwnd(key, window).to_string())
-    }
-
-    fn clear_initcwnd(&mut self, key: Ipv4Prefix) -> Result<(), ControlError> {
-        self.run_cmd(riptide_linuxnet::ip_cmd::IpRouteCmd::del(key).to_string())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::observe::FnFallibleObserver;
-    use riptide_linuxnet::exec::ScriptedRunner;
     use riptide_linuxnet::route::RouteTable;
-    use riptide_linuxnet::ss::{SockEntry, SockState};
     use std::net::Ipv4Addr;
-    use std::time::Duration;
 
     fn key(n: u8) -> Ipv4Prefix {
         Ipv4Prefix::host(Ipv4Addr::new(10, 0, 1, n))
@@ -663,61 +566,5 @@ mod tests {
         let snap = registry.snapshot();
         assert_eq!(snap.value("riptide_io_calls_total"), Some(s.calls + 1));
         assert_eq!(snap.value("riptide_io_gave_up_total"), Some(s.gave_up + 1));
-    }
-
-    #[test]
-    fn ss_exec_observer_salvages_partial_output() {
-        let table: SockTable = vec![SockEntry {
-            src: Ipv4Addr::new(10, 0, 0, 1),
-            dst: Ipv4Addr::new(10, 0, 1, 1),
-            state: SockState::Established,
-            cc: "cubic".into(),
-            cwnd: 64,
-            ssthresh: None,
-            rtt_ms: None,
-            bytes_acked: 10,
-            retrans: 0,
-            lost: 0,
-        }]
-        .into_iter()
-        .collect();
-        let mut truncated = table.render();
-        truncated.push_str("ESTAB 10.0.0.1 10.0.9.9\n"); // cut mid-socket
-
-        let mut runner = ScriptedRunner::new();
-        runner.push_ok(truncated).push_err(ExecError::Timeout {
-            limit: Duration::from_millis(200),
-        });
-        let mut obs = SsExecObserver::new(runner);
-
-        let rows = obs.try_observe().unwrap();
-        assert_eq!(rows.len(), 1, "complete row salvaged");
-        assert_eq!(obs.salvaged_defects(), 1);
-        assert_eq!(obs.try_observe(), Err(ObserveError::Timeout));
-        assert_eq!(obs.runner().calls()[0][0], "ss");
-    }
-
-    #[test]
-    fn ss_exec_observer_rejects_fully_unusable_output() {
-        let mut runner = ScriptedRunner::new();
-        runner.push_ok("complete garbage\n");
-        let mut obs = SsExecObserver::new(runner);
-        assert!(matches!(obs.try_observe(), Err(ObserveError::Parse(_))));
-    }
-
-    #[test]
-    fn ip_exec_controller_issues_fig8_command_lines() {
-        let mut runner = ScriptedRunner::new();
-        runner.push_ok("").push_err(ExecError::Failed {
-            code: 2,
-            stderr: "RTNETLINK answers: Operation not permitted".into(),
-        });
-        let mut ctl = IpExecController::new(runner);
-        ctl.set_initcwnd(key(7), 80).unwrap();
-        assert!(ctl.set_initcwnd(key(8), 60).is_err());
-        assert_eq!(
-            ctl.runner().calls()[0],
-            vec!["ip", "route", "replace", "10.0.1.7", "proto", "static", "initcwnd", "80"]
-        );
     }
 }

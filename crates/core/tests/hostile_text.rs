@@ -1,8 +1,10 @@
 //! Totality of the agent's outside-facing surfaces on hostile input.
 //!
 //! Three ways in from outside the program: the conf file (text), gossip
-//! deltas (values a peer chose), and `ss` output (text, every poll). None
-//! may panic the daemon — these tests run in the debug profile, where an
+//! deltas (values a peer chose), and `ss` output (text, every poll, read
+//! as `riptided` reads it: the strict parse, then the tick inside
+//! `Daemon::poll`, and a rejected snapshot ends the run). None may panic
+//! the daemon — these tests run in the debug profile, where an
 //! arithmetic overflow is a panic — none may take more than linear time,
 //! and whatever they make the agent believe, no window outside
 //! `[cwnd_min, cwnd_max]` may reach the route controller.
@@ -12,9 +14,8 @@ use std::time::{Duration, Instant};
 
 use proptest::collection::vec;
 use proptest::prelude::*;
+use riptide::daemon::{Daemon, SNAPSHOT_EVERY};
 use riptide::prelude::*;
-use riptide::resilience::SsExecObserver;
-use riptide_linuxnet::exec::ScriptedRunner;
 use riptide_linuxnet::prefix::Ipv4Prefix;
 use riptide_linuxnet::ss::{SockEntry, SockState, SockTable};
 use riptide_simnet::time::SimTime;
@@ -276,6 +277,10 @@ const SPLICES: &[&str] = &[
 ];
 
 proptest! {
+    // A rejected snapshot ends a run, and about two polls in three are
+    // rejected: eight times the default cases tick about a thousand.
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
     #[test]
     fn hostile_ss_text_never_panics_the_tick_nor_escapes_the_clamp(
         polls in vec((vec(any::<u64>(), 0..7), vec((any::<usize>(), any::<usize>()), 0..4)), 1..8),
@@ -287,10 +292,10 @@ proptest! {
             .guard(GuardConfig::default())
             .build()
             .unwrap();
-        let mut agent = RiptideAgent::new(config.clone()).unwrap();
+        let agent = RiptideAgent::new(config.clone()).unwrap();
+        let mut daemon = Daemon::<Vec<u8>>::new(agent, None, SNAPSHOT_EVERY);
         let mut recorder = Recorder::default();
-        let mut runner = ScriptedRunner::new();
-        for (rows, splices) in &polls {
+        for (second, (rows, splices)) in (1..).zip(&polls) {
             let table: SockTable = rows.iter().map(|&seed| hostile_row(seed)).collect();
             let mut text = table.render();
             for &(at, what) in splices {
@@ -304,15 +309,12 @@ proptest! {
                 }
                 text.insert_str(at, pick(SPLICES, what));
             }
-            runner.push_ok(text);
-        }
-        let mut observer = SsExecObserver::new(runner);
-        for second in 1..=polls.len() as u64 {
-            let now = SimTime::from_secs(second);
-            match observer.try_observe() {
-                Ok(rows) => agent.tick(now, &mut FnObserver(|| rows.clone()), &mut recorder),
-                Err(_) => agent.tick_degraded(now, &mut recorder),
+            // riptided's poll: a snapshot the parser rejects ends the run.
+            let Ok(mut socks) = SockTable::parse(&text) else {
+                break;
             };
+            let now = SimTime::from_secs(second);
+            daemon.poll(now, |agent| agent.tick(now, &mut socks, &mut recorder));
             if let Err(why) = recorder.stayed_inside(&config) {
                 prop_assert!(false, "poll {}: {}", second, why);
             }
@@ -321,7 +323,7 @@ proptest! {
 }
 
 /// A megabyte of conf text in one line, in newlines, and in one-byte
-/// lines; a megabyte of `ss` text through the observer.
+/// lines; a megabyte of `ss` text through riptided's poll.
 #[test]
 fn a_megabyte_is_linear_work() {
     const MB: usize = 1 << 20;
@@ -334,16 +336,21 @@ fn a_megabyte_is_linear_work() {
     ] {
         assert!(RiptideConfig::from_conf_str(&text).is_err() || text.starts_with(['\n', '#']));
     }
-    let mut runner = ScriptedRunner::new();
-    runner.push_ok(" cwnd:1".repeat(MB / 7));
-    runner.push_ok("\n".repeat(MB));
-    let mut observer = SsExecObserver::new(runner);
-    assert!(observer.try_observe().is_err(), "one orphan info line");
-    assert_eq!(
-        observer.try_observe(),
-        Ok(Vec::new()),
-        "blank lines are no sockets"
+    assert!(
+        SockTable::parse(&" cwnd:1".repeat(MB / 7)).is_err(),
+        "one orphan info line"
     );
+    let mut blank = SockTable::parse(&"\n".repeat(MB)).expect("blank lines parse");
+    let mut daemon = Daemon::<Vec<u8>>::new(
+        RiptideAgent::new(RiptideConfig::deployment()).unwrap(),
+        None,
+        SNAPSHOT_EVERY,
+    );
+    let now = SimTime::from_secs(1);
+    let report = daemon.poll(now, |agent| {
+        agent.tick(now, &mut blank, &mut Recorder::default())
+    });
+    assert_eq!(report.observed_connections, 0, "blank lines are no sockets");
     // Generous for a debug build on a busy machine; a quadratic pass over
     // a megabyte takes hours.
     assert!(started.elapsed() < Duration::from_secs(20));

@@ -124,6 +124,39 @@ fn malformed_snapshot_fails_cleanly() {
 }
 
 #[test]
+fn an_unusable_poll_is_never_read_as_an_empty_one() {
+    let snap = write_snapshot("unusable-a", SNAPSHOT_A);
+    let bad = write_snapshot("unusable-b", "WAT 10.0.0.1\n");
+    // As in `ttl_expiry_emits_route_del`: two empty polls (t=120, 180)
+    // would expire 10.0.9.1 and print its `ip route del`. The first
+    // malformed one ends the run instead, leaving the learned route alone.
+    let out = run(&[
+        "--no-history",
+        "--interval",
+        "60",
+        "--ttl",
+        "60",
+        snap.to_str().unwrap(),
+        bad.to_str().unwrap(),
+        bad.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("riptided:"), "diagnostic printed: {stderr}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(
+        stdout.contains("ip route replace 10.0.9.1 proto static initcwnd 80"),
+        "the first poll ran: {stdout}"
+    );
+    assert!(
+        !stdout.contains("ip route del 10.0.9.1"),
+        "no expiry on an unusable poll: {stdout}"
+    );
+    std::fs::remove_file(snap).ok();
+    std::fs::remove_file(bad).ok();
+}
+
+#[test]
 fn no_snapshots_is_a_usage_error() {
     let out = run(&["--cmax", "50"]);
     assert!(!out.status.success());

@@ -14,9 +14,6 @@
 //! * [`ip_cmd::IpRouteCmd`] — the `ip route add/replace/del` command syntax
 //!   of the paper's Fig. 8, so control actions round-trip through the same
 //!   text a shell deployment would execute.
-//! * [`exec::CommandRunner`] — the subprocess seam itself (run argv, get
-//!   stdout, or one of the three real-world failures: spawn error,
-//!   non-zero exit, timeout), with a deterministic scripted test double.
 //!
 //! ## Module map (↔ paper sections)
 //!
@@ -27,11 +24,10 @@
 //! | [`ss`] | `ss -i` render/parse, incl. lossy salvage of truncated output | §III poll loop input |
 //! | [`ip_cmd`] | `ip route …` grammar | Fig. 8 |
 //! | [`prefix`] | IPv4 prefixes (host and `/24` granularity) | §III-B granularity |
-//! | [`exec`] | subprocess runner + failure taxonomy | §IV-D failure handling |
 //!
-//! The crate is dependency-free and usable on its own; the reproduction
-//! wires it to simulated hosts, but the same types could front the real
-//! utilities via `std::process::Command`.
+//! The crate is dependency-free and usable on its own. It runs no
+//! processes: the reproduction wires it to simulated hosts, and
+//! `riptided` reads `ss` text from files and prints `ip route` lines.
 //!
 //! ## Example: what Riptide does, in three lines
 //!
@@ -50,7 +46,6 @@
 
 #![warn(missing_docs)]
 
-pub mod exec;
 pub mod ip_cmd;
 pub mod lpm;
 pub mod prefix;
@@ -59,7 +54,6 @@ pub mod ss;
 
 /// The types most users need, importable in one line.
 pub mod prelude {
-    pub use crate::exec::{CommandRunner, ExecError, ScriptedRunner};
     pub use crate::ip_cmd::{IpRouteAction, IpRouteCmd};
     pub use crate::lpm::LpmTrie;
     pub use crate::prefix::Ipv4Prefix;

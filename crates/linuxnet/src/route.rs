@@ -432,26 +432,6 @@ impl RouteTable {
         }
         Ok(table)
     }
-
-    /// Dumps the kernel's current route state by running
-    /// `ip route show` through a [`CommandRunner`] and parsing the
-    /// output lossily — the live seam the reconciler audits through on a
-    /// real host. Unparseable lines are returned alongside the table so
-    /// the caller can count (but never touch) foreign state.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`ExecError`] when the command itself fails; parse
-    /// defects are not errors at this level.
-    ///
-    /// [`CommandRunner`]: crate::exec::CommandRunner
-    /// [`ExecError`]: crate::exec::ExecError
-    pub fn dump_via(
-        runner: &mut impl crate::exec::CommandRunner,
-    ) -> Result<(Self, Vec<ParseRouteError>), crate::exec::ExecError> {
-        let stdout = runner.run(&["ip", "route", "show"])?;
-        Ok(RouteTable::parse_lossy(&stdout))
-    }
 }
 
 impl<'a> IntoIterator for &'a RouteTable {
@@ -677,20 +657,6 @@ mod tests {
         let (lossy, errors) = RouteTable::parse_lossy(&t.render());
         assert!(errors.is_empty());
         assert_eq!(lossy.render(), t.render());
-    }
-
-    #[test]
-    fn dump_via_runs_ip_route_show() {
-        use crate::exec::ScriptedRunner;
-        let mut runner = ScriptedRunner::new();
-        runner.push_ok("10.0.1.7 proto static initcwnd 80\n");
-        let (table, errors) = RouteTable::dump_via(&mut runner).unwrap();
-        assert!(errors.is_empty());
-        assert_eq!(table.len(), 1);
-        assert_eq!(runner.calls()[0], vec!["ip", "route", "show"]);
-        // An exhausted script means the command failed to spawn: the
-        // exec error itself surfaces.
-        assert!(RouteTable::dump_via(&mut runner).is_err());
     }
 
     #[test]

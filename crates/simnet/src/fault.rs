@@ -139,7 +139,7 @@ impl FaultPlan {
     }
 
     /// A plan with every per-opportunity rate set to `rate` — the knob the
-    /// `chaos` binary sweeps.
+    /// `chaos` experiment sweeps.
     ///
     /// Crash probability is scaled down by 50× (a 20% fault rate would
     /// otherwise crash every fifth one-second tick, which models a
@@ -231,8 +231,8 @@ pub enum ObserveFault {
 pub enum InstallFault {
     /// The install succeeded immediately.
     None,
-    /// The `ip` subprocess failed (non-zero exit / spawn error).
-    ExecError,
+    /// The install failed, as an `ip route` that exits non-zero does.
+    Failed,
     /// The install was accepted but will only take effect after
     /// [`FaultPlan::install_delay_for`].
     Delayed,
@@ -359,7 +359,7 @@ impl FaultInjector {
     pub fn install_fault(&mut self) -> InstallFault {
         if self.install_rng.chance(self.plan.install_error) {
             self.stats.install_errors += 1;
-            return InstallFault::ExecError;
+            return InstallFault::Failed;
         }
         if self.install_rng.chance(self.plan.install_delay) {
             self.stats.install_delays += 1;

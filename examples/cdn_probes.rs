@@ -1,7 +1,8 @@
 //! The paper's headline experiment, miniaturized: a global CDN where
 //! every machine probes every other PoP with 10/50/100 KB objects, run
 //! twice — once as a control and once with Riptide on every machine —
-//! and compared probe-by-probe.
+//! and compared probe-by-probe. It runs the plan the figure harnesses
+//! run: one shard per arm and sender PoP, seed-paired across arms.
 //!
 //! Run with: `cargo run --release --example cdn_probes`
 
@@ -22,7 +23,7 @@ fn main() {
         "simulating {} PoPs x {} machines, {} window...",
         scale.sites, scale.machines_per_pop, scale.duration
     );
-    let cmp = probe_comparison(&scale);
+    let cmp = RunPlan::probe_comparison(&scale, 1).run().comparison();
     println!(
         "control: {} probes; riptide: {} probes\n",
         cmp.control.len(),
@@ -36,12 +37,11 @@ fn main() {
         "size_kb", "arm", "p50_ms", "p90_ms", "gain_%"
     );
     for &size in &[10_000u64, 50_000, 100_000] {
-        let pick = |arm: &[ProbeOutcome]| {
-            Cdf::new(
-                arm.iter()
-                    .filter(|p| p.src_site == sender && p.size == size)
-                    .map(|p| p.completion.as_millis_f64()),
-            )
+        let pick = |arm: &[ProbeOutcome]| -> Cdf {
+            arm.iter()
+                .filter(|p| p.src_site == sender && p.size == size)
+                .map(|p| p.completion.as_millis_f64())
+                .collect()
         };
         let ctl = pick(&cmp.control);
         let rip = pick(&cmp.riptide);

@@ -1,9 +1,10 @@
 //! Integration tests spanning all four crates: the full
 //! observe → learn → install → jump-start pipeline, run on the simulated
-//! CDN exactly as the figure harnesses run it.
+//! CDN exactly as the figure harnesses run it (through `RunPlan`, one
+//! shard per arm and sender).
 
 use riptide_repro::cdn::experiment::{
-    completion_by_bucket, gain_by_percentile, probe_comparison, probe_sender_sites, ExperimentScale,
+    completion_by_bucket, gain_by_percentile, probe_sender_sites, ExperimentScale, StackTweaks,
 };
 use riptide_repro::cdn::prelude::*;
 use riptide_repro::cdn::stats::Cdf;
@@ -15,25 +16,33 @@ use riptide_repro::simnet::prelude::*;
 use riptide_repro::simnet::time::SimTime;
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::OnceLock;
 
 fn scale() -> ExperimentScale {
     ExperimentScale::test()
 }
 
+/// The test-scale probe comparison, run once for every test here.
+fn comparison() -> &'static ProbeComparison {
+    static RUN: OnceLock<ProbeComparison> = OnceLock::new();
+    RUN.get_or_init(|| RunPlan::probe_comparison(&scale(), 1).run().comparison())
+}
+
+/// Completion times (ms) of `size` probes sent from `sender`.
+fn completions(arm: &[ProbeOutcome], sender: usize, size: u64) -> Cdf {
+    arm.iter()
+        .filter(|p| p.src_site == sender && p.size == size)
+        .map(|p| p.completion.as_millis_f64())
+        .collect()
+}
+
 #[test]
 fn headline_riptide_beats_control_on_large_probes() {
-    let cmp = probe_comparison(&scale());
+    let cmp = comparison();
     let sender = probe_sender_sites(&scale())[0];
     for &size in &[50_000u64, 100_000] {
-        let pick = |arm: &[ProbeOutcome]| {
-            Cdf::new(
-                arm.iter()
-                    .filter(|p| p.src_site == sender && p.size == size)
-                    .map(|p| p.completion.as_millis_f64()),
-            )
-        };
-        let ctl = pick(&cmp.control);
-        let rip = pick(&cmp.riptide);
+        let ctl = completions(&cmp.control, sender, size);
+        let rip = completions(&cmp.riptide, sender, size);
         assert!(
             rip.quantile(0.75) < ctl.quantile(0.75),
             "{size}B p75: riptide {} vs control {}",
@@ -45,15 +54,9 @@ fn headline_riptide_beats_control_on_large_probes() {
 
 #[test]
 fn headline_small_probes_and_tails_are_unharmed() {
-    let cmp = probe_comparison(&scale());
+    let cmp = comparison();
     let sender = probe_sender_sites(&scale())[0];
-    let pick = |arm: &[ProbeOutcome], size| {
-        Cdf::new(
-            arm.iter()
-                .filter(|p| p.src_site == sender && p.size == size)
-                .map(|p| p.completion.as_millis_f64()),
-        )
-    };
+    let pick = |arm: &[ProbeOutcome], size| completions(arm, sender, size);
     // Fig. 12: 10 KB fits the default window — no change either way.
     let ctl = pick(&cmp.control, 10_000);
     let rip = pick(&cmp.riptide, 10_000);
@@ -73,9 +76,8 @@ fn headline_small_probes_and_tails_are_unharmed() {
 
 #[test]
 fn fig15_shape_lower_percentiles_flat_upper_gain() {
-    let cmp = probe_comparison(&scale());
     let sender = probe_sender_sites(&scale())[0];
-    let gains = gain_by_percentile(&cmp, sender, 50_000);
+    let gains = gain_by_percentile(comparison(), sender, 50_000);
     let low: Vec<f64> = gains
         .iter()
         .filter(|g| g.percentile <= 40)
@@ -105,12 +107,15 @@ fn probes_land_in_every_expected_bucket_per_figures_12_to_14() {
     let big = ExperimentScale {
         sites: 34,
         machines_per_pop: 1,
-        duration: riptide_repro::simnet::time::SimDuration::from_secs(240),
-        warmup: riptide_repro::simnet::time::SimDuration::from_secs(60),
-        probe_interval: riptide_repro::simnet::time::SimDuration::from_secs(60),
+        duration: SimDuration::from_secs(240),
+        warmup: SimDuration::from_secs(60),
+        probe_interval: SimDuration::from_secs(60),
         seed: 5,
     };
-    let outcomes = riptide_repro::cdn::experiment::probe_experiment(&big, false);
+    let control = PlanArm::stack("control", None, StackTweaks::default());
+    let outcomes = RunPlan::probe_arms("control", &big, vec![control], 1)
+        .run()
+        .merged_probes(0);
     let sender = probe_sender_sites(&big)[0];
     let buckets = completion_by_bucket(&outcomes, sender, 50_000);
     assert_eq!(
@@ -134,32 +139,20 @@ fn section3c_small_initrwnd_nullifies_riptide() {
     // the default receive window may not be able to handle the first
     // incoming burst" — initrwnd must be raised to c_max or the boost is
     // wasted.
-    use riptide_repro::cdn::experiment::{probe_experiment_with, StackTweaks};
-    use riptide_repro::riptide::config::RiptideConfig;
     let scale = scale();
     let sender = probe_sender_sites(&scale)[0];
-    let med = |outcomes: &[ProbeOutcome]| {
-        Cdf::new(
-            outcomes
-                .iter()
-                .filter(|p| p.src_site == sender && p.size == 100_000)
-                .map(|p| p.completion.as_millis_f64()),
-        )
-        .median()
+    let riptide = Some(RiptideConfig::deployment());
+    let starved = StackTweaks {
+        initial_rwnd: Some(10),
+        ..StackTweaks::default()
     };
-    let proper = med(&probe_experiment_with(
-        &scale,
-        Some(RiptideConfig::deployment()),
-        StackTweaks::default(),
-    ));
-    let starved = med(&probe_experiment_with(
-        &scale,
-        Some(RiptideConfig::deployment()),
-        StackTweaks {
-            initial_rwnd: Some(10),
-            ..StackTweaks::default()
-        },
-    ));
+    let arms = vec![
+        PlanArm::stack("proper", riptide.clone(), StackTweaks::default()),
+        PlanArm::stack("starved", riptide, starved),
+    ];
+    let report = RunPlan::probe_arms("initrwnd", &scale, arms, 1).run();
+    let med = |arm| completions(&report.merged_probes(arm), sender, 100_000).median();
+    let (proper, starved) = (med(0), med(1));
     assert!(
         starved > proper * 1.15,
         "without the initrwnd fix Riptide's boost stalls on flow control: \

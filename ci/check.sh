@@ -42,10 +42,6 @@ fi
 if [[ "$stage" == "build" || "$stage" == "all" ]]; then
     run cargo build --release --workspace
     run cargo test -q --release --workspace
-    # Doc-tests explicitly: the `# Examples` blocks across the crates
-    # are executable documentation and must stay honest on their own,
-    # even if a future flag trims them from the default test run.
-    run cargo test -q --release --doc --workspace
 
     # The tests above build the examples but never run them; run each
     # once, so one that panics fails here. `cargo test` already built
@@ -56,34 +52,23 @@ if [[ "$stage" == "build" || "$stage" == "all" ]]; then
         cargo run -q --release --example "$example" >/dev/null
     done
 
-    # The two goldens and the three differential tests, by name: the
-    # telemetry text format, the agent's accounting (commands, stats,
-    # exposition and journal of one scripted run), the timing wheel
-    # against the ordered-map model, the `ss` scanner against the parser
-    # it replaced, and the agent tick against its naive model, so an
-    # ordering, a parsing or a bookkeeping bug fails here and not as a
-    # digest diff below.
-    run cargo test -q --release --test golden_exposition
-    run cargo test -q --release --test agent_accounting
-    run cargo test -q --release --test event_queue_differential
-    run cargo test -q --release --test ss_scanner_differential
-    run cargo test -q --release --test tick_differential
-
-    # The proptest shim seeds each property from its name, so the runs
-    # above see one input set for ever. Two more, for the properties
+    # The proptest shim seeds each property from its name, so the run
+    # above sees one input set for ever. Two more, for the properties
     # that read bytes from outside — the scanner against its model, the
     # hostile-text totality tests, and the state-file reader over bytes
     # a faulty disk tore at random — and for the tick against its model;
     # hostile text and the tick in the debug profile, where an overflow
-    # panics instead of wrapping (the core and linuxnet build is 8 s
-    # cold, the tick's harness 6 s more; each seed then costs 2 s, the
-    # tick 1 s, the scanner 0.2 s, the state file under 0.1 s).
+    # panics instead of wrapping. These files are modules of the
+    # `repro` (root package) and `riptide` (crates/core) test binaries,
+    # so a module name followed by `::` picks one file's tests.
     for seed in 1 2016; do
-        run env PROPTEST_SEED="$seed" cargo test -q --release --test ss_scanner_differential
-        run env PROPTEST_SEED="$seed" cargo test -q -p riptide -p riptide-linuxnet \
-            --test hostile_text
-        run env PROPTEST_SEED="$seed" cargo test -q --test tick_differential
-        run env PROPTEST_SEED="$seed" cargo test -q --release -p riptide --test persist_props
+        run env PROPTEST_SEED="$seed" cargo test -q --release --test repro \
+            ss_scanner_differential::
+        run env PROPTEST_SEED="$seed" cargo test -q -p riptide --test riptide hostile_text::
+        run env PROPTEST_SEED="$seed" cargo test -q -p riptide-linuxnet --test hostile_text
+        run env PROPTEST_SEED="$seed" cargo test -q --test repro tick_differential::
+        run env PROPTEST_SEED="$seed" cargo test -q --release -p riptide --test riptide \
+            persist_props::
     done
 
     # The four outcome records, one --check each. Every family re-runs

@@ -1,11 +1,12 @@
-//! The paper's own evidence: Figs. 2–6 and 9–16, Tables I–II and the
-//! §IV-D edge-case analysis, one function per figure.
+//! The paper's own evidence: Figs. 2–6, 9–11, Tables I–II and the §IV-D
+//! edge-case analysis, one function per figure. Figs. 12–16 share two
+//! reports in the library and are rows of the driver's table.
 
 use riptide::model::{rtt_gain, rtts_for_bytes, transfer_time, DEFAULT_MSS};
 use riptide::prelude::*;
 use riptide_bench::{
     banner, execute_plan, log_spaced_sizes, pooled_probe_comparison, print_cdf_series,
-    print_cdf_summary, run_gain_figure, run_probe_time_figure, Outcome, RunOptions,
+    print_cdf_summary, Outcome, RunOptions,
 };
 use riptide_cdn::engine::RunPlan;
 use riptide_cdn::experiment::{edge_cases as edge_case_rows, probe_sender_sites};
@@ -299,72 +300,6 @@ pub fn fig11(opts: &RunOptions) -> Outcome {
         (1.0 - busy.fraction_at_or_below(99.5)) * 100.0,
         probe_only.median(),
         probe_only.fraction_at_or_below(99.5) * 100.0
-    );
-    Ok(())
-}
-
-/// Figure 12: CDF of probe completion time for 10 KB probes, grouped by
-/// destination RTT — Riptide has no discernible effect (and no harm),
-/// since 10 KB already fits in the default initial window.
-pub fn fig12(opts: &RunOptions) -> Outcome {
-    run_probe_time_figure(
-        opts,
-        10_000,
-        "Figure 12",
-        "10KB probes show no change — they already fit in the default window of 10",
-    );
-    Ok(())
-}
-
-/// Figure 13: CDF of probe completion time for 50 KB probes, grouped by
-/// destination RTT — Riptide flows pull ahead, completing whole RTTs
-/// sooner (the stair-step pattern), more so for farther destinations.
-pub fn fig13(opts: &RunOptions) -> Outcome {
-    run_probe_time_figure(
-        opts,
-        50_000,
-        "Figure 13",
-        "50KB probes: transfer times decrease for ~30% of connections; \
-         gaps widen with destination RTT",
-    );
-    Ok(())
-}
-
-/// Figure 14: CDF of probe completion time for 100 KB probes, grouped by
-/// destination RTT — gains across ~78% of connections.
-pub fn fig14(opts: &RunOptions) -> Outcome {
-    run_probe_time_figure(
-        opts,
-        100_000,
-        "Figure 14",
-        "100KB probes achieve gains across ~78% of observed connections; \
-         Riptide flows regularly complete an RTT sooner",
-    );
-    Ok(())
-}
-
-/// Figure 15: fraction of gain by percentile for the European and North
-/// American sender PoPs, 50 KB probes — flat through ~p50–p60, then
-/// gains up to 30% (EU) / 21% (NA).
-pub fn fig15(opts: &RunOptions) -> Outcome {
-    run_gain_figure(
-        opts,
-        50_000,
-        "Figure 15",
-        "50KB probes: p5–p60 nearly unchanged; upper percentiles gain up to 30% (EU) / 21% (NA)",
-    );
-    Ok(())
-}
-
-/// Figure 16: fraction of gain by percentile, 100 KB probes — broader
-/// improvements than Fig. 15 (gains from ~p30 in the EU case, all
-/// percentiles in the NA case, up to ~25%).
-pub fn fig16(opts: &RunOptions) -> Outcome {
-    run_gain_figure(
-        opts,
-        100_000,
-        "Figure 16",
-        "100KB probes: gains reach lower percentiles (p30+ EU, all NA), up to ~25%",
     );
     Ok(())
 }

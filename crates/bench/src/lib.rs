@@ -430,7 +430,12 @@ pub fn pooled_probe_comparison(opts: &RunOptions) -> riptide_cdn::experiment::Pr
 /// Runs the paired probe experiment and prints a Figs. 12–14-style
 /// report for one probe size: per sender PoP, per RTT bucket, control vs
 /// Riptide completion-time CDF summaries.
-pub fn run_probe_time_figure(opts: &RunOptions, size: u64, figure: &str, paper_note: &str) {
+pub fn run_probe_time_figure(
+    opts: &RunOptions,
+    size: u64,
+    figure: &str,
+    paper_note: &str,
+) -> Outcome {
     use riptide_cdn::experiment::{completion_by_bucket, probe_sender_sites};
 
     banner(
@@ -459,6 +464,7 @@ pub fn run_probe_time_figure(opts: &RunOptions, size: u64, figure: &str, paper_n
         }
     }
     println!("\n# paper: {paper_note}");
+    Ok(())
 }
 
 fn print_bucket_row(bucket: &str, arm: &str, cdf: &Cdf) {
@@ -479,7 +485,7 @@ fn print_bucket_row(bucket: &str, arm: &str, cdf: &Cdf) {
 
 /// Runs the paired probe experiment and prints a Figs. 15/16-style
 /// per-percentile gain report for one probe size, for both sender PoPs.
-pub fn run_gain_figure(opts: &RunOptions, size: u64, figure: &str, paper_note: &str) {
+pub fn run_gain_figure(opts: &RunOptions, size: u64, figure: &str, paper_note: &str) -> Outcome {
     use riptide_cdn::experiment::{gain_by_percentile, probe_sender_sites};
 
     banner(
@@ -505,6 +511,7 @@ pub fn run_gain_figure(opts: &RunOptions, size: u64, figure: &str, paper_note: &
         );
     }
     println!("# paper: {paper_note}");
+    Ok(())
 }
 
 /// Log-spaced file sizes between `lo` and `hi` bytes, inclusive.

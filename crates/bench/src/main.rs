@@ -7,7 +7,9 @@
 
 use std::process::ExitCode;
 
-use riptide_bench::{parse_args, Outcome, RunOptions, USAGE};
+use riptide_bench::{
+    parse_args, run_gain_figure, run_probe_time_figure, Outcome, RunOptions, USAGE,
+};
 
 mod families;
 mod figures;
@@ -20,114 +22,143 @@ mod studies;
 struct Experiment {
     name: &'static str,
     about: &'static str,
-    run: fn(&RunOptions) -> Outcome,
+    run: Run,
+}
+
+/// What a row runs. Figs. 12–16 each print one of two reports of the
+/// paired probe comparison at one probe size; `paper` is what the paper
+/// reads off the figure.
+enum Run {
+    /// A function that prints its own table.
+    Own(fn(&RunOptions) -> Outcome),
+    /// Figs. 12–14: completion times by destination RTT bucket.
+    ProbeTimes { size: u64, paper: &'static str },
+    /// Figs. 15–16: completion-time gain by percentile.
+    Gains { size: u64, paper: &'static str },
 }
 
 const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         name: "fig02",
         about: "Fig. 2: file size distribution",
-        run: figures::fig02,
+        run: Run::Own(figures::fig02),
     },
     Experiment {
         name: "fig03",
         about: "Fig. 3: RTTs needed per initcwnd",
-        run: figures::fig03,
+        run: Run::Own(figures::fig03),
     },
     Experiment {
         name: "fig04",
         about: "Fig. 4: theoretical RTT gains",
-        run: figures::fig04,
+        run: Run::Own(figures::fig04),
     },
     Experiment {
         name: "fig05",
         about: "Fig. 5: inter-PoP RTT distribution",
-        run: figures::fig05,
+        run: Run::Own(figures::fig05),
     },
     Experiment {
         name: "fig06",
         about: "Fig. 6: 100 KB transfer-time model",
-        run: figures::fig06,
+        run: Run::Own(figures::fig06),
     },
     Experiment {
         name: "fig09",
         about: "Fig. 9: ASCII map of the PoPs",
-        run: figures::fig09,
+        run: Run::Own(figures::fig09),
     },
     Experiment {
         name: "fig10",
         about: "Fig. 10: live-cwnd CDFs, c_max sweep",
-        run: figures::fig10,
+        run: Run::Own(figures::fig10),
     },
     Experiment {
         name: "fig11",
         about: "Fig. 11: probe-only vs busy PoP windows",
-        run: figures::fig11,
+        run: Run::Own(figures::fig11),
     },
     Experiment {
         name: "fig12",
         about: "Fig. 12: 10 KB probe times by RTT bucket",
-        run: figures::fig12,
+        run: Run::ProbeTimes {
+            size: 10_000,
+            paper: "10KB probes show no change — they already fit in the default window of 10",
+        },
     },
     Experiment {
         name: "fig13",
         about: "Fig. 13: 50 KB probe times by RTT bucket",
-        run: figures::fig13,
+        run: Run::ProbeTimes {
+            size: 50_000,
+            paper: "50KB probes: transfer times decrease for ~30% of connections; \
+                    gaps widen with destination RTT",
+        },
     },
     Experiment {
         name: "fig14",
         about: "Fig. 14: 100 KB probe times by RTT bucket",
-        run: figures::fig14,
+        run: Run::ProbeTimes {
+            size: 100_000,
+            paper: "100KB probes achieve gains across ~78% of observed connections; \
+                    Riptide flows regularly complete an RTT sooner",
+        },
     },
     Experiment {
         name: "fig15",
         about: "Fig. 15: gain by percentile, 50 KB",
-        run: figures::fig15,
+        run: Run::Gains {
+            size: 50_000,
+            paper: "50KB probes: p5–p60 nearly unchanged; upper percentiles gain up to 30% (EU) / 21% (NA)",
+        },
     },
     Experiment {
         name: "fig16",
         about: "Fig. 16: gain by percentile, 100 KB",
-        run: figures::fig16,
+        run: Run::Gains {
+            size: 100_000,
+            paper: "100KB probes: gains reach lower percentiles (p30+ EU, all NA), up to ~25%",
+        },
     },
     Experiment {
         name: "table01",
         about: "Table I: parameters, plus the Fig. 7/8 demo",
-        run: figures::table01,
+        run: Run::Own(figures::table01),
     },
     Experiment {
         name: "table02",
         about: "Table II: PoPs per continent",
-        run: figures::table02,
+        run: Run::Own(figures::table02),
     },
     Experiment {
         name: "edge_cases",
         about: "§IV-D: best/worst-case completion change",
-        run: figures::edge_cases,
+        run: Run::Own(figures::edge_cases),
     },
     Experiment {
         name: "ablation",
         about: "§III-B design and stack ablations",
-        run: studies::ablation,
+        run: Run::Own(studies::ablation),
     },
     Experiment {
         name: "convergence",
         about: "learned-state warm-up curve from a cold start",
-        run: studies::convergence,
+        run: Run::Own(studies::convergence),
     },
     Experiment {
         name: "kernel_mode",
         about: "§V: kernel events vs userspace polling",
-        run: studies::kernel_mode,
+        run: Run::Own(studies::kernel_mode),
     },
     Experiment {
         name: "chaos",
         about: "gain survival under injected infrastructure faults",
-        run: studies::chaos,
+        run: Run::Own(studies::chaos),
     },
     Experiment {
         name: "megacdn",
         about: "million-prefix destination-table gate (BENCH_megacdn.json)",
-        run: megacdn::megacdn,
+        run: Run::Own(megacdn::megacdn),
     },
 ];
 
@@ -149,7 +180,14 @@ fn main() -> ExitCode {
     let outcome = if let Some(family) = families::FAMILIES.iter().find(|f| f.name == name) {
         families::drive(family, &parse_args(args, family.scale, family.seeds))
     } else if let Some(experiment) = EXPERIMENTS.iter().find(|e| e.name == name) {
-        (experiment.run)(&parse_args(args, "quick", 1))
+        let opts = parse_args(args, "quick", 1);
+        // The banner's title: "fig12" is "Figure 12".
+        let figure = || format!("Figure {}", &experiment.name[3..]);
+        match experiment.run {
+            Run::Own(run) => run(&opts),
+            Run::ProbeTimes { size, paper } => run_probe_time_figure(&opts, size, &figure(), paper),
+            Run::Gains { size, paper } => run_gain_figure(&opts, size, &figure(), paper),
+        }
     } else if name == "--list" {
         print!("{}", catalogue());
         Ok(())

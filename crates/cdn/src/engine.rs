@@ -440,7 +440,7 @@ impl RunPlan {
     /// [`RunPlan::run_with_threads`] with the steal-victim scan seeded
     /// explicitly. Different seeds change *which worker* executes a
     /// stolen shard — never the shard's result or the merged report,
-    /// which `tests/scheduler.rs` property-tests across adversarial
+    /// which `tests/repro/scheduler.rs` property-tests across adversarial
     /// seeds.
     ///
     /// # Panics

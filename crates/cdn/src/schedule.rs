@@ -29,8 +29,8 @@
 //! written into a slot indexed by plan position. Reports merge slots in
 //! plan order, so the digest is a pure function of the plan, invariant
 //! under thread count, steal order, and the victim-selection seed.
-//! `tests/scheduler.rs` property-tests exactly that, and
-//! `tests/digest_golden.rs` pins the rendered bytes.
+//! `tests/repro/scheduler.rs` property-tests exactly that, and
+//! `tests/repro/digest_golden.rs` pins the rendered bytes.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;

@@ -139,20 +139,17 @@ impl FixedHistogram {
     }
 }
 
+#[derive(Debug, Clone)]
+enum Handle {
+    Counter(Counter),
+    Gauge(Gauge),
+    Histogram(FixedHistogram),
+}
+
 #[derive(Debug)]
-enum Registered {
-    Counter {
-        help: String,
-        handle: Counter,
-    },
-    Gauge {
-        help: String,
-        handle: Gauge,
-    },
-    Histogram {
-        help: String,
-        handle: FixedHistogram,
-    },
+struct Registered {
+    help: String,
+    handle: Handle,
 }
 
 /// A named collection of metrics.
@@ -189,20 +186,27 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
+    /// Registers `name` with a handle from `fresh` unless it is
+    /// registered already, and returns the handle it holds.
+    fn register(&self, name: &str, help: &str, fresh: impl FnOnce() -> Handle) -> Handle {
+        let mut map = self.inner.lock().expect("registry lock");
+        map.entry(name.to_string())
+            .or_insert_with(|| Registered {
+                help: help.to_string(),
+                handle: fresh(),
+            })
+            .handle
+            .clone()
+    }
+
     /// Registers (or retrieves) a counter.
     ///
     /// # Panics
     ///
     /// Panics if `name` is already registered as a different kind.
     pub fn counter(&self, name: &str, help: &str) -> Counter {
-        let mut map = self.inner.lock().expect("registry lock");
-        match map
-            .entry(name.to_string())
-            .or_insert_with(|| Registered::Counter {
-                help: help.to_string(),
-                handle: Counter::default(),
-            }) {
-            Registered::Counter { handle, .. } => handle.clone(),
+        match self.register(name, help, || Handle::Counter(Counter::default())) {
+            Handle::Counter(handle) => handle,
             _ => panic!("metric {name:?} already registered as a non-counter"),
         }
     }
@@ -213,14 +217,8 @@ impl MetricsRegistry {
     ///
     /// Panics if `name` is already registered as a different kind.
     pub fn gauge(&self, name: &str, help: &str) -> Gauge {
-        let mut map = self.inner.lock().expect("registry lock");
-        match map
-            .entry(name.to_string())
-            .or_insert_with(|| Registered::Gauge {
-                help: help.to_string(),
-                handle: Gauge::default(),
-            }) {
-            Registered::Gauge { handle, .. } => handle.clone(),
+        match self.register(name, help, || Handle::Gauge(Gauge::default())) {
+            Handle::Gauge(handle) => handle,
             _ => panic!("metric {name:?} already registered as a non-gauge"),
         }
     }
@@ -234,14 +232,10 @@ impl MetricsRegistry {
     /// Panics if `name` is already registered as a different kind, or if
     /// `bounds` are not strictly increasing.
     pub fn histogram(&self, name: &str, help: &str, bounds: &[u64]) -> FixedHistogram {
-        let mut map = self.inner.lock().expect("registry lock");
-        match map
-            .entry(name.to_string())
-            .or_insert_with(|| Registered::Histogram {
-                help: help.to_string(),
-                handle: FixedHistogram::new(bounds),
-            }) {
-            Registered::Histogram { handle, .. } => handle.clone(),
+        match self.register(name, help, || {
+            Handle::Histogram(FixedHistogram::new(bounds))
+        }) {
+            Handle::Histogram(handle) => handle,
             _ => panic!("metric {name:?} already registered as a non-histogram"),
         }
     }
@@ -256,20 +250,21 @@ impl MetricsRegistry {
         let map = self.inner.lock().expect("registry lock");
         let metrics = map
             .iter()
-            .map(|(name, reg)| {
-                let value = match reg {
-                    Registered::Counter { help, handle } => MetricValue::Counter {
-                        help: help.clone(),
+            .map(|(name, Registered { help, handle })| {
+                let help = help.clone();
+                let value = match handle {
+                    Handle::Counter(handle) => MetricValue::Counter {
+                        help,
                         value: handle.get(),
                     },
-                    Registered::Gauge { help, handle } => MetricValue::Gauge {
-                        help: help.clone(),
+                    Handle::Gauge(handle) => MetricValue::Gauge {
+                        help,
                         value: handle.get(),
                     },
-                    Registered::Histogram { help, handle } => {
+                    Handle::Histogram(handle) => {
                         let core = &handle.0;
                         MetricValue::Histogram {
-                            help: help.clone(),
+                            help,
                             bounds: core.bounds.clone(),
                             buckets: core
                                 .buckets

@@ -1,0 +1,8 @@
+//! The `riptide` crate's integration tests, one module per subject,
+//! linked into one test binary. Run one subject with
+//! `cargo test -p riptide --test riptide <module>::`.
+
+mod hostile_text;
+mod persist_props;
+mod resilience_edges;
+mod riptided_cli;

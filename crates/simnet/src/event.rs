@@ -50,7 +50,7 @@
 //! rides along in the tuples never decides a comparison, and the order in
 //! which a slot's list happened to be linked is erased by the sort. The
 //! pop sequence is therefore the one a single `(at, seq)`-ordered heap
-//! would produce (`tests/event_queue_differential.rs` holds it to that
+//! would produce (`tests/repro/event_queue_differential.rs` holds it to that
 //! against a `BTreeMap` model).
 //!
 //! # Why these constants, and what was tried instead

@@ -15,7 +15,7 @@
 //! To re-bless after an intentional change:
 //!
 //! ```text
-//! RIPTIDE_BLESS=1 cargo test --test agent_accounting
+//! RIPTIDE_BLESS=1 cargo test --test repro agent_accounting::
 //! ```
 
 use std::collections::HashMap;

@@ -17,7 +17,7 @@
 //! To re-bless after an intentional behaviour change:
 //!
 //! ```text
-//! RIPTIDE_BLESS=1 cargo test --release --test digest_golden
+//! RIPTIDE_BLESS=1 cargo test --release --test repro digest_golden::
 //! ```
 //!
 //! [`RunReport::digest`]: riptide_repro::cdn::engine::RunReport::digest
@@ -25,14 +25,9 @@
 use std::path::PathBuf;
 
 use riptide_repro::cdn::engine::RunPlan;
-use riptide_repro::cdn::experiment::ExperimentScale;
 use riptide_repro::simnet::time::SimDuration;
 
-fn small_scale() -> ExperimentScale {
-    let mut scale = ExperimentScale::test();
-    scale.duration = SimDuration::from_secs(300);
-    scale
-}
+use crate::small_scale;
 
 /// Every plan family, at a fixed small scale: the concatenated digests
 /// fingerprint all five [`ShardWork`] variants, every `ScenarioSpec`

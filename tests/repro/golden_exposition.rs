@@ -9,7 +9,7 @@
 //! To re-bless after an intentional change:
 //!
 //! ```text
-//! RIPTIDE_BLESS=1 cargo test --test golden_exposition
+//! RIPTIDE_BLESS=1 cargo test --test repro golden_exposition::
 //! ```
 
 use std::net::Ipv4Addr;

@@ -18,17 +18,11 @@
 //! [`RunPlan::probe_comparison`]: riptide_repro::cdn::engine::RunPlan::probe_comparison
 
 use riptide_repro::cdn::engine::RunPlan;
-use riptide_repro::cdn::experiment::ExperimentScale;
 use riptide_repro::cdn::sim::ProbeOutcome;
 use riptide_repro::cdn::stats::Cdf;
 use riptide_repro::cdn::workload::ProbeConfig;
-use riptide_repro::simnet::time::SimDuration;
 
-fn small_scale() -> ExperimentScale {
-    let mut scale = ExperimentScale::test();
-    scale.duration = SimDuration::from_secs(300);
-    scale
-}
+use crate::small_scale;
 
 #[test]
 fn ewma_default_arm_reproduces_probe_comparison_byte_for_byte() {

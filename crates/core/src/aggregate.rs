@@ -60,6 +60,8 @@
 
 use std::collections::{btree_map, BTreeMap};
 use std::iter::Peekable;
+use std::net::Ipv4Addr;
+use std::ops::RangeInclusive;
 
 use riptide_linuxnet::prefix::Ipv4Prefix;
 
@@ -118,6 +120,17 @@ impl AggregationPolicy {
     /// specific than the aggregate length.
     pub fn covering_of(&self, key: &Ipv4Prefix) -> Option<Ipv4Prefix> {
         (key.len() > self.aggregate_len).then(|| key.covering(self.aggregate_len))
+    }
+
+    /// The keys, in table order, from `covering` to the host route of its
+    /// last address: every member of `covering` lies in between. Keys
+    /// order by `(network bits, length)`, so a member sharing the
+    /// covering prefix's first address is longer and sorts after it; the
+    /// only other keys in the span are `covering` itself and shorter
+    /// prefixes inside it, which are not members.
+    fn span_of(&self, covering: Ipv4Prefix) -> RangeInclusive<Ipv4Prefix> {
+        let last = u32::from(covering.network()) | (u32::MAX >> covering.len());
+        covering..=Ipv4Prefix::host(Ipv4Addr::from(last))
     }
 }
 
@@ -255,16 +268,54 @@ impl Aggregator {
         if let Some(closed) = run_covering {
             self.policy.close_run(closed, &run, &mut live, &mut pass);
         }
-        pass.split
-            .extend(live.map(|(covering, _)| SplitOutcome::orphaned(*covering)));
+        for (orphan, &window) in live {
+            self.policy.decide(*orphan, &[], Some(window), &mut pass);
+        }
+        self.commit(&pass);
+        pass
+    }
 
+    /// The pass over only the covering prefixes in `dirty` — those with a
+    /// member whose window moved, or that arrived or left, since the last
+    /// pass. Every other covering prefix would decide exactly what the
+    /// last pass decided, which left nothing to do for it. Each dirty
+    /// prefix's members are read from its span of the table and decided
+    /// as [`Aggregator::pass`] decides a run, so the outcome is the one a
+    /// full pass would return. Sorts and deduplicates `dirty`; returns
+    /// the outcome and how many table entries were read.
+    pub(crate) fn pass_over(
+        &mut self,
+        table: &FinalTable,
+        dirty: &mut Vec<Ipv4Prefix>,
+    ) -> (AggregationPass, usize) {
+        dirty.sort_unstable();
+        dirty.dedup();
+        let mut pass = AggregationPass::default();
+        let mut run: Vec<(Ipv4Prefix, u32)> = Vec::new();
+        let mut read = 0;
+        for &covering in dirty.iter() {
+            run.clear();
+            for (key, entry) in table.range(self.policy.span_of(covering)) {
+                read += 1;
+                if entry.window != 0 && self.policy.covering_of(key) == Some(covering) {
+                    run.push((*key, entry.window));
+                }
+            }
+            let current = self.aggregates.get(&covering).copied();
+            self.policy.decide(covering, &run, current, &mut pass);
+        }
+        self.commit(&pass);
+        (pass, read)
+    }
+
+    /// Updates the live-aggregate set to what `pass` decided.
+    fn commit(&mut self, pass: &AggregationPass) {
         for outcome in pass.merged.iter().chain(&pass.retuned) {
             self.aggregates.insert(outcome.covering, outcome.window);
         }
         for outcome in &pass.split {
             self.aggregates.remove(&outcome.covering);
         }
-        pass
     }
 
     /// Re-seeds the live-aggregate set at warm restart from the routes
@@ -306,22 +357,11 @@ impl Aggregator {
     }
 }
 
-impl SplitOutcome {
-    /// An aggregate whose members all expired or were evicted.
-    fn orphaned(covering: Ipv4Prefix) -> Self {
-        SplitOutcome {
-            covering,
-            members: Vec::new(),
-            spread: 0,
-        }
-    }
-}
-
 impl AggregationPolicy {
-    /// Decides one finished run of `members` under `covering`, after
-    /// dissolving every live aggregate that sorts before it (no run
-    /// claimed those). `live` is the not-yet-claimed tail of the live
-    /// aggregates, in covering order.
+    /// Closes one finished run of `members` under `covering` in the full
+    /// pass: dissolves every live aggregate that sorts before it (no run
+    /// claimed those), then decides the run. `live` is the
+    /// not-yet-claimed tail of the live aggregates, in covering order.
     fn close_run(
         &self,
         covering: Ipv4Prefix,
@@ -329,13 +369,35 @@ impl AggregationPolicy {
         live: &mut Peekable<btree_map::Iter<'_, Ipv4Prefix, u32>>,
         pass: &mut AggregationPass,
     ) {
-        while let Some((orphan, _)) = live.next_if(|(c, _)| **c < covering) {
-            pass.split.push(SplitOutcome::orphaned(*orphan));
+        while let Some((orphan, &window)) = live.next_if(|(c, _)| **c < covering) {
+            self.decide(*orphan, &[], Some(window), pass);
         }
         let current = live.next_if(|(c, _)| **c == covering).map(|(_, w)| *w);
+        self.decide(covering, members, current, pass);
+    }
 
-        let min = members.iter().map(|(_, w)| *w).min().expect("non-empty");
-        let max = members.iter().map(|(_, w)| *w).max().expect("non-empty");
+    /// Decides one covering prefix, given its eligible `members` in key
+    /// order and the window of its live aggregate, if any: merge, retune,
+    /// split, or nothing. A live aggregate with no members left splits
+    /// with nothing to reinstall. The one decision both passes make.
+    fn decide(
+        &self,
+        covering: Ipv4Prefix,
+        members: &[(Ipv4Prefix, u32)],
+        current: Option<u32>,
+        pass: &mut AggregationPass,
+    ) {
+        let windows = members.iter().map(|(_, w)| *w);
+        let (Some(min), Some(max)) = (windows.clone().min(), windows.max()) else {
+            if current.is_some() {
+                pass.split.push(SplitOutcome {
+                    covering,
+                    members: Vec::new(),
+                    spread: 0,
+                });
+            }
+            return;
+        };
         let spread = max - min;
         let agrees = members.len() >= self.min_siblings && spread <= self.band;
         let merge = || MergeOutcome {

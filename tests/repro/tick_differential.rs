@@ -13,6 +13,13 @@
 //! route it withdraws in the same tick. The naive model writes that rule
 //! the obvious way: it builds the command list of a tick that issues as
 //! it decides, then strikes the installs the rest of the tick undoes.
+//!
+//! The tick re-decides only the covering prefixes whose members changed
+//! since its last aggregation pass; the naive model runs a full pass every
+//! tick. The random stream interleaves the other writers of the learned
+//! table — degraded ticks, gossip merges, and a snapshot restored into a
+//! fresh agent — so a change the agent forgets to mark shows up as a live
+//! aggregate set that drifts from the model's.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
@@ -22,6 +29,7 @@ use riptide_repro::linuxnet::prefix::Ipv4Prefix;
 use riptide_repro::linuxnet::route::RouteTable;
 use riptide_repro::riptide::aggregate::{MergeOutcome, SplitOutcome};
 use riptide_repro::riptide::prelude::*;
+use riptide_repro::riptide::sync::{clamp_merge, remote_wins};
 use riptide_repro::riptide::table::FinalEntry;
 use riptide_repro::simnet::rng::DetRng;
 use riptide_repro::simnet::time::{SimDuration, SimTime};
@@ -130,6 +138,17 @@ enum Feeds {
     Updates,
     Expired,
     Merged,
+}
+
+/// What one step of the stream returned.
+#[derive(Debug, PartialEq)]
+enum Outcome {
+    /// A tick or a degraded tick.
+    Tick(TickReport),
+    /// `merge_remote`'s accepted entries.
+    Merged(Vec<(Ipv4Prefix, u32)>),
+    /// `restore_state`'s reinstalled routes.
+    Restored(Vec<(Ipv4Prefix, u32)>),
 }
 
 /// Algorithm 1 plus guard, capacity bound and aggregation, with none of
@@ -245,25 +264,7 @@ impl NaiveAgent {
             }
         }
 
-        // Expiry: its own scan of the whole table.
-        let dead: Vec<Ipv4Prefix> = self
-            .table
-            .iter()
-            .filter(|(_, e)| now.saturating_since(e.last_updated) > self.config.ttl)
-            .map(|(k, _)| *k)
-            .collect();
-        for key in dead {
-            self.table.remove(&key);
-            let was_installed = self.installed.remove(&key).is_some();
-            if let Some(guard) = &mut self.guard {
-                guard.forget(&key);
-            }
-            steps.push(if self.config.aggregation.is_some() && !was_installed {
-                Step::Expired(key)
-            } else {
-                Step::Clear(key, Feeds::Expired)
-            });
-        }
+        self.expire(now, &mut steps);
 
         // Capacity: evict the stalest unit, one at a time, until it fits.
         if let Some(cap) = self.config.table_capacity {
@@ -340,6 +341,40 @@ impl NaiveAgent {
             _ => true,
         });
 
+        let issued_view = Self::issue(steps, start, controller, &mut report);
+        (report, issued_view)
+    }
+
+    /// Expiry: its own scan of the whole table.
+    fn expire(&mut self, now: SimTime, steps: &mut Vec<Step>) {
+        let dead: Vec<Ipv4Prefix> = self
+            .table
+            .iter()
+            .filter(|(_, e)| now.saturating_since(e.last_updated) > self.config.ttl)
+            .map(|(k, _)| *k)
+            .collect();
+        for key in dead {
+            self.table.remove(&key);
+            let was_installed = self.installed.remove(&key).is_some();
+            if let Some(guard) = &mut self.guard {
+                guard.forget(&key);
+            }
+            steps.push(if self.config.aggregation.is_some() && !was_installed {
+                Step::Expired(key)
+            } else {
+                Step::Clear(key, Feeds::Expired)
+            });
+        }
+    }
+
+    /// Issues `steps` in order, filling in `report`, and returns the view
+    /// they leave when applied to `start`.
+    fn issue(
+        steps: Vec<Step>,
+        start: BTreeMap<Ipv4Prefix, u32>,
+        controller: &mut Recorder,
+        report: &mut TickReport,
+    ) -> BTreeMap<Ipv4Prefix, u32> {
         let mut issued_view = start;
         for step in steps {
             match step {
@@ -363,7 +398,116 @@ impl NaiveAgent {
                 Step::Expired(key) => report.expired.push(key),
             }
         }
-        (report, issued_view)
+        issued_view
+    }
+
+    /// A failed poll: expiry alone, no pass.
+    fn tick_degraded(&mut self, now: SimTime, controller: &mut Recorder) -> TickReport {
+        let mut report = TickReport {
+            degraded: true,
+            ..TickReport::default()
+        };
+        let start = self.installed.clone();
+        let mut steps = Vec::new();
+        self.expire(now, &mut steps);
+        Self::issue(steps, start, controller, &mut report);
+        report
+    }
+
+    /// A gossip delta, one entry at a time: newest stamp wins, the
+    /// window is clamped, an entry already past the TTL is ignored, and a
+    /// key a live aggregate covers is not installed.
+    fn merge_remote(
+        &mut self,
+        delta: &[SyncEntry],
+        now: SimTime,
+        controller: &mut Recorder,
+    ) -> Vec<(Ipv4Prefix, u32)> {
+        let (lo, hi) = (self.config.cwnd_min, self.config.cwnd_max);
+        let mut accepted = Vec::new();
+        for remote in delta {
+            if now.saturating_since(remote.last_updated) > self.config.ttl {
+                continue;
+            }
+            let known = self.table.get(&remote.key);
+            let local = known.map(|e| SyncEntry {
+                key: remote.key,
+                window: e.window,
+                last_updated: e.last_updated,
+            });
+            if !remote_wins(local.as_ref(), remote) {
+                continue;
+            }
+            let window = clamp_merge(remote.window, lo, hi);
+            let (history, last_fresh) = match known {
+                Some(e) => (e.history.clone(), e.last_fresh),
+                None => {
+                    let mut history = self.config.policy.new_state();
+                    self.config.policy.blend(&mut history, window as f64);
+                    (history, window as f64)
+                }
+            };
+            let entry = FinalEntry {
+                window,
+                history,
+                last_fresh,
+                last_updated: remote.last_updated,
+            };
+            self.table.insert(remote.key, entry);
+            if self.live_covering(&remote.key).is_none()
+                && self.installed.get(&remote.key) != Some(&window)
+            {
+                self.installed.insert(remote.key, window);
+                let _ = controller.set_initcwnd(remote.key, window);
+            }
+            accepted.push((remote.key, window));
+        }
+        accepted
+    }
+
+    /// A warm restart over an empty kernel table: entries past the TTL
+    /// are dropped and the rest clamped; a covering route comes back live
+    /// while `min_siblings` of its members survive; every installed route
+    /// with a surviving entry (or live aggregate) is reissued.
+    fn restart(&mut self, now: SimTime, controller: &mut Recorder) -> Vec<(Ipv4Prefix, u32)> {
+        let (lo, hi) = (self.config.cwnd_min, self.config.cwnd_max);
+        let ttl = self.config.ttl;
+        self.table
+            .retain(|_, e| now.saturating_since(e.last_updated) <= ttl);
+        for entry in self.table.values_mut() {
+            entry.window = entry.window.clamp(lo, hi);
+        }
+        if let Some(guard) = &mut self.guard {
+            let exported = guard.export_states();
+            *guard = LossGuard::new(guard.config().clone());
+            guard.restore_states(&exported);
+        }
+        let installs = std::mem::take(&mut self.installed);
+        self.aggregates.clear();
+        if let Some(policy) = self.config.aggregation {
+            for (&key, &window) in &installs {
+                let members = self
+                    .table
+                    .iter()
+                    .filter(|(k, e)| e.window != 0 && policy.covering_of(k) == Some(key))
+                    .count();
+                if key.len() == policy.aggregate_len && members >= policy.min_siblings {
+                    self.aggregates.insert(key, window.clamp(lo, hi));
+                }
+            }
+        }
+        let mut restored = Vec::new();
+        for (key, window) in installs {
+            if !self.table.contains_key(&key) && !self.aggregates.contains_key(&key) {
+                continue;
+            }
+            let window = window.clamp(lo, hi);
+            self.installed.insert(key, window);
+            if controller.set_initcwnd(key, window).is_ok() {
+                restored.push((key, window));
+            }
+        }
+        restored
     }
 }
 
@@ -403,20 +547,22 @@ struct Ticked<'a> {
     tick: usize,
     config: &'a RiptideConfig,
     agent: &'a RiptideAgent,
-    real: &'a TickReport,
+    real: &'a Outcome,
     real_calls: &'a [(Ipv4Prefix, Option<u32>, bool)],
     naive: &'a NaiveAgent,
-    want: &'a TickReport,
+    want: &'a Outcome,
     want_calls: &'a [(Ipv4Prefix, Option<u32>, bool)],
     /// The view the naive model's issued commands leave.
     issued_view: &'a BTreeMap<Ipv4Prefix, u32>,
 }
 
 /// Feeds the tick under test and the naive model the same random stream,
-/// and hands every tick to `check`: ≤ 64 hosts in ≤ 4 slabs, shuffled
+/// and hands every step to `check`: ≤ 64 hosts in ≤ 4 slabs, shuffled
 /// sweeps of a changing subset (so first-seen keys arrive between known
 /// ones), gaps longer than the TTL, loss bursts for the guard, and a
-/// stretch of ticks under a Suspend advisory.
+/// stretch of ticks under a Suspend advisory; between the ticks, degraded
+/// ticks, gossip deltas (repeated keys, stale and out-of-bounds entries
+/// among them) and warm restarts from a snapshot.
 fn run(
     seed: u64,
     mut check: impl FnMut(&Ticked<'_>) -> Result<(), TestCaseError>,
@@ -426,6 +572,7 @@ fn run(
     let mut agent = RiptideAgent::new(config.clone()).unwrap();
     let mut naive = NaiveAgent::new(config.clone());
     let (mut real_ctl, mut naive_ctl) = (Recorder::default(), Recorder::default());
+    let host = |slab: usize, host: usize| Ipv4Addr::new(10, 0, slab as u8, 1 + host as u8);
 
     let slabs = 1 + rng.below(4);
     let hosts = 2 + rng.below(15);
@@ -437,51 +584,96 @@ fn run(
     let mut now = SimTime::ZERO;
     for tick in 0..(12 + rng.below(18)) {
         now += SimDuration::from_secs([1, 1, 1, 2, 7, 25][rng.below(6)]);
-        let advisory = if (suspend_from..suspend_from + suspend_for).contains(&tick) {
-            Advisory::Suspend
-        } else if rng.chance(0.1) {
-            Advisory::Conservative { factor: 0.5 }
-        } else {
-            Advisory::Normal
+        let (real, want, issued_view) = match rng.below(10) {
+            0 => (
+                Outcome::Tick(agent.tick_degraded(now, &mut real_ctl)),
+                Outcome::Tick(naive.tick_degraded(now, &mut naive_ctl)),
+                naive.installed.clone(),
+            ),
+            1 => {
+                // Keys the fleet has and a few it has not; a key often
+                // repeats, stamps reach past the TTL and windows past
+                // the clamp.
+                let mut delta: Vec<SyncEntry> = Vec::new();
+                for _ in 0..1 + rng.below(6) {
+                    let key = match delta.last() {
+                        Some(last) if rng.chance(0.3) => last.key,
+                        _ => Ipv4Prefix::host(host(rng.below(slabs), rng.below(hosts + 2))),
+                    };
+                    let age = SimDuration::from_secs(rng.below(30) as u64);
+                    delta.push(SyncEntry {
+                        key,
+                        window: 1 + rng.below(150) as u32,
+                        last_updated: SimTime::ZERO
+                            + now.saturating_since(SimTime::ZERO).saturating_sub(age),
+                    });
+                }
+                (
+                    Outcome::Merged(agent.merge_remote(&delta, now, &mut real_ctl)),
+                    Outcome::Merged(naive.merge_remote(&delta, now, &mut naive_ctl)),
+                    naive.installed.clone(),
+                )
+            }
+            2 if rng.chance(0.5) => {
+                // A warm restart into a fresh agent over an empty kernel.
+                let snapshot = agent.snapshot_state(now);
+                agent = RiptideAgent::new(config.clone()).unwrap();
+                (real_ctl, naive_ctl) = (Recorder::default(), Recorder::default());
+                (
+                    Outcome::Restored(agent.restore_state(&snapshot, now, &mut real_ctl)),
+                    Outcome::Restored(naive.restart(now, &mut naive_ctl)),
+                    naive.installed.clone(),
+                )
+            }
+            _ => {
+                let advisory = if (suspend_from..suspend_from + suspend_for).contains(&tick) {
+                    Advisory::Suspend
+                } else if rng.chance(0.1) {
+                    Advisory::Conservative { factor: 0.5 }
+                } else {
+                    Advisory::Normal
+                };
+                agent.set_advisory(advisory).unwrap();
+                naive.advisory = advisory;
+
+                let density = [0.0, 0.3, 0.7, 1.0][rng.below(4)];
+                let mut sweep = Vec::new();
+                for (i, seen) in counters.iter_mut().enumerate() {
+                    if !rng.chance(density) {
+                        continue;
+                    }
+                    let slab = i / hosts;
+                    for _ in 0..1 + rng.below(3) {
+                        seen.bytes_acked += 200_000 + rng.below(400_000) as u64;
+                        seen.retrans += if rng.chance(0.05) {
+                            50 + rng.below(200) as u64
+                        } else {
+                            0
+                        };
+                        let cwnd = if rng.chance(0.15) {
+                            1 + rng.below(150) as u32
+                        } else {
+                            slab_window[slab] + rng.below(6) as u32
+                        };
+                        sweep.push(CwndObservation {
+                            dst: host(slab, i % hosts),
+                            cwnd,
+                            bytes_acked: seen.bytes_acked,
+                            retrans: seen.retrans,
+                            ecn_marks: 0,
+                        });
+                    }
+                }
+                for i in (1..sweep.len()).rev() {
+                    sweep.swap(i, rng.below(i + 1));
+                }
+
+                let mut observer = FnObserver(|| sweep.clone());
+                let real = agent.tick(now, &mut observer, &mut real_ctl);
+                let (want, issued_view) = naive.tick(now, sweep.clone(), &mut naive_ctl);
+                (Outcome::Tick(real), Outcome::Tick(want), issued_view)
+            }
         };
-        agent.set_advisory(advisory).unwrap();
-        naive.advisory = advisory;
-
-        let density = [0.0, 0.3, 0.7, 1.0][rng.below(4)];
-        let mut sweep = Vec::new();
-        for (i, seen) in counters.iter_mut().enumerate() {
-            if !rng.chance(density) {
-                continue;
-            }
-            let (slab, host) = (i / hosts, i % hosts);
-            for _ in 0..1 + rng.below(3) {
-                seen.bytes_acked += 200_000 + rng.below(400_000) as u64;
-                seen.retrans += if rng.chance(0.05) {
-                    50 + rng.below(200) as u64
-                } else {
-                    0
-                };
-                let cwnd = if rng.chance(0.15) {
-                    1 + rng.below(150) as u32
-                } else {
-                    slab_window[slab] + rng.below(6) as u32
-                };
-                sweep.push(CwndObservation {
-                    dst: Ipv4Addr::new(10, 0, slab as u8, 1 + host as u8),
-                    cwnd,
-                    bytes_acked: seen.bytes_acked,
-                    retrans: seen.retrans,
-                    ecn_marks: 0,
-                });
-            }
-        }
-        for i in (1..sweep.len()).rev() {
-            sweep.swap(i, rng.below(i + 1));
-        }
-
-        let mut observer = FnObserver(|| sweep.clone());
-        let real = agent.tick(now, &mut observer, &mut real_ctl);
-        let (want, issued_view) = naive.tick(now, sweep.clone(), &mut naive_ctl);
         check(&Ticked {
             tick,
             config: &config,

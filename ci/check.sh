@@ -97,7 +97,8 @@ if [[ "$stage" == "build" || "$stage" == "all" ]]; then
     # ...and the full gate replays 1M+ destinations against the
     # checked-in BENCH_megacdn.json: lookup/round-trip digest drift is
     # fatal, as are the aggregation-ratio floor, the sublinear
-    # grouped-eviction ceiling and the tick-to-walk ceiling.
+    # grouped-eviction ceiling, the tick counts (the steady tick sweeps
+    # the table once and runs no aggregation pass) and the restart ratio.
     run cargo run --release -p riptide-bench -- megacdn --scale quick --check
 
     # The repo benchmark (BENCHMARK.json) is its own package outside the

@@ -15,8 +15,7 @@
 //! --seed N                   RNG seed override
 //! --points N                 CDF resolution when printing series
 //! --seeds N                  pool N independent replications
-//! --threads N                worker threads (default: RIPTIDE_THREADS
-//!                            or all cores)
+//! --threads N                worker threads (default: all cores)
 //! --manifest PATH            write the JSON-lines run manifest here
 //! --check                    compare against the experiment's checked-in
 //!                            BENCH_*.json instead of rewriting it
@@ -66,8 +65,7 @@ pub struct RunOptions {
     pub points: usize,
     /// Independent replications (distinct seeds) pooled into one result.
     pub seeds: u32,
-    /// Worker threads; `None` defers to `RIPTIDE_THREADS` or the
-    /// machine's core count.
+    /// Worker threads; `None` defers to the machine's core count.
     pub threads: Option<usize>,
     /// Where to write the JSON-lines run manifest, if anywhere.
     pub manifest: Option<PathBuf>,

@@ -18,20 +18,21 @@
 //! paired-comparison design). Because every shard is self-contained
 //! and results are merged in shard-index order, a run's
 //! [`RunReport::digest`] is byte-identical whatever the worker count —
-//! `tests/parallel_engine.rs` asserts threads=1 equals threads=8.
+//! `tests/repro/parallel_engine.rs` asserts threads=1 equals threads=8.
 //!
 //! ## Worker pool
 //!
-//! [`RunPlan::run`] sizes the pool from `RIPTIDE_THREADS` (when set to
-//! a positive integer) or [`std::thread::available_parallelism`];
-//! [`RunPlan::run_with_threads`] pins it explicitly. Scheduling is
-//! work-stealing with LPT seeding (see [`crate::schedule`]): shards are
-//! dealt to per-worker deques slowest-first by estimated event count,
-//! and a worker that drains its deque steals the cheapest remaining
-//! shard from a victim, so one long scenario never serializes the
-//! tail. Workers write results into plan-position slots, so merged
-//! reports (and digests) are invariant under thread count and steal
-//! order.
+//! [`RunPlan::run`] sizes the pool with
+//! [`std::thread::available_parallelism`];
+//! [`RunPlan::run_with_threads`] pins it explicitly (the drivers'
+//! `--threads N`). Workers take shards from one shared cursor in plan
+//! order, so no worker idles while a shard is unstarted, and the report
+//! places each result by its plan index: merged reports (and digests)
+//! are invariant under thread count and completion order. Every plan
+//! the engine builds gives its shards one scale and at most one sender
+//! each, so any cost estimate made before running ties across a plan
+//! and plan order is already longest-first; DESIGN §9 "Scaling model"
+//! says when that stops being true.
 //!
 //! ## Experiment families
 //!
@@ -41,12 +42,12 @@
 //! cold-start and the scenario matrix are arm lists built in
 //! [`crate::scenario`]; a new family needs no edit here (DESIGN §13).
 
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use riptide::config::RiptideConfig;
 use riptide::telemetry::MetricsSnapshot;
-use riptide_simnet::rng::{stream_seed, DetRng};
+use riptide_simnet::rng::stream_seed;
 use riptide_simnet::time::SimDuration;
 
 use crate::digest::{fnv1a, shard_data_fnv};
@@ -55,7 +56,6 @@ use crate::experiment::{
     traffic_sim_config, warm_cwnd_cdf, warm_probes, ExperimentScale, ProbeComparison, StackTweaks,
 };
 use crate::scenario::{scenario_sim_config, ScenarioSpec};
-use crate::schedule::{estimated_events, StealPool};
 use crate::sim::{CdnSim, CdnSimConfig, ChaosReport, ColdstartReport, ProbeOutcome};
 use crate::stats::Cdf;
 
@@ -251,22 +251,11 @@ pub struct RunReport {
     pub shards: Vec<ShardResult>,
 }
 
-/// Worker-pool size: `RIPTIDE_THREADS` when set to a positive integer,
-/// else [`std::thread::available_parallelism`], else 1.
+/// Worker-pool size: [`std::thread::available_parallelism`], else 1.
 pub fn default_threads() -> usize {
-    threads_from(std::env::var("RIPTIDE_THREADS").ok().as_deref())
-}
-
-/// [`default_threads`] with the environment value injected (testable).
-pub fn threads_from(env_value: Option<&str>) -> usize {
-    env_value
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        })
+    std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1)
 }
 
 impl RunPlan {
@@ -432,53 +421,38 @@ impl RunPlan {
     ///
     /// # Panics
     ///
-    /// Panics if `threads` is 0 or a worker thread panics.
+    /// Panics if `threads` is 0, and with a shard's own panic (an
+    /// invalid configuration, say) once every worker has stopped.
     pub fn run_with_threads(&self, threads: usize) -> RunReport {
-        self.run_with_steal_seed(threads, 0)
-    }
-
-    /// [`RunPlan::run_with_threads`] with the steal-victim scan seeded
-    /// explicitly. Different seeds change *which worker* executes a
-    /// stolen shard — never the shard's result or the merged report,
-    /// which `tests/repro/scheduler.rs` property-tests across adversarial
-    /// seeds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is 0 or a worker thread panics.
-    pub fn run_with_steal_seed(&self, threads: usize, steal_seed: u64) -> RunReport {
         assert!(threads >= 1, "need at least one worker");
         let workers = threads.min(self.shards.len()).max(1);
-        let costs: Vec<u64> = self.shards.iter().map(estimated_events).collect();
-        let pool = StealPool::new(&costs, workers);
-        let slots: Vec<Mutex<Option<ShardResult>>> =
-            self.shards.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let pool = &pool;
-                let slots = &slots;
-                scope.spawn(move || {
-                    let mut steal_rng = DetRng::for_stream(steal_seed, w as u64);
-                    while let Some(i) = pool.next(w, &mut steal_rng) {
-                        let result = run_shard(&self.shards[i]);
-                        *slots[i].lock().expect("result slot") = Some(result);
-                    }
-                });
-            }
+        let cursor = AtomicUsize::new(0);
+        let mut done: Vec<(usize, ShardResult)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut ran = Vec::new();
+                        loop {
+                            let i = cursor.fetch_add(1, Ordering::Relaxed);
+                            let Some(spec) = self.shards.get(i) else {
+                                break ran;
+                            };
+                            ran.push((i, run_shard(spec)));
+                        }
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
         });
-        let shards = slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("result slot")
-                    .expect("every shard executed")
-            })
-            .collect();
+        done.sort_unstable_by_key(|&(i, _)| i);
         RunReport {
             plan_name: self.name.clone(),
             master_seed: self.master_seed,
             threads: workers,
-            shards,
+            shards: done.into_iter().map(|(_, result)| result).collect(),
         }
     }
 }
@@ -880,16 +854,6 @@ mod tests {
         seeds.sort_unstable();
         seeds.dedup();
         assert_eq!(seeds.len(), 4, "one stream per (unit, replicate) cell");
-    }
-
-    #[test]
-    fn thread_count_resolution() {
-        assert_eq!(threads_from(Some("3")), 3);
-        assert_eq!(threads_from(Some(" 2 ")), 2);
-        let fallback = threads_from(None);
-        assert!(fallback >= 1);
-        assert_eq!(threads_from(Some("0")), fallback, "zero is ignored");
-        assert_eq!(threads_from(Some("nope")), fallback, "garbage is ignored");
     }
 
     #[test]

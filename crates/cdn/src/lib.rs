@@ -19,9 +19,8 @@
 //! | `agenda`, `chaos`, `faulted` | (private) The harness's one clock, and the overlays it fires: what a `FaultPlan` breaks, and the fault-injected agent I/O | §IV-D |
 //! | [`gossip`] | Anti-entropy fleet-sync scheduler (seeded fanout, per-peer backoff) | Pied Piper (PAPERS.md) |
 //! | [`experiment`] | Each figure's deployment, and the analyses over its merged outcomes (Figs. 10–16) | §IV |
-//! | [`engine`] | Parallel sharded execution, digests, manifests | — (reproduction infrastructure) |
+//! | [`engine`] | Parallel sharded execution (one cursor, plan order), digests, manifests | — (reproduction infrastructure) |
 //! | [`digest`] | The canonical, name-free encoding behind a shard's `data=` token | — (reproduction infrastructure) |
-//! | [`schedule`] | LPT-seeded work-stealing shard scheduler | — (reproduction infrastructure) |
 //! | [`stats`] | CDFs, percentile gains | Figs. 10–16 metrics |
 //!
 //! See `DESIGN.md` at the repository root for the experiment index.
@@ -53,7 +52,6 @@ pub mod geo;
 pub mod gossip;
 pub mod megacdn;
 pub mod scenario;
-pub mod schedule;
 pub mod sim;
 pub mod stats;
 pub mod topology;

@@ -608,11 +608,6 @@ impl CdnSim {
             .unwrap_or_default()
     }
 
-    /// The shared decision journal, when telemetry is enabled.
-    pub fn decision_journal(&self) -> Option<&DecisionJournal> {
-        self.telemetry.as_ref().map(|t| t.journal())
-    }
-
     /// Whether this run has Riptide agents.
     pub fn riptide_enabled(&self) -> bool {
         self.cfg.riptide.is_some()

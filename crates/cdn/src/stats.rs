@@ -120,7 +120,7 @@ impl Cdf {
     /// samples, merging any number of per-shard CDFs yields the same
     /// CDF in whatever order the shards finished — the property the
     /// parallel experiment engine relies on, checked by proptest in
-    /// `tests/parallel_engine.rs`.
+    /// `tests/repro/parallel_engine.rs`.
     pub fn merge(&self, other: &Cdf) -> Cdf {
         let (a, b) = (&self.sorted, &other.sorted);
         let mut merged = Vec::with_capacity(a.len() + b.len());

@@ -244,12 +244,6 @@ impl RouteTable {
         self.len == 0
     }
 
-    /// Resident bytes of the lookup structure (not the routes
-    /// themselves) — the number the `megacdn` bench budgets against.
-    pub fn lpm_mem_bytes(&self) -> usize {
-        self.trie.mem_bytes()
-    }
-
     fn next_index(&self) -> u32 {
         u32::try_from(self.routes.len()).expect("route arena exceeds u32 indices")
     }
@@ -356,21 +350,6 @@ impl RouteTable {
     /// Iterates installed routes in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = &Route> {
         self.routes.iter().filter_map(|r| r.as_ref())
-    }
-
-    /// Removes every route of the given protocol, returning them —
-    /// `ip route flush proto <p>`. The operational tool for a restarting
-    /// agent to clear whatever its dead predecessor installed.
-    pub fn flush_proto(&mut self, proto: RouteProto) -> Vec<Route> {
-        let prefixes: Vec<Ipv4Prefix> = self
-            .iter()
-            .filter(|r| r.attrs.proto == proto)
-            .map(|r| r.prefix)
-            .collect();
-        prefixes
-            .into_iter()
-            .map(|p| self.del(p).expect("route listed a moment ago"))
-            .collect()
     }
 
     /// Renders the table in `ip route show` style, one route per line,
@@ -562,25 +541,6 @@ mod tests {
             r.to_string(),
             "10.0.0.127 dev eth0 proto static initcwnd 80 via 10.0.0.1"
         );
-    }
-
-    #[test]
-    fn flush_proto_clears_only_that_protocol() {
-        let mut t = RouteTable::new();
-        t.add(p("10.0.0.0/24"), RouteAttrs::default()).unwrap(); // static
-        t.add(
-            p("10.0.1.0/24"),
-            RouteAttrs {
-                proto: RouteProto::Kernel,
-                ..RouteAttrs::default()
-            },
-        )
-        .unwrap();
-        t.add(p("10.0.2.1"), RouteAttrs::initcwnd(80)).unwrap(); // static
-        let flushed = t.flush_proto(RouteProto::Static);
-        assert_eq!(flushed.len(), 2);
-        assert_eq!(t.len(), 1);
-        assert!(t.get(p("10.0.1.0/24")).is_some(), "kernel route survives");
     }
 
     #[test]

@@ -208,12 +208,6 @@ impl PathConfig {
         CONFIG_REJECTIONS.load(Ordering::Relaxed)
     }
 
-    /// The round-trip time of a symmetric path pair with this one-way
-    /// delay (ignores jitter and queueing).
-    pub fn base_rtt(&self) -> SimDuration {
-        self.delay * 2
-    }
-
     /// Time to serialize `bytes` at this path's rate.
     pub fn serialization_time(&self, bytes: u32) -> SimDuration {
         let ns = (bytes as u128 * 8 * 1_000_000_000) / self.rate_bps.max(1) as u128;

@@ -307,11 +307,6 @@ impl World {
         self.hosts[host.index()].policy = Some(policy);
     }
 
-    /// Removes the host's policy, restoring stack defaults.
-    pub fn clear_host_policy(&mut self, host: HostId) {
-        self.hosts[host.index()].policy = None;
-    }
-
     // ------------------------------------------------------------------
     // Connections and transfers
     // ------------------------------------------------------------------
@@ -568,19 +563,9 @@ impl World {
         }
     }
 
-    /// Snapshots of every non-closed connection originating at `host` —
-    /// what `ss` would print there.
-    pub fn host_conn_stats(&self, host: HostId) -> Vec<ConnStats> {
-        self.hosts[host.index()]
-            .open_conns
-            .iter()
-            .map(|&cid| self.conn_stats(cid))
-            .collect()
-    }
-
-    /// Visits the same snapshots as [`World::host_conn_stats`] without
-    /// materialising the intermediate `Vec` — the streaming form the
-    /// per-tick `ss` pollers use.
+    /// Visits a snapshot of every non-closed connection originating at
+    /// `host` — what `ss` would print there — without materialising a
+    /// `Vec`.
     pub fn each_host_conn_stat(&self, host: HostId, mut f: impl FnMut(ConnStats)) {
         for &cid in &self.hosts[host.index()].open_conns {
             f(self.conn_stats(cid));
@@ -1056,7 +1041,9 @@ mod tests {
             w.drain_completed().is_empty(),
             "no record for aborted transfer"
         );
-        assert!(w.host_conn_stats(h1).is_empty());
+        let mut open = 0;
+        w.each_host_conn_stat(h1, |_| open += 1);
+        assert_eq!(open, 0);
     }
 
     #[test]
@@ -1109,7 +1096,8 @@ mod tests {
         let (mut w, h1, h2) = two_pop_world(30);
         let (conn, _) = w.open_and_transfer(h1, h2, 300_000);
         w.run_until(SimTime::from_secs(5));
-        let stats = w.host_conn_stats(h1);
+        let mut stats = Vec::new();
+        w.each_host_conn_stat(h1, |s| stats.push(s));
         assert_eq!(stats.len(), 1);
         assert_eq!(stats[0].conn, conn);
         assert!(stats[0].cwnd > 10);

@@ -122,18 +122,18 @@ fn learned_windows_track_a_path_that_degrades() {
                     }
                 }
             }
-            let obs: Vec<CwndObservation> = w
-                .host_conn_stats(h1)
-                .into_iter()
-                .filter(|s| s.state == riptide_repro::simnet::conn::ConnState::Established)
-                .map(|s| CwndObservation {
-                    dst: s.dst_addr,
-                    cwnd: s.cwnd,
-                    bytes_acked: s.bytes_acked,
-                    retrans: s.retransmits,
-                    ecn_marks: s.ece_reductions,
-                })
-                .collect();
+            let mut obs: Vec<CwndObservation> = Vec::new();
+            w.each_host_conn_stat(h1, |s| {
+                if s.state == riptide_repro::simnet::conn::ConnState::Established {
+                    obs.push(CwndObservation {
+                        dst: s.dst_addr,
+                        cwnd: s.cwnd,
+                        bytes_acked: s.bytes_acked,
+                        retrans: s.retransmits,
+                        ecn_marks: s.ece_reductions,
+                    });
+                }
+            });
             let mut o = FnObserver(move || obs.clone());
             agent.tick(now, &mut o, controller);
         }
@@ -263,24 +263,19 @@ fn expiry_storm_after_total_silence() {
 
 use proptest::prelude::*;
 use riptide_repro::cdn::engine::RunPlan;
-use riptide_repro::cdn::experiment::ExperimentScale;
 use riptide_repro::cdn::sim::{CdnSim, CdnSimConfig, ResilienceOverlay};
 use riptide_repro::cdn::topology::TestbedConfig;
 use riptide_repro::cdn::workload::{OrganicConfig, ProbeConfig};
 use riptide_repro::simnet::time::SimDuration;
 
-fn chaos_scale() -> ExperimentScale {
-    let mut scale = ExperimentScale::test();
-    scale.duration = SimDuration::from_secs(300);
-    scale
-}
+use crate::small_scale;
 
 #[test]
 fn zero_fault_rate_reproduces_the_clean_probe_comparison() {
     // chaos_sweep arms are seed-paired per (unit, replicate) exactly
     // like probe_comparison, so a zero rate must reproduce its probes
     // bit for bit — the fault layer is provably a no-op when disabled.
-    let scale = chaos_scale();
+    let scale = small_scale();
     let clean = RunPlan::probe_comparison(&scale, 2).run_with_threads(2);
     let chaos = RunPlan::chaos_sweep(&scale, &[0.0], 2).run_with_threads(2);
     assert_eq!(clean.merged_probes(0), chaos.merged_probes(0));
@@ -292,7 +287,7 @@ fn zero_fault_rate_reproduces_the_clean_probe_comparison() {
 
 #[test]
 fn chaos_sweep_is_thread_count_invariant() {
-    let plan = RunPlan::chaos_sweep(&chaos_scale(), &[0.05], 2);
+    let plan = RunPlan::chaos_sweep(&small_scale(), &[0.05], 2);
     assert_eq!(plan.shards.len(), 8);
     let serial = plan.run_with_threads(1);
     let parallel = plan.run_with_threads(8);
@@ -310,7 +305,7 @@ fn chaos_sweep_is_thread_count_invariant() {
 
 #[test]
 fn high_fault_rate_degrades_gracefully_and_never_breaks_no_harm() {
-    let plan = RunPlan::chaos_sweep(&chaos_scale(), &[0.2], 1);
+    let plan = RunPlan::chaos_sweep(&small_scale(), &[0.2], 1);
     let report = plan.run_with_threads(4);
     for scenario in [0, 1] {
         let r = report.merged_chaos_report(scenario);

@@ -1,15 +1,17 @@
 //! The root package's smaller integration-test subjects, one module per
 //! subject, linked into one test binary. Run one subject with
-//! `cargo test --release --test repro <module>::`. The six larger
-//! suites (`chaos`, `digest_encoding`, `end_to_end`, `invariants`,
-//! `paper_claims`, `parallel_engine`) are still one `tests/<name>.rs`
-//! binary each.
+//! `cargo test --release --test repro <module>::`. The three larger
+//! suites (`end_to_end`, `invariants`, `paper_claims`) are still one
+//! `tests/<name>.rs` binary each.
 
 mod agent_accounting;
+mod chaos;
+mod digest_encoding;
 mod digest_golden;
 mod event_queue_differential;
 mod everything_on;
 mod golden_exposition;
+mod parallel_engine;
 mod policy_arena;
 mod scheduler;
 mod ss_scanner_differential;
@@ -18,8 +20,8 @@ mod tick_differential;
 use riptide_repro::cdn::experiment::ExperimentScale;
 use riptide_repro::simnet::time::SimDuration;
 
-/// Test scale run for 300 simulated seconds: the arena and golden-digest
-/// tests share it.
+/// Test scale run for 300 simulated seconds: the arena, golden-digest,
+/// chaos, parallel-engine and scheduler tests share it.
 fn small_scale() -> ExperimentScale {
     let mut scale = ExperimentScale::test();
     scale.duration = SimDuration::from_secs(300);

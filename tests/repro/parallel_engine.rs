@@ -9,15 +9,10 @@
 
 use proptest::prelude::*;
 use riptide_repro::cdn::engine::{RunPlan, ShardData};
-use riptide_repro::cdn::experiment::ExperimentScale;
 use riptide_repro::cdn::stats::Cdf;
 use riptide_repro::simnet::time::SimDuration;
 
-fn small_scale() -> ExperimentScale {
-    let mut scale = ExperimentScale::test();
-    scale.duration = SimDuration::from_secs(300);
-    scale
-}
+use crate::small_scale;
 
 #[test]
 fn probe_plan_is_thread_count_invariant() {

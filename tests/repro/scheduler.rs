@@ -1,110 +1,62 @@
-//! The work-stealing scheduler's load-bearing guarantees:
+//! The engine's shard cursor: workers take shards in plan order and the
+//! report places every result by its plan index, so
 //!
-//! 1. **Schedule determinism** — LPT ordering is a pure function of
-//!    the plan: equal-cost shards (every shard of one arm at one
-//!    scale) always seed the pool in enumeration order.
-//! 2. **Merge invariance** — digests and merged metrics are invariant
-//!    under thread count *and* adversarial steal interleavings
-//!    (property-tested over random `(threads, steal_seed)` pairs via
-//!    [`RunPlan::run_with_steal_seed`]).
-//!
-//! [`RunPlan::run_with_steal_seed`]: riptide_repro::cdn::engine::RunPlan::run_with_steal_seed
+//! 1. **Merge invariance** — digests and merged metrics are the same on
+//!    every worker count, whoever ran which shard;
+//! 2. **A failing shard fails the run** — a shard whose configuration
+//!    is rejected panics [`RunPlan::run_with_threads`] on one worker
+//!    and on many, never hangs it or yields a report short of a shard.
 
-use std::sync::OnceLock;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use proptest::prelude::*;
-use riptide_repro::cdn::engine::RunPlan;
-use riptide_repro::cdn::experiment::ExperimentScale;
-use riptide_repro::cdn::schedule::{estimated_events, lpt_order, StealPool};
-use riptide_repro::simnet::time::SimDuration;
+use riptide_repro::cdn::engine::{RunPlan, ShardWork};
 
-fn small_scale() -> ExperimentScale {
-    let mut scale = ExperimentScale::test();
-    scale.duration = SimDuration::from_secs(180);
-    scale
-}
+use crate::small_scale;
 
-fn reference_plan() -> RunPlan {
+#[test]
+fn digests_and_metrics_are_invariant_under_thread_count() {
     // Telemetry on, so the invariance claim covers the `metrics=`
     // digest tokens and `merged_metrics()` too.
-    RunPlan::probe_comparison(&small_scale(), 1).with_telemetry()
-}
-
-/// The serial run every property case compares against, computed once.
-fn serial_reference() -> &'static (String, riptide_repro::riptide::telemetry::MetricsSnapshot) {
-    static REFERENCE: OnceLock<(String, riptide_repro::riptide::telemetry::MetricsSnapshot)> =
-        OnceLock::new();
-    REFERENCE.get_or_init(|| {
-        let report = reference_plan().run_with_threads(1);
-        (report.digest(), report.merged_metrics())
-    })
-}
-
-#[test]
-fn lpt_ordering_is_deterministic_for_equal_cost_shards() {
-    // All shards of one probe arm share scale and work shape, so their
-    // cost estimates tie; the schedule must fall back to enumeration
-    // order, identically on every call.
-    let plan = RunPlan::probe_comparison(&small_scale(), 2);
-    let costs: Vec<u64> = plan.shards.iter().map(estimated_events).collect();
-    assert!(
-        costs.windows(2).all(|w| w[0] == w[1]),
-        "probe shards at one scale should estimate equal"
-    );
-    let first = lpt_order(&costs);
-    assert_eq!(first, (0..plan.shards.len()).collect::<Vec<_>>());
-    for _ in 0..5 {
-        assert_eq!(lpt_order(&costs), first, "LPT order must be stable");
-    }
-    // And the pool deal is equally deterministic.
-    for _ in 0..3 {
-        let a = StealPool::new(&costs, 3);
-        let b = StealPool::new(&costs, 3);
-        for w in 0..3 {
-            assert_eq!(a.seeded_queue(w), b.seeded_queue(w));
-        }
-    }
-}
-
-#[test]
-fn lpt_starts_the_most_expensive_shard_family_first() {
-    // A guardrail shard simulates the same wall of organic traffic
-    // plus probe senders, so it must estimate at least as expensive as
-    // a sender-free cwnd shard at the same scale — and LPT must
-    // schedule it first.
-    let scale = small_scale();
-    let cwnd = RunPlan::cwnd_sweep(&scale, &[None], 1);
-    let guard = RunPlan::guardrail_sweep(&scale, &[0.3], 1);
-    let cheap = estimated_events(&cwnd.shards[0]);
-    let costly = estimated_events(&guard.shards[0]);
-    assert!(costly > cheap, "probing shards carry extra estimated load");
-    let order = lpt_order(&[cheap, costly]);
-    assert_eq!(order[0], 1, "the costlier shard schedules first");
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn digests_and_metrics_survive_adversarial_steal_interleavings(
-        threads in 1usize..9,
-        steal_seed in any::<u64>(),
-    ) {
-        let (want_digest, want_metrics) = serial_reference();
-        let report = reference_plan().run_with_steal_seed(threads, steal_seed);
-        prop_assert_eq!(
-            &report.digest(),
+    let plan = RunPlan::probe_comparison(&small_scale(), 1).with_telemetry();
+    let serial = plan.run_with_threads(1);
+    let (want_digest, want_metrics) = (serial.digest(), serial.merged_metrics());
+    // Four shards: from five workers on, the pool clamps to four.
+    for threads in 2..9 {
+        let report = plan.run_with_threads(threads);
+        assert_eq!(
+            report.digest(),
             want_digest,
-            "digest diverged at threads={} steal_seed={}",
-            threads,
-            steal_seed
+            "digest diverged at threads={threads}"
         );
-        prop_assert_eq!(
-            &report.merged_metrics(),
+        assert_eq!(
+            report.merged_metrics(),
             want_metrics,
-            "merged metrics diverged at threads={} steal_seed={}",
-            threads,
-            steal_seed
+            "merged metrics diverged at threads={threads}"
+        );
+    }
+}
+
+#[test]
+fn a_shard_that_fails_validation_panics_the_run() {
+    // Four chaos shards at a zero rate; the third gets a fault plan
+    // whose install-error rate is not a probability, which `CdnSim::new`
+    // rejects.
+    let mut plan = RunPlan::chaos_sweep(&small_scale(), &[0.0], 1);
+    assert_eq!(plan.shards.len(), 4);
+    match &mut plan.shards[2].work {
+        ShardWork::ScenarioArm { spec, .. } => spec.resilience.faults.install_error = 1.5,
+        other => panic!("chaos shards are scenario arms, got {other:?}"),
+    }
+    for threads in [1, 4] {
+        let panic = catch_unwind(AssertUnwindSafe(|| plan.run_with_threads(threads)))
+            .expect_err("an invalid shard must not yield a report");
+        let message = panic
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .unwrap_or_default();
+        assert!(
+            message.contains("invalid fault plan: install_error = 1.5"),
+            "threads={threads}: the shard's own panic propagates, got {message:?}"
         );
     }
 }

@@ -363,3 +363,31 @@ proptest! {
         }
     }
 }
+
+#[test]
+fn faulted_io_counters_are_pinned_at_a_fifth_of_calls_faulted() {
+    // The `data=` digests pin the chaos report, but no golden pins the
+    // `riptide_io_*` family under faults. These are the values of one
+    // Riptide replicate at rate 0.2; a change to how the faulted tick
+    // retries its poll or its writes moves them.
+    let report = RunPlan::chaos_sweep(&small_scale(), &[0.2], 1)
+        .with_telemetry()
+        .run_with_threads(2);
+    let r = report.merged_chaos_report(1);
+    assert_eq!(
+        (r.observe_retries, r.install_retries, r.install_gave_up),
+        (1060, 237, 1),
+        "{r:?}"
+    );
+    assert_eq!(
+        (r.faults.observe_timeouts, r.faults.install_errors),
+        (1063, 238),
+        "{r:?}"
+    );
+    let m = report.merged_metrics();
+    let io = |name: &str| m.value(&format!("riptide_io_{name}_total"));
+    assert_eq!(
+        [io("calls"), io("retries"), io("timeouts"), io("gave_up")],
+        [Some(5087), Some(1297), Some(1063), Some(4)]
+    );
+}

@@ -106,6 +106,25 @@ pub struct ResilienceOverlay {
     pub gossip: Option<GossipConfig>,
 }
 
+/// Defines a report's `merge` from `field: op` pairs, one per field.
+/// Ops: `add` (`+=`), `min`, `max`. `other` is destructured without
+/// `..`, so a counter added to a report does not compile until it is
+/// given an op here.
+macro_rules! merger {
+    ($ty:ident { $($field:ident: $op:ident),* $(,)? }) => {
+        impl $ty {
+            /// Accumulates another shard's counters into this one.
+            pub fn merge(&mut self, other: &$ty) {
+                let $ty { $($field),* } = *other;
+                $(merger!(@$op self.$field, $field);)*
+            }
+        }
+    };
+    (@add $a:expr, $b:ident) => { $a += $b };
+    (@min $a:expr, $b:ident) => { $a = $a.min($b) };
+    (@max $a:expr, $b:ident) => { $a = $a.max($b) };
+}
+
 /// Cold-start counters for one run: how fast restarted hosts climbed
 /// back to steady state, and what the durability/sync layers did to get
 /// them there. All-zero when crashes, persistence and gossip are off.
@@ -152,26 +171,25 @@ impl ColdstartReport {
     pub fn mean_ramp_secs(&self) -> Option<f64> {
         (self.recoveries > 0).then(|| self.ramp_nanos_total as f64 / self.recoveries as f64 / 1e9)
     }
-
-    /// Accumulates another shard's counters into this one.
-    pub fn merge(&mut self, other: &ColdstartReport) {
-        self.restarts_tracked += other.restarts_tracked;
-        self.recoveries += other.recoveries;
-        self.ramp_nanos_total += other.ramp_nanos_total;
-        self.ramp_nanos_max = self.ramp_nanos_max.max(other.ramp_nanos_max);
-        self.unrecovered += other.unrecovered;
-        self.restored_routes += other.restored_routes;
-        self.snapshots_written += other.snapshots_written;
-        self.journal_records += other.journal_records;
-        self.gossip_rounds += other.gossip_rounds;
-        self.gossip_pairs += other.gossip_pairs;
-        self.digests_matched += other.digests_matched;
-        self.entries_shipped += other.entries_shipped;
-        self.entries_accepted += other.entries_accepted;
-        self.gossip_backoff_skips += other.gossip_backoff_skips;
-        self.gossip_peers_marked_down += other.gossip_peers_marked_down;
-    }
 }
+
+merger!(ColdstartReport {
+    restarts_tracked: add,
+    recoveries: add,
+    ramp_nanos_total: add,
+    ramp_nanos_max: max,
+    unrecovered: add,
+    restored_routes: add,
+    snapshots_written: add,
+    journal_records: add,
+    gossip_rounds: add,
+    gossip_pairs: add,
+    digests_matched: add,
+    entries_shipped: add,
+    entries_accepted: add,
+    gossip_backoff_skips: add,
+    gossip_peers_marked_down: add,
+});
 
 /// Aggregated chaos and resilience counters for one run.
 ///
@@ -257,37 +275,29 @@ impl ChaosReport {
     pub fn installed_range(&self) -> Option<(u32, u32)> {
         (self.installs > 0).then_some((self.installed_min, self.installed_max))
     }
-
-    /// Accumulates another shard's counters into this one.
-    pub fn merge(&mut self, other: &ChaosReport) {
-        self.faults.observe_timeouts += other.faults.observe_timeouts;
-        self.faults.observe_partials += other.faults.observe_partials;
-        self.faults.install_errors += other.faults.install_errors;
-        self.faults.install_delays += other.faults.install_delays;
-        self.faults.crashes += other.faults.crashes;
-        self.faults.bursts += other.faults.bursts;
-        self.faults.route_churns += other.faults.route_churns;
-        self.faults.targeted_bursts += other.faults.targeted_bursts;
-        self.degraded_ticks += other.degraded_ticks;
-        self.observe_retries += other.observe_retries;
-        self.install_retries += other.install_retries;
-        self.install_gave_up += other.install_gave_up;
-        self.delayed_applied += other.delayed_applied;
-        self.routes_recovered += other.routes_recovered;
-        self.installs += other.installs;
-        self.invariant_breaches += other.invariant_breaches;
-        self.installed_min = self.installed_min.min(other.installed_min);
-        self.installed_max = self.installed_max.max(other.installed_max);
-        self.drift_deleted += other.drift_deleted;
-        self.drift_orphaned += other.drift_orphaned;
-        self.foreign_injected += other.foreign_injected;
-        self.reconcile_repairs += other.reconcile_repairs;
-        self.reconcile_foreign_seen += other.reconcile_foreign_seen;
-        self.guard_trips += other.guard_trips;
-        self.drift_unrepaired += other.drift_unrepaired;
-        self.foreign_missing += other.foreign_missing;
-    }
 }
+
+merger!(ChaosReport {
+    faults: add,
+    degraded_ticks: add,
+    observe_retries: add,
+    install_retries: add,
+    install_gave_up: add,
+    delayed_applied: add,
+    routes_recovered: add,
+    installs: add,
+    invariant_breaches: add,
+    installed_min: min,
+    installed_max: max,
+    drift_deleted: add,
+    drift_orphaned: add,
+    foreign_injected: add,
+    reconcile_repairs: add,
+    reconcile_foreign_seen: add,
+    guard_trips: add,
+    drift_unrepaired: add,
+    foreign_missing: add,
+});
 
 /// One completed probe, annotated with the experiment dimensions the
 /// paper's figures group on.

@@ -24,9 +24,8 @@
 //! | [`advisory`] | Control-plane advisories (suspend / conservative) | §V load-balancing interplay |
 //! | [`guard`] | [`guard::LossGuard`]: per-destination loss-aware circuit breaker with BGP-style flap damping — demote jump-started destinations whose retransmit rate says the learned window became the harm | §IV-D no-harm, closed-loop |
 //! | [`reconcile`] | Anti-entropy audit: diff the kernel route table against the agent's installed view, repair drift, never touch foreign routes | §IV-D operational safety |
-//! | [`observe`] | Input seam: [`observe::WindowObserver`] (always succeeds) and [`observe::FallibleObserver`] (polls that can time out) | §III poll loop |
+//! | [`observe`] | Input seam: [`observe::WindowObserver`], one `ss -i` poll's rows | §III poll loop |
 //! | [`control`] | Output seam: [`control::RouteController`], command logging, startup recovery, and the [`control::CheckedController`] window-range invariant | Fig. 8; §IV-D |
-//! | [`resilience`] | Retry-with-backoff, per-call timeouts, budgets | §IV-D graceful degradation |
 //! | [`table`] | The TTL'd per-destination final-values table | §III "final table", Table I `t` |
 //! | [`persist`] | Crash-durable state file: versioned CRC-guarded snapshot + append-only journal, torn-tail-safe replay | §IV-A ramp cost; ROADMAP item 3 |
 //! | [`daemon`] | [`daemon::Daemon`]: the agent lifecycle over a state file — restore and anchor at start, journal or snapshot after each poll, snapshot before the shutdown sweep — shared by `riptided` and the simulator's hosts | §IV-A poll loop; warm restart |
@@ -73,7 +72,6 @@ pub mod observe;
 pub mod persist;
 pub mod policy;
 pub mod reconcile;
-pub mod resilience;
 pub mod sync;
 pub mod table;
 pub mod telemetry;
@@ -94,8 +92,7 @@ pub mod prelude {
     pub use crate::guard::{BreakerState, GuardConfig, GuardVerdict, LossGuard};
     pub use crate::kernel::KernelAgent;
     pub use crate::observe::{
-        observations_from_sock_table, CwndObservation, FallibleObserver, FnFallibleObserver,
-        FnObserver, ObserveError, WindowObserver,
+        observations_from_sock_table, CwndObservation, FnObserver, WindowObserver,
     };
     pub use crate::persist::{
         decode_state, encode_state, replay, JournalOp, JournalRecord, PersistError, SnapshotEntry,
@@ -103,10 +100,6 @@ pub mod prelude {
     };
     pub use crate::policy::{registered_policies, HistoryStrategy, LearningPolicy, PolicyInput};
     pub use crate::reconcile::{audit, is_riptide_route, AuditReport, AuditVerdict};
-    pub use crate::resilience::{
-        retry_with_backoff, BackoffPolicy, IoStats, ResilientController, ResilientObserver,
-        RetryOutcome,
-    };
     pub use crate::sync::{SyncConfig, SyncDelta, SyncEntry, TableDigest};
     pub use crate::table::FinalTable;
     pub use crate::telemetry::{

@@ -1,13 +1,13 @@
 //! Observation inputs: what the agent learns from and how it gets it.
 //!
 //! This is the §III poll loop's input side. [`WindowObserver`] models an
-//! `ss -i` poll that always succeeds (the simulator's in-process
-//! snapshot, or a parsed [`SockTable`]); [`FallibleObserver`] models a
-//! poll that can time out, as the simulator's fault plans make it.
-//! [`crate::resilience::ResilientObserver`] bridges the two with retries
-//! and a per-tick time budget.
+//! `ss -i` poll: the simulator's in-process snapshot, or a parsed
+//! [`SockTable`]. A poll that fails is the caller's to handle before the
+//! tick: `riptided` ends the run on `ss` text it cannot parse, and the
+//! simulator's fault-injected hosts retry a timed-out poll and run the
+//! cycle degraded ([`crate::agent::RiptideAgent::tick_degraded`]) when
+//! it gives up.
 
-use std::fmt;
 use std::net::Ipv4Addr;
 
 use riptide_linuxnet::ss::{SockState, SockTable};
@@ -53,58 +53,6 @@ where
     F: FnMut() -> Vec<CwndObservation>,
 {
     fn observe(&mut self) -> Vec<CwndObservation> {
-        (self.0)()
-    }
-}
-
-/// Why an observation poll produced nothing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ObserveError {
-    /// The poll exceeded its per-call timeout.
-    Timeout,
-}
-
-impl fmt::Display for ObserveError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ObserveError::Timeout => write!(f, "observation poll timed out"),
-        }
-    }
-}
-
-impl std::error::Error for ObserveError {}
-
-/// A [`WindowObserver`] whose polls can fail, as a poll with a deadline
-/// does.
-///
-/// Every infallible [`WindowObserver`] is trivially a `FallibleObserver`
-/// (via a blanket impl), so simulation code and tests can pass plain
-/// observers anywhere a fallible one is expected.
-pub trait FallibleObserver {
-    /// Attempts one snapshot of every established connection's window.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ObserveError`] when the poll times out.
-    fn try_observe(&mut self) -> Result<Vec<CwndObservation>, ObserveError>;
-}
-
-impl<T: WindowObserver> FallibleObserver for T {
-    fn try_observe(&mut self) -> Result<Vec<CwndObservation>, ObserveError> {
-        Ok(self.observe())
-    }
-}
-
-/// Adapts a closure returning `Result` into a [`FallibleObserver`] —
-/// the fault-injection seam the chaos harness uses.
-#[derive(Debug)]
-pub struct FnFallibleObserver<F>(pub F);
-
-impl<F> FallibleObserver for FnFallibleObserver<F>
-where
-    F: FnMut() -> Result<Vec<CwndObservation>, ObserveError>,
-{
-    fn try_observe(&mut self) -> Result<Vec<CwndObservation>, ObserveError> {
         (self.0)()
     }
 }
@@ -186,30 +134,6 @@ mod tests {
         assert_eq!(obs.observe()[0].cwnd, 33);
         let _ = obs;
         assert_eq!(calls, 2);
-    }
-
-    #[test]
-    fn infallible_observers_are_fallible_observers() {
-        let mut obs = FnObserver(|| {
-            vec![CwndObservation {
-                dst: Ipv4Addr::new(10, 0, 1, 1),
-                cwnd: 12,
-                bytes_acked: 0,
-                retrans: 0,
-                ecn_marks: 0,
-            }]
-        });
-        assert_eq!(obs.try_observe().unwrap().len(), 1);
-    }
-
-    #[test]
-    fn fallible_closures_surface_errors() {
-        let mut flaky = FnFallibleObserver(|| Err(ObserveError::Timeout));
-        assert_eq!(flaky.try_observe(), Err(ObserveError::Timeout));
-        assert_eq!(
-            ObserveError::Timeout.to_string(),
-            "observation poll timed out"
-        );
     }
 
     #[test]

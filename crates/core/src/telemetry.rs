@@ -715,14 +715,12 @@ impl DecisionJournal {
     }
 }
 
-/// The four I/O counters mirrored out of the resilience layer
-/// ([`crate::resilience`]): wrappers increment these alongside their
-/// private [`IoStats`] when attached.
-///
-/// [`IoStats`]: crate::resilience::IoStats
+/// The four I/O counters of a retried `ss` poll or route write. The
+/// simulator's fault-injected hosts (`riptide-cdn`'s faulted tick)
+/// increment them when telemetry is on.
 #[derive(Debug, Clone)]
 pub struct IoCounters {
-    /// Logical calls made through resilient wrappers.
+    /// Logical calls, each poll or write once however often retried.
     pub calls: Counter,
     /// Extra attempts beyond each call's first.
     pub retries: Counter,
@@ -923,8 +921,8 @@ impl AgentTelemetry {
         &self.journal
     }
 
-    /// I/O counters on the same registry, for wiring the resilience
-    /// layer ([`crate::resilience`]) to this bundle.
+    /// I/O counters on the same registry, for wiring retried I/O to
+    /// this bundle.
     pub fn io_counters(&self) -> IoCounters {
         IoCounters::attach(&self.registry)
     }

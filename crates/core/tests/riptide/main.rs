@@ -2,7 +2,7 @@
 //! linked into one test binary. Run one subject with
 //! `cargo test -p riptide --test riptide <module>::`.
 
+mod degraded_mode;
 mod hostile_text;
 mod persist_props;
-mod resilience_edges;
 mod riptided_cli;

@@ -21,6 +21,8 @@
 //!   run matches the riptide run with the same seed even though only the
 //!   latter draws agent-facing faults.
 
+use std::ops::AddAssign;
+
 use crate::rng::DetRng;
 use crate::time::SimDuration;
 
@@ -284,6 +286,32 @@ pub struct FaultStats {
     pub route_churns: u64,
     /// Targeted loss episodes started on jump-started destinations.
     pub targeted_bursts: u64,
+}
+
+impl AddAssign for FaultStats {
+    /// Adds `rhs`'s counts, field by field. `rhs` is destructured
+    /// without `..`, so a counter added to the struct does not compile
+    /// until it is summed here.
+    fn add_assign(&mut self, rhs: FaultStats) {
+        let FaultStats {
+            observe_timeouts,
+            observe_partials,
+            install_errors,
+            install_delays,
+            crashes,
+            bursts,
+            route_churns,
+            targeted_bursts,
+        } = rhs;
+        self.observe_timeouts += observe_timeouts;
+        self.observe_partials += observe_partials;
+        self.install_errors += install_errors;
+        self.install_delays += install_delays;
+        self.crashes += crashes;
+        self.bursts += bursts;
+        self.route_churns += route_churns;
+        self.targeted_bursts += targeted_bursts;
+    }
 }
 
 /// Draws deterministic fault decisions according to a [`FaultPlan`].

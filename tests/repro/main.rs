@@ -1,16 +1,18 @@
-//! The root package's smaller integration-test subjects, one module per
+//! The root package's integration-test subjects, one module per
 //! subject, linked into one test binary. Run one subject with
-//! `cargo test --release --test repro <module>::`. The three larger
-//! suites (`end_to_end`, `invariants`, `paper_claims`) are still one
-//! `tests/<name>.rs` binary each.
+//! `cargo test --release --test repro <module>::`. The property suite
+//! `invariants` (29 tests) is still a `tests/invariants.rs` binary of
+//! its own.
 
 mod agent_accounting;
 mod chaos;
 mod digest_encoding;
 mod digest_golden;
+mod end_to_end;
 mod event_queue_differential;
 mod everything_on;
 mod golden_exposition;
+mod paper_claims;
 mod parallel_engine;
 mod policy_arena;
 mod scheduler;

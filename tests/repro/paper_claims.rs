@@ -1,6 +1,6 @@
 //! The paper's quantitative claims, asserted directly. These are the
 //! fast, model-backed claims (§I–§II); the simulation-backed figure
-//! shapes are asserted in `end_to_end.rs` and regenerated by the
+//! shapes are asserted in `end_to_end` and regenerated by the
 //! `riptide-bench` driver.
 
 use riptide_repro::cdn::geo::{all_pair_rtts, continent_counts, Continent, POP_SITES};

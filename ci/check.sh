@@ -56,22 +56,26 @@ if [[ "$stage" == "build" || "$stage" == "all" ]]; then
     # above sees one input set for ever. Two more, for the properties
     # that read bytes from outside — the scanner against its model, the
     # hostile-text totality tests, and the state-file reader over bytes
-    # a faulty disk tore at random — for the tick against its model, and
-    # for the window bounds under any fault sequence the faulted tick's
-    # retries meet (`chaos::`, a tiny 3-PoP testbed for 150 s); hostile
-    # text and the tick in the debug profile, where an overflow panics
-    # instead of wrapping. These files are modules of the `repro` (root
-    # package) and `riptide` (crates/core) test binaries, so a module
-    # name followed by `::` picks one file's tests.
+    # a faulty disk tore at random — for the tick against its model and
+    # the tick in key-range parts against the tick in one, and for the
+    # window bounds under any fault sequence the faulted tick's retries
+    # meet (`chaos::`, a tiny 3-PoP testbed for 150 s); hostile text and
+    # the tick in the debug profile, where an overflow panics instead of
+    # wrapping. These files are modules of the `repro` (root package) and
+    # `riptide` (crates/core) test binaries, so a module name followed by
+    # `::` picks one file's tests.
+    parts=agent::tests::a_tick_in_parts_matches_the_tick_in_one
     for seed in 1 2016; do
         run env PROPTEST_SEED="$seed" cargo test -q --release --test repro -- \
             ss_scanner_differential:: chaos::
         run env PROPTEST_SEED="$seed" cargo test -q -p riptide --test riptide hostile_text::
         run env PROPTEST_SEED="$seed" cargo test -q -p riptide-linuxnet --test hostile_text
         run env PROPTEST_SEED="$seed" cargo test -q --test repro tick_differential::
+        run env PROPTEST_SEED="$seed" cargo test -q --release -p riptide --lib "$parts"
         run env PROPTEST_SEED="$seed" cargo test -q --release -p riptide --test riptide \
             persist_props::
     done
+    run cargo test -q -p riptide --lib "$parts"
 
     # The four outcome records, one --check each. Every family re-runs
     # its sweep at its record's scale and seeds, asserts its own claims

@@ -106,10 +106,11 @@ pub struct ResilienceOverlay {
     pub gossip: Option<GossipConfig>,
 }
 
-/// Defines a report's `merge` from `field: op` pairs, one per field.
-/// Ops: `add` (`+=`), `min`, `max`. `other` is destructured without
-/// `..`, so a counter added to a report does not compile until it is
-/// given an op here.
+/// Defines a report's `merge` and its `Default` from `field: op` pairs,
+/// one per field. Ops: `add` (`+=`), `min`, `max`; each field starts at
+/// its op's identity, so merging into the default leaves the other
+/// report. `other` is destructured without `..`, so a counter added to a
+/// report does not compile until it is given an op here.
 macro_rules! merger {
     ($ty:ident { $($field:ident: $op:ident),* $(,)? }) => {
         impl $ty {
@@ -119,16 +120,27 @@ macro_rules! merger {
                 $(merger!(@$op self.$field, $field);)*
             }
         }
+
+        impl Default for $ty {
+            fn default() -> Self {
+                $ty { $($field: merger!(@identity $op)),* }
+            }
+        }
     };
     (@add $a:expr, $b:ident) => { $a += $b };
     (@min $a:expr, $b:ident) => { $a = $a.min($b) };
     (@max $a:expr, $b:ident) => { $a = $a.max($b) };
+    // The reports' counters are unsigned: `min` starts at all ones, the
+    // largest value, and `max` at zero.
+    (@identity add) => { Default::default() };
+    (@identity min) => { !0 };
+    (@identity max) => { 0 };
 }
 
 /// Cold-start counters for one run: how fast restarted hosts climbed
 /// back to steady state, and what the durability/sync layers did to get
 /// them there. All-zero when crashes, persistence and gossip are off.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ColdstartReport {
     /// Restarts whose ramp-up was tracked (the host had installed
     /// windows to lose when it crashed).
@@ -241,32 +253,6 @@ pub struct ChaosReport {
     /// Injected foreign routes missing or modified at report time —
     /// always 0 unless the reconciler touched state it must not.
     pub foreign_missing: u64,
-}
-
-impl Default for ChaosReport {
-    fn default() -> Self {
-        ChaosReport {
-            faults: FaultStats::default(),
-            degraded_ticks: 0,
-            observe_retries: 0,
-            install_retries: 0,
-            install_gave_up: 0,
-            delayed_applied: 0,
-            routes_recovered: 0,
-            installs: 0,
-            invariant_breaches: 0,
-            installed_min: u32::MAX,
-            installed_max: 0,
-            drift_deleted: 0,
-            drift_orphaned: 0,
-            foreign_injected: 0,
-            reconcile_repairs: 0,
-            reconcile_foreign_seen: 0,
-            guard_trips: 0,
-            drift_unrepaired: 0,
-            foreign_missing: 0,
-        }
-    }
 }
 
 impl ChaosReport {

@@ -21,6 +21,7 @@
 //! actuator can be an in-process table or a shell running `ip route`.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use riptide_linuxnet::prefix::Ipv4Prefix;
 use riptide_simnet::time::SimTime;
@@ -30,11 +31,11 @@ use crate::aggregate::{AggregationPass, Aggregator};
 use crate::config::{ConfigError, RiptideConfig};
 use crate::control::{ControlError, RouteController};
 use crate::guard::{BreakerState, LossGuard};
-use crate::observe::WindowObserver;
+use crate::observe::{CwndObservation, WindowObserver};
 use crate::persist::{SnapshotEntry, TableSnapshot};
 use crate::policy::PolicyInput;
 use crate::sync::{clamp_merge, remote_wins, SyncEntry};
-use crate::table::{FinalEntry, FinalTable};
+use crate::table::{FinalEntry, FinalTable, Sweep, Swept};
 use crate::telemetry::{AgentTelemetry, DecisionAction, DecisionCause, DecisionRecord};
 
 /// What one agent tick did, for logging and tests.
@@ -210,6 +211,8 @@ pub struct RiptideAgent {
     /// The most recent tick instant, used to stamp journal records for
     /// actions that happen outside a tick (reconcile, shutdown).
     last_now: SimTime,
+    /// Hardware threads, read once: the most parts a tick sweeps in.
+    cores: usize,
 }
 
 /// Notes that `key`'s covering prefix, if it has one, needs the next
@@ -249,6 +252,249 @@ fn covered_by(
     }
 }
 
+/// Observations per part below which a tick sorts and sweeps in one
+/// part. Each scoped thread's spawn and join cost about 30 µs on a
+/// 2-thread 2.1 GHz Xeon, and a tick in parts spawns twice (to sort, then
+/// to sweep), while sorting and sweeping an observation costs about 40
+/// ns: at this size a part's work is some ten times its threads' cost.
+const MIN_PART: usize = 16_384;
+
+/// An install a tick decided on: `(key, window, cause)`.
+type Install = (Ipv4Prefix, u32, DecisionCause);
+
+/// What every part of a tick's sweep reads and none writes.
+struct Learner<'a> {
+    config: &'a RiptideConfig,
+    advisory: Advisory,
+    aggregator: Option<&'a Aggregator>,
+    installed: &'a BTreeMap<Ipv4Prefix, u32>,
+    now: SimTime,
+}
+
+/// One key-range part's share of a tick's steps 3–5, in key order.
+struct Learned {
+    /// Destination groups formed.
+    groups: usize,
+    /// The installs decided on; step 9 issues them.
+    installs: Vec<Install>,
+    /// Covering prefixes marked for the next aggregation pass.
+    dirty: Vec<Ipv4Prefix>,
+    /// Destinations the loss guard tripped.
+    guard_trips: Vec<Ipv4Prefix>,
+    /// The finished sweep, for [`FinalTable::settle`].
+    swept: Swept,
+}
+
+/// Steps 3–5 of a tick over one key range: combine each group of
+/// `observations` (sorted, whole groups only), blend it with the entry
+/// `sweep` hands out, shape (trend + advisory), clamp, guard, and decide
+/// the install. A part writes only its own range of the table and its
+/// own outputs, so the parts of a tick, joined in key order, decide what
+/// one part over every observation decides.
+fn learn(
+    ctx: &Learner<'_>,
+    observations: &[CwndObservation],
+    mut sweep: Sweep<'_>,
+    mut guard: Option<&mut LossGuard>,
+) -> Learned {
+    let Learner {
+        config,
+        advisory,
+        aggregator,
+        installed,
+        now,
+    } = *ctx;
+    let granularity = config.granularity;
+    let mut covered_under = None;
+    let (mut groups, mut installs, mut dirty, mut guard_trips) =
+        (0, Vec::new(), Vec::new(), Vec::new());
+    for group in observations.chunk_by(|a, b| granularity.key(a.dst) == granularity.key(b.dst)) {
+        let key = granularity.key(group[0].dst);
+        groups += 1;
+        let Some(fresh) = config.combine.combine(group) else {
+            continue;
+        };
+        // The group's cumulative loss counters feed both the
+        // loss-aware policies and (below) the guard.
+        // Saturating: the counters are `ss` text, and two rows near
+        // `u64::MAX` must read as "a lot", not wrap to "nothing".
+        let (mut retrans_total, mut ecn_total, mut bytes_total) = (0u64, 0u64, 0u64);
+        for o in group {
+            retrans_total = retrans_total.saturating_add(o.retrans);
+            ecn_total = ecn_total.saturating_add(o.ecn_marks);
+            bytes_total = bytes_total.saturating_add(o.bytes_acked);
+        }
+        let (entry, previous_fresh) = match sweep.seek(&key) {
+            Some(entry) => {
+                let previous = entry.last_fresh;
+                (entry, Some(previous))
+            }
+            None => {
+                let first_seen = FinalEntry::new(&config.policy, fresh, now);
+                (sweep.insert(key, first_seen), None)
+            }
+        };
+        let blended = entry.observe(
+            &PolicyInput {
+                fresh,
+                retrans: retrans_total,
+                ecn_marks: ecn_total,
+                bytes_acked: bytes_total,
+            },
+            &config.policy,
+            now,
+        );
+        let (shaped, trend_damped) = match &config.trend {
+            Some(trend) => {
+                let s = trend.shape(previous_fresh, fresh, blended, config.cwnd_min as f64);
+                (s, s != blended)
+            }
+            None => (blended, false),
+        };
+        let Some(shaped) = advisory.shape(shaped) else {
+            // Suspended: keep learning but install nothing.
+            continue;
+        };
+        let window = config.clamp(shaped);
+        let clamped = window as f64 != shaped.round();
+        if entry.window != window {
+            mark_dirty(aggregator, &mut dirty, &key);
+        }
+        entry.window = window;
+
+        // A key covered by a live aggregate already rides its
+        // covering route: learning (and the guard) keep running, but
+        // no individual route is issued. Divergence dissolves the
+        // aggregate in this tick's pass, which reinstalls the key
+        // individually.
+        let covered = covered_by(aggregator, &key, &mut covered_under);
+
+        // The window issued for the key, read once for the guard's
+        // jump-start test and the install's changed-window test (a
+        // covered key without a guard needs neither).
+        let issued = match (&guard, covered) {
+            (None, true) => None,
+            _ => installed.get(&key).copied(),
+        };
+
+        // Guard: feed the group's cumulative loss counters and, when
+        // the breaker is not Closed, demote the install to the probe
+        // window — the kernel default, as if Riptide never touched
+        // this destination.
+        let mut effective = window;
+        let mut suppressed_by = None;
+        if let Some(guard) = guard.as_deref_mut() {
+            let probe_window = guard.config().probe_window;
+            let jump_started = issued.is_some_and(|w| w > probe_window);
+            let verdict = guard.update(key, retrans_total, bytes_total, jump_started, now);
+            if verdict.tripped {
+                guard_trips.push(key);
+            }
+            if verdict.state != BreakerState::Closed {
+                effective = config.clamp(probe_window as f64);
+                suppressed_by = Some(verdict.state);
+            }
+        }
+
+        // Install only when the issued window would actually change —
+        // repeating an identical `ip route replace` is pure churn.
+        if !covered && issued != Some(effective) {
+            let cause = match suppressed_by {
+                Some(state) => DecisionCause::Guard { state },
+                None => DecisionCause::Learned {
+                    fresh: fresh.round() as u32,
+                    clamped,
+                    trend_damped,
+                    policy: config.policy.name(),
+                },
+            };
+            installs.push((key, effective, cause));
+        }
+    }
+    Learned {
+        groups,
+        installs,
+        dirty,
+        guard_trips,
+        swept: sweep.finish(),
+    }
+}
+
+/// Sorts `observations` stably by `key`: in `parts` runs of positions at
+/// once, then, only if two runs overlap where they meet, once more whole.
+/// Either way the order is the one a single stable sort gives, since each
+/// run keeps its equal keys in arrival order and the runs are in arrival
+/// order too.
+fn sort_in_parts(
+    observations: &mut [CwndObservation],
+    parts: usize,
+    key: impl Fn(&CwndObservation) -> Ipv4Prefix + Sync,
+) {
+    let run = observations.len().div_ceil(parts).max(1);
+    in_parts(observations.chunks_mut(run).collect(), |chunk| {
+        chunk.sort_by_key(&key)
+    });
+    let overlap = (run..observations.len())
+        .step_by(run)
+        .any(|at| key(&observations[at - 1]) > key(&observations[at]));
+    if overlap {
+        observations.sort_by_key(key);
+    }
+}
+
+/// Cuts `observations`, sorted by `key`, into at most `parts` ranges of
+/// whole groups. Each cut is made at the first group boundary at or after
+/// the next `len / parts`-th observation; a cut that finds none is
+/// dropped, so a tick may run fewer parts than asked.
+fn part_ranges(
+    observations: &[CwndObservation],
+    parts: usize,
+    key: impl Fn(&CwndObservation) -> Ipv4Prefix,
+) -> Vec<Range<usize>> {
+    let len = observations.len();
+    let mut starts = vec![0];
+    for part in 1..parts {
+        let from = (len * part / parts).max(starts[starts.len() - 1] + 1);
+        match (from..len).find(|&at| key(&observations[at - 1]) != key(&observations[at])) {
+            Some(at) => starts.push(at),
+            None => break,
+        }
+    }
+    let ends = starts[1..].iter().copied().chain([len]);
+    starts
+        .iter()
+        .copied()
+        .zip(ends)
+        .map(|(a, b)| a..b)
+        .collect()
+}
+
+/// Runs `work` on each of `items`, the first on this thread and every
+/// other on a scoped thread of its own, and returns the results in item
+/// order. One item spawns nothing. A panic in any part resumes here.
+fn in_parts<T: Send, R: Send>(items: Vec<T>, work: impl Fn(T) -> R + Sync) -> Vec<R> {
+    let mut items = items.into_iter();
+    let Some(first) = items.next() else {
+        return Vec::new();
+    };
+    if items.as_slice().is_empty() {
+        return vec![work(first)];
+    }
+    std::thread::scope(|scope| {
+        let work = &work;
+        let others: Vec<_> = items.map(|item| scope.spawn(move || work(item))).collect();
+        let mut results = vec![work(first)];
+        for other in others {
+            results.push(
+                other
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            );
+        }
+        results
+    })
+}
+
 impl RiptideAgent {
     /// Creates an agent with the given configuration.
     ///
@@ -275,6 +521,7 @@ impl RiptideAgent {
             telemetry: None,
             published: AgentStats::default(),
             last_now: SimTime::ZERO,
+            cores: std::thread::available_parallelism().map_or(1, usize::from),
         })
     }
 
@@ -367,12 +614,38 @@ impl RiptideAgent {
         O: WindowObserver + ?Sized,
         C: RouteController + ?Sized,
     {
+        // 1. observed table ← current windows of all connections.
+        let observations = observer.observe();
+        let parts = self.parts_for(observations.len());
         let mut report = TickReport::default();
+        let learned = self.learn_in_parts(now, observations, parts, &mut report);
+        self.settle_and_issue(learned, report, controller)
+    }
+
+    /// How many key-range parts a tick over `observations` sorts and
+    /// sweeps in: one per hardware thread while each part keeps
+    /// [`MIN_PART`] observations. A loss guard keeps one part: its
+    /// breakers are one map over every key, which the parts would share.
+    fn parts_for(&self, observations: usize) -> usize {
+        if self.guard.is_some() {
+            return 1;
+        }
+        self.cores.min(observations / MIN_PART).max(1)
+    }
+
+    /// Steps 1–5 of [`RiptideAgent::tick`] over `observations`, in at
+    /// most `parts` key-range parts. Notes the parts' dirty marks, counts
+    /// and guard trips into the agent and `report`, and returns each
+    /// part's installs and finished sweep, in key order.
+    fn learn_in_parts(
+        &mut self,
+        now: SimTime,
+        mut observations: Vec<CwndObservation>,
+        parts: usize,
+        report: &mut TickReport,
+    ) -> (Vec<Vec<Install>>, Vec<Swept>) {
         self.stats.ticks += 1;
         self.last_now = now;
-
-        // 1. observed table ← current windows of all connections.
-        let mut observations = observer.observe();
         report.observed_connections = observations.len();
         self.stats.observations += observations.len() as u64;
 
@@ -381,134 +654,81 @@ impl RiptideAgent {
         // groups, group order, and within-group order a BTreeMap of Vecs
         // would produce, without its per-destination allocations.
         let granularity = self.config.granularity;
-        observations.sort_by_key(|obs| granularity.key(obs.dst));
+        let key = |obs: &CwndObservation| granularity.key(obs.dst);
+        sort_in_parts(&mut observations, parts, key);
 
         // 3–6 are one ordered sweep: the groups and the learned table are
         // both in key order, so a single cursor over the table hands each
         // group its entry in place (first-seen keys are buffered and
         // inserted when the sweep is settled), and every entry the cursor
         // passes that no group asked for is age-checked on the way — the
-        // expiry scan, for free.
-        let mut sweep = self.table.sweep(now, self.config.ttl);
-        let mut covered_under = None;
-        // The installs the sweep decides on; step 9 issues them.
-        let mut installs: Vec<(Ipv4Prefix, u32, DecisionCause)> = Vec::new();
-
-        // 3–5. combine, blend with history, shape (trend + advisory),
-        // clamp, guard, decide the install.
-        for group in observations.chunk_by(|a, b| granularity.key(a.dst) == granularity.key(b.dst))
-        {
-            let key = granularity.key(group[0].dst);
-            report.groups += 1;
-            let Some(fresh) = self.config.combine.combine(group) else {
-                continue;
-            };
-            // The group's cumulative loss counters feed both the
-            // loss-aware policies and (below) the guard.
-            // Saturating: the counters are `ss` text, and two rows near
-            // `u64::MAX` must read as "a lot", not wrap to "nothing".
-            let (mut retrans_total, mut ecn_total, mut bytes_total) = (0u64, 0u64, 0u64);
-            for o in group {
-                retrans_total = retrans_total.saturating_add(o.retrans);
-                ecn_total = ecn_total.saturating_add(o.ecn_marks);
-                bytes_total = bytes_total.saturating_add(o.bytes_acked);
-            }
-            let (entry, previous_fresh) = match sweep.seek(&key) {
-                Some(entry) => {
-                    let previous = entry.last_fresh;
-                    (entry, Some(previous))
-                }
-                None => {
-                    let first_seen = FinalEntry::new(&self.config.policy, fresh, now);
-                    (sweep.insert(key, first_seen), None)
-                }
-            };
-            let blended = entry.observe(
-                &PolicyInput {
-                    fresh,
-                    retrans: retrans_total,
-                    ecn_marks: ecn_total,
-                    bytes_acked: bytes_total,
-                },
-                &self.config.policy,
-                now,
-            );
-            let (shaped, trend_damped) = match &self.config.trend {
-                Some(trend) => {
-                    let s =
-                        trend.shape(previous_fresh, fresh, blended, self.config.cwnd_min as f64);
-                    (s, s != blended)
-                }
-                None => (blended, false),
-            };
-            let Some(shaped) = self.advisory.shape(shaped) else {
-                // Suspended: keep learning but install nothing.
-                continue;
-            };
-            let window = self.config.clamp(shaped);
-            let clamped = window as f64 != shaped.round();
-            if entry.window != window {
-                mark_dirty(self.aggregator.as_ref(), &mut self.dirty, &key);
-            }
-            entry.window = window;
-
-            // A key covered by a live aggregate already rides its
-            // covering route: learning (and the guard) keep running, but
-            // no individual route is issued. Divergence dissolves the
-            // aggregate in this tick's pass, which reinstalls the key
-            // individually.
-            let covered = covered_by(self.aggregator.as_ref(), &key, &mut covered_under);
-
-            // The window issued for the key, read once for the guard's
-            // jump-start test and the install's changed-window test (a
-            // covered key without a guard needs neither).
-            let issued = match (&self.guard, covered) {
-                (None, true) => None,
-                _ => self.installed.get(&key).copied(),
-            };
-
-            // Guard: feed the group's cumulative loss counters and, when
-            // the breaker is not Closed, demote the install to the probe
-            // window — the kernel default, as if Riptide never touched
-            // this destination.
-            let mut effective = window;
-            let mut suppressed_by = None;
-            if let Some(guard) = &mut self.guard {
-                let probe_window = guard.config().probe_window;
-                let jump_started = issued.is_some_and(|w| w > probe_window);
-                let verdict = guard.update(key, retrans_total, bytes_total, jump_started, now);
-                if verdict.tripped {
-                    self.stats.guard_trips += 1;
-                    report.guard_trips.push(key);
-                }
-                if verdict.state != BreakerState::Closed {
-                    effective = self.config.clamp(probe_window as f64);
-                    suppressed_by = Some(verdict.state);
-                }
-            }
-
-            // Install only when the issued window would actually change —
-            // repeating an identical `ip route replace` is pure churn.
-            if !covered && issued != Some(effective) {
-                let cause = match suppressed_by {
-                    Some(state) => DecisionCause::Guard { state },
-                    None => DecisionCause::Learned {
-                        fresh: fresh.round() as u32,
-                        clamped,
-                        trend_damped,
-                        policy: self.config.policy.name(),
-                    },
-                };
-                installs.push((key, effective, cause));
-            }
-        }
+        // expiry scan, for free. In parts, each part sweeps one key range
+        // on a thread of its own: the observations are cut between groups
+        // and the table before each part's first key.
+        let ranges = part_ranges(&observations, parts, key);
+        let bounds: Vec<Ipv4Prefix> = ranges[1..]
+            .iter()
+            .map(|range| key(&observations[range.start]))
+            .collect();
+        let sweeps = self.table.sweep_parts(now, self.config.ttl, &bounds);
+        let ctx = Learner {
+            config: &self.config,
+            advisory: self.advisory,
+            aggregator: self.aggregator.as_ref(),
+            installed: &self.installed,
+            now,
+        };
+        let mut guard = self.guard.as_mut();
+        debug_assert!(
+            guard.is_none() || bounds.is_empty(),
+            "a guard keeps one part"
+        );
+        let work = ranges
+            .into_iter()
+            .zip(sweeps)
+            .map(|(range, sweep)| (&observations[range], sweep, guard.take()))
+            .collect();
+        let learned = in_parts(work, |(group, sweep, guard)| {
+            learn(&ctx, group, sweep, guard)
+        });
         // The sweep's groups borrow the observations; nothing after it
         // does, so a cold tick's million rows go before the table grows.
         drop(observations);
 
+        let mut installs = Vec::with_capacity(learned.len());
+        let mut swept = Vec::with_capacity(learned.len());
+        for part in learned {
+            report.groups += part.groups;
+            self.stats.guard_trips += part.guard_trips.len() as u64;
+            report.guard_trips.extend(part.guard_trips);
+            // A covering prefix that straddles a seam is marked on both
+            // sides of it: note it once, as one part would.
+            let seam = usize::from(
+                part.dirty
+                    .first()
+                    .is_some_and(|first| self.dirty.last() == Some(first)),
+            );
+            self.dirty.extend_from_slice(&part.dirty[seam..]);
+            self.stats.swept_entries += part.swept.visited() as u64;
+            installs.push(part.installs);
+            swept.push(part.swept);
+        }
+        (installs, swept)
+    }
+
+    /// Steps 6–9 of [`RiptideAgent::tick`]: settles the learning parts'
+    /// sweeps into the table, decides expiry, capacity eviction and the
+    /// aggregation pass, then issues every decided command.
+    fn settle_and_issue<C>(
+        &mut self,
+        (installs, swept): (Vec<Vec<Install>>, Vec<Swept>),
+        mut report: TickReport,
+        controller: &mut C,
+    ) -> TickReport
+    where
+        C: RouteController + ?Sized,
+    {
         // 6. expire stale destinations.
-        let swept = sweep.finish();
-        self.stats.swept_entries += swept.visited() as u64;
         let expired = self.table.settle(swept);
         for key in &expired {
             mark_dirty(self.aggregator.as_ref(), &mut self.dirty, key);
@@ -555,7 +775,7 @@ impl RiptideAgent {
         let mut evicted_keys = evicted.clone();
         evicted_keys.sort_unstable();
         let mut covered_under = None;
-        for (key, window, cause) in installs {
+        for (key, window, cause) in installs.into_iter().flatten() {
             if evicted_keys.binary_search(&key).is_ok()
                 || covered_by(self.aggregator.as_ref(), &key, &mut covered_under)
             {
@@ -2421,5 +2641,133 @@ mod tests {
         assert_eq!(s.route_updates, 1);
         assert_eq!(s.route_expirations, 1);
         assert_eq!(s.errors, 0);
+    }
+
+    /// What the parts property compares after each tick: the report, the
+    /// dirty marks the learning left for the pass, and the table, the
+    /// installed view and the counters.
+    type AfterTick = (
+        TickReport,
+        Vec<Ipv4Prefix>,
+        Vec<(Ipv4Prefix, FinalEntry)>,
+        BTreeMap<Ipv4Prefix, u32>,
+        AgentStats,
+    );
+
+    /// One tick of `agent` over `observations` in `parts` key-range parts.
+    fn tick_in_parts(
+        (agent, routes): &mut (RiptideAgent, RouteTable),
+        now: SimTime,
+        observations: Vec<CwndObservation>,
+        parts: usize,
+    ) -> AfterTick {
+        let mut report = TickReport::default();
+        let learned = agent.learn_in_parts(now, observations, parts, &mut report);
+        let dirty = agent.dirty.clone();
+        let report = agent.settle_and_issue(learned, report, routes);
+        let table = agent.table.iter().map(|(k, e)| (*k, e.clone())).collect();
+        (report, dirty, table, agent.installed.clone(), agent.stats)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        // The tick in key-range parts against the tick in one: a random
+        // stream ticked through 1, 2, 3 and 4 parts leaves the same state
+        // after every tick. Six /24 slabs gain hosts every tick, so
+        // first-seen keys arrive on both sides of every seam and seams
+        // fall inside slabs; one slab falls silent past the TTL; sweeps
+        // alternate convergent and divergent, so with aggregation on
+        // slabs merge and split; a capacity bound evicts. Observations
+        // arrive shuffled (the parts' sorted runs overlap and are sorted
+        // again whole) or already in key order (they do not).
+        #[test]
+        fn a_tick_in_parts_matches_the_tick_in_one(seed in proptest::prelude::any::<u64>()) {
+            use crate::aggregate::AggregationPolicy;
+            use riptide_simnet::rng::DetRng;
+            use riptide_simnet::time::SimDuration;
+            const SLABS: u8 = 6;
+            let mut rng = DetRng::for_stream(seed, 0x5041_5254); // "PART"
+            let aggregate = rng.chance(0.5);
+            let capacity = rng
+                .chance(0.5)
+                .then(|| if aggregate { 2 + rng.below(4) } else { 40 + rng.below(80) });
+            let policy = [LearningPolicy::None, LearningPolicy::Ewma { alpha: 0.5 }][rng.below(2)];
+            let mut builder = RiptideConfig::builder()
+                .policy(policy)
+                .ttl(SimDuration::from_secs(5));
+            if aggregate {
+                builder = builder.aggregation(AggregationPolicy::default());
+            }
+            if let Some(capacity) = capacity {
+                builder = builder.table_capacity(capacity);
+            }
+            let config = builder.build().unwrap();
+            let key = |o: &CwndObservation| config.granularity.key(o.dst);
+            let mut agents: Vec<_> = (0..4).map(|_| agent(config.clone())).collect();
+            let quiet = rng.below(SLABS as usize) as u8;
+            let mut seen = [false; 6]; // straddled, first seen across, expired, evicted, merged, split
+            let mut secs = 0;
+            for tick in 0..16u8 {
+                secs += 1 + rng.below(2) as u64;
+                let now = SimTime::from_secs(secs);
+                let diverge = tick % 2 == 1;
+                let mut observations = Vec::new();
+                for slab in 0..SLABS {
+                    if (slab == quiet && (4..10).contains(&tick)) || rng.chance(0.15) {
+                        continue;
+                    }
+                    let base = 20 + 10 * u32::from(slab);
+                    let spread = if diverge && rng.chance(0.5) { 60 } else { 4 };
+                    for host in 1..=6 + 3 * tick {
+                        if rng.chance(0.3) {
+                            continue;
+                        }
+                        for _ in 0..1 + rng.below(2) {
+                            let cwnd = base + rng.below(spread) as u32;
+                            observations.push(obs([10, 0, slab, host], cwnd));
+                        }
+                    }
+                }
+                if rng.chance(0.5) {
+                    for at in (1..observations.len()).rev() {
+                        observations.swap(at, rng.below(at + 1));
+                    }
+                }
+
+                // Where this tick's seams fall, as the parts will cut.
+                let mut sorted = observations.clone();
+                sorted.sort_by_key(key);
+                let table = &agents[0].0.table;
+                let first_seen = |part: &[CwndObservation]| part.iter().any(|o| table.get(&key(o)).is_none());
+                for parts in 2..=4 {
+                    let ranges = part_ranges(&sorted, parts, key);
+                    for seam in ranges.windows(2) {
+                        let (below, above) = (&sorted[seam[0].clone()], &sorted[seam[1].clone()]);
+                        seen[0] |= key(&below[below.len() - 1]).covering(24) == key(&above[0]).covering(24);
+                        seen[1] |= tick > 0 && first_seen(below) && first_seen(above);
+                    }
+                }
+
+                let after: Vec<AfterTick> = agents
+                    .iter_mut()
+                    .zip(1..)
+                    .map(|(agent, parts)| tick_in_parts(agent, now, observations.clone(), parts))
+                    .collect();
+                for (parts, other) in (2..).zip(&after[1..]) {
+                    proptest::prop_assert_eq!(other, &after[0], "tick {} in {} parts", tick, parts);
+                }
+                let report = &after[0].0;
+                seen[2] |= !report.expired.is_empty();
+                seen[3] |= !report.evicted.is_empty();
+                seen[4] |= !report.merged.is_empty();
+                seen[5] |= !report.disaggregated.is_empty();
+            }
+            let [straddled, first_seen_across, expired, evicted, merged, split] = seen;
+            proptest::prop_assert!(straddled && first_seen_across, "no seam inside a slab, or none with first-seen keys on both sides");
+            proptest::prop_assert!(capacity.is_some() || expired, "nothing expired");
+            proptest::prop_assert!(capacity.is_none() || evicted, "nothing evicted");
+            proptest::prop_assert!(!aggregate || (merged && split), "no slab merged, or none split");
+        }
     }
 }

@@ -281,7 +281,7 @@ impl FinalTable {
     /// for no key, so it passes (and age-checks) every entry.
     pub fn expire(&mut self, now: SimTime, ttl: SimDuration) -> Vec<Ipv4Prefix> {
         let swept = self.sweep(now, ttl).finish();
-        self.settle(swept)
+        self.settle(vec![swept])
     }
 
     /// Starts one ordered pass over the whole table at `now` — the walk
@@ -292,23 +292,52 @@ impl FinalTable {
     /// Nothing is inserted or removed until the finished sweep is handed
     /// to [`FinalTable::settle`].
     pub(crate) fn sweep(&mut self, now: SimTime, ttl: SimDuration) -> Sweep<'_> {
-        Sweep {
-            entries: self.entries.iter_mut(),
-            now,
-            ttl,
-            swept: Swept::default(),
-        }
+        Sweep::over(&mut self.entries, now, ttl)
     }
 
-    /// Applies a finished sweep: removes the entries it found expired,
-    /// merges in the first-seen entries it buffered, and returns the
-    /// expired keys in key order. A sweep that found neither leaves the
-    /// table as it is; into an empty table (a cold first tick) the
-    /// buffer of first-seen entries moves whole.
-    pub(crate) fn settle(&mut self, mut swept: Swept) -> Vec<Ipv4Prefix> {
-        self.remove_keys(&mut swept.stale);
-        self.merge_new(swept.first_seen);
-        swept.stale
+    /// Starts one [`FinalTable::sweep`] per key range, for passes that
+    /// run side by side: the table is cut before each of `bounds`
+    /// (ascending), so part `i` holds the entries from `bounds[i - 1]` up
+    /// to, not including, `bounds[i]`, the first part everything below
+    /// `bounds[0]` and the last everything from the last bound up. Each
+    /// part's caller asks only for keys in its own range. Hand the
+    /// finished parts to [`FinalTable::settle`] in part order.
+    pub(crate) fn sweep_parts(
+        &mut self,
+        now: SimTime,
+        ttl: SimDuration,
+        bounds: &[Ipv4Prefix],
+    ) -> Vec<Sweep<'_>> {
+        let mut rest = self.entries.as_mut_slice();
+        let mut parts = Vec::with_capacity(bounds.len() + 1);
+        for bound in bounds {
+            let below = rest.partition_point(|(k, _)| k < bound);
+            let (part, above) = std::mem::take(&mut rest).split_at_mut(below);
+            parts.push(Sweep::over(part, now, ttl));
+            rest = above;
+        }
+        parts.push(Sweep::over(rest, now, ttl));
+        parts
+    }
+
+    /// Applies finished sweeps of consecutive key ranges, in key order:
+    /// removes the entries they found expired, merges in the first-seen
+    /// entries they buffered, and returns the expired keys in key order.
+    /// Sweeps that found neither leave the table as it is.
+    pub(crate) fn settle(&mut self, parts: Vec<Swept>) -> Vec<Ipv4Prefix> {
+        let mut stale = Vec::new();
+        let mut first_seen = Vec::with_capacity(parts.len());
+        for mut part in parts {
+            if stale.is_empty() {
+                stale = part.stale;
+            } else {
+                stale.append(&mut part.stale);
+            }
+            first_seen.push(part.first_seen);
+        }
+        self.remove_keys(&mut stale);
+        self.merge_new(first_seen);
+        stale
     }
 
     /// Removes the entries of `keys`, which the table holds, in one
@@ -323,27 +352,38 @@ impl FinalTable {
             .retain(|(key, _)| doomed.next_if(|doomed| *doomed == key).is_none());
     }
 
-    /// Merges `batch` — strictly ascending, and holding no key the table
-    /// holds — into the table in place: the table grows once, and each
-    /// entry above the first new key moves once, from the top down.
-    fn merge_new(&mut self, mut batch: Vec<(Ipv4Prefix, FinalEntry)>) {
-        if batch.is_empty() {
+    /// Merges `batches` — strictly ascending, one batch after the other,
+    /// and holding no key the table holds — into the table in place: the
+    /// table grows once, and each entry above the first new key moves
+    /// once, from the top down. Into an empty table (a cold first tick)
+    /// the first batch moves whole and each later one is appended and
+    /// freed in turn, so the first-seen entries of a tick swept in parts
+    /// are never held twice over.
+    fn merge_new(&mut self, batches: Vec<Vec<(Ipv4Prefix, FinalEntry)>>) {
+        let added: usize = batches.iter().map(Vec::len).sum();
+        if added == 0 {
             return;
         }
         if self.entries.is_empty() {
-            self.entries = batch;
+            let mut batches = batches.into_iter().filter(|batch| !batch.is_empty());
+            self.entries = batches.next().expect("added is not zero");
+            for mut batch in batches {
+                self.entries.append(&mut batch);
+            }
             return;
         }
         let mut held = self.entries.len();
-        self.entries.resize_with(held + batch.len(), vacant);
+        self.entries.resize_with(held + added, vacant);
         let mut slot = self.entries.len();
-        while let Some((key, _)) = batch.last() {
-            slot -= 1;
-            if held > 0 && self.entries[held - 1].0 > *key {
-                held -= 1;
-                self.entries.swap(held, slot);
-            } else {
-                self.entries[slot] = batch.pop().expect("looked at above");
+        for mut batch in batches.into_iter().rev() {
+            while let Some((key, _)) = batch.last() {
+                slot -= 1;
+                if held > 0 && self.entries[held - 1].0 > *key {
+                    held -= 1;
+                    self.entries.swap(held, slot);
+                } else {
+                    self.entries[slot] = batch.pop().expect("looked at above");
+                }
             }
         }
     }
@@ -381,7 +421,7 @@ impl FinalTable {
                 }
             });
         }
-        self.merge_new(batch);
+        self.merge_new(vec![batch]);
     }
 
     /// Iterates live entries in key order.
@@ -461,7 +501,16 @@ impl Swept {
     }
 }
 
-impl Sweep<'_> {
+impl<'a> Sweep<'a> {
+    fn over(entries: &'a mut [(Ipv4Prefix, FinalEntry)], now: SimTime, ttl: SimDuration) -> Self {
+        Sweep {
+            entries: entries.iter_mut(),
+            now,
+            ttl,
+            swept: Swept::default(),
+        }
+    }
+
     /// Advances to `key` — which must be greater than every key asked for
     /// before — and returns its entry if the table holds one. Entries
     /// passed on the way were not refreshed this pass; the expired ones
@@ -583,7 +632,7 @@ mod tests {
         assert_eq!(t.len(), 3, "nothing moves until the sweep is settled");
         // 2 was passed on the way to 4, 6 by finish(): both stale. 4 was
         // asked for, so its age was never looked at.
-        assert_eq!(t.settle(swept), vec![key(2), key(6)]);
+        assert_eq!(t.settle(vec![swept]), vec![key(2), key(6)]);
         let keys: Vec<_> = t.iter().map(|(k, e)| (*k, e.window)).collect();
         assert_eq!(keys, [1u8, 4, 5, 7].map(|n| (key(n), 60)).to_vec());
     }
@@ -910,13 +959,18 @@ mod tests {
                         table.insert_batch(batch);
                     }
                     _ => {
-                        // A tick's walk: ask for an ascending subset, update
-                        // what is held, buffer what is not.
+                        // A tick's walk, cut into key-range parts at random
+                        // bounds: ask for an ascending subset, each key of
+                        // the part whose range holds it, update what is
+                        // held, buffer what is not.
                         let asked: Vec<Ipv4Prefix> =
                             pool.iter().copied().filter(|_| rng.chance(0.3)).collect();
-                        let mut sweep = table.sweep(now, ttl);
+                        let bounds: Vec<Ipv4Prefix> =
+                            pool.iter().copied().filter(|_| rng.chance(0.1)).collect();
+                        let mut sweeps = table.sweep_parts(now, ttl, &bounds);
                         for k in &asked {
                             let input = PolicyInput::fresh_only(fresh);
+                            let sweep = &mut sweeps[bounds.partition_point(|b| b <= k)];
                             let entry = match sweep.seek(k) {
                                 Some(entry) => entry,
                                 None => sweep.insert(*k, FinalEntry::new(&policy, fresh, now)),
@@ -929,7 +983,7 @@ mod tests {
                                 .observe(&input, &policy, now);
                             proptest::prop_assert_eq!(got, want);
                         }
-                        let swept = sweep.finish();
+                        let swept = sweeps.into_iter().map(Sweep::finish).collect();
                         proptest::prop_assert_eq!(table.settle(swept), model.expire(now, ttl));
                     }
                 }

@@ -17,7 +17,7 @@ use std::collections::BTreeSet;
 
 use crate::config::TcpConfig;
 use crate::ids::ConnId;
-use crate::packet::{Ack, SackBlocks, SegIndex};
+use crate::packet::{Ack, SackBlocks, SegIndex, MAX_SACK_BLOCKS};
 
 /// What the receiver wants done after accepting a segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,22 +112,30 @@ impl Receiver {
     }
 
     /// Coalesces the out-of-order set into SACK ranges, highest (most
-    /// recently useful) first, capped at the option-space limit.
+    /// recently useful) first, capped at the option-space limit: a walk
+    /// down from the top that stops once the option space is full.
     fn sack_blocks(&self) -> SackBlocks {
         let mut blocks = SackBlocks::EMPTY;
-        if !self.sack || self.out_of_order.is_empty() {
+        if !self.sack {
             return blocks;
         }
-        let mut ranges: Vec<(u64, u64)> = Vec::new();
-        for &seq in &self.out_of_order {
-            match ranges.last_mut() {
-                Some((_, end)) if *end == seq => *end = seq + 1,
-                _ => ranges.push((seq, seq + 1)),
+        let mut held = self.out_of_order.iter().rev().copied();
+        let Some(top) = held.next() else {
+            return blocks;
+        };
+        let (mut start, mut end) = (top, top + 1);
+        for seq in held {
+            if seq + 1 == start {
+                start = seq;
+                continue;
             }
-        }
-        for &(start, end) in ranges.iter().rev().take(crate::packet::MAX_SACK_BLOCKS) {
             blocks.push(start, end);
+            if blocks.len() == MAX_SACK_BLOCKS {
+                return blocks;
+            }
+            (start, end) = (seq, seq + 1);
         }
+        blocks.push(start, end);
         blocks
     }
 
@@ -362,6 +370,40 @@ mod tests {
         let a = imm(r.on_segment(4));
         assert_eq!(a.cum_ack, 6);
         assert!(a.sack.is_empty());
+    }
+
+    /// The coalescing `sack_blocks` did before it walked down from the
+    /// top: every out-of-order range collected bottom up, then the
+    /// highest ones taken.
+    fn collected_sack_blocks(out_of_order: &BTreeSet<SegIndex>) -> Vec<(SegIndex, SegIndex)> {
+        let mut ranges: Vec<(SegIndex, SegIndex)> = Vec::new();
+        for &seq in out_of_order {
+            match ranges.last_mut() {
+                Some((_, end)) if *end == seq => *end = seq + 1,
+                _ => ranges.push((seq, seq + 1)),
+            }
+        }
+        ranges.into_iter().rev().take(MAX_SACK_BLOCKS).collect()
+    }
+
+    proptest::proptest! {
+        // Segments arriving in any order, duplicates included: every ACK
+        // carries the ranges the collect-then-take coalescing gives.
+        #[test]
+        fn sack_blocks_match_the_collected_ranges(
+            arrivals in proptest::collection::vec(0u64..48, 1..96)
+        ) {
+            let cfg = TcpConfig {
+                sack: true,
+                ..TcpConfig::default()
+            };
+            let mut r = Receiver::new(ConnId::from_index(0), &cfg);
+            for seq in arrivals {
+                let ack = imm(r.on_segment(seq));
+                let blocks: Vec<_> = ack.sack.iter().collect();
+                proptest::prop_assert_eq!(blocks, collected_sack_blocks(&r.out_of_order));
+            }
+        }
     }
 
     #[test]

@@ -296,6 +296,12 @@ impl Sender {
         self.send_times[idx] = Some((at, retransmit));
     }
 
+    /// Whether a flush has anything to move: queued segments, a timer
+    /// request or an ssthresh update.
+    pub(crate) fn has_pending_output(&self) -> bool {
+        !self.outbox.is_empty() || self.timer_request.is_some() || self.ssthresh_update.is_some()
+    }
+
     /// Takes the pending timer re-arm request, if any.
     pub fn take_timer_request(&mut self) -> Option<TimerRequest> {
         self.timer_request.take()

@@ -728,9 +728,14 @@ impl World {
         if self.conns[conn.index()].state == ConnState::Closed {
             return;
         }
-        if self.conns[conn.index()].sender.on_rto_fire(epoch, self.now) {
-            self.trace_push(conn, TraceEvent::RtoFired { at: self.now });
+        let sender = &mut self.conns[conn.index()].sender;
+        if !sender.on_rto_fire(epoch, self.now) {
+            // A stale or idle timer: every sender mutation is followed by
+            // a flush, so there is nothing for one to move.
+            debug_assert!(!sender.has_pending_output(), "a flush was missed");
+            return;
         }
+        self.trace_push(conn, TraceEvent::RtoFired { at: self.now });
         self.flush(conn);
     }
 

@@ -670,7 +670,17 @@ impl RiptideAgent {
             .iter()
             .map(|range| key(&observations[range.start]))
             .collect();
-        let sweeps = self.table.sweep_parts(now, self.config.ttl, &bounds);
+        // Into an empty table every group is first seen: each part makes
+        // room for one entry per observation, and the first part for
+        // every part's, so no buffer is copied to grow and the table
+        // takes the other parts' entries in place (FinalTable::settle).
+        let cold = self.table.is_empty().then_some(observations.len());
+        let mut sweeps = self.table.sweep_parts(now, self.config.ttl, &bounds);
+        if let Some(all) = cold {
+            for (at, (sweep, range)) in sweeps.iter_mut().zip(&ranges).enumerate() {
+                sweep.reserve(if at == 0 { all } else { range.len() });
+            }
+        }
         let ctx = Learner {
             config: &self.config,
             advisory: self.advisory,

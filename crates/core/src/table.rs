@@ -357,8 +357,8 @@ impl FinalTable {
     /// table grows once, and each entry above the first new key moves
     /// once, from the top down. Into an empty table (a cold first tick)
     /// the first batch moves whole and each later one is appended and
-    /// freed in turn, so the first-seen entries of a tick swept in parts
-    /// are never held twice over.
+    /// freed in turn: a first batch with room for the rest takes them in
+    /// place, so the first-seen entries are never held twice over.
     fn merge_new(&mut self, batches: Vec<Vec<(Ipv4Prefix, FinalEntry)>>) {
         let added: usize = batches.iter().map(Vec::len).sum();
         if added == 0 {
@@ -546,6 +546,12 @@ impl<'a> Sweep<'a> {
         self.swept.first_seen.push((key, entry));
         let (_, entry) = self.swept.first_seen.last_mut().expect("just pushed");
         entry
+    }
+
+    /// Makes room for `additional` first-seen entries up front, so the
+    /// buffer is never copied to grow.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.swept.first_seen.reserve_exact(additional);
     }
 
     /// Passes every remaining entry and releases the table.

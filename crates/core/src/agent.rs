@@ -288,14 +288,15 @@ struct Learned {
 /// Steps 3–5 of a tick over one key range: combine each group of
 /// `observations` (sorted, whole groups only), blend it with the entry
 /// `sweep` hands out, shape (trend + advisory), clamp, guard, and decide
-/// the install. A part writes only its own range of the table and its
-/// own outputs, so the parts of a tick, joined in key order, decide what
-/// one part over every observation decides.
+/// the install, into `installs` (empty). A part writes only its own range
+/// of the table and its own outputs, so the parts of a tick, joined in
+/// key order, decide what one part over every observation decides.
 fn learn(
     ctx: &Learner<'_>,
     observations: &[CwndObservation],
     mut sweep: Sweep<'_>,
     mut guard: Option<&mut LossGuard>,
+    mut installs: Vec<Install>,
 ) -> Learned {
     let Learner {
         config,
@@ -306,8 +307,7 @@ fn learn(
     } = *ctx;
     let granularity = config.granularity;
     let mut covered_under = None;
-    let (mut groups, mut installs, mut dirty, mut guard_trips) =
-        (0, Vec::new(), Vec::new(), Vec::new());
+    let (mut groups, mut dirty, mut guard_trips) = (0, Vec::new(), Vec::new());
     for group in observations.chunk_by(|a, b| granularity.key(a.dst) == granularity.key(b.dst)) {
         let key = granularity.key(group[0].dst);
         groups += 1;
@@ -666,21 +666,12 @@ impl RiptideAgent {
         // on a thread of its own: the observations are cut between groups
         // and the table before each part's first key.
         let ranges = part_ranges(&observations, parts, key);
+        let cold = self.table.is_empty();
         let bounds: Vec<Ipv4Prefix> = ranges[1..]
             .iter()
             .map(|range| key(&observations[range.start]))
             .collect();
-        // Into an empty table every group is first seen: each part makes
-        // room for one entry per observation, and the first part for
-        // every part's, so no buffer is copied to grow and the table
-        // takes the other parts' entries in place (FinalTable::settle).
-        let cold = self.table.is_empty().then_some(observations.len());
-        let mut sweeps = self.table.sweep_parts(now, self.config.ttl, &bounds);
-        if let Some(all) = cold {
-            for (at, (sweep, range)) in sweeps.iter_mut().zip(&ranges).enumerate() {
-                sweep.reserve(if at == 0 { all } else { range.len() });
-            }
-        }
+        let sweeps = self.table.sweep_parts(now, self.config.ttl, &bounds);
         let ctx = Learner {
             config: &self.config,
             advisory: self.advisory,
@@ -693,13 +684,31 @@ impl RiptideAgent {
             guard.is_none() || bounds.is_empty(),
             "a guard keeps one part"
         );
+        // Into an empty table every group is first seen and decides an
+        // install. So each part gets room for one of each per observation
+        // (its first-seen buffer, in the first part, room for every
+        // part's), made here on the calling thread: no buffer is copied
+        // to grow, the table takes the other parts' first-seen entries in
+        // place (`FinalTable::settle`), and the memory goes back to this
+        // thread's allocator, not to a worker's, where later work on this
+        // thread could not reuse it.
         let work = ranges
             .into_iter()
             .zip(sweeps)
-            .map(|(range, sweep)| (&observations[range], sweep, guard.take()))
+            .enumerate()
+            .map(|(at, (range, mut sweep))| {
+                let room = if cold { range.len() } else { 0 };
+                sweep.reserve(if cold && at == 0 {
+                    observations.len()
+                } else {
+                    room
+                });
+                let installs = Vec::with_capacity(room);
+                (&observations[range], sweep, guard.take(), installs)
+            })
             .collect();
-        let learned = in_parts(work, |(group, sweep, guard)| {
-            learn(&ctx, group, sweep, guard)
+        let learned = in_parts(work, |(group, sweep, guard, installs)| {
+            learn(&ctx, group, sweep, guard, installs)
         });
         // The sweep's groups borrow the observations; nothing after it
         // does, so a cold tick's million rows go before the table grows.

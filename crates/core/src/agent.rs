@@ -671,7 +671,7 @@ impl RiptideAgent {
             .iter()
             .map(|range| key(&observations[range.start]))
             .collect();
-        let sweeps = self.table.sweep_parts(now, self.config.ttl, &bounds);
+        let mut sweeps = self.table.sweep_parts(now, self.config.ttl, &bounds);
         let ctx = Learner {
             config: &self.config,
             advisory: self.advisory,
@@ -692,18 +692,19 @@ impl RiptideAgent {
         // place (`FinalTable::settle`), and the memory goes back to this
         // thread's allocator, not to a worker's, where later work on this
         // thread could not reuse it.
+        let room = |range: &Range<usize>| if cold { range.len() } else { 0 };
+        for (at, (sweep, range)) in sweeps.iter_mut().zip(&ranges).enumerate() {
+            sweep.reserve(if at == 0 {
+                room(&(0..observations.len()))
+            } else {
+                room(range)
+            });
+        }
         let work = ranges
             .into_iter()
             .zip(sweeps)
-            .enumerate()
-            .map(|(at, (range, mut sweep))| {
-                let room = if cold { range.len() } else { 0 };
-                sweep.reserve(if cold && at == 0 {
-                    observations.len()
-                } else {
-                    room
-                });
-                let installs = Vec::with_capacity(room);
+            .map(|(range, sweep)| {
+                let installs = Vec::with_capacity(room(&range));
                 (&observations[range], sweep, guard.take(), installs)
             })
             .collect();

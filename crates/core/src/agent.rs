@@ -420,6 +420,31 @@ fn learn(
     }
 }
 
+impl Learned {
+    /// Appends what the part over the next key range up learned, as if
+    /// one part had learned both ranges.
+    fn append(&mut self, mut later: Learned) {
+        self.groups += later.groups;
+        self.installs.append(&mut later.installs);
+        append_marks(&mut self.dirty, &later.dirty);
+        self.guard_trips.append(&mut later.guard_trips);
+        self.swept.append(later.swept);
+    }
+}
+
+/// Appends covering-prefix marks made over a later stretch of keys to
+/// `marks`. A prefix that straddles the seam is marked on both sides of
+/// it and kept once, as [`mark_dirty`] keeps a prefix marked twice in a
+/// row.
+fn append_marks(marks: &mut Vec<Ipv4Prefix>, later: &[Ipv4Prefix]) {
+    let seam = usize::from(
+        later
+            .first()
+            .is_some_and(|first| marks.last() == Some(first)),
+    );
+    marks.extend_from_slice(&later[seam..]);
+}
+
 /// Sorts `observations` stably by `key`: in `parts` runs of positions at
 /// once, then, only if two runs overlap where they meet, once more whole.
 /// Either way the order is the one a single stable sort gives, since each
@@ -431,9 +456,11 @@ fn sort_in_parts(
     key: impl Fn(&CwndObservation) -> Ipv4Prefix + Sync,
 ) {
     let run = observations.len().div_ceil(parts).max(1);
-    in_parts(observations.chunks_mut(run).collect(), |chunk| {
-        chunk.sort_by_key(&key)
-    });
+    in_parts(
+        observations.chunks_mut(run),
+        |chunk| chunk.sort_by_key(&key),
+        |_, _| {},
+    );
     let overlap = (run..observations.len())
         .step_by(run)
         .any(|at| key(&observations[at - 1]) > key(&observations[at]));
@@ -442,56 +469,54 @@ fn sort_in_parts(
     }
 }
 
-/// Cuts `observations`, sorted by `key`, into at most `parts` ranges of
-/// whole groups. Each cut is made at the first group boundary at or after
-/// the next `len / parts`-th observation; a cut that finds none is
-/// dropped, so a tick may run fewer parts than asked.
-fn part_ranges(
+/// Where to cut `observations`, sorted by `key`, into at most `parts`
+/// ranges of whole groups: the start of every range after the first.
+/// Each cut is made at the first group boundary at or after the next
+/// `len / parts`-th observation; a cut that finds none is dropped, so a
+/// tick may run fewer parts than asked.
+fn part_cuts(
     observations: &[CwndObservation],
     parts: usize,
     key: impl Fn(&CwndObservation) -> Ipv4Prefix,
-) -> Vec<Range<usize>> {
+) -> Vec<usize> {
     let len = observations.len();
-    let mut starts = vec![0];
+    let mut cuts: Vec<usize> = Vec::new();
     for part in 1..parts {
-        let from = (len * part / parts).max(starts[starts.len() - 1] + 1);
+        let from = (len * part / parts).max(cuts.last().map_or(1, |&cut| cut + 1));
         match (from..len).find(|&at| key(&observations[at - 1]) != key(&observations[at])) {
-            Some(at) => starts.push(at),
+            Some(at) => cuts.push(at),
             None => break,
         }
     }
-    let ends = starts[1..].iter().copied().chain([len]);
-    starts
-        .iter()
-        .copied()
-        .zip(ends)
-        .map(|(a, b)| a..b)
-        .collect()
+    cuts
 }
 
-/// Runs `work` on each of `items`, the first on this thread and every
-/// other on a scoped thread of its own, and returns the results in item
-/// order. One item spawns nothing. A panic in any part resumes here.
-fn in_parts<T: Send, R: Send>(items: Vec<T>, work: impl Fn(T) -> R + Sync) -> Vec<R> {
-    let mut items = items.into_iter();
-    let Some(first) = items.next() else {
-        return Vec::new();
-    };
-    if items.as_slice().is_empty() {
-        return vec![work(first)];
+/// Runs `work` on each of `parts`, the first on this thread and every
+/// other on a scoped thread of its own, and folds the results into the
+/// first one's in part order with `join`. One part spawns nothing; none
+/// returns `None`. A panic in any part resumes here.
+fn in_parts<T: Send, R: Send>(
+    parts: impl IntoIterator<Item = T>,
+    work: impl Fn(T) -> R + Sync,
+    mut join: impl FnMut(&mut R, R),
+) -> Option<R> {
+    let mut parts = parts.into_iter();
+    let first = parts.next()?;
+    let mut others = parts.peekable();
+    if others.peek().is_none() {
+        return Some(work(first));
     }
     std::thread::scope(|scope| {
         let work = &work;
-        let others: Vec<_> = items.map(|item| scope.spawn(move || work(item))).collect();
-        let mut results = vec![work(first)];
+        let others: Vec<_> = others.map(|part| scope.spawn(move || work(part))).collect();
+        let mut joined = work(first);
         for other in others {
-            results.push(
-                other
-                    .join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
-            );
+            let learned = other
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            join(&mut joined, learned);
         }
-        results
+        Some(joined)
     })
 }
 
@@ -635,15 +660,16 @@ impl RiptideAgent {
 
     /// Steps 1–5 of [`RiptideAgent::tick`] over `observations`, in at
     /// most `parts` key-range parts. Notes the parts' dirty marks, counts
-    /// and guard trips into the agent and `report`, and returns each
-    /// part's installs and finished sweep, in key order.
+    /// and guard trips into the agent and `report`, and returns the
+    /// installs they decided and their finished sweep, joined in key
+    /// order.
     fn learn_in_parts(
         &mut self,
         now: SimTime,
         mut observations: Vec<CwndObservation>,
         parts: usize,
         report: &mut TickReport,
-    ) -> (Vec<Vec<Install>>, Vec<Swept>) {
+    ) -> (Vec<Install>, Swept) {
         self.stats.ticks += 1;
         self.last_now = now;
         report.observed_connections = observations.len();
@@ -665,13 +691,23 @@ impl RiptideAgent {
         // expiry scan, for free. In parts, each part sweeps one key range
         // on a thread of its own: the observations are cut between groups
         // and the table before each part's first key.
-        let ranges = part_ranges(&observations, parts, key);
+        let cuts = part_cuts(&observations, parts, key);
+        let bounds: Vec<Ipv4Prefix> = cuts.iter().map(|&at| key(&observations[at])).collect();
+        let starts = std::iter::once(0).chain(cuts.iter().copied());
+        let ends = cuts.iter().copied().chain([observations.len()]);
+        // Into an empty table every group is first seen and decides an
+        // install. So each part gets room for one of each per
+        // observation, the first part room for every part's, made here
+        // on the calling thread: no buffer is copied to grow, the first
+        // part's buffers take the others' in place, and the memory goes
+        // back to this thread's allocator, not to a worker's, where
+        // later work on this thread could not reuse it.
         let cold = self.table.is_empty();
-        let bounds: Vec<Ipv4Prefix> = ranges[1..]
-            .iter()
-            .map(|range| key(&observations[range.start]))
-            .collect();
-        let mut sweeps = self.table.sweep_parts(now, self.config.ttl, &bounds);
+        let room = |at: usize, range: &Range<usize>| match (cold, at) {
+            (false, _) => 0,
+            (true, 0) => observations.len(),
+            (true, _) => range.len(),
+        };
         let ctx = Learner {
             config: &self.config,
             advisory: self.advisory,
@@ -680,60 +716,33 @@ impl RiptideAgent {
             now,
         };
         let mut guard = self.guard.as_mut();
-        debug_assert!(
-            guard.is_none() || bounds.is_empty(),
-            "a guard keeps one part"
-        );
-        // Into an empty table every group is first seen and decides an
-        // install. So each part gets room for one of each per observation
-        // (its first-seen buffer, in the first part, room for every
-        // part's), made here on the calling thread: no buffer is copied
-        // to grow, the table takes the other parts' first-seen entries in
-        // place (`FinalTable::settle`), and the memory goes back to this
-        // thread's allocator, not to a worker's, where later work on this
-        // thread could not reuse it.
-        let room = |range: &Range<usize>| if cold { range.len() } else { 0 };
-        for (at, (sweep, range)) in sweeps.iter_mut().zip(&ranges).enumerate() {
-            sweep.reserve(if at == 0 {
-                room(&(0..observations.len()))
-            } else {
-                room(range)
+        debug_assert!(guard.is_none() || cuts.is_empty(), "a guard keeps one part");
+        let work = starts
+            .zip(ends)
+            .zip(self.table.sweep_parts(now, self.config.ttl, &bounds))
+            .enumerate()
+            .map(|(at, ((start, end), mut sweep))| {
+                let room = room(at, &(start..end));
+                sweep.reserve(room);
+                let installs = Vec::with_capacity(room);
+                (&observations[start..end], sweep, guard.take(), installs)
             });
-        }
-        let work = ranges
-            .into_iter()
-            .zip(sweeps)
-            .map(|(range, sweep)| {
-                let installs = Vec::with_capacity(room(&range));
-                (&observations[range], sweep, guard.take(), installs)
-            })
-            .collect();
-        let learned = in_parts(work, |(group, sweep, guard, installs)| {
-            learn(&ctx, group, sweep, guard, installs)
-        });
+        let learned = in_parts(
+            work,
+            |(group, sweep, guard, installs)| learn(&ctx, group, sweep, guard, installs),
+            Learned::append,
+        )
+        .expect("a tick sweeps at least one part");
         // The sweep's groups borrow the observations; nothing after it
         // does, so a cold tick's million rows go before the table grows.
         drop(observations);
 
-        let mut installs = Vec::with_capacity(learned.len());
-        let mut swept = Vec::with_capacity(learned.len());
-        for part in learned {
-            report.groups += part.groups;
-            self.stats.guard_trips += part.guard_trips.len() as u64;
-            report.guard_trips.extend(part.guard_trips);
-            // A covering prefix that straddles a seam is marked on both
-            // sides of it: note it once, as one part would.
-            let seam = usize::from(
-                part.dirty
-                    .first()
-                    .is_some_and(|first| self.dirty.last() == Some(first)),
-            );
-            self.dirty.extend_from_slice(&part.dirty[seam..]);
-            self.stats.swept_entries += part.swept.visited() as u64;
-            installs.push(part.installs);
-            swept.push(part.swept);
-        }
-        (installs, swept)
+        report.groups = learned.groups;
+        self.stats.guard_trips += learned.guard_trips.len() as u64;
+        report.guard_trips = learned.guard_trips;
+        append_marks(&mut self.dirty, &learned.dirty);
+        self.stats.swept_entries += learned.swept.visited() as u64;
+        (learned.installs, learned.swept)
     }
 
     /// Steps 6–9 of [`RiptideAgent::tick`]: settles the learning parts'
@@ -741,7 +750,7 @@ impl RiptideAgent {
     /// aggregation pass, then issues every decided command.
     fn settle_and_issue<C>(
         &mut self,
-        (installs, swept): (Vec<Vec<Install>>, Vec<Swept>),
+        (installs, swept): (Vec<Install>, Swept),
         mut report: TickReport,
         controller: &mut C,
     ) -> TickReport
@@ -795,7 +804,7 @@ impl RiptideAgent {
         let mut evicted_keys = evicted.clone();
         evicted_keys.sort_unstable();
         let mut covered_under = None;
-        for (key, window, cause) in installs.into_iter().flatten() {
+        for (key, window, cause) in installs {
             if evicted_keys.binary_search(&key).is_ok()
                 || covered_by(self.aggregator.as_ref(), &key, &mut covered_under)
             {
@@ -2761,9 +2770,11 @@ mod tests {
                 let table = &agents[0].0.table;
                 let first_seen = |part: &[CwndObservation]| part.iter().any(|o| table.get(&key(o)).is_none());
                 for parts in 2..=4 {
-                    let ranges = part_ranges(&sorted, parts, key);
-                    for seam in ranges.windows(2) {
-                        let (below, above) = (&sorted[seam[0].clone()], &sorted[seam[1].clone()]);
+                    let cuts = part_cuts(&sorted, parts, key);
+                    let ends = cuts.iter().copied().skip(1).chain([sorted.len()]);
+                    let starts = std::iter::once(0).chain(cuts.iter().copied());
+                    for ((start, cut), end) in starts.zip(cuts.iter().copied()).zip(ends) {
+                        let (below, above) = (&sorted[start..cut], &sorted[cut..end]);
                         seen[0] |= key(&below[below.len() - 1]).covering(24) == key(&above[0]).covering(24);
                         seen[1] |= tick > 0 && first_seen(below) && first_seen(above);
                     }

@@ -281,7 +281,7 @@ impl FinalTable {
     /// for no key, so it passes (and age-checks) every entry.
     pub fn expire(&mut self, now: SimTime, ttl: SimDuration) -> Vec<Ipv4Prefix> {
         let swept = self.sweep(now, ttl).finish();
-        self.settle(vec![swept])
+        self.settle(swept)
     }
 
     /// Starts one ordered pass over the whole table at `now` — the walk
@@ -300,44 +300,41 @@ impl FinalTable {
     /// (ascending), so part `i` holds the entries from `bounds[i - 1]` up
     /// to, not including, `bounds[i]`, the first part everything below
     /// `bounds[0]` and the last everything from the last bound up. Each
-    /// part's caller asks only for keys in its own range. Hand the
-    /// finished parts to [`FinalTable::settle`] in part order.
-    pub(crate) fn sweep_parts(
-        &mut self,
+    /// part's caller asks only for keys in its own range. Join the
+    /// finished parts in part order ([`Swept::append`]) and settle that.
+    pub(crate) fn sweep_parts<'a>(
+        &'a mut self,
         now: SimTime,
         ttl: SimDuration,
-        bounds: &[Ipv4Prefix],
-    ) -> Vec<Sweep<'_>> {
-        let mut rest = self.entries.as_mut_slice();
-        let mut parts = Vec::with_capacity(bounds.len() + 1);
-        for bound in bounds {
-            let below = rest.partition_point(|(k, _)| k < bound);
-            let (part, above) = std::mem::take(&mut rest).split_at_mut(below);
-            parts.push(Sweep::over(part, now, ttl));
-            rest = above;
-        }
-        parts.push(Sweep::over(rest, now, ttl));
-        parts
+        bounds: &'a [Ipv4Prefix],
+    ) -> impl Iterator<Item = Sweep<'a>> {
+        let mut rest = Some(self.entries.as_mut_slice());
+        let mut bounds = bounds.iter();
+        std::iter::from_fn(move || {
+            let entries = rest.take()?;
+            let part = match bounds.next() {
+                Some(bound) => {
+                    let below = entries.partition_point(|(k, _)| k < bound);
+                    let (part, above) = entries.split_at_mut(below);
+                    rest = Some(above);
+                    part
+                }
+                None => entries,
+            };
+            Some(Sweep::over(part, now, ttl))
+        })
     }
 
-    /// Applies finished sweeps of consecutive key ranges, in key order:
-    /// removes the entries they found expired, merges in the first-seen
-    /// entries they buffered, and returns the expired keys in key order.
-    /// Sweeps that found neither leave the table as it is.
-    pub(crate) fn settle(&mut self, parts: Vec<Swept>) -> Vec<Ipv4Prefix> {
-        let mut stale = Vec::new();
-        let mut first_seen = Vec::with_capacity(parts.len());
-        for mut part in parts {
-            if stale.is_empty() {
-                stale = part.stale;
-            } else {
-                stale.append(&mut part.stale);
-            }
-            first_seen.push(part.first_seen);
-        }
-        self.remove_keys(&mut stale);
-        self.merge_new(first_seen);
-        stale
+    /// Applies a finished sweep: removes the entries it found expired,
+    /// merges in the first-seen entries it buffered, and returns the
+    /// expired keys in key order. A sweep that found neither leaves the
+    /// table as it is; into an empty table (a cold first tick) the
+    /// buffer of first-seen entries moves whole, and room it reserved
+    /// and did not fill is given back.
+    pub(crate) fn settle(&mut self, mut swept: Swept) -> Vec<Ipv4Prefix> {
+        self.remove_keys(&mut swept.stale);
+        self.merge_new(swept.first_seen);
+        swept.stale
     }
 
     /// Removes the entries of `keys`, which the table holds, in one
@@ -352,38 +349,28 @@ impl FinalTable {
             .retain(|(key, _)| doomed.next_if(|doomed| *doomed == key).is_none());
     }
 
-    /// Merges `batches` — strictly ascending, one batch after the other,
-    /// and holding no key the table holds — into the table in place: the
-    /// table grows once, and each entry above the first new key moves
-    /// once, from the top down. Into an empty table (a cold first tick)
-    /// the first batch moves whole and each later one is appended and
-    /// freed in turn: a first batch with room for the rest takes them in
-    /// place, so the first-seen entries are never held twice over.
-    fn merge_new(&mut self, batches: Vec<Vec<(Ipv4Prefix, FinalEntry)>>) {
-        let added: usize = batches.iter().map(Vec::len).sum();
-        if added == 0 {
+    /// Merges `batch` — strictly ascending, and holding no key the table
+    /// holds — into the table in place: the table grows once, and each
+    /// entry above the first new key moves once, from the top down.
+    fn merge_new(&mut self, mut batch: Vec<(Ipv4Prefix, FinalEntry)>) {
+        if batch.is_empty() {
             return;
         }
         if self.entries.is_empty() {
-            let mut batches = batches.into_iter().filter(|batch| !batch.is_empty());
-            self.entries = batches.next().expect("added is not zero");
-            for mut batch in batches {
-                self.entries.append(&mut batch);
-            }
+            batch.shrink_to_fit();
+            self.entries = batch;
             return;
         }
         let mut held = self.entries.len();
-        self.entries.resize_with(held + added, vacant);
+        self.entries.resize_with(held + batch.len(), vacant);
         let mut slot = self.entries.len();
-        for mut batch in batches.into_iter().rev() {
-            while let Some((key, _)) = batch.last() {
-                slot -= 1;
-                if held > 0 && self.entries[held - 1].0 > *key {
-                    held -= 1;
-                    self.entries.swap(held, slot);
-                } else {
-                    self.entries[slot] = batch.pop().expect("looked at above");
-                }
+        while let Some((key, _)) = batch.last() {
+            slot -= 1;
+            if held > 0 && self.entries[held - 1].0 > *key {
+                held -= 1;
+                self.entries.swap(held, slot);
+            } else {
+                self.entries[slot] = batch.pop().expect("looked at above");
             }
         }
     }
@@ -421,7 +408,7 @@ impl FinalTable {
                 }
             });
         }
-        self.merge_new(vec![batch]);
+        self.merge_new(batch);
     }
 
     /// Iterates live entries in key order.
@@ -498,6 +485,15 @@ impl Swept {
     /// How many of the table's entries the sweep visited.
     pub(crate) fn visited(&self) -> usize {
         self.visited
+    }
+
+    /// Appends what a sweep of the next key range up found, as if one
+    /// sweep had passed both ranges. (A first-seen buffer with room for
+    /// `later`'s entries takes them without growing.)
+    pub(crate) fn append(&mut self, mut later: Swept) {
+        self.first_seen.append(&mut later.first_seen);
+        self.stale.append(&mut later.stale);
+        self.visited += later.visited;
     }
 }
 
@@ -638,7 +634,7 @@ mod tests {
         assert_eq!(t.len(), 3, "nothing moves until the sweep is settled");
         // 2 was passed on the way to 4, 6 by finish(): both stale. 4 was
         // asked for, so its age was never looked at.
-        assert_eq!(t.settle(vec![swept]), vec![key(2), key(6)]);
+        assert_eq!(t.settle(swept), vec![key(2), key(6)]);
         let keys: Vec<_> = t.iter().map(|(k, e)| (*k, e.window)).collect();
         assert_eq!(keys, [1u8, 4, 5, 7].map(|n| (key(n), 60)).to_vec());
     }
@@ -973,7 +969,7 @@ mod tests {
                             pool.iter().copied().filter(|_| rng.chance(0.3)).collect();
                         let bounds: Vec<Ipv4Prefix> =
                             pool.iter().copied().filter(|_| rng.chance(0.1)).collect();
-                        let mut sweeps = table.sweep_parts(now, ttl, &bounds);
+                        let mut sweeps: Vec<_> = table.sweep_parts(now, ttl, &bounds).collect();
                         for k in &asked {
                             let input = PolicyInput::fresh_only(fresh);
                             let sweep = &mut sweeps[bounds.partition_point(|b| b <= k)];
@@ -989,7 +985,10 @@ mod tests {
                                 .observe(&input, &policy, now);
                             proptest::prop_assert_eq!(got, want);
                         }
-                        let swept = sweeps.into_iter().map(Sweep::finish).collect();
+                        let mut swept = Swept::default();
+                        for part in sweeps {
+                            swept.append(part.finish());
+                        }
                         proptest::prop_assert_eq!(table.settle(swept), model.expire(now, ttl));
                     }
                 }

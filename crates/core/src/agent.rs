@@ -21,7 +21,6 @@
 //! actuator can be an in-process table or a shell running `ip route`.
 
 use std::collections::BTreeMap;
-use std::ops::Range;
 
 use riptide_linuxnet::prefix::Ipv4Prefix;
 use riptide_simnet::time::SimTime;
@@ -422,13 +421,15 @@ fn learn(
 
 impl Learned {
     /// Appends what the part over the next key range up learned, as if
-    /// one part had learned both ranges.
+    /// one part had learned both ranges. The first-seen entries move,
+    /// and `later`'s buffer of them is freed, before the installs move,
+    /// so a cold tick never holds more than one buffer twice.
     fn append(&mut self, mut later: Learned) {
+        self.swept.append(later.swept);
         self.groups += later.groups;
         self.installs.append(&mut later.installs);
         append_marks(&mut self.dirty, &later.dirty);
         self.guard_trips.append(&mut later.guard_trips);
-        self.swept.append(later.swept);
     }
 }
 
@@ -456,11 +457,9 @@ fn sort_in_parts(
     key: impl Fn(&CwndObservation) -> Ipv4Prefix + Sync,
 ) {
     let run = observations.len().div_ceil(parts).max(1);
-    in_parts(
-        observations.chunks_mut(run),
-        |chunk| chunk.sort_by_key(&key),
-        |_, _| {},
-    );
+    in_parts(observations.chunks_mut(run), |chunk| {
+        chunk.sort_by_key(&key)
+    });
     let overlap = (run..observations.len())
         .step_by(run)
         .any(|at| key(&observations[at - 1]) > key(&observations[at]));
@@ -480,7 +479,7 @@ fn part_cuts(
     key: impl Fn(&CwndObservation) -> Ipv4Prefix,
 ) -> Vec<usize> {
     let len = observations.len();
-    let mut cuts: Vec<usize> = Vec::new();
+    let mut cuts = Vec::new();
     for part in 1..parts {
         let from = (len * part / parts).max(cuts.last().map_or(1, |&cut| cut + 1));
         match (from..len).find(|&at| key(&observations[at - 1]) != key(&observations[at])) {
@@ -492,31 +491,32 @@ fn part_cuts(
 }
 
 /// Runs `work` on each of `parts`, the first on this thread and every
-/// other on a scoped thread of its own, and folds the results into the
-/// first one's in part order with `join`. One part spawns nothing; none
-/// returns `None`. A panic in any part resumes here.
+/// other on a scoped thread of its own. Returns the first part's result
+/// and the others', in part order, or `None` for no parts. One part
+/// spawns nothing. A panic in any part resumes here.
 fn in_parts<T: Send, R: Send>(
     parts: impl IntoIterator<Item = T>,
     work: impl Fn(T) -> R + Sync,
-    mut join: impl FnMut(&mut R, R),
-) -> Option<R> {
+) -> Option<(R, Vec<R>)> {
     let mut parts = parts.into_iter();
     let first = parts.next()?;
     let mut others = parts.peekable();
     if others.peek().is_none() {
-        return Some(work(first));
+        return Some((work(first), Vec::new()));
     }
     std::thread::scope(|scope| {
         let work = &work;
         let others: Vec<_> = others.map(|part| scope.spawn(move || work(part))).collect();
-        let mut joined = work(first);
-        for other in others {
-            let learned = other
-                .join()
-                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-            join(&mut joined, learned);
-        }
-        Some(joined)
+        let first = work(first);
+        let others = others
+            .into_iter()
+            .map(|other| {
+                other
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect();
+        Some((first, others))
     })
 }
 
@@ -703,10 +703,10 @@ impl RiptideAgent {
         // back to this thread's allocator, not to a worker's, where
         // later work on this thread could not reuse it.
         let cold = self.table.is_empty();
-        let room = |at: usize, range: &Range<usize>| match (cold, at) {
+        let room = |at: usize, observed: usize| match (cold, at) {
             (false, _) => 0,
             (true, 0) => observations.len(),
-            (true, _) => range.len(),
+            (true, _) => observed,
         };
         let ctx = Learner {
             config: &self.config,
@@ -722,20 +722,22 @@ impl RiptideAgent {
             .zip(self.table.sweep_parts(now, self.config.ttl, &bounds))
             .enumerate()
             .map(|(at, ((start, end), mut sweep))| {
-                let room = room(at, &(start..end));
+                let room = room(at, end - start);
                 sweep.reserve(room);
                 let installs = Vec::with_capacity(room);
                 (&observations[start..end], sweep, guard.take(), installs)
             });
-        let learned = in_parts(
-            work,
-            |(group, sweep, guard, installs)| learn(&ctx, group, sweep, guard, installs),
-            Learned::append,
-        )
+        let (mut learned, later) = in_parts(work, |(group, sweep, guard, installs)| {
+            learn(&ctx, group, sweep, guard, installs)
+        })
         .expect("a tick sweeps at least one part");
         // The sweep's groups borrow the observations; nothing after it
-        // does, so a cold tick's million rows go before the table grows.
+        // does, so a cold tick's million rows go before the parts' buffers
+        // are joined and the table grows.
         drop(observations);
+        for part in later {
+            learned.append(part);
+        }
 
         report.groups = learned.groups;
         self.stats.guard_trips += learned.guard_trips.len() as u64;

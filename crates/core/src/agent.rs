@@ -727,8 +727,8 @@ impl RiptideAgent {
                 let installs = Vec::with_capacity(room);
                 (&observations[start..end], sweep, guard.take(), installs)
             });
-        let (mut learned, later) = in_parts(work, |(group, sweep, guard, installs)| {
-            learn(&ctx, group, sweep, guard, installs)
+        let (mut learned, later) = in_parts(work, |(observed, sweep, guard, installs)| {
+            learn(&ctx, observed, sweep, guard, installs)
         })
         .expect("a tick sweeps at least one part");
         // The sweep's groups borrow the observations; nothing after it

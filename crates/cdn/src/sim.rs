@@ -956,6 +956,31 @@ mod tests {
     }
 
     #[test]
+    fn a_default_report_is_the_identity_of_merge() {
+        let chaos = ChaosReport {
+            faults: FaultStats {
+                crashes: 2,
+                ..FaultStats::default()
+            },
+            installs: 3,
+            installed_min: 7,
+            installed_max: 9,
+            ..ChaosReport::default()
+        };
+        let mut merged = ChaosReport::default();
+        merged.merge(&chaos);
+        assert_eq!(merged, chaos);
+        let coldstart = ColdstartReport {
+            recoveries: 2,
+            ramp_nanos_max: 5,
+            ..ColdstartReport::default()
+        };
+        let mut merged = ColdstartReport::default();
+        merged.merge(&coldstart);
+        assert_eq!(merged, coldstart);
+    }
+
+    #[test]
     fn probes_complete_in_both_modes() {
         for riptide in [false, true] {
             let mut sim = CdnSim::new(tiny_cfg(riptide, 11));

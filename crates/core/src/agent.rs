@@ -22,6 +22,7 @@
 
 use std::collections::BTreeMap;
 
+use riptide_linuxnet::parts::{cores, in_parts};
 use riptide_linuxnet::prefix::Ipv4Prefix;
 use riptide_simnet::time::SimTime;
 
@@ -210,8 +211,6 @@ pub struct RiptideAgent {
     /// The most recent tick instant, used to stamp journal records for
     /// actions that happen outside a tick (reconcile, shutdown).
     last_now: SimTime,
-    /// Hardware threads, read once: the most parts a tick sweeps in.
-    cores: usize,
 }
 
 /// Notes that `key`'s covering prefix, if it has one, needs the next
@@ -490,36 +489,6 @@ fn part_cuts(
     cuts
 }
 
-/// Runs `work` on each of `parts`, the first on this thread and every
-/// other on a scoped thread of its own. Returns the first part's result
-/// and the others', in part order, or `None` for no parts. One part
-/// spawns nothing. A panic in any part resumes here.
-fn in_parts<T: Send, R: Send>(
-    parts: impl IntoIterator<Item = T>,
-    work: impl Fn(T) -> R + Sync,
-) -> Option<(R, Vec<R>)> {
-    let mut parts = parts.into_iter();
-    let first = parts.next()?;
-    let mut others = parts.peekable();
-    if others.peek().is_none() {
-        return Some((work(first), Vec::new()));
-    }
-    std::thread::scope(|scope| {
-        let work = &work;
-        let others: Vec<_> = others.map(|part| scope.spawn(move || work(part))).collect();
-        let first = work(first);
-        let others = others
-            .into_iter()
-            .map(|other| {
-                other
-                    .join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-            })
-            .collect();
-        Some((first, others))
-    })
-}
-
 impl RiptideAgent {
     /// Creates an agent with the given configuration.
     ///
@@ -546,7 +515,6 @@ impl RiptideAgent {
             telemetry: None,
             published: AgentStats::default(),
             last_now: SimTime::ZERO,
-            cores: std::thread::available_parallelism().map_or(1, usize::from),
         })
     }
 
@@ -655,7 +623,7 @@ impl RiptideAgent {
         if self.guard.is_some() {
             return 1;
         }
-        self.cores.min(observations / MIN_PART).max(1)
+        cores().min(observations / MIN_PART).max(1)
     }
 
     /// Steps 1–5 of [`RiptideAgent::tick`] over `observations`, in at

@@ -24,6 +24,7 @@
 //! | [`ss`] | `ss -i` render/parse, incl. lossy salvage of truncated output | §III poll loop input |
 //! | [`ip_cmd`] | `ip route …` grammar | Fig. 8 |
 //! | [`prefix`] | IPv4 prefixes (host and `/24` granularity) | §III-B granularity |
+//! | [`parts`] | work in parts across cores: the `ss` scan's and the agent tick's | — |
 //!
 //! The crate is dependency-free and usable on its own. It runs no
 //! processes: the reproduction wires it to simulated hosts, and
@@ -48,6 +49,7 @@
 
 pub mod ip_cmd;
 pub mod lpm;
+pub mod parts;
 pub mod prefix;
 pub mod route;
 pub mod ss;

@@ -61,7 +61,7 @@ fn sock_table(rows: &[u64]) -> SockTable {
                 ],
                 seed as usize,
             ),
-            cc: pick(&["cubic", "reno", "bbr"], (seed >> 2) as usize).to_string(),
+            cc: pick(&["cubic", "reno", "bbr"], (seed >> 2) as usize).into(),
             cwnd: (seed >> 4) as u32 % 500,
             ssthresh: (seed >> 13 & 1 == 1).then_some((seed >> 14) as u32 % 900),
             rtt_ms: (seed >> 24 & 1 == 1).then_some(((seed >> 25) % 400_000) as f64 / 1000.0),

@@ -180,7 +180,7 @@ mod model {
             src,
             dst,
             state,
-            cc,
+            cc: cc.into(),
             cwnd: cwnd.ok_or_else(|| ParseSsError::new("info line missing cwnd"))?,
             ssthresh,
             rtt_ms,
@@ -215,7 +215,7 @@ ESTAB 10.128.0.4 10.132.0.10
 /// parses, and a NaN equals nothing.
 fn row_bits(e: &SockEntry) -> impl PartialEq + std::fmt::Debug + '_ {
     (
-        (e.src, e.dst, e.state, e.cc.as_str()),
+        (e.src, e.dst, e.state, &*e.cc),
         (e.cwnd, e.ssthresh, e.rtt_ms.map(f64::to_bits)),
         (e.bytes_acked, e.retrans, e.lost),
     )
@@ -292,7 +292,7 @@ fn row(seed: u64) -> SockEntry {
         src: Ipv4Addr::from((seed >> 3) as u32),
         dst: Ipv4Addr::from((seed >> 29) as u32),
         state: pick(STATES, (seed >> 5) as usize),
-        cc: pick(CC_NAMES, (seed >> 11) as usize).to_string(),
+        cc: pick(CC_NAMES, (seed >> 11) as usize).into(),
         cwnd: edge(14, 300, u64::from(u32::MAX)) as u32,
         ssthresh: bit(16).then(|| edge(17, 500, u64::from(u32::MAX)) as u32),
         rtt_ms: bit(19).then(|| match seed >> 20 & 3 {

@@ -75,10 +75,4 @@ mod tests {
             .or_else(|| payload.downcast_ref::<&str>().copied());
         assert_eq!(message, Some("part 2 failed"));
     }
-
-    #[test]
-    fn cores_is_read_once_and_is_at_least_one() {
-        assert!(cores() >= 1);
-        assert_eq!(cores(), cores());
-    }
 }

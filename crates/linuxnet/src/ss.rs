@@ -914,11 +914,9 @@ ESTAB 10.128.0.4 10.132.0.10
             .take(4_000)
             .collect();
         let text = table.render();
+        // At least two parts on any host with two cores.
         assert!(text.len() >= 2 * MIN_PART_BYTES, "{} bytes", text.len());
-        assert_eq!(
-            parts_for(text.len()),
-            cores().min(text.len() / MIN_PART_BYTES)
-        );
+        assert!(parts_for(text.len()) >= cores().min(2));
         assert_eq!(SockTable::parse(&text).unwrap(), table);
         assert_eq!(SockTable::parse_lossy(&text), (table, Vec::new()));
     }

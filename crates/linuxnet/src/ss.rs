@@ -308,15 +308,30 @@ fn scan<E: Send>(
     let cuts = cuts(text, parts);
     let starts = std::iter::once(0).chain(cuts.iter().copied());
     let ends = cuts.iter().copied().chain([text.len()]);
-    // A rendered row is rarely under 64 bytes: no regrowth on the way.
-    // The first part gets room for every part's rows, so the join moves
-    // the others' in without growing, and every buffer is made here, on
-    // the calling thread: the memory goes back to this thread's
-    // allocator, not to a worker's, where later work could not reuse it.
-    let work = starts.zip(ends).enumerate().map(|(at, (start, end))| {
-        let room = if at == 0 { text.len() } else { end - start } / 64;
-        (&text[start..end], Vec::with_capacity(room))
-    });
+    // A row is two lines, so a part's newlines bound its rows, and a
+    // rendered row is rarely under 64 bytes: room for the fewer of the
+    // two leaves no regrowth on the way. The first part gets room for
+    // every part's rows, so the join moves the others' in without
+    // growing, and every buffer is made here, on the calling thread: the
+    // memory goes back to this thread's allocator, not to a worker's,
+    // where later work could not reuse it.
+    let ranges: Vec<&str> = starts
+        .zip(ends)
+        .map(|(start, end)| &text[start..end])
+        .collect();
+    let rooms: Vec<usize> = ranges
+        .iter()
+        .map(|part| {
+            let lines = part.bytes().filter(|&b| b == b'\n').count() + 1;
+            (lines / 2).min(part.len() / 64)
+        })
+        .collect();
+    let all: usize = rooms.iter().sum();
+    let work = ranges
+        .into_iter()
+        .zip(rooms)
+        .enumerate()
+        .map(|(at, (part, room))| (part, Vec::with_capacity(if at == 0 { all } else { room })));
     let (first, later) = in_parts(work, |(part, rows)| -> Result<Part, E> {
         let mut errors = Vec::new();
         let (rows, pending) = scan_part(part, rows, |e| sink(e, &mut errors))?;

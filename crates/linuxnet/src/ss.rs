@@ -308,10 +308,11 @@ fn scan<E: Send>(
     let cuts = cuts(text, parts);
     let starts = std::iter::once(0).chain(cuts.iter().copied());
     let ends = cuts.iter().copied().chain([text.len()]);
-    // A row is two lines, so a part's newlines bound its rows, and a
-    // rendered row is rarely under 64 bytes: room for the fewer of the
-    // two leaves no regrowth on the way. The first part gets room for
-    // every part's rows, so the join moves the others' in without
+    // A row is two lines, so a part's newlines bound its rows. Room for
+    // that many, but for no more than one row per 64 bytes (text that is
+    // mostly newlines would ask for far more than it can fill), leaves a
+    // rendered table no regrowth on the way. The first part gets room
+    // for every part's rows, so the join moves the others' in without
     // growing, and every buffer is made here, on the calling thread: the
     // memory goes back to this thread's allocator, not to a worker's,
     // where later work could not reuse it.

@@ -30,7 +30,8 @@ use crate::advisory::Advisory;
 use crate::aggregate::{AggregationPass, Aggregator};
 use crate::config::{ConfigError, RiptideConfig};
 use crate::control::{ControlError, RouteController};
-use crate::guard::{BreakerState, LossGuard};
+use crate::granularity::Granularity;
+use crate::guard::{BreakerState, GuardSweep, GuardSwept, LossGuard};
 use crate::observe::{CwndObservation, WindowObserver};
 use crate::persist::{SnapshotEntry, TableSnapshot};
 use crate::policy::PolicyInput;
@@ -250,15 +251,27 @@ fn covered_by(
     }
 }
 
-/// Observations per part below which a tick sorts and sweeps in one
-/// part. Each scoped thread's spawn and join cost about 30 µs on a
-/// 2-thread 2.1 GHz Xeon, and a tick in parts spawns twice (to sort, then
-/// to sweep), while sorting and sweeping an observation costs about 40
-/// ns: at this size a part's work is some ten times its threads' cost.
-const MIN_PART: usize = 16_384;
+/// Observations per part below which a tick sweeps in one part. Each
+/// scoped thread's spawn and join cost about 30 µs on a 2-thread 2.1 GHz
+/// Xeon, and a tick in parts spawns once (grouping runs on the calling
+/// thread), while sweeping an observation costs about 45 ns, with the
+/// loss guard on or off: at this size a part's work is some ten times
+/// its thread's cost.
+const MIN_PART: usize = 8_192;
+
+/// Observations below which [`group`] sorts by comparison: the radix
+/// sort's four 256-count histograms cost the same at any length, and on
+/// the same Xeon 64 observations sorted in 1.4 µs by comparison against
+/// 1.7 µs by radix, 128 in 3.1 µs against 2.6.
+const RADIX_FROM: usize = 128;
 
 /// An install a tick decided on: `(key, window, cause)`.
 type Install = (Ipv4Prefix, u32, DecisionCause);
+
+/// What a tick's steps 1–5 leave to steps 6–9: the installs decided on,
+/// the finished sweep of the learned table and, with a loss guard, of
+/// its breakers.
+type Decided = (Vec<Install>, Swept, Option<GuardSwept>);
 
 /// What every part of a tick's sweep reads and none writes.
 struct Learner<'a> {
@@ -281,6 +294,8 @@ struct Learned {
     guard_trips: Vec<Ipv4Prefix>,
     /// The finished sweep, for [`FinalTable::settle`].
     swept: Swept,
+    /// The finished guard sweep, for [`LossGuard::settle`].
+    guarded: Option<GuardSwept>,
 }
 
 /// Steps 3–5 of a tick over one key range: combine each group of
@@ -293,7 +308,7 @@ fn learn(
     ctx: &Learner<'_>,
     observations: &[CwndObservation],
     mut sweep: Sweep<'_>,
-    mut guard: Option<&mut LossGuard>,
+    mut guard: Option<GuardSweep<'_>>,
     mut installs: Vec<Install>,
 ) -> Learned {
     let Learner {
@@ -381,7 +396,7 @@ fn learn(
         // this destination.
         let mut effective = window;
         let mut suppressed_by = None;
-        if let Some(guard) = guard.as_deref_mut() {
+        if let Some(guard) = guard.as_mut() {
             let probe_window = guard.config().probe_window;
             let jump_started = issued.is_some_and(|w| w > probe_window);
             let verdict = guard.update(key, retrans_total, bytes_total, jump_started, now);
@@ -415,6 +430,7 @@ fn learn(
         dirty,
         guard_trips,
         swept: sweep.finish(),
+        guarded: guard.map(GuardSweep::finish),
     }
 }
 
@@ -429,6 +445,9 @@ impl Learned {
         self.installs.append(&mut later.installs);
         append_marks(&mut self.dirty, &later.dirty);
         self.guard_trips.append(&mut later.guard_trips);
+        if let (Some(guarded), Some(later)) = (&mut self.guarded, later.guarded) {
+            guarded.append(later);
+        }
     }
 }
 
@@ -445,25 +464,74 @@ fn append_marks(marks: &mut Vec<Ipv4Prefix>, later: &[Ipv4Prefix]) {
     marks.extend_from_slice(&later[seam..]);
 }
 
-/// Sorts `observations` stably by `key`: in `parts` runs of positions at
-/// once, then, only if two runs overlap where they meet, once more whole.
-/// Either way the order is the one a single stable sort gives, since each
-/// run keeps its equal keys in arrival order and the runs are in arrival
-/// order too.
-fn sort_in_parts(
-    observations: &mut [CwndObservation],
-    parts: usize,
-    key: impl Fn(&CwndObservation) -> Ipv4Prefix + Sync,
-) {
-    let run = observations.len().div_ceil(parts).max(1);
-    in_parts(observations.chunks_mut(run), |chunk| {
-        chunk.sort_by_key(&key)
-    });
-    let overlap = (run..observations.len())
-        .step_by(run)
-        .any(|at| key(&observations[at - 1]) > key(&observations[at]));
-    if overlap {
-        observations.sort_by_key(key);
+/// Orders `observations` stably by key — step 2 of a tick: each run of
+/// equal keys is then one group, the groups in ascending key order and
+/// each group's observations in arrival order, as a `BTreeMap` of `Vec`s
+/// would hold them, without its allocations. One granularity's keys all
+/// have one length, so the 32 bits of a key's network order keys as keys
+/// order. Observations already in order (a sweep that lists destinations
+/// in key order) are found so in one pass and left where they are; fewer
+/// than [`RADIX_FROM`] are sorted by comparison; neither allocates. The
+/// rest are placed in O(n): an LSD radix sort of one word per observation
+/// — its key's bits over its position — in one stable counting pass per
+/// key byte that tells any two words apart, then one move per
+/// observation, a cycle of the permutation at a time.
+fn group(observations: &mut [CwndObservation], granularity: Granularity) {
+    let bits = |o: &CwndObservation| u32::from(granularity.key(o.dst).network());
+    if observations.is_sorted_by_key(bits) {
+        return;
+    }
+    // A position must fit below the key, and leave `DONE` unused.
+    if observations.len() < RADIX_FROM || observations.len() >= u32::MAX as usize {
+        observations.sort_by_key(bits);
+        return;
+    }
+    let digit = |word: u64, byte: usize| (word >> (32 + 8 * byte)) as u8 as usize;
+    let mut words: Vec<u64> = (observations.iter().zip(0u64..))
+        .map(|(o, at)| u64::from(bits(o)) << 32 | at)
+        .collect();
+    let mut counts = [[0usize; 256]; 4];
+    for &word in &words {
+        for (byte, count) in counts.iter_mut().enumerate() {
+            count[digit(word, byte)] += 1;
+        }
+    }
+    let mut spare = vec![0u64; words.len()];
+    for (byte, count) in counts.iter_mut().enumerate() {
+        if count.contains(&words.len()) {
+            continue; // every key has this byte: the pass would move nothing
+        }
+        let mut start = 0;
+        for slot in count.iter_mut() {
+            (start, *slot) = (start + *slot, start);
+        }
+        for &word in &words {
+            let slot = &mut count[digit(word, byte)];
+            spare[*slot] = word;
+            *slot += 1;
+        }
+        std::mem::swap(&mut words, &mut spare);
+    }
+    drop(spare);
+    // `words[at]`'s low half is the position whose observation belongs
+    // at `at`; a place once filled is marked `DONE`.
+    const DONE: u64 = u64::MAX;
+    for start in 0..observations.len() {
+        if words[start] == DONE {
+            continue;
+        }
+        let held = observations[start];
+        let mut at = start;
+        loop {
+            let from = words[at] as u32 as usize;
+            words[at] = DONE;
+            if from == start {
+                observations[at] = held;
+                break;
+            }
+            observations[at] = observations[from];
+            at = from;
+        }
     }
 }
 
@@ -609,69 +677,66 @@ impl RiptideAgent {
     {
         // 1. observed table ← current windows of all connections.
         let observations = observer.observe();
-        let parts = self.parts_for(observations.len());
+        let parts = Self::parts_for(observations.len());
         let mut report = TickReport::default();
         let learned = self.learn_in_parts(now, observations, parts, &mut report);
         self.settle_and_issue(learned, report, controller)
     }
 
-    /// How many key-range parts a tick over `observations` sorts and
-    /// sweeps in: one per hardware thread while each part keeps
-    /// [`MIN_PART`] observations. A loss guard keeps one part: its
-    /// breakers are one map over every key, which the parts would share.
-    fn parts_for(&self, observations: usize) -> usize {
-        if self.guard.is_some() {
-            return 1;
-        }
+    /// How many key-range parts a tick over `observations` sweeps in:
+    /// one per hardware thread while each part keeps [`MIN_PART`]
+    /// observations.
+    fn parts_for(observations: usize) -> usize {
         cores().min(observations / MIN_PART).max(1)
     }
 
     /// Steps 1–5 of [`RiptideAgent::tick`] over `observations`, in at
     /// most `parts` key-range parts. Notes the parts' dirty marks, counts
     /// and guard trips into the agent and `report`, and returns the
-    /// installs they decided and their finished sweep, joined in key
-    /// order.
+    /// installs they decided and their finished sweeps of the table and
+    /// the guard, joined in key order.
     fn learn_in_parts(
         &mut self,
         now: SimTime,
         mut observations: Vec<CwndObservation>,
         parts: usize,
         report: &mut TickReport,
-    ) -> (Vec<Install>, Swept) {
+    ) -> Decided {
         self.stats.ticks += 1;
         self.last_now = now;
         report.observed_connections = observations.len();
         self.stats.observations += observations.len() as u64;
 
-        // 2. group by destination: a stable sort by key makes each run of
-        // equal keys one group, visited in ascending key order — the same
-        // groups, group order, and within-group order a BTreeMap of Vecs
-        // would produce, without its per-destination allocations.
+        // 2. group by destination.
         let granularity = self.config.granularity;
-        let key = |obs: &CwndObservation| granularity.key(obs.dst);
-        sort_in_parts(&mut observations, parts, key);
+        group(&mut observations, granularity);
 
-        // 3–6 are one ordered sweep: the groups and the learned table are
-        // both in key order, so a single cursor over the table hands each
-        // group its entry in place (first-seen keys are buffered and
-        // inserted when the sweep is settled), and every entry the cursor
-        // passes that no group asked for is age-checked on the way — the
-        // expiry scan, for free. In parts, each part sweeps one key range
-        // on a thread of its own: the observations are cut between groups
-        // and the table before each part's first key.
+        // 3–6 are one ordered sweep: the groups, the learned table and
+        // the guard's breakers are all in key order, so one cursor over
+        // the table hands each group its entry in place and one over the
+        // breakers its breaker (first-seen keys are buffered and inserted
+        // when the sweeps are settled), and every entry the table's
+        // cursor passes that no group asked for is age-checked on the way
+        // — the expiry scan, for free. In parts, each part sweeps one key
+        // range on a thread of its own: the observations are cut between
+        // groups, and the table and the breakers before each part's first
+        // key.
+        let key = |obs: &CwndObservation| granularity.key(obs.dst);
         let cuts = part_cuts(&observations, parts, key);
         let bounds: Vec<Ipv4Prefix> = cuts.iter().map(|&at| key(&observations[at])).collect();
         let starts = std::iter::once(0).chain(cuts.iter().copied());
         let ends = cuts.iter().copied().chain([observations.len()]);
-        // Into an empty table every group is first seen and decides an
-        // install. So each part gets room for one of each per
-        // observation, the first part room for every part's, made here
-        // on the calling thread: no buffer is copied to grow, the first
-        // part's buffers take the others' in place, and the memory goes
-        // back to this thread's allocator, not to a worker's, where
-        // later work on this thread could not reuse it.
-        let cold = self.table.is_empty();
-        let room = |at: usize, observed: usize| match (cold, at) {
+        // Every buffer a part fills is made here, on the calling thread,
+        // so the memory goes back to this thread's allocator, not to a
+        // worker's, where later work on this thread could not reuse it.
+        // A part decides at most one install per observation, and into an
+        // empty table every group is first seen: so each part gets room
+        // for one install per observation when there are parts to join,
+        // and one first-seen entry per observation when the table is
+        // empty, the first part room for every part's, so no buffer is
+        // copied to grow and the first part's take the others' in place.
+        let (cold, joined) = (self.table.is_empty(), !cuts.is_empty());
+        let room = |wanted: bool, at: usize, observed: usize| match (wanted, at) {
             (false, _) => 0,
             (true, 0) => observations.len(),
             (true, _) => observed,
@@ -683,17 +748,20 @@ impl RiptideAgent {
             installed: &self.installed,
             now,
         };
-        let mut guard = self.guard.as_mut();
-        debug_assert!(guard.is_none() || cuts.is_empty(), "a guard keeps one part");
+        let mut guards = self.guard.as_mut().map(|guard| guard.sweep_parts(&bounds));
         let work = starts
             .zip(ends)
             .zip(self.table.sweep_parts(now, self.config.ttl, &bounds))
             .enumerate()
             .map(|(at, ((start, end), mut sweep))| {
-                let room = room(at, end - start);
-                sweep.reserve(room);
-                let installs = Vec::with_capacity(room);
-                (&observations[start..end], sweep, guard.take(), installs)
+                let first_seen = room(cold, at, end - start);
+                sweep.reserve(first_seen);
+                let mut guard = guards.as_mut().and_then(Iterator::next);
+                if let Some(guard) = &mut guard {
+                    guard.reserve(first_seen);
+                }
+                let installs = Vec::with_capacity(room(cold || joined, at, end - start));
+                (&observations[start..end], sweep, guard, installs)
             });
         let (mut learned, later) = in_parts(work, |(observed, sweep, guard, installs)| {
             learn(&ctx, observed, sweep, guard, installs)
@@ -712,7 +780,7 @@ impl RiptideAgent {
         report.guard_trips = learned.guard_trips;
         append_marks(&mut self.dirty, &learned.dirty);
         self.stats.swept_entries += learned.swept.visited() as u64;
-        (learned.installs, learned.swept)
+        (learned.installs, learned.swept, learned.guarded)
     }
 
     /// Steps 6–9 of [`RiptideAgent::tick`]: settles the learning parts'
@@ -720,7 +788,7 @@ impl RiptideAgent {
     /// aggregation pass, then issues every decided command.
     fn settle_and_issue<C>(
         &mut self,
-        (installs, swept): (Vec<Install>, Swept),
+        (installs, swept, guarded): Decided,
         mut report: TickReport,
         controller: &mut C,
     ) -> TickReport
@@ -745,6 +813,12 @@ impl RiptideAgent {
         };
         for key in &evicted {
             mark_dirty(self.aggregator.as_ref(), &mut self.dirty, key);
+        }
+        // The guard takes the breakers the sweep met first and forgets
+        // every expired or evicted key, in one pass each.
+        if let (Some(guard), Some(guarded)) = (&mut self.guard, guarded) {
+            let mut gone: Vec<Ipv4Prefix> = expired.iter().chain(&evicted).copied().collect();
+            guard.settle(guarded, &mut gone);
         }
 
         // 8. aggregation: coalesce agreeing siblings into one covering
@@ -788,9 +862,6 @@ impl RiptideAgent {
         for key in evicted {
             self.stats.table_evictions += 1;
             report.evicted.push(key);
-            if let Some(guard) = &mut self.guard {
-                guard.forget(&key);
-            }
             // The eviction is journalled whether or not the key had a
             // route of its own; the withdrawal adds no second record.
             self.journal(key, DecisionAction::Evict, DecisionCause::Capacity);
@@ -1290,6 +1361,9 @@ impl RiptideAgent {
         for key in &expired {
             mark_dirty(self.aggregator.as_ref(), &mut self.dirty, key);
         }
+        if let Some(guard) = &mut self.guard {
+            guard.forget_all(&expired);
+        }
         self.withdraw_expired(expired, controller, &mut report);
         self.publish();
         self.refresh_gauges();
@@ -1309,9 +1383,6 @@ impl RiptideAgent {
         C: RouteController + ?Sized,
     {
         for key in expired {
-            if let Some(guard) = &mut self.guard {
-                guard.forget(&key);
-            }
             let cause = Some(DecisionCause::TtlExpired);
             if self.withdraw(key, cause, controller, &mut report.errors) {
                 report.expired.push(key);
@@ -2644,13 +2715,14 @@ mod tests {
 
     /// What the parts property compares after each tick: the report, the
     /// dirty marks the learning left for the pass, and the table, the
-    /// installed view and the counters.
+    /// installed view, the counters and the loss guard.
     type AfterTick = (
         TickReport,
         Vec<Ipv4Prefix>,
         Vec<(Ipv4Prefix, FinalEntry)>,
         BTreeMap<Ipv4Prefix, u32>,
         AgentStats,
+        Option<LossGuard>,
     );
 
     /// One tick of `agent` over `observations` in `parts` key-range parts.
@@ -2665,7 +2737,36 @@ mod tests {
         let dirty = agent.dirty.clone();
         let report = agent.settle_and_issue(learned, report, routes);
         let table = agent.table.iter().map(|(k, e)| (*k, e.clone())).collect();
-        (report, dirty, table, agent.installed.clone(), agent.stats)
+        let guard = agent.guard.clone();
+        (
+            report,
+            dirty,
+            table,
+            agent.installed.clone(),
+            agent.stats,
+            guard,
+        )
+    }
+
+    /// Breaker transitions the parts property looks for on one side of a
+    /// seam: a trip, an Open breaker held Open, Open to Half-open, and
+    /// Half-open back to Closed.
+    #[derive(Debug, Default, Clone, Copy)]
+    struct Transitions {
+        tripped: bool,
+        held: bool,
+        half_opened: bool,
+        closed: bool,
+    }
+
+    impl Transitions {
+        fn note(&mut self, before: BreakerState, after: BreakerState, tripped: bool) {
+            use BreakerState::{Closed, HalfOpen, Open};
+            self.tripped |= tripped;
+            self.held |= (before, after) == (Open, Open);
+            self.half_opened |= (before, after) == (Open, HalfOpen);
+            self.closed |= (before, after) == (HalfOpen, Closed);
+        }
     }
 
     proptest::proptest! {
@@ -2678,19 +2779,34 @@ mod tests {
         // fall inside slabs; one slab falls silent past the TTL; sweeps
         // alternate convergent and divergent, so with aggregation on
         // slabs merge and split; a capacity bound evicts. Observations
-        // arrive shuffled (the parts' sorted runs overlap and are sorted
-        // again whole) or already in key order (they do not).
+        // arrive shuffled or already in key order. With a loss guard on,
+        // each slab takes a retransmit burst every sixth tick, which
+        // trips its jump-started hosts' breakers; a short half-life and
+        // one clean probe take them through Open, Half-open and back to
+        // Closed before the next burst. Half-way through, every agent is
+        // restored from a snapshot taken four ticks before, so restored
+        // breakers replace held ones mid-stream.
         #[test]
         fn a_tick_in_parts_matches_the_tick_in_one(seed in proptest::prelude::any::<u64>()) {
             use crate::aggregate::AggregationPolicy;
+            use crate::guard::GuardConfig;
             use riptide_simnet::rng::DetRng;
             use riptide_simnet::time::SimDuration;
             const SLABS: u8 = 6;
             let mut rng = DetRng::for_stream(seed, 0x5041_5254); // "PART"
             let aggregate = rng.chance(0.5);
-            let capacity = rng
-                .chance(0.5)
-                .then(|| if aggregate { 2 + rng.below(4) } else { 40 + rng.below(80) });
+            let guarded = rng.chance(0.5);
+            // A guarded agent's bound leaves its breakers a few ticks to
+            // move before an eviction forgets them. One that aggregates is
+            // not bounded here: its slabs' few units are evicted whole
+            // before a breaker moves (`tick_differential` runs the three
+            // together).
+            let capacity = rng.chance(0.5).then_some(()).and_then(|()| match (aggregate, guarded) {
+                (true, false) => Some(2 + rng.below(4)),
+                (true, true) => None,
+                (false, false) => Some(40 + rng.below(80)),
+                (false, true) => Some(120 + rng.below(120)),
+            });
             let policy = [LearningPolicy::None, LearningPolicy::Ewma { alpha: 0.5 }][rng.below(2)];
             let mut builder = RiptideConfig::builder()
                 .policy(policy)
@@ -2701,18 +2817,42 @@ mod tests {
             if let Some(capacity) = capacity {
                 builder = builder.table_capacity(capacity);
             }
+            if guarded {
+                builder = builder.guard(GuardConfig {
+                    half_life: SimDuration::from_secs(2),
+                    clean_probes: 1,
+                    ..GuardConfig::default()
+                });
+            }
             let config = builder.build().unwrap();
             let key = |o: &CwndObservation| config.granularity.key(o.dst);
             let mut agents: Vec<_> = (0..4).map(|_| agent(config.clone())).collect();
             let quiet = rng.below(SLABS as usize) as u8;
             let mut seen = [false; 6]; // straddled, first seen across, expired, evicted, merged, split
+            // Guard state forgotten by an expiry and by an eviction.
+            let mut forgot = [false; 2];
+            let mut sides = [Transitions::default(); 2]; // below, above the two-part seam
+            let mut bursts = [0u64; SLABS as usize];
+            let mut snapshot = None;
             let mut secs = 0;
             for tick in 0..16u8 {
                 secs += 1 + rng.below(2) as u64;
                 let now = SimTime::from_secs(secs);
+                if tick == 4 {
+                    snapshot = Some(agents[0].0.snapshot_state(now));
+                }
+                if tick == 8 {
+                    let snapshot = snapshot.as_ref().expect("taken at tick 4");
+                    for (agent, routes) in &mut agents {
+                        agent.restore_state(snapshot, now, routes);
+                    }
+                }
                 let diverge = tick % 2 == 1;
                 let mut observations = Vec::new();
                 for slab in 0..SLABS {
+                    if (tick + slab) % 6 == 2 {
+                        bursts[slab as usize] += 1;
+                    }
                     if (slab == quiet && (4..10).contains(&tick)) || rng.chance(0.15) {
                         continue;
                     }
@@ -2722,9 +2862,13 @@ mod tests {
                         if rng.chance(0.3) {
                             continue;
                         }
-                        for _ in 0..1 + rng.below(2) {
-                            let cwnd = base + rng.below(spread) as u32;
-                            observations.push(obs([10, 0, slab, host], cwnd));
+                        // Cumulative counters: about 100 segments a tick per
+                        // connection, 40 retransmits per burst so far.
+                        for _ in 0..1 + host % 2 {
+                            let mut o = obs([10, 0, slab, host], base + rng.below(spread) as u32);
+                            o.bytes_acked = 150_000 * (u64::from(tick) + 1);
+                            o.retrans = 40 * bursts[slab as usize];
+                            observations.push(o);
                         }
                     }
                 }
@@ -2749,6 +2893,8 @@ mod tests {
                         seen[1] |= tick > 0 && first_seen(below) && first_seen(above);
                     }
                 }
+                let seam = part_cuts(&sorted, 2, key).first().map(|&at| key(&sorted[at]));
+                let guard_before = agents[0].0.guard.clone();
 
                 let after: Vec<AfterTick> = agents
                     .iter_mut()
@@ -2763,12 +2909,87 @@ mod tests {
                 seen[3] |= !report.evicted.is_empty();
                 seen[4] |= !report.merged.is_empty();
                 seen[5] |= !report.disaggregated.is_empty();
+                if let (Some(before), Some(after)) = (&guard_before, &after[0].5) {
+                    let tracked = |guard: &LossGuard| guard.export_states().iter().map(|e| e.key).collect::<Vec<_>>();
+                    let (was, is) = (tracked(before), tracked(after));
+                    let held = |keys: &[Ipv4Prefix], by: &[Ipv4Prefix]| keys.iter().any(|k| by.binary_search(k).is_ok());
+                    forgot[0] |= held(&report.expired, &was);
+                    forgot[1] |= held(&report.evicted, &was);
+                    proptest::prop_assert!(!held(&report.expired, &is) && !held(&report.evicted, &is), "tick {} kept a breaker it expired or evicted", tick);
+                    let mut keys: Vec<Ipv4Prefix> = sorted.iter().map(key).collect();
+                    keys.dedup();
+                    for k in keys {
+                        let side = usize::from(seam.is_some_and(|seam| k >= seam));
+                        let tripped = report.guard_trips.contains(&k);
+                        sides[side].note(before.state(&k), after.state(&k), tripped);
+                    }
+                }
             }
             let [straddled, first_seen_across, expired, evicted, merged, split] = seen;
             proptest::prop_assert!(straddled && first_seen_across, "no seam inside a slab, or none with first-seen keys on both sides");
             proptest::prop_assert!(capacity.is_some() || expired, "nothing expired");
             proptest::prop_assert!(capacity.is_none() || evicted, "nothing evicted");
             proptest::prop_assert!(!aggregate || (merged && split), "no slab merged, or none split");
+            if guarded {
+                let [below, above] = sides;
+                // A breaker tripped on each side; between the two sides,
+                // every other transition happened.
+                let either = |of: fn(Transitions) -> bool| of(below) || of(above);
+                proptest::prop_assert!(below.tripped && above.tripped, "a side of the seam where no breaker tripped: {:?}", sides);
+                proptest::prop_assert!(either(|s| s.held) && either(|s| s.half_opened) && either(|s| s.closed), "a transition never seen: {:?}", sides);
+                proptest::prop_assert!(capacity.is_some() || forgot[0], "no expiry forgot a breaker");
+                proptest::prop_assert!(capacity.is_none() || forgot[1], "no eviction forgot a breaker");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        // The grouping against a stable comparison sort: the same
+        // observations in the same order, at /32, /24 and /16. Each case
+        // draws random, presorted, reversed, all-equal and
+        // duplicate-heavy inputs of lengths on both sides of
+        // `RADIX_FROM`; every observation's window is its arrival index,
+        // so an order of equal keys that is not arrival order shows.
+        #[test]
+        fn the_grouping_matches_a_stable_sort(seed in proptest::prelude::any::<u64>()) {
+            use riptide_simnet::rng::DetRng;
+            let mut rng = DetRng::for_stream(seed, 0x4752_5550); // "GRUP"
+            for granularity in [Granularity::Host, Granularity::Prefix(24), Granularity::Prefix(16)] {
+                let key = |o: &CwndObservation| granularity.key(o.dst);
+                for shape in 0..5 {
+                    let len = match rng.below(3) {
+                        0 => rng.below(RADIX_FROM),
+                        1 => RADIX_FROM + rng.below(RADIX_FROM),
+                        _ => rng.below(20 * RADIX_FROM),
+                    };
+                    // Duplicate-heavy: a handful of hosts in two /16s.
+                    let few: Vec<u32> = (0..1 + rng.below(6))
+                        .map(|_| 0x0a00_0000 | (rng.below(2) as u32) << 16 | rng.below(1 << 16) as u32)
+                        .collect();
+                    let one = rng.next_u64() as u32;
+                    let mut addrs: Vec<u32> = (0..len)
+                        .map(|_| match shape {
+                            3 => one,
+                            4 => few[rng.below(few.len())],
+                            _ => rng.next_u64() as u32,
+                        })
+                        .collect();
+                    match shape {
+                        1 => addrs.sort_unstable(),
+                        2 => addrs.sort_unstable_by(|a, b| b.cmp(a)),
+                        _ => {}
+                    }
+                    let mut observations: Vec<CwndObservation> = (addrs.into_iter().zip(0..))
+                        .map(|(addr, index)| obs(addr.to_be_bytes(), index))
+                        .collect();
+                    let mut want = observations.clone();
+                    want.sort_by_key(key);
+                    group(&mut observations, granularity);
+                    proptest::prop_assert_eq!(observations, want, "{:?}, shape {}", granularity, shape);
+                }
+            }
         }
     }
 }

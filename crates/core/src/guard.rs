@@ -29,12 +29,11 @@
 //! repeatedly therefore stays demoted for exponentially longer than one
 //! that tripped once.
 
-use std::collections::BTreeMap;
-
 use riptide_linuxnet::prefix::Ipv4Prefix;
 use riptide_simnet::time::{SimDuration, SimTime};
 
 use crate::config::ConfigError;
+use crate::flat::{self, Entry};
 
 /// Bytes per segment assumed when converting `bytes_acked` deltas into a
 /// delivered-segment estimate (standard Ethernet MSS).
@@ -152,7 +151,7 @@ pub struct GuardVerdict {
     pub tripped: bool,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct DestState {
     breaker: BreakerState,
     /// Flap-damping penalty as of `penalty_at` (decays lazily).
@@ -174,10 +173,101 @@ impl DestState {
             clean_streak: 0,
         }
     }
+
+    /// Feeds one interval's cumulative counters and advances the breaker;
+    /// see [`LossGuard::update`].
+    fn advance(
+        &mut self,
+        config: &GuardConfig,
+        retrans_total: u64,
+        bytes_acked_total: u64,
+        jump_started: bool,
+        now: SimTime,
+    ) -> GuardVerdict {
+        // Differentiate the cumulative counters. Saturating: connection
+        // churn can make per-group sums regress, which must read as "no
+        // new loss", never wrap.
+        let (rate, volume) = match self.last_totals {
+            Some((prev_retrans, prev_bytes)) => {
+                let d_retrans = retrans_total.saturating_sub(prev_retrans);
+                let d_segments = bytes_acked_total.saturating_sub(prev_bytes) / SEGMENT_BYTES;
+                let total = d_retrans.saturating_add(d_segments);
+                let rate = if total > 0 {
+                    d_retrans as f64 / total as f64
+                } else {
+                    0.0
+                };
+                (rate, total)
+            }
+            // First sighting: no baseline, no judgement.
+            None => (0.0, 0),
+        };
+        self.last_totals = Some((retrans_total, bytes_acked_total));
+
+        // Decay the penalty to now.
+        self.penalty = decayed(self.penalty, self.penalty_at, now, config.half_life);
+        self.penalty_at = now;
+
+        let judged = volume >= config.min_samples;
+        let lossy = judged && rate > config.retrans_threshold;
+        let mut tripped = false;
+
+        match self.breaker {
+            BreakerState::Closed => {
+                if lossy && jump_started {
+                    self.penalty = (self.penalty + config.trip_penalty).min(config.penalty_cap);
+                    self.breaker = BreakerState::Open;
+                    self.clean_streak = 0;
+                    tripped = true;
+                }
+            }
+            BreakerState::Open => {
+                if self.penalty < config.reuse_threshold {
+                    self.breaker = BreakerState::HalfOpen;
+                    self.clean_streak = 0;
+                }
+            }
+            BreakerState::HalfOpen => {
+                if lossy {
+                    // Still lossy at the kernel default: the path itself
+                    // is sick. Re-trip with a fresh penalty on top of
+                    // whatever remains — the flap-damping accumulation.
+                    self.penalty = (self.penalty + config.trip_penalty).min(config.penalty_cap);
+                    self.breaker = BreakerState::Open;
+                    self.clean_streak = 0;
+                    tripped = true;
+                } else if judged {
+                    self.clean_streak += 1;
+                    if self.clean_streak >= config.clean_probes {
+                        self.breaker = BreakerState::Closed;
+                        self.clean_streak = 0;
+                    }
+                }
+            }
+        }
+        GuardVerdict {
+            state: self.breaker,
+            tripped,
+        }
+    }
+}
+
+/// The placeholder a merge opens the guard's new slots with; every one
+/// is overwritten before the merge returns.
+fn vacant() -> Entry<DestState> {
+    let key = Ipv4Prefix::host(std::net::Ipv4Addr::UNSPECIFIED);
+    (key, DestState::new(SimTime::ZERO))
 }
 
 /// The per-destination loss guard: differentiates cumulative retransmit
 /// counters into interval rates and runs the damped circuit breaker.
+///
+/// The breakers are one key-sorted flat table, like the learned table's
+/// entries: a lookup is a binary search, and an agent tick updates them
+/// in key order, in the same key-range parts as it sweeps its learned
+/// table, with one cursor per part. The keyed methods below
+/// ([`LossGuard::update`], [`LossGuard::forget`]) write one key at a
+/// time, shifting the entries above it when the key is new or leaves.
 ///
 /// # Examples
 ///
@@ -196,10 +286,11 @@ impl DestState {
 /// assert_eq!(guard.state(&key), BreakerState::Open);
 /// assert!(guard.suppressed(&key));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LossGuard {
     config: GuardConfig,
-    states: BTreeMap<Ipv4Prefix, DestState>,
+    /// Strictly ascending by key.
+    states: Vec<Entry<DestState>>,
     trips: u64,
 }
 
@@ -208,7 +299,7 @@ impl LossGuard {
     pub fn new(config: GuardConfig) -> Self {
         LossGuard {
             config,
-            states: BTreeMap::new(),
+            states: Vec::new(),
             trips: 0,
         }
     }
@@ -237,7 +328,7 @@ impl LossGuard {
     /// the telemetry gauges' source.
     pub fn breaker_counts(&self) -> (usize, usize, usize) {
         let mut counts = (0, 0, 0);
-        for s in self.states.values() {
+        for (_, s) in &self.states {
             match s.breaker {
                 BreakerState::Closed => counts.0 += 1,
                 BreakerState::Open => counts.1 += 1,
@@ -247,9 +338,19 @@ impl LossGuard {
         counts
     }
 
+    /// Where `key` sits: `Ok` at its state, `Err` where it would go.
+    fn position(&self, key: &Ipv4Prefix) -> Result<usize, usize> {
+        self.states.binary_search_by(|(k, _)| k.cmp(key))
+    }
+
+    fn get(&self, key: &Ipv4Prefix) -> Option<&DestState> {
+        let at = self.position(key).ok()?;
+        Some(&self.states[at].1)
+    }
+
     /// The breaker state for `key` (Closed when untracked).
     pub fn state(&self, key: &Ipv4Prefix) -> BreakerState {
-        self.states.get(key).map(|s| s.breaker).unwrap_or_default()
+        self.get(key).map(|s| s.breaker).unwrap_or_default()
     }
 
     /// Whether installs for `key` must be demoted to the probe window.
@@ -259,8 +360,7 @@ impl LossGuard {
 
     /// The flap-damping penalty for `key` decayed to `now`.
     pub fn penalty(&self, key: &Ipv4Prefix, now: SimTime) -> f64 {
-        self.states
-            .get(key)
+        self.get(key)
             .map(|s| decayed(s.penalty, s.penalty_at, now, self.config.half_life))
             .unwrap_or(0.0)
     }
@@ -268,7 +368,15 @@ impl LossGuard {
     /// Drops all state for `key` (TTL expiry or table eviction: with the
     /// learned entry gone, there is nothing left to demote).
     pub fn forget(&mut self, key: &Ipv4Prefix) {
-        self.states.remove(key);
+        if let Ok(at) = self.position(key) {
+            self.states.remove(at);
+        }
+    }
+
+    /// [`LossGuard::forget`] for every key of `keys` (ascending), in one
+    /// pass over the breakers.
+    pub(crate) fn forget_all(&mut self, keys: &[Ipv4Prefix]) {
+        flat::remove_keys(&mut self.states, keys);
     }
 
     /// Feeds one interval's cumulative counters for `key` and advances
@@ -288,81 +396,129 @@ impl LossGuard {
         jump_started: bool,
         now: SimTime,
     ) -> GuardVerdict {
-        let config = self.config.clone();
-        let state = self
-            .states
-            .entry(key)
-            .or_insert_with(|| DestState::new(now));
+        let at = self.position(&key).unwrap_or_else(|at| {
+            self.states.insert(at, (key, DestState::new(now)));
+            at
+        });
+        let verdict = self.states[at].1.advance(
+            &self.config,
+            retrans_total,
+            bytes_acked_total,
+            jump_started,
+            now,
+        );
+        self.trips += u64::from(verdict.tripped);
+        verdict
+    }
 
-        // Differentiate the cumulative counters. Saturating: connection
-        // churn can make per-group sums regress, which must read as "no
-        // new loss", never wrap.
-        let (rate, volume) = match state.last_totals {
-            Some((prev_retrans, prev_bytes)) => {
-                let d_retrans = retrans_total.saturating_sub(prev_retrans);
-                let d_segments = bytes_acked_total.saturating_sub(prev_bytes) / SEGMENT_BYTES;
-                let total = d_retrans.saturating_add(d_segments);
-                let rate = if total > 0 {
-                    d_retrans as f64 / total as f64
-                } else {
-                    0.0
-                };
-                (rate, total)
+    /// Starts one [`GuardSweep`] per key range, cut before each of
+    /// `bounds` (ascending) as [`crate::table::FinalTable::sweep_parts`]
+    /// cuts the learned table, for parts that run side by side. Join the
+    /// finished parts in part order ([`GuardSwept::append`]) and settle
+    /// that ([`LossGuard::settle`]).
+    pub(crate) fn sweep_parts<'a>(
+        &'a mut self,
+        bounds: &'a [Ipv4Prefix],
+    ) -> impl Iterator<Item = GuardSweep<'a>> {
+        let LossGuard { config, states, .. } = self;
+        let config = &*config;
+        flat::cut_before(states, bounds).map(move |part| GuardSweep {
+            config,
+            states: part.iter_mut(),
+            swept: GuardSwept::default(),
+        })
+    }
+
+    /// Applies a tick's joined [`GuardSwept`]: merges the breakers it met
+    /// first, counts its trips, then forgets the keys of `gone` (the
+    /// tick's expired and evicted keys, in any order) in one pass. Sorts
+    /// `gone`.
+    pub(crate) fn settle(&mut self, swept: GuardSwept, gone: &mut [Ipv4Prefix]) {
+        flat::merge_new(&mut self.states, swept.first_seen, vacant);
+        self.trips += swept.trips;
+        gone.sort_unstable();
+        self.forget_all(gone);
+    }
+}
+
+/// One key range's share of a tick's guard updates: a cursor over that
+/// range of the breakers, which the tick asks for keys in ascending
+/// order. A key the range does not hold is buffered as first seen; what
+/// the sweep leaves to apply is its [`GuardSwept`].
+#[derive(Debug)]
+pub(crate) struct GuardSweep<'a> {
+    config: &'a GuardConfig,
+    states: std::slice::IterMut<'a, Entry<DestState>>,
+    swept: GuardSwept,
+}
+
+/// What a finished [`GuardSweep`] leaves to apply: the breakers it met
+/// first, in key order, and the trips it counted. Hand it to
+/// [`LossGuard::settle`].
+#[derive(Debug, Default)]
+#[must_use = "a guard sweep keeps no first-seen breaker until LossGuard::settle applies it"]
+pub(crate) struct GuardSwept {
+    first_seen: Vec<Entry<DestState>>,
+    trips: u64,
+}
+
+impl GuardSweep<'_> {
+    /// The guard's configuration.
+    pub(crate) fn config(&self) -> &GuardConfig {
+        self.config
+    }
+
+    /// Makes room for `additional` first-seen breakers up front, so the
+    /// buffer is never copied to grow.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.swept.first_seen.reserve_exact(additional);
+    }
+
+    /// [`LossGuard::update`] for `key`, which must be greater than every
+    /// key updated before in this sweep.
+    pub(crate) fn update(
+        &mut self,
+        key: Ipv4Prefix,
+        retrans_total: u64,
+        bytes_acked_total: u64,
+        jump_started: bool,
+        now: SimTime,
+    ) -> GuardVerdict {
+        let state = match flat::seek(&mut self.states, &key, |_, _| {}) {
+            Some(state) => state,
+            None => {
+                let first_seen = &mut self.swept.first_seen;
+                debug_assert!(
+                    first_seen.last().is_none_or(|(last, _)| *last < key),
+                    "guard sweep keys must ascend"
+                );
+                first_seen.push((key, DestState::new(now)));
+                &mut first_seen.last_mut().expect("just pushed").1
             }
-            // First sighting: no baseline, no judgement.
-            None => (0.0, 0),
         };
-        state.last_totals = Some((retrans_total, bytes_acked_total));
+        let verdict = state.advance(
+            self.config,
+            retrans_total,
+            bytes_acked_total,
+            jump_started,
+            now,
+        );
+        self.swept.trips += u64::from(verdict.tripped);
+        verdict
+    }
 
-        // Decay the penalty to now.
-        state.penalty = decayed(state.penalty, state.penalty_at, now, config.half_life);
-        state.penalty_at = now;
+    /// Releases the breakers.
+    pub(crate) fn finish(self) -> GuardSwept {
+        self.swept
+    }
+}
 
-        let judged = volume >= config.min_samples;
-        let lossy = judged && rate > config.retrans_threshold;
-        let mut tripped = false;
-
-        match state.breaker {
-            BreakerState::Closed => {
-                if lossy && jump_started {
-                    state.penalty = (state.penalty + config.trip_penalty).min(config.penalty_cap);
-                    state.breaker = BreakerState::Open;
-                    state.clean_streak = 0;
-                    tripped = true;
-                }
-            }
-            BreakerState::Open => {
-                if state.penalty < config.reuse_threshold {
-                    state.breaker = BreakerState::HalfOpen;
-                    state.clean_streak = 0;
-                }
-            }
-            BreakerState::HalfOpen => {
-                if lossy {
-                    // Still lossy at the kernel default: the path itself
-                    // is sick. Re-trip with a fresh penalty on top of
-                    // whatever remains — the flap-damping accumulation.
-                    state.penalty = (state.penalty + config.trip_penalty).min(config.penalty_cap);
-                    state.breaker = BreakerState::Open;
-                    state.clean_streak = 0;
-                    tripped = true;
-                } else if judged {
-                    state.clean_streak += 1;
-                    if state.clean_streak >= config.clean_probes {
-                        state.breaker = BreakerState::Closed;
-                        state.clean_streak = 0;
-                    }
-                }
-            }
-        }
-
-        if tripped {
-            self.trips += 1;
-        }
-        GuardVerdict {
-            state: state.breaker,
-            tripped,
-        }
+impl GuardSwept {
+    /// Appends what a sweep of the next key range up found, as if one
+    /// sweep had passed both ranges.
+    pub(crate) fn append(&mut self, mut later: GuardSwept) {
+        self.first_seen.append(&mut later.first_seen);
+        self.trips += later.trips;
     }
 }
 
@@ -410,18 +566,20 @@ impl LossGuard {
     /// that would have reached reuse during the downtime does so on its
     /// first post-restore update.
     pub fn restore_states(&mut self, exports: &[GuardExport]) {
-        for e in exports {
-            self.states.insert(
-                e.key,
-                DestState {
+        let batch = exports
+            .iter()
+            .map(|e| {
+                let state = DestState {
                     breaker: e.breaker,
                     penalty: e.penalty,
                     penalty_at: e.penalty_at,
                     last_totals: None,
                     clean_streak: e.clean_streak,
-                },
-            );
-        }
+                };
+                (e.key, state)
+            })
+            .collect();
+        flat::insert_batch(&mut self.states, batch, vacant);
     }
 }
 

@@ -64,6 +64,7 @@ pub mod combine;
 pub mod config;
 pub mod control;
 pub mod daemon;
+mod flat;
 pub mod granularity;
 pub mod guard;
 pub mod kernel;

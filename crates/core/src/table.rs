@@ -1,7 +1,6 @@
 //! The agent's final-values table: one learned window per destination
 //! key, with history state and TTL bookkeeping.
 
-use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use std::ops::RangeInclusive;
@@ -9,6 +8,7 @@ use std::ops::RangeInclusive;
 use riptide_linuxnet::prefix::Ipv4Prefix;
 use riptide_simnet::time::{SimDuration, SimTime};
 
+use crate::flat;
 use crate::policy::{HistoryState, LearningPolicy, PolicyInput};
 
 /// One destination's learned state.
@@ -308,21 +308,7 @@ impl FinalTable {
         ttl: SimDuration,
         bounds: &'a [Ipv4Prefix],
     ) -> impl Iterator<Item = Sweep<'a>> {
-        let mut rest = Some(self.entries.as_mut_slice());
-        let mut bounds = bounds.iter();
-        std::iter::from_fn(move || {
-            let entries = rest.take()?;
-            let part = match bounds.next() {
-                Some(bound) => {
-                    let below = entries.partition_point(|(k, _)| k < bound);
-                    let (part, above) = entries.split_at_mut(below);
-                    rest = Some(above);
-                    part
-                }
-                None => entries,
-            };
-            Some(Sweep::over(part, now, ttl))
-        })
+        flat::cut_before(&mut self.entries, bounds).map(move |part| Sweep::over(part, now, ttl))
     }
 
     /// Applies a finished sweep: removes the entries it found expired,
@@ -333,46 +319,15 @@ impl FinalTable {
     /// and did not fill is given back.
     pub(crate) fn settle(&mut self, mut swept: Swept) -> Vec<Ipv4Prefix> {
         self.remove_keys(&mut swept.stale);
-        self.merge_new(swept.first_seen);
+        flat::merge_new(&mut self.entries, swept.first_seen, vacant);
         swept.stale
     }
 
     /// Removes the entries of `keys`, which the table holds, in one
     /// compaction. Sorts `keys`.
     fn remove_keys(&mut self, keys: &mut [Ipv4Prefix]) {
-        if keys.is_empty() {
-            return;
-        }
         keys.sort_unstable();
-        let mut doomed = keys.iter().peekable();
-        self.entries
-            .retain(|(key, _)| doomed.next_if(|doomed| *doomed == key).is_none());
-    }
-
-    /// Merges `batch` — strictly ascending, and holding no key the table
-    /// holds — into the table in place: the table grows once, and each
-    /// entry above the first new key moves once, from the top down.
-    fn merge_new(&mut self, mut batch: Vec<(Ipv4Prefix, FinalEntry)>) {
-        if batch.is_empty() {
-            return;
-        }
-        if self.entries.is_empty() {
-            batch.shrink_to_fit();
-            self.entries = batch;
-            return;
-        }
-        let mut held = self.entries.len();
-        self.entries.resize_with(held + batch.len(), vacant);
-        let mut slot = self.entries.len();
-        while let Some((key, _)) = batch.last() {
-            slot -= 1;
-            if held > 0 && self.entries[held - 1].0 > *key {
-                held -= 1;
-                self.entries.swap(held, slot);
-            } else {
-                self.entries[slot] = batch.pop().expect("looked at above");
-            }
-        }
+        flat::remove_keys(&mut self.entries, keys);
     }
 
     /// Inserts every entry of `batch`, replacing any held for the same
@@ -382,33 +337,8 @@ impl FinalTable {
     /// are replaced where they stand and the rest merge in one pass, so
     /// into an empty table the batch becomes the table as it is, at its
     /// own capacity.
-    pub(crate) fn insert_batch(&mut self, mut batch: Vec<(Ipv4Prefix, FinalEntry)>) {
-        if !batch.is_sorted_by(|(a, _), (b, _)| a < b) {
-            // Stable, so equal keys keep their batch order; each later
-            // one then moves into the slot the first one holds.
-            batch.sort_by_key(|(key, _)| *key);
-            batch.dedup_by(|later, kept| {
-                let same = later.0 == kept.0;
-                if same {
-                    std::mem::swap(later, kept);
-                }
-                same
-            });
-        }
-        if !self.entries.is_empty() {
-            let mut from = 0;
-            batch.retain_mut(|(key, entry)| {
-                from += self.entries[from..].partition_point(|(k, _)| k < key);
-                match self.entries.get_mut(from) {
-                    Some((held, old)) if held == key => {
-                        std::mem::swap(old, entry);
-                        false
-                    }
-                    _ => true,
-                }
-            });
-        }
-        self.merge_new(batch);
+    pub(crate) fn insert_batch(&mut self, batch: Vec<(Ipv4Prefix, FinalEntry)>) {
+        flat::insert_batch(&mut self.entries, batch, vacant);
     }
 
     /// Iterates live entries in key order.
@@ -512,20 +442,17 @@ impl<'a> Sweep<'a> {
     /// passed on the way were not refreshed this pass; the expired ones
     /// are noted for removal.
     pub(crate) fn seek(&mut self, key: &Ipv4Prefix) -> Option<&mut FinalEntry> {
-        loop {
-            let (next, _) = self.entries.as_slice().first()?;
-            match next.cmp(key) {
-                Ordering::Greater => return None,
-                Ordering::Equal => {
-                    self.swept.visited += 1;
-                    return self.entries.next().map(|(_, entry)| entry);
-                }
-                Ordering::Less => {
-                    let (passed, entry) = self.entries.next().expect("looked at above");
-                    self.note_passed(passed, entry);
-                }
-            }
-        }
+        let Sweep {
+            entries,
+            now,
+            ttl,
+            swept,
+        } = self;
+        let found = flat::seek(entries, key, |passed, entry| {
+            swept.note_passed(passed, entry, *now, *ttl)
+        });
+        swept.visited += usize::from(found.is_some());
+        found
     }
 
     /// Buffers a first-seen entry for `key` — for which
@@ -552,16 +479,24 @@ impl<'a> Sweep<'a> {
 
     /// Passes every remaining entry and releases the table.
     pub(crate) fn finish(mut self) -> Swept {
-        while let Some((passed, entry)) = self.entries.next() {
-            self.note_passed(passed, entry);
+        for (passed, entry) in self.entries {
+            self.swept.note_passed(passed, entry, self.now, self.ttl);
         }
         self.swept
     }
+}
 
-    fn note_passed(&mut self, key: &Ipv4Prefix, entry: &FinalEntry) {
-        self.swept.visited += 1;
-        if entry.is_stale(self.now, self.ttl) {
-            self.swept.stale.push(*key);
+impl Swept {
+    fn note_passed(
+        &mut self,
+        key: &Ipv4Prefix,
+        entry: &FinalEntry,
+        now: SimTime,
+        ttl: SimDuration,
+    ) {
+        self.visited += 1;
+        if entry.is_stale(now, ttl) {
+            self.stale.push(*key);
         }
     }
 }

@@ -56,8 +56,9 @@ if [[ "$stage" == "build" || "$stage" == "all" ]]; then
     # above sees one input set for ever. Two more, for the properties
     # that read bytes from outside — the scanner against its model, the
     # hostile-text totality tests, and the state-file reader over bytes
-    # a faulty disk tore at random — for the tick against its model and
-    # the tick in key-range parts against the tick in one, for the `ss`
+    # a faulty disk tore at random — for the tick against its model, the
+    # tick in key-range parts against the tick in one and the tick's
+    # grouping against a stable sort, for the `ss`
     # scan in text-range parts against the scan in one, and for the
     # window bounds under any fault sequence the faulted tick's retries
     # meet (`chaos::`, a tiny 3-PoP testbed for 150 s); hostile text, the
@@ -66,6 +67,7 @@ if [[ "$stage" == "build" || "$stage" == "all" ]]; then
     # `riptide` (crates/core) test binaries, so a module name followed by
     # `::` picks one file's tests.
     parts=agent::tests::a_tick_in_parts_matches_the_tick_in_one
+    grouping=agent::tests::the_grouping_matches_a_stable_sort
     scan_parts=ss::tests::a_scan_in_parts_matches_the_scan_in_one
     for seed in 1 2016; do
         run env PROPTEST_SEED="$seed" cargo test -q --release --test repro -- \
@@ -75,10 +77,12 @@ if [[ "$stage" == "build" || "$stage" == "all" ]]; then
         run env PROPTEST_SEED="$seed" cargo test -q --release -p riptide-linuxnet --lib "$scan_parts"
         run env PROPTEST_SEED="$seed" cargo test -q --test repro tick_differential::
         run env PROPTEST_SEED="$seed" cargo test -q --release -p riptide --lib "$parts"
+        run env PROPTEST_SEED="$seed" cargo test -q --release -p riptide --lib "$grouping"
         run env PROPTEST_SEED="$seed" cargo test -q --release -p riptide --test riptide \
             persist_props::
     done
     run cargo test -q -p riptide --lib "$parts"
+    run cargo test -q -p riptide --lib "$grouping"
     run cargo test -q -p riptide-linuxnet --lib "$scan_parts"
 
     # The four outcome records, one --check each. Every family re-runs

@@ -65,6 +65,29 @@ const FANOUT: usize = 1 << STRIDE;
 const INTERNAL_SLOTS: usize = (1 << (STRIDE + 1)) - 1;
 /// Sentinel child index meaning "no child".
 const NO_CHILD: u32 = u32::MAX;
+/// The most child links a walk from the root follows: each one consumes
+/// at least [`STRIDE`] of a prefix's at most 32 bits.
+const MAX_DEPTH: usize = 32 / STRIDE as usize;
+
+/// The child links a walk followed, root first: `(parent, branch)` per
+/// link, held inline so that a removal allocates nothing.
+#[derive(Default)]
+struct Path {
+    links: [(u32, usize); MAX_DEPTH],
+    len: usize,
+}
+
+impl Path {
+    fn push(&mut self, link: (u32, usize)) {
+        self.links[self.len] = link;
+        self.len += 1;
+    }
+
+    fn pop(&mut self) -> Option<(u32, usize)> {
+        self.len = self.len.checked_sub(1)?;
+        Some(self.links[self.len])
+    }
+}
 
 /// The bits of `bits` at absolute positions `[pos, pos + len)`,
 /// most-significant-bit first, returned right-aligned.
@@ -296,11 +319,7 @@ impl<T> LpmTrie<T> {
     }
 
     /// Walks to the node and internal slot where `prefix` would live.
-    fn locate(
-        &self,
-        prefix: &Ipv4Prefix,
-        path: Option<&mut Vec<(u32, usize)>>,
-    ) -> Option<(u32, usize)> {
+    fn locate(&self, prefix: &Ipv4Prefix, path: Option<&mut Path>) -> Option<(u32, usize)> {
         let bits = prefix.raw_bits();
         let plen = prefix.len();
         let mut path = path;
@@ -342,7 +361,7 @@ impl<T> LpmTrie<T> {
     /// compressed than one built fresh (lookups stay correct either
     /// way).
     pub fn remove(&mut self, prefix: &Ipv4Prefix) -> Option<T> {
-        let mut path = Vec::new();
+        let mut path = Path::default();
         let (idx, slot) = self.locate(prefix, Some(&mut path))?;
         let old = self.nodes[idx as usize].internal[slot].take();
         if old.is_some() {

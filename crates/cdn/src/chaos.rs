@@ -246,7 +246,7 @@ impl ChaosLayer {
     /// reconciler must never touch.
     pub(crate) fn churn(&mut self, hosts: &mut [Host]) {
         for (h, Host { daemon, controller }) in hosts.iter_mut().enumerate() {
-            let (agent, table) = (daemon.agent(), controller.inner().table());
+            let (agent, table) = (daemon.agent(), controller.inner());
             match self.injector.churn_fault(agent.installed_view().len()) {
                 ChurnFault::None => {}
                 ChurnFault::DeleteInstalled { pick } => {
@@ -301,7 +301,7 @@ impl ChaosLayer {
                 // reinstalls what the host's state file remembers.
                 self.down_until.remove(&h);
                 let Host { daemon, controller } = host;
-                let wiped = recover_stale_routes(&mut controller.inner().table().borrow_mut());
+                let wiped = recover_stale_routes(&mut controller.inner().borrow_mut());
                 self.report.routes_recovered += wiped as u64;
                 let bytes = daemon
                     .storage()

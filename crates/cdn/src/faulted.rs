@@ -5,16 +5,19 @@
 //! and, when it gives up, the cycle runs degraded
 //! ([`RiptideAgent::tick_degraded`]); a write retries at once.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::rc::Rc;
 
 use riptide::prelude::*;
 use riptide_linuxnet::prefix::Ipv4Prefix;
+use riptide_linuxnet::route::RouteTable;
 use riptide_simnet::prelude::*;
 
 use crate::agenda::{Activity, Agenda};
 use crate::sim::{ChaosReport, Host};
 
-type Gate = CheckedController<SharedRouteController>;
+type Gate = CheckedController<Rc<RefCell<RouteTable>>>;
 
 /// Attempts per poll and per route write, the first included.
 const ATTEMPTS: u32 = 4;
@@ -213,11 +216,7 @@ impl FaultedIo {
 
 #[cfg(test)]
 mod tests {
-    use std::cell::RefCell;
     use std::net::Ipv4Addr;
-    use std::rc::Rc;
-
-    use riptide_linuxnet::route::RouteTable;
 
     use super::*;
     use crate::sim::{CdnSim, CdnSimConfig, ResilienceOverlay};
@@ -317,8 +316,7 @@ mod tests {
         use InstallFault::{Delayed, Failed};
 
         let table = Rc::new(RefCell::new(RouteTable::new()));
-        let mut gate =
-            CheckedController::new(SharedRouteController::new(Rc::clone(&table)), 10, 100);
+        let mut gate = CheckedController::new(Rc::clone(&table), 10, 100);
         let mut delayed = VecDeque::new();
         let mut agenda = Agenda::default();
         let mut done = ChaosReport::default();

@@ -321,12 +321,13 @@ pub struct CwndSample {
 }
 
 /// One riptide host: its daemon, and the bounds-checked handle on the
-/// kernel table it steers. A crash replaces the daemon; the controller,
-/// like the routes behind it, survives, and so does the daemon's disk.
+/// kernel table it steers (the table itself: the simulation keeps no log
+/// of the commands). A crash replaces the daemon; the controller, like
+/// the routes behind it, survives, and so does the daemon's disk.
 #[derive(Debug)]
 pub(crate) struct Host {
     pub(crate) daemon: Daemon<Disk>,
-    pub(crate) controller: CheckedController<SharedRouteController>,
+    pub(crate) controller: CheckedController<Rc<RefCell<RouteTable>>>,
 }
 
 /// A host's simulated state file: bytes on a disk that outlives its
@@ -535,11 +536,10 @@ impl CdnSim {
                 };
                 tb.world
                     .set_host_policy(HostId::from_index(h as u32), Rc::new(policy));
-                let gate = SharedRouteController::new(table);
                 let disk = overlay.persistence.then(Disk::default);
                 let mut host = Host {
                     daemon: fresh_daemon(rc, telemetry.as_ref(), disk),
-                    controller: CheckedController::new(gate, rc.cwnd_min, rc.cwnd_max),
+                    controller: CheckedController::new(table, rc.cwnd_min, rc.cwnd_max),
                 };
                 // No file yet, so nothing restores: the start anchors one.
                 let _ = host.daemon.start(&[], SimTime::ZERO, &mut host.controller);
@@ -697,8 +697,7 @@ impl CdnSim {
                 r.installed_min = r.installed_min.min(lo);
                 r.installed_max = r.installed_max.max(hi);
             }
-            let table = controller.inner().table();
-            let kernel = table.borrow();
+            let kernel = controller.inner().borrow();
             for (&key, &want) in agent.installed_view() {
                 match kernel.get(key) {
                     Some(route)
@@ -902,7 +901,7 @@ impl CdnSim {
             if self.chaos.as_ref().is_some_and(|c| !c.is_up(h, now)) {
                 continue;
             }
-            let text = controller.inner().table().borrow().render();
+            let text = controller.inner().borrow().render();
             let (dump, defects) = RouteTable::parse_lossy(&text);
             debug_assert!(defects.is_empty(), "self-rendered dump parses clean");
             let audit = daemon.agent_mut().reconcile(&dump, controller);
@@ -978,6 +977,29 @@ mod tests {
         let mut merged = ColdstartReport::default();
         merged.merge(&coldstart);
         assert_eq!(merged, coldstart);
+    }
+
+    #[test]
+    fn a_host_holds_its_routes_in_the_table_and_no_command() {
+        let mut sim = CdnSim::new(tiny_cfg(true, 11));
+        sim.run_for(SimDuration::from_secs(300));
+        let mut installs = 0;
+        for Host { daemon, controller } in &sim.hosts {
+            installs += controller.installs();
+            // The bounds gate fronts the shared table itself, which keeps
+            // routes, not the commands that made them.
+            let kernel: &Rc<RefCell<RouteTable>> = controller.inner();
+            let mut routes: Vec<_> = kernel
+                .borrow()
+                .iter()
+                .map(|route| (route.prefix, route.attrs.initcwnd))
+                .collect();
+            routes.sort_unstable();
+            let view = daemon.agent().installed_view();
+            let want: Vec<_> = view.iter().map(|(&key, &w)| (key, Some(w))).collect();
+            assert_eq!(routes, want);
+        }
+        assert!(installs > 0, "the run installed routes");
     }
 
     #[test]

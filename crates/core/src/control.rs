@@ -82,10 +82,23 @@ impl RouteController for RouteTable {
     }
 }
 
-/// A controller that drives a shared routing table (the shape the
-/// simulation needs: the table is simultaneously the world's initcwnd
-/// policy and the agent's actuator) and records every action as the
-/// `ip route` command a shell deployment would run.
+/// A shared routing table is a controller, as the table itself is: the
+/// shape the simulation needs, where the table is at once the world's
+/// initcwnd policy and the agent's actuator, and nothing reads the
+/// commands back, so none is kept.
+impl RouteController for Rc<RefCell<RouteTable>> {
+    fn set_initcwnd(&mut self, key: Ipv4Prefix, window: u32) -> Result<(), ControlError> {
+        self.borrow_mut().set_initcwnd(key, window)
+    }
+
+    fn clear_initcwnd(&mut self, key: Ipv4Prefix) -> Result<(), ControlError> {
+        self.borrow_mut().clear_initcwnd(key)
+    }
+}
+
+/// A controller that drives a shared routing table and records every
+/// action as the `ip route` command a shell deployment would run: what
+/// `riptided` prints, draining the log after every poll.
 #[derive(Debug, Clone)]
 pub struct SharedRouteController {
     table: Rc<RefCell<RouteTable>>,

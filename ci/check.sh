@@ -57,17 +57,19 @@ if [[ "$stage" == "build" || "$stage" == "all" ]]; then
     # that read bytes from outside — the scanner against its model, the
     # hostile-text totality tests, and the state-file reader over bytes
     # a faulty disk tore at random — for the tick against its model, the
-    # tick in key-range parts against the tick in one and the tick's
-    # grouping against a stable sort, for the `ss`
+    # tick in key-range parts against the tick in one, the tick's
+    # grouping against a stable sort and the aggregation pass applied by
+    # key range against the pass applied member by member, for the `ss`
     # scan in text-range parts against the scan in one, and for the
     # window bounds under any fault sequence the faulted tick's retries
     # meet (`chaos::`, a tiny 3-PoP testbed for 150 s); hostile text, the
-    # tick and the scan in the debug profile, where an overflow panics
-    # instead of wrapping. These files are modules of the `repro` (root package) and
+    # tick, the pass's application and the scan in the debug profile,
+    # where an overflow panics instead of wrapping. These files are modules of the `repro` (root package) and
     # `riptide` (crates/core) test binaries, so a module name followed by
     # `::` picks one file's tests.
     parts=agent::tests::a_tick_in_parts_matches_the_tick_in_one
     grouping=agent::tests::the_grouping_matches_a_stable_sort
+    range_apply=agent::tests::the_range_apply_matches_the_member_by_member_apply
     scan_parts=ss::tests::a_scan_in_parts_matches_the_scan_in_one
     for seed in 1 2016; do
         run env PROPTEST_SEED="$seed" cargo test -q --release --test repro -- \
@@ -78,11 +80,13 @@ if [[ "$stage" == "build" || "$stage" == "all" ]]; then
         run env PROPTEST_SEED="$seed" cargo test -q --test repro tick_differential::
         run env PROPTEST_SEED="$seed" cargo test -q --release -p riptide --lib "$parts"
         run env PROPTEST_SEED="$seed" cargo test -q --release -p riptide --lib "$grouping"
+        run env PROPTEST_SEED="$seed" cargo test -q --release -p riptide --lib "$range_apply"
         run env PROPTEST_SEED="$seed" cargo test -q --release -p riptide --test riptide \
             persist_props::
     done
     run cargo test -q -p riptide --lib "$parts"
     run cargo test -q -p riptide --lib "$grouping"
+    run cargo test -q -p riptide --lib "$range_apply"
     run cargo test -q -p riptide-linuxnet --lib "$scan_parts"
 
     # The four outcome records, one --check each. Every family re-runs

@@ -225,10 +225,10 @@ fn mark_dirty(aggregator: Option<&Aggregator>, dirty: &mut Vec<Ipv4Prefix>, key:
     }
 }
 
-/// Whether a live aggregate covers `key`. Callers walk keys in ascending
-/// order, so all members of one covering prefix are consecutive: `last`
-/// keeps the answer for the latest covering prefix, and the aggregator is
-/// asked once per prefix.
+/// The live aggregate covering `key`, if there is one. Callers walk keys
+/// in ascending order, so all members of one covering prefix are
+/// consecutive: `last` keeps the answer for the latest covering prefix,
+/// and the aggregator is asked once per prefix.
 ///
 /// Inlined: the sweep asks once per destination, and as a call this cost
 /// a million-destination tick about 5 ms.
@@ -237,18 +237,17 @@ fn covered_by(
     aggregator: Option<&Aggregator>,
     key: &Ipv4Prefix,
     last: &mut Option<(Ipv4Prefix, bool)>,
-) -> bool {
-    let Some(covering) = aggregator.and_then(|agg| agg.policy().covering_of(key)) else {
-        return false;
-    };
-    match *last {
+) -> Option<Ipv4Prefix> {
+    let covering = aggregator.and_then(|agg| agg.policy().covering_of(key))?;
+    let live = match *last {
         Some((prefix, live)) if prefix == covering => live,
         _ => {
             let live = aggregator.is_some_and(|agg| agg.window_of(&covering).is_some());
             *last = Some((covering, live));
             live
         }
-    }
+    };
+    live.then_some(covering)
 }
 
 /// Observations per part below which a tick sweeps in one part. Each
@@ -388,7 +387,7 @@ fn learn(
         // no individual route is issued. Divergence dissolves the
         // aggregate in this tick's pass, which reinstalls the key
         // individually.
-        let covered = covered_by(aggregator, &key, &mut covered_under);
+        let covered = covered_by(aggregator, &key, &mut covered_under).is_some();
 
         // The window issued for the key, read once for the guard's
         // jump-start test and the install's changed-window test (a
@@ -856,10 +855,19 @@ impl RiptideAgent {
         let mut evicted_keys = evicted.clone();
         evicted_keys.sort_unstable();
         let mut covered_under = None;
-        for (key, window, cause) in installs {
-            if evicted_keys.binary_search(&key).is_ok()
-                || covered_by(self.aggregator.as_ref(), &key, &mut covered_under)
-            {
+        debug_assert!(installs.is_sorted_by_key(|(key, ..)| *key));
+        let mut rest = installs.as_slice();
+        while let Some((&(key, window, cause), after)) = rest.split_first() {
+            rest = after;
+            if let Some(covering) = covered_by(self.aggregator.as_ref(), &key, &mut covered_under) {
+                // The installs are in key order, so the ones the same
+                // aggregate covers follow this one: they are stepped over
+                // at once, and a cold tick does not read the million
+                // installs its merges fold.
+                rest = &rest[rest.partition_point(|(key, ..)| covering.covers(key))..];
+                continue;
+            }
+            if evicted_keys.binary_search(&key).is_ok() {
                 continue;
             }
             if self.install(key, window, cause, controller, &mut report.errors) {

@@ -904,8 +904,8 @@ impl RiptideAgent {
     /// [`RiptideAgent::install`] per split member; only the view is
     /// edited by key range. A merge takes the members the view holds out
     /// of its members' span in one walk, so a member with no route of its
-    /// own (every member, on a cold tick or the first tick after a
-    /// restore) costs nothing. The split members enter the view as one
+    /// own (every member, on a cold tick) costs nothing. The split
+    /// members enter the view as one
     /// batch after every merge has taken its members out, which is where
     /// one install each would have left them.
     fn apply_aggregation<C>(
@@ -981,10 +981,10 @@ impl RiptideAgent {
 
     /// Enters `routes`, in the order they were issued, into the view, as
     /// one [`RiptideAgent::install`] each would: a key issued twice keeps
-    /// its later window. A batch large against the view is merged with it
-    /// in one pass ([`BTreeMap::append`] rebuilds the tree, about the cost
-    /// of a few inserts per key it holds); a small one goes in one insert
-    /// at a time.
+    /// its later window. A batch of at least an eighth of the view is
+    /// merged with it in one pass ([`BTreeMap::append`], which rebuilds
+    /// the tree); a smaller one goes in one insert at a time
+    /// ([`APPEND_FROM`]).
     fn enter_view(&mut self, routes: Vec<(Ipv4Prefix, u32)>) {
         if routes.len() * APPEND_FROM < self.installed.len() {
             self.installed.extend(routes);

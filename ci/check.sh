@@ -62,8 +62,10 @@ if [[ "$stage" == "build" || "$stage" == "all" ]]; then
     # key range against the pass applied member by member, for the `ss`
     # scan in text-range parts against the scan in one, and for the
     # window bounds under any fault sequence the faulted tick's retries
-    # meet (`chaos::`, a tiny 3-PoP testbed for 150 s); hostile text, the
-    # tick, the pass's application and the scan in the debug profile,
+    # meet (`chaos::`, a tiny 3-PoP testbed for 150 s), and for the swarm
+    # runs of one agent with a drawn subset of its subsystems and faults
+    # (`swarm::`); hostile text, the tick, the pass's application, the
+    # swarm and the scan in the debug profile,
     # where an overflow panics instead of wrapping. These files are modules of the `repro` (root package) and
     # `riptide` (crates/core) test binaries, so a module name followed by
     # `::` picks one file's tests.
@@ -82,11 +84,12 @@ if [[ "$stage" == "build" || "$stage" == "all" ]]; then
         run env PROPTEST_SEED="$seed" cargo test -q --release -p riptide --lib "$grouping"
         run env PROPTEST_SEED="$seed" cargo test -q --release -p riptide --lib "$range_apply"
         run env PROPTEST_SEED="$seed" cargo test -q --release -p riptide --test riptide \
-            persist_props::
+            -- persist_props:: swarm::
     done
     run cargo test -q -p riptide --lib "$parts"
     run cargo test -q -p riptide --lib "$grouping"
     run cargo test -q -p riptide --lib "$range_apply"
+    run cargo test -q -p riptide --test riptide swarm::
     run cargo test -q -p riptide-linuxnet --lib "$scan_parts"
 
     # The four outcome records, one --check each. Every family re-runs

@@ -6,3 +6,4 @@ mod degraded_mode;
 mod hostile_text;
 mod persist_props;
 mod riptided_cli;
+mod swarm;

@@ -31,7 +31,7 @@ use crate::aggregate::{AggregationPass, Aggregator};
 use crate::config::{ConfigError, RiptideConfig};
 use crate::control::{ControlError, RouteController};
 use crate::granularity::Granularity;
-use crate::guard::{BreakerState, GuardSweep, GuardSwept, LossGuard};
+use crate::guard::{Breaker, BreakerState};
 use crate::observe::{CwndObservation, WindowObserver};
 use crate::persist::{SnapshotEntry, TableSnapshot};
 use crate::policy::PolicyInput;
@@ -185,12 +185,11 @@ pub struct RiptideAgent {
     table: FinalTable,
     stats: AgentStats,
     advisory: Advisory,
-    /// Loss-aware circuit breaker, present when the config enables it.
-    guard: Option<LossGuard>,
-    /// Prefix aggregation pass, present when the config enables it.
-    /// Learning stays at the configured granularity; this only changes
-    /// what is *installed*: agreeing siblings share one covering route.
-    aggregator: Option<Aggregator>,
+    /// Prefix aggregation pass; without aggregation in the config, one
+    /// that covers nothing ([`Aggregator::off`]). Learning stays at the
+    /// configured granularity; this only changes what is *installed*:
+    /// agreeing siblings share one covering route.
+    aggregator: Aggregator,
     /// Covering prefixes with a member whose window moved, or that
     /// arrived or left, since the last aggregation pass: the next pass
     /// re-decides only these. Stays empty without aggregation.
@@ -217,8 +216,8 @@ pub struct RiptideAgent {
 /// Notes that `key`'s covering prefix, if it has one, needs the next
 /// aggregation pass. Callers mostly walk keys in ascending order, so a
 /// prefix marked twice in a row is noted once.
-fn mark_dirty(aggregator: Option<&Aggregator>, dirty: &mut Vec<Ipv4Prefix>, key: &Ipv4Prefix) {
-    if let Some(covering) = aggregator.and_then(|agg| agg.policy().covering_of(key)) {
+fn mark_dirty(aggregator: &Aggregator, dirty: &mut Vec<Ipv4Prefix>, key: &Ipv4Prefix) {
+    if let Some(covering) = aggregator.policy().covering_of(key) {
         if dirty.last() != Some(&covering) {
             dirty.push(covering);
         }
@@ -234,15 +233,15 @@ fn mark_dirty(aggregator: Option<&Aggregator>, dirty: &mut Vec<Ipv4Prefix>, key:
 /// a million-destination tick about 5 ms.
 #[inline(always)]
 fn covered_by(
-    aggregator: Option<&Aggregator>,
+    aggregator: &Aggregator,
     key: &Ipv4Prefix,
     last: &mut Option<(Ipv4Prefix, bool)>,
 ) -> Option<Ipv4Prefix> {
-    let covering = aggregator.and_then(|agg| agg.policy().covering_of(key))?;
+    let covering = aggregator.policy().covering_of(key)?;
     let live = match *last {
         Some((prefix, live)) if prefix == covering => live,
         _ => {
-            let live = aggregator.is_some_and(|agg| agg.window_of(&covering).is_some());
+            let live = aggregator.window_of(&covering).is_some();
             *last = Some((covering, live));
             live
         }
@@ -264,27 +263,18 @@ const MIN_PART: usize = 8_192;
 /// 1.7 µs by radix, 128 in 3.1 µs against 2.6.
 const RADIX_FROM: usize = 128;
 
-/// How many times larger than a batch of routes the installed view must
-/// be for [`RiptideAgent::enter_view`] to insert the batch one key at a
-/// time instead of merging it in. On the same Xeon, into a view of 45 000
-/// routes, 5 625 spread keys took 0.83 ms inserted and 0.76 ms merged,
-/// 2 812 took 0.52 against 0.78, and 22 500 took 3.2 against 1.5; a
-/// million-route view breaks even at about the same ratio.
-const APPEND_FROM: usize = 8;
-
 /// An install a tick decided on: `(key, window, cause)`.
 type Install = (Ipv4Prefix, u32, DecisionCause);
 
-/// What a tick's steps 1–5 leave to steps 6–9: the installs decided on,
-/// the finished sweep of the learned table and, with a loss guard, of
-/// its breakers.
-type Decided = (Vec<Install>, Swept, Option<GuardSwept>);
+/// What a tick's steps 1–5 leave to steps 6–9: the installs decided on
+/// and the finished sweep of the learned table.
+type Decided = (Vec<Install>, Swept);
 
 /// What every part of a tick's sweep reads and none writes.
 struct Learner<'a> {
     config: &'a RiptideConfig,
     advisory: Advisory,
-    aggregator: Option<&'a Aggregator>,
+    aggregator: &'a Aggregator,
     installed: &'a BTreeMap<Ipv4Prefix, u32>,
     now: SimTime,
 }
@@ -301,21 +291,19 @@ struct Learned {
     guard_trips: Vec<Ipv4Prefix>,
     /// The finished sweep, for [`FinalTable::settle`].
     swept: Swept,
-    /// The finished guard sweep, for [`LossGuard::settle`].
-    guarded: Option<GuardSwept>,
 }
 
 /// Steps 3–5 of a tick over one key range: combine each group of
 /// `observations` (sorted, whole groups only), blend it with the entry
-/// `sweep` hands out, shape (trend + advisory), clamp, guard, and decide
-/// the install, into `installs` (empty). A part writes only its own range
-/// of the table and its own outputs, so the parts of a tick, joined in
-/// key order, decide what one part over every observation decides.
+/// `sweep` hands out, shape (trend + advisory), clamp, advance the
+/// entry's breaker, and decide the install, into `installs` (empty). A
+/// part writes only its own range of the table and its own outputs, so
+/// the parts of a tick, joined in key order, decide what one part over
+/// every observation decides.
 fn learn(
     ctx: &Learner<'_>,
     observations: &[CwndObservation],
     mut sweep: Sweep<'_>,
-    mut guard: Option<GuardSweep<'_>>,
     mut installs: Vec<Install>,
 ) -> Learned {
     let Learner {
@@ -392,26 +380,28 @@ fn learn(
         // The window issued for the key, read once for the guard's
         // jump-start test and the install's changed-window test (a
         // covered key without a guard needs neither).
-        let issued = match (&guard, covered) {
+        let issued = match (&config.guard, covered) {
             (None, true) => None,
             _ => installed.get(&key).copied(),
         };
 
-        // Guard: feed the group's cumulative loss counters and, when
-        // the breaker is not Closed, demote the install to the probe
-        // window — the kernel default, as if Riptide never touched
-        // this destination.
+        // Guard: feed the group's cumulative loss counters to the
+        // entry's breaker and, when it is not Closed, demote the install
+        // to the probe window — the kernel default, as if Riptide never
+        // touched this destination.
         let mut effective = window;
         let mut suppressed_by = None;
-        if let Some(guard) = guard.as_mut() {
-            let probe_window = guard.config().probe_window;
-            let jump_started = issued.is_some_and(|w| w > probe_window);
-            let verdict = guard.update(key, retrans_total, bytes_total, jump_started, now);
+        if let Some(guard) = &config.guard {
+            let jump_started = issued.is_some_and(|w| w > guard.probe_window);
+            let breaker = entry
+                .breaker
+                .get_or_insert_with(|| Box::new(Breaker::new(now)));
+            let verdict = breaker.advance(guard, retrans_total, bytes_total, jump_started, now);
             if verdict.tripped {
                 guard_trips.push(key);
             }
             if verdict.state != BreakerState::Closed {
-                effective = config.clamp(probe_window as f64);
+                effective = config.clamp(guard.probe_window as f64);
                 suppressed_by = Some(verdict.state);
             }
         }
@@ -437,7 +427,6 @@ fn learn(
         dirty,
         guard_trips,
         swept: sweep.finish(),
-        guarded: guard.map(GuardSweep::finish),
     }
 }
 
@@ -452,9 +441,6 @@ impl Learned {
         self.installs.append(&mut later.installs);
         append_marks(&mut self.dirty, &later.dirty);
         self.guard_trips.append(&mut later.guard_trips);
-        if let (Some(guarded), Some(later)) = (&mut self.guarded, later.guarded) {
-            guarded.append(later);
-        }
     }
 }
 
@@ -575,14 +561,14 @@ impl RiptideAgent {
         let table = config
             .table_capacity
             .map_or_else(FinalTable::new, FinalTable::bounded);
-        let guard = config.guard.clone().map(LossGuard::new);
-        let aggregator = config.aggregation.map(Aggregator::new);
+        let aggregator = config
+            .aggregation
+            .map_or_else(Aggregator::off, Aggregator::new);
         Ok(RiptideAgent {
             config,
             table,
             stats: AgentStats::default(),
             advisory: Advisory::Normal,
-            guard,
             aggregator,
             dirty: Vec::new(),
             full_pass_due: true,
@@ -652,14 +638,9 @@ impl RiptideAgent {
         &self.installed
     }
 
-    /// The loss guard, when the configuration enables one.
-    pub fn guard(&self) -> Option<&LossGuard> {
-        self.guard.as_ref()
-    }
-
     /// The prefix aggregator, when the configuration enables one.
     pub fn aggregator(&self) -> Option<&Aggregator> {
-        self.aggregator.as_ref()
+        (!self.aggregator.is_off()).then_some(&self.aggregator)
     }
 
     /// Runs one cycle of Algorithm 1 at simulated instant `now`.
@@ -700,8 +681,8 @@ impl RiptideAgent {
     /// Steps 1–5 of [`RiptideAgent::tick`] over `observations`, in at
     /// most `parts` key-range parts. Notes the parts' dirty marks, counts
     /// and guard trips into the agent and `report`, and returns the
-    /// installs they decided and their finished sweeps of the table and
-    /// the guard, joined in key order.
+    /// installs they decided and their finished sweeps of the table,
+    /// joined in key order.
     fn learn_in_parts(
         &mut self,
         now: SimTime,
@@ -718,15 +699,14 @@ impl RiptideAgent {
         let granularity = self.config.granularity;
         group(&mut observations, granularity);
 
-        // 3–6 are one ordered sweep: the groups, the learned table and
-        // the guard's breakers are all in key order, so one cursor over
-        // the table hands each group its entry in place and one over the
-        // breakers its breaker (first-seen keys are buffered and inserted
-        // when the sweeps are settled), and every entry the table's
-        // cursor passes that no group asked for is age-checked on the way
-        // — the expiry scan, for free. In parts, each part sweeps one key
-        // range on a thread of its own: the observations are cut between
-        // groups, and the table and the breakers before each part's first
+        // 3–6 are one ordered sweep: the groups and the learned table
+        // are both in key order, so one cursor over the table hands each
+        // group its entry, breaker included, in place (first-seen keys
+        // are buffered and inserted when the sweep is settled), and every
+        // entry the cursor passes that no group asked for is age-checked
+        // on the way — the expiry scan, for free. In parts, each part
+        // sweeps one key range on a thread of its own: the observations
+        // are cut between groups, and the table before each part's first
         // key.
         let key = |obs: &CwndObservation| granularity.key(obs.dst);
         let cuts = part_cuts(&observations, parts, key);
@@ -751,27 +731,21 @@ impl RiptideAgent {
         let ctx = Learner {
             config: &self.config,
             advisory: self.advisory,
-            aggregator: self.aggregator.as_ref(),
+            aggregator: &self.aggregator,
             installed: &self.installed,
             now,
         };
-        let mut guards = self.guard.as_mut().map(|guard| guard.sweep_parts(&bounds));
         let work = starts
             .zip(ends)
             .zip(self.table.sweep_parts(now, self.config.ttl, &bounds))
             .enumerate()
             .map(|(at, ((start, end), mut sweep))| {
-                let first_seen = room(cold, at, end - start);
-                sweep.reserve(first_seen);
-                let mut guard = guards.as_mut().and_then(Iterator::next);
-                if let Some(guard) = &mut guard {
-                    guard.reserve(first_seen);
-                }
+                sweep.reserve(room(cold, at, end - start));
                 let installs = Vec::with_capacity(room(cold || joined, at, end - start));
-                (&observations[start..end], sweep, guard, installs)
+                (&observations[start..end], sweep, installs)
             });
-        let (mut learned, later) = in_parts(work, |(observed, sweep, guard, installs)| {
-            learn(&ctx, observed, sweep, guard, installs)
+        let (mut learned, later) = in_parts(work, |(observed, sweep, installs)| {
+            learn(&ctx, observed, sweep, installs)
         })
         .expect("a tick sweeps at least one part");
         // The sweep's groups borrow the observations; nothing after it
@@ -787,7 +761,7 @@ impl RiptideAgent {
         report.guard_trips = learned.guard_trips;
         append_marks(&mut self.dirty, &learned.dirty);
         self.stats.swept_entries += learned.swept.visited() as u64;
-        (learned.installs, learned.swept, learned.guarded)
+        (learned.installs, learned.swept)
     }
 
     /// Steps 6–9 of [`RiptideAgent::tick`]: settles the learning parts'
@@ -795,37 +769,30 @@ impl RiptideAgent {
     /// aggregation pass, then issues every decided command.
     fn settle_and_issue<C>(
         &mut self,
-        (installs, swept, guarded): Decided,
+        (installs, swept): Decided,
         mut report: TickReport,
         controller: &mut C,
     ) -> TickReport
     where
         C: RouteController + ?Sized,
     {
-        // 6. expire stale destinations.
+        // 6. expire stale destinations. An expired (or, in step 7,
+        // evicted) entry takes its breaker with it.
         let expired = self.table.settle(swept);
         for key in &expired {
-            mark_dirty(self.aggregator.as_ref(), &mut self.dirty, key);
+            mark_dirty(&self.aggregator, &mut self.dirty, key);
         }
 
         // 7. enforce the table's capacity bound. With aggregation on, an
         // aggregate's members are charged as ONE entry and evicted as a
         // unit; its covering route is withdrawn by this tick's pass (step
         // 8), which sees the member group vanish.
-        let evicted = match self.aggregator.as_ref() {
-            Some(agg) => self
-                .table
-                .enforce_capacity_grouped(|key| agg.covering_of(key)),
-            None => self.table.enforce_capacity(),
-        };
+        let agg = &self.aggregator;
+        let evicted = self
+            .table
+            .enforce_capacity_grouped(|key| agg.covering_of(key));
         for key in &evicted {
-            mark_dirty(self.aggregator.as_ref(), &mut self.dirty, key);
-        }
-        // The guard takes the breakers the sweep met first and forgets
-        // every expired or evicted key, in one pass each.
-        if let (Some(guard), Some(guarded)) = (&mut self.guard, guarded) {
-            let mut gone: Vec<Ipv4Prefix> = expired.iter().chain(&evicted).copied().collect();
-            guard.settle(guarded, &mut gone);
+            mark_dirty(&self.aggregator, &mut self.dirty, key);
         }
 
         // 8. aggregation: coalesce agreeing siblings into one covering
@@ -833,18 +800,18 @@ impl RiptideAgent {
         // member routes. A no-op unless the config enables it. Only the
         // covering prefixes marked since the last pass are re-decided, so
         // a tick where nothing moved runs no pass at all.
-        let pass = self.aggregator.as_mut().and_then(|agg| {
-            let (pass, read) = if std::mem::take(&mut self.full_pass_due) {
-                (agg.pass(&self.table), self.table.len())
-            } else if self.dirty.is_empty() {
-                return None;
-            } else {
-                agg.pass_over(&self.table, &mut self.dirty)
+        let full = std::mem::take(&mut self.full_pass_due);
+        let pass = if self.aggregator.is_off() || !full && self.dirty.is_empty() {
+            None
+        } else {
+            let (pass, read) = match full {
+                true => (self.aggregator.pass(&self.table), self.table.len()),
+                false => self.aggregator.pass_over(&self.table, &mut self.dirty),
             };
             self.dirty.clear();
             self.stats.pass_members += read as u64;
             Some(pass)
-        });
+        };
 
         // 9. issue, in the order decided: installs, expiry withdrawals,
         // eviction withdrawals, then the pass's merges, retunes and
@@ -859,7 +826,7 @@ impl RiptideAgent {
         let mut rest = installs.as_slice();
         while let Some((&(key, window, cause), after)) = rest.split_first() {
             rest = after;
-            if let Some(covering) = covered_by(self.aggregator.as_ref(), &key, &mut covered_under) {
+            if let Some(covering) = covered_by(&self.aggregator, &key, &mut covered_under) {
                 // The installs are in key order, so the ones the same
                 // aggregate covers follow this one: they are stepped over
                 // at once, and a cold tick does not read the million
@@ -902,12 +869,9 @@ impl RiptideAgent {
     /// The commands, their order, the journal and the counts are those of
     /// one [`RiptideAgent::withdraw`] per merged member and one
     /// [`RiptideAgent::install`] per split member; only the view is
-    /// edited by key range. A merge takes the members the view holds out
+    /// edited by key range: a merge takes the members the view holds out
     /// of its members' span in one walk, so a member with no route of its
-    /// own (every member, on a cold tick) costs nothing. The split
-    /// members enter the view as one
-    /// batch after every merge has taken its members out, which is where
-    /// one install each would have left them.
+    /// own (every member, on a cold tick) costs nothing.
     fn apply_aggregation<C>(
         &mut self,
         pass: &AggregationPass,
@@ -936,7 +900,6 @@ impl RiptideAgent {
                 report.merged.push((key, window));
             }
         }
-        let mut reinstalled = Vec::with_capacity(pass.split.iter().map(|s| s.members.len()).sum());
         for split in &pass.split {
             self.stats.aggregate_splits += 1;
             report.disaggregated.push(split.covering);
@@ -949,11 +912,9 @@ impl RiptideAgent {
             // learned windows. (A guard-suppressed member re-demotes to
             // the probe window on its next observed tick.)
             for &(member, window) in &split.members {
-                self.issue(member, window, cause, controller, &mut report.errors);
+                self.install(member, window, cause, controller, &mut report.errors);
             }
-            reinstalled.extend_from_slice(&split.members);
         }
-        self.enter_view(reinstalled);
     }
 
     /// Takes the keys of `members` (in key order) that the view holds out
@@ -977,22 +938,6 @@ impl RiptideAgent {
             })
             .map(|(key, _)| key)
             .collect()
-    }
-
-    /// Enters `routes`, in the order they were issued, into the view, as
-    /// one [`RiptideAgent::install`] each would: a key issued twice keeps
-    /// its later window. A batch of at least an eighth of the view is
-    /// merged with it in one pass ([`BTreeMap::append`], which rebuilds
-    /// the tree); a smaller one goes in one insert at a time
-    /// ([`APPEND_FROM`]).
-    fn enter_view(&mut self, routes: Vec<(Ipv4Prefix, u32)>) {
-        if routes.len() * APPEND_FROM < self.installed.len() {
-            self.installed.extend(routes);
-        } else {
-            // Collecting sorts stably and keeps the last of equal keys.
-            let mut batch: BTreeMap<Ipv4Prefix, u32> = routes.into_iter().collect();
-            self.installed.append(&mut batch);
-        }
     }
 
     /// Installs `key`'s window: issues it and records it in the view. The
@@ -1085,7 +1030,7 @@ impl RiptideAgent {
         C: RouteController + ?Sized,
     {
         let held = self.installed.remove(&key).is_some();
-        let regardless = cause == Some(DecisionCause::TtlExpired) && self.aggregator.is_none();
+        let regardless = cause == Some(DecisionCause::TtlExpired) && self.aggregator.is_off();
         if !held && !regardless {
             return true;
         }
@@ -1155,12 +1100,18 @@ impl RiptideAgent {
         let Some(t) = &self.telemetry else { return };
         t.table_entries.set(self.table.len() as u64);
         t.installed_routes.set(self.installed.len() as u64);
-        let (_, open, half_open) = self
-            .guard
-            .as_ref()
-            .map_or((0, 0, 0), |g| g.breaker_counts());
-        t.breaker_open.set(open as u64);
-        t.breaker_half_open.set(half_open as u64);
+        let (mut open, mut half_open) = (0, 0);
+        if self.config.guard.is_some() {
+            for (_, entry) in self.table.iter() {
+                match entry.breaker.as_deref().map(Breaker::state) {
+                    Some(BreakerState::Open) => open += 1,
+                    Some(BreakerState::HalfOpen) => half_open += 1,
+                    _ => {}
+                }
+            }
+        }
+        t.breaker_open.set(open);
+        t.breaker_half_open.set(half_open);
     }
 
     /// Runs one reconciler audit cycle against a kernel route dump:
@@ -1232,22 +1183,26 @@ impl RiptideAgent {
                 .collect(),
             installs: self.installed.iter().map(|(k, w)| (*k, *w)).collect(),
             guards: self
-                .guard
-                .as_ref()
-                .map_or_else(Vec::new, |g| g.export_states()),
+                .table
+                .iter()
+                .filter_map(|(k, e)| Some(e.breaker.as_ref()?.export(*k)))
+                .collect(),
             skipped_entries: 0,
         }
     }
 
     /// Warm-restarts the agent from a decoded snapshot: rebuilds the
-    /// learned table, guard state, and installed routes, reissuing each
-    /// surviving route through `controller`.
+    /// learned table, its entries' breakers, and installed routes,
+    /// reissuing each surviving route through `controller`.
     ///
     /// Safety rules, in order:
     ///
     /// * **TTL keeps running across the downtime** — an entry whose
     ///   `last_updated` is more than `t` seconds before `now` is dropped,
-    ///   not resurrected; its route is never reissued.
+    ///   not resurrected; its route is never reissued, and its breaker
+    ///   is not restored. An exported breaker is restored onto the
+    ///   learned entry of its key; a held breaker the snapshot does not
+    ///   export stays with its entry.
     /// * **Windows are clamped into `[c_min, c_max]`** on the way in, so
     ///   a corrupt or foreign-config state file cannot install an
     ///   out-of-bounds window.
@@ -1303,19 +1258,31 @@ impl RiptideAgent {
                 history,
                 last_fresh: e.last_fresh,
                 last_updated: e.last_updated,
+                breaker: None,
             };
             (e.key, entry)
         }));
+        let guarded = self.config.guard.is_some();
+        if guarded && !self.table.is_empty() {
+            // A held entry's breaker rides into the entry that replaces it.
+            for (key, entry) in &mut batch {
+                entry.breaker = self.table.get_mut(key).and_then(|e| e.breaker.take());
+            }
+        }
         self.table.insert_batch(batch);
-        if let Some(guard) = &mut self.guard {
-            guard.restore_states(&state.guards);
+        // An exported breaker comes back only with a learned entry to
+        // ride: one whose entry expired during the downtime goes with it.
+        if guarded {
+            for export in &state.guards {
+                if let Some(entry) = self.table.get_mut(&export.key) {
+                    entry.breaker = Some(Box::new(Breaker::restored(export)));
+                }
+            }
         }
         // A covering aggregate has no table entry of its own — its
         // members do — so the aggregator decides which ones survive.
-        if let Some(agg) = &mut self.aggregator {
-            let clamped = state.installs.iter().map(|&(k, w)| (k, w.clamp(lo, hi)));
-            agg.restore(clamped, &self.table);
-        }
+        let clamped = state.installs.iter().map(|&(k, w)| (k, w.clamp(lo, hi)));
+        self.aggregator.restore(clamped, &self.table);
         self.full_pass_due = true;
         let cause = DecisionCause::Restored {
             age_secs: now.saturating_since(state.taken_at).as_secs_f64() as u32,
@@ -1328,10 +1295,7 @@ impl RiptideAgent {
             // expired during the downtime or was filtered above stays
             // withdrawn — the restart withdrew everything, so silence is
             // already the correct state.
-            let live_aggregate = self
-                .aggregator
-                .as_ref()
-                .is_some_and(|agg| agg.window_of(&key).is_some());
+            let live_aggregate = self.aggregator.window_of(&key).is_some();
             if self.table.get(&key).is_none() && !live_aggregate {
                 continue;
             }
@@ -1359,8 +1323,9 @@ impl RiptideAgent {
     ///   writes Riptide-signature routes; keys covered by a live
     ///   aggregate ride their covering route, as in [`RiptideAgent::tick`].
     ///
-    /// A locally known key keeps its history accumulator (the peer sent
-    /// a window, not observations); an unknown key's history is seeded
+    /// A locally known key keeps its history accumulator and its breaker
+    /// (the peer sent a window, not observations); an unknown key's
+    /// history is seeded
     /// with the merged window. Every acceptance is journalled as
     /// [`DecisionCause::SyncMerged`]. Returns the `(key, window)` pairs
     /// accepted.
@@ -1398,9 +1363,13 @@ impl RiptideAgent {
             }
             let window = clamp_merge(remote.window, self.config.cwnd_min, self.config.cwnd_max);
             let clamped = window != remote.window;
-            let (history, last_fresh) = match known {
-                Some(e) => (e.history.clone(), e.last_fresh),
-                None => (self.config.policy.seeded(window as f64), window as f64),
+            let (history, last_fresh, breaker) = match known {
+                Some(e) => (e.history.clone(), e.last_fresh, e.breaker.clone()),
+                None => (
+                    self.config.policy.seeded(window as f64),
+                    window as f64,
+                    None,
+                ),
             };
             written.insert(
                 remote.key,
@@ -1409,13 +1378,10 @@ impl RiptideAgent {
                     history,
                     last_fresh,
                     last_updated: remote.last_updated,
+                    breaker,
                 },
             );
-            let covered = self
-                .aggregator
-                .as_ref()
-                .and_then(|agg| agg.covering_of(&remote.key))
-                .is_some();
+            let covered = self.aggregator.covering_of(&remote.key).is_some();
             if !covered && self.installed.get(&remote.key).copied() != Some(window) {
                 let cause = DecisionCause::SyncMerged { clamped };
                 self.install(remote.key, window, cause, controller, &mut refused);
@@ -1461,10 +1427,7 @@ impl RiptideAgent {
         self.stats.swept_entries += self.table.len() as u64;
         let expired = self.table.expire(now, self.config.ttl);
         for key in &expired {
-            mark_dirty(self.aggregator.as_ref(), &mut self.dirty, key);
-        }
-        if let Some(guard) = &mut self.guard {
-            guard.forget_all(&expired);
+            mark_dirty(&self.aggregator, &mut self.dirty, key);
         }
         self.withdraw_expired(expired, controller, &mut report);
         self.publish();
@@ -1498,6 +1461,7 @@ mod tests {
     use super::*;
     use crate::combine::CombineStrategy;
     use crate::granularity::Granularity;
+    use crate::guard::GuardExport;
     use crate::observe::{CwndObservation, FnObserver};
     use crate::policy::LearningPolicy;
     use riptide_linuxnet::route::RouteTable;
@@ -2422,6 +2386,80 @@ mod tests {
     }
 
     #[test]
+    fn a_breaker_whose_entry_expired_across_the_downtime_is_not_restored() {
+        use crate::telemetry::AgentTelemetry;
+
+        // Two destinations with a 60 s TTL: 10.0.1.1 stays clean and is
+        // seen every second up to the snapshot at t = 60; 10.0.2.2 trips
+        // its breaker at t = 2 and is never seen again, so the snapshot
+        // holds it (58 s old) but it expires during the downtime to the
+        // restore at t = 120. One agent restarts; the other keeps running
+        // and ticks once at t = 120.
+        let config = RiptideConfig::builder()
+            .ttl(riptide_simnet::time::SimDuration::from_secs(60))
+            .guard(crate::guard::GuardConfig::default())
+            .build()
+            .unwrap();
+        let tripped: Ipv4Prefix = "10.0.2.2".parse().unwrap();
+        let (mut a, mut routes) = agent(config.clone());
+        a.attach_telemetry(AgentTelemetry::standalone(16));
+        for second in 1..=60u64 {
+            let mut sweep = vec![lossy_obs([10, 0, 1, 1], 80, 0, second * 1_000_000)];
+            if second <= 2 {
+                sweep.push(lossy_obs(
+                    [10, 0, 2, 2],
+                    80,
+                    500 * (second - 1),
+                    second * 1_000_000,
+                ));
+            }
+            a.tick(
+                SimTime::from_secs(second),
+                &mut FnObserver(|| sweep.clone()),
+                &mut routes,
+            );
+        }
+        assert_eq!(a.stats().guard_trips, 1);
+        let snap = a.snapshot_state(SimTime::from_secs(60));
+        assert!(snap
+            .guards
+            .iter()
+            .any(|g| g.key == tripped && g.breaker == BreakerState::Open));
+
+        let restart = SimTime::from_secs(120);
+        let (mut b, mut routes_b) = agent(config);
+        b.attach_telemetry(AgentTelemetry::standalone(16));
+        b.restore_state(&snap, restart, &mut routes_b);
+        a.tick(restart, &mut FnObserver(Vec::new), &mut routes);
+        assert!(b.table().get(&tripped).is_none(), "the entry expired");
+        assert_eq!(
+            b.snapshot_state(restart).guards,
+            a.snapshot_state(restart).guards,
+            "no breaker exported for an entry the restore dropped"
+        );
+        let gauges = |agent: &RiptideAgent| {
+            let metrics = agent.telemetry().unwrap().registry().snapshot();
+            let open = metrics.value("riptide_breaker_open");
+            (open, metrics.value("riptide_breaker_half_open"))
+        };
+        assert_eq!(gauges(&b), gauges(&a), "breaker gauges");
+        assert_eq!(gauges(&b), (Some(0), Some(0)));
+
+        // Seen again, the destination starts over with a Closed breaker
+        // and installs its learned window.
+        let back = vec![lossy_obs([10, 0, 2, 2], 80, 1_000, 200_000_000)];
+        b.tick(
+            SimTime::from_secs(121),
+            &mut FnObserver(|| back.clone()),
+            &mut routes_b,
+        );
+        let guards = b.snapshot_state(SimTime::from_secs(121)).guards;
+        let breaker = guards.iter().find(|g| g.key == tripped).map(|g| g.breaker);
+        assert_eq!(breaker, Some(BreakerState::Closed));
+        assert_eq!(routes_b.initcwnd_for(Ipv4Addr::new(10, 0, 2, 2)), Some(80));
+    }
+
+    #[test]
     fn restore_with_aggregation_brings_the_covering_routes_back() {
         use crate::control::SharedRouteController;
         use std::cell::RefCell;
@@ -2656,6 +2694,7 @@ mod tests {
                         history: e.history.clone(),
                         last_fresh: e.last_fresh,
                         last_updated: e.last_updated,
+                        breaker: None,
                     };
                     want.restore_entry(e.key, entry);
                 }
@@ -2816,15 +2855,16 @@ mod tests {
     }
 
     /// What the parts property compares after each tick: the report, the
-    /// dirty marks the learning left for the pass, and the table, the
-    /// installed view, the counters and the loss guard.
+    /// dirty marks the learning left for the pass, and the table (its
+    /// entries' breakers included), the installed view, the counters and
+    /// the breakers a snapshot exports.
     type AfterTick = (
         TickReport,
         Vec<Ipv4Prefix>,
         Vec<(Ipv4Prefix, FinalEntry)>,
         BTreeMap<Ipv4Prefix, u32>,
         AgentStats,
-        Option<LossGuard>,
+        Vec<GuardExport>,
     );
 
     /// One tick of `agent` over `observations` in `parts` key-range parts.
@@ -2839,15 +2879,23 @@ mod tests {
         let dirty = agent.dirty.clone();
         let report = agent.settle_and_issue(learned, report, routes);
         let table = agent.table.iter().map(|(k, e)| (*k, e.clone())).collect();
-        let guard = agent.guard.clone();
+        let guards = agent.snapshot_state(now).guards;
         (
             report,
             dirty,
             table,
             agent.installed.clone(),
             agent.stats,
-            guard,
+            guards,
         )
+    }
+
+    /// The state of `key`'s breaker among `guards` (key-sorted exports),
+    /// Closed when it has none.
+    fn breaker_of(guards: &[GuardExport], key: &Ipv4Prefix) -> BreakerState {
+        guards
+            .binary_search_by(|g| g.key.cmp(key))
+            .map_or(BreakerState::Closed, |at| guards[at].breaker)
     }
 
     /// Breaker transitions the parts property looks for on one side of a
@@ -2996,7 +3044,7 @@ mod tests {
                     }
                 }
                 let seam = part_cuts(&sorted, 2, key).first().map(|&at| key(&sorted[at]));
-                let guard_before = agents[0].0.guard.clone();
+                let guards_before = agents[0].0.snapshot_state(now).guards;
 
                 let after: Vec<AfterTick> = agents
                     .iter_mut()
@@ -3011,8 +3059,9 @@ mod tests {
                 seen[3] |= !report.evicted.is_empty();
                 seen[4] |= !report.merged.is_empty();
                 seen[5] |= !report.disaggregated.is_empty();
-                if let (Some(before), Some(after)) = (&guard_before, &after[0].5) {
-                    let tracked = |guard: &LossGuard| guard.export_states().iter().map(|e| e.key).collect::<Vec<_>>();
+                if guarded {
+                    let (before, after) = (&guards_before, &after[0].5);
+                    let tracked = |guards: &[GuardExport]| guards.iter().map(|g| g.key).collect::<Vec<_>>();
                     let (was, is) = (tracked(before), tracked(after));
                     let held = |keys: &[Ipv4Prefix], by: &[Ipv4Prefix]| keys.iter().any(|k| by.binary_search(k).is_ok());
                     forgot[0] |= held(&report.expired, &was);
@@ -3023,7 +3072,7 @@ mod tests {
                     for k in keys {
                         let side = usize::from(seam.is_some_and(|seam| k >= seam));
                         let tripped = report.guard_trips.contains(&k);
-                        sides[side].note(before.state(&k), after.state(&k), tripped);
+                        sides[side].note(breaker_of(before, &k), breaker_of(after, &k), tripped);
                     }
                 }
             }

@@ -193,6 +193,22 @@ impl Aggregator {
         }
     }
 
+    /// An aggregator that covers nothing, what an agent without
+    /// aggregation holds: its aggregates would be `/32`s, and no key is
+    /// more specific than that, so no key has a covering prefix and
+    /// nothing ever merges. The agent runs none of its passes.
+    pub(crate) fn off() -> Self {
+        Aggregator::new(AggregationPolicy {
+            aggregate_len: 32,
+            ..AggregationPolicy::default()
+        })
+    }
+
+    /// Whether this aggregator covers nothing ([`Aggregator::off`]).
+    pub(crate) fn is_off(&self) -> bool {
+        self.policy.aggregate_len == 32
+    }
+
     /// The configured policy.
     pub fn policy(&self) -> &AggregationPolicy {
         &self.policy
@@ -330,6 +346,9 @@ impl Aggregator {
         installs: impl IntoIterator<Item = (Ipv4Prefix, u32)>,
         table: &FinalTable,
     ) {
+        if self.is_off() {
+            return;
+        }
         let installed: BTreeMap<Ipv4Prefix, u32> = installs
             .into_iter()
             .filter(|(key, _)| key.len() == self.policy.aggregate_len)

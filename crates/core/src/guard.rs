@@ -28,12 +28,17 @@
 //! below the (lower) reuse threshold. A destination that flaps
 //! repeatedly therefore stays demoted for exponentially longer than one
 //! that tripped once.
+//!
+//! A breaker lives in its destination's learned entry
+//! ([`crate::table::FinalEntry`]): the tick advances the breaker of the
+//! entry it already holds, and an entry that expires or is evicted takes
+//! its breaker with it. [`LossGuard`] runs the same breakers by key, for
+//! callers without a learned table.
 
 use riptide_linuxnet::prefix::Ipv4Prefix;
 use riptide_simnet::time::{SimDuration, SimTime};
 
 use crate::config::ConfigError;
-use crate::flat::{self, Entry};
 
 /// Bytes per segment assumed when converting `bytes_acked` deltas into a
 /// delivered-segment estimate (standard Ethernet MSS).
@@ -151,9 +156,14 @@ pub struct GuardVerdict {
     pub tripped: bool,
 }
 
+/// One destination's breaker: its state, its damping penalty and the
+/// counters its next interval differentiates against. The agent keeps
+/// each one in the destination's learned entry
+/// ([`crate::table::FinalEntry`]), so it leaves with the entry; a
+/// [`LossGuard`] keeps them by key.
 #[derive(Debug, Clone, PartialEq)]
-struct DestState {
-    breaker: BreakerState,
+pub(crate) struct Breaker {
+    state: BreakerState,
     /// Flap-damping penalty as of `penalty_at` (decays lazily).
     penalty: f64,
     penalty_at: SimTime,
@@ -163,10 +173,12 @@ struct DestState {
     clean_streak: u32,
 }
 
-impl DestState {
-    fn new(now: SimTime) -> Self {
-        DestState {
-            breaker: BreakerState::Closed,
+impl Breaker {
+    /// A first-seen destination's breaker: Closed, no penalty, no
+    /// baseline.
+    pub(crate) fn new(now: SimTime) -> Self {
+        Breaker {
+            state: BreakerState::Closed,
             penalty: 0.0,
             penalty_at: now,
             last_totals: None,
@@ -174,9 +186,14 @@ impl DestState {
         }
     }
 
+    /// The breaker's state.
+    pub(crate) fn state(&self) -> BreakerState {
+        self.state
+    }
+
     /// Feeds one interval's cumulative counters and advances the breaker;
     /// see [`LossGuard::update`].
-    fn advance(
+    pub(crate) fn advance(
         &mut self,
         config: &GuardConfig,
         retrans_total: u64,
@@ -212,18 +229,18 @@ impl DestState {
         let lossy = judged && rate > config.retrans_threshold;
         let mut tripped = false;
 
-        match self.breaker {
+        match self.state {
             BreakerState::Closed => {
                 if lossy && jump_started {
                     self.penalty = (self.penalty + config.trip_penalty).min(config.penalty_cap);
-                    self.breaker = BreakerState::Open;
+                    self.state = BreakerState::Open;
                     self.clean_streak = 0;
                     tripped = true;
                 }
             }
             BreakerState::Open => {
                 if self.penalty < config.reuse_threshold {
-                    self.breaker = BreakerState::HalfOpen;
+                    self.state = BreakerState::HalfOpen;
                     self.clean_streak = 0;
                 }
             }
@@ -233,41 +250,58 @@ impl DestState {
                     // is sick. Re-trip with a fresh penalty on top of
                     // whatever remains — the flap-damping accumulation.
                     self.penalty = (self.penalty + config.trip_penalty).min(config.penalty_cap);
-                    self.breaker = BreakerState::Open;
+                    self.state = BreakerState::Open;
                     self.clean_streak = 0;
                     tripped = true;
                 } else if judged {
                     self.clean_streak += 1;
                     if self.clean_streak >= config.clean_probes {
-                        self.breaker = BreakerState::Closed;
+                        self.state = BreakerState::Closed;
                         self.clean_streak = 0;
                     }
                 }
             }
         }
         GuardVerdict {
-            state: self.breaker,
+            state: self.state,
             tripped,
+        }
+    }
+
+    /// The breaker as the persistence snapshot holds it, under `key`.
+    pub(crate) fn export(&self, key: Ipv4Prefix) -> GuardExport {
+        GuardExport {
+            key,
+            breaker: self.state,
+            penalty: self.penalty,
+            penalty_at: self.penalty_at,
+            clean_streak: self.clean_streak,
+        }
+    }
+
+    /// A breaker restored from its export, with a fresh differentiation
+    /// baseline (see [`GuardExport`]).
+    pub(crate) fn restored(export: &GuardExport) -> Self {
+        Breaker {
+            state: export.breaker,
+            penalty: export.penalty,
+            penalty_at: export.penalty_at,
+            last_totals: None,
+            clean_streak: export.clean_streak,
         }
     }
 }
 
-/// The placeholder a merge opens the guard's new slots with; every one
-/// is overwritten before the merge returns.
-fn vacant() -> Entry<DestState> {
-    let key = Ipv4Prefix::host(std::net::Ipv4Addr::UNSPECIFIED);
-    (key, DestState::new(SimTime::ZERO))
-}
-
-/// The per-destination loss guard: differentiates cumulative retransmit
-/// counters into interval rates and runs the damped circuit breaker.
+/// The per-destination loss guard, by key: differentiates cumulative
+/// retransmit counters into interval rates and runs the damped circuit
+/// breaker.
 ///
-/// The breakers are one key-sorted flat table, like the learned table's
-/// entries: a lookup is a binary search, and an agent tick updates them
-/// in key order, in the same key-range parts as it sweeps its learned
-/// table, with one cursor per part. The keyed methods below
-/// ([`LossGuard::update`], [`LossGuard::forget`]) write one key at a
-/// time, shifting the entries above it when the key is new or leaves.
+/// The agent does not use one: it keeps each destination's breaker in
+/// the destination's learned entry. This keyed form serves callers that
+/// have no learned table — a benchmark of the breaker, a reference model
+/// of the agent. Its breakers are one key-sorted `Vec`: a lookup is a
+/// binary search, and a key that arrives or leaves shifts the entries
+/// above it.
 ///
 /// # Examples
 ///
@@ -290,7 +324,7 @@ fn vacant() -> Entry<DestState> {
 pub struct LossGuard {
     config: GuardConfig,
     /// Strictly ascending by key.
-    states: Vec<Entry<DestState>>,
+    states: Vec<(Ipv4Prefix, Breaker)>,
     trips: u64,
 }
 
@@ -324,33 +358,19 @@ impl LossGuard {
         self.states.is_empty()
     }
 
-    /// Destinations per breaker state, as `(closed, open, half_open)` —
-    /// the telemetry gauges' source.
-    pub fn breaker_counts(&self) -> (usize, usize, usize) {
-        let mut counts = (0, 0, 0);
-        for (_, s) in &self.states {
-            match s.breaker {
-                BreakerState::Closed => counts.0 += 1,
-                BreakerState::Open => counts.1 += 1,
-                BreakerState::HalfOpen => counts.2 += 1,
-            }
-        }
-        counts
-    }
-
     /// Where `key` sits: `Ok` at its state, `Err` where it would go.
     fn position(&self, key: &Ipv4Prefix) -> Result<usize, usize> {
         self.states.binary_search_by(|(k, _)| k.cmp(key))
     }
 
-    fn get(&self, key: &Ipv4Prefix) -> Option<&DestState> {
+    fn get(&self, key: &Ipv4Prefix) -> Option<&Breaker> {
         let at = self.position(key).ok()?;
         Some(&self.states[at].1)
     }
 
     /// The breaker state for `key` (Closed when untracked).
     pub fn state(&self, key: &Ipv4Prefix) -> BreakerState {
-        self.get(key).map(|s| s.breaker).unwrap_or_default()
+        self.get(key).map(Breaker::state).unwrap_or_default()
     }
 
     /// Whether installs for `key` must be demoted to the probe window.
@@ -373,12 +393,6 @@ impl LossGuard {
         }
     }
 
-    /// [`LossGuard::forget`] for every key of `keys` (ascending), in one
-    /// pass over the breakers.
-    pub(crate) fn forget_all(&mut self, keys: &[Ipv4Prefix]) {
-        flat::remove_keys(&mut self.states, keys);
-    }
-
     /// Feeds one interval's cumulative counters for `key` and advances
     /// the breaker.
     ///
@@ -397,7 +411,7 @@ impl LossGuard {
         now: SimTime,
     ) -> GuardVerdict {
         let at = self.position(&key).unwrap_or_else(|at| {
-            self.states.insert(at, (key, DestState::new(now)));
+            self.states.insert(at, (key, Breaker::new(now)));
             at
         });
         let verdict = self.states[at].1.advance(
@@ -409,116 +423,6 @@ impl LossGuard {
         );
         self.trips += u64::from(verdict.tripped);
         verdict
-    }
-
-    /// Starts one [`GuardSweep`] per key range, cut before each of
-    /// `bounds` (ascending) as [`crate::table::FinalTable::sweep_parts`]
-    /// cuts the learned table, for parts that run side by side. Join the
-    /// finished parts in part order ([`GuardSwept::append`]) and settle
-    /// that ([`LossGuard::settle`]).
-    pub(crate) fn sweep_parts<'a>(
-        &'a mut self,
-        bounds: &'a [Ipv4Prefix],
-    ) -> impl Iterator<Item = GuardSweep<'a>> {
-        let LossGuard { config, states, .. } = self;
-        let config = &*config;
-        flat::cut_before(states, bounds).map(move |part| GuardSweep {
-            config,
-            states: part.iter_mut(),
-            swept: GuardSwept::default(),
-        })
-    }
-
-    /// Applies a tick's joined [`GuardSwept`]: merges the breakers it met
-    /// first, counts its trips, then forgets the keys of `gone` (the
-    /// tick's expired and evicted keys, in any order) in one pass. Sorts
-    /// `gone`.
-    pub(crate) fn settle(&mut self, swept: GuardSwept, gone: &mut [Ipv4Prefix]) {
-        flat::merge_new(&mut self.states, swept.first_seen, vacant);
-        self.trips += swept.trips;
-        gone.sort_unstable();
-        self.forget_all(gone);
-    }
-}
-
-/// One key range's share of a tick's guard updates: a cursor over that
-/// range of the breakers, which the tick asks for keys in ascending
-/// order. A key the range does not hold is buffered as first seen; what
-/// the sweep leaves to apply is its [`GuardSwept`].
-#[derive(Debug)]
-pub(crate) struct GuardSweep<'a> {
-    config: &'a GuardConfig,
-    states: std::slice::IterMut<'a, Entry<DestState>>,
-    swept: GuardSwept,
-}
-
-/// What a finished [`GuardSweep`] leaves to apply: the breakers it met
-/// first, in key order, and the trips it counted. Hand it to
-/// [`LossGuard::settle`].
-#[derive(Debug, Default)]
-#[must_use = "a guard sweep keeps no first-seen breaker until LossGuard::settle applies it"]
-pub(crate) struct GuardSwept {
-    first_seen: Vec<Entry<DestState>>,
-    trips: u64,
-}
-
-impl GuardSweep<'_> {
-    /// The guard's configuration.
-    pub(crate) fn config(&self) -> &GuardConfig {
-        self.config
-    }
-
-    /// Makes room for `additional` first-seen breakers up front, so the
-    /// buffer is never copied to grow.
-    pub(crate) fn reserve(&mut self, additional: usize) {
-        self.swept.first_seen.reserve_exact(additional);
-    }
-
-    /// [`LossGuard::update`] for `key`, which must be greater than every
-    /// key updated before in this sweep.
-    pub(crate) fn update(
-        &mut self,
-        key: Ipv4Prefix,
-        retrans_total: u64,
-        bytes_acked_total: u64,
-        jump_started: bool,
-        now: SimTime,
-    ) -> GuardVerdict {
-        let state = match flat::seek(&mut self.states, &key, |_, _| {}) {
-            Some(state) => state,
-            None => {
-                let first_seen = &mut self.swept.first_seen;
-                debug_assert!(
-                    first_seen.last().is_none_or(|(last, _)| *last < key),
-                    "guard sweep keys must ascend"
-                );
-                first_seen.push((key, DestState::new(now)));
-                &mut first_seen.last_mut().expect("just pushed").1
-            }
-        };
-        let verdict = state.advance(
-            self.config,
-            retrans_total,
-            bytes_acked_total,
-            jump_started,
-            now,
-        );
-        self.swept.trips += u64::from(verdict.tripped);
-        verdict
-    }
-
-    /// Releases the breakers.
-    pub(crate) fn finish(self) -> GuardSwept {
-        self.swept
-    }
-}
-
-impl GuardSwept {
-    /// Appends what a sweep of the next key range up found, as if one
-    /// sweep had passed both ranges.
-    pub(crate) fn append(&mut self, mut later: GuardSwept) {
-        self.first_seen.append(&mut later.first_seen);
-        self.trips += later.trips;
     }
 }
 
@@ -547,16 +451,7 @@ impl LossGuard {
     /// Exports every destination's breaker state in key order, for the
     /// persistence snapshot.
     pub fn export_states(&self) -> Vec<GuardExport> {
-        self.states
-            .iter()
-            .map(|(key, s)| GuardExport {
-                key: *key,
-                breaker: s.breaker,
-                penalty: s.penalty,
-                penalty_at: s.penalty_at,
-                clean_streak: s.clean_streak,
-            })
-            .collect()
+        self.states.iter().map(|(key, s)| s.export(*key)).collect()
     }
 
     /// Restores exported breaker states, replacing any state already
@@ -566,20 +461,13 @@ impl LossGuard {
     /// that would have reached reuse during the downtime does so on its
     /// first post-restore update.
     pub fn restore_states(&mut self, exports: &[GuardExport]) {
-        let batch = exports
-            .iter()
-            .map(|e| {
-                let state = DestState {
-                    breaker: e.breaker,
-                    penalty: e.penalty,
-                    penalty_at: e.penalty_at,
-                    last_totals: None,
-                    clean_streak: e.clean_streak,
-                };
-                (e.key, state)
-            })
-            .collect();
-        flat::insert_batch(&mut self.states, batch, vacant);
+        for export in exports {
+            let breaker = Breaker::restored(export);
+            match self.position(&export.key) {
+                Ok(at) => self.states[at].1 = breaker,
+                Err(at) => self.states.insert(at, (export.key, breaker)),
+            }
+        }
     }
 }
 

@@ -22,11 +22,11 @@
 //! | [`aggregate`] | Learn at `/32`, coalesce agreeing siblings into covering routes, split on divergence | §III-B at internet scale; Pied Piper (PAPERS.md) |
 //! | [`trend`] | §V trend damping (aggressive decrease on collapse) | §V |
 //! | [`advisory`] | Control-plane advisories (suspend / conservative) | §V load-balancing interplay |
-//! | [`guard`] | [`guard::LossGuard`]: per-destination loss-aware circuit breaker with BGP-style flap damping — demote jump-started destinations whose retransmit rate says the learned window became the harm | §IV-D no-harm, closed-loop |
+//! | [`guard`] | Per-destination loss-aware circuit breaker with BGP-style flap damping — demote jump-started destinations whose retransmit rate says the learned window became the harm; the agent keeps each breaker in its learned entry, [`guard::LossGuard`] keeps them by key | §IV-D no-harm, closed-loop |
 //! | [`reconcile`] | Anti-entropy audit: diff the kernel route table against the agent's installed view, repair drift, never touch foreign routes | §IV-D operational safety |
 //! | [`observe`] | Input seam: [`observe::WindowObserver`], one `ss -i` poll's rows | §III poll loop |
 //! | [`control`] | Output seam: [`control::RouteController`], command logging, startup recovery, and the [`control::CheckedController`] window-range invariant | Fig. 8; §IV-D |
-//! | [`table`] | The TTL'd per-destination final-values table | §III "final table", Table I `t` |
+//! | [`table`] | The TTL'd per-destination final-values table, each entry with its loss-guard breaker | §III "final table", Table I `t` |
 //! | [`persist`] | Crash-durable state file: versioned CRC-guarded snapshot + append-only journal, torn-tail-safe replay | §IV-A ramp cost; ROADMAP item 3 |
 //! | [`daemon`] | [`daemon::Daemon`]: the agent lifecycle over a state file — restore and anchor at start, journal or snapshot after each poll, snapshot before the shutdown sweep — shared by `riptided` and the simulator's hosts | §IV-A poll loop; warm restart |
 //! | [`sync`] | Anti-entropy fleet sync primitives: table digests, bounded delta sets, deterministic newest-wins clamp-merge | Pied Piper (PAPERS.md) |
@@ -64,7 +64,6 @@ pub mod combine;
 pub mod config;
 pub mod control;
 pub mod daemon;
-mod flat;
 pub mod granularity;
 pub mod guard;
 pub mod kernel;

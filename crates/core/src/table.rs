@@ -1,6 +1,7 @@
 //! The agent's final-values table: one learned window per destination
 //! key, with history state and TTL bookkeeping.
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use std::ops::RangeInclusive;
@@ -8,7 +9,7 @@ use std::ops::RangeInclusive;
 use riptide_linuxnet::prefix::Ipv4Prefix;
 use riptide_simnet::time::{SimDuration, SimTime};
 
-use crate::flat;
+use crate::guard::Breaker;
 use crate::policy::{HistoryState, LearningPolicy, PolicyInput};
 
 /// One destination's learned state.
@@ -23,6 +24,10 @@ pub struct FinalEntry {
     pub last_fresh: f64,
     /// When the entry was last refreshed by an observation.
     pub last_updated: SimTime,
+    /// The loss guard's breaker for this destination, once the guard has
+    /// judged it: it leaves the table with the entry. Boxed, so an
+    /// unguarded entry pays one pointer for it.
+    pub(crate) breaker: Option<Box<Breaker>>,
 }
 
 impl FinalEntry {
@@ -34,6 +39,7 @@ impl FinalEntry {
             history: policy.new_state(),
             last_fresh: fresh,
             last_updated: now,
+            breaker: None,
         }
     }
 
@@ -228,6 +234,12 @@ impl FinalTable {
         Some(&self.entries[at].1)
     }
 
+    /// The entry for `key`, if present, to change in place.
+    pub(crate) fn get_mut(&mut self, key: &Ipv4Prefix) -> Option<&mut FinalEntry> {
+        let at = self.position(key).ok()?;
+        Some(&mut self.entries[at].1)
+    }
+
     /// The installed window for `key`, if present.
     pub fn window(&self, key: &Ipv4Prefix) -> Option<u32> {
         self.get(key).map(|e| e.window)
@@ -237,8 +249,8 @@ impl FinalTable {
     /// [`FinalTable::blend`] (a second step because the clamp depends on
     /// the blended value).
     pub fn set_window(&mut self, key: &Ipv4Prefix, window: u32) {
-        if let Ok(at) = self.position(key) {
-            self.entries[at].1.window = window;
+        if let Some(entry) = self.get_mut(key) {
+            entry.window = window;
         }
     }
 
@@ -308,7 +320,21 @@ impl FinalTable {
         ttl: SimDuration,
         bounds: &'a [Ipv4Prefix],
     ) -> impl Iterator<Item = Sweep<'a>> {
-        flat::cut_before(&mut self.entries, bounds).map(move |part| Sweep::over(part, now, ttl))
+        let mut rest = Some(self.entries.as_mut_slice());
+        let mut bounds = bounds.iter();
+        std::iter::from_fn(move || {
+            let entries = rest.take()?;
+            let part = match bounds.next() {
+                Some(bound) => {
+                    let below = entries.partition_point(|(k, _)| k < bound);
+                    let (part, above) = entries.split_at_mut(below);
+                    rest = Some(above);
+                    part
+                }
+                None => entries,
+            };
+            Some(Sweep::over(part, now, ttl))
+        })
     }
 
     /// Applies a finished sweep: removes the entries it found expired,
@@ -319,15 +345,51 @@ impl FinalTable {
     /// and did not fill is given back.
     pub(crate) fn settle(&mut self, mut swept: Swept) -> Vec<Ipv4Prefix> {
         self.remove_keys(&mut swept.stale);
-        flat::merge_new(&mut self.entries, swept.first_seen, vacant);
+        self.merge_new(swept.first_seen);
         swept.stale
     }
 
     /// Removes the entries of `keys`, which the table holds, in one
     /// compaction. Sorts `keys`.
     fn remove_keys(&mut self, keys: &mut [Ipv4Prefix]) {
+        if keys.is_empty() {
+            return;
+        }
         keys.sort_unstable();
-        flat::remove_keys(&mut self.entries, keys);
+        let mut doomed = keys.iter().peekable();
+        self.entries.retain(|(key, _)| {
+            while doomed.next_if(|doomed| *doomed < key).is_some() {}
+            doomed.next_if(|doomed| *doomed == key).is_none()
+        });
+    }
+
+    /// Merges `batch` — strictly ascending, and holding no key the table
+    /// holds — into the table in place: the table grows once, and each
+    /// entry above the first new key moves once, from the top down. Into
+    /// an empty table the batch becomes the table, and room it reserved
+    /// and did not fill is given back.
+    fn merge_new(&mut self, mut batch: Vec<(Ipv4Prefix, FinalEntry)>) {
+        if batch.is_empty() {
+            return;
+        }
+        let entries = &mut self.entries;
+        if entries.is_empty() {
+            batch.shrink_to_fit();
+            *entries = batch;
+            return;
+        }
+        let mut held = entries.len();
+        entries.resize_with(held + batch.len(), vacant);
+        let mut slot = entries.len();
+        while let Some((key, _)) = batch.last() {
+            slot -= 1;
+            if held > 0 && entries[held - 1].0 > *key {
+                held -= 1;
+                entries.swap(held, slot);
+            } else {
+                entries[slot] = batch.pop().expect("looked at above");
+            }
+        }
     }
 
     /// Inserts every entry of `batch`, replacing any held for the same
@@ -337,8 +399,34 @@ impl FinalTable {
     /// are replaced where they stand and the rest merge in one pass, so
     /// into an empty table the batch becomes the table as it is, at its
     /// own capacity.
-    pub(crate) fn insert_batch(&mut self, batch: Vec<(Ipv4Prefix, FinalEntry)>) {
-        flat::insert_batch(&mut self.entries, batch, vacant);
+    pub(crate) fn insert_batch(&mut self, mut batch: Vec<(Ipv4Prefix, FinalEntry)>) {
+        if !batch.is_sorted_by(|(a, _), (b, _)| a < b) {
+            // Stable, so equal keys keep their batch order; each later one
+            // then moves into the slot the first one holds.
+            batch.sort_by_key(|(key, _)| *key);
+            batch.dedup_by(|later, kept| {
+                let same = later.0 == kept.0;
+                if same {
+                    std::mem::swap(later, kept);
+                }
+                same
+            });
+        }
+        if !self.entries.is_empty() {
+            let mut from = 0;
+            let entries = &mut self.entries;
+            batch.retain_mut(|(key, value)| {
+                from += entries[from..].partition_point(|(k, _)| k < key);
+                match entries.get_mut(from) {
+                    Some((held, old)) if held == key => {
+                        std::mem::swap(old, value);
+                        false
+                    }
+                    _ => true,
+                }
+            });
+        }
+        self.merge_new(batch);
     }
 
     /// Iterates live entries in key order.
@@ -385,6 +473,7 @@ fn vacant() -> (Ipv4Prefix, FinalEntry) {
         history: HistoryState::None,
         last_fresh: 0.0,
         last_updated: SimTime::ZERO,
+        breaker: None,
     };
     (Ipv4Prefix::host(Ipv4Addr::UNSPECIFIED), entry)
 }
@@ -442,17 +531,20 @@ impl<'a> Sweep<'a> {
     /// passed on the way were not refreshed this pass; the expired ones
     /// are noted for removal.
     pub(crate) fn seek(&mut self, key: &Ipv4Prefix) -> Option<&mut FinalEntry> {
-        let Sweep {
-            entries,
-            now,
-            ttl,
-            swept,
-        } = self;
-        let found = flat::seek(entries, key, |passed, entry| {
-            swept.note_passed(passed, entry, *now, *ttl)
-        });
-        swept.visited += usize::from(found.is_some());
-        found
+        loop {
+            let (next, _) = self.entries.as_slice().first()?;
+            match next.cmp(key) {
+                Ordering::Greater => return None,
+                Ordering::Equal => {
+                    self.swept.visited += 1;
+                    return self.entries.next().map(|(_, entry)| entry);
+                }
+                Ordering::Less => {
+                    let (passed, entry) = self.entries.next().expect("looked at above");
+                    self.swept.note_passed(passed, entry, self.now, self.ttl);
+                }
+            }
+        }
     }
 
     /// Buffers a first-seen entry for `key` — for which
@@ -848,6 +940,7 @@ mod tests {
                     history: policy.seeded(fresh),
                     last_fresh: fresh,
                     last_updated: SimTime::from_secs(rng.below(secs + 1) as u64),
+                    breaker: None,
                 };
                 match rng.below(9) {
                     0 => {

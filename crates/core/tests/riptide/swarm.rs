@@ -14,6 +14,7 @@
 //! - after an audit, the kernel's Riptide routes equal the installed view;
 //! - every Riptide `initcwnd` in the kernel is in `[c_min, c_max]`;
 //! - no key is installed under a live aggregate that covers it;
+//! - every breaker a snapshot exports has a learned entry;
 //! - the state bytes, decoded and replayed, give the live table's entries;
 //! - no count of `AgentStats` goes down, and the attached telemetry's
 //!   counters and gauges equal the agent's own.
@@ -269,7 +270,15 @@ fn check(
         }
     }
 
-    let bytes = encode_state(&agent.snapshot_state(now), &[]);
+    let snapshot = agent.snapshot_state(now);
+    if let Some(orphan) = snapshot
+        .guards
+        .iter()
+        .find(|g| agent.table().get(&g.key).is_none())
+    {
+        return Err(format!("a breaker for {} has no learned entry", orphan.key));
+    }
+    let bytes = encode_state(&snapshot, &[]);
     let file = decode_state(&bytes).map_err(|e| format!("state bytes do not decode: {e}"))?;
     let replayed = replay(&file.snapshot, &file.journal);
     let entries = |e: &SnapshotEntry| (e.key, e.window, e.last_fresh, e.last_updated);
@@ -311,16 +320,14 @@ fn check(
             return Err(format!("{metric} reads {published}, stats.{count} {want}"));
         }
     }
-    let (open, half_open) =
-        agent
-            .snapshot_state(now)
-            .guards
-            .iter()
-            .fold((0, 0), |(o, h), g| match g.breaker {
-                BreakerState::Open => (o + 1, h),
-                BreakerState::HalfOpen => (o, h + 1),
-                BreakerState::Closed => (o, h),
-            });
+    let (open, half_open) = snapshot
+        .guards
+        .iter()
+        .fold((0, 0), |(o, h), g| match g.breaker {
+            BreakerState::Open => (o + 1, h),
+            BreakerState::HalfOpen => (o, h + 1),
+            BreakerState::Closed => (o, h),
+        });
     let gauges = [
         ("riptide_table_entries", agent.table().len() as u64),
         ("riptide_installed_routes", view.len() as u64),

@@ -18,8 +18,12 @@
 //! since its last aggregation pass; the naive model runs a full pass every
 //! tick. The random stream interleaves the other writers of the learned
 //! table — degraded ticks, gossip merges, and a snapshot restored into a
-//! fresh agent — so a change the agent forgets to mark shows up as a live
-//! aggregate set that drifts from the model's.
+//! fresh agent after a downtime — so a change the agent forgets to mark
+//! shows up as a live aggregate set that drifts from the model's. The
+//! model keeps its loss guard's breakers by key, apart from its table,
+//! and drops the breakers of the entries a restart drops; the agent's
+//! breakers ride its entries, and both sets are compared after every
+//! step.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
@@ -215,12 +219,10 @@ impl NaiveAgent {
             let bytes_acked = total(|o| o.bytes_acked);
             let previous_fresh = self.table.get(&key).map(|e| e.last_fresh);
             let policy = &self.config.policy;
-            let entry = self.table.entry(key).or_insert_with(|| FinalEntry {
-                window: 0,
-                history: policy.new_state(),
-                last_fresh: fresh,
-                last_updated: now,
-            });
+            let entry = self
+                .table
+                .entry(key)
+                .or_insert_with(|| FinalEntry::new(policy, fresh, now));
             entry.last_updated = now;
             let input = PolicyInput {
                 fresh,
@@ -447,12 +449,8 @@ impl NaiveAgent {
                     (history, window as f64)
                 }
             };
-            let entry = FinalEntry {
-                window,
-                history,
-                last_fresh,
-                last_updated: remote.last_updated,
-            };
+            let mut entry = FinalEntry::new(&self.config.policy, last_fresh, remote.last_updated);
+            (entry.window, entry.history) = (window, history);
             self.table.insert(remote.key, entry);
             if self.live_covering(&remote.key).is_none()
                 && self.installed.get(&remote.key) != Some(&window)
@@ -466,7 +464,8 @@ impl NaiveAgent {
     }
 
     /// A warm restart over an empty kernel table: entries past the TTL
-    /// are dropped and the rest clamped; a covering route comes back live
+    /// are dropped, with their breakers, and the rest clamped; a covering
+    /// route comes back live
     /// while `min_siblings` of its members survive; every installed route
     /// with a surviving entry (or live aggregate) is reissued.
     fn restart(&mut self, now: SimTime, controller: &mut Recorder) -> Vec<(Ipv4Prefix, u32)> {
@@ -478,7 +477,8 @@ impl NaiveAgent {
             entry.window = entry.window.clamp(lo, hi);
         }
         if let Some(guard) = &mut self.guard {
-            let exported = guard.export_states();
+            let mut exported = guard.export_states();
+            exported.retain(|g| self.table.contains_key(&g.key));
             *guard = LossGuard::new(guard.config().clone());
             guard.restore_states(&exported);
         }
@@ -615,8 +615,10 @@ fn run(
                 )
             }
             2 if rng.chance(0.5) => {
-                // A warm restart into a fresh agent over an empty kernel.
+                // A warm restart into a fresh agent over an empty kernel,
+                // after a downtime that may outlast the TTL.
                 let snapshot = agent.snapshot_state(now);
+                now += SimDuration::from_secs([0, 5, 15, 40][rng.below(4)]);
                 agent = RiptideAgent::new(config.clone()).unwrap();
                 (real_ctl, naive_ctl) = (Recorder::default(), Recorder::default());
                 (
@@ -698,9 +700,13 @@ proptest! {
             prop_assert_eq!(t.real, t.want, "tick {} report (config {:?})", t.tick, t.config);
             prop_assert_eq!(t.real_calls, t.want_calls, "tick {} commands", t.tick);
             prop_assert_eq!(t.agent.installed_view(), t.issued_view, "tick {} view", t.tick);
-            let table: BTreeMap<Ipv4Prefix, FinalEntry> =
-                t.agent.table().iter().map(|(k, e)| (*k, e.clone())).collect();
-            prop_assert_eq!(&table, &t.naive.table, "tick {} table", t.tick);
+            let learned = |e: &FinalEntry| (e.window, e.history.clone(), e.last_fresh, e.last_updated);
+            let table: BTreeMap<_, _> = t.agent.table().iter().map(|(k, e)| (*k, learned(e))).collect();
+            let naive: BTreeMap<_, _> = t.naive.table.iter().map(|(k, e)| (*k, learned(e))).collect();
+            prop_assert_eq!(&table, &naive, "tick {} table", t.tick);
+            let breakers = t.agent.snapshot_state(SimTime::ZERO).guards;
+            let naive_breakers = t.naive.guard.as_ref().map_or_else(Vec::new, LossGuard::export_states);
+            prop_assert_eq!(&breakers, &naive_breakers, "tick {} breakers", t.tick);
             if let Some(agg) = t.agent.aggregator() {
                 let live: BTreeMap<Ipv4Prefix, u32> = agg.iter().map(|(k, w)| (*k, w)).collect();
                 prop_assert_eq!(&live, &t.naive.aggregates, "tick {} aggregates", t.tick);

@@ -62,10 +62,12 @@ if [[ "$stage" == "build" || "$stage" == "all" ]]; then
     # key range against the pass applied member by member, for the `ss`
     # scan in text-range parts against the scan in one, and for the
     # window bounds under any fault sequence the faulted tick's retries
-    # meet (`chaos::`, a tiny 3-PoP testbed for 150 s), and for the swarm
+    # meet (`chaos::`, a tiny 3-PoP testbed for 150 s), for the swarm
     # runs of one agent with a drawn subset of its subsystems and faults
-    # (`swarm::`); hostile text, the tick, the pass's application, the
-    # swarm and the scan in the debug profile,
+    # (`swarm::`), and for the first flight of every fresh connection of a
+    # two-PoP `World` against its route, window and object
+    # (`first_flight::`); hostile text, the tick, the pass's application,
+    # the swarm, the first flight and the scan in the debug profile,
     # where an overflow panics instead of wrapping. These files are modules of the `repro` (root package) and
     # `riptide` (crates/core) test binaries, so a module name followed by
     # `::` picks one file's tests.
@@ -75,7 +77,7 @@ if [[ "$stage" == "build" || "$stage" == "all" ]]; then
     scan_parts=ss::tests::a_scan_in_parts_matches_the_scan_in_one
     for seed in 1 2016; do
         run env PROPTEST_SEED="$seed" cargo test -q --release --test repro -- \
-            ss_scanner_differential:: chaos::
+            ss_scanner_differential:: chaos:: first_flight::
         run env PROPTEST_SEED="$seed" cargo test -q -p riptide --test riptide hostile_text::
         run env PROPTEST_SEED="$seed" cargo test -q -p riptide-linuxnet --test hostile_text
         run env PROPTEST_SEED="$seed" cargo test -q --release -p riptide-linuxnet --lib "$scan_parts"
@@ -90,6 +92,7 @@ if [[ "$stage" == "build" || "$stage" == "all" ]]; then
     run cargo test -q -p riptide --lib "$grouping"
     run cargo test -q -p riptide --lib "$range_apply"
     run cargo test -q -p riptide --test riptide swarm::
+    run cargo test -q --test repro first_flight::
     run cargo test -q -p riptide-linuxnet --lib "$scan_parts"
 
     # The four outcome records, one --check each. Every family re-runs

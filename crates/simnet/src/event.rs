@@ -11,7 +11,10 @@
 //! slab of nodes (`at`, `seq`, payload, and an intrusive `next` index);
 //! freed nodes are recycled through a free list threaded through the same
 //! `next` field, so a steady-state run stops allocating once the slab has
-//! reached the high-water mark of concurrently pending events.
+//! reached the high-water mark of concurrently pending events. A node is
+//! 20 bytes plus its payload, rounded to 8: the `World`'s event is 32
+//! bytes, so its node is 56 (an ACK's SACK blocks ride out of line; inline
+//! they made the event 80 bytes and the node 104).
 //!
 //! Time is cut into slots of 2^20 ns (≈ 1.05 ms); an event's slot is
 //! `at >> 20`. The queue keeps one slot *open* — the latest one the clock has
@@ -70,7 +73,8 @@
 //! slot), path delays are ≥ 1 ms and RTOs ≥ 200 ms, so almost nothing lands
 //! in the open slot and almost nothing beyond the span; slots of 2^17, 2^20
 //! and 2^23 ns measured the same, which is why width and size are constants
-//! and not options. Fixed cost is 16 KB of heads plus the bitmap per queue.
+//! and not options. Fixed cost is 16.5 KB per queue, so per `World`: 4 096
+//! `u32` heads and the 64-word bitmap.
 //!
 //! * **Per-slot storage must stay O(1) words.** A `Vec` per slot keeps each
 //!   slot's high-water capacity for the life of the queue — by estimate
@@ -361,7 +365,7 @@ impl<E> EventQueue<E> {
 
     /// `[slab, run, near, far]` capacities: what a warm queue must not grow.
     #[cfg(test)]
-    fn capacities(&self) -> [usize; 4] {
+    pub(crate) fn capacities(&self) -> [usize; 4] {
         [
             self.nodes.capacity(),
             self.run.capacity(),

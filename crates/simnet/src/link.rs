@@ -428,12 +428,8 @@ impl Path {
         let Some(head) = self.queue.front() else {
             return 0;
         };
-        let elapsed = now.saturating_since(head.start).as_nanos() as u128;
-        if elapsed == 0 {
-            return 0;
-        }
-        let num = elapsed * self.config.rate_bps as u128 + (4_000_000_000 - 1);
-        ((num / 8_000_000_000) as u64).min(head.bytes as u64)
+        let elapsed = now.saturating_since(head.start).as_nanos();
+        serialized_bytes(elapsed, self.config.rate_bps, head.bytes)
     }
 
     /// Current queue occupancy in bytes: whole queued packets minus the
@@ -535,6 +531,25 @@ impl Path {
         self.last_arrival = arrival;
         Some(arrival)
     }
+}
+
+/// Bytes of a `bytes`-long packet serialized `elapsed` ns into its
+/// transmission at `rate_bps`: `elapsed × rate / 8e9` rounded half down,
+/// capped at the packet. A head departs before `elapsed` reaches its
+/// serialization time, so for packet-sized heads the product fits a
+/// `u64` (1 500 B is 1.2e13 bit·ns); the `u128` path only serves a
+/// product that would overflow.
+fn serialized_bytes(elapsed: u64, rate_bps: u64, bytes: u32) -> u64 {
+    const HALF: u64 = 4_000_000_000;
+    const ONE: u64 = 8_000_000_000;
+    let whole = match elapsed
+        .checked_mul(rate_bps)
+        .and_then(|bits_ns| bits_ns.checked_add(HALF - 1))
+    {
+        Some(num) => num / ONE,
+        None => ((elapsed as u128 * rate_bps as u128 + (HALF - 1) as u128) / ONE as u128) as u64,
+    };
+    whole.min(bytes as u64)
 }
 
 #[cfg(test)]
@@ -1054,6 +1069,47 @@ mod tests {
                 let s = p.stats();
                 prop_assert_eq!(s.marked_ecn, marks);
                 prop_assert_eq!(s.offered, s.delivered + s.lost_total());
+            }
+
+            // The 64-bit path of the backlog arithmetic equals the
+            // 128-bit formula everywhere: at packet-sized products, at
+            // products that overflow a `u64`, and on both sides of every
+            // rounding tie. A tie needs `elapsed × rate ≡ 4e9 (mod 8e9)`:
+            // with `rate = 4e9 / m` for a divisor `m = 2^i·5^j` of 4e9,
+            // that is `elapsed = m·(2k + 1)`.
+            #[test]
+            fn serialized_bytes_match_the_u128_formula(
+                twos in 0u32..12,
+                fives in 0u32..10,
+                k in 0u64..2_000_000,
+                nudge in 0u64..3,
+                elapsed in any::<u64>(),
+                rate_bps in any::<u64>(),
+                bytes in any::<u32>(),
+                shift in 0u32..64,
+            ) {
+                let reference = |elapsed: u64, rate: u64, bytes: u32| {
+                    let num = elapsed as u128 * rate as u128 + (4_000_000_000 - 1);
+                    ((num / 8_000_000_000) as u64).min(bytes as u64)
+                };
+                let m = 2u64.pow(twos) * 5u64.pow(fives);
+                let tie = (m * (2 * k + 1), 4_000_000_000 / m);
+                let cases = [
+                    (tie.0 + nudge - 1, tie.1),
+                    (tie.0 + nudge - 1, tie.1 + 1),
+                    (elapsed >> shift, rate_bps >> (63 - shift)),
+                    (elapsed, rate_bps),
+                    (elapsed >> shift, 100_000_000),
+                ];
+                for (elapsed, rate) in cases {
+                    for cap in [bytes, u32::MAX] {
+                        prop_assert_eq!(
+                            serialized_bytes(elapsed, rate, cap),
+                            reference(elapsed, rate, cap),
+                            "elapsed {} rate {} cap {}", elapsed, rate, cap
+                        );
+                    }
+                }
             }
         }
     }

@@ -9,10 +9,19 @@
 //! [`CongestionControl`] implementation.
 //!
 //! The sender is a pure state machine: it never touches the event queue
-//! directly. Interactions produce work items readable through
-//! [`Sender::take_outbox`] (segments to put on the wire) and
-//! [`Sender::take_timer_request`] (RTO re-arm requests); the
-//! [`crate::world::World`] turns those into events.
+//! directly. [`Sender::write`], [`Sender::on_ack`] and
+//! [`Sender::on_rto_fire`] push the segments to put on the wire into a
+//! buffer the caller passes in — the [`crate::world::World`] passes one
+//! for all its connections, so a sender owns no outbox — and leave an RTO
+//! re-arm request readable through [`Sender::take_timer_request`]; the
+//! world turns both into events.
+//!
+//! The send-time ring is the one buffer a sender grows with its flight.
+//! The world takes it back when the sender is fully acknowledged or its
+//! connection closes and lends it to the next sender that writes
+//! (`Sender::release_send_times`, `Sender::adopt_send_times`), so an
+//! idle connection holds no ring; a sender used on its own grows and keeps
+//! its own.
 
 use std::collections::{BTreeSet, VecDeque};
 
@@ -30,6 +39,10 @@ pub struct Outgoing {
     /// Whether this is a retransmission.
     pub retransmit: bool,
 }
+
+/// Send timestamps of the segments in flight, indexed by offset from the
+/// sender's `send_base`; `true` = retransmitted.
+pub(crate) type SendTimes = VecDeque<Option<(SimTime, bool)>>;
 
 /// A request to (re-)arm the retransmission timer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,7 +106,7 @@ pub struct Sender {
     /// in `[cum_acked, stream_end)`, so cumulative ACKs prune from the
     /// front and sends append near the back, with no per-segment node
     /// allocation.
-    send_times: VecDeque<Option<(SimTime, bool)>>,
+    send_times: SendTimes,
     /// Stream position of `send_times[0]`; advances with `cum_acked`.
     send_base: SegIndex,
 
@@ -105,7 +118,6 @@ pub struct Sender {
     /// Holes already retransmitted during the current recovery episode.
     recovery_retx: BTreeSet<SegIndex>,
 
-    outbox: Vec<Outgoing>,
     timer_request: Option<TimerRequest>,
     /// Set when a loss event updates ssthresh; the stack persists it to
     /// the destination metrics cache (Linux `tcp_metrics`).
@@ -155,7 +167,6 @@ impl Sender {
             sack_enabled: cfg.sack,
             sacked: BTreeSet::new(),
             recovery_retx: BTreeSet::new(),
-            outbox: Vec::new(),
             timer_request: None,
             ssthresh_update: None,
             last_activity: now,
@@ -267,16 +278,32 @@ impl Sender {
         self.last_activity
     }
 
-    /// Drains segments queued for transmission since the last call.
-    pub fn take_outbox(&mut self) -> Vec<Outgoing> {
-        std::mem::take(&mut self.outbox)
+    /// Gives the send-time ring, emptied, to `free` and keeps one that
+    /// holds no allocation. The world calls it when nothing is in flight
+    /// or the connection has closed: the timestamps of a closed
+    /// connection's flight are never read.
+    pub(crate) fn release_send_times(&mut self, free: &mut Vec<SendTimes>) {
+        if self.send_times.capacity() > 0 {
+            let mut ring = std::mem::take(&mut self.send_times);
+            ring.clear();
+            free.push(ring);
+        }
     }
 
-    /// Appends the queued segments to `out` and empties the internal
-    /// outbox, retaining both buffers' capacity — the allocation-free
-    /// variant of [`Sender::take_outbox`] used by the event loop.
-    pub fn drain_outbox_into(&mut self, out: &mut Vec<Outgoing>) {
-        out.append(&mut self.outbox);
+    /// Takes the last ring of `free` as the send-time ring, if this
+    /// sender holds none.
+    pub(crate) fn adopt_send_times(&mut self, free: &mut Vec<SendTimes>) {
+        if self.send_times.capacity() == 0 {
+            if let Some(ring) = free.pop() {
+                self.send_times = ring;
+            }
+        }
+    }
+
+    /// Entries the send-time ring has room for.
+    #[cfg(test)]
+    pub(crate) fn send_times_capacity(&self) -> usize {
+        self.send_times.capacity()
     }
 
     /// The recorded `(sent_at, retransmitted)` pair for `seq`, if it has
@@ -296,10 +323,10 @@ impl Sender {
         self.send_times[idx] = Some((at, retransmit));
     }
 
-    /// Whether a flush has anything to move: queued segments, a timer
-    /// request or an ssthresh update.
+    /// Whether a flush has anything to move: a timer request or an
+    /// ssthresh update.
     pub(crate) fn has_pending_output(&self) -> bool {
-        !self.outbox.is_empty() || self.timer_request.is_some() || self.ssthresh_update.is_some()
+        self.timer_request.is_some() || self.ssthresh_update.is_some()
     }
 
     /// Takes the pending timer re-arm request, if any.
@@ -313,9 +340,9 @@ impl Sender {
         self.ssthresh_update.take()
     }
 
-    /// Appends `segments` of application data to the stream and transmits
-    /// as much as the window allows.
-    pub fn write(&mut self, segments: u64, now: SimTime) {
+    /// Appends `segments` of application data to the stream and pushes
+    /// onto `out` as much as the window allows.
+    pub fn write(&mut self, segments: u64, now: SimTime, out: &mut Vec<Outgoing>) {
         if segments == 0 {
             return;
         }
@@ -329,11 +356,12 @@ impl Sender {
         }
         self.stream_end += segments;
         self.last_activity = now;
-        self.pump(now);
+        self.pump(now, out);
     }
 
-    /// Processes a cumulative acknowledgement.
-    pub fn on_ack(&mut self, ack: Ack, now: SimTime) {
+    /// Processes a cumulative acknowledgement, pushing onto `out` the
+    /// segments it releases or retransmits.
+    pub fn on_ack(&mut self, ack: Ack, now: SimTime, out: &mut Vec<Outgoing>) {
         self.peer_rwnd = ack.rwnd;
         self.last_activity = now;
         if self.sack_enabled {
@@ -354,14 +382,14 @@ impl Sender {
             self.ece_reductions_total += 1;
         }
         if ack.cum_ack > self.cum_acked {
-            self.handle_advance(ack.cum_ack, now);
+            self.handle_advance(ack.cum_ack, now, out);
         } else if ack.cum_ack == self.cum_acked && self.in_flight() > 0 {
-            self.handle_duplicate(now);
+            self.handle_duplicate(now, out);
         }
-        self.pump(now);
+        self.pump(now, out);
     }
 
-    fn handle_advance(&mut self, new_cum: SegIndex, now: SimTime) {
+    fn handle_advance(&mut self, new_cum: SegIndex, now: SimTime, out: &mut Vec<Outgoing>) {
         let newly = new_cum - self.cum_acked;
         // Congestion-window validation (Linux `tcp_is_cwnd_limited`): the
         // window only grows when the flow was actually using it — within
@@ -406,11 +434,11 @@ impl Sender {
             SenderPhase::Recovery | SenderPhase::Timeout if new_cum < self.recover_point => {
                 if self.sack_enabled {
                     // SACK: retransmit every known hole once per episode.
-                    self.fill_holes(now);
+                    self.fill_holes(now, out);
                 } else {
                     // Partial ACK: another hole. Retransmit the new first
                     // unacked segment immediately (NewReno).
-                    self.retransmit(self.cum_acked, now);
+                    self.retransmit(self.cum_acked, now, out);
                 }
             }
             SenderPhase::Recovery | SenderPhase::Timeout => {
@@ -434,7 +462,7 @@ impl Sender {
         }
     }
 
-    fn handle_duplicate(&mut self, now: SimTime) {
+    fn handle_duplicate(&mut self, now: SimTime, out: &mut Vec<Outgoing>) {
         self.dup_acks += 1;
         if self.dup_acks == 3 && self.phase == SenderPhase::Open {
             self.cc.on_loss(now);
@@ -444,33 +472,34 @@ impl Sender {
             self.recovery_retx.clear();
             self.fast_retransmits_total += 1;
             if self.sack_enabled {
-                self.fill_holes(now);
+                self.fill_holes(now, out);
             } else {
-                self.retransmit(self.cum_acked, now);
+                self.retransmit(self.cum_acked, now, out);
             }
             self.arm_rto(now);
         } else if self.phase == SenderPhase::Recovery && self.sack_enabled {
             // Later dup-acks widen the scoreboard: keep filling holes.
-            self.fill_holes(now);
+            self.fill_holes(now, out);
         }
     }
 
     /// SACK recovery (RFC 6675-lite): retransmit every segment below the
     /// recovery point that the receiver has not selectively acknowledged,
     /// at most once per recovery episode.
-    fn fill_holes(&mut self, now: SimTime) {
+    fn fill_holes(&mut self, now: SimTime, out: &mut Vec<Outgoing>) {
         for seq in self.cum_acked..self.recover_point.min(self.next_seq) {
             if self.sacked.contains(&seq) || self.recovery_retx.contains(&seq) {
                 continue;
             }
             self.recovery_retx.insert(seq);
-            self.retransmit(seq, now);
+            self.retransmit(seq, now, out);
         }
     }
 
-    /// Handles a retransmission-timer firing. Returns `true` if the timer
-    /// was current and a timeout was actually taken.
-    pub fn on_rto_fire(&mut self, epoch: u64, now: SimTime) -> bool {
+    /// Handles a retransmission-timer firing, pushing the resent segments
+    /// onto `out`. Returns `true` if the timer was current and a timeout
+    /// was actually taken.
+    pub fn on_rto_fire(&mut self, epoch: u64, now: SimTime, out: &mut Vec<Outgoing>) -> bool {
         if !self.rto_armed || epoch != self.rto_epoch {
             return false; // stale timer from an earlier arm
         }
@@ -491,22 +520,22 @@ impl Sender {
         // segment. The receiver discards duplicates.
         self.next_seq = self.cum_acked;
         self.last_activity = now;
-        self.pump(now);
+        self.pump(now, out);
         self.arm_rto(now);
         true
     }
 
-    fn retransmit(&mut self, seq: SegIndex, now: SimTime) {
+    fn retransmit(&mut self, seq: SegIndex, now: SimTime, out: &mut Vec<Outgoing>) {
         self.retransmits_total += 1;
         self.record_send(seq, now, true);
-        self.outbox.push(Outgoing {
+        out.push(Outgoing {
             seq,
             retransmit: true,
         });
     }
 
     /// Sends new segments while the effective window allows.
-    fn pump(&mut self, now: SimTime) {
+    fn pump(&mut self, now: SimTime, out: &mut Vec<Outgoing>) {
         let wnd = (self.cc.cwnd().floor() as u64)
             .max(1)
             .min(self.peer_rwnd as u64);
@@ -517,7 +546,7 @@ impl Sender {
                 self.retransmits_total += 1;
             }
             self.record_send(seq, now, retx);
-            self.outbox.push(Outgoing {
+            out.push(Outgoing {
                 seq,
                 retransmit: retx,
             });
@@ -549,8 +578,53 @@ impl Sender {
 mod tests {
     use super::*;
 
-    fn sender_with_iw(iw: u32) -> Sender {
-        Sender::new(&TcpConfig::default(), iw, SimTime::ZERO)
+    /// A sender with the outbox its caller passes it, emptied by
+    /// `take_outbox` as the world's flush empties its own.
+    struct Tx {
+        sender: Sender,
+        out: Vec<Outgoing>,
+    }
+
+    impl Tx {
+        fn new(cfg: &TcpConfig, iw: u32) -> Tx {
+            Tx {
+                sender: Sender::new(cfg, iw, SimTime::ZERO),
+                out: Vec::new(),
+            }
+        }
+
+        fn write(&mut self, segments: u64, now: SimTime) {
+            self.sender.write(segments, now, &mut self.out);
+        }
+
+        fn on_ack(&mut self, ack: Ack, now: SimTime) {
+            self.sender.on_ack(ack, now, &mut self.out);
+        }
+
+        fn on_rto_fire(&mut self, epoch: u64, now: SimTime) -> bool {
+            self.sender.on_rto_fire(epoch, now, &mut self.out)
+        }
+
+        fn take_outbox(&mut self) -> Vec<Outgoing> {
+            std::mem::take(&mut self.out)
+        }
+    }
+
+    impl std::ops::Deref for Tx {
+        type Target = Sender;
+        fn deref(&self) -> &Sender {
+            &self.sender
+        }
+    }
+
+    impl std::ops::DerefMut for Tx {
+        fn deref_mut(&mut self) -> &mut Sender {
+            &mut self.sender
+        }
+    }
+
+    fn sender_with_iw(iw: u32) -> Tx {
+        Tx::new(&TcpConfig::default(), iw)
     }
 
     fn ack(cum: SegIndex) -> Ack {
@@ -774,7 +848,7 @@ mod tests {
             initial_rwnd: 4,
             ..TcpConfig::default()
         };
-        let mut s = Sender::new(&cfg, 100, SimTime::ZERO);
+        let mut s = Tx::new(&cfg, 100);
         s.write(50, SimTime::ZERO);
         assert_eq!(s.take_outbox().len(), 4, "rwnd-bound despite cwnd=100");
         // Receiver opens the window; next ack releases more.
@@ -791,7 +865,7 @@ mod tests {
             slow_start_after_idle: true,
             ..TcpConfig::default()
         };
-        let mut s = Sender::new(&cfg, 10, SimTime::ZERO);
+        let mut s = Tx::new(&cfg, 10);
         s.write(10, SimTime::ZERO);
         s.take_outbox();
         s.on_ack(ack(10), SimTime::from_millis(100));
@@ -810,7 +884,7 @@ mod tests {
             slow_start_after_idle: true,
             ..TcpConfig::default()
         };
-        let mut s = Sender::new(&cfg, 10, SimTime::ZERO);
+        let mut s = Tx::new(&cfg, 10);
         s.write(10, SimTime::ZERO);
         s.take_outbox();
         s.on_ack(ack(10), SimTime::from_millis(100));
@@ -960,12 +1034,12 @@ mod tests {
         assert!(s.all_acked());
     }
 
-    fn sack_sender(iw: u32) -> Sender {
+    fn sack_sender(iw: u32) -> Tx {
         let cfg = TcpConfig {
             sack: true,
             ..TcpConfig::default()
         };
-        Sender::new(&cfg, iw, SimTime::ZERO)
+        Tx::new(&cfg, iw)
     }
 
     fn sack_ack(cum: SegIndex, ranges: &[(SegIndex, SegIndex)]) -> Ack {

@@ -329,7 +329,8 @@ proptest! {
         let mut tx = Sender::new(&cfg, 10, SimTime::ZERO);
         let mut rx = Receiver::new(conn, &cfg);
         let mut now = SimTime::from_nanos(0);
-        tx.write(segments, now);
+        let mut outbox = Vec::new();
+        tx.write(segments, now, &mut outbox);
 
         let mut losses = loss_mask.into_iter();
         let mut steps = 0u32;
@@ -337,7 +338,7 @@ proptest! {
             steps += 1;
             prop_assert!(steps < 10_000, "livelock suspected");
             now += riptide_repro::simnet::time::SimDuration::from_millis(10);
-            let out = tx.take_outbox();
+            let out = std::mem::take(&mut outbox);
             let mut delivered_any = false;
             for seg in out {
                 // Drop while the mask lasts; afterwards the network is clean,
@@ -351,12 +352,12 @@ proptest! {
                     riptide_repro::simnet::tcp::receiver::AckDecision::Immediate(a) => a,
                     other => panic!("quickack receiver deferred: {other:?}"),
                 };
-                tx.on_ack(ack, now);
+                tx.on_ack(ack, now, &mut outbox);
             }
             if !delivered_any {
                 // Nothing moved: fire the retransmission timer if armed.
                 if let Some(req) = tx.take_timer_request() {
-                    tx.on_rto_fire(req.epoch, req.deadline.max(now));
+                    tx.on_rto_fire(req.epoch, req.deadline.max(now), &mut outbox);
                 }
             }
         }
@@ -380,17 +381,18 @@ proptest! {
         let mut tx = Sender::new(&cfg, 10, SimTime::ZERO);
         let mut rx = Receiver::new(conn, &cfg);
         let mut now = SimTime::from_nanos(0);
-        tx.write(segments, now);
+        let mut outbox = Vec::new();
+        tx.write(segments, now, &mut outbox);
         let mut steps = 0u32;
         while !tx.all_acked() {
             steps += 1;
             prop_assert!(steps < 10_000, "livelock suspected");
             now += riptide_repro::simnet::time::SimDuration::from_millis(10);
-            let out = tx.take_outbox();
+            let out = std::mem::take(&mut outbox);
             let mut pending_timer = None;
             for seg in out {
                 match rx.on_segment(seg.seq) {
-                    AckDecision::Immediate(ack) => tx.on_ack(ack, now),
+                    AckDecision::Immediate(ack) => tx.on_ack(ack, now, &mut outbox),
                     AckDecision::Deferred { epoch } => pending_timer = Some(epoch),
                 }
             }
@@ -398,13 +400,13 @@ proptest! {
             if let Some(epoch) = pending_timer {
                 now += cfg.delayed_ack_timeout;
                 if let Some(ack) = rx.on_delack_timer(epoch) {
-                    tx.on_ack(ack, now);
+                    tx.on_ack(ack, now, &mut outbox);
                 }
             }
-            if tx.take_outbox().is_empty() && !tx.all_acked() && pending_timer.is_none() {
+            if std::mem::take(&mut outbox).is_empty() && !tx.all_acked() && pending_timer.is_none() {
                 // Nothing in flight released new data: fall back to RTO.
                 if let Some(req) = tx.take_timer_request() {
-                    tx.on_rto_fire(req.epoch, req.deadline.max(now));
+                    tx.on_rto_fire(req.epoch, req.deadline.max(now), &mut outbox);
                 }
             }
         }

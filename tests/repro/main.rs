@@ -11,6 +11,7 @@ mod digest_golden;
 mod end_to_end;
 mod event_queue_differential;
 mod everything_on;
+mod first_flight;
 mod golden_exposition;
 mod paper_claims;
 mod parallel_engine;

@@ -16,12 +16,12 @@
 //! re-arm request readable through [`Sender::take_timer_request`]; the
 //! world turns both into events.
 //!
-//! The send-time ring is the one buffer a sender grows with its flight.
-//! The world takes it back when the sender is fully acknowledged or its
-//! connection closes and lends it to the next sender that writes
-//! (`Sender::release_send_times`, `Sender::adopt_send_times`), so an
-//! idle connection holds no ring; a sender used on its own grows and keeps
-//! its own.
+//! The send-time ring grows with the largest flight. The world takes it
+//! back when the sender is fully acknowledged or its connection closes,
+//! and lends it to the next sender that writes without one
+//! (`Sender::release_send_times`, `Sender::adopt_send_times`), so an idle
+//! connection holds no ring; a sender used on its own grows and keeps its
+//! own.
 
 use std::collections::{BTreeSet, VecDeque};
 
@@ -300,12 +300,6 @@ impl Sender {
         }
     }
 
-    /// Entries the send-time ring has room for.
-    #[cfg(test)]
-    pub(crate) fn send_times_capacity(&self) -> usize {
-        self.send_times.capacity()
-    }
-
     /// The recorded `(sent_at, retransmitted)` pair for `seq`, if it has
     /// been transmitted and is not yet cumulatively acknowledged.
     fn send_time(&self, seq: SegIndex) -> Option<(SimTime, bool)> {
@@ -577,6 +571,13 @@ impl Sender {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Sender {
+        /// Entries the send-time ring has room for.
+        pub(crate) fn send_times_capacity(&self) -> usize {
+            self.send_times.capacity()
+        }
+    }
 
     /// A sender with the outbox its caller passes it, emptied by
     /// `take_outbox` as the world's flush empties its own.

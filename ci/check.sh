@@ -66,7 +66,8 @@ if [[ "$stage" == "build" || "$stage" == "all" ]]; then
     # runs of one agent with a drawn subset of its subsystems and faults
     # (`swarm::`), and for the first flight of every fresh connection of a
     # two-PoP `World` against its route, window and object
-    # (`first_flight::`); hostile text, the tick, the pass's application,
+    # (`first_flight::`), and for the LPM trie against a linear-scan
+    # oracle under churn (`--test invariants lpm_trie_`); hostile text, the tick, the pass's application,
     # the swarm, the first flight and the scan in the debug profile,
     # where an overflow panics instead of wrapping. These files are modules of the `repro` (root package) and
     # `riptide` (crates/core) test binaries, so a module name followed by
@@ -78,6 +79,7 @@ if [[ "$stage" == "build" || "$stage" == "all" ]]; then
     for seed in 1 2016; do
         run env PROPTEST_SEED="$seed" cargo test -q --release --test repro -- \
             ss_scanner_differential:: chaos:: first_flight::
+        run env PROPTEST_SEED="$seed" cargo test -q --release --test invariants lpm_trie_
         run env PROPTEST_SEED="$seed" cargo test -q -p riptide --test riptide hostile_text::
         run env PROPTEST_SEED="$seed" cargo test -q -p riptide-linuxnet --test hostile_text
         run env PROPTEST_SEED="$seed" cargo test -q --release -p riptide-linuxnet --lib "$scan_parts"

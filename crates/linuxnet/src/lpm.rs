@@ -279,7 +279,7 @@ impl<T> LpmTrie<T> {
             let tail_branch = bits_at(skip_bits << (32 - skip_len), head_len, STRIDE) as usize;
             let tail = {
                 let node = &mut self.nodes[idx as usize];
-                let tail = Node {
+                let mut tail = Node {
                     skip_len: tail_skip,
                     skip_bits: if tail_skip == 0 {
                         0
@@ -295,10 +295,21 @@ impl<T> LpmTrie<T> {
                 } else {
                     skip_bits >> (skip_len - head_len)
                 };
+                if tail_skip == 0 {
+                    // A prefix ending exactly one stride below the head
+                    // lives in the head's last level, where `locate`
+                    // looks for it, not in the tail's relative-length-0
+                    // slot.
+                    node.internal[slot_index(STRIDE, tail_branch as u32)] = tail.internal[0].take();
+                }
                 tail
             };
-            let tail_idx = self.alloc(tail);
-            self.nodes[idx as usize].children[tail_branch] = tail_idx;
+            // Removals can leave a node holding that one prefix alone;
+            // then the tail is empty and is not linked.
+            if !tail.is_unused() {
+                let tail_idx = self.alloc(tail);
+                self.nodes[idx as usize].children[tail_branch] = tail_idx;
+            }
 
             let below = depth + head_len;
             let rem = plen - below;
@@ -677,6 +688,41 @@ mod tests {
             .collect();
         expect.sort();
         assert_eq!(seen, expect);
+    }
+
+    #[test]
+    fn a_split_keeps_a_prefix_ending_one_stride_below_the_head_reachable() {
+        let mut t: LpmTrie<u32> = LpmTrie::new();
+        t.insert(p("10.0.0.10/32"), 32);
+        t.insert(p("10.0.0.0/24"), 24);
+        // Splits the /24's node one stride above it.
+        t.insert(p("10.0.1.0/24"), 124);
+        assert_eq!(t.get(&p("10.0.0.0/24")), Some(&24));
+        assert_eq!(t.get(&p("10.0.1.0/24")), Some(&124));
+        assert_eq!(t.remove(&p("10.0.0.0/24")), Some(24));
+        assert_eq!(t.get(&p("10.0.0.0/24")), None);
+        assert_eq!(lookup_len(&t, "10.0.0.10"), Some((32, 32)));
+        assert_eq!(t.len(), 2);
+    }
+
+    #[test]
+    fn a_split_of_a_node_holding_one_prefix_links_no_empty_tail() {
+        let mut t: LpmTrie<u32> = LpmTrie::new();
+        t.insert(p("10.0.0.10/32"), 32);
+        // Ends where the /32's leaf skip ends: the leaf's slot 0.
+        t.insert(p("10.0.0.0/28"), 28);
+        t.remove(&p("10.0.0.10/32"));
+        let nodes = t.node_count();
+        // Diverges in the skip's last stride: the split's tail would
+        // hold nothing once the /28 moves up into the head.
+        t.insert(p("10.0.0.16/28"), 16);
+        assert_eq!(t.node_count(), nodes, "no empty tail was linked");
+        assert_eq!(t.get(&p("10.0.0.0/28")), Some(&28));
+        assert_eq!(t.get(&p("10.0.0.16/28")), Some(&16));
+        assert_eq!(lookup_len(&t, "10.0.0.1"), Some((28, 28)));
+        assert_eq!(t.remove(&p("10.0.0.0/28")), Some(28));
+        assert_eq!(t.remove(&p("10.0.0.16/28")), Some(16));
+        assert!(t.is_empty());
     }
 
     #[test]

@@ -87,17 +87,20 @@ proptest! {
 
     #[test]
     fn lpm_trie_matches_naive_reference_under_churn(
-        // Interleaved insert/remove/lookup against a linear-scan oracle.
-        // Masking `bits` down to a handful of distinct /8 roots makes
-        // overlapping and duplicate prefixes common rather than rare.
+        // Interleaved insert/remove/lookup/exact get against a
+        // linear-scan oracle. Masking `bits` down to a handful of
+        // distinct /8 roots and four third octets makes overlapping and
+        // duplicate prefixes common rather than rare, and puts sibling
+        // /24s under one node.
         ops in proptest::collection::vec(
-            (0u8..3, any::<u32>(), 0u8..=32, 1u32..200), 1..120),
+            (0u8..4, any::<u32>(), 0u8..=32, 1u32..200), 1..120),
         probes in proptest::collection::vec(any::<u32>(), 1..40),
     ) {
+        const MASK: u32 = 0x03FF_03FF;
         let mut trie: LpmTrie<u32> = LpmTrie::new();
         let mut reference: Vec<(Ipv4Prefix, u32)> = Vec::new();
         for (op, bits, len, w) in ops {
-            let bits = bits & 0x03FF_00FF; // few roots, dense low hosts
+            let bits = bits & MASK; // few roots, dense low hosts
             let prefix = Ipv4Prefix::new(Ipv4Addr::from(bits), len);
             match op {
                 0 => {
@@ -118,16 +121,20 @@ proptest! {
                         reference.swap_remove(i);
                     }
                 }
-                _ => {
+                2 => {
                     let got = trie.lookup(Ipv4Addr::from(bits)).map(|(_, w)| *w);
                     let want = naive_lookup(&reference, Ipv4Addr::from(bits));
                     prop_assert_eq!(got, want);
+                }
+                _ => {
+                    let want = reference.iter().find(|(p, _)| *p == prefix).map(|(_, w)| *w);
+                    prop_assert_eq!(trie.get(&prefix).copied(), want);
                 }
             }
             prop_assert_eq!(trie.len(), reference.len());
         }
         for bits in probes {
-            let addr = Ipv4Addr::from(bits & 0x03FF_00FF);
+            let addr = Ipv4Addr::from(bits & MASK);
             prop_assert_eq!(trie.lookup(addr).map(|(_, w)| *w), naive_lookup(&reference, addr));
         }
     }

@@ -156,11 +156,6 @@ const EXPERIMENTS: &[Experiment] = &[
         run: Run::Own(studies::chaos),
     },
     Experiment {
-        name: "gossip_verdict",
-        about: "fleet sync on paired seeds: snapshot vs fleet-wide / same-PoP gossip",
-        run: Run::Own(studies::gossip_verdict),
-    },
-    Experiment {
         name: "megacdn",
         about: "million-prefix destination-table gate (BENCH_megacdn.json)",
         run: Run::Own(megacdn::megacdn),

@@ -9,7 +9,7 @@ use riptide_bench::{
     RunOptions,
 };
 use riptide_cdn::engine::{PlanArm, RunPlan};
-use riptide_cdn::experiment::{probe_sender_sites, ExperimentScale, StackTweaks};
+use riptide_cdn::experiment::{probe_sender_sites, StackTweaks};
 use riptide_cdn::stats::Cdf;
 use riptide_cdn::workload::ProbeConfig;
 use riptide_linuxnet::route::RouteTable;
@@ -384,235 +384,4 @@ pub fn chaos(opts: &RunOptions) -> Outcome {
          every installed window stayed within [c_min, c_max] at every fault rate"
     );
     Ok(())
-}
-
-/// Fleet sync on paired seeds: snapshot alone against snapshot plus
-/// fleet-wide gossip and snapshot plus same-PoP gossip, on the
-/// cold-start crash plan and on flash-crowd with the same crash
-/// overlay.
-///
-/// Per seed and arm it reads the mean restart ramp and the p50 and p95
-/// completion of every probe (all sizes pooled) sent by a site one of
-/// whose machines restarted within the agent's TTL before the probe was
-/// requested. Each metric is a per-seed difference (arm minus snapshot)
-/// with a 95 % percentile-bootstrap interval of the median difference
-/// (10 000 resamples of the seeds, drawn from a fixed `DetRng`). An arm
-/// beats snapshot alone on a metric only when its whole interval lies
-/// below zero.
-///
-/// ```text
-/// cargo run --release -p riptide-bench -- gossip_verdict --scale test --seeds 8
-/// ```
-pub fn gossip_verdict(opts: &RunOptions) -> Outcome {
-    use riptide_cdn::engine::{ShardSpec, ShardWork};
-    use riptide_cdn::gossip::GossipConfig;
-    use riptide_cdn::scenario::{scenario_sim_config, ScenarioSpec};
-    use riptide_cdn::sim::{CdnSim, ColdstartReport};
-    use riptide_simnet::rng::DetRng;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
-    const RATE: f64 = 0.05;
-    banner(
-        "Gossip verdict",
-        "snapshot alone vs snapshot + fleet-wide / same-PoP gossip, paired seeds",
-    );
-    // Same-PoP gossip needs PoP-mates: three machines per PoP, the
-    // testbed default, whatever the scale's own count.
-    let scale = &ExperimentScale {
-        machines_per_pop: 3,
-        ..opts.scale.clone()
-    };
-    let ttl = RiptideConfig::deployment().ttl;
-    let arms: [(&str, Option<GossipConfig>); 3] = [
-        ("snapshot", None),
-        ("fleet", Some(GossipConfig::default())),
-        (
-            "same-pop",
-            Some(GossipConfig {
-                same_pop: true,
-                ..GossipConfig::default()
-            }),
-        ),
-    ];
-    let plans: [(&str, ScenarioSpec); 2] = [
-        ("coldstart", ScenarioSpec::coldstart(RATE, true, None)),
-        ("flash-crowd", ScenarioSpec::flash_crowd(scale)),
-    ];
-    for (plan_name, base) in plans {
-        let plan_arms = arms
-            .iter()
-            .map(|(arm, gossip)| {
-                let mut spec = base.clone();
-                spec.resilience = ScenarioSpec::coldstart(RATE, true, *gossip).resilience;
-                PlanArm::scenario(*arm, Some(RiptideConfig::deployment()), spec)
-            })
-            .collect();
-        let plan = RunPlan::probe_arms("gossip-verdict", scale, plan_arms, opts.seeds);
-
-        // Per shard: its coldstart counters and the completion times (ms)
-        // of the probes sent within `ttl` of a restart at the sender site.
-        type ShardOut = (ColdstartReport, Vec<f64>, Vec<(usize, SimTime)>);
-        let results: Mutex<Vec<Option<ShardOut>>> = Mutex::new(vec![None; plan.shards.len()]);
-        let cursor = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..riptide_bench::resolved_threads(opts) {
-                s.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(shard) = plan.shards.get(i) else {
-                        break;
-                    };
-                    let ShardWork::ScenarioArm {
-                        riptide,
-                        spec,
-                        senders,
-                    } = &shard.work
-                    else {
-                        unreachable!("probe_arms of scenario arms")
-                    };
-                    let cfg =
-                        scenario_sim_config(&shard.scale, riptide.clone(), senders.clone(), spec);
-                    let mut sim = CdnSim::new(cfg);
-                    sim.run_for(shard.scale.total());
-                    let restarts = sim.restarts();
-                    let after_restart = |site: usize, at: SimTime| {
-                        restarts
-                            .iter()
-                            .any(|&(s, r)| s == site && r <= at && at.saturating_since(r) <= ttl)
-                    };
-                    let ms: Vec<f64> = sim
-                        .probe_outcomes()
-                        .iter()
-                        .filter(|p| after_restart(p.src_site, p.requested_at))
-                        .map(|p| p.completion.as_secs_f64() * 1e3)
-                        .collect();
-                    results.lock().unwrap()[i] = Some((sim.coldstart_report(), ms, restarts));
-                });
-            }
-        });
-        let results: Vec<ShardOut> = results
-            .into_inner()
-            .unwrap()
-            .into_iter()
-            .map(|r| r.expect("every shard ran"))
-            .collect();
-
-        // The probe metrics compare like with like only when every arm of
-        // a (sender, seed) cell saw the same restarts.
-        let same_crashes = plan
-            .shards
-            .iter()
-            .zip(&results)
-            .all(|(shard, (_, _, restarts))| {
-                let cell = |twin: &&ShardSpec| {
-                    twin.id.unit == shard.id.unit && twin.id.replicate == shard.id.replicate
-                };
-                let first = plan.shards.iter().position(|s| cell(&s)).expect("itself");
-                results[first].2 == *restarts
-            });
-        // Per (arm, seed): [ramp s, p50 ms, p95 ms], `None` where the
-        // seed has no recovery or no probe to read.
-        let seeds = opts.seeds as usize;
-        let mut per_seed = vec![vec![[None::<f64>; 3]; seeds]; arms.len()];
-        let mut counts = vec![vec![(0u64, 0usize); seeds]; arms.len()];
-        for (a, cells) in per_seed.iter_mut().enumerate() {
-            for (r, cell) in cells.iter_mut().enumerate() {
-                let mut report = ColdstartReport::default();
-                let mut ms = Vec::new();
-                for (shard, (c, m, _)) in plan.shards.iter().zip(&results) {
-                    if shard.id.scenario as usize == a && shard.id.replicate as usize == r {
-                        report.merge(c);
-                        ms.extend_from_slice(m);
-                    }
-                }
-                counts[a][r] = (report.restarts_tracked, ms.len());
-                let cdf = Cdf::new(ms);
-                *cell = [
-                    report.mean_ramp_secs(),
-                    (!cdf.is_empty()).then(|| cdf.quantile(0.50)),
-                    (!cdf.is_empty()).then(|| cdf.quantile(0.95)),
-                ];
-            }
-        }
-
-        println!(
-            "# plan {plan_name}: {} sites x {} machines, crash rate {RATE}, ttl {}s, {seeds} seeds",
-            scale.sites,
-            scale.machines_per_pop,
-            ttl.as_secs_f64()
-        );
-        println!(
-            "#   every arm of a (sender, seed) cell restarted at the same instants: {same_crashes}"
-        );
-        for (a, (arm, _)) in arms.iter().enumerate() {
-            let c: Vec<String> = counts[a].iter().map(|(t, n)| format!("{t}/{n}")).collect();
-            println!(
-                "#   {arm:<9} tracked restarts / probes read per seed: {}",
-                c.join(" ")
-            );
-        }
-        for (m, metric) in ["ramp_s", "p50_ms", "p95_ms"].iter().enumerate() {
-            let arm_medians: Vec<String> = (0..arms.len())
-                .map(|a| {
-                    let v: Vec<f64> = per_seed[a].iter().filter_map(|c| c[m]).collect();
-                    format!("{} {:.3}", arms[a].0, median(&v))
-                })
-                .collect();
-            println!("#   {metric} median over seeds: {}", arm_medians.join(", "));
-        }
-        println!(
-            "{:<12} {:<9} {:<8} {:>9} {:>22}  per-seed differences (arm - snapshot)",
-            "plan", "arm", "metric", "median", "95% interval"
-        );
-        for (a, (arm, _)) in arms.iter().enumerate().skip(1) {
-            for (m, metric) in ["ramp_s", "p50_ms", "p95_ms"].iter().enumerate() {
-                let diffs: Vec<f64> = (0..seeds)
-                    .filter_map(|r| Some(per_seed[a][r][m]? - per_seed[0][r][m]?))
-                    .collect();
-                if diffs.is_empty() {
-                    println!("{plan_name:<12} {arm:<9} {metric:<8} no paired seed");
-                    continue;
-                }
-                let (lo, hi) = bootstrap_median_interval(&diffs, &mut DetRng::from_seed(2016));
-                let verdict = if hi < 0.0 { "beats" } else { "does not beat" };
-                let shown: Vec<String> = diffs.iter().map(|d| format!("{d:+.3}")).collect();
-                println!(
-                    "{plan_name:<12} {arm:<9} {metric:<8} {:>+9.3} [{lo:>+9.3}, {hi:>+9.3}]  {}  -> {verdict} snapshot",
-                    median(&diffs),
-                    shown.join(" "),
-                );
-            }
-        }
-    }
-    Ok(())
-}
-
-fn median(values: &[f64]) -> f64 {
-    let mut v = values.to_vec();
-    v.sort_by(f64::total_cmp);
-    let n = v.len();
-    if n % 2 == 1 {
-        v[n / 2]
-    } else {
-        (v[n / 2 - 1] + v[n / 2]) / 2.0
-    }
-}
-
-/// The 2.5th and 97.5th percentiles of the median over 10 000
-/// resamples (with replacement) of `diffs`.
-fn bootstrap_median_interval(diffs: &[f64], rng: &mut riptide_simnet::rng::DetRng) -> (f64, f64) {
-    const RESAMPLES: usize = 10_000;
-    let mut medians: Vec<f64> = (0..RESAMPLES)
-        .map(|_| {
-            let sample: Vec<f64> = (0..diffs.len())
-                .map(|_| diffs[rng.below(diffs.len())])
-                .collect();
-            median(&sample)
-        })
-        .collect();
-    medians.sort_by(f64::total_cmp);
-    (
-        medians[RESAMPLES * 25 / 1000],
-        medians[RESAMPLES * 975 / 1000 - 1],
-    )
 }

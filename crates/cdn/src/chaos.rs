@@ -76,8 +76,6 @@ pub(crate) struct RampTracker {
     ramps: BTreeMap<usize, (u64, Option<SimTime>)>,
     /// Tracked restarts, completed ramps, restored routes (no other field).
     done: ColdstartReport,
-    /// Every restart, tracked or not: `(host, instant)`.
-    pub(crate) restarts: Vec<(usize, SimTime)>,
 }
 
 impl RampTracker {
@@ -93,7 +91,6 @@ impl RampTracker {
     /// Host `h`'s replacement daemon started at `now`, restoring `restored` routes.
     pub(crate) fn restarted(&mut self, h: usize, now: SimTime, restored: usize) {
         self.done.restored_routes += restored as u64;
-        self.restarts.push((h, now));
         if let Some((_, since)) = self.ramps.get_mut(&h) {
             *since = Some(now);
             self.done.restarts_tracked += 1;

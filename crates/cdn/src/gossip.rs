@@ -46,9 +46,6 @@ pub struct GossipConfig {
     pub max_entries: usize,
     /// How long a peer found down is left alone before being re-tried.
     pub backoff: SimDuration,
-    /// Draw peers only from the host's own PoP instead of the whole
-    /// fleet.
-    pub same_pop: bool,
 }
 
 impl Default for GossipConfig {
@@ -58,7 +55,6 @@ impl Default for GossipConfig {
             fanout: 1,
             max_entries: 256,
             backoff: SimDuration::from_secs(60),
-            same_pop: false,
         }
     }
 }
@@ -88,8 +84,6 @@ pub struct GossipFabric {
     /// Per unordered pair: when the two hosts last exchanged state —
     /// the `newer_than` bound of the next delta between them.
     last_exchange: BTreeMap<(usize, usize), SimTime>,
-    /// Per host: the index of its PoP.
-    pop_of: Vec<usize>,
     /// Per host: do not initiate an exchange with this peer before
     /// this instant (set when a draw finds the peer down).
     backoff_until: Vec<SimTime>,
@@ -103,23 +97,20 @@ fn pair_key(a: usize, b: usize) -> (usize, usize) {
 }
 
 impl GossipFabric {
-    /// Builds the fabric for hosts whose PoPs are `pop_of`, forking its
-    /// RNG off `parent` (purely: the parent's own sequence is not
-    /// advanced).
-    pub fn new(config: GossipConfig, parent: &DetRng, pop_of: Vec<usize>) -> Self {
+    /// Builds the fabric for `hosts` hosts, forking its RNG off
+    /// `parent` (purely: the parent's own sequence is not advanced).
+    pub fn new(config: GossipConfig, parent: &DetRng, hosts: usize) -> Self {
         GossipFabric {
             rng: parent.fork(0x9055_1FAB),
             last_exchange: BTreeMap::new(),
-            backoff_until: vec![SimTime::ZERO; pop_of.len()],
-            pop_of,
+            backoff_until: vec![SimTime::ZERO; hosts],
             done: ColdstartReport::default(),
             config,
         }
     }
 
     /// Draws this round's exchange pairs: each live host picks
-    /// `fanout` uniform peers (from its own PoP under
-    /// [`GossipConfig::same_pop`]), skipping itself, peers inside their
+    /// `fanout` uniform peers, skipping itself, peers inside their
     /// backoff window, and pairs already drawn this round. A drawn
     /// peer that turns out to be down is not exchanged with; instead
     /// its backoff clock starts.
@@ -135,19 +126,10 @@ impl GossipFabric {
                 continue;
             }
             for _ in 0..self.config.fanout {
-                let p = if self.config.same_pop {
-                    let pop = self.pop_of[h];
-                    let peers: Vec<usize> = (0..n)
-                        .filter(|&q| q != h && self.pop_of[q] == pop)
-                        .collect();
-                    if peers.is_empty() {
-                        continue;
-                    }
-                    peers[self.rng.below(peers.len())]
-                } else {
-                    let p = self.rng.below(n - 1);
-                    p + usize::from(p >= h)
-                };
+                let mut p = self.rng.below(n - 1);
+                if p >= h {
+                    p += 1;
+                }
                 if now < self.backoff_until[p] {
                     self.done.gossip_backoff_skips += 1;
                     continue;
@@ -236,11 +218,7 @@ mod tests {
     use super::*;
 
     fn fabric(hosts: usize) -> GossipFabric {
-        GossipFabric::new(
-            GossipConfig::default(),
-            &DetRng::from_seed(7),
-            vec![0; hosts],
-        )
+        GossipFabric::new(GossipConfig::default(), &DetRng::from_seed(7), hosts)
     }
 
     #[test]
@@ -285,7 +263,7 @@ mod tests {
     fn forking_does_not_advance_the_parent_stream() {
         let rng = DetRng::from_seed(99);
         let mut before = rng.clone();
-        let _f = GossipFabric::new(GossipConfig::default(), &rng, vec![0; 4]);
+        let _f = GossipFabric::new(GossipConfig::default(), &rng, 4);
         let mut after = rng.clone();
         assert_eq!(before.next_u64(), after.next_u64());
     }

@@ -527,10 +527,7 @@ impl CdnSim {
             }
             if let Some(g) = overlay.gossip {
                 arm(g.every, Activity::GossipRound);
-                let pop_of = (0..host_count)
-                    .map(|h| tb.world.pop_of(HostId::from_index(h as u32)).index())
-                    .collect();
-                gossip = Some(GossipFabric::new(g, &rng, pop_of));
+                gossip = Some(GossipFabric::new(g, &rng, host_count));
             }
             for h in 0..host_count {
                 let table = Rc::new(RefCell::new(RouteTable::new()));
@@ -738,21 +735,6 @@ impl CdnSim {
             r.merge(&g.done);
         }
         r
-    }
-
-    /// Every daemon restart so far: the restarted host's site and the
-    /// instant its replacement daemon started.
-    pub fn restarts(&self) -> Vec<(usize, SimTime)> {
-        let Some(chaos) = &self.chaos else {
-            return Vec::new();
-        };
-        let site = |h: usize| self.tb.world.pop_of(HostId::from_index(h as u32)).index();
-        chaos
-            .ramp
-            .restarts
-            .iter()
-            .map(|&(h, at)| (site(h), at))
-            .collect()
     }
 
     /// The learned window a host currently has for a destination address

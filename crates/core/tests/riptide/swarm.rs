@@ -111,10 +111,9 @@ impl Subset {
 }
 
 /// The kernel's routes, one per prefix, behind a controller that refuses
-/// a drawn share of calls. The routes are a map, not a `RouteTable`: the
-/// audit reads them as a `RouteTable` built afresh in key order.
+/// a drawn share of calls. The audit reads a copy of the table.
 struct Kernel {
-    routes: BTreeMap<Ipv4Prefix, RouteAttrs>,
+    routes: RouteTable,
     rng: DetRng,
     refusals: f64,
 }
@@ -131,18 +130,14 @@ impl Kernel {
     fn riptide_routes(&self) -> BTreeMap<Ipv4Prefix, u32> {
         self.routes
             .iter()
-            .filter(|(_, attrs)| is_riptide_route(attrs))
-            .map(|(key, attrs)| (*key, attrs.initcwnd.expect("a signature")))
+            .filter(|r| is_riptide_route(&r.attrs))
+            .map(|r| (r.prefix, r.attrs.initcwnd.expect("a signature")))
             .collect()
     }
 
     /// What `ip route show` would list.
     fn dump(&self) -> RouteTable {
-        let mut table = RouteTable::new();
-        for (key, attrs) in &self.routes {
-            table.replace(*key, attrs.clone());
-        }
-        table
+        self.routes.clone()
     }
 
     /// Changes the routes behind the agent's back: foreign routes come
@@ -160,20 +155,20 @@ impl Kernel {
                     proto: RouteProto::Kernel,
                     ..RouteAttrs::default()
                 };
-                self.routes.insert(foreign, attrs);
+                self.routes.replace(foreign, attrs);
             }
             (1, _) => {
-                self.routes.remove(&foreign);
+                let _ = self.routes.del(foreign);
             }
             (2, Some(key)) => {
-                self.routes.remove(&key);
+                let _ = self.routes.del(key);
             }
             (3, Some(key)) => {
-                self.routes.insert(key, RouteAttrs::initcwnd(window));
+                self.routes.replace(key, RouteAttrs::initcwnd(window));
             }
             _ => {
                 let orphan = Ipv4Prefix::host(host(rng.below(6), rng.below(12)));
-                self.routes.insert(orphan, RouteAttrs::initcwnd(window));
+                self.routes.replace(orphan, RouteAttrs::initcwnd(window));
             }
         }
     }
@@ -182,15 +177,15 @@ impl Kernel {
 impl RouteController for Kernel {
     fn set_initcwnd(&mut self, key: Ipv4Prefix, window: u32) -> Result<(), ControlError> {
         self.refuse()?;
-        self.routes.insert(key, RouteAttrs::initcwnd(window));
+        self.routes.replace(key, RouteAttrs::initcwnd(window));
         Ok(())
     }
 
     fn clear_initcwnd(&mut self, key: Ipv4Prefix) -> Result<(), ControlError> {
         self.refuse()?;
-        match self.routes.remove(&key) {
-            Some(_) => Ok(()),
-            None => Err(ControlError::new(format!("no route to {key}"))),
+        match self.routes.del(key) {
+            Ok(_) => Ok(()),
+            Err(_) => Err(ControlError::new(format!("no route to {key}"))),
         }
     }
 }
@@ -369,7 +364,7 @@ fn swarm(seed: u64) -> Result<(), String> {
 
     let mut agent = fresh(&config);
     let mut kernel = Kernel {
-        routes: BTreeMap::new(),
+        routes: RouteTable::new(),
         rng: rng.fork(1),
         refusals: subset.refusals,
     };

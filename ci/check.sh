@@ -66,9 +66,11 @@ if [[ "$stage" == "build" || "$stage" == "all" ]]; then
     # runs of one agent with a drawn subset of its subsystems and faults
     # (`swarm::`), and for the first flight of every fresh connection of a
     # two-PoP `World` against its route, window and object
-    # (`first_flight::`), and for the LPM trie against a linear-scan
-    # oracle under churn (`--test invariants lpm_trie_`); hostile text, the tick, the pass's application,
-    # the swarm, the first flight and the scan in the debug profile,
+    # (`first_flight::`), for the LPM trie against a linear-scan
+    # oracle under churn (`--test invariants lpm_trie_`), and for the
+    # simulated receiver's held-segment bitmap against its `BTreeSet`
+    # model (`tcp::receiver::`); hostile text, the tick, the pass's application,
+    # the swarm, the first flight, the receiver and the scan in the debug profile,
     # where an overflow panics instead of wrapping. These files are modules of the `repro` (root package) and
     # `riptide` (crates/core) test binaries, so a module name followed by
     # `::` picks one file's tests.
@@ -76,10 +78,12 @@ if [[ "$stage" == "build" || "$stage" == "all" ]]; then
     grouping=agent::tests::the_grouping_matches_a_stable_sort
     range_apply=agent::tests::the_range_apply_matches_the_member_by_member_apply
     scan_parts=ss::tests::a_scan_in_parts_matches_the_scan_in_one
+    receiver=tcp::receiver::
     for seed in 1 2016; do
         run env PROPTEST_SEED="$seed" cargo test -q --release --test repro -- \
             ss_scanner_differential:: chaos:: first_flight::
         run env PROPTEST_SEED="$seed" cargo test -q --release --test invariants lpm_trie_
+        run env PROPTEST_SEED="$seed" cargo test -q --release -p riptide-simnet --lib "$receiver"
         run env PROPTEST_SEED="$seed" cargo test -q -p riptide --test riptide hostile_text::
         run env PROPTEST_SEED="$seed" cargo test -q -p riptide-linuxnet --test hostile_text
         run env PROPTEST_SEED="$seed" cargo test -q --release -p riptide-linuxnet --lib "$scan_parts"
@@ -96,6 +100,7 @@ if [[ "$stage" == "build" || "$stage" == "all" ]]; then
     run cargo test -q -p riptide --test riptide swarm::
     run cargo test -q --test repro first_flight::
     run cargo test -q -p riptide-linuxnet --lib "$scan_parts"
+    run cargo test -q -p riptide-simnet --lib "$receiver"
 
     # The four outcome records, one --check each. Every family re-runs
     # its sweep at its record's scale and seeds, asserts its own claims

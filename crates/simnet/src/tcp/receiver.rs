@@ -386,22 +386,183 @@ mod tests {
         ranges.into_iter().rev().take(MAX_SACK_BLOCKS).collect()
     }
 
+    /// The receiver as it was while it kept its held segments in a
+    /// `BTreeSet`: the model the receiver is held to, decision by
+    /// decision.
+    struct Model {
+        conn: ConnId,
+        cum: SegIndex,
+        out_of_order: BTreeSet<SegIndex>,
+        rwnd: u32,
+        max_rwnd: u32,
+        delayed_ack: bool,
+        sack: bool,
+        unacked: u32,
+        pending: bool,
+        epoch: u64,
+        ece_pending: bool,
+    }
+
+    impl Model {
+        fn new(conn: ConnId, cfg: &TcpConfig) -> Self {
+            Model {
+                conn,
+                cum: 0,
+                out_of_order: BTreeSet::new(),
+                rwnd: cfg.initial_rwnd,
+                max_rwnd: cfg.max_rwnd,
+                delayed_ack: cfg.delayed_ack,
+                sack: cfg.sack,
+                unacked: 0,
+                pending: false,
+                epoch: 0,
+                ece_pending: false,
+            }
+        }
+
+        fn current_ack(&mut self) -> Ack {
+            let mut sack = SackBlocks::EMPTY;
+            if self.sack {
+                for (start, end) in collected_sack_blocks(&self.out_of_order) {
+                    sack.push(start, end);
+                }
+            }
+            let ece = std::mem::take(&mut self.ece_pending);
+            Ack {
+                conn: self.conn,
+                cum_ack: self.cum,
+                rwnd: self.rwnd,
+                sack,
+                ece,
+            }
+        }
+
+        fn emit_now(&mut self) -> AckDecision {
+            self.pending = false;
+            self.unacked = 0;
+            self.epoch += 1;
+            AckDecision::Immediate(self.current_ack())
+        }
+
+        fn on_segment_ecn(&mut self, seq: SegIndex, ecn: bool) -> AckDecision {
+            self.ece_pending |= ecn;
+            if seq < self.cum || self.out_of_order.contains(&seq) {
+                return self.emit_now();
+            }
+            self.out_of_order.insert(seq);
+            while self.out_of_order.remove(&self.cum) {
+                self.cum += 1;
+            }
+            self.rwnd = self.rwnd.saturating_add(2).min(self.max_rwnd);
+            if !self.out_of_order.is_empty() {
+                return self.emit_now();
+            }
+            self.unacked += 1;
+            if ecn || !self.delayed_ack || self.unacked >= 2 {
+                return self.emit_now();
+            }
+            self.pending = true;
+            AckDecision::Deferred { epoch: self.epoch }
+        }
+
+        fn on_delack_timer(&mut self, epoch: u64) -> Option<Ack> {
+            if !self.pending || epoch != self.epoch {
+                return None;
+            }
+            self.pending = false;
+            self.unacked = 0;
+            self.epoch += 1;
+            Some(self.current_ack())
+        }
+    }
+
+    /// Segment indices the differential property draws from: eight
+    /// 64-segment words.
+    const SPAN: u64 = 512;
+
     proptest::proptest! {
         // Segments arriving in any order, duplicates included: every ACK
-        // carries the ranges the collect-then-take coalescing gives.
+        // carries the ranges the collect-then-take coalescing gives. The
+        // arrivals span eight words, so ranges cross word boundaries.
         #[test]
         fn sack_blocks_match_the_collected_ranges(
-            arrivals in proptest::collection::vec(0u64..48, 1..96)
+            arrivals in proptest::collection::vec(0u64..SPAN, 1..600)
         ) {
             let cfg = TcpConfig {
                 sack: true,
                 ..TcpConfig::default()
             };
             let mut r = Receiver::new(ConnId::from_index(0), &cfg);
+            let mut held = BTreeSet::new();
             for seq in arrivals {
                 let ack = imm(r.on_segment(seq));
+                held.insert(seq);
+                held.retain(|&s| s >= ack.cum_ack);
                 let blocks: Vec<_> = ack.sack.iter().collect();
-                proptest::prop_assert_eq!(blocks, collected_sack_blocks(&r.out_of_order));
+                proptest::prop_assert_eq!(blocks, collected_sack_blocks(&held));
+            }
+        }
+
+        // The receiver against its `BTreeSet` model under every mix of
+        // SACK and delayed ACKs: arrivals anywhere in eight words (a high
+        // segment may come before lower ones), arrivals just above the
+        // frontier (so it advances through held runs and across words),
+        // duplicates, ECN marks and delayed-ack timers current and stale.
+        // Every decision must match.
+        #[test]
+        fn the_receiver_matches_its_btree_model(
+            sack in proptest::strategy::any::<bool>(),
+            delayed_ack in proptest::strategy::any::<bool>(),
+            max_rwnd in 1000u32..1400,
+            ops in proptest::collection::vec((0u64..SPAN, 0u8..10), 1..800)
+        ) {
+            let cfg = TcpConfig {
+                sack,
+                delayed_ack,
+                max_rwnd,
+                ..TcpConfig::default()
+            };
+            let conn = ConnId::from_index(3);
+            let mut r = Receiver::new(conn, &cfg);
+            let mut model = Model::new(conn, &cfg);
+            for (i, (x, kind)) in ops.into_iter().enumerate() {
+                let near = (model.cum + x % 8).min(SPAN - 1);
+                match kind {
+                    0..=2 => proptest::prop_assert_eq!(
+                        r.on_segment(x),
+                        model.on_segment_ecn(x, false),
+                        "op {} segment {}",
+                        i,
+                        x
+                    ),
+                    3..=6 => proptest::prop_assert_eq!(
+                        r.on_segment(near),
+                        model.on_segment_ecn(near, false),
+                        "op {} segment {}",
+                        i,
+                        near
+                    ),
+                    7 => proptest::prop_assert_eq!(
+                        r.on_segment_ecn(x, true),
+                        model.on_segment_ecn(x, true),
+                        "op {} marked segment {}",
+                        i,
+                        x
+                    ),
+                    _ => {
+                        // The current epoch, or a stale one.
+                        let epoch = model.epoch - (x % 2).min(model.epoch);
+                        proptest::prop_assert_eq!(
+                            r.on_delack_timer(epoch),
+                            model.on_delack_timer(epoch),
+                            "op {} delayed-ack timer {}",
+                            i,
+                            epoch
+                        );
+                    }
+                }
+                proptest::prop_assert_eq!(r.cum_received(), model.cum);
+                proptest::prop_assert_eq!(r.has_pending_ack(), model.pending);
             }
         }
     }

@@ -8,13 +8,17 @@
 //! # Structure
 //!
 //! A hashed timing wheel whose slots are sorted lazily. Payloads live in a
-//! slab of nodes (`at`, `seq`, payload, and an intrusive `next` index);
-//! freed nodes are recycled through a free list threaded through the same
-//! `next` field, so a steady-state run stops allocating once the slab has
-//! reached the high-water mark of concurrently pending events. A node is
-//! 20 bytes plus its payload, rounded to 8: the `World`'s event is 32
-//! bytes, so its node is 56 (an ACK's SACK blocks ride out of line; inline
-//! they made the event 80 bytes and the node 104).
+//! slab of nodes (`at`, `seq`, payload). The lists run beside the slab:
+//! `links[i]` is the index after node `i` in its slot's list, or in the
+//! free list through which freed nodes are recycled, so a steady-state run
+//! stops allocating once the slab has reached the high-water mark of
+//! concurrently pending events. A node is 16 bytes plus its payload: the
+//! `World`'s event is 32 bytes, so its node is 48 (an ACK's SACK blocks
+//! ride out of line; inline they made the event 80 bytes). A list walk —
+//! the dependent chain of loads in `open_next`, and the free list — reads
+//! 4 bytes per node, sixteen to a cache line; the `at` and `seq` that
+//! `open_next` copies out of each node are loads off that chain, which
+//! the core overlaps.
 //!
 //! Time is cut into slots of 2^20 ns (≈ 1.05 ms); an event's slot is
 //! `at >> 20`. The queue keeps one slot *open* — the latest one the clock has
@@ -23,7 +27,8 @@
 //!
 //! * **`near`** — the open slot or any earlier one. The open slot's events
 //!   that were already waiting when it was opened sit in `run`, a reused
-//!   `Vec<(at, seq, node)>` sorted once, descending, and popped from the end;
+//!   `Vec<(at, seq, node)>` sorted once, descending by the one `u128` key
+//!   `at << 64 | seq`, and popped from the end;
 //!   events scheduled into the open-or-an-earlier slot *after* that (a delay
 //!   shorter than what is left of the slot, or a time earlier than the last
 //!   pop — the API allows both) go to a small binary heap, `near`.
@@ -88,6 +93,19 @@
 //!   arrive in order) cannot pay: on `bulk-bottleneck` ~3 300 of the ~3 700
 //!   pending events are those timers, not packets, and on `probe-fleet` the
 //!   packets are spread over 1 122 paths.
+//! * **One sort key, in the sort only.** Opening a slot was the largest
+//!   part of the queue's cost on `probe-fleet` (DESIGN §9 "Where an
+//!   event's time goes"), and most of that was the sort comparing
+//!   `(SimTime, u64, u32)` tuples field by field. `at << 64 | seq` orders
+//!   the same (`at` first, then the unique `seq`) in one compare. The
+//!   heaps keep tuples: a prototype that gave `near` and `far`
+//!   `(u128, u32)` entries too raised the hold-model probe
+//!   (`simnet.event.ns_per_op`) from 49.5 to 59.5 ns. `seq` must stay in
+//!   the key: sorted by `at` alone, same-instant events pop in the order
+//!   their slot's list was linked, and `event_queue_differential` fails.
+//! * **The link beside the node, not in it.** With `next` inside the
+//!   56-byte node, walking a slot's list touched one line per node; the
+//!   `links` array keeps the walk and the free list in L1.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -111,8 +129,6 @@ type Entry = (SimTime, u64, u32);
 struct Node<E> {
     at: SimTime,
     seq: u64,
-    /// Next node of the same wheel slot, or of the free list.
-    next: u32,
     /// `None` marks a free node.
     payload: Option<E>,
 }
@@ -121,10 +137,18 @@ fn slot_of(at: SimTime) -> u64 {
     at.as_nanos() >> SLOT_SHIFT
 }
 
-/// The intrusive list starting at `head`, as `(index, node)` pairs.
-fn list<E>(nodes: &[Node<E>], head: u32) -> impl Iterator<Item = (u32, &Node<E>)> {
-    let entry = |index: u32| (index != NIL).then(|| (index, &nodes[index as usize]));
-    std::iter::successors(entry(head), move |&(_, node)| entry(node.next))
+/// `(at, seq)` as one integer with the same order, which a sort compares
+/// in one step instead of two.
+fn sort_key(&(at, seq, _): &Entry) -> u128 {
+    (u128::from(at.as_nanos()) << 64) | u128::from(seq)
+}
+
+/// The node indices of the list starting at `head`.
+fn list(links: &[u32], head: u32) -> impl Iterator<Item = u32> + '_ {
+    std::iter::successors((head != NIL).then_some(head), move |&index| {
+        let next = links[index as usize];
+        (next != NIL).then_some(next)
+    })
 }
 
 /// A deterministic future-event list.
@@ -146,7 +170,10 @@ fn list<E>(nodes: &[Node<E>], head: u32) -> impl Iterator<Item = (u32, &Node<E>)
 pub struct EventQueue<E> {
     /// Payload slab; every pending event owns one node.
     nodes: Vec<Node<E>>,
-    /// Head of the free list through `Node::next`.
+    /// `links[i]` is the node after node `i` in its wheel slot's list or
+    /// in the free list: the lists are walked without touching the slab.
+    links: Vec<u32>,
+    /// Head of the free list through `links`.
     free: u32,
     /// The open slot (absolute, `at >> SLOT_SHIFT`): the wheel holds slots
     /// `open + 1 .. open + WHEEL_SLOTS`, each at index `slot % WHEEL_SLOTS`.
@@ -187,6 +214,7 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             nodes: Vec::new(),
+            links: Vec::new(),
             free: NIL,
             open: 0,
             run: Vec::new(),
@@ -209,7 +237,6 @@ impl<E> EventQueue<E> {
         let node = Node {
             at,
             seq,
-            next: NIL,
             payload: Some(payload),
         };
         let index = if self.free == NIL {
@@ -218,10 +245,11 @@ impl<E> EventQueue<E> {
                 .filter(|&i| i != NIL)
                 .expect("event slab full");
             self.nodes.push(node);
+            self.links.push(NIL);
             index
         } else {
             let index = self.free;
-            self.free = self.nodes[index as usize].next;
+            self.free = self.links[index as usize];
             self.nodes[index as usize] = node;
             index
         };
@@ -263,9 +291,11 @@ impl<E> EventQueue<E> {
         } else {
             self.run.pop();
         }
-        let node = &mut self.nodes[index as usize];
-        let payload = node.payload.take().expect("pending node holds a payload");
-        node.next = self.free;
+        let payload = self.nodes[index as usize]
+            .payload
+            .take()
+            .expect("pending node holds a payload");
+        self.links[index as usize] = self.free;
         self.free = index;
         self.len -= 1;
         Some((at, payload))
@@ -285,7 +315,9 @@ impl<E> EventQueue<E> {
         }
         if let Some(slot) = self.next_occupied() {
             let head = self.heads[slot as usize % WHEEL_SLOTS];
-            return list(&self.nodes, head).map(|(_, node)| node.at).min();
+            return list(&self.links, head)
+                .map(|index| self.nodes[index as usize].at)
+                .min();
         }
         self.far.peek().map(|Reverse(e)| e.0)
     }
@@ -308,7 +340,7 @@ impl<E> EventQueue<E> {
     /// Links node `index` at the head of wheel slot `slot`'s list.
     fn link(&mut self, slot: u64, index: u32) {
         let i = slot as usize % WHEEL_SLOTS;
-        self.nodes[index as usize].next = self.heads[i];
+        self.links[index as usize] = self.heads[i];
         self.heads[i] = index;
         self.occupied[i / 64] |= 1 << (i % 64);
     }
@@ -357,17 +389,22 @@ impl<E> EventQueue<E> {
         let i = slot as usize % WHEEL_SLOTS;
         let head = std::mem::replace(&mut self.heads[i], NIL);
         self.occupied[i / 64] &= !(1 << (i % 64));
-        self.run
-            .extend(list(&self.nodes, head).map(|(index, node)| (node.at, node.seq, index)));
-        self.run.sort_unstable_by(|a, b| b.cmp(a));
+        let nodes = &self.nodes;
+        self.run.extend(list(&self.links, head).map(|index| {
+            let node = &nodes[index as usize];
+            (node.at, node.seq, index)
+        }));
+        self.run.sort_unstable_by_key(|e| Reverse(sort_key(e)));
         true
     }
 
-    /// `[slab, run, near, far]` capacities: what a warm queue must not grow.
+    /// `[slab, links, run, near, far]` capacities: what a warm queue must
+    /// not grow.
     #[cfg(test)]
-    pub(crate) fn capacities(&self) -> [usize; 4] {
+    pub(crate) fn capacities(&self) -> [usize; 5] {
         [
             self.nodes.capacity(),
+            self.links.capacity(),
             self.run.capacity(),
             self.near.capacity(),
             self.far.capacity(),
@@ -559,7 +596,7 @@ mod tests {
         hold(&mut q, 200_000, &mut step);
         let warm = q.capacities();
         hold(&mut q, 1_000_000, &mut step);
-        assert_eq!(q.capacities(), warm, "[slab, run, near, far] grew");
+        assert_eq!(q.capacities(), warm, "[slab, links, run, near, far] grew");
         assert_eq!(q.len(), DEPTH);
         assert!(
             q.nodes.len() <= DEPTH,

@@ -13,8 +13,6 @@
 //! out-of-order and duplicate segments always trigger an immediate ACK
 //! (they carry loss signals the sender needs now).
 
-use std::collections::BTreeSet;
-
 use crate::config::TcpConfig;
 use crate::ids::ConnId;
 use crate::packet::{Ack, SackBlocks, SegIndex, MAX_SACK_BLOCKS};
@@ -32,6 +30,124 @@ pub enum AckDecision {
     },
 }
 
+/// Received segments above the frontier, one bit each: bit `i` of
+/// `words[w]` is segment `base + 64 w + i`.
+///
+/// `base` is a multiple of 64 at or below the frontier, taken from the
+/// frontier (never from the first held segment, which a lower one may
+/// follow) whenever the set fills from empty. No held segment lies below
+/// the frontier, so the words wholly under it are dropped as it advances,
+/// and all of them are freed when the set empties.
+#[derive(Debug, Clone, Default)]
+struct HeldSegments {
+    base: SegIndex,
+    words: Vec<u64>,
+    /// Number of set bits.
+    len: u64,
+}
+
+impl HeldSegments {
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    fn contains(&self, seq: SegIndex) -> bool {
+        let Some(offset) = seq.checked_sub(self.base) else {
+            return false;
+        };
+        let word = usize::try_from(offset / 64).unwrap_or(usize::MAX);
+        self.words
+            .get(word)
+            .is_some_and(|&bits| bits >> (offset % 64) & 1 == 1)
+    }
+
+    /// Holds `seq`, which is above the frontier `cum` and not yet held.
+    fn insert(&mut self, seq: SegIndex, cum: SegIndex) {
+        debug_assert!(cum < seq && !self.contains(seq));
+        if self.len == 0 {
+            self.base = cum & !63;
+        }
+        let offset = seq - self.base;
+        let word = (offset / 64) as usize;
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        self.words[word] |= 1 << (offset % 64);
+        self.len += 1;
+    }
+
+    /// Takes the held run that starts at the frontier `cum` out of the
+    /// set, a word at a time, and returns the frontier past it.
+    fn advance(&mut self, mut cum: SegIndex) -> SegIndex {
+        if self.len == 0 {
+            return cum;
+        }
+        loop {
+            let offset = cum - self.base;
+            let bit = (offset % 64) as u32;
+            let Some(bits) = self.words.get_mut((offset / 64) as usize) else {
+                break;
+            };
+            let run = (*bits >> bit).trailing_ones();
+            if run == 0 {
+                break;
+            }
+            *bits &= !(u64::MAX >> (64 - run) << bit);
+            self.len -= u64::from(run);
+            cum += u64::from(run);
+            if bit + run < 64 {
+                break;
+            }
+        }
+        if self.len == 0 {
+            self.words = Vec::new();
+        } else {
+            let below = ((cum - self.base) / 64) as usize;
+            if below > 0 {
+                self.words.drain(..below);
+                self.base += 64 * below as u64;
+            }
+        }
+        cum
+    }
+
+    /// Coalesces the held segments into SACK ranges, highest (most
+    /// recently useful) first, capped at the option-space limit: a walk
+    /// down the words from the top that stops once the option space is
+    /// full.
+    fn sack_blocks(&self) -> SackBlocks {
+        let mut blocks = SackBlocks::EMPTY;
+        // The range being grown downward, `[start, end)`.
+        let mut open: Option<(SegIndex, SegIndex)> = None;
+        for (w, &word) in self.words.iter().enumerate().rev() {
+            let origin = self.base + 64 * w as u64;
+            let mut bits = word;
+            while bits != 0 {
+                let top = 63 - bits.leading_zeros();
+                let run = (bits << (63 - top)).leading_ones();
+                let low = top + 1 - run;
+                bits &= !(u64::MAX >> (64 - run) << low);
+                let (start, end) = (origin + u64::from(low), origin + u64::from(top) + 1);
+                open = match open {
+                    Some((s, e)) if s == end => Some((start, e)),
+                    Some((s, e)) => {
+                        blocks.push(s, e);
+                        if blocks.len() == MAX_SACK_BLOCKS {
+                            return blocks;
+                        }
+                        Some((start, end))
+                    }
+                    None => Some((start, end)),
+                };
+            }
+        }
+        if let Some((s, e)) = open {
+            blocks.push(s, e);
+        }
+        blocks
+    }
+}
+
 /// The receiving half of one TCP connection.
 #[derive(Debug, Clone)]
 pub struct Receiver {
@@ -39,7 +155,7 @@ pub struct Receiver {
     /// Every segment with index `< cum` has been received.
     cum: SegIndex,
     /// Received segments above the frontier (holes below them).
-    out_of_order: BTreeSet<SegIndex>,
+    out_of_order: HeldSegments,
     /// Currently advertised window, in segments.
     rwnd: u32,
     max_rwnd: u32,
@@ -65,7 +181,7 @@ impl Receiver {
         Receiver {
             conn,
             cum: 0,
-            out_of_order: BTreeSet::new(),
+            out_of_order: HeldSegments::default(),
             rwnd: cfg.initial_rwnd,
             max_rwnd: cfg.max_rwnd,
             delayed_ack: cfg.delayed_ack,
@@ -111,32 +227,24 @@ impl Receiver {
         }
     }
 
-    /// Coalesces the out-of-order set into SACK ranges, highest (most
-    /// recently useful) first, capped at the option-space limit: a walk
-    /// down from the top that stops once the option space is full.
     fn sack_blocks(&self) -> SackBlocks {
-        let mut blocks = SackBlocks::EMPTY;
-        if !self.sack {
-            return blocks;
+        if self.sack {
+            self.out_of_order.sack_blocks()
+        } else {
+            SackBlocks::EMPTY
         }
-        let mut held = self.out_of_order.iter().rev().copied();
-        let Some(top) = held.next() else {
-            return blocks;
-        };
-        let (mut start, mut end) = (top, top + 1);
-        for seq in held {
-            if seq + 1 == start {
-                start = seq;
-                continue;
-            }
-            blocks.push(start, end);
-            if blocks.len() == MAX_SACK_BLOCKS {
-                return blocks;
-            }
-            (start, end) = (seq, seq + 1);
-        }
-        blocks.push(start, end);
-        blocks
+    }
+
+    /// Frees the held-segment words, for a connection that is closed.
+    pub(crate) fn release_held(&mut self) {
+        self.out_of_order = HeldSegments::default();
+    }
+
+    /// Words of held-segment storage: what an idle or closed
+    /// connection must not keep.
+    #[cfg(test)]
+    pub(crate) fn held_capacity(&self) -> usize {
+        self.out_of_order.words.capacity()
     }
 
     fn emit_now(&mut self) -> AckDecision {
@@ -159,7 +267,7 @@ impl Receiver {
         if ecn {
             self.ece_pending = true;
         }
-        let duplicate = seq < self.cum || self.out_of_order.contains(&seq);
+        let duplicate = seq < self.cum || self.out_of_order.contains(seq);
         if duplicate {
             self.duplicates_received += 1;
             // Duplicates signal spurious retransmission — ack immediately.
@@ -168,15 +276,11 @@ impl Receiver {
         self.segments_received += 1;
         if seq == self.cum {
             // In-order arrival (the common case): advance the frontier
-            // directly, touching the out-of-order tree only if it might
-            // hold the continuation of the run.
-            self.cum += 1;
-            while !self.out_of_order.is_empty() && self.out_of_order.remove(&self.cum) {
-                self.cum += 1;
-            }
+            // past it and past any held run it completes.
+            self.cum = self.out_of_order.advance(self.cum + 1);
         } else {
             // Above the frontier with a hole below: park it.
-            self.out_of_order.insert(seq);
+            self.out_of_order.insert(seq, self.cum);
         }
         // Receive-window autotuning: grow with received traffic, two
         // segments per segment, so it outpaces the sender's window.
@@ -212,6 +316,7 @@ impl Receiver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn rx() -> Receiver {
         Receiver::new(ConnId::from_index(0), &TcpConfig::default())
@@ -565,6 +670,30 @@ mod tests {
                 proptest::prop_assert_eq!(r.has_pending_ack(), model.pending);
             }
         }
+    }
+
+    #[test]
+    fn held_words_are_freed_when_the_set_empties_or_the_connection_closes() {
+        let mut r = rx();
+        r.on_segment(0);
+        // A hole at 1, a held run crossing two words, then one far above.
+        for seq in (60..70).chain([300]) {
+            r.on_segment(seq);
+        }
+        assert!(r.held_capacity() >= 5);
+        for seq in 1..60 {
+            r.on_segment(seq);
+        }
+        assert_eq!(r.cum_received(), 70);
+        assert!(r.held_capacity() > 0, "300 is still held");
+        for seq in 70..300 {
+            r.on_segment(seq);
+        }
+        assert_eq!(r.cum_received(), 301);
+        assert_eq!(r.held_capacity(), 0, "the set emptied");
+        r.on_segment(303);
+        r.release_held();
+        assert_eq!(r.held_capacity(), 0);
     }
 
     #[test]

@@ -36,7 +36,7 @@
 //! assert!(done[0].completion_time() > SimDuration::from_millis(80));
 //! ```
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
@@ -526,14 +526,18 @@ impl World {
     /// Closes a connection. In-flight and queued transfers are abandoned
     /// without records, mirroring an application-level reset (§II-A's
     /// "unmanageable error cases").
+    ///
+    /// The connection's buffers are freed; its struct stays, because
+    /// events still in flight find it by `ConnId`.
     pub fn close_connection(&mut self, conn: ConnId) {
         let c = &mut self.conns[conn.index()];
         if c.state == ConnState::Closed {
             return;
         }
         c.state = ConnState::Closed;
-        c.pending.clear();
-        c.active.clear();
+        c.pending = VecDeque::new();
+        c.active = VecDeque::new();
+        c.receiver.release_held();
         c.sender.release_send_times(&mut self.free_send_times);
         let src = c.src;
         self.hosts[src.index()].open_conns.retain(|&k| k != conn);
@@ -1374,12 +1378,22 @@ mod tests {
     }
 
     /// Entries of every buffer a `World` grows with its traffic: the
-    /// send-time rings its senders hold and its free list, the outbox and
+    /// send-time rings its senders hold and its free list, the transfer
+    /// deques and held-segment words of its connections, the outbox and
     /// the event queue.
     fn buffer_capacity(w: &World) -> usize {
-        let held: usize = w.conns.iter().map(|c| c.sender.send_times_capacity()).sum();
+        let per_conn: usize = w
+            .conns
+            .iter()
+            .map(|c| {
+                c.sender.send_times_capacity()
+                    + c.pending.capacity()
+                    + c.active.capacity()
+                    + c.receiver.held_capacity()
+            })
+            .sum();
         let free: usize = w.free_send_times.iter().map(|r| r.capacity()).sum();
-        held + free + w.outbox_scratch.capacity() + w.queue.capacities().iter().sum::<usize>()
+        per_conn + free + w.outbox_scratch.capacity() + w.queue.capacities().iter().sum::<usize>()
     }
 
     #[test]
@@ -1420,11 +1434,19 @@ mod tests {
             for c in &w.conns {
                 if c.is_idle() || c.state == ConnState::Closed {
                     assert_eq!(
-                        c.sender.send_times_capacity(),
-                        0,
-                        "round {round}: {} ({:?}) holds a send-time ring",
+                        [c.sender.send_times_capacity(), c.receiver.held_capacity()],
+                        [0, 0],
+                        "round {round}: {} ({:?}) holds a send-time ring or held segments",
                         c.id,
                         c.state
+                    );
+                }
+                if c.state == ConnState::Closed {
+                    assert_eq!(
+                        [c.pending.capacity(), c.active.capacity()],
+                        [0, 0],
+                        "round {round}: closed {} holds transfer deques",
+                        c.id
                     );
                 }
             }

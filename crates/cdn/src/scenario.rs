@@ -229,6 +229,12 @@ impl ScenarioSpec {
     /// missing entries from peers). A crash rate of `0.0` leaves the
     /// fault layer off, and with both layers off too the run is
     /// bit-identical to the baseline's.
+    ///
+    /// `crash_rate` is drawn per agent tick of each live host
+    /// ([`FaultPlan::crash`]), not per run: at the records' 0.05 with
+    /// the 1 s update interval, an up host crashes about every 20 s and
+    /// then stays down the 10 s `restart_after`, so it is down about a
+    /// third of the time.
     pub fn coldstart(crash_rate: f64, persistence: bool, gossip: Option<GossipConfig>) -> Self {
         ScenarioSpec {
             name: "coldstart",

@@ -17,8 +17,7 @@
 //! ride out of line; inline they made the event 80 bytes). A list walk —
 //! the dependent chain of loads in `open_next`, and the free list — reads
 //! 4 bytes per node, sixteen to a cache line; the `at` and `seq` that
-//! `open_next` copies out of each node are loads off that chain, which
-//! the core overlaps.
+//! `open_next` copies out of each node are loads off that chain.
 //!
 //! Time is cut into slots of 2^20 ns (≈ 1.05 ms); an event's slot is
 //! `at >> 20`. The queue keeps one slot *open* — the latest one the clock has
@@ -93,19 +92,24 @@
 //!   arrive in order) cannot pay: on `bulk-bottleneck` ~3 300 of the ~3 700
 //!   pending events are those timers, not packets, and on `probe-fleet` the
 //!   packets are spread over 1 122 paths.
-//! * **One sort key, in the sort only.** Opening a slot was the largest
-//!   part of the queue's cost on `probe-fleet` (DESIGN §9 "Where an
-//!   event's time goes"), and most of that was the sort comparing
-//!   `(SimTime, u64, u32)` tuples field by field. `at << 64 | seq` orders
-//!   the same (`at` first, then the unique `seq`) in one compare. The
-//!   heaps keep tuples: a prototype that gave `near` and `far`
-//!   `(u128, u32)` entries too raised the hold-model probe
-//!   (`simnet.event.ns_per_op`) from 49.5 to 59.5 ns. `seq` must stay in
-//!   the key: sorted by `at` alone, same-instant events pop in the order
-//!   their slot's list was linked, and `event_queue_differential` fails.
+//!
+//! Opening a slot was the largest part of the queue's cost on
+//! `probe-fleet`, 20 % of the run, sampled (DESIGN §9 "Where an event's
+//! time goes"): two thirds walking the slot's list and copying it into
+//! `run`, one third sorting it. Per one-thread repetition:
+//!
 //! * **The link beside the node, not in it.** With `next` inside the
-//!   56-byte node, walking a slot's list touched one line per node; the
-//!   `links` array keeps the walk and the free list in L1.
+//!   56-byte node, the walk touched a line per node; through `links` the
+//!   walk and copy went from 229 to 82 ms.
+//! * **One sort key, in the sort only.** The sort compared
+//!   `(SimTime, u64, u32)` tuples field by field; `at << 64 | seq` orders
+//!   the same (`at` first, then the unique `seq`) in one compare, and the
+//!   sort went from 102 to 57 ms. The heaps keep tuples: a prototype that
+//!   gave `near` and `far` `(u128, u32)` entries too raised the hold-model
+//!   probe (`simnet.event.ns_per_op`) from 49.5 to 59.5 ns. `seq` must
+//!   stay in the key: sorted by `at` alone, same-instant events pop in the
+//!   order their slot's list was linked, and `event_queue_differential`
+//!   fails.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

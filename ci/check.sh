@@ -67,7 +67,11 @@ if [[ "$stage" == "build" || "$stage" == "all" ]]; then
     # (`swarm::`), and for the first flight of every fresh connection of a
     # two-PoP `World` against its route, window and object
     # (`first_flight::`), for the LPM trie against a linear-scan
-    # oracle under churn (`--test invariants lpm_trie_`), and for the
+    # oracle under churn (`--test invariants lpm_trie_`), for a sender
+    # and receiver delivering everything under drawn losses with SACK on
+    # or off and with delayed ACKs (`--test invariants
+    # sender_receiver_eventually_deliver_everything
+    # delayed_ack_receiver_still_delivers_everything`), and for the
     # simulated receiver's held-segment bitmap against its `BTreeSet`
     # model (`tcp::receiver::`); hostile text, the tick, the pass's application,
     # the swarm, the first flight, the receiver and the scan in the debug profile,
@@ -82,7 +86,9 @@ if [[ "$stage" == "build" || "$stage" == "all" ]]; then
     for seed in 1 2016; do
         run env PROPTEST_SEED="$seed" cargo test -q --release --test repro -- \
             ss_scanner_differential:: chaos:: first_flight::
-        run env PROPTEST_SEED="$seed" cargo test -q --release --test invariants lpm_trie_
+        run env PROPTEST_SEED="$seed" cargo test -q --release --test invariants -- \
+            lpm_trie_ sender_receiver_eventually_deliver_everything \
+            delayed_ack_receiver_still_delivers_everything
         run env PROPTEST_SEED="$seed" cargo test -q --release -p riptide-simnet --lib "$receiver"
         run env PROPTEST_SEED="$seed" cargo test -q -p riptide --test riptide hostile_text::
         run env PROPTEST_SEED="$seed" cargo test -q -p riptide-linuxnet --test hostile_text

@@ -330,8 +330,12 @@ proptest! {
     fn sender_receiver_eventually_deliver_everything(
         segments in 1u64..200,
         loss_mask in proptest::collection::vec(any::<bool>(), 0..300),
+        sack in any::<bool>(),
     ) {
-        let cfg = TcpConfig::default();
+        let cfg = TcpConfig {
+            sack,
+            ..TcpConfig::default()
+        };
         let conn = ConnId::from_index(0);
         let mut tx = Sender::new(&cfg, 10, SimTime::ZERO);
         let mut rx = Receiver::new(conn, &cfg);

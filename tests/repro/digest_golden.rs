@@ -24,7 +24,9 @@
 
 use std::path::PathBuf;
 
-use riptide_repro::cdn::engine::RunPlan;
+use riptide_repro::cdn::engine::{PlanArm, RunPlan};
+use riptide_repro::cdn::experiment::StackTweaks;
+use riptide_repro::riptide::config::RiptideConfig;
 use riptide_repro::simnet::time::SimDuration;
 
 use crate::small_scale;
@@ -49,12 +51,59 @@ fn all_plan_digests() -> String {
         RunPlan::policy_ablation(&scale, 1),
         RunPlan::scenario_matrix(&scale, 1),
         RunPlan::coldstart_sweep(&scale, &[0.05], 1),
+        RunPlan::probe_arms("ack-paths", &scale, ack_path_arms(), 1),
     ];
     let mut out = String::new();
     for plan in &plans {
         out.push_str(&plan.run().digest());
     }
     out
+}
+
+/// SACK, delayed ACKs and both, under control and deployed Riptide:
+/// every other plan runs the testbed default, which has both off, so
+/// these arms are the only ones whose ACKs carry SACK ranges or wait on
+/// the delayed-ACK timer.
+fn ack_path_arms() -> Vec<PlanArm> {
+    let plain = StackTweaks::default();
+    let tweaks = [
+        (
+            "sack",
+            StackTweaks {
+                sack: true,
+                ..plain
+            },
+        ),
+        (
+            "delack",
+            StackTweaks {
+                delayed_ack: true,
+                ..plain
+            },
+        ),
+        (
+            "sack+delack",
+            StackTweaks {
+                sack: true,
+                delayed_ack: true,
+                ..plain
+            },
+        ),
+    ];
+    let mut arms = Vec::new();
+    for (stack, riptide) in [
+        ("control", None),
+        ("riptide", Some(RiptideConfig::deployment())),
+    ] {
+        for (name, tweaks) in tweaks {
+            arms.push(PlanArm::stack(
+                format!("{stack}/{name}"),
+                riptide.clone(),
+                tweaks,
+            ));
+        }
+    }
+    arms
 }
 
 fn golden_path() -> PathBuf {

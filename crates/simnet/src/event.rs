@@ -13,8 +13,9 @@
 //! free list through which freed nodes are recycled, so a steady-state run
 //! stops allocating once the slab has reached the high-water mark of
 //! concurrently pending events. A node is 16 bytes plus its payload: the
-//! `World`'s event is 32 bytes, so its node is 48 (an ACK's SACK blocks
-//! ride out of line; inline they made the event 80 bytes). A list walk —
+//! `World`'s event is 32 bytes, so its node is 48 (an `Ack` boxes its SACK
+//! ranges, and carries the box only when it has ranges; inline they made
+//! the event 80 bytes). A list walk —
 //! the dependent chain of loads in `open_next`, and the free list — reads
 //! 4 bytes per node, sixteen to a cache line; the `at` and `seq` that
 //! `open_next` copies out of each node are loads off that chain.

@@ -6,6 +6,12 @@
 //! delay but are too small to contend for queue space. This mirrors the
 //! paper's §II-B model assumptions and keeps the dynamics focused on the
 //! forward data path, where initcwnd matters.
+//!
+//! An [`Ack`] has one shape from the receiver that builds it, through the
+//! event queue, to the sender that reads it. Its SACK ranges ride boxed,
+//! and only when SACK is on and the receiver holds a segment above its
+//! frontier, so an ACK without ranges stays small enough for a 32-byte
+//! queued event.
 
 use crate::ids::ConnId;
 
@@ -38,7 +44,8 @@ pub const MAX_SACK_BLOCKS: usize = 3;
 
 /// Selective-acknowledgement ranges: segments the receiver holds above
 /// the cumulative frontier. Half-open `[start, end)` intervals in
-/// segment indices, most relevant first.
+/// segment indices, most relevant first. Built up from `default()`, which
+/// holds none; an [`Ack`] without ranges carries no `SackBlocks` at all.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SackBlocks {
     blocks: [(SegIndex, SegIndex); MAX_SACK_BLOCKS],
@@ -46,12 +53,6 @@ pub struct SackBlocks {
 }
 
 impl SackBlocks {
-    /// No SACK information.
-    pub const EMPTY: SackBlocks = SackBlocks {
-        blocks: [(0, 0); MAX_SACK_BLOCKS],
-        len: 0,
-    };
-
     /// Appends a range; silently ignored once the option space is full.
     ///
     /// # Panics
@@ -85,7 +86,7 @@ impl SackBlocks {
 }
 
 /// A cumulative acknowledgement travelling back to the sender.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Ack {
     /// Connection being acknowledged.
     pub conn: ConnId,
@@ -93,11 +94,13 @@ pub struct Ack {
     pub cum_ack: SegIndex,
     /// Receive window advertised by the receiver, in segments.
     pub rwnd: u32,
-    /// Selective-acknowledgement ranges (empty unless SACK is enabled).
-    pub sack: SackBlocks,
     /// ECN Echo: the receiver saw a Congestion Experienced mark since
     /// its last acknowledgement (RFC 3168 ECE flag).
     pub ece: bool,
+    /// Selective-acknowledgement ranges: `None` unless SACK is enabled
+    /// and the receiver holds a segment above `cum_ack`, so never an
+    /// empty set.
+    pub sack: Option<Box<SackBlocks>>,
 }
 
 impl Ack {
@@ -107,8 +110,8 @@ impl Ack {
             conn,
             cum_ack,
             rwnd,
-            sack: SackBlocks::EMPTY,
             ece: false,
+            sack: None,
         }
     }
 }
@@ -151,12 +154,12 @@ mod tests {
         let a = Ack::plain(ConnId::from_index(1), 10, 64);
         // cum_ack of 10 means segments 0..=9 are held by the receiver.
         assert_eq!(a.cum_ack, 10);
-        assert!(a.sack.is_empty());
+        assert!(a.sack.is_none());
     }
 
     #[test]
     fn sack_blocks_cap_at_three() {
-        let mut s = SackBlocks::EMPTY;
+        let mut s = SackBlocks::default();
         s.push(5, 7);
         s.push(9, 10);
         s.push(12, 20);
@@ -169,7 +172,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-empty")]
     fn sack_rejects_empty_range() {
-        let mut s = SackBlocks::EMPTY;
+        let mut s = SackBlocks::default();
         s.push(5, 5);
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! Tracks the cumulative in-order frontier plus an out-of-order set, and
 //! answers data segments with cumulative ACKs carrying the current
-//! advertised receive window. The receive window starts at the configured
+//! advertised receive window, and with [`TcpConfig::sack`] set, SACK
+//! ranges for the held segments (none while nothing is held). The receive window starts at the configured
 //! `initrwnd` and autotunes upward with received traffic — faster than the
 //! sender's window can grow, as §III-C describes, unless an experiment
 //! deliberately configures it small.
@@ -18,7 +19,7 @@ use crate::ids::ConnId;
 use crate::packet::{Ack, SackBlocks, SegIndex, MAX_SACK_BLOCKS};
 
 /// What the receiver wants done after accepting a segment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AckDecision {
     /// Send this acknowledgement now.
     Immediate(Ack),
@@ -116,7 +117,7 @@ impl HeldSegments {
     /// down the words from the top that stops once the option space is
     /// full.
     fn sack_blocks(&self) -> SackBlocks {
-        let mut blocks = SackBlocks::EMPTY;
+        let mut blocks = SackBlocks::default();
         // The range being grown downward, `[start, end)`.
         let mut open: Option<(SegIndex, SegIndex)> = None;
         for (w, &word) in self.words.iter().enumerate().rev() {
@@ -216,22 +217,13 @@ impl Receiver {
     }
 
     fn current_ack(&mut self) -> Ack {
-        let ece = self.ece_pending;
-        self.ece_pending = false;
+        let held = self.sack && !self.out_of_order.is_empty();
         Ack {
             conn: self.conn,
             cum_ack: self.cum,
             rwnd: self.rwnd,
-            sack: self.sack_blocks(),
-            ece,
-        }
-    }
-
-    fn sack_blocks(&self) -> SackBlocks {
-        if self.sack {
-            self.out_of_order.sack_blocks()
-        } else {
-            SackBlocks::EMPTY
+            ece: std::mem::take(&mut self.ece_pending),
+            sack: held.then(|| Box::new(self.out_of_order.sack_blocks())),
         }
     }
 
@@ -336,6 +328,13 @@ mod tests {
             AckDecision::Immediate(a) => a,
             AckDecision::Deferred { .. } => panic!("expected immediate ack, got deferred"),
         }
+    }
+
+    /// The SACK ranges an ACK carries, in order.
+    fn ranges(ack: &Ack) -> Vec<(SegIndex, SegIndex)> {
+        ack.sack
+            .as_deref()
+            .map_or_else(Vec::new, |b| b.iter().collect())
     }
 
     #[test]
@@ -462,19 +461,18 @@ mod tests {
         imm(r.on_segment(0));
         // Holes at 1 and 4: receiver holds {2,3} and {5}.
         let a = imm(r.on_segment(2));
-        assert_eq!(a.sack.iter().collect::<Vec<_>>(), vec![(2, 3)]);
+        assert_eq!(ranges(&a), vec![(2, 3)]);
         imm(r.on_segment(3));
         let a = imm(r.on_segment(5));
-        let blocks: Vec<_> = a.sack.iter().collect();
-        assert_eq!(blocks, vec![(5, 6), (2, 4)], "highest range first");
+        assert_eq!(ranges(&a), vec![(5, 6), (2, 4)], "highest range first");
         // Filling hole 1 merges the first range into the frontier.
         let a = imm(r.on_segment(1));
         assert_eq!(a.cum_ack, 4);
-        assert_eq!(a.sack.iter().collect::<Vec<_>>(), vec![(5, 6)]);
+        assert_eq!(ranges(&a), vec![(5, 6)]);
         // Filling the last hole clears all SACK info.
         let a = imm(r.on_segment(4));
         assert_eq!(a.cum_ack, 6);
-        assert!(a.sack.is_empty());
+        assert!(a.sack.is_none());
     }
 
     /// The coalescing `sack_blocks` did before it walked down from the
@@ -526,19 +524,18 @@ mod tests {
         }
 
         fn current_ack(&mut self) -> Ack {
-            let mut sack = SackBlocks::EMPTY;
+            let mut sack: Option<Box<SackBlocks>> = None;
             if self.sack {
                 for (start, end) in collected_sack_blocks(&self.out_of_order) {
-                    sack.push(start, end);
+                    sack.get_or_insert_default().push(start, end);
                 }
             }
-            let ece = std::mem::take(&mut self.ece_pending);
             Ack {
                 conn: self.conn,
                 cum_ack: self.cum,
                 rwnd: self.rwnd,
+                ece: std::mem::take(&mut self.ece_pending),
                 sack,
-                ece,
             }
         }
 
@@ -603,8 +600,7 @@ mod tests {
                 let ack = imm(r.on_segment(seq));
                 held.insert(seq);
                 held.retain(|&s| s >= ack.cum_ack);
-                let blocks: Vec<_> = ack.sack.iter().collect();
-                proptest::prop_assert_eq!(blocks, collected_sack_blocks(&held));
+                proptest::prop_assert_eq!(ranges(&ack), collected_sack_blocks(&held));
             }
         }
 
@@ -613,7 +609,9 @@ mod tests {
         // segment may come before lower ones), arrivals just above the
         // frontier (so it advances through held runs and across words),
         // duplicates, ECN marks and delayed-ack timers current and stale.
-        // Every decision must match.
+        // Every decision must match. With SACK off no ACK carries ranges,
+        // even with segments held above a hole; with it on, an ACK carries
+        // none exactly when nothing is held.
         #[test]
         fn the_receiver_matches_its_btree_model(
             sack in proptest::strategy::any::<bool>(),
@@ -632,39 +630,48 @@ mod tests {
             let mut model = Model::new(conn, &cfg);
             for (i, (x, kind)) in ops.into_iter().enumerate() {
                 let near = (model.cum + x % 8).min(SPAN - 1);
-                match kind {
-                    0..=2 => proptest::prop_assert_eq!(
-                        r.on_segment(x),
-                        model.on_segment_ecn(x, false),
-                        "op {} segment {}",
+                let (seq, ecn) = match kind {
+                    0..=2 => (x, false),
+                    3..=6 => (near, false),
+                    _ => (x, true),
+                };
+                let sent = if kind <= 7 {
+                    let decision = r.on_segment_ecn(seq, ecn);
+                    proptest::prop_assert_eq!(
+                        &decision,
+                        &model.on_segment_ecn(seq, ecn),
+                        "op {} segment {} marked {}",
                         i,
-                        x
-                    ),
-                    3..=6 => proptest::prop_assert_eq!(
-                        r.on_segment(near),
-                        model.on_segment_ecn(near, false),
-                        "op {} segment {}",
-                        i,
-                        near
-                    ),
-                    7 => proptest::prop_assert_eq!(
-                        r.on_segment_ecn(x, true),
-                        model.on_segment_ecn(x, true),
-                        "op {} marked segment {}",
-                        i,
-                        x
-                    ),
-                    _ => {
-                        // The current epoch, or a stale one.
-                        let epoch = model.epoch - (x % 2).min(model.epoch);
-                        proptest::prop_assert_eq!(
-                            r.on_delack_timer(epoch),
-                            model.on_delack_timer(epoch),
-                            "op {} delayed-ack timer {}",
-                            i,
-                            epoch
-                        );
+                        seq,
+                        ecn
+                    );
+                    match decision {
+                        AckDecision::Immediate(ack) => Some(ack),
+                        AckDecision::Deferred { .. } => None,
                     }
+                } else {
+                    // The current epoch, or a stale one.
+                    let epoch = model.epoch - (x % 2).min(model.epoch);
+                    let ack = r.on_delack_timer(epoch);
+                    proptest::prop_assert_eq!(
+                        &ack,
+                        &model.on_delack_timer(epoch),
+                        "op {} delayed-ack timer {}",
+                        i,
+                        epoch
+                    );
+                    ack
+                };
+                if let Some(ack) = sent {
+                    let none_expected = !sack || model.out_of_order.is_empty();
+                    proptest::prop_assert_eq!(
+                        ack.sack.is_none(),
+                        none_expected,
+                        "op {}: SACK {}, {} held",
+                        i,
+                        sack,
+                        model.out_of_order.len()
+                    );
                 }
                 proptest::prop_assert_eq!(r.cum_received(), model.cum);
                 proptest::prop_assert_eq!(r.has_pending_ack(), model.pending);
@@ -701,7 +708,7 @@ mod tests {
         let mut r = rx();
         imm(r.on_segment(0));
         let a = imm(r.on_segment(5));
-        assert!(a.sack.is_empty(), "no SACK info without the flag");
+        assert!(a.sack.is_none(), "no SACK info without the flag");
     }
 
     #[test]
@@ -717,10 +724,11 @@ mod tests {
             last = Some(r.on_segment(seq));
         }
         let a = imm(last.unwrap());
-        assert_eq!(a.sack.len(), 3, "only three ranges fit");
+        let blocks = ranges(&a);
+        assert_eq!(blocks.len(), 3, "only three ranges fit");
         assert_eq!(
-            a.sack.iter().next(),
-            Some((10, 11)),
+            blocks[0],
+            (10, 11),
             "the most recent (highest) range survives"
         );
     }

@@ -355,11 +355,11 @@ impl Sender {
 
     /// Processes a cumulative acknowledgement, pushing onto `out` the
     /// segments it releases or retransmits.
-    pub fn on_ack(&mut self, ack: Ack, now: SimTime, out: &mut Vec<Outgoing>) {
+    pub fn on_ack(&mut self, ack: &Ack, now: SimTime, out: &mut Vec<Outgoing>) {
         self.peer_rwnd = ack.rwnd;
         self.last_activity = now;
         if self.sack_enabled {
-            for (start, end) in ack.sack.iter() {
+            for (start, end) in ack.sack.iter().flat_map(|blocks| blocks.iter()) {
                 for seq in start.max(self.cum_acked)..end.min(self.next_seq) {
                     self.sacked.insert(seq);
                 }
@@ -571,6 +571,7 @@ impl Sender {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packet::SackBlocks;
 
     impl Sender {
         /// Entries the send-time ring has room for.
@@ -599,7 +600,7 @@ mod tests {
         }
 
         fn on_ack(&mut self, ack: Ack, now: SimTime) {
-            self.sender.on_ack(ack, now, &mut self.out);
+            self.sender.on_ack(&ack, now, &mut self.out);
         }
 
         fn on_rto_fire(&mut self, epoch: u64, now: SimTime) -> bool {
@@ -1044,11 +1045,14 @@ mod tests {
     }
 
     fn sack_ack(cum: SegIndex, ranges: &[(SegIndex, SegIndex)]) -> Ack {
-        let mut a = ack(cum);
+        let mut blocks = Box::<SackBlocks>::default();
         for &(s, e) in ranges {
-            a.sack.push(s, e);
+            blocks.push(s, e);
         }
-        a
+        Ack {
+            sack: Some(blocks),
+            ..ack(cum)
+        }
     }
 
     #[test]

@@ -45,7 +45,7 @@ use crate::conn::{ActiveTransfer, ConnState, Connection, PendingTransfer};
 use crate::event::EventQueue;
 use crate::ids::{ConnId, HostId, PathId, PopId, TransferId};
 use crate::link::{Admission, Path, PathConfig, PathStats};
-use crate::packet::{Ack, Control, SackBlocks, SegIndex, Segment};
+use crate::packet::{Ack, Control, Segment};
 use crate::rng::DetRng;
 use crate::stats::{ConnStats, TransferRecord, WorldStats};
 use crate::tcp::sender::{Outgoing, SendTimes};
@@ -88,46 +88,10 @@ struct Pop {
 #[derive(Debug)]
 enum Event {
     Segment(Segment),
-    AckPkt(QueuedAck),
+    AckPkt(Ack),
     Ctl(Control),
     Rto { conn: ConnId, epoch: u64 },
     DelAck { conn: ConnId, epoch: u64 },
-}
-
-/// An [`Ack`] as the event queue holds it. Its SACK blocks ride out of
-/// line, and only when it carries any, so an `Event` is 32 bytes instead
-/// of the 80 that three inline blocks cost every event.
-#[derive(Debug)]
-struct QueuedAck {
-    conn: ConnId,
-    cum_ack: SegIndex,
-    rwnd: u32,
-    ece: bool,
-    sack: Option<Box<SackBlocks>>,
-}
-
-impl From<Ack> for QueuedAck {
-    fn from(ack: Ack) -> Self {
-        QueuedAck {
-            conn: ack.conn,
-            cum_ack: ack.cum_ack,
-            rwnd: ack.rwnd,
-            ece: ack.ece,
-            sack: (!ack.sack.is_empty()).then(|| Box::new(ack.sack)),
-        }
-    }
-}
-
-impl From<QueuedAck> for Ack {
-    fn from(q: QueuedAck) -> Self {
-        Ack {
-            conn: q.conn,
-            cum_ack: q.cum_ack,
-            rwnd: q.rwnd,
-            sack: q.sack.map_or(SackBlocks::EMPTY, |b| *b),
-            ece: q.ece,
-        }
-    }
 }
 
 /// The simulation: entity storage plus the event loop.
@@ -661,7 +625,7 @@ impl World {
         self.stats.events_processed += 1;
         match ev {
             Event::Segment(seg) => self.on_segment(seg),
-            Event::AckPkt(ack) => self.on_ack(ack.into()),
+            Event::AckPkt(ack) => self.on_ack(ack),
             Event::Ctl(ctl) => self.on_control(ctl),
             Event::Rto { conn, epoch } => self.on_rto(conn, epoch),
             Event::DelAck { conn, epoch } => self.on_delack(conn, epoch),
@@ -712,7 +676,7 @@ impl World {
     fn send_ack_back(&mut self, conn: ConnId, ack: Ack) {
         let pid = self.conns[conn.index()].rev_path;
         if let Some(arrival) = self.paths[pid.index()].admit_control(self.now, false) {
-            self.queue.schedule(arrival, Event::AckPkt(ack.into()));
+            self.queue.schedule(arrival, Event::AckPkt(ack));
         }
     }
 
@@ -724,7 +688,7 @@ impl World {
         self.stats.acks_delivered += 1;
         self.conns[conn.index()]
             .sender
-            .on_ack(ack, self.now, &mut self.outbox_scratch);
+            .on_ack(&ack, self.now, &mut self.outbox_scratch);
         if !self.traces.is_empty() && self.traces.contains_key(&conn) {
             let cwnd_after = self.conns[conn.index()].sender.cwnd_segments();
             self.trace_push(
@@ -1467,16 +1431,6 @@ mod tests {
         // An ACK's SACK blocks ride out of line: three inline blocks made
         // every event 80 bytes and every queue node 104.
         assert!(std::mem::size_of::<Event>() <= 32);
-    }
-
-    #[test]
-    fn sack_blocks_survive_the_queue() {
-        let mut ack = Ack::plain(ConnId::from_index(3), 7, 64);
-        assert!(QueuedAck::from(ack).sack.is_none(), "no blocks, no box");
-        ack.sack.push(9, 12);
-        ack.sack.push(14, 15);
-        ack.ece = true;
-        assert_eq!(Ack::from(QueuedAck::from(ack)), ack);
     }
 
     #[test]

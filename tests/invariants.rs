@@ -363,7 +363,7 @@ proptest! {
                     riptide_repro::simnet::tcp::receiver::AckDecision::Immediate(a) => a,
                     other => panic!("quickack receiver deferred: {other:?}"),
                 };
-                tx.on_ack(ack, now, &mut outbox);
+                tx.on_ack(&ack, now, &mut outbox);
             }
             if !delivered_any {
                 // Nothing moved: fire the retransmission timer if armed.
@@ -403,7 +403,7 @@ proptest! {
             let mut pending_timer = None;
             for seg in out {
                 match rx.on_segment(seg.seq) {
-                    AckDecision::Immediate(ack) => tx.on_ack(ack, now, &mut outbox),
+                    AckDecision::Immediate(ack) => tx.on_ack(&ack, now, &mut outbox),
                     AckDecision::Deferred { epoch } => pending_timer = Some(epoch),
                 }
             }
@@ -411,7 +411,7 @@ proptest! {
             if let Some(epoch) = pending_timer {
                 now += cfg.delayed_ack_timeout;
                 if let Some(ack) = rx.on_delack_timer(epoch) {
-                    tx.on_ack(ack, now, &mut outbox);
+                    tx.on_ack(&ack, now, &mut outbox);
                 }
             }
             if std::mem::take(&mut outbox).is_empty() && !tx.all_acked() && pending_timer.is_none() {

@@ -57,8 +57,23 @@ fn everything_on_plan(scale: &ExperimentScale) -> RunPlan {
 
 #[test]
 fn every_subsystem_on_together_holds_the_cross_cutting_invariants() {
-    let scale = ExperimentScale::test();
-    let plan = everything_on_plan(&scale);
+    holds_the_cross_cutting_invariants(&ExperimentScale::test());
+}
+
+/// The test scale has one machine per PoP, so no other gate runs two
+/// hosts of one PoP side by side: same-PoP gossip peers, and senders
+/// sharing their PoP's paths, routes and restarts.
+#[test]
+fn two_machines_per_pop_hold_the_same_invariants() {
+    let scale = ExperimentScale {
+        machines_per_pop: 2,
+        ..ExperimentScale::test()
+    };
+    holds_the_cross_cutting_invariants(&scale);
+}
+
+fn holds_the_cross_cutting_invariants(scale: &ExperimentScale) {
+    let plan = everything_on_plan(scale);
     // 2 arms x 2 senders x 2 replicates, labelled by the fan-out.
     assert_eq!(plan.shards.len(), 8);
     assert_eq!(plan.shards[4].label, "guarded+aggregating:site0");

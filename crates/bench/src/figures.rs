@@ -372,7 +372,9 @@ pub fn table01(_opts: &RunOptions) -> Outcome {
 
     // Fig. 8: the exact command shape the agent issued.
     println!("\n# Fig. 8: command issued (replace variant of the paper's `add`):");
-    print!("{}", controller.render_log());
+    for cmd in controller.drain_commands() {
+        println!("{cmd}");
+    }
     Ok(())
 }
 

@@ -42,7 +42,7 @@ impl From<RouteError> for ControlError {
 ///
 /// In the simulated deployment this fronts a [`RouteTable`]; a real
 /// deployment would shell out to `ip route` with exactly the commands
-/// [`SharedRouteController::command_log`] records.
+/// [`SharedRouteController::drain_commands`] hands over.
 pub trait RouteController {
     /// Installs (or updates) the initial window for `key`.
     ///
@@ -114,26 +114,11 @@ impl SharedRouteController {
         }
     }
 
-    /// The commands issued and not yet drained, oldest first.
-    pub fn command_log(&self) -> &[IpRouteCmd] {
-        &self.log
-    }
-
     /// Takes the commands issued since the last drain, oldest first,
     /// leaving the log empty — what a long-running caller prints after
     /// every poll so the log does not grow for the life of the process.
     pub fn drain_commands(&mut self) -> Vec<IpRouteCmd> {
         std::mem::take(&mut self.log)
-    }
-
-    /// Renders the command log as shell lines (one per action).
-    pub fn render_log(&self) -> String {
-        let mut out = String::new();
-        for cmd in &self.log {
-            out.push_str(&cmd.to_string());
-            out.push('\n');
-        }
-        out
     }
 
     /// The shared table handle.
@@ -299,16 +284,18 @@ mod tests {
         let mut ctl = SharedRouteController::new(Rc::clone(&table));
         ctl.set_initcwnd(key(7), 80).unwrap();
         ctl.clear_initcwnd(key(7)).unwrap();
-        let log = ctl.render_log();
+        let log: Vec<String> = ctl.drain_commands().iter().map(|c| c.to_string()).collect();
         assert_eq!(
             log,
-            "ip route replace 10.0.1.7 proto static initcwnd 80\nip route del 10.0.1.7\n"
+            [
+                "ip route replace 10.0.1.7 proto static initcwnd 80",
+                "ip route del 10.0.1.7"
+            ]
         );
         assert!(table.borrow().is_empty());
 
         // Draining hands the commands over once and starts afresh.
-        assert_eq!(ctl.drain_commands().len(), 2);
-        assert!(ctl.command_log().is_empty());
+        assert!(ctl.drain_commands().is_empty());
         ctl.set_initcwnd(key(8), 44).unwrap();
         assert_eq!(
             ctl.drain_commands(),

@@ -83,8 +83,8 @@ fn main() {
     agent.tick(SimTime::from_secs(4), &mut shifted, &mut controller);
     show(&table, "resumed:");
 
-    println!(
-        "\ncommands the deployment would have run:\n{}",
-        controller.render_log()
-    );
+    println!("\ncommands the deployment would have run:");
+    for cmd in controller.drain_commands() {
+        println!("{cmd}");
+    }
 }

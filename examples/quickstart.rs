@@ -57,7 +57,11 @@ fn main() {
     assert_eq!(initcwnd, Some(80));
 
     // The shell commands an out-of-process deployment would have run:
-    println!("\ncommands issued:\n{}", controller.render_log());
+    println!("\ncommands issued:");
+    for cmd in controller.drain_commands() {
+        println!("{cmd}");
+    }
+    println!();
 
     // No traffic for longer than the TTL: the route is withdrawn and the
     // kernel default (10) is restored.

@@ -229,7 +229,8 @@ fn agent_commands_round_trip_through_ip_route_syntax() {
     agent.tick(SimTime::from_secs(200), &mut silent, &mut controller);
 
     let mut replayed = RouteTable::new();
-    for line in controller.render_log().lines() {
+    for issued in controller.drain_commands() {
+        let line = issued.to_string();
         let cmd: IpRouteCmd = line.parse().unwrap_or_else(|e| panic!("{line}: {e}"));
         cmd.apply(&mut replayed).unwrap();
     }

@@ -2,11 +2,11 @@
 //!
 //! Tracks the cumulative in-order frontier plus an out-of-order set, and
 //! answers data segments with cumulative ACKs carrying the current
-//! advertised receive window, and with [`TcpConfig::sack`] set, SACK
-//! ranges for the held segments (none while nothing is held). The receive window starts at the configured
-//! `initrwnd` and autotunes upward with received traffic — faster than the
-//! sender's window can grow, as §III-C describes, unless an experiment
-//! deliberately configures it small.
+//! advertised receive window and, with [`TcpConfig::sack`] set, SACK
+//! ranges for the held segments (none while nothing is held). The receive
+//! window starts at the configured `initrwnd` and autotunes upward with
+//! received traffic — faster than the sender's window can grow, as §III-C
+//! describes, unless an experiment deliberately configures it small.
 //!
 //! With [`TcpConfig::delayed_ack`] set, the receiver follows RFC 1122
 //! delayed acknowledgements: every second in-order segment is acked

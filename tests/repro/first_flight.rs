@@ -6,9 +6,20 @@
 //! The host policy reads a `RouteTable`, as `cdn::sim`'s does, and the
 //! table is rewritten after every connect: a window read later than the
 //! connect, or from anywhere but the route, shows up as a different count.
+//!
+//! `every_traced_event_matches_the_golden_file` pins every event two
+//! lossy `World`s trace, one line per event, to `tests/golden/traces.txt`.
+//! Re-bless it, only when the simulator's behaviour changes on purpose,
+//! with
+//!
+//! ```text
+//! RIPTIDE_BLESS=1 cargo test --release --test repro first_flight::
+//! ```
 
 use std::cell::RefCell;
+use std::fmt::Write as _;
 use std::net::Ipv4Addr;
+use std::path::PathBuf;
 use std::rc::Rc;
 
 use proptest::prelude::*;
@@ -106,4 +117,86 @@ proptest! {
             );
         }
     }
+}
+
+/// Every traced event of one `World`, grouped by connection in `ConnId`
+/// order: three routes between one source PoP and three others, a
+/// clean one, one losing 8 % of segments at random and a 2 Mbit/s one
+/// whose 12 KB queue overflows, with two objects over each.
+fn traced_world(label: &str, cfg: TcpConfig, seed: u64) -> String {
+    let mut w = World::new(cfg, seed);
+    let src_pop = w.add_pop();
+    let src = w.add_host(src_pop);
+    let delay = SimDuration::from_millis(20);
+    let paths = [
+        PathConfig::with_delay(delay),
+        PathConfig::with_delay(delay).loss(0.08),
+        PathConfig::with_delay(delay)
+            .rate_bps(2_000_000)
+            .queue_bytes(12_000),
+    ];
+    let mut conns = Vec::new();
+    for path in paths {
+        let pop = w.add_pop();
+        let dst = w.add_host(pop);
+        w.set_symmetric_path(src_pop, pop, path);
+        for bytes in [14_600, 90_000] {
+            let conn = w.open_connection(src, dst);
+            w.enable_trace(conn);
+            w.start_transfer(conn, bytes);
+            conns.push(conn);
+        }
+    }
+    w.run_until(SimTime::from_secs(120));
+    let mut out = format!("# {label}\n");
+    for conn in conns {
+        for event in w.trace(conn).expect("traced").events() {
+            writeln!(out, "{conn} {event:?}").unwrap();
+        }
+    }
+    out
+}
+
+fn traces_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("golden")
+        .join("traces.txt")
+}
+
+#[test]
+fn every_traced_event_matches_the_golden_file() {
+    let acks = TcpConfig {
+        sack: true,
+        delayed_ack: true,
+        ..TcpConfig::default()
+    };
+    let traces = traced_world("default", TcpConfig::default(), 46)
+        + &traced_world("sack+delayed_ack", acks, 46);
+    for variant in [
+        "Established",
+        "SegmentSent",
+        "retransmit: true",
+        "SegmentDropped",
+        "overflow: false",
+        "overflow: true",
+        "SegmentDelivered",
+        "AckDelivered",
+        "RtoFired",
+        "TransferCompleted",
+    ] {
+        assert!(traces.contains(variant), "no {variant} in the traces");
+    }
+    let path = traces_path();
+    if std::env::var("RIPTIDE_BLESS").is_ok() {
+        std::fs::write(&path, &traces).expect("write golden traces");
+        return;
+    }
+    let want = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("read {} ({e}); bless with RIPTIDE_BLESS=1", path.display()));
+    assert!(
+        traces == want,
+        "traced events drifted from {}; re-bless with RIPTIDE_BLESS=1 only if the change is intentional",
+        path.display()
+    );
 }

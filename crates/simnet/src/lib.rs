@@ -37,7 +37,7 @@
 //! | [`packet`], [`event`] | Segments and the deterministic event queue | — |
 //! | [`rng`] | xoshiro256++ streams; seed → forked per-purpose streams | determinism requirement |
 //! | [`fault`] | Deterministic fault injection (poll timeouts, install failures, crashes, loss bursts) | §IV-D no-harm under failure |
-//! | [`stats`], [`trace`] | Per-connection counters and event traces | figure inputs |
+//! | [`stats`], [`trace`] | Per-connection counters; the wire-level events a `World` hands its one observer | figure inputs |
 //! | [`time`], [`ids`], [`config`] | Sim time, typed ids, TCP knobs | Table I context |
 //!
 //! ## Quick start
@@ -84,6 +84,6 @@ pub mod prelude {
     pub use crate::rng::DetRng;
     pub use crate::stats::{ConnStats, TransferRecord, WorldStats};
     pub use crate::time::{SimDuration, SimTime};
-    pub use crate::trace::{ConnTrace, TraceEvent};
+    pub use crate::trace::TraceEvent;
     pub use crate::world::{InitcwndPolicy, World};
 }

@@ -1,9 +1,12 @@
-//! Per-connection event tracing.
+//! Wire-level event tracing.
 //!
 //! A simulator is only as trustworthy as your ability to see what it
-//! did. Tracing can be enabled per connection; the world then records
-//! every wire-level event the connection participates in, timestamped,
-//! in order. Traces are the ground truth behind the TCP behaviour tests
+//! did. A `World` hands every wire-level event of every connection,
+//! timestamped and tagged with its [`ConnId`](crate::ids::ConnId), to the
+//! one observer set by [`World::set_observer`](crate::world::World::set_observer),
+//! in the order the events happen; filtered to one connection, that
+//! stream is the connection's trace. No observer is set unless a caller
+//! sets one. Traces are the ground truth behind the TCP behaviour tests
 //! and invaluable when a workload behaves unexpectedly.
 
 use crate::packet::SegIndex;
@@ -80,124 +83,9 @@ impl TraceEvent {
     }
 }
 
-/// An ordered trace of one connection's events.
-#[derive(Debug, Clone, Default)]
-pub struct ConnTrace {
-    events: Vec<TraceEvent>,
-}
-
-impl ConnTrace {
-    pub(crate) fn push(&mut self, event: TraceEvent) {
-        self.events.push(event);
-    }
-
-    /// All events, oldest first.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-
-    /// Number of events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether no events were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Count of sent segments (including retransmissions).
-    pub fn segments_sent(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::SegmentSent { .. }))
-            .count()
-    }
-
-    /// Count of dropped segments.
-    pub fn segments_dropped(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::SegmentDropped { .. }))
-            .count()
-    }
-
-    /// Renders a human-readable log, one line per event.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for e in &self.events {
-            let line = match *e {
-                TraceEvent::Established { at } => format!("{at} ESTABLISHED"),
-                TraceEvent::SegmentSent {
-                    at,
-                    seq,
-                    retransmit,
-                } => format!(
-                    "{at} SEND seq={seq}{}",
-                    if retransmit { " (retransmit)" } else { "" }
-                ),
-                TraceEvent::SegmentDropped { at, seq, overflow } => format!(
-                    "{at} DROP seq={seq} ({})",
-                    if overflow {
-                        "queue overflow"
-                    } else {
-                        "random loss"
-                    }
-                ),
-                TraceEvent::SegmentDelivered { at, seq } => {
-                    format!("{at} DELIVER seq={seq}")
-                }
-                TraceEvent::AckDelivered {
-                    at,
-                    cum_ack,
-                    cwnd_after,
-                } => format!("{at} ACK cum={cum_ack} cwnd={cwnd_after}"),
-                TraceEvent::RtoFired { at } => format!("{at} RTO"),
-                TraceEvent::TransferCompleted { at, bytes } => {
-                    format!("{at} COMPLETE bytes={bytes}")
-                }
-            };
-            out.push_str(&line);
-            out.push('\n');
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counters_and_render() {
-        let mut t = ConnTrace::default();
-        assert!(t.is_empty());
-        t.push(TraceEvent::Established {
-            at: SimTime::from_millis(50),
-        });
-        t.push(TraceEvent::SegmentSent {
-            at: SimTime::from_millis(51),
-            seq: 0,
-            retransmit: false,
-        });
-        t.push(TraceEvent::SegmentDropped {
-            at: SimTime::from_millis(51),
-            seq: 1,
-            overflow: false,
-        });
-        t.push(TraceEvent::SegmentSent {
-            at: SimTime::from_millis(200),
-            seq: 1,
-            retransmit: true,
-        });
-        assert_eq!(t.len(), 4);
-        assert_eq!(t.segments_sent(), 2);
-        assert_eq!(t.segments_dropped(), 1);
-        let log = t.render();
-        assert!(log.contains("SEND seq=0"));
-        assert!(log.contains("(retransmit)"));
-        assert!(log.contains("random loss"));
-    }
 
     #[test]
     fn timestamps_accessible() {

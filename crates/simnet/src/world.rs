@@ -50,7 +50,7 @@ use crate::rng::DetRng;
 use crate::stats::{ConnStats, TransferRecord, WorldStats};
 use crate::tcp::sender::{Outgoing, SendTimes};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{ConnTrace, TraceEvent};
+use crate::trace::TraceEvent;
 
 /// Decides the initial congestion window for new connections from a host.
 ///
@@ -77,6 +77,16 @@ struct Host {
 impl std::fmt::Debug for dyn InitcwndPolicy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "InitcwndPolicy")
+    }
+}
+
+/// The one observer of a `World`'s traced events (see
+/// [`World::set_observer`]).
+struct Observer(Box<dyn FnMut(ConnId, TraceEvent)>);
+
+impl std::fmt::Debug for Observer {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Observer")
     }
 }
 
@@ -109,7 +119,7 @@ pub struct World {
     completed: Vec<TransferRecord>,
     next_transfer: u64,
     stats: WorldStats,
-    traces: HashMap<ConnId, ConnTrace>,
+    observer: Option<Observer>,
     /// The one outbox of every sender: a sender call pushes its segments
     /// here and the [`World::flush`] that follows empties it. Kept across
     /// events so the hot path stops allocating once warm.
@@ -144,30 +154,22 @@ impl World {
             completed: Vec::new(),
             next_transfer: 0,
             stats: WorldStats::default(),
-            traces: HashMap::new(),
+            observer: None,
             outbox_scratch: Vec::new(),
             free_send_times: Vec::new(),
         }
     }
 
-    /// Starts recording wire-level events for `conn` (see
-    /// [`crate::trace`]).
-    pub fn enable_trace(&mut self, conn: ConnId) {
-        self.traces.entry(conn).or_default();
+    /// Hands every wire-level event of every connection, in `World`
+    /// order, to `observer` (see [`crate::trace`]), replacing any
+    /// observer set before.
+    pub fn set_observer(&mut self, observer: impl FnMut(ConnId, TraceEvent) + 'static) {
+        self.observer = Some(Observer(Box::new(observer)));
     }
 
-    /// The trace recorded for `conn` so far, if tracing is enabled.
-    pub fn trace(&self, conn: ConnId) -> Option<&ConnTrace> {
-        self.traces.get(&conn)
-    }
-
-    fn trace_push(&mut self, conn: ConnId, event: TraceEvent) {
-        // Tracing is off in every large-scale run; skip the hash lookup.
-        if self.traces.is_empty() {
-            return;
-        }
-        if let Some(t) = self.traces.get_mut(&conn) {
-            t.push(event);
+    fn observe(&mut self, conn: ConnId, event: TraceEvent) {
+        if let Some(Observer(f)) = &mut self.observer {
+            f(conn, event);
         }
     }
 
@@ -637,7 +639,7 @@ impl World {
             return;
         }
         self.stats.segments_delivered += 1;
-        self.trace_push(
+        self.observe(
             seg.conn,
             TraceEvent::SegmentDelivered {
                 at: self.now,
@@ -689,9 +691,9 @@ impl World {
         self.conns[conn.index()]
             .sender
             .on_ack(&ack, self.now, &mut self.outbox_scratch);
-        if !self.traces.is_empty() && self.traces.contains_key(&conn) {
+        if self.observer.is_some() {
             let cwnd_after = self.conns[conn.index()].sender.cwnd_segments();
-            self.trace_push(
+            self.observe(
                 conn,
                 TraceEvent::AckDelivered {
                     at: self.now,
@@ -729,7 +731,7 @@ impl World {
                     c.state = ConnState::Established;
                     c.established_at = Some(self.now);
                 }
-                self.trace_push(conn, TraceEvent::Established { at: self.now });
+                self.observe(conn, TraceEvent::Established { at: self.now });
                 // Release transfers that were waiting on the handshake;
                 // the first of them is the fresh-connection transfer.
                 let mut released = 0usize;
@@ -756,7 +758,7 @@ impl World {
             );
             return;
         }
-        self.trace_push(conn, TraceEvent::RtoFired { at: self.now });
+        self.observe(conn, TraceEvent::RtoFired { at: self.now });
         self.flush(conn);
     }
 
@@ -771,20 +773,22 @@ impl World {
         let mut outbox = std::mem::take(&mut self.outbox_scratch);
         if !outbox.is_empty() {
             let path = &mut self.paths[pid.index()];
-            let tracing = !self.traces.is_empty() && self.traces.contains_key(&conn);
-            let mut trace_events = Vec::new();
+            let observer = &mut self.observer;
             for &out in &outbox {
                 if out.retransmit {
                     self.stats.retransmits += 1;
                 }
-                if tracing {
-                    trace_events.push(TraceEvent::SegmentSent {
-                        at: self.now,
-                        seq: out.seq,
-                        retransmit: out.retransmit,
-                    });
+                if let Some(Observer(f)) = observer {
+                    f(
+                        conn,
+                        TraceEvent::SegmentSent {
+                            at: self.now,
+                            seq: out.seq,
+                            retransmit: out.retransmit,
+                        },
+                    );
                 }
-                match path.admit_ect(self.now, wire_bytes, ecn_capable) {
+                let overflow = match path.admit_ect(self.now, wire_bytes, ecn_capable) {
                     Admission::Deliver { arrival, ecn } => {
                         self.queue.schedule(
                             arrival,
@@ -796,30 +800,22 @@ impl World {
                                 ecn,
                             }),
                         );
+                        continue;
                     }
-                    Admission::LostRandom => {
-                        // Dropped; the sender recovers via dup-acks or RTO.
-                        if tracing {
-                            trace_events.push(TraceEvent::SegmentDropped {
-                                at: self.now,
-                                seq: out.seq,
-                                overflow: false,
-                            });
-                        }
-                    }
-                    Admission::LostOverflow | Admission::LostAqm => {
-                        if tracing {
-                            trace_events.push(TraceEvent::SegmentDropped {
-                                at: self.now,
-                                seq: out.seq,
-                                overflow: true,
-                            });
-                        }
-                    }
+                    // Dropped; the sender recovers via dup-acks or RTO.
+                    Admission::LostRandom => false,
+                    Admission::LostOverflow | Admission::LostAqm => true,
+                };
+                if let Some(Observer(f)) = observer {
+                    f(
+                        conn,
+                        TraceEvent::SegmentDropped {
+                            at: self.now,
+                            seq: out.seq,
+                            overflow,
+                        },
+                    );
                 }
-            }
-            for e in trace_events {
-                self.trace_push(conn, e);
             }
         }
         outbox.clear();
@@ -876,7 +872,7 @@ impl World {
                     _ => break,
                 }
             };
-            self.trace_push(
+            self.observe(
                 conn,
                 TraceEvent::TransferCompleted {
                     at: self.now,
@@ -1212,6 +1208,7 @@ mod tests {
     #[test]
     fn traces_record_the_full_transfer_story() {
         use crate::trace::TraceEvent;
+        use std::cell::RefCell;
         let mut w = World::new(TcpConfig::default(), 77);
         let a = w.add_pop();
         let b = w.add_pop();
@@ -1222,34 +1219,43 @@ mod tests {
             b,
             PathConfig::with_delay(SimDuration::from_millis(30)).loss(0.1),
         );
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        let sink = Rc::clone(&seen);
+        w.set_observer(move |conn, event| sink.borrow_mut().push((conn, event)));
         let conn = w.open_connection(h1, h2);
-        w.enable_trace(conn);
+        let other = w.open_connection(h1, h2);
         w.start_transfer(conn, 50_000); // 35 segments, 10% loss
         w.run_until(SimTime::from_secs(30));
-        let trace = w.trace(conn).expect("tracing enabled");
-        assert!(!trace.is_empty());
+        let seen = seen.borrow();
+        let trace: Vec<TraceEvent> = seen
+            .iter()
+            .filter(|&&(c, _)| c == conn)
+            .map(|&(_, e)| e)
+            .collect();
         assert!(trace
-            .events()
             .iter()
             .any(|e| matches!(e, TraceEvent::Established { .. })));
+        let sent = trace
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::SegmentSent { .. }))
+            .count();
+        assert!(sent >= 35, "at least one send per segment: {sent}");
         assert!(
-            trace.segments_sent() >= 35,
-            "at least one send per segment: {}",
-            trace.segments_sent()
+            trace
+                .iter()
+                .any(|e| matches!(e, TraceEvent::SegmentDropped { .. })),
+            "10% loss shows up"
         );
-        assert!(trace.segments_dropped() > 0, "10% loss shows up");
         assert!(trace
-            .events()
             .iter()
             .any(|e| matches!(e, TraceEvent::TransferCompleted { bytes: 50_000, .. })));
         // Timestamps are non-decreasing.
-        let times: Vec<_> = trace.events().iter().map(|e| e.at()).collect();
-        assert!(times.windows(2).all(|w| w[0] <= w[1]));
-        // Render produces one line per event.
-        assert_eq!(trace.render().lines().count(), trace.len());
-        // Untraced connections record nothing.
-        let other = w.open_connection(h1, h2);
-        assert!(w.trace(other).is_none());
+        assert!(trace.windows(2).all(|w| w[0].at() <= w[1].at()));
+        // A connection that sends nothing is seen only at its handshake.
+        assert!(seen
+            .iter()
+            .filter(|&&(c, _)| c == other)
+            .all(|(_, e)| matches!(e, TraceEvent::Established { .. })));
     }
 
     #[test]

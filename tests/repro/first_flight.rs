@@ -27,7 +27,6 @@ use proptest::prelude::*;
 use riptide_repro::linuxnet::prefix::Ipv4Prefix;
 use riptide_repro::linuxnet::route::{RouteAttrs, RouteTable};
 use riptide_repro::simnet::prelude::*;
-use riptide_repro::simnet::trace::TraceEvent;
 
 struct TablePolicy(Rc<RefCell<RouteTable>>);
 
@@ -37,11 +36,25 @@ impl InitcwndPolicy for TablePolicy {
     }
 }
 
-/// Data segments (first sends and resends) sent before the first
+/// Every event `w` traces from here on, tagged with its connection.
+fn observe(w: &mut World) -> Rc<RefCell<Vec<(ConnId, TraceEvent)>>> {
+    let seen = Rc::new(RefCell::new(Vec::new()));
+    let sink = Rc::clone(&seen);
+    w.set_observer(move |conn, event| sink.borrow_mut().push((conn, event)));
+    seen
+}
+
+/// `conn`'s events among `seen`, oldest first.
+fn trace_of(seen: &[(ConnId, TraceEvent)], conn: ConnId) -> impl Iterator<Item = &TraceEvent> {
+    seen.iter()
+        .filter(move |&&(c, _)| c == conn)
+        .map(|(_, e)| e)
+}
+
+/// Data segments (first sends and resends) `conn` sent before its first
 /// `AckDelivered`.
-fn first_flight(events: &[TraceEvent]) -> usize {
-    events
-        .iter()
+fn first_flight(seen: &[(ConnId, TraceEvent)], conn: ConnId) -> usize {
+    trace_of(seen, conn)
         .take_while(|e| !matches!(e, TraceEvent::AckDelivered { .. }))
         .filter(|e| matches!(e, TraceEvent::SegmentSent { .. }))
         .count()
@@ -88,12 +101,12 @@ proptest! {
             route(&table, Ipv4Prefix::host(w.host_addr(dst)), window);
         }
         w.set_host_policy(src, Rc::new(TablePolicy(Rc::clone(&table))));
+        let seen = observe(&mut w);
 
         let mut routes = host_routes.clone();
         let mut expected = Vec::new();
         for (i, &(dst, bytes)) in objects.iter().enumerate() {
             let conn = w.open_connection(src, dsts[dst]);
-            w.enable_trace(conn);
             w.start_transfer(conn, bytes);
             let route_window = routes[dst].or(pop_route).unwrap_or(cfg.initial_cwnd);
             let want = u64::from(route_window)
@@ -107,10 +120,10 @@ proptest! {
         }
         w.run_until(SimTime::from_secs(600));
         prop_assert_eq!(w.drain_completed().len(), objects.len());
+        let seen = seen.borrow();
         for (conn, want) in expected {
-            let trace = w.trace(conn).expect("traced");
             prop_assert_eq!(
-                first_flight(trace.events()) as u64,
+                first_flight(&seen, conn) as u64,
                 want,
                 "{}: routes {:?} / {:?}, rwnd {}, delack {}",
                 conn, host_routes, pop_route, initial_rwnd, delayed_ack
@@ -125,6 +138,7 @@ proptest! {
 /// whose 12 KB queue overflows, with two objects over each.
 fn traced_world(label: &str, cfg: TcpConfig, seed: u64) -> String {
     let mut w = World::new(cfg, seed);
+    let seen = observe(&mut w);
     let src_pop = w.add_pop();
     let src = w.add_host(src_pop);
     let delay = SimDuration::from_millis(20);
@@ -142,15 +156,15 @@ fn traced_world(label: &str, cfg: TcpConfig, seed: u64) -> String {
         w.set_symmetric_path(src_pop, pop, path);
         for bytes in [14_600, 90_000] {
             let conn = w.open_connection(src, dst);
-            w.enable_trace(conn);
             w.start_transfer(conn, bytes);
             conns.push(conn);
         }
     }
     w.run_until(SimTime::from_secs(120));
     let mut out = format!("# {label}\n");
+    let seen = seen.borrow();
     for conn in conns {
-        for event in w.trace(conn).expect("traced").events() {
+        for event in trace_of(&seen, conn) {
             writeln!(out, "{conn} {event:?}").unwrap();
         }
     }

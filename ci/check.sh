@@ -4,7 +4,7 @@
 #
 # Stages (default: all):
 #   lint   fast fail-early checks — fmt, clippy, rustdoc -D warnings
-#   build  release build, tests, the six riptide-bench gates, and the
+#   build  release build, tests, the seven riptide-bench gates, and the
 #          benchmark package's own gate (benchmark/check.sh)
 #
 # CI runs the stages as separate jobs (lint gates build), so a
@@ -108,16 +108,18 @@ if [[ "$stage" == "build" || "$stage" == "all" ]]; then
     run cargo test -q -p riptide-linuxnet --lib "$scan_parts"
     run cargo test -q -p riptide-simnet --lib "$receiver"
 
-    # The four outcome records, one --check each. Every family re-runs
+    # The five outcome records, one --check each. Every family re-runs
     # its sweep at its record's scale and seeds, asserts its own claims
     # (zero-rate / default-policy / baseline-cell arms bit-identical to
-    # the fault-free probe comparison; guardrail: drift repaired,
+    # the fault-free probe comparison; chaos: no installed window
+    # outside [c_min, c_max] at any fault rate; guardrail: drift repaired,
     # foreign routes untouched, bounds held, breaker reduces harm;
     # coldstart: snapshot bookkeeping is outcome-neutral and warm arms
     # beat the 1.5x ramp floor; scenarios: two cells re-rank the
     # policies and loss-utility beats EWMA on the lossy edge) and then
     # compares its run digest with the checked-in BENCH_*.json — drift
     # in any arm is fatal. --check writes nothing.
+    run cargo run --release -p riptide-bench -- chaos --check
     run cargo run --release -p riptide-bench -- guardrail --check
     run cargo run --release -p riptide-bench -- coldstart --check
     run cargo run --release -p riptide-bench -- policy_arena --check

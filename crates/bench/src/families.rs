@@ -50,8 +50,18 @@ pub struct Findings {
     rows: (&'static str, Vec<String>),
 }
 
-/// The four families, in the order `--list` prints them.
+/// The five families, in the order `--list` prints them.
 pub const FAMILIES: &[Family] = &[
+    Family {
+        name: "chaos",
+        title: "Chaos",
+        about: "gain survival under fault injection (0/1/5/20% fault rates)",
+        record: "BENCH_chaos.json",
+        scale: "test",
+        seeds: 2,
+        plan: |scale, seeds| RunPlan::chaos_sweep(scale, &CHAOS_RATES, seeds),
+        report: chaos,
+    },
     Family {
         name: "guardrail",
         title: "Guardrail",
@@ -142,6 +152,123 @@ pub fn drive(family: &Family, opts: &RunOptions) -> Outcome {
 fn probe_sizes_field(sizes: &[u64]) -> (&'static str, String) {
     let listed: Vec<String> = sizes.iter().map(u64::to_string).collect();
     ("probe_sizes", format!("[{}]", listed.join(", ")))
+}
+
+const CHAOS_RATES: [f64; 4] = [0.0, 0.01, 0.05, 0.20];
+
+/// Chaos: does the Fig. 14 gain survive infrastructure faults?
+///
+/// Sweeps a uniform per-opportunity fault rate (0%, 1%, 5%, 20%:
+/// `ss` timeouts and truncations, `ip route` failures and delays, agent
+/// crashes, link loss bursts) over the paired §IV-B2 probe experiment
+/// and reports, per probe size, the control vs Riptide median
+/// completion and the surviving gain. Two invariants are asserted for
+/// every arm (§IV-D no-harm):
+///
+/// * no installed window ever leaves `[c_min, c_max]`;
+/// * the zero-rate sweep reproduces the fault-free probe comparison
+///   bit for bit.
+///
+/// ```text
+/// cargo run --release -p riptide-bench -- chaos [--check]
+/// ```
+fn chaos(_opts: &RunOptions, report: &RunReport, reference: &RunReport) -> Findings {
+    // The injector adds nothing until it fires: rate 0 is the plain
+    // probe comparison, control arm and Riptide arm alike.
+    for arm in [0, 1] {
+        assert_same_probes(report, arm, reference, arm, "zero-rate chaos arm");
+    }
+    println!("# zero-rate arms bit-identical to the fault-free probe comparison");
+
+    let sizes = ProbeConfig::default().sizes;
+    println!(
+        "{:>6} {:>8} {:>12} {:>12} {:>7}",
+        "rate", "size_kb", "control_ms", "riptide_ms", "gain_%"
+    );
+    let mut rows = Vec::new();
+    let mut zero_rate_gain = 0.0;
+    for (i, &rate) in CHAOS_RATES.iter().enumerate() {
+        let control = report.merged_probes(2 * i as u32);
+        let riptide = report.merged_probes(2 * i as u32 + 1);
+        let mut gains = Vec::new();
+        for &size in &sizes {
+            let (c, r) = match (median_ms(&control, size), median_ms(&riptide, size)) {
+                (Some(c), Some(r)) => (c, r),
+                _ => continue,
+            };
+            let gain = (c - r) / c * 100.0;
+            gains.push(gain);
+            println!(
+                "{:>6} {:>8} {:>12.1} {:>12.1} {:>7.1}",
+                rate,
+                size / 1000,
+                c,
+                r,
+                gain
+            );
+        }
+        if rate == 0.0 {
+            zero_rate_gain = mean(&gains);
+        }
+
+        // Fault and resilience counters (riptide arm; the control arm
+        // only sees link bursts).
+        let cr = report.merged_chaos_report(2 * i as u32 + 1);
+        println!(
+            "#   rate {rate}: observe timeouts {} / partials {}, install errors {} / delays {} \
+             (landed late {}), crashes {} (routes recovered {}), bursts {}, degraded ticks {}, \
+             retries obs {} / inst {}, gave up {}",
+            cr.faults.observe_timeouts,
+            cr.faults.observe_partials,
+            cr.faults.install_errors,
+            cr.faults.install_delays,
+            cr.delayed_applied,
+            cr.faults.crashes,
+            cr.routes_recovered,
+            cr.faults.bursts,
+            cr.degraded_ticks,
+            cr.observe_retries,
+            cr.install_retries,
+            cr.install_gave_up,
+        );
+
+        // §IV-D no-harm: windows never leave [c_min, c_max], in any arm.
+        for scenario in [2 * i as u32, 2 * i as u32 + 1] {
+            let rep = report.merged_chaos_report(scenario);
+            assert_eq!(
+                rep.invariant_breaches, 0,
+                "scenario {scenario}: installs rejected by the bounds gate"
+            );
+            if let Some((lo, hi)) = rep.installed_range() {
+                assert!(
+                    lo >= 10 && hi <= 100,
+                    "scenario {scenario}: installed window range [{lo}, {hi}] outside [10, 100]"
+                );
+            }
+        }
+        let by_size: Vec<String> = gains.iter().map(|g| format!("{g:.2}")).collect();
+        rows.push(format!(
+            "{{\"rate\": {rate}, \"gain_pct_by_size\": [{}], \"mean_gain_pct\": {:.2}, \
+             \"crashes\": {}, \"install_gave_up\": {}}}",
+            by_size.join(", "),
+            mean(&gains),
+            cr.faults.crashes,
+            cr.install_gave_up,
+        ));
+    }
+    println!(
+        "# fault-free mean gain {zero_rate_gain:.1}%; \
+         every installed window stayed within [c_min, c_max] at every fault rate"
+    );
+
+    Findings {
+        fields: vec![
+            ("zero_rate_bit_identical", "true".into()),
+            ("invariant_breaches", "0".into()),
+            probe_sizes_field(&sizes),
+        ],
+        rows: ("rates", rows),
+    }
 }
 
 const GUARDRAIL_RATES: [f64; 3] = [0.0, 0.1, 0.3];

@@ -151,11 +151,6 @@ const EXPERIMENTS: &[Experiment] = &[
         run: Run::Own(studies::kernel_mode),
     },
     Experiment {
-        name: "chaos",
-        about: "gain survival under injected infrastructure faults",
-        run: Run::Own(studies::chaos),
-    },
-    Experiment {
         name: "megacdn",
         about: "million-prefix destination-table gate (BENCH_megacdn.json)",
         run: Run::Own(megacdn::megacdn),

@@ -1,17 +1,13 @@
 //! Studies beyond the paper's figures that print a table and keep no
-//! record: design ablations, cold-start convergence, the §V kernel
-//! trade-off, and gain survival under injected faults.
+//! record: design ablations, cold-start convergence and the §V kernel
+//! trade-off.
 
 use riptide::kernel::KernelAgent;
 use riptide::prelude::*;
-use riptide_bench::{
-    assert_same_probes, banner, execute_plan, mean, median_ms, reference_probe_run, Outcome,
-    RunOptions,
-};
+use riptide_bench::{banner, execute_plan, Outcome, RunOptions};
 use riptide_cdn::engine::{PlanArm, RunPlan};
 use riptide_cdn::experiment::{probe_sender_sites, StackTweaks};
 use riptide_cdn::stats::Cdf;
-use riptide_cdn::workload::ProbeConfig;
 use riptide_linuxnet::route::RouteTable;
 use riptide_simnet::time::{SimDuration, SimTime};
 use std::net::Ipv4Addr;
@@ -273,115 +269,5 @@ pub fn kernel_mode(_opts: &RunOptions) -> Outcome {
     println!("\n# userspace staleness is bounded by i_u; the kernel variant reacts in-event.");
     println!("# monitoring load: polling reads every open connection every i_u regardless of");
     println!("# change; the kernel hook fires only on actual window transitions.");
-    Ok(())
-}
-
-/// Chaos: does the Fig. 14 gain survive infrastructure faults?
-///
-/// Sweeps a uniform per-opportunity fault rate (0%, 1%, 5%, 20%:
-/// `ss` timeouts and truncations, `ip route` failures and delays, agent
-/// crashes, link loss bursts) over the paired §IV-B2 probe experiment
-/// and reports, per probe size, the control vs Riptide median
-/// completion and the surviving gain. Two invariants are asserted for
-/// every arm (§IV-D no-harm):
-///
-/// * no installed window ever leaves `[c_min, c_max]`;
-/// * the zero-rate sweep reproduces the fault-free probe comparison
-///   bit for bit.
-///
-/// ```text
-/// cargo run --release -p riptide-bench -- chaos --scale quick --seeds 2
-/// ```
-pub fn chaos(opts: &RunOptions) -> Outcome {
-    const RATES: [f64; 4] = [0.0, 0.01, 0.05, 0.20];
-
-    banner(
-        "Chaos",
-        "gain survival under fault injection (0/1/5/20% fault rates)",
-    );
-    let plan = RunPlan::chaos_sweep(&opts.scale, &RATES, opts.seeds);
-    let report = execute_plan(opts, &plan);
-
-    // The injector adds nothing until it fires: rate 0 is the plain
-    // probe comparison, control arm and Riptide arm alike.
-    let reference = reference_probe_run(opts);
-    for arm in [0, 1] {
-        assert_same_probes(&report, arm, &reference, arm, "zero-rate chaos arm");
-    }
-    println!("# zero-rate arms bit-identical to the fault-free probe comparison");
-
-    let sizes = ProbeConfig::default().sizes;
-    println!(
-        "{:>6} {:>8} {:>12} {:>12} {:>7}",
-        "rate", "size_kb", "control_ms", "riptide_ms", "gain_%"
-    );
-    let mut zero_rate_gain = None;
-    for (i, &rate) in RATES.iter().enumerate() {
-        let control = report.merged_probes(2 * i as u32);
-        let riptide = report.merged_probes(2 * i as u32 + 1);
-        let mut gains = Vec::new();
-        for &size in &sizes {
-            let (c, r) = match (median_ms(&control, size), median_ms(&riptide, size)) {
-                (Some(c), Some(r)) => (c, r),
-                _ => continue,
-            };
-            let gain = (c - r) / c * 100.0;
-            gains.push(gain);
-            println!(
-                "{:>6} {:>8} {:>12.1} {:>12.1} {:>7.1}",
-                rate,
-                size / 1000,
-                c,
-                r,
-                gain
-            );
-        }
-        if rate == 0.0 {
-            zero_rate_gain = Some(mean(&gains));
-        }
-
-        // Fault and resilience counters (riptide arm; the control arm
-        // only sees link bursts).
-        let cr = report.merged_chaos_report(2 * i as u32 + 1);
-        println!(
-            "#   rate {rate}: observe timeouts {} / partials {}, install errors {} / delays {} \
-             (landed late {}), crashes {} (routes recovered {}), bursts {}, degraded ticks {}, \
-             retries obs {} / inst {}, gave up {}",
-            cr.faults.observe_timeouts,
-            cr.faults.observe_partials,
-            cr.faults.install_errors,
-            cr.faults.install_delays,
-            cr.delayed_applied,
-            cr.faults.crashes,
-            cr.routes_recovered,
-            cr.faults.bursts,
-            cr.degraded_ticks,
-            cr.observe_retries,
-            cr.install_retries,
-            cr.install_gave_up,
-        );
-
-        // §IV-D no-harm: windows never leave [c_min, c_max], in any arm.
-        for scenario in [2 * i as u32, 2 * i as u32 + 1] {
-            let rep = report.merged_chaos_report(scenario);
-            assert_eq!(
-                rep.invariant_breaches, 0,
-                "scenario {scenario}: installs rejected by the bounds gate"
-            );
-            if let Some((lo, hi)) = rep.installed_range() {
-                assert!(
-                    lo >= 10 && hi <= 100,
-                    "scenario {scenario}: installed window range [{lo}, {hi}] outside [10, 100]"
-                );
-            }
-        }
-    }
-
-    // Graceful degradation: faults must not flip the sign of the gain.
-    let zero = zero_rate_gain.expect("zero-rate arm ran");
-    println!(
-        "# fault-free mean gain {zero:.1}%; \
-         every installed window stayed within [c_min, c_max] at every fault rate"
-    );
     Ok(())
 }

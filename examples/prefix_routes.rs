@@ -8,9 +8,7 @@
 //!
 //! Run with: `cargo run --example prefix_routes`
 
-use std::cell::RefCell;
 use std::net::Ipv4Addr;
-use std::rc::Rc;
 
 use riptide_repro::linuxnet::route::RouteTable;
 use riptide_repro::riptide::prelude::*;
@@ -31,8 +29,8 @@ fn observations() -> Vec<CwndObservation> {
 }
 
 fn run(granularity: Granularity) -> (usize, Option<u32>) {
-    let table = Rc::new(RefCell::new(RouteTable::new()));
-    let mut controller = SharedRouteController::new(Rc::clone(&table));
+    // The table is the agent's controller.
+    let mut table = RouteTable::new();
     let config = RiptideConfig::builder()
         .granularity(granularity)
         .policy(LearningPolicy::None)
@@ -40,12 +38,10 @@ fn run(granularity: Granularity) -> (usize, Option<u32>) {
         .expect("valid config");
     let mut agent = RiptideAgent::new(config).expect("valid config");
     let mut observer = FnObserver(observations);
-    agent.tick(SimTime::from_secs(1), &mut observer, &mut controller);
+    agent.tick(SimTime::from_secs(1), &mut observer, &mut table);
     // A host we have NEVER talked to, in the same remote PoP:
     let unseen = Ipv4Addr::new(10, 0, 7, 250);
-    let routes = table.borrow().len();
-    let window = table.borrow().initcwnd_for(unseen);
-    (routes, window)
+    (table.len(), table.initcwnd_for(unseen))
 }
 
 fn main() {

@@ -866,11 +866,8 @@ proptest! {
             1..8),
     ) {
         use riptide_repro::riptide::agent::RiptideAgent;
-        use riptide_repro::riptide::control::SharedRouteController;
         use riptide_repro::riptide::observe::FnObserver;
         use riptide_repro::simnet::time::SimDuration;
-        use std::cell::RefCell;
-        use std::rc::Rc;
 
         for (name, policy) in policies_under_test() {
             let cfg = RiptideConfig::builder()
@@ -878,8 +875,7 @@ proptest! {
                 .build()
                 .expect("registered policies build valid configs");
             let (c_min, c_max) = (cfg.cwnd_min, cfg.cwnd_max);
-            let table = Rc::new(RefCell::new(RouteTable::new()));
-            let mut controller = SharedRouteController::new(Rc::clone(&table));
+            let mut table = RouteTable::new();
             let mut agent = RiptideAgent::new(cfg).expect("valid config");
             for (i, tick) in ticks.iter().enumerate() {
                 let now = SimTime::ZERO + SimDuration::from_secs(10 * (i as u64 + 1));
@@ -895,8 +891,8 @@ proptest! {
                     })
                     .collect();
                 let mut observer = FnObserver(|| batch.clone());
-                agent.tick(now, &mut observer, &mut controller);
-                for route in table.borrow().iter() {
+                agent.tick(now, &mut observer, &mut table);
+                for route in table.iter() {
                     if let Some(w) = route.attrs.initcwnd {
                         prop_assert!(
                             (c_min..=c_max).contains(&w),

@@ -96,16 +96,15 @@ fn learned_windows_track_a_path_that_degrades() {
     let good = PathConfig::with_delay(SimDuration::from_millis(30));
     w.set_symmetric_path(a, b, good.clone());
 
-    let table = Rc::new(RefCell::new(RouteTable::new()));
+    let mut table = Rc::new(RefCell::new(RouteTable::new()));
     w.set_host_policy(h1, Rc::new(Policy(Rc::clone(&table))));
-    let mut controller = SharedRouteController::new(Rc::clone(&table));
     let mut agent =
         RiptideAgent::new(RiptideConfig::builder().alpha(0.3).build().unwrap()).unwrap();
 
     let dst_addr = w.host_addr(h2);
     let drive = |w: &mut World,
                  agent: &mut RiptideAgent,
-                 controller: &mut SharedRouteController,
+                 table: &mut Rc<RefCell<RouteTable>>,
                  from: u64,
                  to: u64| {
         for t in from..to {
@@ -135,11 +134,11 @@ fn learned_windows_track_a_path_that_degrades() {
                 }
             });
             let mut o = FnObserver(move || obs.clone());
-            agent.tick(now, &mut o, controller);
+            agent.tick(now, &mut o, table);
         }
     };
 
-    drive(&mut w, &mut agent, &mut controller, 1, 120);
+    drive(&mut w, &mut agent, &mut table, 1, 120);
     let healthy = agent
         .learned_window(dst_addr)
         .expect("learned on healthy path");
@@ -156,7 +155,7 @@ fn learned_windows_track_a_path_that_degrades() {
     w.reconfigure_path(a, b, bad.clone());
     w.reconfigure_path(b, a, bad);
 
-    drive(&mut w, &mut agent, &mut controller, 120, 400);
+    drive(&mut w, &mut agent, &mut table, 120, 400);
     let degraded = agent.learned_window(dst_addr).expect("still learning");
     assert!(
         degraded < healthy,
